@@ -99,6 +99,11 @@ awk -F, '!/^#/ && NR > 2 { if ($7 < 1.5) bad = 1; rows++ } END { exit !(rows == 
 echo "==> Criterion wide-tier kernel medians"
 cargo bench -p lll-bench --bench numeric | tee results/criterion_numeric_medians.txt
 
+echo "==> ledger benchmark smoke (every workload solves correctly; no timing gate)"
+cargo test -q -p lll-bench --bin ledger
+cargo run --release -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+  --all --smoke --seconds 0.5 --seed 1
+
 echo "==> service mode: protocol + cache + parse + soak batteries"
 cargo test -q -p lll-serve
 LLL_DIFF_THREADS=2 cargo test -q -p lll-serve --test soak

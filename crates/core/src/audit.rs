@@ -200,6 +200,25 @@ impl<T: Num> IncrementalAuditor<T> {
         p_bound: &T,
         tol: &T,
     ) -> IncrementalAuditor<T> {
+        let probs: Vec<T> = (0..inst.num_events())
+            .map(|v| inst.probability(v, partial))
+            .collect();
+        IncrementalAuditor::seeded(inst, phi, &probs, p_bound, tol)
+    }
+
+    /// The full scan of [`new`](IncrementalAuditor::new) with the
+    /// per-event conditional probabilities supplied: `probs[v]` must be
+    /// `Pr[v | partial]` for the state `phi` belongs to. The distributed
+    /// drivers seed a fresh-start auditor from the unconditional
+    /// probabilities they already enumerated for the criterion check.
+    pub(crate) fn seeded(
+        inst: &Instance<T>,
+        phi: &Phi<T>,
+        probs: &[T],
+        p_bound: &T,
+        tol: &T,
+    ) -> IncrementalAuditor<T> {
+        debug_assert_eq!(probs.len(), inst.num_events());
         let g = inst.dependency_graph();
         let mut auditor = IncrementalAuditor {
             p_bound: p_bound.clone(),
@@ -213,8 +232,8 @@ impl<T: Num> IncrementalAuditor<T> {
         for eid in 0..g.num_edges() {
             auditor.recheck_pair(phi, eid);
         }
-        for v in 0..inst.num_events() {
-            auditor.recheck_prob(inst, partial, v);
+        for (v, pr) in probs.iter().enumerate() {
+            auditor.recheck_prob(v, pr);
         }
         auditor
     }
@@ -228,10 +247,9 @@ impl<T: Num> IncrementalAuditor<T> {
         }
     }
 
-    fn recheck_prob(&mut self, inst: &Instance<T>, partial: &PartialAssignment, v: usize) {
-        let pr = inst.probability(v, partial);
+    fn recheck_prob(&mut self, v: usize, pr: &T) {
         let bound = self.p_bound.clone() * self.products[v].clone();
-        if pr > bound + self.tol.clone() {
+        if *pr > bound + self.tol.clone() {
             self.prob_bad.insert(v);
         } else {
             self.prob_bad.remove(&v);
@@ -258,7 +276,7 @@ impl<T: Num> IncrementalAuditor<T> {
         }
         for &v in touched {
             self.products[v] = phi.product_at(g, v);
-            self.recheck_prob(inst, partial, v);
+            self.recheck_prob(v, &inst.probability(v, partial));
         }
         self.report()
     }
@@ -378,6 +396,98 @@ mod tests {
         let report = audit_p_star(&inst, &partial, &phi, &q(1, 16), &BigRational::zero());
         assert_eq!(report.pair_violations, vec![e]);
         assert!(report.prob_violations.is_empty());
+    }
+
+    /// `ring(n)` with a `k`-valued variable per edge (biased weights from
+    /// `w`); event `v` occurs iff both its variables equal `pattern[v]`
+    /// (mod their value count), so event probabilities differ.
+    fn ring_instance<T: Num>(n: usize, ks: &[usize], w: &[u8], pattern: &[usize]) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(n);
+        let vars: Vec<(usize, usize)> = (0..n)
+            .map(|i| {
+                let k = ks[i % ks.len()];
+                let weights: Vec<u64> = (0..k)
+                    .map(|y| 1 + u64::from(w[(i + y) % w.len()] % 5))
+                    .collect();
+                let total: u64 = weights.iter().sum();
+                let probs = weights
+                    .iter()
+                    .map(|&wy| T::from_ratio(wy as i64, total))
+                    .collect();
+                (b.add_variable(&[i, (i + 1) % n], probs), k)
+            })
+            .collect();
+        for v in 0..n {
+            let (a, ka) = vars[(v + n - 1) % n];
+            let (c, kc) = vars[v];
+            let want = pattern[v % pattern.len()];
+            b.set_event_predicate(v, move |vals| vals[a] == want % ka && vals[c] == want % kc);
+        }
+        b.build().unwrap()
+    }
+
+    /// The seeded constructor against the full-scan `new` on the same
+    /// state: identical report and identical cached products.
+    fn assert_seeded_matches_new<T: Num>(
+        inst: &Instance<T>,
+        partial: &PartialAssignment,
+        phi: &Phi<T>,
+        p_bound: &T,
+        tol: &T,
+    ) -> AuditReport {
+        let scanned = IncrementalAuditor::new(inst, partial, phi, p_bound, tol);
+        let probs: Vec<T> = (0..inst.num_events())
+            .map(|v| inst.probability(v, partial))
+            .collect();
+        let seeded = IncrementalAuditor::seeded(inst, phi, &probs, p_bound, tol);
+        assert_eq!(seeded.report(), scanned.report());
+        assert_eq!(seeded.products, scanned.products);
+        assert_eq!(
+            seeded.report(),
+            audit_p_star(inst, partial, phi, p_bound, tol)
+        );
+        seeded.report()
+    }
+
+    /// Fresh state, then a state with `φ` pushed over 2 on edge 0; at the
+    /// maximum probability (holds), and at a bound below it with a
+    /// positive tolerance (non-empty violation sets); last a mid-run
+    /// state with one variable fixed.
+    fn seeded_equivalence<T: Num>(inst: &Instance<T>, tol: T) {
+        let g = inst.dependency_graph();
+        let empty = PartialAssignment::new(inst.num_variables());
+        let p = inst.max_event_probability();
+        let below = p.clone() * T::from_ratio(1, 2);
+        let mut phi = Phi::ones(g);
+        let fresh = assert_seeded_matches_new(inst, &empty, &phi, &p, &tol);
+        assert!(fresh.holds(), "{fresh:?}");
+        let tight = assert_seeded_matches_new(inst, &empty, &phi, &below, &tol);
+        assert!(!tight.prob_violations.is_empty());
+        let (u, v) = g.edge(0);
+        phi.set(0, u, T::from_ratio(3, 2)).unwrap();
+        phi.set(0, v, T::from_ratio(3, 2)).unwrap();
+        let pushed = assert_seeded_matches_new(inst, &empty, &phi, &below, &tol);
+        assert_eq!(pushed.pair_violations, vec![0]);
+        assert!(!pushed.prob_violations.is_empty());
+        // Mid-run: conditional probabilities differ from unconditional.
+        let mut partial = empty;
+        partial.fix(0, 0);
+        assert_seeded_matches_new(inst, &partial, &phi, &below, &tol);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn seeded_auditor_equals_the_full_scan(
+            n in 3usize..12,
+            ks in proptest::collection::vec(2usize..6, 1..5),
+            w in proptest::collection::vec(0u8..255, 1..5),
+            pattern in proptest::collection::vec(0usize..6, 1..5),
+        ) {
+            seeded_equivalence(&ring_instance::<BigRational>(n, &ks, &w, &pattern), q(1, 1_000_000));
+            seeded_equivalence(&ring_instance::<f64>(n, &ks, &w, &pattern), 1e-12);
+        }
     }
 
     #[test]

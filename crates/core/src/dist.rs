@@ -39,8 +39,9 @@ use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
 use crate::fg::FgFixer;
 use crate::fixer2::{audit_event, fix_run_start_event};
-use crate::instance::Instance;
+use crate::instance::{max_probability, Instance, PartialAssignment};
 use crate::sweep::{fix_class_sharded, ClassFixer};
+use crate::triples::Phi;
 use crate::{FixReport, Fixer2, Fixer3};
 
 /// Whether to enforce the exponential criterion `p < 2^-d` before
@@ -777,10 +778,8 @@ fn fixer2_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
     rec: &mut R,
     sink: &mut S,
 ) -> Result<DistReport, DistError> {
-    let mut fixer = match check {
-        CriterionCheck::Enforce => Fixer2::new(inst)?,
-        CriterionCheck::Skip => Fixer2::new_unchecked(inst)?,
-    };
+    let mut fixer = Fixer2::new_unchecked(inst)?;
+    let initial_probs = check_criterion(inst, check)?;
     let g = inst.dependency_graph();
     if schedule.kind() != ScheduleKind::Edge || schedule.colors().len() != g.num_edges() {
         return Err(DistError::ScheduleMismatch {
@@ -829,9 +828,7 @@ fn fixer2_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         // scanning here would describe pre-replay state.
         None
     } else {
-        audit.map(|(p_bound, tol)| {
-            IncrementalAuditor::new(inst, fixer.partial(), fixer.phi(), p_bound, tol)
-        })
+        fresh_start_auditor(inst, fixer.partial(), fixer.phi(), initial_probs, audit)
     };
 
     let run_started = span_start::<S>();
@@ -1148,10 +1145,8 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
     rec: &mut R,
     sink: &mut S,
 ) -> Result<DistReport, DistError> {
-    let mut fixer = match check {
-        CriterionCheck::Enforce => Fixer3::new(inst)?,
-        CriterionCheck::Skip => Fixer3::new_unchecked(inst)?,
-    };
+    let mut fixer = Fixer3::new_unchecked(inst)?;
+    let initial_probs = check_criterion(inst, check)?;
     let g = inst.dependency_graph();
     let n = g.num_nodes();
     if schedule.kind() != ScheduleKind::Distance2 || schedule.colors().len() != n {
@@ -1188,9 +1183,7 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         // scanning here would describe pre-replay state.
         None
     } else {
-        audit.map(|(p_bound, tol)| {
-            IncrementalAuditor::new(inst, fixer.partial(), fixer.phi(), p_bound, tol)
-        })
+        fresh_start_auditor(inst, fixer.partial(), fixer.phi(), initial_probs, audit)
     };
 
     let run_started = span_start::<S>();
@@ -1246,6 +1239,42 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
     }
 
     finish_driver(fixer.into_report(), coloring_rounds, palette, 0, rec)
+}
+
+/// The criterion check of the scheduled drivers under
+/// [`CriterionCheck::Enforce`] (after the fixer constructor's rank
+/// check, so a rank violation is still reported first). Returns the
+/// per-event unconditional probabilities it enumerated, so a fresh-start
+/// audited run can seed its auditor from the same pass
+/// ([`fresh_start_auditor`]); `None` under [`CriterionCheck::Skip`].
+fn check_criterion<T: Num>(
+    inst: &Instance<T>,
+    check: CriterionCheck,
+) -> Result<Option<Vec<T>>, FixerError> {
+    if check == CriterionCheck::Skip {
+        return Ok(None);
+    }
+    let probs = inst.unconditional_probabilities();
+    inst.check_exponential_criterion(max_probability(probs.iter().cloned()))?;
+    Ok(Some(probs))
+}
+
+/// The auditor of an audited run that starts fresh (no replay), seeded
+/// from the criterion check's probabilities when it ran. Nothing is
+/// fixed yet, so `Pr[v | partial]` is the unconditional probability
+/// computed by the identical enumeration — the seeded auditor equals
+/// [`IncrementalAuditor::new`]'s full scan bit for bit.
+fn fresh_start_auditor<T: Num>(
+    inst: &Instance<T>,
+    partial: &PartialAssignment,
+    phi: &Phi<T>,
+    probs: Option<Vec<T>>,
+    audit: Option<(&T, &T)>,
+) -> Option<IncrementalAuditor<T>> {
+    let (p_bound, tol) = audit?;
+    debug_assert_eq!(partial.num_fixed(), 0, "fresh start");
+    let probs = probs.unwrap_or_else(|| inst.unconditional_probabilities());
+    Some(IncrementalAuditor::seeded(inst, phi, &probs, p_bound, tol))
 }
 
 /// Applies a class's worker-computed audit deltas, emits the per-class

@@ -83,11 +83,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
     /// [`FixerError::RankTooLarge`] or [`FixerError::CriterionViolated`].
     pub fn new(inst: &'i Instance<T>) -> Result<Fixer3<'i, T>, FixerError> {
         let fixer = Fixer3::new_unchecked(inst)?;
-        if !inst.satisfies_exponential_criterion() {
-            return Err(FixerError::CriterionViolated {
-                p_times_2_to_d: inst.criterion_value().to_f64(),
-            });
-        }
+        inst.check_exponential_criterion(inst.max_event_probability())?;
         Ok(fixer)
     }
 

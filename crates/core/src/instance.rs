@@ -8,12 +8,17 @@ use std::sync::Arc;
 use lll_graphs::{Graph, GraphBuilder, Hyperedge, Hypergraph};
 use lll_numeric::Num;
 
-use crate::error::BuildError;
+use crate::error::{BuildError, FixerError};
 
 /// Threshold on the truth-table size below which event predicates are
 /// precomputed into a lookup table (pure optimization; semantics are
 /// unchanged).
 const TABLE_LIMIT: usize = 1 << 15;
+
+/// Supports up to this length are evaluated in stack buffers; longer
+/// ones fall back to the heap. Supports are small in every LLL workload
+/// (bounded dependency degree), so the hot paths never allocate.
+const STACK_SUPPORT: usize = 16;
 
 /// A view of the values assigned to the support variables of an event,
 /// indexable by variable id.
@@ -298,15 +303,13 @@ impl<T: Num> Instance<T> {
     }
 
     fn prob_impl(&self, v: usize, lookup: impl Fn(usize) -> Option<usize>) -> T {
-        // The fixers call this in a tight loop; supports are small
-        // (bounded dependency degree), so stack buffers avoid three heap
-        // allocations per call on the hot path.
-        const STACK: usize = 16;
+        // The fixers call this in a tight loop; stack buffers avoid three
+        // heap allocations per call on the hot path.
         let support_len = self.events[v].support.len();
-        if support_len <= STACK {
-            let mut values = [0usize; STACK];
-            let mut free = [0usize; STACK];
-            let mut counters = [0usize; STACK];
+        if support_len <= STACK_SUPPORT {
+            let mut values = [0usize; STACK_SUPPORT];
+            let mut free = [0usize; STACK_SUPPORT];
+            let mut counters = [0usize; STACK_SUPPORT];
             self.prob_loop(
                 v,
                 lookup,
@@ -452,30 +455,60 @@ impl<T: Num> Instance<T> {
     }
 
     /// Unconditional probability of event `v`.
+    ///
+    /// Bit-identical to [`probability`](Instance::probability) against
+    /// an empty [`PartialAssignment`] — the lookup answers "unfixed" for
+    /// every support variable either way, so the enumeration performs the
+    /// same `Num` operations — but costs O(|support|) instead of
+    /// allocating an assignment over all variables.
     pub fn unconditional_probability(&self, v: usize) -> T {
-        self.probability(v, &PartialAssignment::new(self.num_variables()))
+        self.prob_impl(v, |_| None)
+    }
+
+    /// The unconditional probability of every event, indexed by event.
+    pub(crate) fn unconditional_probabilities(&self) -> Vec<T> {
+        (0..self.num_events())
+            .map(|v| self.unconditional_probability(v))
+            .collect()
     }
 
     /// The maximum unconditional event probability `p`.
     pub fn max_event_probability(&self) -> T {
-        let mut best = T::zero();
-        for v in 0..self.num_events() {
-            let p = self.unconditional_probability(v);
-            if p > best {
-                best = p;
-            }
-        }
-        best
+        max_probability((0..self.num_events()).map(|v| self.unconditional_probability(v)))
     }
 
     /// The criterion value `p · 2^d`; the paper's sharp threshold sits at
     /// exactly 1.
     pub fn criterion_value(&self) -> T {
-        let mut c = self.max_event_probability();
+        self.criterion_value_for(self.max_event_probability())
+    }
+
+    /// `p · 2^d` for a precomputed maximum event probability `p`.
+    fn criterion_value_for(&self, p: T) -> T {
+        let mut c = p;
         for _ in 0..self.max_dependency_degree() {
             c = c * T::from_ratio(2, 1);
         }
         c
+    }
+
+    /// The exponential-criterion check given the precomputed maximum
+    /// event probability `p`, shared by `Fixer2::new`, `Fixer3::new` and
+    /// the scheduled drivers so that all of them refuse with one error
+    /// value.
+    ///
+    /// # Errors
+    ///
+    /// [`FixerError::CriterionViolated`] unless `p · 2^d < 1`.
+    pub(crate) fn check_exponential_criterion(&self, p: T) -> Result<(), FixerError> {
+        let c = self.criterion_value_for(p);
+        if c < T::one() {
+            Ok(())
+        } else {
+            Err(FixerError::CriterionViolated {
+                p_times_2_to_d: c.to_f64(),
+            })
+        }
     }
 
     /// Whether the exponential criterion `p < 2^-d` holds (the regime of
@@ -539,9 +572,20 @@ impl<T: Num> Instance<T> {
             }
         }
         let mut bad = Vec::new();
+        let mut stack = [0usize; STACK_SUPPORT];
+        let mut heap = Vec::new();
         for (v, event) in self.events.iter().enumerate() {
-            let values: Vec<usize> = event.support.iter().map(|&x| assignment[x]).collect();
-            if event.occurs(&values) {
+            let s = event.support.len();
+            let values = if s <= STACK_SUPPORT {
+                &mut stack[..s]
+            } else {
+                heap.resize(s, 0);
+                &mut heap[..]
+            };
+            for (slot, &x) in values.iter_mut().zip(&event.support) {
+                *slot = assignment[x];
+            }
+            if event.occurs(values) {
                 bad.push(v);
             }
         }
@@ -556,6 +600,19 @@ impl<T: Num> Instance<T> {
     pub fn no_event_occurs(&self, assignment: &[usize]) -> Result<bool, BuildError> {
         Ok(self.violated_events(assignment)?.is_empty())
     }
+}
+
+/// The maximum of a sequence of event probabilities (`0` when empty) —
+/// [`Instance::max_event_probability`]'s fold, shared with callers that
+/// already hold the per-event values.
+pub(crate) fn max_probability<T: Num>(probs: impl IntoIterator<Item = T>) -> T {
+    let mut best = T::zero();
+    for p in probs {
+        if p > best {
+            best = p;
+        }
+    }
+    best
 }
 
 /// Summary of an instance's LLL parameters (see [`Instance::summary`]).
@@ -962,6 +1019,123 @@ mod tests {
         b.set_event_predicate(0, move |vals| vals[v0] == 0);
         let inst = b.build().unwrap();
         assert!((inst.unconditional_probability(0) - 0.5).abs() < 1e-12);
+    }
+
+    /// Value counts of one event's support, one shape per engine arm:
+    /// `(stack buffers, truth table)`, `(heap buffers, truth table)`,
+    /// `(stack buffers, odometer)`, `(heap buffers, odometer)` — the
+    /// single-valued variables keep the long tabled support's table
+    /// small, and the odometer shapes sit just past `TABLE_LIMIT`.
+    fn arm_shape(arm: usize, extra: usize) -> Vec<usize> {
+        match arm {
+            0 => (0..1 + extra % 6).map(|i| 2 + (i + extra) % 3).collect(),
+            1 => (0..STACK_SUPPORT + 1 + extra % 4)
+                .map(|i| if i % 6 == 0 { 2 } else { 1 })
+                .collect(),
+            2 => vec![33; 3],
+            _ => {
+                let mut ks = vec![2; 11];
+                ks.push(17);
+                ks.extend(std::iter::repeat_n(1, STACK_SUPPORT - 11 + extra % 3));
+                ks
+            }
+        }
+    }
+
+    /// Event 0 over variables with the given value counts and biased
+    /// weights, occurring where a weighted value sum hits `residue` modulo
+    /// `modulus`; event 1 shares event 0's first variable and owns one
+    /// more, so the lookup sees variables outside event 0's support.
+    fn arm_instance<T: Num>(
+        ks: &[usize],
+        weights: &[u8],
+        modulus: usize,
+        residue: usize,
+    ) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(2);
+        let mut support = Vec::new();
+        for (j, &k) in ks.iter().enumerate() {
+            let w: Vec<u64> = (0..k)
+                .map(|i| 1 + u64::from(weights[(i + j) % weights.len()] % 7))
+                .collect();
+            let total: u64 = w.iter().sum();
+            let probs = w
+                .iter()
+                .map(|&wi| T::from_ratio(wi as i64, total))
+                .collect();
+            let affects: &[usize] = if j == 0 { &[0, 1] } else { &[0] };
+            support.push(b.add_variable(affects, probs));
+        }
+        let own = b.add_uniform_variable(&[1], 3);
+        let (first, ev0) = (support[0], support.clone());
+        b.set_event_predicate(0, move |vals| {
+            let sum: usize = ev0
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| (i + 1) * vals[x])
+                .sum();
+            sum % modulus == residue
+        });
+        b.set_event_predicate(1, move |vals| vals[first] + vals[own] == residue % 3);
+        b.build().unwrap()
+    }
+
+    /// Bit-for-bit equality: `==` on the value and on its `f64` bits.
+    fn identical<T: Num>(a: &T, b: &T) -> bool {
+        a == b && a.to_f64().to_bits() == b.to_f64().to_bits()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// `unconditional_probability` is `probability` against the empty
+        /// assignment, bit for bit, on every engine arm and both backends.
+        #[test]
+        fn unconditional_probability_is_the_empty_conditional(
+            extra in 0usize..64,
+            weights in proptest::collection::vec(0u8..255, 1..6),
+            modulus in 5usize..13,
+            residue in 0usize..13,
+        ) {
+            let residue = residue % modulus;
+            for arm in 0..4 {
+                let ks = arm_shape(arm, extra);
+                let f = arm_instance::<f64>(&ks, &weights, modulus, residue);
+                let r = arm_instance::<BigRational>(&ks, &weights, modulus, residue);
+                let event = &f.events[0];
+                proptest::prop_assert_eq!(event.support.len() > STACK_SUPPORT, arm % 2 == 1);
+                proptest::prop_assert_eq!(event.table.is_none(), arm >= 2);
+                let empty = PartialAssignment::new(f.num_variables());
+                for v in 0..2 {
+                    let (a, b) = (f.unconditional_probability(v), f.probability(v, &empty));
+                    proptest::prop_assert!(identical(&a, &b), "f64 arm {} event {}: {} vs {}", arm, v, a, b);
+                    let (a, b) = (r.unconditional_probability(v), r.probability(v, &empty));
+                    proptest::prop_assert!(identical(&a, &b), "exact arm {} event {}: {} vs {}", arm, v, a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn violated_events_reads_long_supports() {
+        // Event 0's support is past the stack buffer, event 1's is not:
+        // both arms of the buffer choice, against a direct evaluation.
+        let ks = arm_shape(3, 0);
+        let inst = arm_instance::<f64>(&ks, &[3, 1, 4], 2, 0);
+        let m = inst.num_variables();
+        for fill in 0..2 {
+            let assignment: Vec<usize> = (0..m)
+                .map(|x| fill.min(inst.variable(x).num_values() - 1))
+                .collect();
+            let expected: Vec<usize> = (0..2)
+                .filter(|&v| {
+                    let e = inst.event(v);
+                    let values: Vec<usize> = e.support().iter().map(|&x| assignment[x]).collect();
+                    e.occurs(&values)
+                })
+                .collect();
+            assert_eq!(inst.violated_events(&assignment).unwrap(), expected);
+        }
     }
 
     #[test]
