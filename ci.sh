@@ -21,9 +21,13 @@ cargo test --workspace -q
 echo "==> tier-1 gate, serial test runner"
 RUST_TEST_THREADS=1 cargo test -q
 
-echo "==> differential battery, parallel engine at 2 and 8 workers"
-LLL_DIFF_THREADS=2 cargo test -q --test parallel_differential
-LLL_DIFF_THREADS=8 cargo test -q --test parallel_differential
+echo "==> LOCAL engine: pool liveness + differential battery at 2 and 8 workers"
+# The engine's worker pool synchronizes phases with barriers; under
+# `timeout` a deadlock fails this gate instead of hanging it. The test
+# binaries were built by the full-suite step above.
+timeout 600 cargo test -q -p lll-local -p lll-coloring
+LLL_DIFF_THREADS=2 timeout 900 cargo test -q --test parallel_differential
+LLL_DIFF_THREADS=8 timeout 900 cargo test -q --test parallel_differential
 
 echo "==> differential battery, parallel fixing sweep at 2 and 8 workers"
 LLL_DIFF_THREADS=2 cargo test -q --test fixer_parallel_differential

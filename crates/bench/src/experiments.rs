@@ -154,8 +154,8 @@ pub struct RoundsRow {
 }
 
 /// Runs experiment E2 (rank 2, rings, `d = 2`) with the coloring
-/// simulation on `threads` worker threads (`1` = sequential engine; the
-/// measured rounds are thread-count independent).
+/// simulation on `threads` worker threads (the measured rounds are
+/// thread-count independent).
 pub fn e2_rounds_rank2(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
     sizes
         .iter()
@@ -790,7 +790,8 @@ pub struct SpeedupRow {
     pub sim_par_millis: f64,
     /// `sim_seq_millis / sim_par_millis`.
     pub sim_speedup: f64,
-    /// Full `distributed_fixer2` wall-clock, sequential engine.
+    /// Full `distributed_fixer2` wall-clock at one thread (the slab
+    /// engine at one shard).
     pub driver_seq_millis: f64,
     /// Full `distributed_fixer2_parallel` wall-clock.
     pub driver_par_millis: f64,
@@ -799,8 +800,8 @@ pub struct SpeedupRow {
 }
 
 /// Runs experiment E14: times the E2 dist-fixer workload at each size
-/// under the sequential engine once, then under the parallel backend at
-/// each worker count, asserting bit-for-bit equal outcomes throughout.
+/// under the reference engine once, then under the slab engine at each
+/// worker count, asserting bit-for-bit equal outcomes throughout.
 ///
 /// Both the LOCAL-simulation portion alone (`Simulator::run` vs
 /// `Simulator::run_parallel` on the schedule coloring) and the full

@@ -18,9 +18,10 @@ use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, SimError, Simu
 
 use crate::Coloring;
 
-/// The iteration schedule: bit widths `w₀ → w₁ → …` until the fixed
-/// point `w = 3` (palette `{0..5}`).
-fn cv_schedule(n: u64) -> Vec<u32> {
+/// The iteration schedule on a ring of `n` nodes: bit widths
+/// `w₀ → w₁ → …` until the fixed point `w = 3` (palette `{0..5}`). All
+/// nodes of a run share it; [`cole_vishkin_ring`] derives it from `n`.
+pub fn cv_schedule(n: u64) -> Vec<u32> {
     if n <= 6 {
         return Vec::new(); // ids already fit the cleanup palette {0..5}
     }

@@ -43,7 +43,7 @@ mod linial;
 mod mis;
 mod reduce;
 
-pub use cole_vishkin::{cole_vishkin_ring, ColeVishkinProgram};
+pub use cole_vishkin::{cole_vishkin_ring, cv_schedule, ColeVishkinProgram};
 pub use linial::{linial_schedule, LinialProgram};
 pub use mis::{is_mis, luby_mis, LubyProgram, MisMsg, MisResult};
 pub use reduce::ReduceProgram;

@@ -23,11 +23,13 @@
 //!   them, a private seeded RNG for randomized algorithms — and the
 //!   messages arriving through their ports.
 //!
-//! Two execution engines share that contract: the sequential reference
-//! engine ([`Simulator::run`]) and a sharded multi-threaded backend
-//! ([`Simulator::run_parallel`]) that is bit-for-bit output-identical
-//! regardless of thread count — see the [`parallel`] module docs for the
-//! determinism argument.
+//! Two execution engines share that contract. The slab engine
+//! ([`Simulator::run_parallel`], see the [`parallel`] module docs for its
+//! worker pool and determinism argument) is the production engine: every
+//! driver reaches it through [`Simulator::run_auto`], at every thread
+//! count. The sequential reference engine ([`Simulator::run`]) is the
+//! readable oracle the differential tests hold the slab engine to,
+//! bit for bit.
 //!
 //! # Examples
 //!
@@ -356,10 +358,10 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Sets the worker-thread count used by [`Simulator::run_auto`]
-    /// (clamped to at least 1; `1` selects the sequential reference
-    /// engine). Higher-level drivers propagate this knob to derived
-    /// simulators (line graphs, squares). Returns `self` for chaining.
+    /// Sets the shard count the slab engine runs [`Simulator::run_auto`]
+    /// on (clamped to at least 1). Higher-level drivers propagate this
+    /// knob to derived simulators (line graphs, squares). Returns `self`
+    /// for chaining.
     pub fn threads(mut self, threads: usize) -> Simulator<'g> {
         self.threads = threads.max(1);
         self
@@ -380,7 +382,13 @@ impl<'g> Simulator<'g> {
         self.graph
     }
 
-    /// Runs one program instance per node until all halt.
+    /// Runs one program instance per node until all halt, on the
+    /// sequential reference engine.
+    ///
+    /// This engine is the readable specification of the LOCAL model and
+    /// the oracle of the differential tests; production callers go
+    /// through [`Simulator::run_auto`], which runs the same contract on
+    /// the much faster slab engine.
     ///
     /// `make` constructs the program for each node from its context (it
     /// may capture instance data, e.g. the LLL events owned by a node).
@@ -594,11 +602,10 @@ impl<'g> Simulator<'g> {
         })
     }
 
-    /// Runs with the engine selected by [`Simulator::threads`]: the
-    /// sequential reference engine for `threads == 1`, the parallel
-    /// backend ([`Simulator::run_parallel`]) otherwise. Both engines
-    /// produce identical outcomes, so callers may treat the knob as a
-    /// pure performance setting.
+    /// Runs on the slab engine ([`Simulator::run_parallel`]) with the
+    /// shard count set by [`Simulator::threads`]. The outcome is
+    /// identical to [`Simulator::run`] at every thread count, so callers
+    /// may treat the knob as a pure performance setting.
     ///
     /// # Errors
     ///
@@ -618,8 +625,8 @@ impl<'g> Simulator<'g> {
     }
 
     /// [`Simulator::run_auto`] with a flight recorder attached. The
-    /// recorded stream does not depend on which engine the `threads`
-    /// knob selects (see [`Simulator::run_recorded`]).
+    /// recorded stream does not depend on the `threads` knob and is
+    /// byte-identical to [`Simulator::run_recorded`]'s.
     ///
     /// # Errors
     ///
@@ -637,11 +644,7 @@ impl<'g> Simulator<'g> {
         F: FnMut(&NodeContext) -> P,
         R: Recorder,
     {
-        if self.threads <= 1 {
-            self.run_recorded(make, max_rounds, rec)
-        } else {
-            self.run_parallel_recorded(self.threads, make, max_rounds, rec)
-        }
+        self.run_parallel_recorded(self.threads, make, max_rounds, rec)
     }
 
     /// [`Simulator::run_auto_recorded`] resumed from a recorded
@@ -684,9 +687,9 @@ impl<'g> Simulator<'g> {
     }
 
     /// [`Simulator::run_auto_recorded`] with a side-band timing sink
-    /// attached (see [`Simulator::run_timed_recorded`]). Timing data
-    /// depends on the engine and the host, but the event stream in `rec`
-    /// does not.
+    /// attached (see [`Simulator::run_parallel_timed_recorded`]). Timing
+    /// data depends on the thread count and the host, but the event
+    /// stream in `rec` does not.
     ///
     /// # Errors
     ///
@@ -706,11 +709,7 @@ impl<'g> Simulator<'g> {
         R: Recorder,
         T: TimingSink,
     {
-        if self.threads <= 1 {
-            self.run_timed_recorded(make, max_rounds, rec, timing)
-        } else {
-            self.run_parallel_timed_recorded(self.threads, make, max_rounds, rec, timing)
-        }
+        self.run_parallel_timed_recorded(self.threads, make, max_rounds, rec, timing)
     }
 }
 
@@ -1177,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn run_auto_dispatches_on_the_threads_knob() {
+    fn run_auto_is_the_slab_engine_at_every_thread_count() {
         let g = ring(8);
         let mk = |_: &NodeContext| Flood {
             ttl: 2,
@@ -1185,15 +1184,31 @@ mod tests {
         };
         let base = Simulator::new(&g);
         assert_eq!(base.num_threads(), 1);
-        let seq = base.run_auto(mk, 10).unwrap();
-        let par_sim = base.clone().threads(4);
-        assert_eq!(par_sim.num_threads(), 4);
-        let par = par_sim.run_auto(mk, 10).unwrap();
-        assert_eq!(par.outputs, seq.outputs);
-        assert_eq!(par.rounds, seq.rounds);
-        assert_eq!(par.messages, seq.messages);
-        // threads(0) clamps to the sequential engine.
+        // threads(0) clamps to one shard.
         assert_eq!(base.clone().threads(0).num_threads(), 1);
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+        let reference = base.run_recorded(mk, 10, &mut rec).unwrap();
+        let reference_stream = rec.finish().unwrap();
+        for t in [1usize, 2, 3, 8] {
+            let sim = base.clone().threads(t);
+            assert_eq!(sim.num_threads(), t);
+            let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+            let auto = sim.run_auto_recorded(mk, 10, &mut rec).unwrap();
+            assert_eq!(auto.outputs, reference.outputs, "threads {t}");
+            assert_eq!(auto.rounds, reference.rounds, "threads {t}");
+            assert_eq!(auto.messages, reference.messages, "threads {t}");
+            assert_eq!(rec.finish().unwrap(), reference_stream, "threads {t}");
+            // The slab engine reports per-shard occupancy; the reference
+            // engine has no shards. So shard spans prove which engine ran.
+            let mut timing = lll_obs::TimingRecorder::new();
+            sim.run_auto_timed_recorded(mk, 10, &mut NullRecorder, &mut timing)
+                .unwrap();
+            assert_eq!(
+                timing.scope(TimingScope::ShardWork).count(),
+                ((auto.rounds + 1) * t) as u64,
+                "one span per shard per phase at threads {t}"
+            );
+        }
     }
 
     #[test]

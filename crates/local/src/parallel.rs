@@ -1,36 +1,64 @@
-//! The multi-threaded execution backend of the simulator.
+//! The execution engine of the simulator.
 //!
-//! [`Simulator::run_parallel`] shards the nodes across a
-//! [`std::thread::scope`]d worker pool and replaces the sequential
-//! engine's per-round inbox allocations with two flat *message slabs* —
-//! one `Option<M>` slot per (node, port) pair in CSR order, as laid out
-//! by [`lll_graphs::Graph::port_slot`]. The slabs are double-buffered: a
-//! round is "all workers run `round()` on their shard against the read
-//! slab, writing outboxes into their own region of the write slab;
-//! barrier; swap slabs". A node *reads* its inbox by following the
-//! precomputed [`lll_graphs::Graph::twin_ports`] table into its
-//! neighbors' slots of the read slab, so every worker writes only slots
-//! it owns and delivery is an O(1) lookup — no locks, no `unsafe`.
+//! [`Simulator::run_parallel`] shards the nodes into contiguous,
+//! slot-balanced ranges and replaces per-round inbox allocations with
+//! two *message slabs* — one `Option<M>` slot per (node, port) pair in
+//! CSR order, as laid out by [`lll_graphs::Graph::port_slot`]. Each
+//! shard owns its region of both slabs, a `RwLock<Vec<Option<M>>>` of
+//! its own. The slabs are double-buffered: a round is "every shard runs
+//! `round()` on its nodes against the read slab, writing outboxes into
+//! its own region of the write slab; barrier; swap parity". A node
+//! *reads* its inbox by following a twin table, precomputed once per
+//! run as `(shard, local slot)` pairs from
+//! [`lll_graphs::Graph::twin_ports`], into its neighbors' regions of the
+//! read slab, so delivery is an O(1) lookup. A shard write-locks only
+//! its own region and read-locks only the other parity, so the locks
+//! are never contended — and no `unsafe` is needed.
+//!
+//! # The worker pool
+//!
+//! One run opens one [`std::thread::scope`]. Consecutive shards are
+//! grouped into *bands*, at most one per available core; the calling
+//! thread runs band 0 and every other band gets one OS worker for the
+//! whole run (or, if the OS refuses to spawn it, runs on the calling
+//! thread too). Phases (the init phase, then one per round) are separated
+//! by two [`Barrier`]s: the calling thread releases the workers into a
+//! phase, runs its own band, and waits for them at the end of it; in
+//! between phases it alone reduces the tallies, emits events and decides
+//! whether another phase follows. A run with a single band — one shard,
+//! or a single-core host — spawns nothing and touches no barrier.
+//!
+//! The pool never hangs. A node program that panics is caught inside its
+//! band, which still reaches the phase barrier; the calling thread then
+//! releases the workers and re-raises the panic with its original
+//! payload. An error or the round limit releases the workers before the
+//! run returns, and so does a panic in the calling thread's own
+//! bookkeeping (a drop guard holds the release).
 //!
 //! # Determinism
 //!
-//! The backend is bit-for-bit output-identical to [`Simulator::run`] for
-//! every thread count, by construction:
+//! The engine is bit-for-bit output-identical to the reference engine
+//! [`Simulator::run`] for every thread count, by construction:
 //!
 //! * **Sharding is static.** Shard boundaries depend only on the graph
 //!   and the thread count, never on execution state, and each node is
 //!   processed by exactly one worker with exclusive access to its
-//!   program, context, RNG and output slot.
+//!   program, context, RNG and output slot. How shards are grouped into
+//!   bands depends on the host, but bands only decide *which thread* runs
+//!   a shard, never what it computes.
 //! * **Node steps are isolated.** A node's `round` call reads only the
-//!   immutable read slab and its own state; per-node RNGs are seeded
-//!   from `(simulator seed, node id)` exactly as in the sequential
-//!   engine, so interleaving cannot perturb randomness.
+//!   read slab, which no one writes during the phase, and its own state;
+//!   per-node RNGs are seeded from `(simulator seed, node id)` exactly as
+//!   in the reference engine, so interleaving cannot perturb randomness.
 //! * **Reductions are order-independent.** The per-round tallies
-//!   (messages sent, nodes halted) are sums; a program error is reduced
-//!   to the minimum offending node index, which is precisely the error
-//!   the sequential engine (scanning nodes in order) reports.
+//!   (messages sent, nodes halted) are sums. A shard stops at its first
+//!   failing node, and shards cover ascending node ranges, so the first
+//!   failing shard in shard order holds the minimum failing node — the
+//!   error (or panic) the reference engine, scanning nodes in order,
+//!   reports.
 //! * **Program construction is sequential.** The `make` closure runs on
-//!   the main thread in node order, preserving `FnMut` side-effect order.
+//!   the calling thread in node order, preserving `FnMut` side-effect
+//!   order.
 //!
 //! Round and message accounting also agree: the engine counts a message
 //! when it is produced rather than when it is delivered, and every
@@ -38,6 +66,10 @@
 //! totals coincide with the sequential delivery count — including the
 //! terminal-round rule documented at the crate root.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::thread;
 
 use lll_graphs::Graph;
@@ -61,7 +93,7 @@ enum NodeState {
     Done,
 }
 
-/// Per-shard, per-round tallies, reduced by summation on the main
+/// Per-band, per-phase tallies, reduced by summation on the calling
 /// thread (order-independent, so shard layout cannot leak into the
 /// outcome).
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,32 +102,71 @@ struct RoundStats {
     halted: usize,
 }
 
-/// A worker's exclusive view for one round: disjoint `&mut` windows
-/// carved out of the engine's flat vectors with `split_at_mut`.
+/// Why a band stopped a phase early.
+enum Fault {
+    /// A node program misbehaved (the run returns this error).
+    Sim(SimError),
+    /// A node program panicked (the run re-raises this payload).
+    Panic(Box<dyn Any + Send>),
+}
+
+/// One shard's region of a message slab.
+type Region<M> = RwLock<Vec<Option<M>>>;
+
+/// A read lock on one shard's region of the read slab.
+type ReadGuard<'s, M> = RwLockReadGuard<'s, Vec<Option<M>>>;
+
+/// A shard's exclusive engine state for the whole run: disjoint `&mut`
+/// windows carved out of the engine's flat vectors with [`split_mut`].
 struct Shard<'a, P: NodeProgram> {
+    /// Index of the shard (and of its slab regions).
+    index: usize,
     /// First node of the shard (nodes are `first_node..first_node + len`).
     first_node: usize,
-    /// Global slot index of the shard's first write slot.
+    /// Global slot index of the shard's first slot.
     first_slot: usize,
     programs: &'a mut [P],
     ctxs: &'a mut [NodeContext],
     outputs: &'a mut [Option<P::Output>],
     states: &'a mut [NodeState],
-    /// The shard's region of the write slab.
-    write: &'a mut [Option<P::Message>],
+    /// Nodes that halted this phase, in ascending order. Only filled
+    /// when a recorder is enabled; the calling thread drains the buffers
+    /// in static shard order after the phase barrier, which reproduces
+    /// the reference engine's ascending-node halt emission exactly.
+    halts: Vec<usize>,
+    /// Wall-clock nanoseconds spent on this shard in the current phase.
+    /// Written only when a timing sink is enabled and folded into the
+    /// sink by the calling thread after the phase barrier, so (like the
+    /// recorder) the sink never crosses a thread boundary and the
+    /// deterministic event stream never sees a clock.
+    nanos: u64,
+}
+
+/// A run of consecutive shards executed by one thread for the whole run.
+struct Band<'a, P: NodeProgram> {
+    shards: Vec<Shard<'a, P>>,
     /// Reusable inbox buffer (cleared per node).
-    scratch: &'a mut Vec<Option<P::Message>>,
-    /// Nodes that halted this round, in ascending order. Only filled
-    /// when a recorder is enabled; the main thread drains the buffers in
-    /// static shard order after the phase barrier, which reproduces the
-    /// sequential engine's ascending-node halt emission exactly.
-    halts: &'a mut Vec<usize>,
-    /// Wall-clock nanoseconds this shard's worker spent in the current
-    /// phase. Written by the worker only when a timing sink is enabled;
-    /// the main thread folds the slots into the sink after the phase
-    /// barrier, so (like the recorder) the sink never crosses a thread
-    /// boundary and the deterministic event stream never sees a clock.
-    nanos: &'a mut u64,
+    scratch: Vec<Option<P::Message>>,
+    /// The next phase: 0 is the init phase, `r ≥ 1` is round `r`.
+    phase: usize,
+    /// Tallies of the last phase, or the fault that stopped it.
+    outcome: Result<RoundStats, Fault>,
+}
+
+/// The run's shared, read-mostly state: the graph, the twin table and
+/// the two slabs (`regions[parity][shard]`).
+struct Slabs<'g, M> {
+    g: &'g Graph,
+    /// For every global slot `s`, the `(shard, local slot)` holding the
+    /// message that arrives on `s`.
+    twin: Vec<(usize, usize)>,
+    regions: [Vec<Region<M>>; 2],
+}
+
+/// Locks a mutex that a panicking band may have poisoned; the engine
+/// stops after any fault, so the data behind it is never trusted again.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The effective worker count for `threads` requested workers over
@@ -157,29 +228,17 @@ pub fn split_mut<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [
     out
 }
 
-/// The sequential engine reports the first (lowest-index) misbehaving
-/// node; reduce parallel shard errors the same way.
-fn min_node_error(a: SimError, b: SimError) -> SimError {
-    let key = |e: &SimError| match e {
-        SimError::BadOutboxLength { node, .. } => *node,
-        _ => usize::MAX,
-    };
-    if key(&b) < key(&a) {
-        b
-    } else {
-        a
-    }
-}
-
-/// One worker pass over a shard: the init phase (`read == None`) calls
-/// `init` and lays the outboxes into the write slab; a round phase
+/// One pass over a shard: the init phase (`read == None`) calls `init`
+/// and lays the outboxes into the shard's `write` region; a round phase
 /// gathers each node's inbox from the read slab via the twin table and
 /// calls `round`.
 fn work_shard<P: NodeProgram, R: Recorder>(
     g: &Graph,
-    twin: &[usize],
-    read: Option<&[Option<P::Message>]>,
+    twin: &[(usize, usize)],
+    read: Option<&[ReadGuard<'_, P::Message>]>,
+    write: &mut [Option<P::Message>],
     shard: &mut Shard<'_, P>,
+    scratch: &mut Vec<Option<P::Message>>,
 ) -> Result<RoundStats, SimError> {
     let mut stats = RoundStats::default();
     let offsets = g.port_offsets();
@@ -193,16 +252,17 @@ fn work_shard<P: NodeProgram, R: Recorder>(
         let slot0 = offsets[v];
         let deg = offsets[v + 1] - slot0;
         let base = slot0 - shard.first_slot;
+        let out = &mut write[base..base + deg];
         let Some(read) = read else {
-            let out = program.init(ctx);
-            if out.len() != deg {
+            let msgs = program.init(ctx);
+            if msgs.len() != deg {
                 return Err(SimError::BadOutboxLength {
                     node: v,
-                    got: out.len(),
+                    got: msgs.len(),
                     expected: deg,
                 });
             }
-            for (slot, msg) in shard.write[base..base + deg].iter_mut().zip(out) {
+            for (slot, msg) in out.iter_mut().zip(msgs) {
                 stats.sent += usize::from(msg.is_some());
                 *slot = msg;
             }
@@ -214,31 +274,29 @@ fn work_shard<P: NodeProgram, R: Recorder>(
                 // The final outbox was delivered last round out of the
                 // other slab; wipe this (now write) slab's copy so the
                 // halted node stays silent in both buffers.
-                for slot in &mut shard.write[base..base + deg] {
-                    *slot = None;
-                }
+                out.fill(None);
                 shard.states[i] = NodeState::Done;
             }
             NodeState::Running => {
-                shard.scratch.clear();
-                shard
-                    .scratch
-                    .extend(twin[slot0..slot0 + deg].iter().map(|&t| read[t].clone()));
+                scratch.clear();
+                scratch.extend(
+                    twin[slot0..slot0 + deg]
+                        .iter()
+                        .map(|&(sh, local)| read[sh][local].clone()),
+                );
                 // Hand the node its write-slab window; programs overriding
                 // `round_into` fill it without allocating. The window still
                 // holds the node's outbox of two rounds ago (the slabs
                 // alternate), which is fine: on `Continue` every slot is
                 // stored, on `Halt` the engine wipes the window, and on a
                 // length violation the run aborts.
-                match program.round_into(ctx, shard.scratch, &mut shard.write[base..base + deg]) {
+                match program.round_into(ctx, scratch, out) {
                     StepResult::Continue => {
-                        stats.sent += shard.write[base..base + deg].iter().flatten().count();
+                        stats.sent += out.iter().flatten().count();
                     }
                     StepResult::Halt(o) => {
                         shard.outputs[i] = Some(o);
-                        for slot in &mut shard.write[base..base + deg] {
-                            *slot = None;
-                        }
+                        out.fill(None);
                         shard.states[i] = NodeState::Draining;
                         stats.halted += 1;
                         if R::ENABLED {
@@ -259,144 +317,214 @@ fn work_shard<P: NodeProgram, R: Recorder>(
     Ok(stats)
 }
 
-/// Runs one phase (init or round) across all shards: carves the engine
-/// state into disjoint per-shard windows, forks a scoped worker per
-/// non-empty shard (the first runs on the calling thread), joins, and
-/// reduces the tallies deterministically.
-#[allow(clippy::too_many_arguments)]
-fn execute_phase<P, R, T>(
-    g: &Graph,
-    twin: &[usize],
-    workers: usize,
-    bounds: &[usize],
-    slot_cuts: &[usize],
-    programs: &mut [P],
-    ctxs: &mut [NodeContext],
-    outputs: &mut [Option<P::Output>],
-    states: &mut [NodeState],
-    read: Option<&[Option<P::Message>]>,
-    write: &mut [Option<P::Message>],
-    scratches: &mut [Vec<Option<P::Message>>],
-    halt_bufs: &mut [Vec<usize>],
-    nanos_bufs: &mut [u64],
-) -> Result<RoundStats, SimError>
-where
-    P: NodeProgram + Send,
-    P::Message: Send + Sync,
-    P::Output: Send,
-    R: Recorder,
-    T: TimingSink,
-{
-    let prog_chunks = split_mut(programs, bounds);
-    let ctx_chunks = split_mut(ctxs, bounds);
-    let out_chunks = split_mut(outputs, bounds);
-    let state_chunks = split_mut(states, bounds);
-    let write_chunks = split_mut(write, slot_cuts);
-    let mut shards: Vec<Shard<'_, P>> = prog_chunks
-        .into_iter()
-        .zip(ctx_chunks)
-        .zip(out_chunks)
-        .zip(state_chunks)
-        .zip(write_chunks)
-        .zip(scratches.iter_mut())
-        .zip(halt_bufs.iter_mut())
-        .zip(nanos_bufs.iter_mut())
-        .enumerate()
-        .map(
-            |(i, (((((((programs, ctxs), outputs), states), write), scratch), halts), nanos))| {
-                Shard {
-                    first_node: bounds[i],
-                    first_slot: slot_cuts[i],
-                    programs,
-                    ctxs,
-                    outputs,
-                    states,
-                    write,
-                    scratch,
-                    halts,
-                    nanos,
-                }
-            },
-        )
-        .collect();
-
-    // Shard count (= determinism-relevant layout) and OS worker count
-    // are decoupled: oversubscribing a host buys nothing, so bands of
-    // consecutive shards share a worker when `threads` exceeds the
-    // available parallelism — on a single-core host every shard runs
-    // inline with zero spawns. The outcome cannot tell the difference:
-    // shards are data-disjoint and the reductions below are
-    // order-independent.
-    let workers = effective_workers(workers, shards.len());
-    let run_band = |band: &mut [Shard<'_, P>]| -> Vec<Result<RoundStats, SimError>> {
-        band.iter_mut()
-            .map(|shard| {
-                // Per-shard occupancy: timed on the worker, into the
-                // shard's own slot (no sharing), folded by the caller
-                // after the barrier.
+impl<M: Clone> Slabs<'_, M> {
+    /// Runs the band's next phase: each shard in order, against the read
+    /// parity (read-locked region by region into `reads`, a buffer kept
+    /// across phases) and into its own region of the write parity. The
+    /// init phase writes parity 0; round `r` reads parity `(r - 1) % 2`
+    /// and writes parity `r % 2`. Stops at the first failing shard and
+    /// turns a panic into a [`Fault`], so the caller always reaches the
+    /// phase barrier.
+    fn run_band<'s, P, R, T>(&'s self, band: &mut Band<'_, P>, reads: &mut Vec<ReadGuard<'s, M>>)
+    where
+        P: NodeProgram<Message = M>,
+        R: Recorder,
+        T: TimingSink,
+    {
+        let phase = band.phase;
+        band.phase += 1;
+        if phase > 0 {
+            reads.extend(
+                self.regions[(phase - 1) % 2]
+                    .iter()
+                    .map(|r| r.read().unwrap_or_else(PoisonError::into_inner)),
+            );
+        }
+        let read = (phase > 0).then_some(&reads[..]);
+        let write = &self.regions[phase % 2];
+        let Band {
+            shards, scratch, ..
+        } = band;
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut stats = RoundStats::default();
+            for shard in shards.iter_mut() {
+                let mut region = write[shard.index]
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner);
                 let started = span_start::<T>();
-                let result = work_shard::<P, R>(g, twin, read, shard);
+                let s = work_shard::<P, R>(self.g, &self.twin, read, &mut region, shard, scratch)
+                    .map_err(Fault::Sim)?;
                 if T::ENABLED {
-                    *shard.nanos = span_nanos(started);
+                    shard.nanos = span_nanos(started);
                 }
-                result
-            })
-            .collect()
-    };
-    let results: Vec<Result<RoundStats, SimError>> = if workers <= 1 {
-        run_band(&mut shards)
-    } else {
-        let band_len = shards.len().div_ceil(workers);
-        thread::scope(|s| {
-            let mut bands = shards.chunks_mut(band_len);
-            let first = bands.next();
-            let handles: Vec<_> = bands.map(|band| s.spawn(|| run_band(band))).collect();
-            let mut res = first.map_or_else(Vec::new, run_band);
-            for h in handles {
-                res.extend(h.join().expect("simulator worker thread panicked"));
-            }
-            res
-        })
-    };
-
-    let mut stats = RoundStats::default();
-    let mut err: Option<SimError> = None;
-    for r in results {
-        match r {
-            Ok(s) => {
                 stats.sent += s.sent;
                 stats.halted += s.halted;
             }
-            Err(e) => {
-                err = Some(match err {
-                    Some(prev) => min_node_error(prev, e),
-                    None => e,
-                });
+            Ok(stats)
+        }));
+        band.outcome = outcome.unwrap_or_else(|payload| Err(Fault::Panic(payload)));
+        reads.clear();
+    }
+}
+
+/// Folds the phase just run: per-shard occupancy into `timing`, halt
+/// events (phase `round`) into `rec` in static shard order, tallies by
+/// summation. Returns the first band's fault, in band order — the fault
+/// of the minimum failing node — after emitting the halts of every node
+/// below it, exactly as far as the reference engine gets before it
+/// aborts.
+fn collect<P, R, T>(
+    bands: &[Mutex<Band<'_, P>>],
+    round: usize,
+    rec: &mut R,
+    timing: &mut T,
+) -> Result<RoundStats, Fault>
+where
+    P: NodeProgram,
+    R: Recorder,
+    T: TimingSink,
+{
+    let mut stats = RoundStats::default();
+    for band in bands {
+        let mut band = lock(band);
+        for shard in &mut band.shards {
+            if T::ENABLED {
+                timing.record_span(TimingScope::ShardWork, shard.nanos);
             }
+            for &node in &shard.halts {
+                rec.record(&Event::NodeHalt { round, node });
+            }
+            shard.halts.clear();
+        }
+        let s = std::mem::replace(&mut band.outcome, Ok(RoundStats::default()))?;
+        stats.sent += s.sent;
+        stats.halted += s.halted;
+    }
+    Ok(stats)
+}
+
+/// A run's bill: what [`RunOutcome`] carries besides the outputs.
+struct Bill {
+    rounds: usize,
+    messages: usize,
+    round_messages: Vec<usize>,
+}
+
+/// The calling thread's side of a run: executes `phase` (one init or
+/// round phase across every band) until every node halted, reducing
+/// each phase with [`collect`] and recording the round structure.
+fn drive<P, R, T>(
+    bands: &[Mutex<Band<'_, P>>],
+    n: usize,
+    max_rounds: usize,
+    rec: &mut R,
+    timing: &mut T,
+    mut phase: impl FnMut(),
+) -> Result<Bill, Fault>
+where
+    P: NodeProgram,
+    R: Recorder,
+    T: TimingSink,
+{
+    // Init phase: outboxes land in the slab read by round 1.
+    phase();
+    let init = collect(bands, 0, rec, timing)?;
+
+    let mut rounds = 0usize;
+    let mut messages = 0usize;
+    let mut round_messages = Vec::new();
+    let mut running = n;
+    // Messages sitting in the read slab: sent last phase = delivered
+    // this round, which keeps the tally equal to the reference engine's
+    // delivery count.
+    let mut inflight = init.sent;
+    while running > 0 {
+        if rounds >= max_rounds {
+            return Err(Fault::Sim(SimError::RoundLimitExceeded {
+                limit: max_rounds,
+            }));
+        }
+        rounds += 1;
+        let round_started = span_start::<T>();
+        if R::ENABLED {
+            rec.record(&Event::RoundStart {
+                round: rounds,
+                running,
+            });
+        }
+        let delivered = inflight;
+        messages += delivered;
+        round_messages.push(delivered);
+        phase();
+        let stats = collect(bands, rounds, rec, timing)?;
+        running -= stats.halted;
+        if R::ENABLED {
+            rec.record(&Event::RoundEnd {
+                round: rounds,
+                delivered,
+                bytes: delivered * std::mem::size_of::<P::Message>(),
+                halted: stats.halted,
+                running,
+            });
+        }
+        if T::ENABLED {
+            timing.record_span(TimingScope::SimRound, span_nanos(round_started));
+        }
+        inflight = stats.sent;
+        if running == 0 && delivered == 0 {
+            // Terminal decide-only round: free, as in the reference
+            // engine (crate docs on round accounting).
+            rounds -= 1;
+            round_messages.pop();
         }
     }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(stats),
+    if R::ENABLED {
+        rec.record(&Event::SimRunEnd { rounds, messages });
+    }
+    Ok(Bill {
+        rounds,
+        messages,
+        round_messages,
+    })
+}
+
+/// Releases the pool's workers from the start barrier with the stop flag
+/// set. Dropped by the calling thread on every way out of a pooled run
+/// — a finished run, an error, the round limit, or an unwinding panic —
+/// always between phases, when every worker waits at the start barrier.
+struct Release<'a> {
+    start: &'a Barrier,
+    stop: &'a AtomicBool,
+}
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        self.start.wait();
     }
 }
 
 impl<'g> Simulator<'g> {
     /// Runs one program instance per node until all halt, on `threads`
-    /// worker threads.
+    /// shards.
     ///
     /// The outcome — outputs, round count, message count, and any error
-    /// — is **bit-for-bit identical to [`Simulator::run`]** for every
-    /// `threads` value (see the [module docs](self) for why); the knob
-    /// only changes wall-clock time. Even at `threads = 1` this engine
-    /// is usually faster than the reference engine on large graphs,
-    /// because it reuses two flat message slabs instead of allocating
-    /// per-node inboxes every round and delivers messages through the
-    /// O(1) twin-port table.
+    /// or panic — is **bit-for-bit identical to [`Simulator::run`]** for
+    /// every `threads` value (see the [module docs](self) for why); the
+    /// knob only changes wall-clock time. Even at `threads = 1` this
+    /// engine is much faster than the reference engine, because it
+    /// reuses two flat message slabs instead of allocating per-node
+    /// inboxes every round and delivers messages through the O(1)
+    /// twin-port table.
     ///
     /// # Errors
     ///
     /// As [`Simulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, on the calling thread, the panic of the lowest node
+    /// whose program panicked, after releasing every worker.
     pub fn run_parallel<P, F>(
         &self,
         threads: usize,
@@ -416,15 +544,19 @@ impl<'g> Simulator<'g> {
     ///
     /// The recorded stream is **byte-identical to the one
     /// [`Simulator::run_recorded`] emits**, for every `threads` value:
-    /// workers buffer their halt transitions per shard and the main
-    /// thread merges the buffers in static shard order after each phase
+    /// shards buffer their halt transitions and the calling thread
+    /// merges the buffers in static shard order after each phase
     /// barrier, which is ascending node order — exactly the order the
-    /// sequential engine emits them in. The recorder itself never
-    /// crosses a thread boundary.
+    /// reference engine emits them in. The recorder itself never crosses
+    /// a thread boundary.
     ///
     /// # Errors
     ///
     /// As [`Simulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::run_parallel`].
     pub fn run_parallel_recorded<P, F, R>(
         &self,
         threads: usize,
@@ -443,11 +575,11 @@ impl<'g> Simulator<'g> {
     }
 
     /// [`Simulator::run_parallel_recorded`] with a side-band timing sink
-    /// attached. Per-phase worker occupancy is timed on each worker into
-    /// a shard-private slot and folded into `timing` by the main thread
-    /// after the phase barrier ([`TimingScope::ShardWork`], one span per
-    /// shard per phase), alongside whole-round
-    /// ([`TimingScope::SimRound`]) and whole-run
+    /// attached. Per-phase shard occupancy is timed by the thread running
+    /// the shard into a shard-private slot and folded into `timing` by
+    /// the calling thread after the phase barrier
+    /// ([`TimingScope::ShardWork`], one span per shard per phase),
+    /// alongside whole-round ([`TimingScope::SimRound`]) and whole-run
     /// ([`TimingScope::SimRun`]) spans. The sink never crosses a thread
     /// boundary, and no wall-clock value reaches `rec` — the event
     /// stream stays byte-identical to the untimed engines at every
@@ -456,6 +588,10 @@ impl<'g> Simulator<'g> {
     /// # Errors
     ///
     /// As [`Simulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::run_parallel`].
     pub fn run_parallel_timed_recorded<P, F, R, T>(
         &self,
         threads: usize,
@@ -504,139 +640,125 @@ impl<'g> Simulator<'g> {
         }
 
         let offsets = g.port_offsets();
-        let twin = g.twin_ports();
         let bounds = shard_bounds(offsets, threads);
         let slot_cuts: Vec<usize> = bounds.iter().map(|&v| offsets[v]).collect();
         crate::gauges::record_slab(crate::gauges::SlabStats {
             slab_bytes: 2 * g.num_ports() as u64 * std::mem::size_of::<Option<P::Message>>() as u64,
             slots: g.num_ports() as u64,
-            shards: (bounds.len() - 1) as u64,
+            shards: threads as u64,
             max_shard_slots: slot_cuts
                 .windows(2)
                 .map(|w| (w[1] - w[0]) as u64)
                 .max()
                 .unwrap_or(0),
         });
-        let mut scratches: Vec<Vec<Option<P::Message>>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        // Per-shard halt-event buffers (stay empty unless recording).
-        let mut halt_bufs: Vec<Vec<usize>> = (0..threads).map(|_| Vec::new()).collect();
-        // Per-shard occupancy slots (stay zero unless timing).
-        let mut nanos_bufs: Vec<u64> = vec![0; threads];
-        // Queried once per run, not per round — the OS worker budget
-        // cannot change the outcome (see `execute_phase`).
-        let workers = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-        // Double-buffered slabs: `read_slab` holds the messages being
-        // delivered this round, `write_slab` collects next round's.
-        let mut read_slab: Vec<Option<P::Message>> = vec![None; g.num_ports()];
-        let mut write_slab: Vec<Option<P::Message>> = vec![None; g.num_ports()];
-
-        // Init phase: outboxes land in the slab read by round 1.
-        let init = execute_phase::<P, R, T>(
+        let region = |w: &[usize]| RwLock::new(vec![None; w[1] - w[0]]);
+        let slabs = Slabs {
             g,
-            &twin,
-            workers,
-            &bounds,
-            &slot_cuts,
-            &mut programs,
-            &mut ctxs,
-            &mut outputs,
-            &mut states,
-            None,
-            &mut read_slab,
-            &mut scratches,
-            &mut halt_bufs,
-            &mut nanos_bufs,
-        )?;
-        if T::ENABLED {
-            for &ns in &nanos_bufs {
-                timing.record_span(TimingScope::ShardWork, ns);
-            }
-        }
+            twin: g
+                .twin_ports()
+                .into_iter()
+                .map(|t| {
+                    let sh = slot_cuts.partition_point(|&c| c <= t) - 1;
+                    (sh, t - slot_cuts[sh])
+                })
+                .collect(),
+            regions: [
+                slot_cuts.windows(2).map(region).collect(),
+                slot_cuts.windows(2).map(region).collect(),
+            ],
+        };
 
-        let mut rounds = 0usize;
-        let mut messages = 0usize;
-        let mut round_messages = Vec::new();
-        let mut running = n;
-        // Messages sitting in `read_slab`: sent last phase = delivered
-        // this round, which keeps the tally equal to the sequential
-        // engine's delivery count.
-        let mut inflight = init.sent;
-        while running > 0 {
-            if rounds >= max_rounds {
-                return Err(SimError::RoundLimitExceeded { limit: max_rounds });
-            }
-            rounds += 1;
-            let round_started = span_start::<T>();
-            if R::ENABLED {
-                rec.record(&Event::RoundStart {
-                    round: rounds,
-                    running,
-                });
-            }
-            let delivered = inflight;
-            messages += delivered;
-            round_messages.push(delivered);
-            let stats = execute_phase::<P, R, T>(
-                g,
-                &twin,
-                workers,
-                &bounds,
-                &slot_cuts,
-                &mut programs,
-                &mut ctxs,
-                &mut outputs,
-                &mut states,
-                Some(&read_slab),
-                &mut write_slab,
-                &mut scratches,
-                &mut halt_bufs,
-                &mut nanos_bufs,
-            )?;
-            if T::ENABLED {
-                for &ns in &nanos_bufs {
-                    timing.record_span(TimingScope::ShardWork, ns);
-                }
-            }
-            running -= stats.halted;
-            if R::ENABLED {
-                // Merge the per-shard halt buffers in static shard order:
-                // shards cover ascending contiguous node ranges and each
-                // buffer is filled in ascending node order, so this is the
-                // sequential engine's emission order.
-                for buf in &mut halt_bufs {
-                    for &node in buf.iter() {
-                        rec.record(&Event::NodeHalt {
-                            round: rounds,
-                            node,
-                        });
+        let mut shards = split_mut(&mut programs, &bounds)
+            .into_iter()
+            .zip(split_mut(&mut ctxs, &bounds))
+            .zip(split_mut(&mut outputs, &bounds))
+            .zip(split_mut(&mut states, &bounds))
+            .enumerate()
+            .map(|(index, (((programs, ctxs), outputs), states))| Shard {
+                index,
+                first_node: bounds[index],
+                first_slot: slot_cuts[index],
+                programs,
+                ctxs,
+                outputs,
+                states,
+                halts: Vec::new(),
+                nanos: 0,
+            });
+        // Shard count (= determinism-relevant layout) and OS worker count
+        // are decoupled: oversubscribing a host buys nothing, so bands of
+        // consecutive shards share a thread when `threads` exceeds the
+        // available parallelism — on a single-core host every shard runs
+        // on the calling thread with zero spawns.
+        let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let band_len = threads.div_ceil(effective_workers(cores, threads));
+        let bands: Vec<Mutex<Band<'_, P>>> = (0..threads.div_ceil(band_len))
+            .map(|_| {
+                Mutex::new(Band {
+                    shards: shards.by_ref().take(band_len).collect(),
+                    scratch: Vec::new(),
+                    phase: 0,
+                    outcome: Ok(RoundStats::default()),
+                })
+            })
+            .collect();
+
+        let bill = if let [band] = &bands[..] {
+            let mut reads = Vec::new();
+            drive(&bands, n, max_rounds, rec, timing, || {
+                slabs.run_band::<P, R, T>(&mut lock(band), &mut reads);
+            })
+        } else {
+            let stop = AtomicBool::new(false);
+            // The phase barriers, made once the party count is known: a
+            // band whose worker the OS refuses to spawn runs on the
+            // calling thread instead.
+            let gates: OnceLock<[Barrier; 2]> = OnceLock::new();
+            let (stop, gates, slabs) = (&stop, &gates, &slabs);
+            thread::scope(|s| {
+                let mut mine = vec![&bands[0]];
+                for band in &bands[1..] {
+                    let spawned = thread::Builder::new().spawn_scoped(s, move || {
+                        let [start, end] = gates.wait();
+                        let mut reads = Vec::new();
+                        loop {
+                            start.wait();
+                            // Pairs with the `Release` store in
+                            // `Release::drop`, made before its start wait.
+                            if stop.load(Ordering::Acquire) {
+                                break;
+                            }
+                            slabs.run_band::<P, R, T>(&mut lock(band), &mut reads);
+                            end.wait();
+                        }
+                    });
+                    if spawned.is_err() {
+                        mine.push(band);
                     }
-                    buf.clear();
                 }
-                rec.record(&Event::RoundEnd {
-                    round: rounds,
-                    delivered,
-                    bytes: delivered * std::mem::size_of::<P::Message>(),
-                    halted: stats.halted,
-                    running,
-                });
-            }
-            if T::ENABLED {
-                timing.record_span(TimingScope::SimRound, span_nanos(round_started));
-            }
-            inflight = stats.sent;
-            if running == 0 && delivered == 0 {
-                // Terminal decide-only round: free, as in the sequential
-                // engine (crate docs on round accounting).
-                rounds -= 1;
-                round_messages.pop();
-            }
-            std::mem::swap(&mut read_slab, &mut write_slab);
-        }
-        if R::ENABLED {
-            rec.record(&Event::SimRunEnd { rounds, messages });
-        }
+                // Nothing since the first spawn can panic, so every
+                // spawned worker gets its barriers.
+                let parties = bands.len() + 1 - mine.len();
+                let [start, end] =
+                    gates.get_or_init(|| [Barrier::new(parties), Barrier::new(parties)]);
+                let _release = Release { start, stop };
+                let mut reads = Vec::new();
+                drive(&bands, n, max_rounds, rec, timing, || {
+                    start.wait();
+                    for band in &mine {
+                        slabs.run_band::<P, R, T>(&mut lock(band), &mut reads);
+                    }
+                    end.wait();
+                })
+            })
+        };
+        drop(bands);
+        let bill = match bill {
+            Ok(bill) => bill,
+            Err(Fault::Sim(e)) => return Err(e),
+            Err(Fault::Panic(payload)) => panic::resume_unwind(payload),
+        };
         if T::ENABLED {
             timing.record_span(TimingScope::SimRun, span_nanos(run_started));
         }
@@ -645,9 +767,9 @@ impl<'g> Simulator<'g> {
                 .into_iter()
                 .map(|o| o.expect("all halted"))
                 .collect(),
-            rounds,
-            messages,
-            round_messages,
+            rounds: bill.rounds,
+            messages: bill.messages,
+            round_messages: bill.round_messages,
         })
     }
 }
@@ -740,20 +862,150 @@ mod tests {
         }
     }
 
+    /// Floods partial sums; nodes whose id is a multiple of 3 halt in
+    /// round `at`, the others run for `ttl` rounds. In round `at`, the
+    /// nodes listed in `panics` panic and those in `bad` return an outbox
+    /// of the wrong length.
+    #[derive(Clone, Copy)]
+    struct Faulty {
+        ttl: usize,
+        at: usize,
+        panics: &'static [u64],
+        bad: &'static [u64],
+        round: usize,
+    }
+
+    impl NodeProgram for Faulty {
+        type Message = u64;
+        type Output = u64;
+        fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u64>> {
+            crate::broadcast(ctx.id, ctx.degree)
+        }
+        fn round(
+            &mut self,
+            ctx: &mut NodeContext,
+            inbox: &[Option<u64>],
+        ) -> crate::RoundResult<u64, u64> {
+            self.round += 1;
+            if self.round == self.at {
+                if self.panics.contains(&ctx.id) {
+                    panic!("node {} panicked in round {}", ctx.id, self.round);
+                }
+                if self.bad.contains(&ctx.id) {
+                    return crate::RoundResult::Continue(vec![None; ctx.degree + 3]);
+                }
+            }
+            let sum = inbox
+                .iter()
+                .flatten()
+                .fold(ctx.id, |a, m| a.wrapping_add(*m));
+            let last = if ctx.id.is_multiple_of(3) {
+                self.at
+            } else {
+                self.ttl
+            };
+            if self.round >= last {
+                crate::RoundResult::Halt(sum)
+            } else {
+                crate::RoundResult::Continue(crate::broadcast(sum, ctx.degree))
+            }
+        }
+    }
+
+    /// What a run did, as far as a caller can tell: its outcome, error
+    /// or panic message, and the event stream it recorded.
+    type Observed = (Result<(Vec<u64>, usize, usize), String>, Vec<u8>);
+
+    fn observe(
+        run: impl FnOnce(&mut lll_obs::JsonlRecorder<Vec<u8>>) -> Result<RunOutcome<u64>, SimError>,
+    ) -> Observed {
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut rec)))
+        {
+            Ok(Ok(out)) => Ok((out.outputs, out.rounds, out.messages)),
+            Ok(Err(e)) => Err(format!("error: {e}")),
+            Err(payload) => Err(format!(
+                "panic: {}",
+                payload
+                    .downcast_ref::<String>()
+                    .expect("the probe panics with a formatted message")
+            )),
+        };
+        (result, rec.finish().expect("in-memory stream never fails"))
+    }
+
     #[test]
-    fn min_node_error_matches_sequential_order() {
-        let lo = SimError::BadOutboxLength {
-            node: 2,
-            got: 0,
-            expected: 1,
+    fn pool_faults_match_the_reference_engine_and_never_hang() {
+        // (program, round budget, the reference engine's verdict)
+        let base = Faulty {
+            ttl: 6,
+            at: 3,
+            panics: &[],
+            bad: &[],
+            round: 0,
         };
-        let hi = SimError::BadOutboxLength {
-            node: 7,
-            got: 3,
-            expected: 1,
-        };
-        assert_eq!(min_node_error(hi.clone(), lo.clone()), lo);
-        assert_eq!(min_node_error(lo.clone(), hi), lo);
+        let cases = [
+            // A mid-run panic, two of them in different shards.
+            (
+                Faulty {
+                    panics: &[17, 5],
+                    ..base
+                },
+                20,
+                "panic: node 5 panicked in round 3",
+            ),
+            // A mid-run wrong-length outbox.
+            (
+                Faulty { bad: &[11], ..base },
+                20,
+                "error: node 11 produced outbox",
+            ),
+            // Mixed faults: the lowest failing node decides either way.
+            (
+                Faulty {
+                    panics: &[5],
+                    bad: &[17],
+                    ..base
+                },
+                20,
+                "panic: node 5",
+            ),
+            (
+                Faulty {
+                    panics: &[17],
+                    bad: &[5],
+                    ..base
+                },
+                20,
+                "error: node 5",
+            ),
+            // The round limit.
+            (base, 4, "error: round limit 4 exceeded"),
+        ];
+        for g in [ring(24), path(13)] {
+            let sim = Simulator::new(&g);
+            for (program, budget, verdict) in cases {
+                let reference = observe(|rec| sim.run_recorded(|_| program, budget, rec));
+                let Err(msg) = &reference.0 else {
+                    panic!("probe must fail, got {:?}", reference.0);
+                };
+                assert!(msg.starts_with(verdict), "{msg} vs {verdict}");
+                for t in [1usize, 2, 3, 8] {
+                    let par = observe(|rec| sim.run_parallel_recorded(t, |_| program, budget, rec));
+                    assert_eq!(par.0, reference.0, "{verdict} at threads {t}");
+                    assert_eq!(par.1, reference.1, "{verdict} stream at threads {t}");
+                }
+            }
+            // After every fault the engine is still usable: a clean run
+            // matches the reference engine.
+            let clean = observe(|rec| sim.run_recorded(|_| base, 20, rec));
+            for t in [2usize, 3, 8] {
+                assert_eq!(
+                    observe(|rec| sim.run_parallel_recorded(t, |_| base, 20, rec)),
+                    clean
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Differential battery: the parallel round engine must be bit-for-bit
-//! identical to the sequential reference engine — outputs, round bill
+//! Differential battery: the slab engine, which every driver runs on at
+//! every thread count, must be bit-for-bit identical to the sequential
+//! reference engine `Simulator::run` — outputs, round bill
 //! and message bill — for every program in the workspace, on every
 //! topology, at every worker count.
 //!
@@ -8,26 +9,35 @@
 //! coloring stack (Linial, Cole–Vishkin, vertex/edge/distance-2
 //! reductions, Luby MIS with its per-node RNGs), and the paper's
 //! distributed drivers (rank-2/rank-3 fixers, honest Moser–Tardos).
+//! Program rows run both engines directly. The coloring, Cole–Vishkin,
+//! MIS and MT driver rows, and the fixers' schedules, are held to
+//! oracles that redo the driver's work on the reference engine. The
+//! fixer rows compare the fixers across thread counts; their schedules
+//! are the only part that runs on the LOCAL engine.
 //!
 //! Worker counts default to `{1, 2, 3, 8}`; CI overrides the list via
 //! `LLL_DIFF_THREADS` (comma-separated) to pin a single count per job.
+//! Every row anchored on the reference engine checks one worker as well.
 
+use std::collections::HashMap;
 use std::env;
 
 use sharp_lll::coloring::{
-    cole_vishkin_ring, distance2_coloring, edge_coloring, linial_coloring, luby_mis,
-    vertex_coloring, LubyProgram,
+    cole_vishkin_ring, cv_schedule, distance2_coloring, edge_coloring, linial_coloring,
+    linial_schedule, luby_mis, vertex_coloring, ColeVishkinProgram, Coloring, LinialProgram,
+    LubyProgram, MisResult, ReduceProgram,
 };
 use sharp_lll::core::dist::{
     distributed_fixer2, distributed_fixer2_parallel, distributed_fixer3,
-    distributed_fixer3_parallel, CriterionCheck,
+    distributed_fixer3_parallel, CriterionCheck, Schedule, ScheduleKind,
 };
 use sharp_lll::core::{Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, path, random_regular, ring};
 use sharp_lll::graphs::Graph;
 use sharp_lll::local::gather::GatherProgram;
 use sharp_lll::local::{broadcast, NodeContext, NodeProgram, RoundResult, Simulator};
-use sharp_lll::mt::dist::{distributed_mt, distributed_mt_parallel};
+use sharp_lll::mt::dist::{distributed_mt_parallel, MtProgram};
+use sharp_lll::mt::MtReport;
 use sharp_lll::numeric::Num;
 
 /// Worker counts to exercise; `LLL_DIFF_THREADS=2` (or `1,2,3,8`, …)
@@ -43,6 +53,117 @@ fn thread_counts() -> Vec<usize> {
             })
             .collect(),
         Err(_) => vec![1, 2, 3, 8],
+    }
+}
+
+/// [`thread_counts`] with one worker always included: the rows anchored
+/// on the reference engine check the production path at one thread too.
+fn thread_counts_and_one() -> Vec<usize> {
+    let mut counts = thread_counts();
+    if !counts.contains(&1) {
+        counts.insert(0, 1);
+    }
+    counts
+}
+
+/// The oracle of the coloring rows: Linial's color reduction on the
+/// reference engine (`Simulator::run`), derived from the public
+/// schedule exactly as `linial_coloring` documents it.
+fn oracle_linial(sim: &Simulator<'_>, budget: usize) -> Coloring {
+    let g = sim.graph();
+    let (n, delta) = (g.num_nodes(), g.max_degree());
+    if n == 0 || delta == 0 {
+        return Coloring {
+            colors: vec![0; n],
+            palette: 1,
+            rounds: 0,
+        };
+    }
+    let schedule = linial_schedule(n as u64, delta as u64);
+    let palette = schedule.last().map_or(n as u64, |&(_, q)| q * q) as usize;
+    let template = LinialProgram::new(schedule);
+    let run = sim
+        .run(|_| template.clone(), budget)
+        .expect("oracle linial");
+    Coloring {
+        colors: run.outputs.iter().map(|&c| c as usize).collect(),
+        palette,
+        rounds: run.rounds,
+    }
+}
+
+/// Linial, then the greedy class reduction to `Δ + 1` colors, both on
+/// the reference engine.
+fn oracle_vertex(sim: &Simulator<'_>, budget: usize) -> Coloring {
+    let rough = oracle_linial(sim, budget);
+    let target = sim.graph().max_degree() + 1;
+    if rough.palette <= target {
+        return rough;
+    }
+    let color_of: HashMap<u64, usize> = (0..sim.graph().num_nodes())
+        .map(|v| (sim.id_of(v), rough.colors[v]))
+        .collect();
+    let run = sim
+        .run(
+            |ctx| {
+                ReduceProgram::new(
+                    color_of[&ctx.id] as u64,
+                    rough.palette as u64,
+                    target as u64,
+                )
+            },
+            budget,
+        )
+        .expect("oracle reduction");
+    Coloring {
+        colors: run.outputs.iter().map(|&c| c as usize).collect(),
+        palette: target,
+        rounds: rough.rounds + run.rounds,
+    }
+}
+
+/// The oracle distance-2 coloring: [`oracle_vertex`] on `G²` (same ids),
+/// billed two host rounds per `G²` round.
+fn oracle_distance2(sim: &Simulator<'_>, budget: usize) -> Coloring {
+    let g2 = sim.graph().square();
+    let ids = (0..g2.num_nodes()).map(|v| sim.id_of(v)).collect();
+    let mut c = oracle_vertex(&Simulator::with_ids(&g2, ids).expect("valid ids"), budget);
+    c.rounds *= 2;
+    c
+}
+
+/// The oracle edge coloring: [`oracle_vertex`] on `L(G)` (ids = edge
+/// ids), billed two host rounds per `L(G)` round.
+fn oracle_edge(sim: &Simulator<'_>, budget: usize) -> Coloring {
+    let lg = sim.graph().line_graph();
+    let mut c = oracle_vertex(&Simulator::new(&lg), budget);
+    c.rounds *= 2;
+    c
+}
+
+/// Holds a [`Schedule`] computed at every thread count to the oracle
+/// coloring of the same graph and seed.
+fn assert_schedules_match_oracle(name: &str, g: &Graph, seed: u64) {
+    let sim = Simulator::with_shuffled_ids(g, seed);
+    let budget = 10_000 + 4 * g.num_nodes();
+    let edge = oracle_edge(&sim, budget);
+    let dist2 = oracle_distance2(&sim, budget);
+    for threads in thread_counts_and_one() {
+        for (kind, schedule, oracle) in [
+            (ScheduleKind::Edge, Schedule::edge(g, seed, threads), &edge),
+            (
+                ScheduleKind::Distance2,
+                Schedule::distance2(g, seed, threads),
+                &dist2,
+            ),
+        ] {
+            let schedule = schedule.expect("schedule");
+            let at = format!("{kind:?} schedule of {name} at {threads} threads");
+            assert_eq!(schedule.kind(), kind, "{at}");
+            assert_eq!(schedule.colors(), &oracle.colors[..], "{at}");
+            assert_eq!(schedule.palette(), oracle.palette, "{at}");
+            assert_eq!(schedule.coloring_rounds(), oracle.rounds, "{at}");
+        }
     }
 }
 
@@ -81,7 +202,7 @@ where
     F: Fn(&NodeContext) -> P,
 {
     let reference = sim.run(|ctx| make(ctx), max_rounds).expect("reference run");
-    for threads in thread_counts() {
+    for threads in thread_counts_and_one() {
         let par = sim
             .run_parallel(threads, |ctx| make(ctx), max_rounds)
             .expect("parallel run");
@@ -210,16 +331,16 @@ fn luby_program_matches_across_engines() {
 
 #[test]
 fn coloring_drivers_match_across_engines() {
-    // Driver-level: the `threads` knob on the simulator must not change
-    // any field of the returned `Coloring`.
+    // Driver-level: at every `threads` value, every field of the
+    // returned `Coloring` must equal the reference engine's.
     for (name, g) in test_graphs() {
         let sim = Simulator::with_shuffled_ids(&g, 3);
         let budget = 10_000 + 4 * g.num_nodes();
-        let linial = linial_coloring(&sim, budget).expect("linial");
-        let vertex = vertex_coloring(&sim, budget).expect("vertex");
-        let dist2 = distance2_coloring(&sim, budget).expect("distance2");
-        let edge = (g.num_edges() > 0).then(|| edge_coloring(&sim, budget).expect("edge"));
-        for threads in thread_counts() {
+        let linial = oracle_linial(&sim, budget);
+        let vertex = oracle_vertex(&sim, budget);
+        let dist2 = oracle_distance2(&sim, budget);
+        let edge = (g.num_edges() > 0).then(|| oracle_edge(&sim, budget));
+        for threads in thread_counts_and_one() {
             let psim = sim.clone().threads(threads);
             assert_eq!(
                 linial,
@@ -248,12 +369,75 @@ fn coloring_drivers_match_across_engines() {
 }
 
 #[test]
+fn schedules_match_the_oracle() {
+    for (name, g) in test_graphs() {
+        if g.num_edges() > 0 {
+            assert_schedules_match_oracle(name, &g, 17);
+        }
+    }
+    // The dependency graphs the fixer rows below schedule.
+    assert_schedules_match_oracle(
+        "rank-2 ring(72) dependency graph",
+        ring_instance::<f64>(72, 3).dependency_graph(),
+        17,
+    );
+    assert_schedules_match_oracle(
+        "rank-3 hyper_ring(48) dependency graph",
+        hyper_instance::<f64>(48, 3).dependency_graph(),
+        17,
+    );
+}
+
+/// The Cole–Vishkin program of every node of a `ring(n)` simulator, set
+/// up as `cole_vishkin_ring` does: shared schedule, predecessor port
+/// from the ring orientation.
+fn cole_vishkin_programs(sim: &Simulator<'_>) -> impl Fn(&NodeContext) -> ColeVishkinProgram {
+    let g = sim.graph();
+    let n = g.num_nodes();
+    let schedule = cv_schedule(n as u64);
+    let pred_of_id: HashMap<u64, usize> = (0..n)
+        .map(|v| {
+            let port = g.port_to(v, (v + n - 1) % n).expect("ring edge exists");
+            (sim.id_of(v), port)
+        })
+        .collect();
+    move |ctx| ColeVishkinProgram::new(schedule.clone(), pred_of_id[&ctx.id])
+}
+
+/// The oracle of the Cole–Vishkin driver row: the same programs on the
+/// reference engine.
+fn oracle_cole_vishkin(sim: &Simulator<'_>, max_rounds: usize) -> Coloring {
+    let run = sim
+        .run(cole_vishkin_programs(sim), max_rounds)
+        .expect("oracle cole-vishkin");
+    Coloring {
+        colors: run.outputs.iter().map(|&c| c as usize).collect(),
+        palette: 3,
+        rounds: run.rounds,
+    }
+}
+
+#[test]
+fn cole_vishkin_program_matches_across_engines() {
+    for n in [3usize, 8, 65, 257] {
+        let g = ring(n);
+        let sim = Simulator::with_shuffled_ids(&g, n as u64);
+        assert_engines_agree(
+            &format!("cole-vishkin program on ring({n})"),
+            &sim,
+            cole_vishkin_programs(&sim),
+            10_000,
+        );
+    }
+}
+
+#[test]
 fn cole_vishkin_matches_across_engines() {
     for n in [3usize, 8, 65, 257] {
         let g = ring(n);
         let sim = Simulator::with_shuffled_ids(&g, n as u64);
-        let reference = cole_vishkin_ring(&sim, 10_000).expect("cv");
-        for threads in thread_counts() {
+        let reference = oracle_cole_vishkin(&sim, 10_000);
+        for threads in thread_counts_and_one() {
             let par = cole_vishkin_ring(&sim.clone().threads(threads), 10_000).expect("cv");
             assert_eq!(
                 reference, par,
@@ -263,12 +447,34 @@ fn cole_vishkin_matches_across_engines() {
     }
 }
 
+/// The oracle of the MIS driver row: `luby_mis`'s doubling loop, with
+/// every attempt on the reference engine.
+fn oracle_mis(sim: &Simulator<'_>, seed: u64) -> MisResult {
+    let n = sim.graph().num_nodes();
+    let mut budget = 4usize.max(2 * (64 - (n as u64).leading_zeros()) as usize);
+    let mut rounds = 0;
+    for attempt in 0u64.. {
+        let run = sim
+            .clone()
+            .seed(seed ^ (attempt.wrapping_mul(0x9E37_79B9)))
+            .run(|_| LubyProgram::new(budget), 4 * budget + 8)
+            .expect("oracle luby");
+        rounds += run.rounds;
+        if let Some(in_mis) = run.outputs.into_iter().collect::<Option<Vec<bool>>>() {
+            return MisResult { in_mis, rounds };
+        }
+        budget *= 2;
+        assert!(budget <= 16 * n + 64, "oracle MIS gave up");
+    }
+    unreachable!("the attempt counter never runs out")
+}
+
 #[test]
 fn mis_driver_matches_across_engines() {
     for (name, g) in test_graphs() {
         let sim = Simulator::with_shuffled_ids(&g, 13);
-        let reference = luby_mis(&sim, 99).expect("mis");
-        for threads in thread_counts() {
+        let reference = oracle_mis(&sim, 99);
+        for threads in thread_counts_and_one() {
             let par = luby_mis(&sim.clone().threads(threads), 99).expect("mis");
             assert_eq!(reference, par, "luby_mis on {name} at {threads} threads");
         }
@@ -332,11 +538,64 @@ fn fixer_drivers_match_across_engines() {
     }
 }
 
+/// The oracle of the MT driver row: `distributed_mt`'s doubling loop,
+/// with every attempt on the reference engine.
+fn oracle_mt(inst: &Instance<f64>, seed: u64, max_iterations: usize) -> MtReport {
+    let mut budget = 8usize;
+    let mut rounds = 0;
+    for attempt in 0u64.. {
+        let run = Simulator::new(inst.dependency_graph())
+            .seed(seed ^ attempt.wrapping_mul(0x517c_c1b7_2722_0a95))
+            .run(
+                |ctx| MtProgram::new(inst, ctx.id as usize, budget),
+                4 * budget + 8,
+            )
+            .expect("oracle MT");
+        rounds += run.rounds;
+        let mut assignment = vec![usize::MAX; inst.num_variables()];
+        let mut resamplings = 0;
+        for out in &run.outputs {
+            resamplings += out.resamplings;
+            for &(x, val) in &out.owned_values {
+                assignment[x] = val;
+            }
+        }
+        if inst
+            .violated_events(&assignment)
+            .expect("well-formed assignment")
+            .is_empty()
+        {
+            return MtReport {
+                assignment,
+                resamplings,
+                rounds,
+            };
+        }
+        budget *= 2;
+        assert!(budget <= max_iterations, "oracle MT exhausted its budget");
+    }
+    unreachable!("the attempt counter never runs out")
+}
+
+#[test]
+fn mt_program_matches_across_engines() {
+    let inst = ring_instance::<f64>(56, 4);
+    for (seed, iterations) in [(31u64, 1usize), (31, 8), (5, 32)] {
+        let sim = Simulator::new(inst.dependency_graph()).seed(seed);
+        assert_engines_agree(
+            &format!("MT program ({iterations} iterations, seed {seed})"),
+            &sim,
+            |ctx| MtProgram::new(&inst, ctx.id as usize, iterations),
+            4 * iterations + 8,
+        );
+    }
+}
+
 #[test]
 fn mt_driver_matches_across_engines() {
     let inst = ring_instance::<f64>(56, 4);
-    let reference = distributed_mt(&inst, 31, 1 << 20).expect("mt");
-    for threads in thread_counts() {
+    let reference = oracle_mt(&inst, 31, 1 << 20);
+    for threads in thread_counts_and_one() {
         let par = distributed_mt_parallel(&inst, 31, 1 << 20, threads).expect("mt");
         assert_eq!(reference, par, "distributed MT at {threads} threads");
     }
