@@ -73,7 +73,9 @@ tmp_ckpt="$(mktemp -d)"
 # destructors, exactly a crash) and resumed in place at a different
 # worker count. The resumed file must be byte-identical to the
 # reference, and the offline verifier must agree the (prefix,
-# checkpoint, continuation) triple is coherent.
+# checkpoint, continuation) triple is coherent. The first build above
+# covers the root package only, so build the `ckpt` binary here.
+cargo build --release -q -p lll-bench --bin ckpt
 ./target/release/ckpt run --out "$tmp_ckpt/ref.jsonl" --n 256 --interval 8
 rc=0
 ./target/release/ckpt run --out "$tmp_ckpt/killed.jsonl" --n 256 --interval 8 \
@@ -109,6 +111,9 @@ cargo run --release -q --offline --manifest-path crates/bench/src/bin/ledger/Car
   --all --smoke --seconds 0.5 --seed 1
 
 echo "==> service mode: protocol + cache + parse + soak batteries"
+# The stages below run the lll-serve and lll-metrics-scrape binaries
+# directly; build them (and obs-report) as the workflow's service job does.
+cargo build --release -q -p lll-serve -p lll-bench -p lll-obs
 cargo test -q -p lll-serve
 LLL_DIFF_THREADS=2 cargo test -q -p lll-serve --test soak
 LLL_DIFF_THREADS=8 cargo test -q -p lll-serve --test soak

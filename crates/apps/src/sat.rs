@@ -272,7 +272,7 @@ pub fn solve_recorded<R: lll_obs::Recorder>(
     let order = 0..inst.num_variables();
     let report = Fixer3::new(&inst)
         .map_err(SatError::OutOfRegime)?
-        .run_recorded(order, rec)
+        .run_with(order, None, rec, &mut lll_obs::NullTiming)
         .expect("below the threshold every cost is finite");
     debug_assert!(
         report.is_success(),

@@ -7,9 +7,10 @@ use std::hint::black_box;
 use lll_apps::hyper_orientation::hyper_orientation_instance;
 use lll_apps::sat::{ring_formula, solve};
 use lll_apps::weak_splitting::weak_splitting_instance;
-use lll_core::dist::{distributed_fixer3, CriterionCheck};
+use lll_core::dist::{self, Schedule, Sweep};
 use lll_core::Fixer3;
 use lll_graphs::gen::{hyper_ring, random_bipartite_biregular};
+use lll_obs::{NullRecorder, NullTiming};
 
 fn bench_apps(c: &mut Criterion) {
     let mut g = c.benchmark_group("e8_applications");
@@ -24,7 +25,10 @@ fn bench_apps(c: &mut Criterion) {
     let inst = hyper_orientation_instance::<f64>(&h).expect("valid input");
     g.bench_function("hyper_orientation_distributed_48", |b| {
         b.iter(|| {
-            distributed_fixer3(black_box(&inst), 3, CriterionCheck::Enforce)
+            let inst = black_box(&inst);
+            let schedule = Schedule::distance2(inst.dependency_graph(), 3, 1).expect("converges");
+            let sweep = Sweep::default();
+            dist::run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
                 .expect("below threshold")
         })
     });

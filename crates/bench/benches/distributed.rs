@@ -7,9 +7,10 @@ use std::hint::black_box;
 
 use lll_bench::workloads::{random_rank2_instance, random_rank3_instance};
 use lll_coloring::{distance2_coloring, edge_coloring, vertex_coloring};
-use lll_core::dist::{distributed_fixer2, distributed_fixer3, CriterionCheck};
+use lll_core::dist::{self, Schedule, Sweep};
 use lll_graphs::gen::{hyper_ring, ring};
 use lll_local::Simulator;
+use lll_obs::{NullRecorder, NullTiming};
 
 fn bench_distributed(c: &mut Criterion) {
     let mut g = c.benchmark_group("e2_dist_rank2");
@@ -18,7 +19,10 @@ fn bench_distributed(c: &mut Criterion) {
         let inst = random_rank2_instance(&graph, 8, 0.9, 7);
         g.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
             b.iter(|| {
-                let rep = distributed_fixer2(black_box(inst), 5, CriterionCheck::Enforce)
+                let inst = black_box(inst);
+                let schedule = Schedule::edge(inst.dependency_graph(), 5, 1).expect("converges");
+                let sweep = Sweep::default();
+                let rep = dist::run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
                     .expect("below threshold");
                 assert!(rep.fix.is_success());
                 rep.rounds
@@ -33,7 +37,11 @@ fn bench_distributed(c: &mut Criterion) {
         let inst = random_rank3_instance(&h, 8, 0.9, 7);
         g.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
             b.iter(|| {
-                let rep = distributed_fixer3(black_box(inst), 5, CriterionCheck::Enforce)
+                let inst = black_box(inst);
+                let schedule =
+                    Schedule::distance2(inst.dependency_graph(), 5, 1).expect("converges");
+                let sweep = Sweep::default();
+                let rep = dist::run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
                     .expect("below threshold");
                 assert!(rep.fix.is_success());
                 rep.rounds

@@ -10,6 +10,7 @@ use lll_bench::workloads::{
 use lll_core::{audit_p_star, Fixer2, Fixer3, ValueRule};
 use lll_graphs::gen::{hyper_ring, ring, torus};
 use lll_numeric::BigRational;
+use lll_obs::{NullRecorder, NullTiming};
 
 fn bench_fixer2(c: &mut Criterion) {
     let mut g = c.benchmark_group("e1_fixer2");
@@ -49,7 +50,7 @@ fn bench_fixer3(c: &mut Criterion) {
     }
     // Exact backend with the P* audit after every fixing step — the
     // configuration the invariant experiments run. "exact-audit" uses
-    // the incremental auditor (Fixer3::run_audited); "exact-audit-full"
+    // the incremental auditor (Fixer3::run_with); "exact-audit-full"
     // is the full-rescan-per-step ablation it replaced.
     for n in [24usize, 48] {
         let h = hyper_ring(n);
@@ -60,7 +61,12 @@ fn bench_fixer3(c: &mut Criterion) {
             b.iter(|| {
                 let report = Fixer3::new(black_box(inst))
                     .expect("below threshold")
-                    .run_audited(order.clone(), &p, &BigRational::zero())
+                    .run_with(
+                        order.clone(),
+                        Some((&p, &BigRational::zero())),
+                        &mut NullRecorder,
+                        &mut NullTiming,
+                    )
                     .expect("P* holds below the threshold");
                 assert!(report.is_success());
                 report

@@ -29,14 +29,11 @@ use std::io::{Read as _, Seek, SeekFrom};
 use std::process::ExitCode;
 
 use lll_bench::workloads::random_rank2_instance;
-use lll_core::dist::{
-    distributed_fixer2_scheduled_recorded, distributed_fixer2_scheduled_resumed, CriterionCheck,
-    DistReport, ResumeCursor, Schedule,
-};
+use lll_core::dist::{self, DistReport, ResumeCursor, Schedule, Sweep};
 use lll_core::Instance;
 use lll_graphs::gen::ring;
 use lll_obs::replay::RunState;
-use lll_obs::{Event, JsonlRecorder, Recorder};
+use lll_obs::{Event, JsonlRecorder, NullTiming, Recorder};
 
 /// Forwards every event to the wrapped recorder, then aborts the
 /// process once `remaining` reaches zero — after the inner recorder
@@ -131,6 +128,10 @@ fn main() -> ExitCode {
         return usage();
     }
     let (inst, schedule) = workload(n);
+    let fresh = Sweep {
+        threads,
+        ..Sweep::default()
+    };
     match mode.as_str() {
         "run" => {
             let file = match OpenOptions::new()
@@ -152,21 +153,9 @@ fn main() -> ExitCode {
                         inner: &mut rec,
                         remaining: k,
                     };
-                    distributed_fixer2_scheduled_recorded(
-                        &inst,
-                        &schedule,
-                        CriterionCheck::Enforce,
-                        threads,
-                        &mut rec,
-                    )
+                    dist::run(&inst, &schedule, &fresh, &mut rec, &mut NullTiming)
                 }
-                _ => distributed_fixer2_scheduled_recorded(
-                    &inst,
-                    &schedule,
-                    CriterionCheck::Enforce,
-                    threads,
-                    &mut rec,
-                ),
+                _ => dist::run(&inst, &schedule, &fresh, &mut rec, &mut NullTiming),
             };
             match (report, rec.finish()) {
                 (Ok(report), Ok(_)) => {
@@ -219,13 +208,7 @@ fn main() -> ExitCode {
                 // Killed before the first checkpoint: nothing durable
                 // to resume from, start the run over in place.
                 let mut rec = JsonlRecorder::new(file).checkpoint_every(interval);
-                let report = distributed_fixer2_scheduled_recorded(
-                    &inst,
-                    &schedule,
-                    CriterionCheck::Enforce,
-                    threads,
-                    &mut rec,
-                );
+                let report = dist::run(&inst, &schedule, &fresh, &mut rec, &mut NullTiming);
                 (report, rec.finish())
             } else {
                 let ck = state.last_checkpoint().expect("cut > 0").checkpoint;
@@ -234,14 +217,11 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 let mut rec = JsonlRecorder::resumed(file, interval, &ck);
-                let report = distributed_fixer2_scheduled_resumed(
-                    &inst,
-                    &schedule,
-                    CriterionCheck::Enforce,
-                    threads,
-                    &cursor,
-                    &mut rec,
-                );
+                let resumed = Sweep {
+                    resume: cursor,
+                    ..fresh
+                };
+                let report = dist::run(&inst, &schedule, &resumed, &mut rec, &mut NullTiming);
                 (report, rec.finish())
             };
             match report {

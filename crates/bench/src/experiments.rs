@@ -14,24 +14,21 @@ use lll_apps::sinkless::{
     expected_sinks, is_sinkless, orientation_from_assignment, sinkless_orientation_instance,
 };
 use lll_apps::weak_splitting::{is_weak_splitting, weak_splitting_instance};
-use lll_core::dist::distributed_fg;
 use lll_core::dist::{
-    distributed_fixer2, distributed_fixer2_audited, distributed_fixer2_parallel,
-    distributed_fixer2_recorded, distributed_fixer2_scheduled_recorded,
-    distributed_fixer2_scheduled_resumed, distributed_fixer3, distributed_fixer3_audited,
-    distributed_fixer3_parallel, CriterionCheck, DistReport, ResumeCursor, Schedule,
+    self, distributed_fg, CriterionCheck, DistReport, ResumeCursor, Schedule, ScheduleKind, Sweep,
 };
 use lll_core::fg_criterion;
 use lll_core::orders::{run_fixer2_adaptive_worst, run_fixer3_adaptive_worst, StaticOrder};
 use lll_core::triples::{decompose, f_surface, is_representable, max_c_brute};
-use lll_core::{audit_p_star, Fixer2, Fixer3, ValueRule};
+use lll_core::{audit_p_star, Fixer2, Fixer3, Instance, ValueRule};
 use lll_graphs::gen::{
     hyper_ring, random_3_uniform, random_bipartite_biregular, random_regular, ring, torus,
 };
 use lll_local::log_star;
 use lll_mt::dist::distributed_mt_parallel;
 use lll_mt::{parallel_mt, sequential_mt};
-use lll_numeric::BigRational;
+use lll_numeric::{BigRational, Num};
+use lll_obs::{NullRecorder, NullTiming, Recorder};
 
 use crate::workloads::{random_rank2_instance, random_rank3_instance, shuffled_order};
 
@@ -162,8 +159,7 @@ pub fn e2_rounds_rank2(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
         .map(|&n| {
             let g = ring(n);
             let inst = random_rank2_instance(&g, 8, 0.9, 7);
-            let det = distributed_fixer2_parallel(&inst, 5, CriterionCheck::Enforce, threads)
-                .expect("below threshold");
+            let det = solve_seeded(&inst, ScheduleKind::Edge, 5, &workers(threads));
             assert!(det.fix.is_success());
             let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
             RoundsRow {
@@ -185,8 +181,7 @@ pub fn e6_rounds_rank3(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
         .map(|&n| {
             let h = hyper_ring(n);
             let inst = random_rank3_instance(&h, 8, 0.9, 7);
-            let det = distributed_fixer3_parallel(&inst, 5, CriterionCheck::Enforce, threads)
-                .expect("below threshold");
+            let det = solve_seeded(&inst, ScheduleKind::Distance2, 5, &workers(threads));
             assert!(det.fix.is_success());
             let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
             RoundsRow {
@@ -360,7 +355,7 @@ pub fn e8_applications() -> Vec<AppRow> {
     ] {
         let inst = hyper_orientation_instance::<f64>(&h).expect("valid hypergraph");
         let criterion = inst.criterion_value();
-        let rep = distributed_fixer3(&inst, 3, CriterionCheck::Enforce).expect("below threshold");
+        let rep = solve_seeded(&inst, ScheduleKind::Distance2, 3, &Sweep::default());
         let heads = heads_from_assignment(&h, rep.fix.assignment());
         rows.push(AppRow {
             app: label,
@@ -375,7 +370,7 @@ pub fn e8_applications() -> Vec<AppRow> {
     let bip = random_bipartite_biregular(48, 3, 48, 3, 5).expect("feasible parameters");
     let inst = weak_splitting_instance::<f64>(&bip, 48, 16).expect("valid bipartite input");
     let criterion = inst.criterion_value();
-    let rep = distributed_fixer3(&inst, 3, CriterionCheck::Enforce).expect("below threshold");
+    let rep = solve_seeded(&inst, ScheduleKind::Distance2, 3, &Sweep::default());
     rows.push(AppRow {
         app: "weak-splitting/16-colors".to_owned(),
         n: 48,
@@ -758,7 +753,8 @@ pub fn e13_criterion_gap() -> Vec<CriterionGapRow> {
             }
             let inst = b.build().expect("valid instance");
             let sharp = inst.criterion_value();
-            let rep = distributed_fg(&inst, 5, CriterionCheck::Skip).expect("skip never refuses");
+            let rep =
+                distributed_fg(&inst, 5, CriterionCheck::Skip, 1).expect("skip never refuses");
             let generic = fg_criterion(&inst, rep.num_classes);
             CriterionGapRow {
                 k,
@@ -786,14 +782,15 @@ pub struct SpeedupRow {
     /// two schedule-coloring programs (Linial + greedy reduction) on the
     /// prebuilt line graph — in milliseconds, best of three passes.
     pub sim_seq_millis: f64,
-    /// `Simulator::run_parallel` wall-clock of the same two programs.
+    /// `Simulator::run_auto` (slab engine) wall-clock of the same two
+    /// programs.
     pub sim_par_millis: f64,
     /// `sim_seq_millis / sim_par_millis`.
     pub sim_speedup: f64,
-    /// Full `distributed_fixer2` wall-clock at one thread (the slab
-    /// engine at one shard).
+    /// Full rank-2 driver wall-clock (edge-schedule coloring plus
+    /// `dist::run`) at one thread (the slab engine at one shard).
     pub driver_seq_millis: f64,
-    /// Full `distributed_fixer2_parallel` wall-clock.
+    /// The same at `threads` workers.
     pub driver_par_millis: f64,
     /// `driver_seq_millis / driver_par_millis`.
     pub driver_speedup: f64,
@@ -804,7 +801,7 @@ pub struct SpeedupRow {
 /// worker count, asserting bit-for-bit equal outcomes throughout.
 ///
 /// Both the LOCAL-simulation portion alone (`Simulator::run` vs
-/// `Simulator::run_parallel` on the schedule coloring) and the full
+/// `Simulator::run_auto` on the schedule coloring) and the full
 /// driver are reported; the driver includes the inherently sequential
 /// fixing sweep, so its speedup is an Amdahl-diluted version of the
 /// simulator's.
@@ -822,7 +819,7 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
         // The LOCAL portion of the rank-2 driver is the schedule edge
         // coloring = vertex coloring of the line graph: Linial's color
         // reduction followed by the greedy class reduction. Time the two
-        // engine entry points (`run` vs `run_parallel`) directly on those
+        // engine entry points (`run` vs `run_auto`) directly on those
         // two programs, so the sim columns compare the engines alone —
         // derived-graph construction and driver bookkeeping are engine
         // independent and excluded (the driver columns charge them).
@@ -869,17 +866,16 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
         );
 
         let t1 = Instant::now();
-        let base = distributed_fixer2(&inst, 5, CriterionCheck::Enforce).expect("below threshold");
+        let base = solve_seeded(&inst, ScheduleKind::Edge, 5, &Sweep::default());
         let driver_seq_millis = t1.elapsed().as_secs_f64() * 1e3;
 
         for &threads in thread_counts {
+            let psim = lsim.clone().threads(threads);
             let (par_out, sim_par_millis) = best_of(3, || {
-                let lin = lsim
-                    .run_parallel(threads, |_| template.clone(), budget)
+                let lin = psim
+                    .run_auto(|_| template.clone(), budget)
                     .expect("converges");
-                let red = lsim
-                    .run_parallel(threads, mk_reduce, budget)
-                    .expect("converges");
+                let red = psim.run_auto(mk_reduce, budget).expect("converges");
                 (lin, red)
             });
             assert_eq!(par_out.0.outputs, seq_out.0.outputs, "engines must agree");
@@ -888,8 +884,7 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
             assert_eq!(par_out.1.rounds, seq_out.1.rounds, "engines must agree");
 
             let t3 = Instant::now();
-            let par = distributed_fixer2_parallel(&inst, 5, CriterionCheck::Enforce, threads)
-                .expect("below threshold");
+            let par = solve_seeded(&inst, ScheduleKind::Edge, 5, &workers(threads));
             let driver_par_millis = t3.elapsed().as_secs_f64() * 1e3;
             assert_eq!(par.rounds, base.rounds, "engines must agree");
             assert_eq!(
@@ -948,8 +943,7 @@ pub fn e17_fixing_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<FixSp
         let i2 = random_rank2_instance(&g, 8, 0.9, 7);
         let p2 = i2.max_event_probability();
         let (base2, seq2) = best_of(2, || {
-            distributed_fixer2_audited(&i2, 5, CriterionCheck::Enforce, 1, &p2, &1e-9)
-                .expect("below threshold")
+            solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(1, &p2, &1e-9))
         });
 
         // Rank 3: the E6 hyper-ring workload under a per-class audit.
@@ -957,14 +951,12 @@ pub fn e17_fixing_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<FixSp
         let i3 = random_rank3_instance(&h, 8, 0.9, 7);
         let p3 = i3.max_event_probability();
         let (base3, seq3) = best_of(2, || {
-            distributed_fixer3_audited(&i3, 5, CriterionCheck::Enforce, 1, &p3, &1e-9)
-                .expect("below threshold")
+            solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(1, &p3, &1e-9))
         });
 
         for &threads in thread_counts {
             let (par2, par2_millis) = best_of(2, || {
-                distributed_fixer2_audited(&i2, 5, CriterionCheck::Enforce, threads, &p2, &1e-9)
-                    .expect("below threshold")
+                solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(threads, &p2, &1e-9))
             });
             assert_eq!(par2.rounds, base2.rounds, "sweeps must agree");
             assert_eq!(
@@ -982,8 +974,12 @@ pub fn e17_fixing_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<FixSp
             });
 
             let (par3, par3_millis) = best_of(2, || {
-                distributed_fixer3_audited(&i3, 5, CriterionCheck::Enforce, threads, &p3, &1e-9)
-                    .expect("below threshold")
+                solve_seeded(
+                    &i3,
+                    ScheduleKind::Distance2,
+                    5,
+                    &audited(threads, &p3, &1e-9),
+                )
             });
             assert_eq!(par3.rounds, base3.rounds, "sweeps must agree");
             assert_eq!(
@@ -1017,8 +1013,7 @@ pub fn record_sweep_workload<R: lll_obs::Recorder>(
 ) -> DistReport {
     let g = ring(n);
     let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    distributed_fixer2_recorded(&inst, 5, CriterionCheck::Enforce, threads, rec)
-        .expect("below threshold")
+    solve_seeded_recorded(&inst, ScheduleKind::Edge, 5, &workers(threads), rec)
 }
 
 /// E18 — service-mode throughput: the same-shape workload amortized
@@ -1276,6 +1271,52 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
 /// Runs `f` `k` times; returns its (deterministic) result and the
 /// minimum wall-clock milliseconds observed — the usual guard against
 /// one-off scheduling noise.
+/// The experiments' end-to-end distributed solve of an instance below
+/// the threshold: the `kind` schedule colored from `seed` on
+/// `sweep.threads` simulator workers, then the sweep.
+fn solve_seeded<T: Num>(
+    inst: &Instance<T>,
+    kind: ScheduleKind,
+    seed: u64,
+    sweep: &Sweep<'_, T>,
+) -> DistReport {
+    solve_seeded_recorded(inst, kind, seed, sweep, &mut NullRecorder)
+}
+
+/// [`solve_seeded`] with the sweep's events recorded into `rec`.
+fn solve_seeded_recorded<T: Num, R: Recorder>(
+    inst: &Instance<T>,
+    kind: ScheduleKind,
+    seed: u64,
+    sweep: &Sweep<'_, T>,
+    rec: &mut R,
+) -> DistReport {
+    let g = inst.dependency_graph();
+    let schedule = match kind {
+        ScheduleKind::Edge => Schedule::edge(g, seed, sweep.threads),
+        ScheduleKind::Distance2 => Schedule::distance2(g, seed, sweep.threads),
+    }
+    .expect("schedule coloring converges");
+    dist::run(inst, &schedule, sweep, rec, &mut NullTiming).expect("below threshold")
+}
+
+/// An enforced, unaudited sweep on `threads` workers.
+fn workers<'a, T>(threads: usize) -> Sweep<'a, T> {
+    Sweep {
+        threads,
+        ..Sweep::default()
+    }
+}
+
+/// An enforced sweep on `threads` workers, audited against `p_bound`.
+fn audited<'a, T>(threads: usize, p_bound: &'a T, tol: &'a T) -> Sweep<'a, T> {
+    Sweep {
+        threads,
+        audit: Some((p_bound, tol)),
+        ..Sweep::default()
+    }
+}
+
 fn best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;
@@ -1295,7 +1336,7 @@ fn best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (R, f64) {
 /// (Linial, Reduce).
 ///
 /// `threads == 1` uses `Simulator::run_recorded`; larger counts use the
-/// parallel engine, whose merged event stream is byte-identical to the
+/// slab engine, whose merged event stream is byte-identical to the
 /// sequential one (the obs differential test pins this).
 pub fn record_trace_workload<R: lll_obs::Recorder>(
     n: usize,
@@ -1324,7 +1365,7 @@ pub fn record_trace_workload_timed<R: lll_obs::Recorder, T: lll_obs::TimingSink>
     let dep = inst.dependency_graph();
     let budget = 10_000 + 4 * dep.num_nodes();
     let lg = dep.line_graph();
-    let lsim = Simulator::new(&lg);
+    let lsim = Simulator::new(&lg).threads(threads);
     let delta = lg.max_degree() as u64;
     let schedule = lll_coloring::linial_schedule(lg.num_nodes() as u64, delta);
     let fixed = schedule
@@ -1334,7 +1375,7 @@ pub fn record_trace_workload_timed<R: lll_obs::Recorder, T: lll_obs::TimingSink>
     let lin = if threads <= 1 {
         lsim.run_timed_recorded(|_| template.clone(), budget, rec, timing)
     } else {
-        lsim.run_parallel_timed_recorded(threads, |_| template.clone(), budget, rec, timing)
+        lsim.run_auto_timed_recorded(|_| template.clone(), budget, rec, timing)
     }
     .expect("converges");
     let mk_reduce = |ctx: &lll_local::NodeContext| {
@@ -1343,7 +1384,7 @@ pub fn record_trace_workload_timed<R: lll_obs::Recorder, T: lll_obs::TimingSink>
     let red = if threads <= 1 {
         lsim.run_timed_recorded(mk_reduce, budget, rec, timing)
     } else {
-        lsim.run_parallel_timed_recorded(threads, mk_reduce, budget, rec, timing)
+        lsim.run_auto_timed_recorded(mk_reduce, budget, rec, timing)
     }
     .expect("converges");
     (lin, red)
@@ -1351,7 +1392,7 @@ pub fn record_trace_workload_timed<R: lll_obs::Recorder, T: lll_obs::TimingSink>
 
 /// Feeds `fix_run`/`fix_step` spans into `timing` by running the rank-2
 /// φ-fixer on the same ring-based instance the traced workload is built
-/// from. The event stream goes to a [`NullRecorder`](lll_obs::NullRecorder)
+/// from. The event stream goes to a [`NullRecorder`]
 /// on purpose: profiling the fixer must not append events to (or
 /// otherwise perturb) a trace being recorded alongside.
 pub fn time_fixer_workload<T: lll_obs::TimingSink>(n: usize, timing: &mut T) {
@@ -1359,7 +1400,12 @@ pub fn time_fixer_workload<T: lll_obs::TimingSink>(n: usize, timing: &mut T) {
     let inst = random_rank2_instance(&g, 8, 0.9, 7);
     let report = Fixer2::new(&inst)
         .expect("trace instance is below the rank-2 threshold")
-        .run_timed_recorded(0..inst.num_variables(), &mut lll_obs::NullRecorder, timing)
+        .run_with(
+            0..inst.num_variables(),
+            None,
+            &mut lll_obs::NullRecorder,
+            timing,
+        )
         .expect("finite costs below the threshold");
     assert!(
         report.violated_events().is_empty(),
@@ -1385,7 +1431,7 @@ pub struct RecorderOverheadRow {
 }
 
 /// Runs experiment E15: times [`record_trace_workload`] under
-/// [`NullRecorder`](lll_obs::NullRecorder) (which is exactly the code
+/// [`NullRecorder`] (which is exactly the code
 /// path the unrecorded entry points delegate to — its "overhead" row is
 /// the measurement-noise floor), [`CounterRecorder`](lll_obs::CounterRecorder)
 /// and an in-memory [`JsonlRecorder`](lll_obs::JsonlRecorder).
@@ -1444,7 +1490,7 @@ pub struct TimingOverheadRow {
 }
 
 /// Runs experiment E16: times [`record_trace_workload_timed`] under
-/// [`NullTiming`](lll_obs::NullTiming) — which is exactly the code path
+/// [`NullTiming`] — which is exactly the code path
 /// the untimed entry points delegate to, so its "overhead" row is the
 /// noise floor — and under a live
 /// [`TimingRecorder`](lll_obs::TimingRecorder). The acceptance target
@@ -1638,12 +1684,12 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
     let run_full = || {
         let mut rec =
             lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20)).checkpoint_every(interval);
-        distributed_fixer2_scheduled_recorded(
+        dist::run(
             &inst,
             &schedule,
-            CriterionCheck::Enforce,
-            1,
+            &Sweep::default(),
             &mut rec,
+            &mut NullTiming,
         )
         .expect("below threshold");
         rec.finish().expect("in-memory writer never fails")
@@ -1670,15 +1716,11 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
         let ck = state.last_checkpoint().expect("prefix has a checkpoint");
         let mut tail =
             lll_obs::JsonlRecorder::resumed(Vec::with_capacity(1 << 20), interval, &ck.checkpoint);
-        distributed_fixer2_scheduled_resumed(
-            &inst,
-            &schedule,
-            CriterionCheck::Enforce,
-            1,
-            &cursor,
-            &mut tail,
-        )
-        .expect("below threshold");
+        let resume = Sweep {
+            resume: cursor,
+            ..Sweep::default()
+        };
+        dist::run(&inst, &schedule, &resume, &mut tail, &mut NullTiming).expect("below threshold");
         tail.finish().expect("in-memory writer never fails")
     };
     // Byte-identity first, timing after: prefix + continuation must be
@@ -1766,10 +1808,6 @@ fn e22_gear_pass(
     (f64, lll_numeric::TierCounters),
     (f64, lll_numeric::TierCounters),
 ) {
-    use lll_core::dist::{
-        distributed_fixer2_audited_recorded, distributed_fixer3_audited_recorded,
-    };
-
     lll_numeric::set_wide_tier_enabled(wide);
     lll_numeric::reset_tier_counters();
     let g = ring(n2);
@@ -1783,28 +1821,22 @@ fn e22_gear_pass(
     let mut streams = Vec::new();
     for &t in thread_counts {
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep2 = distributed_fixer2_audited_recorded(
+        let rep2 = solve_seeded_recorded(
             &i2,
+            ScheduleKind::Edge,
             5,
-            CriterionCheck::Enforce,
-            t,
-            &p2,
-            &zero,
+            &audited(t, &p2, &zero),
             &mut rec,
-        )
-        .expect("below threshold");
+        );
         let s2 = rec.finish().expect("in-memory writer never fails");
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep3 = distributed_fixer3_audited_recorded(
+        let rep3 = solve_seeded_recorded(
             &i3,
+            ScheduleKind::Distance2,
             5,
-            CriterionCheck::Enforce,
-            t,
-            &p3,
-            &zero,
+            &audited(t, &p3, &zero),
             &mut rec,
-        )
-        .expect("below threshold");
+        );
         let s3 = rec.finish().expect("in-memory writer never fails");
         streams.push((
             s2,
@@ -1816,14 +1848,12 @@ fn e22_gear_pass(
 
     lll_numeric::reset_tier_counters();
     let (_, m2) = best_of(2, || {
-        distributed_fixer2_audited(&i2, 5, CriterionCheck::Enforce, 1, &p2, &zero)
-            .expect("below threshold")
+        solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(1, &p2, &zero))
     });
     let t2 = lll_numeric::tier_counters();
     lll_numeric::reset_tier_counters();
     let (_, m3) = best_of(2, || {
-        distributed_fixer3_audited(&i3, 5, CriterionCheck::Enforce, 1, &p3, &zero)
-            .expect("below threshold")
+        solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(1, &p3, &zero))
     });
     let t3 = lll_numeric::tier_counters();
     (streams, (m2, t2), (m3, t3))

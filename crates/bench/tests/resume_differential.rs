@@ -14,16 +14,12 @@
 //! two streams.
 
 use lll_bench::workloads::{random_rank2_instance, random_rank3_instance};
-use lll_core::dist::{
-    distributed_fixer2_audited_recorded, distributed_fixer2_scheduled,
-    distributed_fixer2_scheduled_recorded, distributed_fixer2_scheduled_resumed,
-    distributed_fixer2_scheduled_resumed_audited, distributed_fixer3_scheduled_recorded,
-    distributed_fixer3_scheduled_resumed, CriterionCheck, DistReport, ResumeCursor, Schedule,
-};
+use lll_core::dist::{self, DistReport, ResumeCursor, Schedule, Sweep};
+use lll_core::Instance;
 use lll_graphs::gen::{hyper_ring, ring};
 use lll_obs::diff::diff_streams;
 use lll_obs::replay::RunState;
-use lll_obs::{Checkpoint, JsonlRecorder, NullRecorder, CHECKPOINT_PREFIX};
+use lll_obs::{Checkpoint, JsonlRecorder, NullRecorder, NullTiming, Recorder, CHECKPOINT_PREFIX};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -77,6 +73,25 @@ fn assert_reports_agree(resumed: &DistReport, full: &DistReport, what: &str) {
     );
 }
 
+/// An enforced sweep along `schedule` on `threads` workers, audited
+/// against `audit` when given, resumed from `resume`, recorded into `rec`.
+fn sweep<R: Recorder>(
+    inst: &Instance<f64>,
+    schedule: &Schedule,
+    threads: usize,
+    audit: Option<(&f64, &f64)>,
+    resume: ResumeCursor<'_>,
+    rec: &mut R,
+) -> DistReport {
+    let sweep = Sweep {
+        threads,
+        audit,
+        resume,
+        ..Sweep::default()
+    };
+    dist::run(inst, schedule, &sweep, rec, &mut NullTiming).expect("below threshold")
+}
+
 /// `plain` mode: the continuation runs with no recorder at all — the
 /// durable prefix is only consulted for the cursor, and what must
 /// survive the kill is the *computation*, pinned by the final report.
@@ -86,11 +101,10 @@ fn plain_resume_recovers_the_uninterrupted_report() {
     let g = ring(96);
     let inst = random_rank2_instance(&g, 8, 0.9, 7);
     let schedule = Schedule::edge(inst.dependency_graph(), 5, 1).expect("coloring converges");
-    let full = distributed_fixer2_scheduled(&inst, &schedule, CriterionCheck::Enforce, 1)
-        .expect("below threshold");
+    let fresh = ResumeCursor::default();
+    let full = sweep(&inst, &schedule, 1, None, fresh, &mut NullRecorder);
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-    distributed_fixer2_scheduled_recorded(&inst, &schedule, CriterionCheck::Enforce, 1, &mut rec)
-        .expect("below threshold");
+    sweep(&inst, &schedule, 1, None, fresh, &mut rec);
     let bytes = rec.finish().expect("in-memory writer never fails");
     let checkpoints = checkpoints_in(&bytes);
     assert!(
@@ -102,15 +116,7 @@ fn plain_resume_recovers_the_uninterrupted_report() {
         let state = fold_prefix(prefix);
         let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
         for t in THREADS {
-            let resumed = distributed_fixer2_scheduled_resumed(
-                &inst,
-                &schedule,
-                CriterionCheck::Enforce,
-                t,
-                &cursor,
-                &mut NullRecorder,
-            )
-            .expect("below threshold");
+            let resumed = sweep(&inst, &schedule, t, None, cursor, &mut NullRecorder);
             assert_reports_agree(
                 &resumed,
                 &full,
@@ -133,31 +139,20 @@ fn recorded_resume_rejoins_byte_for_byte() {
     let inst2 = random_rank2_instance(&g, 8, 0.9, 7);
     let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).expect("coloring converges");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-    let full2 = distributed_fixer2_scheduled_recorded(
-        &inst2,
-        &sched2,
-        CriterionCheck::Enforce,
-        1,
-        &mut rec,
-    )
-    .expect("below threshold");
+    let full2 = sweep(&inst2, &sched2, 1, None, ResumeCursor::default(), &mut rec);
     let bytes2 = rec.finish().expect("in-memory writer never fails");
 
     let h = hyper_ring(48);
     let inst3 = random_rank3_instance(&h, 8, 0.9, 7);
     let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).expect("coloring converges");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-    let full3 = distributed_fixer3_scheduled_recorded(
-        &inst3,
-        &sched3,
-        CriterionCheck::Enforce,
-        1,
-        &mut rec,
-    )
-    .expect("below threshold");
+    let full3 = sweep(&inst3, &sched3, 1, None, ResumeCursor::default(), &mut rec);
     let bytes3 = rec.finish().expect("in-memory writer never fails");
 
-    for (rank2, bytes) in [(true, &bytes2), (false, &bytes3)] {
+    for (rank2, inst, schedule, bytes, full) in [
+        (true, &inst2, &sched2, &bytes2, &full2),
+        (false, &inst3, &sched3, &bytes3, &full3),
+    ] {
         let checkpoints = checkpoints_in(bytes);
         assert!(
             checkpoints.len() >= 3,
@@ -169,33 +164,7 @@ fn recorded_resume_rejoins_byte_for_byte() {
             let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
             for t in THREADS {
                 let mut tail = JsonlRecorder::resumed(Vec::new(), interval, ck);
-                let (resumed, full) = if rank2 {
-                    (
-                        distributed_fixer2_scheduled_resumed(
-                            &inst2,
-                            &sched2,
-                            CriterionCheck::Enforce,
-                            t,
-                            &cursor,
-                            &mut tail,
-                        )
-                        .expect("below threshold"),
-                        &full2,
-                    )
-                } else {
-                    (
-                        distributed_fixer3_scheduled_resumed(
-                            &inst3,
-                            &sched3,
-                            CriterionCheck::Enforce,
-                            t,
-                            &cursor,
-                            &mut tail,
-                        )
-                        .expect("below threshold"),
-                        &full3,
-                    )
-                };
+                let resumed = sweep(inst, schedule, t, None, cursor, &mut tail);
                 let fixer = if rank2 { "fixer2" } else { "fixer3" };
                 assert_rejoined(
                     prefix,
@@ -228,16 +197,15 @@ fn audited_resume_rebuilds_verdicts_byte_for_byte() {
     let p = inst.max_event_probability();
     let schedule = Schedule::edge(inst.dependency_graph(), 5, 1).expect("coloring converges");
     let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(1);
-    let full = distributed_fixer2_audited_recorded(
+    let audit = Some((&p, &1e-9));
+    let full = sweep(
         &inst,
-        5,
-        CriterionCheck::Enforce,
+        &schedule,
         1,
-        &p,
-        &1e-9,
+        audit,
+        ResumeCursor::default(),
         &mut rec,
-    )
-    .expect("below threshold");
+    );
     let bytes = rec.finish().expect("in-memory writer never fails");
     let checkpoints = checkpoints_in(&bytes);
     assert!(
@@ -250,17 +218,7 @@ fn audited_resume_rebuilds_verdicts_byte_for_byte() {
         let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
         for t in THREADS {
             let mut tail = JsonlRecorder::resumed(Vec::new(), 1, ck);
-            let resumed = distributed_fixer2_scheduled_resumed_audited(
-                &inst,
-                &schedule,
-                CriterionCheck::Enforce,
-                t,
-                &p,
-                &1e-9,
-                &cursor,
-                &mut tail,
-            )
-            .expect("below threshold");
+            let resumed = sweep(&inst, &schedule, t, audit, cursor, &mut tail);
             assert_rejoined(
                 prefix,
                 &tail.finish().expect("in-memory writer never fails"),

@@ -191,7 +191,7 @@ mod tests {
         };
         let seq = sim.run(mk, 10_000).unwrap();
         for t in [1usize, 3, 8] {
-            let par = sim.run_parallel(t, mk, 10_000).unwrap();
+            let par = sim.clone().threads(t).run_auto(mk, 10_000).unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads {t}");
             assert_eq!(par.rounds, seq.rounds, "threads {t}");
             assert_eq!(par.messages, seq.messages, "threads {t}");

@@ -26,6 +26,39 @@
 //! order-obliviousness of Theorems 1.1/1.3 is exactly what makes the
 //! schedule correct — and asserts the no-conflict property of every
 //! class as an executable witness.
+//!
+//! Both corollaries run through one entry point, [`run`]: the
+//! [`Schedule`]'s kind selects the sweep, and a [`Sweep`] carries the
+//! remaining options (criterion check, worker count, optional `P*`
+//! audit, resume cursor).
+//!
+//! ```
+//! use lll_core::dist::{self, Schedule, Sweep};
+//! use lll_core::InstanceBuilder;
+//! use lll_obs::{NullRecorder, NullTiming};
+//!
+//! // Four events on a ring, one 3-valued variable per ring edge; event
+//! // `i` occurs when both of its variables are 0 (p = 1/9 < 2^-2).
+//! let mut b = InstanceBuilder::<f64>::new(4);
+//! let vars: Vec<usize> = (0..4)
+//!     .map(|i| b.add_uniform_variable(&[i, (i + 1) % 4], 3))
+//!     .collect();
+//! for i in 0..4 {
+//!     let (l, r) = (vars[(i + 3) % 4], vars[i]);
+//!     b.set_event_predicate(i, move |vals| vals[l] == 0 && vals[r] == 0);
+//! }
+//! let inst = b.build()?;
+//! let schedule = Schedule::edge(inst.dependency_graph(), 7, 1)?;
+//! let report = dist::run(
+//!     &inst,
+//!     &schedule,
+//!     &Sweep::default(),
+//!     &mut NullRecorder,
+//!     &mut NullTiming,
+//! )?;
+//! assert!(report.fix.is_success());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 use std::fmt;
 
@@ -38,8 +71,8 @@ use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink
 use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
 use crate::fg::FgFixer;
-use crate::fixer2::{audit_event, fix_run_start_event};
-use crate::instance::{max_probability, Instance, PartialAssignment};
+use crate::fixer2::{audit_verdict, fix_run_start_event};
+use crate::instance::{max_probability, Instance};
 use crate::sweep::{fix_class_sharded, ClassFixer};
 use crate::triples::Phi;
 use crate::{FixReport, Fixer2, Fixer3};
@@ -62,11 +95,11 @@ pub enum DistError {
     Sim(SimError),
     /// The fixer rejected the instance.
     Fixer(FixerError),
-    /// A precomputed [`Schedule`] was supplied for a different graph (or
-    /// the wrong schedule kind for the driver).
+    /// A [`Schedule`] was supplied for a different graph (or, through
+    /// a rank-specific entry point, is of the wrong kind).
     ScheduleMismatch {
-        /// Schedule slots the driver requires (edges for the rank-2
-        /// driver, nodes for the rank-3 driver).
+        /// Schedule slots the sweep requires (edges for an edge
+        /// schedule, nodes for a distance-2 schedule).
         expected: usize,
         /// Slots the supplied schedule actually carries.
         found: usize,
@@ -163,13 +196,14 @@ pub enum ScheduleKind {
 /// instance with the same graph shape. `lll-serve` exploits exactly
 /// this: its topology cache keys schedules by
 /// [`Graph::fingerprint`](lll_graphs::Graph::fingerprint) and replays
-/// them through [`distributed_fixer2_scheduled_recorded`] /
-/// [`distributed_fixer3_scheduled_recorded`], so only the fixing sweep
-/// runs per request. Determinism contract: the scheduled drivers execute
-/// the *same* fixing steps the self-scheduling drivers would (those are
-/// now thin wrappers that compute a `Schedule` and delegate), so a
-/// cached replay is byte-identical to a cold run — assignment, bills,
-/// and recorded stream — at every worker count.
+/// them through [`run`], so only the fixing sweep runs per request.
+/// Determinism contract: [`run`] executes the same fixing steps for a
+/// cached schedule as for one computed just before, so a cached replay
+/// is byte-identical to a cold run — assignment, bills, and recorded
+/// stream — at every worker count. The schedule's [`kind`](Schedule::kind)
+/// selects the sweep: [`Schedule::edge`] drives the rank-2 sweep of
+/// Corollary 1.2 and [`Schedule::distance2`] the rank-3 sweep of
+/// Corollary 1.4.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     kind: ScheduleKind,
@@ -277,7 +311,8 @@ impl Schedule {
 /// (and therefore must *not* be re-emitted). Build one from a folded
 /// [`RunState`](lll_obs::replay::RunState) via
 /// [`ResumeCursor::from_run_state`], or assemble the parts manually.
-#[derive(Debug, Clone, Copy)]
+/// The [`Default`] cursor is empty: a fresh start.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ResumeCursor<'a> {
     steps: &'a [(u64, u64)],
     audits: u64,
@@ -406,55 +441,27 @@ impl ReplayPhase<'_> {
         }
         if let Some((p_bound, tol)) = audit {
             let rebuilt = fixer.fresh_auditor(p_bound, tol);
-            // Checkpoints land only after event lines, and the class
-            // audit event follows the class's last fix_step — so a
-            // prefix ending exactly at a class boundary may still owe
-            // that class's audit event.
-            let pending = if boundary_exact {
-                if self.audits == self.classes_replayed {
-                    false
-                } else if self.audits + 1 == self.classes_replayed {
-                    true
+            // Every class up to this one owes its audit event once its
+            // last step ran. Checkpoints land only after event lines,
+            // and the class audit event follows the class's last
+            // fix_step — so a prefix ending exactly at a class boundary
+            // may or may not contain that class's audit event, while
+            // one ending inside the class cannot.
+            let finished = self.classes_replayed + u64::from(!boundary_exact);
+            let pending = self.audits + 1 == finished;
+            let emitted = boundary_exact && self.audits == finished;
+            if !(pending || emitted) {
+                let owed = finished - 1;
+                let expected = if boundary_exact {
+                    format!("{owed} or {finished} audit events")
                 } else {
-                    return Err(resume_mismatch(
-                        self.pos,
-                        format!(
-                            "{} or {} audit events for {} replayed classes",
-                            self.classes_replayed - 1,
-                            self.classes_replayed,
-                            self.classes_replayed
-                        ),
-                        format!("{} audit events", self.audits),
-                    ));
-                }
-            } else {
-                if self.audits != self.classes_replayed {
-                    return Err(resume_mismatch(
-                        self.pos,
-                        format!(
-                            "{} audit events for {} replayed classes",
-                            self.classes_replayed, self.classes_replayed
-                        ),
-                        format!("{} audit events", self.audits),
-                    ));
-                }
-                true
-            };
+                    format!("{owed} audit events")
+                };
+                let found = format!("{} audit events", self.audits);
+                return Err(resume_mismatch(self.pos, expected, found));
+            }
             if pending {
-                let report = rebuilt.report();
-                let step = fixer.steps_done() - 1;
-                let variable = *class_vars.last().expect("class is non-empty");
-                if R::ENABLED {
-                    rec.record(&audit_event(step, variable, &report));
-                }
-                if !report.holds() {
-                    return Err(DistError::Fixer(FixerError::PStarViolated {
-                        step,
-                        variable,
-                        pair_violations: report.pair_violations,
-                        prob_violations: report.prob_violations,
-                    }));
-                }
+                class_verdict(&rebuilt, fixer, class_vars, rec)?;
             }
             *auditor = Some(rebuilt);
         }
@@ -462,342 +469,165 @@ impl ReplayPhase<'_> {
     }
 }
 
-/// Sets up the replay phase for a driver: validates the cursor's audit
-/// accounting against the driver's mode and decides whether the
+/// Sets up the replay phase of a sweep: validates the cursor's
+/// accounting against the sweep's mode and decides whether the
 /// `fix_run_start` bracket must still be emitted. Returns
-/// `(replay, emit_fix_run_start)`.
+/// `(replay, emit_fix_run_start)`; the empty cursor is a fresh start.
 fn begin_replay<'a>(
-    resume: Option<&ResumeCursor<'a>>,
+    cursor: &ResumeCursor<'a>,
     audited: bool,
 ) -> Result<(Option<ReplayPhase<'a>>, bool), DistError> {
-    let Some(cursor) = resume else {
-        return Ok((None, true));
-    };
     if !audited && cursor.audits != 0 {
         return Err(resume_mismatch(
             cursor.steps.len(),
-            "no audit events (unaudited driver)",
+            "no audit events (unaudited sweep)",
             format!("{} audit events", cursor.audits),
         ));
     }
-    let replay = if cursor.steps.is_empty() {
-        None
-    } else {
-        Some(ReplayPhase {
-            steps: cursor.steps,
-            pos: 0,
-            audits: cursor.audits,
-            classes_replayed: 0,
-        })
-    };
+    // A stream carries its steps and audits after `fix_run_start`, so a
+    // prefix without the bracket cannot contain either.
+    if !cursor.fix_run_started && (!cursor.steps.is_empty() || cursor.audits != 0) {
+        return Err(resume_mismatch(
+            0,
+            "an empty prefix (no fix_run_start recorded)",
+            format!(
+                "{} steps and {} audit events",
+                cursor.steps.len(),
+                cursor.audits
+            ),
+        ));
+    }
+    let replay = (!cursor.steps.is_empty()).then_some(ReplayPhase {
+        steps: cursor.steps,
+        pos: 0,
+        audits: cursor.audits,
+        classes_replayed: 0,
+    });
     Ok((replay, !cursor.fix_run_started))
 }
 
-/// Distributed rank-2 LLL (Corollary 1.2): edge-color the dependency
-/// graph, then fix each color class of variables in parallel.
+/// The options of a [`run`] besides the instance, the schedule and the
+/// two observers.
 ///
-/// # Errors
+/// [`Sweep::default`] is an enforced, single-worker, unaudited fresh
+/// start; set the fields that differ:
 ///
-/// [`DistError::Fixer`] if the instance has rank > 2 or (under
-/// [`CriterionCheck::Enforce`]) violates `p < 2^-d`;
-/// [`DistError::Sim`] if the coloring simulation fails.
-pub fn distributed_fixer2<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, 1, None, &mut NullRecorder)
+/// ```
+/// # use lll_core::dist::{CriterionCheck, Sweep};
+/// let (p, tol) = (0.25, 1e-9);
+/// let sweep = Sweep {
+///     threads: 4,
+///     audit: Some((&p, &tol)),
+///     ..Sweep::default()
+/// };
+/// assert_eq!(sweep.check, CriterionCheck::Enforce);
+/// ```
+#[derive(Debug)]
+pub struct Sweep<'a, T> {
+    /// Whether to enforce `p < 2^-d` before fixing.
+    pub check: CriterionCheck,
+    /// Workers per color class. A class's cells touch disjoint events,
+    /// so they are sharded across workers; the outcome is identical for
+    /// every count (see `crate::sweep`).
+    pub threads: usize,
+    /// `Some((p_bound, tol))` re-verifies `P*` after every color class
+    /// ([`IncrementalAuditor::reverify_class`]'s verdicts, computed
+    /// inside the sweep workers and merged) and fails with
+    /// [`FixerError::PStarViolated`] at the first class after which the
+    /// invariant no longer holds. The recorded stream then carries one
+    /// [`Event::AuditPass`]/[`Event::AuditViolation`] per class, tagged
+    /// with the class's last step and variable.
+    pub audit: Option<(&'a T, &'a T)>,
+    /// Where to pick a recorded run back up; the empty default cursor
+    /// is a fresh start. A non-empty cursor replays its step prefix
+    /// through the schedule (verifying every recorded step against the
+    /// variable the schedule puts there) and continues live from the
+    /// exact step where the prefix ends: the events written to the
+    /// recorder are the uninterrupted run's stream minus the prefix, at
+    /// every `threads` count (DESIGN.md §3.12), and the report bills the
+    /// whole logical run. Audit events the prefix already contains are
+    /// not re-emitted; the audit cache is rebuilt by a full scan at the
+    /// live boundary, which equals the cache the uninterrupted run
+    /// carried there.
+    pub resume: ResumeCursor<'a>,
 }
 
-/// [`distributed_fixer2`] with the coloring simulation *and* the fixing
-/// sweep running on `threads` worker threads: each color class's cells
-/// (one dependency edge's variables each) are sharded across workers,
-/// which is legitimate precisely because same-colored edges share no
-/// event (the witness this driver asserts). The outcome is identical
-/// for every thread count — see `crate::sweep`.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`].
-pub fn distributed_fixer2_parallel<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, threads, None, &mut NullRecorder)
-}
-
-/// [`distributed_fixer2_parallel`] with a flight recorder: brackets the
-/// fixing steps with [`Event::FixRunStart`]/[`Event::FixRunEnd`] and
-/// emits one `fix_step` per variable. Per-shard events are buffered and
-/// merged in static shard order, so the stream is byte-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`].
-pub fn distributed_fixer2_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, threads, None, rec)
-}
-
-/// [`distributed_fixer2_parallel`] with a `P*` audit: after each color
-/// class, the auditor re-verifies the union of the class variables'
-/// `affects` sets ([`IncrementalAuditor::reverify_class`]) — the checks
-/// are computed inside the sweep workers and merged, so the audited
-/// driver parallelizes end to end. Verdicts are identical to auditing
-/// step by step, because a class's cells touch disjoint events.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`], plus [`FixerError::PStarViolated`]
-/// (wrapped in [`DistError::Fixer`]) at the first class after which the
-/// invariant no longer holds.
-pub fn distributed_fixer2_audited<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(
-        inst,
-        seed,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        &mut NullRecorder,
-    )
-}
-
-/// [`distributed_fixer2_audited`] with a flight recorder: additionally
-/// emits one [`Event::AuditPass`]/[`Event::AuditViolation`] per color
-/// class, tagged with the class's last step and variable.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_audited`].
-pub fn distributed_fixer2_audited_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_driver(inst, seed, check, threads, Some((p_bound, tol)), rec)
-}
-
-/// [`distributed_fixer2_parallel`] driven by a precomputed [`Schedule`]
-/// instead of a fresh coloring simulation: only the fixing sweep runs.
-/// The self-scheduling drivers are wrappers over this entry point, so a
-/// replayed schedule produces the identical report (and, via the
-/// recorded variant, the identical event stream) a cold run would.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2`], plus [`DistError::ScheduleMismatch`] if
-/// `schedule` is not an edge schedule sized for this instance's
-/// dependency graph.
-pub fn distributed_fixer2_scheduled<T: Num>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        &mut NullRecorder,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer2_scheduled`] with a flight recorder; the stream
-/// is byte-identical to [`distributed_fixer2_recorded`]'s for the same
-/// seed, at every worker count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_scheduled`].
-pub fn distributed_fixer2_scheduled_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer2_scheduled_recorded`] with a side-band timing
-/// sink: the whole sweep is one [`TimingScope::FixRun`] span and each
-/// color class one [`TimingScope::FixClass`] span. This is the serve
-/// daemon's request-scoped entry point — the caller constructs a
-/// per-request recorder (tagged with the request's correlation id) and
-/// a per-request sink, so every event and span attributes to the
-/// request that caused it. Wall-clock flows only into `sink`; the
-/// recorder stream stays byte-identical to the untimed drivers'.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_scheduled`].
-pub fn distributed_fixer2_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-    sink: &mut S,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(inst, schedule, check, threads, None, None, rec, sink)
-}
-
-/// [`distributed_fixer2_scheduled_recorded`] resumed from a recorded
-/// checkpoint: replays `cursor`'s step prefix through the schedule
-/// (verifying every recorded step against the variable the schedule
-/// puts there), then continues live from the exact step where the
-/// prefix ends. The events written to `rec` are precisely the
-/// uninterrupted run's stream minus the prefix — concatenating the
-/// durable prefix bytes with `rec`'s output reproduces the
-/// uninterrupted stream byte for byte, at every `threads` count
-/// (DESIGN.md §3.12). The returned report bills the *whole* logical
-/// run, identical to the uninterrupted report.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_scheduled`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the schedule
-/// (wrong schedule/instance, or a prefix from an audited run).
-pub fn distributed_fixer2_scheduled_resumed<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// The audited counterpart of [`distributed_fixer2_scheduled_resumed`]:
-/// resumes a stream produced by an *audited* recorded run. Audit events
-/// already contained in the prefix (per `cursor`) are not re-emitted;
-/// the audit cache is rebuilt by a full scan at the live boundary,
-/// which equals the incremental cache the uninterrupted run carried
-/// there — so every remaining verdict, and the continued stream, are
-/// identical to the uninterrupted run's.
-///
-/// # Errors
-///
-/// As [`distributed_fixer2_audited`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the schedule
-/// or its audit accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_fixer2_scheduled_resumed_audited<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer2_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-fn fixer2_driver<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    let schedule = Schedule::edge(inst.dependency_graph(), seed, threads)?;
-    fixer2_scheduled_driver(
-        inst,
-        &schedule,
-        check,
-        threads,
-        audit,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fixer2_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    resume: Option<&ResumeCursor<'_>>,
-    rec: &mut R,
-    sink: &mut S,
-) -> Result<DistReport, DistError> {
-    let mut fixer = Fixer2::new_unchecked(inst)?;
-    let initial_probs = check_criterion(inst, check)?;
-    let g = inst.dependency_graph();
-    if schedule.kind() != ScheduleKind::Edge || schedule.colors().len() != g.num_edges() {
-        return Err(DistError::ScheduleMismatch {
-            expected: g.num_edges(),
-            found: schedule.colors().len(),
-        });
+impl<T> Default for Sweep<'_, T> {
+    fn default() -> Self {
+        Sweep {
+            check: CriterionCheck::Enforce,
+            threads: 1,
+            audit: None,
+            resume: ResumeCursor::default(),
+        }
     }
-    let (colors, palette, coloring_rounds) = (
-        schedule.colors(),
-        schedule.palette(),
-        schedule.coloring_rounds(),
-    );
+}
 
-    // Schedule: the rank-1 warm-up class first (cells = one event's
-    // variables — no two rank-1 variables on different events interact,
-    // and several on one event are fixed by that event's node locally),
-    // then one class per edge color (cells = one dependency edge's
-    // variables, which one endpoint fixes locally and sequentially).
+/// Distributed LLL below the sharp threshold: fixes `inst` color class
+/// by color class along `schedule`.
+///
+/// * An [`Edge`](ScheduleKind::Edge) schedule runs the rank-2 sweep of
+///   Corollary 1.2: first a warm-up class of the rank-1 variables (one
+///   cell per event), then one class per edge color whose cells are
+///   the dependency edges' variables.
+/// * A [`Distance2`](ScheduleKind::Distance2) schedule runs the rank-3
+///   sweep of Corollary 1.4: in each class, every node of that color
+///   fixes all of its still-unfixed incident variables.
+///
+/// `rec` receives the flight record: the
+/// [`Event::FixRunStart`]/[`Event::FixRunEnd`] bracket and one
+/// `fix_step` per variable (plus the audit events of an audited sweep).
+/// Per-shard events are buffered and merged in static shard order, so
+/// the stream is byte-identical at every worker count. `sink` receives
+/// side-band wall-clock only: the whole sweep is one
+/// [`TimingScope::FixRun`] span and each color class one
+/// [`TimingScope::FixClass`] span. The serve daemon passes a
+/// per-request recorder and sink, so every event and span attributes to
+/// the request that caused it.
+///
+/// # Errors
+///
+/// * [`DistError::Fixer`] if the instance's rank exceeds the sweep's (2
+///   for an edge schedule, 3 for a distance-2 schedule), if it violates
+///   `p < 2^-d` under [`CriterionCheck::Enforce`] (the rank is checked
+///   first), or if an audited sweep finds `P*` violated;
+/// * [`DistError::ScheduleMismatch`] if `schedule` is sized for a
+///   different dependency graph;
+/// * [`DistError::ResumeMismatch`] if the resume cursor contradicts the
+///   schedule or its own accounting (wrong schedule or instance, a
+///   prefix from an audited run fed to an unaudited sweep, or steps
+///   recorded without a `fix_run_start`).
+pub fn run<T: Num, R: Recorder, S: TimingSink>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    sweep: &Sweep<'_, T>,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<DistReport, DistError> {
+    match schedule.kind() {
+        ScheduleKind::Edge => {
+            let fixer = Fixer2::new_unchecked(inst)?;
+            drive(inst, fixer, schedule, edge_classes, sweep, rec, sink)
+        }
+        ScheduleKind::Distance2 => {
+            let fixer = Fixer3::new_unchecked(inst)?;
+            drive(inst, fixer, schedule, node_classes, sweep, rec, sink)
+        }
+    }
+}
+
+/// A schedule's color classes, each a list of cells (one worker's
+/// sequentially fixed variables), in sweep order.
+type Classes = Vec<Vec<Vec<usize>>>;
+
+/// The rank-2 classes: the rank-1 warm-up class first (cells = one
+/// event's variables — no two rank-1 variables on different events
+/// interact, and several on one event are fixed by that event's node
+/// locally), then one class per edge color (cells = one dependency
+/// edge's variables, which one endpoint fixes locally and sequentially).
+fn edge_classes<T: Num>(inst: &Instance<T>, schedule: &Schedule) -> Result<Classes, DistError> {
+    let g = inst.dependency_graph();
+    expect_slots(schedule, g.num_edges())?;
     let mut by_event: Vec<Vec<usize>> = vec![Vec::new(); inst.num_events()];
     let mut by_edge: Vec<Vec<usize>> = vec![Vec::new(); g.num_edges()];
     for x in 0..inst.num_variables() {
@@ -810,371 +640,65 @@ fn fixer2_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
             _ => unreachable!("rank validated at construction"),
         }
     }
-    let mut classes: Vec<Vec<Vec<usize>>> = Vec::with_capacity(palette + 1);
+    let mut classes: Classes = Vec::with_capacity(schedule.palette() + 1);
     classes.push(by_event.into_iter().filter(|c| !c.is_empty()).collect());
-    classes.resize_with(palette + 1, Vec::new);
+    classes.resize_with(schedule.palette() + 1, Vec::new);
     for (eid, cell) in by_edge.into_iter().enumerate() {
         if !cell.is_empty() {
-            classes[colors[eid] + 1].push(cell);
+            classes[schedule.colors()[eid] + 1].push(cell);
         }
     }
-
-    let (mut replay, emit_start) = begin_replay(resume, audit.is_some())?;
-    if R::ENABLED && emit_start {
-        rec.record(&fix_run_start_event(inst));
-    }
-    let mut auditor = if replay.is_some() {
-        // Rebuilt at the live boundary (see ReplayPhase::replay_class);
-        // scanning here would describe pre-replay state.
-        None
-    } else {
-        fresh_start_auditor(inst, fixer.partial(), fixer.phi(), initial_probs, audit)
-    };
-
-    let run_started = span_start::<S>();
-    for cells in &classes {
-        if cells.is_empty() {
-            continue;
-        }
-        let class_started = span_start::<S>();
-        let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
-        assert_no_shared_events_across_edges(inst, &class_vars);
-        if let Some(rp) = replay.as_mut() {
-            if rp.replay_class(inst, &mut fixer, &class_vars, audit, &mut auditor, rec)? {
-                replay = None;
-            }
-            continue;
-        }
-        let deltas = fix_class_sharded(&mut fixer, cells, threads, audit, rec)?;
-        audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
-        if S::ENABLED {
-            sink.record_span(TimingScope::FixClass, span_nanos(class_started));
-        }
-    }
-    if S::ENABLED {
-        sink.record_span(TimingScope::FixRun, span_nanos(run_started));
-    }
-    if let Some(rp) = replay {
-        return Err(resume_mismatch(
-            rp.pos,
-            "end of the schedule",
-            format!(
-                "{} recorded steps beyond the schedule",
-                rp.steps.len() - rp.pos
-            ),
-        ));
-    }
-
-    finish_driver(fixer.into_report(), coloring_rounds, palette, 1, rec)
+    Ok(classes)
 }
 
-/// Distributed rank-3 LLL (Corollary 1.4): distance-2 color the
-/// dependency graph; in each class, every node of that color fixes *all*
-/// of its still-unfixed incident variables.
-///
-/// # Errors
-///
-/// [`DistError::Fixer`] if the instance has rank > 3 or (under
-/// [`CriterionCheck::Enforce`]) violates `p < 2^-d`;
-/// [`DistError::Sim`] if the coloring simulation fails.
-pub fn distributed_fixer3<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-) -> Result<DistReport, DistError> {
-    distributed_fixer3_parallel(inst, seed, check, 1)
-}
-
-/// [`distributed_fixer3`] with the coloring simulation *and* the fixing
-/// sweep running on `threads` worker threads: each color class's cells
-/// (one class node's still-unfixed incident variables each) are sharded
-/// across workers, which is legitimate precisely because same-colored
-/// nodes are ≥ 3 apart in the dependency graph and therefore touch
-/// disjoint events (the witness this driver asserts). The outcome is
-/// identical for every thread count — see `crate::sweep`.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3`].
-pub fn distributed_fixer3_parallel<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    fixer3_driver(inst, seed, check, threads, None, &mut NullRecorder)
-}
-
-/// [`distributed_fixer3_parallel`] with a flight recorder: brackets the
-/// fixing steps with [`Event::FixRunStart`]/[`Event::FixRunEnd`] and
-/// emits one `fix_step` per variable. Per-shard events are buffered and
-/// merged in static shard order, so the stream is byte-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3`].
-pub fn distributed_fixer3_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_driver(inst, seed, check, threads, None, rec)
-}
-
-/// [`distributed_fixer3_parallel`] with a `P*` audit: after each color
-/// class, the auditor re-verifies the union of the class variables'
-/// `affects` sets ([`IncrementalAuditor::reverify_class`]) — the checks
-/// are computed inside the sweep workers and merged, so the audited
-/// driver parallelizes end to end. Verdicts are identical to auditing
-/// step by step, because a class's cells touch disjoint events.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3`], plus [`FixerError::PStarViolated`]
-/// (wrapped in [`DistError::Fixer`]) at the first class after which the
-/// invariant no longer holds.
-pub fn distributed_fixer3_audited<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-) -> Result<DistReport, DistError> {
-    fixer3_driver(
-        inst,
-        seed,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        &mut NullRecorder,
-    )
-}
-
-/// [`distributed_fixer3_audited`] with a flight recorder: additionally
-/// emits one [`Event::AuditPass`]/[`Event::AuditViolation`] per color
-/// class, tagged with the class's last step and variable.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_audited`].
-pub fn distributed_fixer3_audited_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_driver(inst, seed, check, threads, Some((p_bound, tol)), rec)
-}
-
-/// [`distributed_fixer3_parallel`] driven by a precomputed [`Schedule`]
-/// instead of a fresh coloring simulation: only the fixing sweep runs.
-/// The self-scheduling drivers are wrappers over this entry point, so a
-/// replayed schedule produces the identical report (and, via the
-/// recorded variant, the identical event stream) a cold run would.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3`], plus [`DistError::ScheduleMismatch`] if
-/// `schedule` is not a distance-2 schedule sized for this instance's
-/// dependency graph.
-pub fn distributed_fixer3_scheduled<T: Num>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        &mut NullRecorder,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer3_scheduled`] with a flight recorder; the stream
-/// is byte-identical to [`distributed_fixer3_recorded`]'s for the same
-/// seed, at every worker count.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_scheduled`].
-pub fn distributed_fixer3_scheduled_recorded<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// [`distributed_fixer3_scheduled_recorded`] with a side-band timing
-/// sink — the rank-3 counterpart of
-/// [`distributed_fixer2_scheduled_traced`]: one
-/// [`TimingScope::FixRun`] span for the sweep, one
-/// [`TimingScope::FixClass`] span per color class, attributed to the
-/// caller's per-request recorder/sink pair. The recorder stream stays
-/// byte-identical to the untimed drivers'.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_scheduled`].
-pub fn distributed_fixer3_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    rec: &mut R,
-    sink: &mut S,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(inst, schedule, check, threads, None, None, rec, sink)
-}
-
-/// The rank-3 counterpart of [`distributed_fixer2_scheduled_resumed`]:
-/// resumes a recorded rank-3 sweep from a checkpoint, continuing the
-/// stream byte for byte at every `threads` count. Replay reproduces the
-/// partial assignment exactly, so the per-class still-unfixed cell
-/// membership the live phase computes equals the uninterrupted run's.
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_scheduled`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the
-/// schedule.
-pub fn distributed_fixer3_scheduled_resumed<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        None,
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-/// The audited counterpart of [`distributed_fixer3_scheduled_resumed`]
-/// (see [`distributed_fixer2_scheduled_resumed_audited`] for the audit
-/// rebuild argument).
-///
-/// # Errors
-///
-/// As [`distributed_fixer3_audited`], plus
-/// [`DistError::ResumeMismatch`] if the prefix contradicts the schedule
-/// or its audit accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_fixer3_scheduled_resumed_audited<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    p_bound: &T,
-    tol: &T,
-    cursor: &ResumeCursor<'_>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    fixer3_scheduled_driver(
-        inst,
-        schedule,
-        check,
-        threads,
-        Some((p_bound, tol)),
-        Some(cursor),
-        rec,
-        &mut NullTiming,
-    )
-}
-
-fn fixer3_driver<T: Num, R: Recorder>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    rec: &mut R,
-) -> Result<DistReport, DistError> {
-    let schedule = Schedule::distance2(inst.dependency_graph(), seed, threads)?;
-    fixer3_scheduled_driver(
-        inst,
-        &schedule,
-        check,
-        threads,
-        audit,
-        None,
-        rec,
-        &mut NullTiming,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
-    inst: &Instance<T>,
-    schedule: &Schedule,
-    check: CriterionCheck,
-    threads: usize,
-    audit: Option<(&T, &T)>,
-    resume: Option<&ResumeCursor<'_>>,
-    rec: &mut R,
-    sink: &mut S,
-) -> Result<DistReport, DistError> {
-    let mut fixer = Fixer3::new_unchecked(inst)?;
-    let initial_probs = check_criterion(inst, check)?;
-    let g = inst.dependency_graph();
-    let n = g.num_nodes();
-    if schedule.kind() != ScheduleKind::Distance2 || schedule.colors().len() != n {
-        return Err(DistError::ScheduleMismatch {
-            expected: n,
-            found: schedule.colors().len(),
-        });
-    }
-    let (colors, palette, coloring_rounds) = (
-        schedule.colors(),
-        schedule.palette(),
-        schedule.coloring_rounds(),
-    );
-
-    // Variables incident to each event node.
+/// The rank-3 classes: one per node color, with one cell per class node
+/// holding all of its incident variables. The sweep drops the ones an
+/// earlier class already fixed.
+fn node_classes<T: Num>(inst: &Instance<T>, schedule: &Schedule) -> Result<Classes, DistError> {
+    let n = inst.dependency_graph().num_nodes();
+    expect_slots(schedule, n)?;
     let mut vars_of: Vec<Vec<usize>> = vec![Vec::new(); n];
     for x in 0..inst.num_variables() {
         for &v in inst.variable(x).affects() {
             vars_of[v].push(x);
         }
     }
-
-    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); palette];
-    for (v, &c) in colors.iter().enumerate() {
-        classes[c].push(v);
+    let mut classes: Classes = vec![Vec::new(); schedule.palette()];
+    for (cell, &c) in vars_of.into_iter().zip(schedule.colors()) {
+        classes[c].push(cell);
     }
+    Ok(classes)
+}
 
-    let (mut replay, emit_start) = begin_replay(resume, audit.is_some())?;
+fn expect_slots(schedule: &Schedule, expected: usize) -> Result<(), DistError> {
+    if schedule.colors().len() == expected {
+        Ok(())
+    } else {
+        Err(DistError::ScheduleMismatch {
+            expected,
+            found: schedule.colors().len(),
+        })
+    }
+}
+
+/// The sweep behind [`run`], for either fixer: checks the criterion,
+/// builds the classes, then fixes (or, while a resume prefix lasts,
+/// replays) them in order.
+fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
+    inst: &Instance<T>,
+    mut fixer: F,
+    schedule: &Schedule,
+    classes: fn(&Instance<T>, &Schedule) -> Result<Classes, DistError>,
+    sweep: &Sweep<'_, T>,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<DistReport, DistError> {
+    let initial_probs = check_criterion(inst, sweep.check)?;
+    let classes = classes(inst, schedule)?;
+    let warmup_classes = classes.len() - schedule.palette();
+    let audit = sweep.audit;
+
+    let (mut replay, emit_start) = begin_replay(&sweep.resume, audit.is_some())?;
     if R::ENABLED && emit_start {
         rec.record(&fix_run_start_event(inst));
     }
@@ -1183,31 +707,24 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         // scanning here would describe pre-replay state.
         None
     } else {
-        fresh_start_auditor(inst, fixer.partial(), fixer.phi(), initial_probs, audit)
+        fresh_start_auditor(inst, fixer.phi(), initial_probs, audit)
     };
 
     let run_started = span_start::<S>();
-    for class in &classes {
+    for mut cells in classes {
         let class_started = span_start::<S>();
-        assert_no_shared_events_across_nodes(inst, class, &vars_of);
-        // Cells: one class node's still-unfixed incident variables.
-        // Membership is stable while the class runs — the witness above
-        // guarantees no other cell of the class touches these events, so
-        // the filter can be evaluated up front. During replay the same
-        // expression holds: replayed steps update the partial
-        // assignment exactly like live ones, so each class sees the
-        // membership the uninterrupted run saw.
-        let cells: Vec<Vec<usize>> = class
-            .iter()
-            .map(|&v| {
-                vars_of[v]
-                    .iter()
-                    .copied()
-                    .filter(|&x| fixer.partial().get(x).is_none())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|cell| !cell.is_empty())
-            .collect();
+        assert_cells_disjoint(inst, &cells);
+        // Keep each cell's still-unfixed variables (a rank-3 variable
+        // sits in the cell of every event it affects; the first class
+        // to reach it fixes it). Membership is stable while the class
+        // runs — the witness above guarantees no other cell of the
+        // class touches these events — and replayed steps update the
+        // partial assignment exactly like live ones, so each class sees
+        // the membership the uninterrupted run saw.
+        for cell in &mut cells {
+            cell.retain(|&x| fixer.partial().get(x).is_none());
+        }
+        cells.retain(|cell| !cell.is_empty());
         if cells.is_empty() {
             continue;
         }
@@ -1218,7 +735,7 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
             }
             continue;
         }
-        let deltas = fix_class_sharded(&mut fixer, &cells, threads, audit, rec)?;
+        let deltas = fix_class_sharded(&mut fixer, &cells, sweep.threads, audit, rec)?;
         audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
         if S::ENABLED {
             sink.record_span(TimingScope::FixClass, span_nanos(class_started));
@@ -1238,15 +755,29 @@ fn fixer3_scheduled_driver<T: Num, R: Recorder, S: TimingSink>(
         ));
     }
 
-    finish_driver(fixer.into_report(), coloring_rounds, palette, 0, rec)
+    let fix = fixer.into_report();
+    if R::ENABLED {
+        rec.record(&Event::FixRunEnd {
+            steps: fix.num_steps(),
+            violated: fix.violated_events().len(),
+        });
+    }
+    // Coloring rounds + 2 per color class (+1 for the rank-1 warm-up).
+    let (palette, coloring_rounds) = (schedule.palette(), schedule.coloring_rounds());
+    Ok(DistReport {
+        rounds: coloring_rounds + 2 * palette + warmup_classes,
+        coloring_rounds,
+        num_classes: palette + warmup_classes,
+        fix,
+    })
 }
 
-/// The criterion check of the scheduled drivers under
-/// [`CriterionCheck::Enforce`] (after the fixer constructor's rank
-/// check, so a rank violation is still reported first). Returns the
-/// per-event unconditional probabilities it enumerated, so a fresh-start
-/// audited run can seed its auditor from the same pass
-/// ([`fresh_start_auditor`]); `None` under [`CriterionCheck::Skip`].
+/// The criterion check of [`run`] under [`CriterionCheck::Enforce`]
+/// (after the fixer constructor's rank check, so a rank violation is
+/// still reported first). Returns the per-event unconditional
+/// probabilities it enumerated, so a fresh-start audited run can seed
+/// its auditor from the same pass ([`fresh_start_auditor`]); `None`
+/// under [`CriterionCheck::Skip`].
 fn check_criterion<T: Num>(
     inst: &Instance<T>,
     check: CriterionCheck,
@@ -1266,82 +797,54 @@ fn check_criterion<T: Num>(
 /// [`IncrementalAuditor::new`]'s full scan bit for bit.
 fn fresh_start_auditor<T: Num>(
     inst: &Instance<T>,
-    partial: &PartialAssignment,
     phi: &Phi<T>,
     probs: Option<Vec<T>>,
     audit: Option<(&T, &T)>,
 ) -> Option<IncrementalAuditor<T>> {
     let (p_bound, tol) = audit?;
-    debug_assert_eq!(partial.num_fixed(), 0, "fresh start");
     let probs = probs.unwrap_or_else(|| inst.unconditional_probabilities());
     Some(IncrementalAuditor::seeded(inst, phi, &probs, p_bound, tol))
 }
 
-/// Applies a class's worker-computed audit deltas, emits the per-class
-/// audit event, and converts a failed verdict into
-/// [`FixerError::PStarViolated`] tagged with the class's last step and
-/// variable. No-op when the run is not audited.
+/// Applies a class's worker-computed audit deltas and takes the class
+/// verdict ([`class_verdict`]). No-op when the run is not audited.
 fn audit_class<T: Num, F: ClassFixer<T>, R: Recorder>(
     auditor: &mut Option<IncrementalAuditor<T>>,
     deltas: &[AuditDelta<T>],
     fixer: &F,
     class_vars: &[usize],
     rec: &mut R,
-) -> Result<(), DistError> {
+) -> Result<(), FixerError> {
     let Some(auditor) = auditor.as_mut() else {
         return Ok(());
     };
     for delta in deltas {
         auditor.apply_delta(delta);
     }
-    let report = auditor.report();
-    let step = fixer.steps_done() - 1;
-    let variable = *class_vars.last().expect("class is non-empty");
-    if R::ENABLED {
-        rec.record(&audit_event(step, variable, &report));
-    }
-    if report.holds() {
-        Ok(())
-    } else {
-        Err(DistError::Fixer(FixerError::PStarViolated {
-            step,
-            variable,
-            pair_violations: report.pair_violations,
-            prob_violations: report.prob_violations,
-        }))
-    }
+    class_verdict(auditor, fixer, class_vars, rec)
 }
 
-/// Emits the [`Event::FixRunEnd`] bracket and assembles the round bill:
-/// coloring rounds + 2 per color class (+1 for the rank-2 driver's
-/// rank-1 warm-up class).
-fn finish_driver<R: Recorder>(
-    fix: FixReport,
-    coloring_rounds: usize,
-    palette: usize,
-    warmup_classes: usize,
+/// Emits a class's audit event, tagged with the class's last step and
+/// variable, and converts a failed verdict into
+/// [`FixerError::PStarViolated`].
+fn class_verdict<T: Num, F: ClassFixer<T>, R: Recorder>(
+    auditor: &IncrementalAuditor<T>,
+    fixer: &F,
+    class_vars: &[usize],
     rec: &mut R,
-) -> Result<DistReport, DistError> {
-    if R::ENABLED {
-        rec.record(&Event::FixRunEnd {
-            steps: fix.num_steps(),
-            violated: fix.violated_events().len(),
-        });
-    }
-    Ok(DistReport {
-        rounds: coloring_rounds + 2 * palette + warmup_classes,
-        coloring_rounds,
-        num_classes: palette + warmup_classes,
-        fix,
-    })
+) -> Result<(), FixerError> {
+    let variable = *class_vars.last().expect("class is non-empty");
+    audit_verdict(auditor.report(), fixer.steps_done() - 1, variable, rec)
 }
 
 /// Distributed conditional-expectation fixer (the Remark after
-/// Conjecture 1.5): distance-2 color the dependency graph and run the
-/// Fischer–Ghaffari-style sweep over the classes. Requires the *strong*
-/// criterion `p·(d+1)^C < 1` with `C` the palette actually computed —
-/// exponentially more demanding than the sharp `p < 2^-d`, which is the
-/// gap experiment E13 documents. Works for any variable rank.
+/// Conjecture 1.5): distance-2 color the dependency graph (on `threads`
+/// simulator workers; the outcome is identical for every count) and
+/// run the Fischer–Ghaffari-style sweep over the classes. Requires the
+/// *strong* criterion `p·(d+1)^C < 1` with `C` the palette actually
+/// computed — exponentially more demanding than the sharp `p < 2^-d`,
+/// which is the gap experiment E13 documents. Works for any variable
+/// rank.
 ///
 /// # Errors
 ///
@@ -1351,88 +854,205 @@ pub fn distributed_fg<T: Num>(
     inst: &Instance<T>,
     seed: u64,
     check: CriterionCheck,
-) -> Result<DistReport, DistError> {
-    distributed_fg_parallel(inst, seed, check, 1)
-}
-
-/// [`distributed_fg`] with the coloring simulation running on `threads`
-/// worker threads (see [`Simulator::run_parallel`]); the outcome is
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// As [`distributed_fg`].
-pub fn distributed_fg_parallel<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    check: CriterionCheck,
     threads: usize,
 ) -> Result<DistReport, DistError> {
-    let g = inst.dependency_graph();
-    let n = g.num_nodes();
-    let (colors, palette, coloring_rounds) = if n == 0 {
-        (Vec::new(), 0, 0)
-    } else {
-        let sim = Simulator::with_shuffled_ids(g, seed).threads(threads);
-        let col = distance2_coloring(&sim, round_budget(n))?;
-        (col.colors, col.palette, col.rounds)
-    };
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, threads)?;
+    let palette = schedule.palette();
     let fixer = match check {
         CriterionCheck::Enforce => FgFixer::new(inst, palette)?,
         CriterionCheck::Skip => FgFixer::new_unchecked(inst),
     };
-    let fix = fixer.run(&colors);
+    let fix = fixer.run(schedule.colors());
     Ok(DistReport {
-        rounds: coloring_rounds + 2 * palette,
-        coloring_rounds,
+        rounds: schedule.coloring_rounds() + 2 * palette,
+        coloring_rounds: schedule.coloring_rounds(),
         num_classes: palette,
         fix,
     })
 }
 
-/// Witness that a rank-2 color class is conflict-free: variables on the
-/// same dependency edge may cohabit (one endpoint fixes them locally,
-/// sequentially), but variables on different edges of the class must not
-/// share an event.
-fn assert_no_shared_events_across_edges<T: Num>(inst: &Instance<T>, class: &[usize]) {
-    let mut owner: Vec<Option<(usize, usize)>> = vec![None; inst.num_events()];
-    for &x in class {
-        if let [u, v] = *inst.variable(x).affects() {
-            for ev in [u, v] {
+/// Witness that a color class is conflict-free: the events touched by
+/// different cells of the class are disjoint. For the rank-2 sweep this
+/// says same-colored edges share no endpoint; for the rank-3 sweep,
+/// that same-colored nodes are ≥ 3 apart.
+fn assert_cells_disjoint<T: Num>(inst: &Instance<T>, cells: &[Vec<usize>]) {
+    let mut owner: Vec<Option<usize>> = vec![None; inst.num_events()];
+    for (i, cell) in cells.iter().enumerate() {
+        for &x in cell {
+            for &ev in inst.variable(x).affects() {
                 match owner[ev] {
-                    Some(edge) if edge != (u, v) => {
-                        panic!(
-                            "class schedules edges {edge:?} and {:?} sharing event {ev}",
-                            (u, v)
-                        )
+                    Some(other) if other != i => {
+                        panic!("class schedules cells {other} and {i} touching event {ev}")
                     }
-                    _ => owner[ev] = Some((u, v)),
+                    _ => owner[ev] = Some(i),
                 }
             }
         }
     }
 }
 
-/// Witness that a rank-3 color class is conflict-free: the events
-/// touched by different fixer nodes of the class are disjoint.
-fn assert_no_shared_events_across_nodes<T: Num>(
+/// The entry points of the benchmark binary, which keeps their
+/// signatures until its next revision. Each is one call of [`run`];
+/// use that instead.
+#[doc(hidden)]
+pub fn distributed_fixer2_parallel<T: Num>(
     inst: &Instance<T>,
-    class: &[usize],
-    vars_of: &[Vec<usize>],
-) {
-    let mut owner: Vec<Option<usize>> = vec![None; inst.num_events()];
-    for &v in class {
-        for &x in &vars_of[v] {
-            for &ev in inst.variable(x).affects() {
-                match owner[ev] {
-                    Some(other) if other != v => {
-                        panic!("class schedules nodes {other} and {v} touching event {ev}")
-                    }
-                    _ => owner[ev] = Some(v),
-                }
-            }
-        }
+    seed: u64,
+    check: CriterionCheck,
+    threads: usize,
+) -> Result<DistReport, DistError> {
+    let schedule = Schedule::edge(inst.dependency_graph(), seed, threads)?;
+    let sweep = shim_sweep(check, threads, None, ResumeCursor::default());
+    run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
+}
+
+#[doc(hidden)]
+pub fn distributed_fixer3_parallel<T: Num>(
+    inst: &Instance<T>,
+    seed: u64,
+    check: CriterionCheck,
+    threads: usize,
+) -> Result<DistReport, DistError> {
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, threads)?;
+    let sweep = shim_sweep(check, threads, None, ResumeCursor::default());
+    run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
+}
+
+#[doc(hidden)]
+pub fn distributed_fixer2_audited<T: Num>(
+    inst: &Instance<T>,
+    seed: u64,
+    check: CriterionCheck,
+    threads: usize,
+    p_bound: &T,
+    tol: &T,
+) -> Result<DistReport, DistError> {
+    let schedule = Schedule::edge(inst.dependency_graph(), seed, threads)?;
+    let sweep = shim_sweep(
+        check,
+        threads,
+        Some((p_bound, tol)),
+        ResumeCursor::default(),
+    );
+    run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
+}
+
+#[doc(hidden)]
+pub fn distributed_fixer3_audited<T: Num>(
+    inst: &Instance<T>,
+    seed: u64,
+    check: CriterionCheck,
+    threads: usize,
+    p_bound: &T,
+    tol: &T,
+) -> Result<DistReport, DistError> {
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, threads)?;
+    let sweep = shim_sweep(
+        check,
+        threads,
+        Some((p_bound, tol)),
+        ResumeCursor::default(),
+    );
+    run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
+}
+
+#[doc(hidden)]
+pub fn distributed_fixer2_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    check: CriterionCheck,
+    threads: usize,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<DistReport, DistError> {
+    let sweep = shim_sweep(check, threads, None, ResumeCursor::default());
+    let schedule = of_kind(schedule, ScheduleKind::Edge, inst)?;
+    run(inst, schedule, &sweep, rec, sink)
+}
+
+#[doc(hidden)]
+pub fn distributed_fixer3_scheduled_traced<T: Num, R: Recorder, S: TimingSink>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    check: CriterionCheck,
+    threads: usize,
+    rec: &mut R,
+    sink: &mut S,
+) -> Result<DistReport, DistError> {
+    let sweep = shim_sweep(check, threads, None, ResumeCursor::default());
+    let schedule = of_kind(schedule, ScheduleKind::Distance2, inst)?;
+    run(inst, schedule, &sweep, rec, sink)
+}
+
+// Eight parameters: the benchmark binary's call fixes the signature.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn distributed_fixer2_scheduled_resumed_audited<T: Num, R: Recorder>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    check: CriterionCheck,
+    threads: usize,
+    p_bound: &T,
+    tol: &T,
+    cursor: &ResumeCursor<'_>,
+    rec: &mut R,
+) -> Result<DistReport, DistError> {
+    let sweep = shim_sweep(check, threads, Some((p_bound, tol)), *cursor);
+    let schedule = of_kind(schedule, ScheduleKind::Edge, inst)?;
+    run(inst, schedule, &sweep, rec, &mut NullTiming)
+}
+
+// Eight parameters: the benchmark binary's call fixes the signature.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn distributed_fixer3_scheduled_resumed_audited<T: Num, R: Recorder>(
+    inst: &Instance<T>,
+    schedule: &Schedule,
+    check: CriterionCheck,
+    threads: usize,
+    p_bound: &T,
+    tol: &T,
+    cursor: &ResumeCursor<'_>,
+    rec: &mut R,
+) -> Result<DistReport, DistError> {
+    let sweep = shim_sweep(check, threads, Some((p_bound, tol)), *cursor);
+    let schedule = of_kind(schedule, ScheduleKind::Distance2, inst)?;
+    run(inst, schedule, &sweep, rec, &mut NullTiming)
+}
+
+fn shim_sweep<'a, T>(
+    check: CriterionCheck,
+    threads: usize,
+    audit: Option<(&'a T, &'a T)>,
+    resume: ResumeCursor<'a>,
+) -> Sweep<'a, T> {
+    Sweep {
+        check,
+        threads,
+        audit,
+        resume,
     }
+}
+
+/// `schedule` if it is of `kind`, else the [`DistError::ScheduleMismatch`]
+/// the rank-specific shims report for a schedule of the other kind.
+fn of_kind<'s, T: Num>(
+    schedule: &'s Schedule,
+    kind: ScheduleKind,
+    inst: &Instance<T>,
+) -> Result<&'s Schedule, DistError> {
+    if schedule.kind() == kind {
+        return Ok(schedule);
+    }
+    let g = inst.dependency_graph();
+    let expected = match kind {
+        ScheduleKind::Edge => g.num_edges(),
+        ScheduleKind::Distance2 => g.num_nodes(),
+    };
+    Err(DistError::ScheduleMismatch {
+        expected,
+        found: schedule.colors().len(),
+    })
 }
 
 #[cfg(test)]
@@ -1467,11 +1087,35 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn edge(inst: &Instance<f64>, seed: u64, threads: usize) -> Schedule {
+        Schedule::edge(inst.dependency_graph(), seed, threads).unwrap()
+    }
+
+    fn distance2(inst: &Instance<f64>, seed: u64, threads: usize) -> Schedule {
+        Schedule::distance2(inst.dependency_graph(), seed, threads).unwrap()
+    }
+
+    /// An unrecorded, untimed [`run`].
+    fn solve(
+        inst: &Instance<f64>,
+        schedule: &Schedule,
+        sweep: &Sweep<'_, f64>,
+    ) -> Result<DistReport, DistError> {
+        run(inst, schedule, sweep, &mut NullRecorder, &mut NullTiming)
+    }
+
+    fn threads(threads: usize) -> Sweep<'static, f64> {
+        Sweep {
+            threads,
+            ..Sweep::default()
+        }
+    }
+
     #[test]
     fn distributed_rank2_solves_rings() {
         for n in [8, 32, 128] {
             let inst = ring_instance(n, 3);
-            let rep = distributed_fixer2(&inst, 5, CriterionCheck::Enforce).unwrap();
+            let rep = solve(&inst, &edge(&inst, 5, 1), &Sweep::default()).unwrap();
             assert!(rep.fix.is_success(), "n = {n}");
             assert!(inst.no_event_occurs(rep.fix.assignment()).unwrap());
             assert!(rep.rounds > rep.coloring_rounds);
@@ -1479,12 +1123,18 @@ mod tests {
     }
 
     #[test]
-    fn distributed_rank3_solves_hyper_rings() {
+    fn distributed_rank3_solves_hyper_rings_and_rank2_instances() {
         for n in [8, 32, 128] {
             let inst = hyper_ring_instance(n, 3);
-            let rep = distributed_fixer3(&inst, 11, CriterionCheck::Enforce).unwrap();
+            let rep = solve(&inst, &distance2(&inst, 11, 1), &Sweep::default()).unwrap();
             assert!(rep.fix.is_success(), "n = {n}");
         }
+        let inst = ring_instance(16, 3);
+        let rep = solve(&inst, &distance2(&inst, 3, 1), &Sweep::default()).unwrap();
+        assert!(
+            rep.fix.is_success(),
+            "the rank-3 sweep accepts rank-2 instances"
+        );
     }
 
     #[test]
@@ -1493,12 +1143,13 @@ mod tests {
         // Start the comparison above Linial's fixed-point palette (tiny
         // id spaces skip Linial entirely and reduce straight from n,
         // which makes very small n artificially cheap).
-        let r_small = distributed_fixer2(&ring_instance(512, 3), 1, CriterionCheck::Enforce)
-            .unwrap()
-            .rounds;
-        let r_large = distributed_fixer2(&ring_instance(65536, 3), 1, CriterionCheck::Enforce)
-            .unwrap()
-            .rounds;
+        let rounds = |n| {
+            let inst = ring_instance(n, 3);
+            solve(&inst, &edge(&inst, 1, 1), &Sweep::default())
+                .unwrap()
+                .rounds
+        };
+        let (r_small, r_large) = (rounds(512), rounds(65536));
         let slack = 2 * (log_star(65536) - log_star(512)) as usize + 4;
         assert!(
             r_large <= r_small + slack,
@@ -1509,104 +1160,96 @@ mod tests {
     #[test]
     fn criterion_enforcement() {
         let at_threshold = ring_instance(8, 2); // p·2^d = 1
+        let schedule = edge(&at_threshold, 0, 1);
         assert!(matches!(
-            distributed_fixer2(&at_threshold, 0, CriterionCheck::Enforce),
+            solve(&at_threshold, &schedule, &Sweep::default()),
             Err(DistError::Fixer(FixerError::CriterionViolated { .. }))
         ));
-        let rep = distributed_fixer2(&at_threshold, 0, CriterionCheck::Skip).unwrap();
+        let skip = Sweep {
+            check: CriterionCheck::Skip,
+            ..Sweep::default()
+        };
+        let rep = solve(&at_threshold, &schedule, &skip).unwrap();
         assert_eq!(rep.fix.assignment().len(), 8);
-    }
-
-    #[test]
-    fn rank3_driver_accepts_rank2_instances() {
-        let inst = ring_instance(16, 3);
-        let rep = distributed_fixer3(&inst, 3, CriterionCheck::Enforce).unwrap();
-        assert!(rep.fix.is_success());
     }
 
     #[test]
     fn seeds_change_schedule_not_correctness() {
         let inst = hyper_ring_instance(20, 3);
         for seed in 0..5 {
-            let rep = distributed_fixer3(&inst, seed, CriterionCheck::Enforce).unwrap();
+            let rep = solve(&inst, &distance2(&inst, seed, 1), &Sweep::default()).unwrap();
             assert!(rep.fix.is_success(), "seed {seed}");
         }
     }
 
+    /// The recorded stream and report of a [`run`] under `sweep`.
+    fn recorded(
+        inst: &Instance<f64>,
+        schedule: &Schedule,
+        sweep: &Sweep<'_, f64>,
+    ) -> (Vec<u8>, DistReport) {
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+        let rep = run(inst, schedule, sweep, &mut rec, &mut NullTiming).unwrap();
+        (rec.finish().unwrap(), rep)
+    }
+
     #[test]
-    fn parallel_drivers_match_sequential_bit_for_bit() {
-        let inst2 = ring_instance(64, 3);
-        let base2 = distributed_fixer2(&inst2, 5, CriterionCheck::Enforce).unwrap();
-        let inst3 = hyper_ring_instance(32, 3);
-        let base3 = distributed_fixer3(&inst3, 7, CriterionCheck::Enforce).unwrap();
-        let baseg = distributed_fg(&inst2, 5, CriterionCheck::Skip).unwrap();
+    fn parallel_and_cached_sweeps_match_sequential_bit_for_bit() {
+        let (inst2, inst3) = (ring_instance(96, 3), hyper_ring_instance(48, 3));
+        let schedule = |inst: &Instance<f64>, t| match inst.max_rank() {
+            2 => edge(inst, 5, t),
+            _ => distance2(inst, 7, t),
+        };
+        for inst in [&inst2, &inst3] {
+            // Colored once, like a schedule in the serve daemon's cache:
+            // the coloring at every worker count must equal it, and
+            // sweeping it at every worker count must replay the
+            // one-worker run byte for byte.
+            let cached = schedule(inst, 1);
+            let (bytes, base) = recorded(inst, &cached, &threads(1));
+            assert!(!bytes.is_empty());
+            for t in [2usize, 3, 8] {
+                let tag = format!("rank {} at threads {t}", inst.max_rank());
+                assert_eq!(schedule(inst, t), cached, "coloring diverged: {tag}");
+                let (b, p) = recorded(inst, &cached, &threads(t));
+                assert_eq!(b, bytes, "stream diverged: {tag}");
+                assert_eq!(p.fix.steps(), base.fix.steps(), "{tag}");
+                assert_eq!(p.fix.assignment(), base.fix.assignment(), "{tag}");
+                assert_eq!(p.rounds, base.rounds, "{tag}");
+                assert_eq!(p.num_classes, base.num_classes, "{tag}");
+            }
+        }
+        let baseg = distributed_fg(&inst2, 5, CriterionCheck::Skip, 1).unwrap();
         for t in [2usize, 8] {
-            let p2 = distributed_fixer2_parallel(&inst2, 5, CriterionCheck::Enforce, t).unwrap();
-            assert_eq!(p2.rounds, base2.rounds, "fixer2 threads {t}");
-            assert_eq!(p2.coloring_rounds, base2.coloring_rounds);
-            assert_eq!(p2.num_classes, base2.num_classes);
-            assert_eq!(p2.fix.assignment(), base2.fix.assignment());
-            let p3 = distributed_fixer3_parallel(&inst3, 7, CriterionCheck::Enforce, t).unwrap();
-            assert_eq!(p3.rounds, base3.rounds, "fixer3 threads {t}");
-            assert_eq!(p3.coloring_rounds, base3.coloring_rounds);
-            assert_eq!(p3.fix.assignment(), base3.fix.assignment());
-            let pg = distributed_fg_parallel(&inst2, 5, CriterionCheck::Skip, t).unwrap();
+            let pg = distributed_fg(&inst2, 5, CriterionCheck::Skip, t).unwrap();
             assert_eq!(pg.rounds, baseg.rounds, "fg threads {t}");
             assert_eq!(pg.fix.assignment(), baseg.fix.assignment());
         }
     }
 
-    fn recorded_fixer2_bytes(inst: &Instance<f64>, threads: usize) -> (Vec<u8>, DistReport) {
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep = distributed_fixer2_recorded(inst, 5, CriterionCheck::Enforce, threads, &mut rec)
-            .unwrap();
-        (rec.finish().unwrap(), rep)
-    }
-
-    fn recorded_fixer3_bytes(inst: &Instance<f64>, threads: usize) -> (Vec<u8>, DistReport) {
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep = distributed_fixer3_recorded(inst, 7, CriterionCheck::Enforce, threads, &mut rec)
-            .unwrap();
-        (rec.finish().unwrap(), rep)
-    }
-
-    #[test]
-    fn sweep_streams_are_byte_identical_at_every_thread_count() {
-        let inst2 = ring_instance(96, 3);
-        let (bytes2, base2) = recorded_fixer2_bytes(&inst2, 1);
-        assert!(!bytes2.is_empty());
-        let inst3 = hyper_ring_instance(48, 3);
-        let (bytes3, base3) = recorded_fixer3_bytes(&inst3, 1);
-        for t in [2usize, 3, 8] {
-            let (b2, p2) = recorded_fixer2_bytes(&inst2, t);
-            assert_eq!(b2, bytes2, "fixer2 stream diverged at threads {t}");
-            assert_eq!(p2.fix.steps(), base2.fix.steps(), "fixer2 threads {t}");
-            assert_eq!(p2.fix.assignment(), base2.fix.assignment());
-            let (b3, p3) = recorded_fixer3_bytes(&inst3, t);
-            assert_eq!(b3, bytes3, "fixer3 stream diverged at threads {t}");
-            assert_eq!(p3.fix.steps(), base3.fix.steps(), "fixer3 threads {t}");
-            assert_eq!(p3.fix.assignment(), base3.fix.assignment());
+    fn audited<'a>(t: usize, p: &'a f64, tol: &'a f64) -> Sweep<'a, f64> {
+        Sweep {
+            threads: t,
+            audit: Some((p, tol)),
+            ..Sweep::default()
         }
     }
 
     #[test]
     fn audited_sweep_matches_sequential_verdicts() {
-        // Below the threshold the audited drivers must succeed — with
+        // Below the threshold the audited sweeps must succeed — with
         // identical outputs — at every thread count.
         let inst2 = ring_instance(64, 3);
         let p2 = inst2.max_event_probability();
         let inst3 = hyper_ring_instance(32, 3);
         let p3 = inst3.max_event_probability();
-        let base2 =
-            distributed_fixer2_audited(&inst2, 5, CriterionCheck::Enforce, 1, &p2, &1e-9).unwrap();
-        let base3 =
-            distributed_fixer3_audited(&inst3, 7, CriterionCheck::Enforce, 1, &p3, &1e-9).unwrap();
+        let (s2, s3) = (edge(&inst2, 5, 1), distance2(&inst3, 7, 1));
+        let base2 = solve(&inst2, &s2, &audited(1, &p2, &1e-9)).unwrap();
+        let base3 = solve(&inst3, &s3, &audited(1, &p3, &1e-9)).unwrap();
         for t in [2usize, 8] {
-            let a2 = distributed_fixer2_audited(&inst2, 5, CriterionCheck::Enforce, t, &p2, &1e-9)
-                .unwrap();
+            let a2 = solve(&inst2, &s2, &audited(t, &p2, &1e-9)).unwrap();
             assert_eq!(a2.fix.assignment(), base2.fix.assignment(), "threads {t}");
-            let a3 = distributed_fixer3_audited(&inst3, 7, CriterionCheck::Enforce, t, &p3, &1e-9)
-                .unwrap();
+            let a3 = solve(&inst3, &s3, &audited(t, &p3, &1e-9)).unwrap();
             assert_eq!(a3.fix.assignment(), base3.fix.assignment(), "threads {t}");
         }
 
@@ -1615,12 +1258,10 @@ mod tests {
         // count.
         let tight = p3 / 2.0;
         let base_err =
-            distributed_fixer3_audited(&inst3, 7, CriterionCheck::Enforce, 1, &tight, &0.0)
-                .expect_err("halved bound violates P*");
+            solve(&inst3, &s3, &audited(1, &tight, &0.0)).expect_err("halved bound violates P*");
         for t in [2usize, 8] {
-            let err =
-                distributed_fixer3_audited(&inst3, 7, CriterionCheck::Enforce, t, &tight, &0.0)
-                    .expect_err("halved bound violates P*");
+            let err = solve(&inst3, &s3, &audited(t, &tight, &0.0))
+                .expect_err("halved bound violates P*");
             assert_eq!(err, base_err, "audit verdict diverged at threads {t}");
         }
     }
@@ -1629,18 +1270,7 @@ mod tests {
     fn audited_recorded_sweep_emits_one_audit_event_per_class() {
         let inst = ring_instance(32, 3);
         let p = inst.max_event_probability();
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep = distributed_fixer2_audited_recorded(
-            &inst,
-            5,
-            CriterionCheck::Enforce,
-            4,
-            &p,
-            &1e-9,
-            &mut rec,
-        )
-        .unwrap();
-        let bytes = rec.finish().unwrap();
+        let (bytes, rep) = recorded(&inst, &edge(&inst, 5, 4), &audited(4, &p, &1e-9));
         let text = String::from_utf8(bytes).unwrap();
         let audits = text
             .lines()
@@ -1654,47 +1284,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scheduled_drivers_replay_cold_runs_byte_for_byte() {
-        let inst2 = ring_instance(64, 3);
-        let g2 = inst2.dependency_graph();
-        let sched2 = Schedule::edge(g2, 5, 1).unwrap();
-        let (cold_bytes2, cold2) = recorded_fixer2_bytes(&inst2, 1);
-        let inst3 = hyper_ring_instance(32, 3);
-        let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).unwrap();
-        let (cold_bytes3, cold3) = recorded_fixer3_bytes(&inst3, 1);
-        for t in [1usize, 2, 8] {
-            let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-            let warm2 = distributed_fixer2_scheduled_recorded(
-                &inst2,
-                &sched2,
-                CriterionCheck::Enforce,
-                t,
-                &mut rec,
-            )
-            .unwrap();
-            assert_eq!(rec.finish().unwrap(), cold_bytes2, "fixer2 threads {t}");
-            assert_eq!(warm2.fix.assignment(), cold2.fix.assignment());
-            assert_eq!(warm2.rounds, cold2.rounds);
-            assert_eq!(warm2.coloring_rounds, cold2.coloring_rounds);
-            assert_eq!(warm2.num_classes, cold2.num_classes);
-
-            let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-            let warm3 = distributed_fixer3_scheduled_recorded(
-                &inst3,
-                &sched3,
-                CriterionCheck::Enforce,
-                t,
-                &mut rec,
-            )
-            .unwrap();
-            assert_eq!(rec.finish().unwrap(), cold_bytes3, "fixer3 threads {t}");
-            assert_eq!(warm3.fix.assignment(), cold3.fix.assignment());
-            assert_eq!(warm3.rounds, cold3.rounds);
-            assert_eq!(warm3.coloring_rounds, cold3.coloring_rounds);
-        }
-    }
-
     fn checkpoints_in(text: &str) -> Vec<lll_obs::Checkpoint> {
         text.lines()
             .filter(|l| l.starts_with(lll_obs::CHECKPOINT_PREFIX))
@@ -1702,96 +1291,70 @@ mod tests {
             .collect()
     }
 
-    fn cursor_for(prefix: &[u8]) -> (lll_obs::replay::RunState, ()) {
+    fn fold(prefix: &[u8]) -> lll_obs::replay::RunState {
         let (state, torn) =
             lll_obs::replay::RunState::from_stream(std::str::from_utf8(prefix).unwrap()).unwrap();
         assert_eq!(torn, None, "a checkpoint prefix has no torn tail");
-        (state, ())
+        state
+    }
+
+    /// Runs `schedule` recorded with a checkpoint every `interval`
+    /// steps, then resumes from every checkpoint at every thread count
+    /// in `ts` and checks that prefix + resumed tail is the full stream.
+    fn assert_resumes_continue_the_stream(
+        inst: &Instance<f64>,
+        schedule: &Schedule,
+        audit: Option<(&f64, &f64)>,
+        interval: u64,
+        ts: &[usize],
+    ) {
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
+        let fresh = Sweep {
+            audit,
+            ..Sweep::default()
+        };
+        let full = run(inst, schedule, &fresh, &mut rec, &mut NullTiming).unwrap();
+        let bytes = rec.finish().unwrap();
+        let cks = checkpoints_in(std::str::from_utf8(&bytes).unwrap());
+        assert!(
+            cks.len() >= 3,
+            "want several checkpoints, got {}",
+            cks.len()
+        );
+        for ck in &cks {
+            let prefix = &bytes[..ck.resume_offset() as usize];
+            let state = fold(prefix);
+            let resume = ResumeCursor::from_run_state(&state).unwrap();
+            assert_eq!(resume.steps().len() as u64, ck.step);
+            for &t in ts {
+                let mut tail = lll_obs::JsonlRecorder::resumed(Vec::new(), interval, ck);
+                let sweep = Sweep {
+                    threads: t,
+                    audit,
+                    resume,
+                    ..Sweep::default()
+                };
+                let rep = run(inst, schedule, &sweep, &mut tail, &mut NullTiming).unwrap();
+                let mut joined = prefix.to_vec();
+                joined.extend_from_slice(&tail.finish().unwrap());
+                assert_eq!(
+                    joined, bytes,
+                    "stream diverged: threads {t}, checkpoint at step {}",
+                    ck.step
+                );
+                assert_eq!(rep.fix.assignment(), full.fix.assignment());
+                assert_eq!(rep.rounds, full.rounds);
+                assert_eq!(rep.num_classes, full.num_classes);
+            }
+        }
     }
 
     #[test]
     fn resumed_runs_continue_checkpointed_streams_byte_for_byte() {
-        let interval = 3;
         let inst2 = ring_instance(64, 3);
-        let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).unwrap();
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-        let full2 = distributed_fixer2_scheduled_recorded(
-            &inst2,
-            &sched2,
-            CriterionCheck::Enforce,
-            1,
-            &mut rec,
-        )
-        .unwrap();
-        let bytes2 = rec.finish().unwrap();
-
+        assert_resumes_continue_the_stream(&inst2, &edge(&inst2, 5, 1), None, 3, &[1, 2, 8]);
         let inst3 = hyper_ring_instance(32, 3);
-        let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).unwrap();
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(interval);
-        let full3 = distributed_fixer3_scheduled_recorded(
-            &inst3,
-            &sched3,
-            CriterionCheck::Enforce,
-            1,
-            &mut rec,
-        )
-        .unwrap();
-        let bytes3 = rec.finish().unwrap();
-
-        for (bytes, rank2) in [(&bytes2, true), (&bytes3, false)] {
-            let cks = checkpoints_in(std::str::from_utf8(bytes).unwrap());
-            assert!(
-                cks.len() >= 3,
-                "want several checkpoints, got {}",
-                cks.len()
-            );
-            for ck in &cks {
-                let prefix = &bytes[..ck.resume_offset() as usize];
-                let (state, ()) = cursor_for(prefix);
-                let cursor = ResumeCursor::from_run_state(&state).unwrap();
-                assert_eq!(cursor.steps().len() as u64, ck.step);
-                for t in [1usize, 2, 8] {
-                    let mut tail = lll_obs::JsonlRecorder::resumed(Vec::new(), interval, ck);
-                    let (rep, full) = if rank2 {
-                        (
-                            distributed_fixer2_scheduled_resumed(
-                                &inst2,
-                                &sched2,
-                                CriterionCheck::Enforce,
-                                t,
-                                &cursor,
-                                &mut tail,
-                            )
-                            .unwrap(),
-                            &full2,
-                        )
-                    } else {
-                        (
-                            distributed_fixer3_scheduled_resumed(
-                                &inst3,
-                                &sched3,
-                                CriterionCheck::Enforce,
-                                t,
-                                &cursor,
-                                &mut tail,
-                            )
-                            .unwrap(),
-                            &full3,
-                        )
-                    };
-                    let mut joined = prefix.to_vec();
-                    joined.extend_from_slice(&tail.finish().unwrap());
-                    assert_eq!(
-                        &joined, bytes,
-                        "stream diverged: threads {t}, checkpoint at step {}",
-                        ck.step
-                    );
-                    assert_eq!(rep.fix.assignment(), full.fix.assignment());
-                    assert_eq!(rep.rounds, full.rounds);
-                    assert_eq!(rep.num_classes, full.num_classes);
-                }
-            }
-        }
+        assert_resumes_continue_the_stream(&inst3, &distance2(&inst3, 7, 1), None, 3, &[1, 2, 8]);
     }
 
     #[test]
@@ -1801,115 +1364,36 @@ mod tests {
         // class boundary with that class's audit event still owed.
         let inst2 = ring_instance(48, 3);
         let p2 = inst2.max_event_probability();
-        let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).unwrap();
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(1);
-        let full2 = distributed_fixer2_audited_recorded(
-            &inst2,
-            5,
-            CriterionCheck::Enforce,
-            1,
-            &p2,
-            &1e-9,
-            &mut rec,
-        )
-        .unwrap();
-        let bytes2 = rec.finish().unwrap();
-
+        let audit2 = Some((&p2, &1e-9));
+        assert_resumes_continue_the_stream(&inst2, &edge(&inst2, 5, 1), audit2, 1, &[1, 2]);
         let inst3 = hyper_ring_instance(24, 3);
         let p3 = inst3.max_event_probability();
-        let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).unwrap();
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(1);
-        let full3 = distributed_fixer3_audited_recorded(
-            &inst3,
-            7,
-            CriterionCheck::Enforce,
-            1,
-            &p3,
-            &1e-9,
-            &mut rec,
-        )
-        .unwrap();
-        let bytes3 = rec.finish().unwrap();
-
-        for (bytes, rank2) in [(&bytes2, true), (&bytes3, false)] {
-            let cks = checkpoints_in(std::str::from_utf8(bytes).unwrap());
-            assert!(!cks.is_empty());
-            for ck in &cks {
-                let prefix = &bytes[..ck.resume_offset() as usize];
-                let (state, ()) = cursor_for(prefix);
-                let cursor = ResumeCursor::from_run_state(&state).unwrap();
-                for t in [1usize, 2] {
-                    let mut tail = lll_obs::JsonlRecorder::resumed(Vec::new(), 1, ck);
-                    let (rep, full) = if rank2 {
-                        (
-                            distributed_fixer2_scheduled_resumed_audited(
-                                &inst2,
-                                &sched2,
-                                CriterionCheck::Enforce,
-                                t,
-                                &p2,
-                                &1e-9,
-                                &cursor,
-                                &mut tail,
-                            )
-                            .unwrap(),
-                            &full2,
-                        )
-                    } else {
-                        (
-                            distributed_fixer3_scheduled_resumed_audited(
-                                &inst3,
-                                &sched3,
-                                CriterionCheck::Enforce,
-                                t,
-                                &p3,
-                                &1e-9,
-                                &cursor,
-                                &mut tail,
-                            )
-                            .unwrap(),
-                            &full3,
-                        )
-                    };
-                    let mut joined = prefix.to_vec();
-                    joined.extend_from_slice(&tail.finish().unwrap());
-                    assert_eq!(
-                        &joined, bytes,
-                        "audited stream diverged: threads {t}, step {}",
-                        ck.step
-                    );
-                    assert_eq!(rep.fix.assignment(), full.fix.assignment());
-                }
-            }
-        }
+        let audit3 = Some((&p3, &1e-9));
+        assert_resumes_continue_the_stream(&inst3, &distance2(&inst3, 7, 1), audit3, 1, &[1, 2]);
     }
 
     #[test]
     fn resume_mismatches_fail_loudly() {
         let inst = ring_instance(16, 3);
-        let sched = Schedule::edge(inst.dependency_graph(), 5, 1).unwrap();
+        let sched = edge(&inst, 5, 1);
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(4);
-        distributed_fixer2_scheduled_recorded(&inst, &sched, CriterionCheck::Enforce, 1, &mut rec)
-            .unwrap();
+        run(&inst, &sched, &Sweep::default(), &mut rec, &mut NullTiming).unwrap();
         let bytes = rec.finish().unwrap();
-        let (state, ()) = cursor_for(&bytes);
-        let honest = state.steps().to_vec();
+        let honest = fold(&bytes).steps().to_vec();
         assert_eq!(honest.len(), 16);
+        let resumed = |resume| {
+            let sweep = Sweep {
+                resume,
+                ..Sweep::default()
+            };
+            solve(&inst, &sched, &sweep).unwrap_err()
+        };
 
         // A prefix whose first step names a variable the schedule does
         // not put there.
         let mut steps = honest.clone();
         steps[0].0 += 1;
-        let cur = ResumeCursor::new(&steps[..4], 0, true);
-        let err = distributed_fixer2_scheduled_resumed(
-            &inst,
-            &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
-            &mut NullRecorder,
-        )
-        .unwrap_err();
+        let err = resumed(ResumeCursor::new(&steps[..4], 0, true));
         assert!(
             matches!(err, DistError::ResumeMismatch { at: 0, .. }),
             "{err}"
@@ -1918,16 +1402,7 @@ mod tests {
         // A recorded value outside the variable's domain.
         let mut steps = honest.clone();
         steps[0].1 = 999;
-        let cur = ResumeCursor::new(&steps[..4], 0, true);
-        let err = distributed_fixer2_scheduled_resumed(
-            &inst,
-            &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
-            &mut NullRecorder,
-        )
-        .unwrap_err();
+        let err = resumed(ResumeCursor::new(&steps[..4], 0, true));
         assert!(
             matches!(err, DistError::ResumeMismatch { at: 0, .. }),
             "{err}"
@@ -1936,58 +1411,143 @@ mod tests {
         // More recorded steps than the schedule has variables.
         let mut steps = honest.clone();
         steps.push((0, 0));
-        let cur = ResumeCursor::new(&steps, 0, true);
-        let err = distributed_fixer2_scheduled_resumed(
-            &inst,
-            &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
-            &mut NullRecorder,
-        )
-        .unwrap_err();
-        match err {
+        match resumed(ResumeCursor::new(&steps, 0, true)) {
             DistError::ResumeMismatch { at, .. } => assert_eq!(at, honest.len()),
             other => panic!("expected overrun mismatch, got {other}"),
         }
 
-        // An audited prefix fed to the unaudited driver.
-        let cur = ResumeCursor::new(&honest[..4], 2, true);
-        let err = distributed_fixer2_scheduled_resumed(
-            &inst,
-            &sched,
-            CriterionCheck::Enforce,
-            1,
-            &cur,
-            &mut NullRecorder,
-        )
-        .unwrap_err();
+        // An audited prefix fed to the unaudited sweep.
+        let err = resumed(ResumeCursor::new(&honest[..4], 2, true));
         assert!(matches!(err, DistError::ResumeMismatch { .. }), "{err}");
+
+        // Audit accounting the prefix contradicts: four steps cannot
+        // have closed three classes.
+        let p = inst.max_event_probability();
+        let audited = |resume| {
+            let sweep = Sweep {
+                audit: Some((&p, &1e-9)),
+                resume,
+                ..Sweep::default()
+            };
+            solve(&inst, &sched, &sweep)
+        };
+        assert!(audited(ResumeCursor::new(&honest[..4], 0, true)).is_ok());
+        let err = audited(ResumeCursor::new(&honest[..4], 3, true)).unwrap_err();
+        assert!(matches!(err, DistError::ResumeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn contradictory_resume_cursors_are_rejected() {
+        // Steps and audit events follow `fix_run_start` in every
+        // stream, so a cursor claiming either without the bracket
+        // cannot be continued: the sweep would emit the bracket after
+        // the replayed prefix.
+        let inst = ring_instance(16, 3);
+        let sched = edge(&inst, 5, 1);
+        let p = inst.max_event_probability();
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+        run(&inst, &sched, &Sweep::default(), &mut rec, &mut NullTiming).unwrap();
+        let steps = fold(&rec.finish().unwrap()).steps().to_vec();
+        for (cursor, audit) in [
+            (ResumeCursor::new(&steps[..4], 0, false), None),
+            (ResumeCursor::new(&steps[..4], 1, false), Some((&p, &1e-9))),
+            (ResumeCursor::new(&[], 1, false), Some((&p, &1e-9))),
+        ] {
+            let sweep = Sweep {
+                audit,
+                resume: cursor,
+                ..Sweep::default()
+            };
+            let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+            let err = run(&inst, &sched, &sweep, &mut rec, &mut NullTiming).unwrap_err();
+            assert!(
+                matches!(err, DistError::ResumeMismatch { at: 0, .. }),
+                "{err}"
+            );
+            assert!(rec.finish().unwrap().is_empty(), "nothing recorded");
+        }
+
+        // The empty cursor is a fresh start, audited or not.
+        let fresh = ResumeCursor::new(&[], 0, false);
+        for audit in [None, Some((&p, &1e-9))] {
+            let sweep = Sweep {
+                audit,
+                resume: fresh,
+                ..Sweep::default()
+            };
+            let default = Sweep {
+                audit,
+                ..Sweep::default()
+            };
+            assert_eq!(
+                recorded(&inst, &sched, &sweep).0,
+                recorded(&inst, &sched, &default).0
+            );
+        }
     }
 
     #[test]
     fn mismatched_schedules_are_rejected_not_misapplied() {
         let inst2 = ring_instance(16, 3);
         let inst3 = hyper_ring_instance(32, 3);
-        let edge16 = Schedule::edge(inst2.dependency_graph(), 5, 1).unwrap();
-        let d2_32 = Schedule::distance2(inst3.dependency_graph(), 7, 1).unwrap();
-        // Wrong kind for the driver.
+        // A schedule sized for another graph.
+        let edge64 = edge(&ring_instance(64, 3), 5, 1);
         assert!(matches!(
-            distributed_fixer2_scheduled(&inst2, &d2_32, CriterionCheck::Enforce, 1),
-            Err(DistError::ScheduleMismatch { .. })
-        ));
-        assert!(matches!(
-            distributed_fixer3_scheduled(&inst3, &edge16, CriterionCheck::Enforce, 1),
-            Err(DistError::ScheduleMismatch { .. })
-        ));
-        // Right kind, wrong graph size.
-        let edge64 = Schedule::edge(ring_instance(64, 3).dependency_graph(), 5, 1).unwrap();
-        assert!(matches!(
-            distributed_fixer2_scheduled(&inst2, &edge64, CriterionCheck::Enforce, 1),
+            solve(&inst2, &edge64, &Sweep::default()),
             Err(DistError::ScheduleMismatch {
                 expected: 16,
                 found: 64
             })
+        ));
+        assert!(matches!(
+            solve(&inst2, &distance2(&inst3, 7, 1), &Sweep::default()),
+            Err(DistError::ScheduleMismatch {
+                expected: 16,
+                found: 32
+            })
+        ));
+        // An edge schedule selects the rank-2 sweep, which refuses a
+        // rank-3 instance with a typed error.
+        assert!(matches!(
+            solve(&inst3, &edge(&inst3, 7, 1), &Sweep::default()),
+            Err(DistError::Fixer(FixerError::RankTooLarge {
+                found: 3,
+                supported: 2
+            }))
+        ));
+        // The rank-specific shims reject the other kind, even when its
+        // slot count fits (a ring has as many edges as nodes).
+        let (edge16, d2_16) = (edge(&inst2, 5, 1), distance2(&inst2, 5, 1));
+        assert_eq!(edge16.colors().len(), d2_16.colors().len());
+        let (enforce, null, p) = (CriterionCheck::Enforce, &mut NullRecorder, 0.5);
+        let cursor = ResumeCursor::default();
+        let mismatch = |r: Result<DistReport, DistError>| {
+            assert!(
+                matches!(r, Err(DistError::ScheduleMismatch { .. })),
+                "{r:?}"
+            );
+        };
+        mismatch(distributed_fixer2_scheduled_traced(
+            &inst2,
+            &d2_16,
+            enforce,
+            1,
+            null,
+            &mut NullTiming,
+        ));
+        mismatch(distributed_fixer3_scheduled_traced(
+            &inst2,
+            &edge16,
+            enforce,
+            1,
+            null,
+            &mut NullTiming,
+        ));
+        mismatch(distributed_fixer2_scheduled_resumed_audited(
+            &inst2, &d2_16, enforce, 1, &p, &0.0, &cursor, null,
+        ));
+        mismatch(distributed_fixer3_scheduled_resumed_audited(
+            &inst2, &edge16, enforce, 1, &p, &0.0, &cursor, null,
         ));
     }
 }

@@ -109,7 +109,7 @@ pub enum FixerError {
         node: usize,
     },
     /// An audited run found property `P*` broken after a fixing step
-    /// (see [`Fixer3::run_audited`](crate::Fixer3::run_audited)).
+    /// (see [`Fixer3::run_with`](crate::Fixer3::run_with)).
     PStarViolated {
         /// 0-based index of the fixing step within the order.
         step: usize,

@@ -19,8 +19,7 @@
 //! the distributed schedule of Corollary 1.2 correct.
 
 use lll_numeric::Num;
-use lll_obs::timing::{span_nanos, span_start};
-use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink};
+use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingSink};
 
 use crate::error::FixerError;
 use crate::instance::{Instance, PartialAssignment};
@@ -391,70 +390,7 @@ impl<'i, T: Num> Fixer2<'i, T> {
     ///
     /// Panics if the order re-fixes or misses a variable.
     pub fn run(self, order: impl IntoIterator<Item = usize>) -> Result<FixReport, FixerError> {
-        self.run_recorded(order, &mut NullRecorder)
-    }
-
-    /// [`run`](Fixer2::run) with a flight recorder: brackets the fixing
-    /// steps with [`Event::FixRunStart`]/[`Event::FixRunEnd`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Fixer2::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_recorded<R: Recorder>(
-        self,
-        order: impl IntoIterator<Item = usize>,
-        rec: &mut R,
-    ) -> Result<FixReport, FixerError> {
-        self.run_timed_recorded(order, rec, &mut NullTiming)
-    }
-
-    /// [`run_recorded`](Fixer2::run_recorded) with a side-band timing
-    /// sink: the whole run is one [`TimingScope::FixRun`] span and every
-    /// fixing step one [`TimingScope::FixStep`] span. Wall-clock flows
-    /// only into `timing`, never into `rec`, so the recorded event
-    /// stream is unchanged; with [`NullTiming`] the clock is never read
-    /// and this *is* `run_recorded`.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Fixer2::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_timed_recorded<R: Recorder, S: TimingSink>(
-        mut self,
-        order: impl IntoIterator<Item = usize>,
-        rec: &mut R,
-        timing: &mut S,
-    ) -> Result<FixReport, FixerError> {
-        let run_started = span_start::<S>();
-        if R::ENABLED {
-            rec.record(&fix_run_start_event(self.inst));
-        }
-        for x in order {
-            let step_started = span_start::<S>();
-            self.fix_variable_recorded(x, rec)?;
-            if S::ENABLED {
-                timing.record_span(TimingScope::FixStep, span_nanos(step_started));
-            }
-        }
-        assert!(self.partial.is_complete(), "order must cover all variables");
-        let report = self.into_report();
-        if R::ENABLED {
-            rec.record(&Event::FixRunEnd {
-                steps: report.num_steps(),
-                violated: report.violated_events().len(),
-            });
-        }
-        if S::ENABLED {
-            timing.record_span(TimingScope::FixRun, span_nanos(run_started));
-        }
-        Ok(report)
+        self.run_with(order, None, &mut NullRecorder, &mut NullTiming)
     }
 
     /// Runs the process in variable-id order.
@@ -467,84 +403,43 @@ impl<'i, T: Num> Fixer2<'i, T> {
         self.run(0..m)
     }
 
-    /// Runs the process over `order`, re-verifying property `P*` after
-    /// every fixing step.
+    /// [`run`](Fixer2::run) with every option attached:
     ///
-    /// `p_bound` is the symmetric probability bound `p` (usually
-    /// [`Instance::max_event_probability`]); `tol` absorbs
-    /// floating-point drift (`0` for exact backends).
+    /// * `audit = Some((p_bound, tol))` re-verifies property `P*` after
+    ///   every fixing step. `p_bound` is the symmetric probability
+    ///   bound `p` (usually [`Instance::max_event_probability`]); `tol`
+    ///   absorbs floating-point drift (`0` for exact backends).
+    /// * `rec` receives the flight record: the
+    ///   [`Event::FixRunStart`]/[`Event::FixRunEnd`] bracket, one
+    ///   `fix_step` per variable and, when audited, one
+    ///   [`Event::AuditPass`]/[`Event::AuditViolation`] per step.
+    /// * `timing` receives side-band wall-clock spans: the whole run is
+    ///   one [`TimingScope::FixRun`] span and every fixing step one
+    ///   [`TimingScope::FixStep`] span. Wall-clock never reaches `rec`,
+    ///   so the recorded stream is the same with [`NullTiming`].
+    ///
+    /// [`NullRecorder`] and [`NullTiming`] compile their instrumentation
+    /// away.
     ///
     /// # Errors
     ///
-    /// [`FixerError::PStarViolated`] at the first step after which the
-    /// invariant no longer holds.
+    /// As [`run`](Fixer2::run), plus [`FixerError::PStarViolated`] at the
+    /// first step after which the audited invariant no longer holds.
     ///
     /// # Panics
     ///
     /// Panics if the order re-fixes or misses a variable.
-    pub fn run_audited(
+    ///
+    /// [`TimingScope::FixRun`]: lll_obs::TimingScope::FixRun
+    /// [`TimingScope::FixStep`]: lll_obs::TimingScope::FixStep
+    pub fn run_with<R: Recorder, S: TimingSink>(
         self,
         order: impl IntoIterator<Item = usize>,
-        p_bound: &T,
-        tol: &T,
-    ) -> Result<FixReport, FixerError> {
-        self.run_audited_recorded(order, p_bound, tol, &mut NullRecorder)
-    }
-
-    /// [`run_audited`](Fixer2::run_audited) with a flight recorder: in
-    /// addition to the run bracket and per-step events, every audit
-    /// outcome is emitted as [`Event::AuditPass`] or
-    /// [`Event::AuditViolation`].
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::PStarViolated`] at the first step after which the
-    /// invariant no longer holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_audited_recorded<R: Recorder>(
-        mut self,
-        order: impl IntoIterator<Item = usize>,
-        p_bound: &T,
-        tol: &T,
+        audit: Option<(&T, &T)>,
         rec: &mut R,
+        timing: &mut S,
     ) -> Result<FixReport, FixerError> {
-        if R::ENABLED {
-            rec.record(&fix_run_start_event(self.inst));
-        }
-        let mut auditor = crate::audit::IncrementalAuditor::new(
-            self.inst,
-            &self.partial,
-            &self.phi,
-            p_bound,
-            tol,
-        );
-        for (step, x) in order.into_iter().enumerate() {
-            self.fix_variable_recorded(x, rec)?;
-            let report = auditor.reverify(self.inst, &self.partial, &self.phi, x);
-            if R::ENABLED {
-                rec.record(&audit_event(step, x, &report));
-            }
-            if !report.holds() {
-                return Err(FixerError::PStarViolated {
-                    step,
-                    variable: x,
-                    pair_violations: report.pair_violations,
-                    prob_violations: report.prob_violations,
-                });
-            }
-        }
-        assert!(self.partial.is_complete(), "order must cover all variables");
-        let report = self.into_report();
-        if R::ENABLED {
-            rec.record(&Event::FixRunEnd {
-                steps: report.num_steps(),
-                violated: report.violated_events().len(),
-            });
-        }
-        Ok(report)
+        crate::sweep::run_in_order(self, order, audit, rec, timing)
     }
 
     /// Finalizes into a report (all variables must be fixed).
@@ -563,6 +458,22 @@ impl<'i, T: Num> Fixer2<'i, T> {
 }
 
 impl<T: Num> crate::sweep::ClassFixer<T> for Fixer2<'_, T> {
+    fn instance(&self) -> &Instance<T> {
+        self.inst
+    }
+
+    fn partial(&self) -> &PartialAssignment {
+        &self.partial
+    }
+
+    fn phi(&self) -> &Phi<T> {
+        &self.phi
+    }
+
+    fn into_report(self) -> FixReport {
+        Fixer2::into_report(self)
+    }
+
     fn fork(&self, step_base: usize) -> Self {
         Fixer2 {
             inst: self.inst,
@@ -614,10 +525,6 @@ impl<T: Num> crate::sweep::ClassFixer<T> for Fixer2<'_, T> {
         self.replay_variable(x, y)
     }
 
-    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> crate::audit::IncrementalAuditor<T> {
-        crate::audit::IncrementalAuditor::new(self.inst, &self.partial, &self.phi, p_bound, tol)
-    }
-
     fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> crate::audit::AuditDelta<T> {
         crate::audit::audit_delta_for(
             self.inst,
@@ -660,6 +567,29 @@ pub(crate) fn audit_event(step: usize, variable: usize, report: &crate::AuditRep
             prob_violations: report.prob_violations.clone(),
         }
     }
+}
+
+/// Records the audit `report` taken after fixing step `step` (which
+/// fixed `variable`) and turns a failed verdict into
+/// [`FixerError::PStarViolated`].
+pub(crate) fn audit_verdict<R: Recorder>(
+    report: crate::AuditReport,
+    step: usize,
+    variable: usize,
+    rec: &mut R,
+) -> Result<(), FixerError> {
+    if R::ENABLED {
+        rec.record(&audit_event(step, variable, &report));
+    }
+    if report.holds() {
+        return Ok(());
+    }
+    Err(FixerError::PStarViolated {
+        step,
+        variable,
+        pair_violations: report.pair_violations,
+        prob_violations: report.prob_violations,
+    })
 }
 
 /// Builds the [`Event::FixStep`] payload shared by the rank-2 and rank-3
@@ -873,7 +803,7 @@ mod tests {
         let mut rec = lll_obs::CounterRecorder::new();
         let report = Fixer2::new(&inst)
             .unwrap()
-            .run_recorded(0..inst.num_variables(), &mut rec)
+            .run_with(0..inst.num_variables(), None, &mut rec, &mut NullTiming)
             .unwrap();
         assert_eq!(rec.fix_runs, 1);
         assert_eq!(rec.fix_steps, report.num_steps());
@@ -894,7 +824,12 @@ mod tests {
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
         let report = Fixer2::new(&inst)
             .unwrap()
-            .run_audited_recorded(0..inst.num_variables(), &p, &BigRational::zero(), &mut rec)
+            .run_with(
+                0..inst.num_variables(),
+                Some((&p, &BigRational::zero())),
+                &mut rec,
+                &mut NullTiming,
+            )
             .unwrap();
         assert!(report.is_success());
         let text = String::from_utf8(rec.finish().unwrap()).unwrap();

@@ -24,11 +24,10 @@
 //! reduction without materialising virtual nodes.
 
 use lll_numeric::Num;
-use lll_obs::timing::{span_nanos, span_start};
-use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink};
+use lll_obs::{NullRecorder, NullTiming, Recorder, TimingSink};
 
 use crate::error::FixerError;
-use crate::fixer2::{audit_event, fix_run_start_event, fix_step_event, non_finite};
+use crate::fixer2::{fix_step_event, non_finite};
 use crate::instance::{Instance, PartialAssignment};
 use crate::triples::{decompose, representability_score, Phi};
 use crate::{FixReport, FixStepRecord};
@@ -193,8 +192,8 @@ impl<'i, T: Num> Fixer3<'i, T> {
     }
 
     /// [`fix_variable`](Fixer3::fix_variable) with a flight recorder:
-    /// emits one [`Event::FixStep`] carrying the increase factors, the
-    /// post-update φ-products and the `P*` pair-sum headroom (3 entries
+    /// emits one [`Event::FixStep`](lll_obs::Event::FixStep) carrying
+    /// the increase factors, the post-update φ-products and the `P*` pair-sum headroom (3 entries
     /// at rank 3, one per dependency edge of the hyperedge). With
     /// [`NullRecorder`] this compiles to exactly the unrecorded path.
     ///
@@ -605,7 +604,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
     }
 
     /// Runs the process over the given variable order (must enumerate
-    /// every variable exactly once).
+    /// every unfixed variable exactly once) and reports the outcome.
     ///
     /// # Errors
     ///
@@ -616,68 +615,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
     ///
     /// Panics if the order re-fixes or misses a variable.
     pub fn run(self, order: impl IntoIterator<Item = usize>) -> Result<FixReport, FixerError> {
-        self.run_recorded(order, &mut NullRecorder)
-    }
-
-    /// [`run`](Fixer3::run) with a flight recorder: brackets the fixing
-    /// steps with [`Event::FixRunStart`]/[`Event::FixRunEnd`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Fixer3::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_recorded<R: Recorder>(
-        self,
-        order: impl IntoIterator<Item = usize>,
-        rec: &mut R,
-    ) -> Result<FixReport, FixerError> {
-        self.run_timed_recorded(order, rec, &mut NullTiming)
-    }
-
-    /// [`run_recorded`](Fixer3::run_recorded) with a side-band timing
-    /// sink: the whole run is one [`TimingScope::FixRun`] span and every
-    /// fixing step one [`TimingScope::FixStep`] span (see
-    /// `Fixer2::run_timed_recorded` — the contract is identical).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Fixer3::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_timed_recorded<R: Recorder, S: TimingSink>(
-        mut self,
-        order: impl IntoIterator<Item = usize>,
-        rec: &mut R,
-        timing: &mut S,
-    ) -> Result<FixReport, FixerError> {
-        let run_started = span_start::<S>();
-        if R::ENABLED {
-            rec.record(&fix_run_start_event(self.inst));
-        }
-        for x in order {
-            let step_started = span_start::<S>();
-            self.fix_variable_recorded(x, rec)?;
-            if S::ENABLED {
-                timing.record_span(TimingScope::FixStep, span_nanos(step_started));
-            }
-        }
-        assert!(self.partial.is_complete(), "order must cover all variables");
-        let report = self.into_report();
-        if R::ENABLED {
-            rec.record(&Event::FixRunEnd {
-                steps: report.num_steps(),
-                violated: report.violated_events().len(),
-            });
-        }
-        if S::ENABLED {
-            timing.record_span(TimingScope::FixRun, span_nanos(run_started));
-        }
-        Ok(report)
+        self.run_with(order, None, &mut NullRecorder, &mut NullTiming)
     }
 
     /// Runs the process in variable-id order.
@@ -690,84 +628,27 @@ impl<'i, T: Num> Fixer3<'i, T> {
         self.run(0..m)
     }
 
-    /// Runs the process over `order`, re-verifying property `P*` after
-    /// every fixing step (experiment E5's audited mode).
-    ///
-    /// `p_bound` is the symmetric probability bound `p` (usually
-    /// [`Instance::max_event_probability`]); `tol` absorbs
-    /// floating-point drift (`0` for exact backends).
+    /// [`run`](Fixer3::run) with an optional `P*` audit after every
+    /// step, a flight recorder and a side-band timing sink — the
+    /// contract of [`Fixer2::run_with`](crate::Fixer2::run_with), whose
+    /// implementation it shares.
     ///
     /// # Errors
     ///
-    /// [`FixerError::PStarViolated`] at the first step after which the
-    /// invariant no longer holds.
+    /// As [`run`](Fixer3::run), plus [`FixerError::PStarViolated`] at the
+    /// first step after which the audited invariant no longer holds.
     ///
     /// # Panics
     ///
     /// Panics if the order re-fixes or misses a variable.
-    pub fn run_audited(
+    pub fn run_with<R: Recorder, S: TimingSink>(
         self,
         order: impl IntoIterator<Item = usize>,
-        p_bound: &T,
-        tol: &T,
-    ) -> Result<FixReport, FixerError> {
-        self.run_audited_recorded(order, p_bound, tol, &mut NullRecorder)
-    }
-
-    /// [`run_audited`](Fixer3::run_audited) with a flight recorder: in
-    /// addition to the run bracket and per-step events, every audit
-    /// outcome is emitted as [`Event::AuditPass`] or
-    /// [`Event::AuditViolation`].
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::PStarViolated`] at the first step after which the
-    /// invariant no longer holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_audited_recorded<R: Recorder>(
-        mut self,
-        order: impl IntoIterator<Item = usize>,
-        p_bound: &T,
-        tol: &T,
+        audit: Option<(&T, &T)>,
         rec: &mut R,
+        timing: &mut S,
     ) -> Result<FixReport, FixerError> {
-        if R::ENABLED {
-            rec.record(&fix_run_start_event(self.inst));
-        }
-        let mut auditor = crate::audit::IncrementalAuditor::new(
-            self.inst,
-            &self.partial,
-            &self.phi,
-            p_bound,
-            tol,
-        );
-        for (step, x) in order.into_iter().enumerate() {
-            self.fix_variable_recorded(x, rec)?;
-            let report = auditor.reverify(self.inst, &self.partial, &self.phi, x);
-            if R::ENABLED {
-                rec.record(&audit_event(step, x, &report));
-            }
-            if !report.holds() {
-                return Err(FixerError::PStarViolated {
-                    step,
-                    variable: x,
-                    pair_violations: report.pair_violations,
-                    prob_violations: report.prob_violations,
-                });
-            }
-        }
-        assert!(self.partial.is_complete(), "order must cover all variables");
-        let report = self.into_report();
-        if R::ENABLED {
-            rec.record(&Event::FixRunEnd {
-                steps: report.num_steps(),
-                violated: report.violated_events().len(),
-            });
-        }
-        Ok(report)
+        crate::sweep::run_in_order(self, order, audit, rec, timing)
     }
 
     /// Finalizes into a report (all variables must be fixed).
@@ -786,6 +667,22 @@ impl<'i, T: Num> Fixer3<'i, T> {
 }
 
 impl<T: Num> crate::sweep::ClassFixer<T> for Fixer3<'_, T> {
+    fn instance(&self) -> &Instance<T> {
+        self.inst
+    }
+
+    fn partial(&self) -> &PartialAssignment {
+        &self.partial
+    }
+
+    fn phi(&self) -> &Phi<T> {
+        &self.phi
+    }
+
+    fn into_report(self) -> FixReport {
+        Fixer3::into_report(self)
+    }
+
     fn fork(&self, step_base: usize) -> Self {
         Fixer3 {
             inst: self.inst,
@@ -845,10 +742,6 @@ impl<T: Num> crate::sweep::ClassFixer<T> for Fixer3<'_, T> {
 
     fn replay(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
         self.replay_variable(x, y)
-    }
-
-    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> crate::audit::IncrementalAuditor<T> {
-        crate::audit::IncrementalAuditor::new(self.inst, &self.partial, &self.phi, p_bound, tol)
     }
 
     fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> crate::audit::AuditDelta<T> {
@@ -1042,7 +935,7 @@ mod tests {
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
         let report = Fixer3::new(&inst)
             .unwrap()
-            .run_recorded(0..inst.num_variables(), &mut rec)
+            .run_with(0..inst.num_variables(), None, &mut rec, &mut NullTiming)
             .unwrap();
         assert!(report.is_success());
         let text = String::from_utf8(rec.finish().unwrap()).unwrap();
@@ -1054,7 +947,7 @@ mod tests {
         let mut counter = lll_obs::CounterRecorder::new();
         let report2 = Fixer3::new(&inst)
             .unwrap()
-            .run_recorded(0..inst.num_variables(), &mut counter)
+            .run_with(0..inst.num_variables(), None, &mut counter, &mut NullTiming)
             .unwrap();
         assert_eq!(report2.steps(), report.steps());
         assert_eq!(counter.fix_steps, report.num_steps());

@@ -33,16 +33,36 @@
 
 use lll_local::{effective_workers, shard_bounds};
 use lll_numeric::Num;
-use lll_obs::{BufRecorder, NullRecorder, Recorder};
+use lll_obs::timing::{span_nanos, span_start};
+use lll_obs::{BufRecorder, Event, NullRecorder, Recorder, TimingScope, TimingSink};
 
 use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
+use crate::fixer2::{audit_verdict, fix_run_start_event};
+use crate::instance::{Instance, PartialAssignment};
+use crate::triples::Phi;
+use crate::FixReport;
 
 /// A fixer that the class sweep can fork, run over cells, and merge
 /// back. Implemented by [`Fixer2`](crate::Fixer2) and
 /// [`Fixer3`](crate::Fixer3) (the implementations live in their modules
 /// because merging needs the private `partial`/`phi`/`steps` fields).
+/// It is also all that the fixers' own sequential run
+/// ([`run_in_order`]) and the distributed driver (`crate::dist::run`)
+/// need of a fixer, so both are written once for both ranks.
 pub(crate) trait ClassFixer<T: Num>: Send + Sized {
+    /// The instance being fixed.
+    fn instance(&self) -> &Instance<T>;
+
+    /// The current partial assignment.
+    fn partial(&self) -> &PartialAssignment;
+
+    /// The current `φ` bookkeeping.
+    fn phi(&self) -> &Phi<T>;
+
+    /// Finalizes into a report (all variables must be fixed).
+    fn into_report(self) -> FixReport;
+
     /// Forks the current state for a sweep shard: same partial
     /// assignment and `φ`, empty step log, recorded steps numbered from
     /// `step_base`.
@@ -67,7 +87,9 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// `(partial, φ)`, so this equals the incremental cache an audited
     /// run carries at the same point — which is what lets a resumed run
     /// rebuild audit state at the live boundary (DESIGN.md §3.12).
-    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> IncrementalAuditor<T>;
+    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> IncrementalAuditor<T> {
+        IncrementalAuditor::new(self.instance(), self.partial(), self.phi(), p_bound, tol)
+    }
 
     /// Merges a finished shard fork back into `self`: applies its fixed
     /// values, copies the `φ` entries its steps touched, appends its
@@ -80,6 +102,57 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// against this fixer's state (see
     /// [`audit_delta_for`](crate::audit::audit_delta_for)).
     fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> AuditDelta<T>;
+}
+
+/// The sequential run behind `Fixer2::run_with` and `Fixer3::run_with`:
+/// fixes `order` one variable at a time, optionally re-verifying `P*`
+/// after every step, with the run bracketed in `rec` and timed into
+/// `timing`.
+pub(crate) fn run_in_order<T, F, R, S>(
+    mut fixer: F,
+    order: impl IntoIterator<Item = usize>,
+    audit: Option<(&T, &T)>,
+    rec: &mut R,
+    timing: &mut S,
+) -> Result<FixReport, FixerError>
+where
+    T: Num,
+    F: ClassFixer<T>,
+    R: Recorder,
+    S: TimingSink,
+{
+    let run_started = span_start::<S>();
+    if R::ENABLED {
+        rec.record(&fix_run_start_event(fixer.instance()));
+    }
+    let mut auditor = audit.map(|(p_bound, tol)| fixer.fresh_auditor(p_bound, tol));
+    for (step, x) in order.into_iter().enumerate() {
+        let step_started = span_start::<S>();
+        fixer.fix_cell(&[x], rec)?;
+        if S::ENABLED {
+            timing.record_span(TimingScope::FixStep, span_nanos(step_started));
+        }
+        let Some(auditor) = auditor.as_mut() else {
+            continue;
+        };
+        let report = auditor.reverify(fixer.instance(), fixer.partial(), fixer.phi(), x);
+        audit_verdict(report, step, x, rec)?;
+    }
+    assert!(
+        fixer.partial().is_complete(),
+        "order must cover all variables"
+    );
+    let report = fixer.into_report();
+    if R::ENABLED {
+        rec.record(&Event::FixRunEnd {
+            steps: report.num_steps(),
+            violated: report.violated_events().len(),
+        });
+    }
+    if S::ENABLED {
+        timing.record_span(TimingScope::FixRun, span_nanos(run_started));
+    }
+    Ok(report)
 }
 
 /// The per-worker event buffer: a real [`BufRecorder`] when the run is

@@ -10,6 +10,7 @@ use lll_core::{audit_p_star, Fixer3, IncrementalAuditor, Instance, InstanceBuild
 use lll_graphs::gen::hyper_ring;
 use lll_graphs::Hypergraph;
 use lll_numeric::BigRational;
+use lll_obs::{NullRecorder, NullTiming};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -82,12 +83,17 @@ fn incremental_matches_full_below_threshold() {
         let inst = random_rank3(&h, 8, 0.9, seed);
         assert!(inst.satisfies_exponential_criterion());
         assert_incremental_matches_full(&inst, seed + 100);
-        // And the packaged run_audited entry point succeeds end-to-end.
+        // And the audited `run_with` succeeds end-to-end.
         let p = inst.max_event_probability();
         let order = shuffled_order(inst.num_variables(), seed + 100);
         let report = Fixer3::new(&inst)
             .expect("below threshold")
-            .run_audited(order, &p, &BigRational::zero())
+            .run_with(
+                order,
+                Some((&p, &BigRational::zero())),
+                &mut NullRecorder,
+                &mut NullTiming,
+            )
             .expect("P* holds below the threshold");
         assert!(report.is_success());
     }
@@ -106,9 +112,9 @@ fn incremental_matches_full_above_threshold() {
 }
 
 #[test]
-fn run_audited_reports_the_failing_step() {
+fn audited_runs_report_the_failing_step() {
     // With p_bound artificially halved, the very first audit after a fix
-    // (or even the initial state) breaks; run_audited must surface a
+    // (or even the initial state) breaks; the audited run must surface a
     // typed PStarViolated error rather than succeed.
     let h = hyper_ring(12);
     let inst = random_rank3(&h, 8, 0.9, 1);
@@ -117,7 +123,12 @@ fn run_audited_reports_the_failing_step() {
     let order = shuffled_order(inst.num_variables(), 3);
     let err = Fixer3::new(&inst)
         .expect("below threshold")
-        .run_audited(order, &tight, &BigRational::zero())
+        .run_with(
+            order,
+            Some((&tight, &BigRational::zero())),
+            &mut NullRecorder,
+            &mut NullTiming,
+        )
         .expect_err("halved probability bound must violate P*");
     let msg = err.to_string();
     assert!(

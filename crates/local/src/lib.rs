@@ -24,12 +24,11 @@
 //!   messages arriving through their ports.
 //!
 //! Two execution engines share that contract. The slab engine
-//! ([`Simulator::run_parallel`], see the [`parallel`] module docs for its
-//! worker pool and determinism argument) is the production engine: every
-//! driver reaches it through [`Simulator::run_auto`], at every thread
-//! count. The sequential reference engine ([`Simulator::run`]) is the
-//! readable oracle the differential tests hold the slab engine to,
-//! bit for bit.
+//! ([`Simulator::run_auto`], see the [`parallel`] module docs for its
+//! worker pool and determinism argument) is the production engine, at
+//! every thread count. The sequential reference engine
+//! ([`Simulator::run`]) is the readable oracle the differential tests
+//! hold the slab engine to, bit for bit.
 //!
 //! # Examples
 //!
@@ -78,9 +77,7 @@ use std::fmt;
 
 use lll_graphs::Graph;
 use lll_obs::timing::{span_nanos, span_start};
-use lll_obs::{
-    Event, NullRecorder, NullTiming, Recorder, SkipPrefixRecorder, TimingScope, TimingSink,
-};
+use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -160,7 +157,7 @@ pub trait NodeProgram {
     ) -> RoundResult<Self::Message, Self::Output>;
 
     /// In-place variant of [`NodeProgram::round`], used by the slab-based
-    /// engine ([`Simulator::run_parallel`]): the outbox is written
+    /// engine ([`Simulator::run_auto`]): the outbox is written
     /// directly into `out` — the node's own window of the write slab, one
     /// slot per port — instead of being returned as a freshly allocated
     /// vector.
@@ -410,7 +407,7 @@ impl<'g> Simulator<'g> {
     /// `lll-obs` crate). Events carry only logical indices — round
     /// number, node id — so the recorded stream is a pure function of
     /// the run's inputs and is byte-identical to the stream
-    /// [`Simulator::run_parallel_recorded`] produces at any thread
+    /// [`Simulator::run_auto_timed_recorded`] produces at any thread
     /// count. With [`NullRecorder`] this *is* `run`: the instrumentation
     /// is guarded by the `Recorder::ENABLED` associated constant and
     /// compiles away.
@@ -601,116 +598,6 @@ impl<'g> Simulator<'g> {
             round_messages,
         })
     }
-
-    /// Runs on the slab engine ([`Simulator::run_parallel`]) with the
-    /// shard count set by [`Simulator::threads`]. The outcome is
-    /// identical to [`Simulator::run`] at every thread count, so callers
-    /// may treat the knob as a pure performance setting.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run`].
-    pub fn run_auto<P, F>(
-        &self,
-        make: F,
-        max_rounds: usize,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: NodeProgram + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-        F: FnMut(&NodeContext) -> P,
-    {
-        self.run_auto_recorded(make, max_rounds, &mut NullRecorder)
-    }
-
-    /// [`Simulator::run_auto`] with a flight recorder attached. The
-    /// recorded stream does not depend on the `threads` knob and is
-    /// byte-identical to [`Simulator::run_recorded`]'s.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run`].
-    pub fn run_auto_recorded<P, F, R>(
-        &self,
-        make: F,
-        max_rounds: usize,
-        rec: &mut R,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: NodeProgram + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-        F: FnMut(&NodeContext) -> P,
-        R: Recorder,
-    {
-        self.run_parallel_recorded(self.threads, make, max_rounds, rec)
-    }
-
-    /// [`Simulator::run_auto_recorded`] resumed from a recorded
-    /// checkpoint: re-executes the protocol deterministically from round
-    /// 1 but suppresses every event a durable stream prefix already
-    /// contains — the `sim_run_start` bracket and everything up to and
-    /// including the `skip_rounds`-th `round_end` (see
-    /// [`SkipPrefixRecorder`]). `rec` receives exactly the events an
-    /// uninterrupted run would have emitted after that point, so
-    /// appending them to the prefix (via a resumed
-    /// [`JsonlRecorder`](lll_obs::JsonlRecorder) seeded from the
-    /// checkpoint) reproduces the uninterrupted stream byte for byte.
-    ///
-    /// This trades recomputation for storage: a simulation run is a
-    /// pure function of `(graph, ids, seed, threads-independent
-    /// protocol)`, so only the stream bytes need to survive an
-    /// interruption — no simulator state is ever serialized. The
-    /// fixers' resume seam (`lll-core`'s `ResumeCursor`) picks up where
-    /// this leaves off when the checkpoint lands past the simulation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run`].
-    pub fn resume_recorded<P, F, R>(
-        &self,
-        make: F,
-        max_rounds: usize,
-        skip_rounds: u64,
-        rec: &mut R,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: NodeProgram + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-        F: FnMut(&NodeContext) -> P,
-        R: Recorder,
-    {
-        let mut skip = SkipPrefixRecorder::new(rec, skip_rounds);
-        self.run_auto_recorded(make, max_rounds, &mut skip)
-    }
-
-    /// [`Simulator::run_auto_recorded`] with a side-band timing sink
-    /// attached (see [`Simulator::run_parallel_timed_recorded`]). Timing
-    /// data depends on the thread count and the host, but the event
-    /// stream in `rec` does not.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run`].
-    pub fn run_auto_timed_recorded<P, F, R, T>(
-        &self,
-        make: F,
-        max_rounds: usize,
-        rec: &mut R,
-        timing: &mut T,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: NodeProgram + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-        F: FnMut(&NodeContext) -> P,
-        R: Recorder,
-        T: TimingSink,
-    {
-        self.run_parallel_timed_recorded(self.threads, make, max_rounds, rec, timing)
-    }
 }
 
 /// Convenience: an outbox broadcasting the same message through every
@@ -750,6 +637,7 @@ pub fn log_star(mut n: u64) -> u32 {
 mod tests {
     use super::*;
     use lll_graphs::gen::{path, ring};
+    use lll_obs::SkipPrefixRecorder;
     use rand::RngExt;
 
     /// Every node floods its id for `ttl` rounds, then outputs the set of
@@ -792,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_recorded_continues_sim_streams_byte_for_byte() {
+    fn skip_prefix_resumes_continue_sim_streams_byte_for_byte() {
         let g = ring(12);
         let make = |_: &NodeContext| Flood {
             ttl: 5,
@@ -800,7 +688,9 @@ mod tests {
         };
         let sim = Simulator::new(&g);
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new()).checkpoint_every(2);
-        let full_run = sim.run_auto_recorded(make, 20, &mut rec).unwrap();
+        let full_run = sim
+            .run_auto_timed_recorded(make, 20, &mut rec, &mut NullTiming)
+            .unwrap();
         let bytes = rec.finish().unwrap();
         let text = std::str::from_utf8(&bytes).unwrap();
         let cks: Vec<lll_obs::Checkpoint> = text
@@ -820,7 +710,12 @@ mod tests {
                 let run = sim
                     .clone()
                     .threads(threads)
-                    .resume_recorded(make, 20, ck.round, &mut tail)
+                    .run_auto_timed_recorded(
+                        make,
+                        20,
+                        &mut SkipPrefixRecorder::new(&mut tail, ck.round),
+                        &mut NullTiming,
+                    )
                     .unwrap();
                 let mut joined = prefix.to_vec();
                 joined.extend_from_slice(&tail.finish().unwrap());
@@ -933,7 +828,8 @@ mod tests {
         assert_eq!(seq, want);
         for t in [1usize, 2, 4] {
             let par = Simulator::new(&g)
-                .run_parallel(t, |_| MidRunBadOutbox, 5)
+                .threads(t)
+                .run_auto(|_| MidRunBadOutbox, 5)
                 .unwrap_err();
             assert_eq!(par, want, "threads {t}");
         }
@@ -1075,7 +971,7 @@ mod tests {
         let seq = sim.run(|_| PrivateCoin, 3).unwrap();
         assert_eq!(seq.rounds, 0);
         assert_eq!(seq.messages, 0);
-        let par = sim.run_parallel(4, |_| PrivateCoin, 3).unwrap();
+        let par = sim.clone().threads(4).run_auto(|_| PrivateCoin, 3).unwrap();
         assert_eq!(par.rounds, 0);
         assert_eq!(par.messages, 0);
         assert_eq!(par.outputs, seq.outputs);
@@ -1123,7 +1019,7 @@ mod tests {
         assert_eq!(seq.rounds, 1, "the silent halt round is free");
         assert_eq!(seq.messages, 10);
         assert!(seq.outputs.iter().all(|&h| h == 2));
-        let par = sim.run_parallel(3, mk, 10).unwrap();
+        let par = sim.clone().threads(3).run_auto(mk, 10).unwrap();
         assert_eq!(par.outputs, seq.outputs);
         assert_eq!(par.rounds, seq.rounds);
         assert_eq!(par.messages, seq.messages);
@@ -1136,7 +1032,7 @@ mod tests {
             let mk = |_: &NodeContext| Flood { ttl, seen: vec![] };
             let seq = sim.run(mk, 50).unwrap();
             for t in [1usize, 2, 3, 8] {
-                let par = sim.run_parallel(t, mk, 50).unwrap();
+                let par = sim.clone().threads(t).run_auto(mk, 50).unwrap();
                 assert_eq!(par.outputs, seq.outputs, "threads {t}");
                 assert_eq!(par.rounds, seq.rounds, "threads {t}");
                 assert_eq!(par.messages, seq.messages, "threads {t}");
@@ -1149,7 +1045,8 @@ mod tests {
         let g = ring(3);
         for t in [1usize, 2, 3] {
             let err = Simulator::new(&g)
-                .run_parallel(t, |_| BadOutbox, 5)
+                .threads(t)
+                .run_auto(|_| BadOutbox, 5)
                 .unwrap_err();
             assert_eq!(
                 err,
@@ -1163,8 +1060,8 @@ mod tests {
         }
         let g = ring(4);
         let err = Simulator::new(&g)
-            .run_parallel(
-                2,
+            .threads(2)
+            .run_auto(
                 |_| Flood {
                     ttl: 100,
                     seen: vec![],
@@ -1193,7 +1090,9 @@ mod tests {
             let sim = base.clone().threads(t);
             assert_eq!(sim.num_threads(), t);
             let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-            let auto = sim.run_auto_recorded(mk, 10, &mut rec).unwrap();
+            let auto = sim
+                .run_auto_timed_recorded(mk, 10, &mut rec, &mut NullTiming)
+                .unwrap();
             assert_eq!(auto.outputs, reference.outputs, "threads {t}");
             assert_eq!(auto.rounds, reference.rounds, "threads {t}");
             assert_eq!(auto.messages, reference.messages, "threads {t}");

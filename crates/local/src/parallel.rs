@@ -1,6 +1,6 @@
 //! The execution engine of the simulator.
 //!
-//! [`Simulator::run_parallel`] shards the nodes into contiguous,
+//! [`Simulator::run_auto`] shards the nodes into contiguous,
 //! slot-balanced ranges and replaces per-round inbox allocations with
 //! two *message slabs* — one `Option<M>` slot per (node, port) pair in
 //! CSR order, as laid out by [`lll_graphs::Graph::port_slot`]. Each
@@ -173,10 +173,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `items` work items: at least 1 (a request of 0 means "sequential",
 /// not "no work"), at most `items` (extra workers would idle), and 1
 /// when there is no work at all. Every parallel entry point of the
-/// workspace — [`Simulator::run_parallel`], [`Simulator::run_auto`],
-/// and the fixers' color-class sweeps — resolves its thread knob through
-/// this single function, so `threads = 0`, `items = 0` and
-/// `threads > items` degrade identically everywhere.
+/// workspace — [`Simulator::run_auto`] and the fixers' color-class
+/// sweeps — resolves its thread knob through this single function, so
+/// `threads = 0`, `items = 0` and `threads > items` degrade identically
+/// everywhere.
 pub fn effective_workers(threads: usize, items: usize) -> usize {
     threads.clamp(1, items.max(1))
 }
@@ -505,17 +505,17 @@ impl Drop for Release<'_> {
 }
 
 impl<'g> Simulator<'g> {
-    /// Runs one program instance per node until all halt, on `threads`
-    /// shards.
+    /// Runs one program instance per node until all halt, on the slab
+    /// engine with the shard count set by [`Simulator::threads`].
     ///
     /// The outcome — outputs, round count, message count, and any error
     /// or panic — is **bit-for-bit identical to [`Simulator::run`]** for
-    /// every `threads` value (see the [module docs](self) for why); the
-    /// knob only changes wall-clock time. Even at `threads = 1` this
-    /// engine is much faster than the reference engine, because it
-    /// reuses two flat message slabs instead of allocating per-node
-    /// inboxes every round and delivers messages through the O(1)
-    /// twin-port table.
+    /// every thread count (see the [module docs](self) for why), so
+    /// callers may treat the knob as a pure performance setting. Even
+    /// at one thread this engine is much faster than the reference
+    /// engine, because it reuses two flat message slabs instead of
+    /// allocating per-node inboxes every round and delivers messages
+    /// through the O(1) twin-port table.
     ///
     /// # Errors
     ///
@@ -525,9 +525,8 @@ impl<'g> Simulator<'g> {
     ///
     /// Re-raises, on the calling thread, the panic of the lowest node
     /// whose program panicked, after releasing every worker.
-    pub fn run_parallel<P, F>(
+    pub fn run_auto<P, F>(
         &self,
-        threads: usize,
         make: F,
         max_rounds: usize,
     ) -> Result<RunOutcome<P::Output>, SimError>
@@ -537,53 +536,32 @@ impl<'g> Simulator<'g> {
         P::Output: Send,
         F: FnMut(&NodeContext) -> P,
     {
-        self.run_parallel_recorded(threads, make, max_rounds, &mut NullRecorder)
+        self.run_auto_timed_recorded(make, max_rounds, &mut NullRecorder, &mut NullTiming)
     }
 
-    /// [`Simulator::run_parallel`] with a flight recorder attached.
+    /// [`Simulator::run_auto`] with a flight recorder and a side-band
+    /// timing sink attached.
     ///
     /// The recorded stream is **byte-identical to the one
-    /// [`Simulator::run_recorded`] emits**, for every `threads` value:
+    /// [`Simulator::run_recorded`] emits**, at every thread count:
     /// shards buffer their halt transitions and the calling thread
     /// merges the buffers in static shard order after each phase
     /// barrier, which is ascending node order — exactly the order the
     /// reference engine emits them in. The recorder itself never crosses
-    /// a thread boundary.
+    /// a thread boundary. To resume a recorded run from a checkpoint,
+    /// wrap `rec` in a [`SkipPrefixRecorder`](lll_obs::SkipPrefixRecorder):
+    /// the run re-executes deterministically and the wrapper drops the
+    /// events the durable prefix already holds.
     ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run_parallel`].
-    pub fn run_parallel_recorded<P, F, R>(
-        &self,
-        threads: usize,
-        make: F,
-        max_rounds: usize,
-        rec: &mut R,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: NodeProgram + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-        F: FnMut(&NodeContext) -> P,
-        R: Recorder,
-    {
-        self.run_parallel_timed_recorded(threads, make, max_rounds, rec, &mut NullTiming)
-    }
-
-    /// [`Simulator::run_parallel_recorded`] with a side-band timing sink
-    /// attached. Per-phase shard occupancy is timed by the thread running
-    /// the shard into a shard-private slot and folded into `timing` by
-    /// the calling thread after the phase barrier
+    /// Per-phase shard occupancy is timed by the thread running the
+    /// shard into a shard-private slot and folded into `timing` by the
+    /// calling thread after the phase barrier
     /// ([`TimingScope::ShardWork`], one span per shard per phase),
     /// alongside whole-round ([`TimingScope::SimRound`]) and whole-run
     /// ([`TimingScope::SimRun`]) spans. The sink never crosses a thread
-    /// boundary, and no wall-clock value reaches `rec` — the event
-    /// stream stays byte-identical to the untimed engines at every
-    /// thread count.
+    /// boundary, and no wall-clock value reaches `rec`. With
+    /// [`NullRecorder`]/[`NullTiming`] the instrumentation compiles
+    /// away.
     ///
     /// # Errors
     ///
@@ -591,10 +569,9 @@ impl<'g> Simulator<'g> {
     ///
     /// # Panics
     ///
-    /// As [`Simulator::run_parallel`].
-    pub fn run_parallel_timed_recorded<P, F, R, T>(
+    /// As [`Simulator::run_auto`].
+    pub fn run_auto_timed_recorded<P, F, R, T>(
         &self,
-        threads: usize,
         mut make: F,
         max_rounds: usize,
         rec: &mut R,
@@ -611,7 +588,7 @@ impl<'g> Simulator<'g> {
         let run_started = span_start::<T>();
         let g = self.graph();
         let n = g.num_nodes();
-        let threads = effective_workers(threads, n);
+        let threads = effective_workers(self.threads, n);
         let info = NetworkInfo {
             n,
             max_degree: g.max_degree(),
@@ -825,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_accepts_degenerate_thread_counts() {
+    fn run_auto_accepts_degenerate_thread_counts() {
         use crate::{broadcast, NodeProgram, RoundResult};
         struct Once;
         impl NodeProgram for Once {
@@ -848,7 +825,7 @@ mod tests {
         // threads = 0 and threads > n must both resolve like threads = 1
         // (identical outcome; 0 means sequential, 64 is capped at n).
         for t in [0usize, 1, 64] {
-            let par = sim.run_parallel(t, |_| Once, 10).unwrap();
+            let par = sim.clone().threads(t).run_auto(|_| Once, 10).unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads {t}");
             assert_eq!(par.rounds, seq.rounds, "threads {t}");
         }
@@ -856,7 +833,7 @@ mod tests {
         let empty = lll_graphs::Graph::empty(0);
         let esim = Simulator::new(&empty);
         for t in [0usize, 1, 8] {
-            let out = esim.run_parallel(t, |_| Once, 10).unwrap();
+            let out = esim.clone().threads(t).run_auto(|_| Once, 10).unwrap();
             assert!(out.outputs.is_empty(), "threads {t}");
             assert_eq!(out.rounds, 0, "threads {t}");
         }
@@ -991,7 +968,14 @@ mod tests {
                 };
                 assert!(msg.starts_with(verdict), "{msg} vs {verdict}");
                 for t in [1usize, 2, 3, 8] {
-                    let par = observe(|rec| sim.run_parallel_recorded(t, |_| program, budget, rec));
+                    let par = observe(|rec| {
+                        sim.clone().threads(t).run_auto_timed_recorded(
+                            |_| program,
+                            budget,
+                            rec,
+                            &mut NullTiming,
+                        )
+                    });
                     assert_eq!(par.0, reference.0, "{verdict} at threads {t}");
                     assert_eq!(par.1, reference.1, "{verdict} stream at threads {t}");
                 }
@@ -1001,7 +985,12 @@ mod tests {
             let clean = observe(|rec| sim.run_recorded(|_| base, 20, rec));
             for t in [2usize, 3, 8] {
                 assert_eq!(
-                    observe(|rec| sim.run_parallel_recorded(t, |_| base, 20, rec)),
+                    observe(|rec| sim.clone().threads(t).run_auto_timed_recorded(
+                        |_| base,
+                        20,
+                        rec,
+                        &mut NullTiming
+                    )),
                     clean
                 );
             }
@@ -1038,7 +1027,7 @@ mod tests {
         let sim = Simulator::new(&g);
         let seq = sim.run(|_| Echo(3), 100).unwrap();
         for t in [1, 2, 3, 5, 8, 11, 64] {
-            let par = sim.run_parallel(t, |_| Echo(3), 100).unwrap();
+            let par = sim.clone().threads(t).run_auto(|_| Echo(3), 100).unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads {t}");
             assert_eq!(par.rounds, seq.rounds, "threads {t}");
             assert_eq!(par.messages, seq.messages, "threads {t}");

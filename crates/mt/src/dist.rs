@@ -232,7 +232,7 @@ pub fn distributed_mt<T: Num>(
 }
 
 /// [`distributed_mt`] with the LOCAL simulation running on `threads`
-/// worker threads (see [`Simulator::run_parallel`]); the outcome —
+/// worker threads (see [`Simulator::run_auto`]); the outcome —
 /// assignment, resamplings and round bill — is identical for every
 /// thread count.
 ///

@@ -10,7 +10,7 @@
 //! logical indices (round, step, node id) only — never wall-clock time — and
 //! the parallel engine buffers per-shard events and merges them in static
 //! shard order, so a recorded stream is byte-identical between `run` and
-//! `run_parallel` at every thread count. The only thread-dependent record is
+//! `run_auto` at every thread count. The only thread-dependent record is
 //! the optional `meta` provenance line, which is explicitly excluded from
 //! the byte-identity guarantee.
 //!

@@ -357,10 +357,9 @@ impl<W: Write> JsonlRecorder<W> {
 /// then forwards the rest to the wrapped recorder verbatim.
 ///
 /// This is the simulator's resume seam: a LOCAL simulation is cheap to
-/// re-execute deterministically, so `Simulator::resume_recorded` (in
-/// `lll-local`) re-runs the protocol from round 1 and uses this wrapper
-/// to suppress
-/// the rounds the durable prefix already contains — the inner recorder
+/// re-execute deterministically, so a resumed simulation (in
+/// `lll-local`) re-runs the protocol from round 1 with this wrapper
+/// around its recorder to suppress the rounds the durable prefix already contains — the inner recorder
 /// (typically a [`JsonlRecorder::resumed`]) only ever sees the
 /// continuation, byte-identical to an uninterrupted run's tail.
 ///

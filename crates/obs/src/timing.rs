@@ -22,7 +22,7 @@ use std::time::Instant;
 /// [`TimingRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingScope {
-    /// One whole `Simulator::run` / `run_parallel` invocation.
+    /// One whole `Simulator::run` / `run_auto` invocation.
     SimRun = 0,
     /// One communication round (delivery + all node steps).
     SimRound = 1,

@@ -24,10 +24,7 @@ use std::io::BufWriter;
 use std::time::{Duration, Instant};
 
 use lll_apps::sat::CnfFormula;
-use lll_core::dist::{
-    distributed_fixer2_scheduled_traced, distributed_fixer3_scheduled_traced, CriterionCheck,
-    DistError, DistReport, Schedule, ScheduleKind,
-};
+use lll_core::dist::{self, DistError, DistReport, Schedule, ScheduleKind, Sweep};
 use lll_core::Instance;
 use lll_obs::{JsonlRecorder, NullRecorder, Recorder, TimingScope, TimingSink};
 use serde::Value;
@@ -241,7 +238,7 @@ impl Engine {
             metrics: &self.metrics,
         };
         let report = match &req.obs {
-            None => run_scheduled(&inst, &schedule, kind, &mut NullRecorder, &mut sink)?,
+            None => run_scheduled(&inst, &schedule, &mut NullRecorder, &mut sink)?,
             Some(path) => {
                 let file = File::create(path).map_err(|e| {
                     RequestError::io(format!("cannot create obs tee {path:?}: {e}"))
@@ -254,7 +251,7 @@ impl Engine {
                 // function of the request, so the tag is identical
                 // across engines, thread counts, and cache states.
                 let mut rec = JsonlRecorder::with_request(BufWriter::new(file), req.id.clone());
-                let report = run_scheduled(&inst, &schedule, kind, &mut rec, &mut sink);
+                let report = run_scheduled(&inst, &schedule, &mut rec, &mut sink);
                 let writer = rec
                     .finish()
                     .map_err(|e| RequestError::io(format!("obs tee {path:?}: {e}")))?;
@@ -345,32 +342,15 @@ impl TimingSink for MetricsTiming<'_> {
     }
 }
 
+/// The enforced single-worker sweep along `schedule` (its kind selects
+/// the fixer), with driver errors mapped to request errors.
 fn run_scheduled<R: Recorder, S: TimingSink>(
     inst: &Instance<f64>,
     schedule: &Schedule,
-    kind: ScheduleKind,
     rec: &mut R,
     sink: &mut S,
 ) -> Result<DistReport, RequestError> {
-    let result = match kind {
-        ScheduleKind::Edge => distributed_fixer2_scheduled_traced(
-            inst,
-            schedule,
-            CriterionCheck::Enforce,
-            1,
-            rec,
-            sink,
-        ),
-        ScheduleKind::Distance2 => distributed_fixer3_scheduled_traced(
-            inst,
-            schedule,
-            CriterionCheck::Enforce,
-            1,
-            rec,
-            sink,
-        ),
-    };
-    result.map_err(|e| match e {
+    dist::run(inst, schedule, &Sweep::default(), rec, sink).map_err(|e| match e {
         DistError::Fixer(f) => RequestError::out_of_regime(f.to_string()),
         other => RequestError::internal(other.to_string()),
     })

@@ -14,8 +14,9 @@ use std::env;
 use sharp_lll::apps::hyper_orientation::{
     heads_from_assignment, hyper_orientation_instance, is_valid_orientation, non_sink_rounds,
 };
-use sharp_lll::core::dist::{distributed_fixer3, CriterionCheck};
+use sharp_lll::core::dist::{self, Schedule, Sweep};
 use sharp_lll::graphs::gen::random_3_uniform;
+use sharp_lll::obs::{NullRecorder, NullTiming};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = env::args().skip(1);
@@ -37,7 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inst.criterion_value()
     );
 
-    let rep = distributed_fixer3(&inst, seed, CriterionCheck::Enforce)?;
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, 1)?;
+    let rep = dist::run(
+        &inst,
+        &schedule,
+        &Sweep::default(),
+        &mut NullRecorder,
+        &mut NullTiming,
+    )?;
     println!("distributed run:");
     println!("  LOCAL rounds total:    {}", rep.rounds);
     println!("  ... coloring rounds:   {}", rep.coloring_rounds);

@@ -9,13 +9,14 @@
 //! ```
 
 use sharp_lll::apps::sinkless::sinkless_orientation_instance;
-use sharp_lll::core::dist::{distributed_fixer2, distributed_fixer3, CriterionCheck};
+use sharp_lll::core::dist::{self, Schedule, Sweep};
 use sharp_lll::core::orders::run_fixer3_adaptive_worst;
 use sharp_lll::core::triples::{decompose, f_surface, is_representable};
 use sharp_lll::core::{audit_p_star, Fixer2, Fixer3, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, random_regular};
 use sharp_lll::mt::parallel_mt;
 use sharp_lll::numeric::{BigRational, Num};
+use sharp_lll::obs::{NullRecorder, NullTiming};
 
 fn heading(s: &str) {
     println!("\n=== {s} ===");
@@ -67,7 +68,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     heading("Corollary 1.2 — distributed rank 2 via edge coloring");
     let f = ring_instance::<f64>(4096, 3);
-    let rep = distributed_fixer2(&f, 1, CriterionCheck::Enforce)?;
+    let schedule = Schedule::edge(f.dependency_graph(), 1, 1)?;
+    let rep = dist::run(
+        &f,
+        &schedule,
+        &Sweep::default(),
+        &mut NullRecorder,
+        &mut NullTiming,
+    )?;
     println!(
         "n = 4096: {} LOCAL rounds total ({} coloring + {} classes) — flat in n",
         rep.rounds, rep.coloring_rounds, rep.num_classes
@@ -131,7 +139,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     heading("Corollary 1.4 — distributed rank 3 via distance-2 coloring");
     let f3 = hyper_instance::<f64>(1024, 3);
-    let rep = distributed_fixer3(&f3, 1, CriterionCheck::Enforce)?;
+    let schedule = Schedule::distance2(f3.dependency_graph(), 1, 1)?;
+    let rep = dist::run(
+        &f3,
+        &schedule,
+        &Sweep::default(),
+        &mut NullRecorder,
+        &mut NullTiming,
+    )?;
     println!(
         "n = 1024: {} LOCAL rounds ({} coloring + {} classes)",
         rep.rounds, rep.coloring_rounds, rep.num_classes

@@ -11,9 +11,10 @@
 use std::env;
 
 use sharp_lll::apps::weak_splitting::{is_weak_splitting, weak_splitting_instance, DEFAULT_COLORS};
-use sharp_lll::core::dist::{distributed_fixer3, CriterionCheck};
+use sharp_lll::core::dist::{self, Schedule, Sweep};
 use sharp_lll::core::Fixer3;
 use sharp_lll::graphs::gen::random_bipartite_biregular;
+use sharp_lll::obs::{NullRecorder, NullTiming};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = env::args().skip(1);
@@ -42,7 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("sequential fixer: every V node sees >= 2 colors — verified.");
 
     // ... and distributed (Corollary 1.4).
-    let rep = distributed_fixer3(&inst, seed, CriterionCheck::Enforce)?;
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, 1)?;
+    let rep = dist::run(
+        &inst,
+        &schedule,
+        &Sweep::default(),
+        &mut NullRecorder,
+        &mut NullTiming,
+    )?;
     assert!(rep.fix.is_success());
     assert!(is_weak_splitting(&bip, nv, rep.fix.assignment(), 2));
     println!(

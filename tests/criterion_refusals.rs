@@ -1,172 +1,88 @@
-//! The sharp-criterion refusal is one error value, whichever entry point
-//! reports it.
+//! The sharp-criterion refusal is one error value, however the driver
+//! is configured.
 //!
-//! The distributed drivers enumerate the per-event probabilities once per
-//! solve and check `p < 2^-d` on that pass; `Fixer2::new`/`Fixer3::new`
-//! check it through `Instance::max_event_probability`. Both build the
-//! error in the same place, so every `CriterionCheck::Enforce` driver
-//! must return exactly `DistError::Fixer(Fixer{2,3}::new(..).unwrap_err())`:
-//! at the threshold (sinkless orientation, `p·2^d = 1`), above it, and —
-//! because the rank check still runs first — on a rank-4 instance, which
-//! must report `RankTooLarge` although it violates the criterion too.
-//! A refused solve records nothing.
+//! `dist::run` enumerates the per-event probabilities once per solve and
+//! checks `p < 2^-d` on that pass; `Fixer2::new`/`Fixer3::new` check it
+//! through `Instance::max_event_probability`. Both build the error in
+//! the same place, so every `CriterionCheck::Enforce` run must return
+//! exactly `DistError::Fixer(Fixer{2,3}::new(..).unwrap_err())` — fresh
+//! or resumed, audited or not, recorded or not, timed or not, on either
+//! schedule kind: at the threshold (sinkless orientation, `p·2^d = 1`),
+//! above it, and — because the rank check still runs first — on a
+//! rank-4 instance, which must report `RankTooLarge` although it
+//! violates the criterion too. A refused solve records nothing.
 
 use sharp_lll::apps::sinkless::sinkless_orientation_instance;
-use sharp_lll::core::dist::{self, CriterionCheck, DistError, ResumeCursor, Schedule};
+use sharp_lll::core::dist::{self, DistError, ResumeCursor, Schedule, ScheduleKind, Sweep};
 use sharp_lll::core::{Fixer2, Fixer3, FixerError, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{ring, torus};
 use sharp_lll::numeric::{BigRational, Num};
-use sharp_lll::obs::{JsonlRecorder, NullTiming};
+use sharp_lll::obs::{JsonlRecorder, NullRecorder, NullTiming, TimingRecorder};
 
 const SEED: u64 = 3;
 const THREADS: usize = 2;
 
-/// Every `CriterionCheck::Enforce` entry point of the rank-2 family, in
-/// declaration order, labelled for failure messages. Each recorded run
-/// must leave its recorder empty.
-fn rank2_entry_points<T: Num>(inst: &Instance<T>) -> Vec<(&'static str, DistError)> {
-    let schedule = Schedule::edge(inst.dependency_graph(), SEED, THREADS).expect("schedule");
-    let p = T::from_ratio(1, 2);
-    let tol = T::zero();
-    let cursor = ResumeCursor::new(&[], 0, false);
-    let check = CriterionCheck::Enforce;
-    let mut rec = JsonlRecorder::new(Vec::new());
-    let results = vec![
-        ("fixer2", dist::distributed_fixer2(inst, SEED, check)),
-        (
-            "fixer2_parallel",
-            dist::distributed_fixer2_parallel(inst, SEED, check, THREADS),
-        ),
-        (
-            "fixer2_recorded",
-            dist::distributed_fixer2_recorded(inst, SEED, check, THREADS, &mut rec),
-        ),
-        (
-            "fixer2_audited",
-            dist::distributed_fixer2_audited(inst, SEED, check, THREADS, &p, &tol),
-        ),
-        (
-            "fixer2_audited_recorded",
-            dist::distributed_fixer2_audited_recorded(
-                inst, SEED, check, THREADS, &p, &tol, &mut rec,
-            ),
-        ),
-        (
-            "fixer2_scheduled",
-            dist::distributed_fixer2_scheduled(inst, &schedule, check, THREADS),
-        ),
-        (
-            "fixer2_scheduled_recorded",
-            dist::distributed_fixer2_scheduled_recorded(inst, &schedule, check, THREADS, &mut rec),
-        ),
-        (
-            "fixer2_scheduled_traced",
-            dist::distributed_fixer2_scheduled_traced(
-                inst,
-                &schedule,
-                check,
-                THREADS,
-                &mut rec,
-                &mut NullTiming,
-            ),
-        ),
-        (
-            "fixer2_scheduled_resumed",
-            dist::distributed_fixer2_scheduled_resumed(
-                inst, &schedule, check, THREADS, &cursor, &mut rec,
-            ),
-        ),
-        (
-            "fixer2_scheduled_resumed_audited",
-            dist::distributed_fixer2_scheduled_resumed_audited(
-                inst, &schedule, check, THREADS, &p, &tol, &cursor, &mut rec,
-            ),
-        ),
-    ];
-    assert_eq!(rec.lines(), 0, "a refused rank-2 solve recorded events");
-    results
-        .into_iter()
-        .map(|(name, r)| (name, r.expect_err(name)))
-        .collect()
+/// The refusal of every enforced `dist::run` configuration on a
+/// `kind` schedule, labelled for failure messages. Each recorded or
+/// timed run must leave its recorder and sink empty.
+fn refusals<T: Num>(inst: &Instance<T>, kind: ScheduleKind) -> Vec<(String, DistError)> {
+    let g = inst.dependency_graph();
+    let schedule = match kind {
+        ScheduleKind::Edge => Schedule::edge(g, SEED, THREADS),
+        ScheduleKind::Distance2 => Schedule::distance2(g, SEED, THREADS),
+    }
+    .expect("schedule");
+    let (p, tol) = (T::from_ratio(1, 2), T::zero());
+    let prefix = [(0, 0)];
+    let mut out = Vec::new();
+    for resumed in [false, true] {
+        for audited in [false, true] {
+            for (recorded, timed) in [(false, false), (false, true), (true, false), (true, true)] {
+                let sweep = Sweep {
+                    threads: THREADS,
+                    audit: audited.then_some((&p, &tol)),
+                    resume: if resumed {
+                        ResumeCursor::new(&prefix, 0, true)
+                    } else {
+                        ResumeCursor::default()
+                    },
+                    ..Sweep::default()
+                };
+                let (mut rec, mut sink) = (JsonlRecorder::new(Vec::new()), TimingRecorder::new());
+                let result = match (recorded, timed) {
+                    (false, false) => {
+                        dist::run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming)
+                    }
+                    (false, true) => {
+                        dist::run(inst, &schedule, &sweep, &mut NullRecorder, &mut sink)
+                    }
+                    (true, false) => dist::run(inst, &schedule, &sweep, &mut rec, &mut NullTiming),
+                    (true, true) => dist::run(inst, &schedule, &sweep, &mut rec, &mut sink),
+                };
+                let label = format!(
+                    "{kind:?} resumed={resumed} audited={audited} recorded={recorded} timed={timed}"
+                );
+                assert_eq!(rec.lines(), 0, "{label}: a refused solve recorded events");
+                assert_eq!(sink.spans(), 0, "{label}: a refused solve recorded spans");
+                out.push((label.clone(), result.expect_err(&label)));
+            }
+        }
+    }
+    out
 }
 
-/// The rank-3 counterpart of [`rank2_entry_points`].
-fn rank3_entry_points<T: Num>(inst: &Instance<T>) -> Vec<(&'static str, DistError)> {
-    let schedule = Schedule::distance2(inst.dependency_graph(), SEED, THREADS).expect("schedule");
-    let p = T::from_ratio(1, 2);
-    let tol = T::zero();
-    let cursor = ResumeCursor::new(&[], 0, false);
-    let check = CriterionCheck::Enforce;
-    let mut rec = JsonlRecorder::new(Vec::new());
-    let results = vec![
-        ("fixer3", dist::distributed_fixer3(inst, SEED, check)),
-        (
-            "fixer3_parallel",
-            dist::distributed_fixer3_parallel(inst, SEED, check, THREADS),
-        ),
-        (
-            "fixer3_recorded",
-            dist::distributed_fixer3_recorded(inst, SEED, check, THREADS, &mut rec),
-        ),
-        (
-            "fixer3_audited",
-            dist::distributed_fixer3_audited(inst, SEED, check, THREADS, &p, &tol),
-        ),
-        (
-            "fixer3_audited_recorded",
-            dist::distributed_fixer3_audited_recorded(
-                inst, SEED, check, THREADS, &p, &tol, &mut rec,
-            ),
-        ),
-        (
-            "fixer3_scheduled",
-            dist::distributed_fixer3_scheduled(inst, &schedule, check, THREADS),
-        ),
-        (
-            "fixer3_scheduled_recorded",
-            dist::distributed_fixer3_scheduled_recorded(inst, &schedule, check, THREADS, &mut rec),
-        ),
-        (
-            "fixer3_scheduled_traced",
-            dist::distributed_fixer3_scheduled_traced(
-                inst,
-                &schedule,
-                check,
-                THREADS,
-                &mut rec,
-                &mut NullTiming,
-            ),
-        ),
-        (
-            "fixer3_scheduled_resumed",
-            dist::distributed_fixer3_scheduled_resumed(
-                inst, &schedule, check, THREADS, &cursor, &mut rec,
-            ),
-        ),
-        (
-            "fixer3_scheduled_resumed_audited",
-            dist::distributed_fixer3_scheduled_resumed_audited(
-                inst, &schedule, check, THREADS, &p, &tol, &cursor, &mut rec,
-            ),
-        ),
-    ];
-    assert_eq!(rec.lines(), 0, "a refused rank-3 solve recorded events");
-    results
-        .into_iter()
-        .map(|(name, r)| (name, r.expect_err(name)))
-        .collect()
-}
-
-/// Asserts every driver of both families refuses with the error its
-/// fixer's constructor returns; returns the two constructor errors.
+/// Asserts every configuration on both schedule kinds refuses with the
+/// error its fixer's constructor returns; returns the two constructor
+/// errors.
 fn assert_drivers_match_constructors<T: Num>(inst: &Instance<T>) -> (FixerError, FixerError) {
     let e2 = Fixer2::new(inst).expect_err("Fixer2::new must refuse");
     let e3 = Fixer3::new(inst).expect_err("Fixer3::new must refuse");
-    for (name, err) in rank2_entry_points(inst) {
-        assert_eq!(err, DistError::Fixer(e2.clone()), "{name}");
-    }
-    for (name, err) in rank3_entry_points(inst) {
-        assert_eq!(err, DistError::Fixer(e3.clone()), "{name}");
+    for (kind, expected) in [(ScheduleKind::Edge, &e2), (ScheduleKind::Distance2, &e3)] {
+        let table = refusals(inst, kind);
+        assert_eq!(table.len(), 16);
+        for (label, err) in table {
+            assert_eq!(err, DistError::Fixer(expected.clone()), "{label}");
+        }
     }
     (e2, e3)
 }

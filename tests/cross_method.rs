@@ -3,12 +3,23 @@
 //! fallback, the auto-dispatcher, and all three Moser–Tardos variants —
 //! run against the *same* instances and verified against each other.
 
-use sharp_lll::core::dist::{distributed_fg, distributed_fixer3, CriterionCheck};
+use sharp_lll::core::dist::{
+    self, distributed_fg, CriterionCheck, DistError, DistReport, Schedule, Sweep,
+};
 use sharp_lll::core::{solve_deterministically, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::hyper_ring;
 use sharp_lll::mt::dist::distributed_mt;
 use sharp_lll::mt::{parallel_mt, sequential_mt};
 use sharp_lll::numeric::Num;
+use sharp_lll::obs::{NullRecorder, NullTiming};
+
+/// The rank-3 distributed driver (Corollary 1.4): a seeded distance-2
+/// schedule, then the default sweep (criterion enforced, one worker).
+fn distributed3<T: Num>(inst: &Instance<T>, seed: u64) -> Result<DistReport, DistError> {
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, 1)?;
+    let (rec, sink) = (&mut NullRecorder, &mut NullTiming);
+    dist::run(inst, &schedule, &Sweep::default(), rec, sink)
+}
 
 fn ring_instance<T: Num>(n: usize, k: usize) -> Instance<T> {
     let mut b = InstanceBuilder::<T>::new(n);
@@ -88,12 +99,12 @@ fn deterministic_methods_agree_on_rank3_applicability() {
     let inst = hyper_instance::<f64>(18, 3); // p·2^d = 16/27
     assert!(inst.satisfies_exponential_criterion());
     // The sharp machinery applies...
-    let sharp = distributed_fixer3(&inst, 2, CriterionCheck::Enforce).unwrap();
+    let sharp = distributed3(&inst, 2).unwrap();
     assert!(sharp.fix.is_success());
     // ...while the generic criterion refuses the same instance
     // (Enforce), yet its unchecked sweep still completes and the auto
     // dispatcher routes to the sharp fixer.
-    assert!(distributed_fg(&inst, 2, CriterionCheck::Enforce).is_err());
+    assert!(distributed_fg(&inst, 2, CriterionCheck::Enforce, 1).is_err());
     let auto = solve_deterministically(&inst).unwrap();
     assert!(auto.is_success());
 }
@@ -113,6 +124,6 @@ fn methods_work_on_exact_backend_too() {
     let inst = ring_instance::<BigRational>(12, 3);
     let report = solve_deterministically(&inst).unwrap();
     assert!(report.is_success());
-    let d = distributed_fixer3(&inst, 0, CriterionCheck::Enforce).unwrap();
+    let d = distributed3(&inst, 0).unwrap();
     assert!(d.fix.is_success());
 }

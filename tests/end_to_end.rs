@@ -11,12 +11,23 @@ use sharp_lll::apps::sinkless::{
 };
 use sharp_lll::apps::weak_splitting::{is_weak_splitting, weak_splitting_instance};
 use sharp_lll::coloring::{distance2_coloring, edge_coloring, vertex_coloring};
-use sharp_lll::core::dist::{distributed_fixer3, CriterionCheck};
+use sharp_lll::core::dist::{self, DistError, DistReport, Schedule, Sweep};
+use sharp_lll::core::Instance;
 use sharp_lll::graphs::gen::{
     hyper_ring, random_3_uniform, random_bipartite_biregular, random_regular, torus,
 };
 use sharp_lll::local::Simulator;
 use sharp_lll::mt::{parallel_mt, sequential_mt};
+use sharp_lll::numeric::Num;
+use sharp_lll::obs::{NullRecorder, NullTiming};
+
+/// The rank-3 distributed driver (Corollary 1.4): a seeded distance-2
+/// schedule, then the default sweep (criterion enforced, one worker).
+fn distributed3<T: Num>(inst: &Instance<T>, seed: u64) -> Result<DistReport, DistError> {
+    let schedule = Schedule::distance2(inst.dependency_graph(), seed, 1)?;
+    let (rec, sink) = (&mut NullRecorder, &mut NullTiming);
+    dist::run(inst, &schedule, &Sweep::default(), rec, sink)
+}
 
 #[test]
 fn coloring_pipeline_on_generated_graphs() {
@@ -39,8 +50,7 @@ fn hypergraph_orientation_full_pipeline() {
         let h = random_3_uniform(24, 3, seed).expect("feasible parameters");
         let inst = hyper_orientation_instance::<f64>(&h).expect("valid input");
         assert!(inst.satisfies_exponential_criterion());
-        let rep =
-            distributed_fixer3(&inst, seed, CriterionCheck::Enforce).expect("below threshold");
+        let rep = distributed3(&inst, seed).expect("below threshold");
         assert!(rep.fix.is_success(), "seed {seed}");
         let heads = heads_from_assignment(&h, rep.fix.assignment());
         assert!(is_valid_orientation(&h, &heads), "seed {seed}");
@@ -55,7 +65,7 @@ fn hypergraph_orientation_full_pipeline() {
 fn weak_splitting_full_pipeline() {
     let bip = random_bipartite_biregular(30, 3, 30, 3, 4).expect("feasible parameters");
     let inst = weak_splitting_instance::<f64>(&bip, 30, 16).expect("valid input");
-    let rep = distributed_fixer3(&inst, 1, CriterionCheck::Enforce).expect("below threshold");
+    let rep = distributed3(&inst, 1).expect("below threshold");
     assert!(rep.fix.is_success());
     assert!(is_weak_splitting(&bip, 30, rep.fix.assignment(), 2));
 }
@@ -89,8 +99,7 @@ fn hyper_ring_all_seeds_and_both_drivers() {
     let h = hyper_ring(20);
     let inst = hyper_orientation_instance::<f64>(&h).expect("valid input");
     for seed in 0..4u64 {
-        let rep =
-            distributed_fixer3(&inst, seed, CriterionCheck::Enforce).expect("below threshold");
+        let rep = distributed3(&inst, seed).expect("below threshold");
         assert!(rep.fix.is_success(), "seed {seed}");
         // Round bill sanity: coloring rounds dominate, classes > 0.
         assert!(rep.coloring_rounds > 0);

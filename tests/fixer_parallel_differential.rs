@@ -7,26 +7,25 @@
 //! Coverage: rank-2 instances on rings, a torus and a random regular
 //! graph (edge variables, node events); rank-3 instances on hyper-rings
 //! and random 3-uniform hypergraphs (hyperedge variables, node events).
-//! Each family runs through the plain drivers, the recorded drivers
-//! (byte-identity via in-memory `JsonlRecorder<Vec<u8>>` streams), and
-//! the audited drivers (verdicts — including the exact `PStarViolated`
-//! error under an impossible bound — must match the sequential ones).
+//! Each family runs through `dist::run` plain, recorded (byte-identity
+//! via in-memory `JsonlRecorder<Vec<u8>>` streams), and audited
+//! (verdicts — including the exact `PStarViolated` error under an
+//! impossible bound — must match the sequential ones). The sequential
+//! fixers' audited `run_with` is also held to the same stream with and
+//! without a timing sink.
 //!
 //! Worker counts default to `{1, 2, 3, 8}`; CI overrides the list via
 //! `LLL_DIFF_THREADS` (comma-separated) to pin a single count per job.
 
 use std::env;
 
-use sharp_lll::core::dist::{
-    distributed_fixer2, distributed_fixer2_audited, distributed_fixer2_audited_recorded,
-    distributed_fixer2_parallel, distributed_fixer2_recorded, distributed_fixer3,
-    distributed_fixer3_audited, distributed_fixer3_parallel, distributed_fixer3_recorded,
-    CriterionCheck, DistError, DistReport,
-};
-use sharp_lll::core::{Instance, InstanceBuilder};
+use sharp_lll::core::dist::{self, DistError, DistReport, Schedule, ScheduleKind, Sweep};
+use sharp_lll::core::{FixReport, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, random_3_uniform, random_regular, ring, torus};
 use sharp_lll::graphs::{Graph, Hypergraph};
-use sharp_lll::obs::JsonlRecorder;
+use sharp_lll::obs::{
+    JsonlRecorder, NullRecorder, NullTiming, Recorder, TimingRecorder, TimingScope,
+};
 
 /// Worker counts to exercise; `LLL_DIFF_THREADS=2` (or `1,2,3,8`, …)
 /// overrides, so CI can run the battery once per pinned count.
@@ -84,27 +83,42 @@ fn rank3_instance(h: &Hypergraph, k: usize) -> Instance<f64> {
     b.build().expect("valid instance")
 }
 
-fn rank2_families() -> Vec<(&'static str, Instance<f64>)> {
+/// The battery, tagged for failure messages: rank-2 families swept by
+/// an edge schedule, rank-3 families by a distance-2 schedule.
+fn families() -> Vec<(String, ScheduleKind, Instance<f64>)> {
+    let edge = |name: &str, g: &Graph| {
+        let tag = format!("fixer2 on {name}");
+        (tag, ScheduleKind::Edge, rank2_instance(g, 3))
+    };
+    let node = |name: &str, h: &Hypergraph, k| {
+        let tag = format!("fixer3 on {name}");
+        (tag, ScheduleKind::Distance2, rank3_instance(h, k))
+    };
     vec![
-        ("ring(64)", rank2_instance(&ring(64), 3)),
-        ("ring(7)", rank2_instance(&ring(7), 3)),
-        ("torus(6x8)", rank2_instance(&torus(6, 8), 3)),
-        (
+        edge("ring(64)", &ring(64)),
+        edge("ring(7)", &ring(7)),
+        edge("torus(6x8)", &torus(6, 8)),
+        edge(
             "4-regular(48)",
-            rank2_instance(&random_regular(48, 4, 11).expect("generator succeeds"), 3),
+            &random_regular(48, 4, 11).expect("generator succeeds"),
+        ),
+        node("hyper_ring(48)", &hyper_ring(48), 3),
+        node("hyper_ring(9)", &hyper_ring(9), 3),
+        node(
+            "3-uniform(45,deg3)",
+            &random_3_uniform(45, 3, 9).expect("generator succeeds"),
+            5,
         ),
     ]
 }
 
-fn rank3_families() -> Vec<(&'static str, Instance<f64>)> {
-    vec![
-        ("hyper_ring(48)", rank3_instance(&hyper_ring(48), 3)),
-        ("hyper_ring(9)", rank3_instance(&hyper_ring(9), 3)),
-        (
-            "3-uniform(45,deg3)",
-            rank3_instance(&random_3_uniform(45, 3, 9).expect("generator succeeds"), 5),
-        ),
-    ]
+/// The first family swept by a `kind` schedule.
+fn first(kind: ScheduleKind) -> (String, Instance<f64>) {
+    let (tag, _, inst) = families()
+        .into_iter()
+        .find(|f| f.1 == kind)
+        .expect("the battery has both kinds");
+    (tag, inst)
 }
 
 fn assert_reports_agree(tag: &str, threads: usize, seq: &DistReport, par: &DistReport) {
@@ -151,127 +165,88 @@ fn record<R>(run: impl FnOnce(&mut JsonlRecorder<Vec<u8>>) -> R) -> (R, Vec<u8>)
     (out, rec.finish().expect("in-memory stream never fails"))
 }
 
+/// One seeded, enforced solve with the `kind` schedule colored on
+/// `threads` simulator workers and swept on as many, audited against
+/// `audit` when given, recorded into `rec`.
+fn solve<R: Recorder>(
+    inst: &Instance<f64>,
+    kind: ScheduleKind,
+    seed: u64,
+    threads: usize,
+    audit: Option<(&f64, &f64)>,
+    rec: &mut R,
+) -> Result<DistReport, DistError> {
+    let g = inst.dependency_graph();
+    let schedule = match kind {
+        ScheduleKind::Edge => Schedule::edge(g, seed, threads),
+        ScheduleKind::Distance2 => Schedule::distance2(g, seed, threads),
+    }?;
+    let sweep = Sweep {
+        threads,
+        audit,
+        ..Sweep::default()
+    };
+    dist::run(inst, &schedule, &sweep, rec, &mut NullTiming)
+}
+
 #[test]
 fn plain_sweeps_match_reference() {
-    for (name, inst) in rank2_families() {
-        let seq = distributed_fixer2(&inst, 17, CriterionCheck::Enforce).expect("fixer2");
-        assert!(seq.fix.is_success(), "{name} reference run succeeds");
+    for (tag, kind, inst) in families() {
+        let seq = solve(&inst, kind, 17, 1, None, &mut NullRecorder).expect("solves");
+        assert!(seq.fix.is_success(), "{tag} reference run succeeds");
         for threads in thread_counts() {
-            let par = distributed_fixer2_parallel(&inst, 17, CriterionCheck::Enforce, threads)
-                .expect("fixer2");
-            assert_reports_agree(&format!("fixer2 on {name}"), threads, &seq, &par);
-        }
-    }
-    for (name, inst) in rank3_families() {
-        let seq = distributed_fixer3(&inst, 17, CriterionCheck::Enforce).expect("fixer3");
-        assert!(seq.fix.is_success(), "{name} reference run succeeds");
-        for threads in thread_counts() {
-            let par = distributed_fixer3_parallel(&inst, 17, CriterionCheck::Enforce, threads)
-                .expect("fixer3");
-            assert_reports_agree(&format!("fixer3 on {name}"), threads, &seq, &par);
+            let par = solve(&inst, kind, 17, threads, None, &mut NullRecorder).expect("solves");
+            assert_reports_agree(&tag, threads, &seq, &par);
         }
     }
 }
 
 #[test]
 fn recorded_sweeps_are_byte_identical() {
-    for (name, inst) in rank2_families() {
-        let (seq, seq_bytes) = record(|rec| {
-            distributed_fixer2_recorded(&inst, 5, CriterionCheck::Enforce, 1, rec).expect("fixer2")
-        });
+    for (tag, kind, inst) in families() {
+        let tag = format!("recorded {tag}");
+        let (seq, seq_bytes) = record(|rec| solve(&inst, kind, 5, 1, None, rec).expect("solves"));
         for threads in thread_counts() {
-            let (par, par_bytes) = record(|rec| {
-                distributed_fixer2_recorded(&inst, 5, CriterionCheck::Enforce, threads, rec)
-                    .expect("fixer2")
-            });
-            assert_reports_agree(&format!("recorded fixer2 on {name}"), threads, &seq, &par);
-            assert_streams_identical(
-                &format!("recorded fixer2 on {name}"),
-                threads,
-                &seq_bytes,
-                &par_bytes,
-            );
-        }
-    }
-    for (name, inst) in rank3_families() {
-        let (seq, seq_bytes) = record(|rec| {
-            distributed_fixer3_recorded(&inst, 5, CriterionCheck::Enforce, 1, rec).expect("fixer3")
-        });
-        for threads in thread_counts() {
-            let (par, par_bytes) = record(|rec| {
-                distributed_fixer3_recorded(&inst, 5, CriterionCheck::Enforce, threads, rec)
-                    .expect("fixer3")
-            });
-            assert_reports_agree(&format!("recorded fixer3 on {name}"), threads, &seq, &par);
-            assert_streams_identical(
-                &format!("recorded fixer3 on {name}"),
-                threads,
-                &seq_bytes,
-                &par_bytes,
-            );
+            let (par, par_bytes) =
+                record(|rec| solve(&inst, kind, 5, threads, None, rec).expect("solves"));
+            assert_reports_agree(&tag, threads, &seq, &par);
+            assert_streams_identical(&tag, threads, &seq_bytes, &par_bytes);
         }
     }
 }
 
 #[test]
 fn audited_sweeps_match_reference() {
-    for (name, inst) in rank2_families() {
+    for (tag, kind, inst) in families() {
+        let tag = format!("audited {tag}");
         let p = inst.max_event_probability();
-        let seq = distributed_fixer2_audited(&inst, 5, CriterionCheck::Enforce, 1, &p, &1e-9)
+        let audit = Some((&p, &1e-9));
+        let seq = solve(&inst, kind, 5, 1, audit, &mut NullRecorder)
             .expect("audit passes at the true bound");
         for threads in thread_counts() {
-            let par =
-                distributed_fixer2_audited(&inst, 5, CriterionCheck::Enforce, threads, &p, &1e-9)
-                    .expect("audit passes at the true bound");
-            assert_reports_agree(&format!("audited fixer2 on {name}"), threads, &seq, &par);
-        }
-    }
-    for (name, inst) in rank3_families() {
-        let p = inst.max_event_probability();
-        let seq = distributed_fixer3_audited(&inst, 5, CriterionCheck::Enforce, 1, &p, &1e-9)
-            .expect("audit passes at the true bound");
-        for threads in thread_counts() {
-            let par =
-                distributed_fixer3_audited(&inst, 5, CriterionCheck::Enforce, threads, &p, &1e-9)
-                    .expect("audit passes at the true bound");
-            assert_reports_agree(&format!("audited fixer3 on {name}"), threads, &seq, &par);
+            let par = solve(&inst, kind, 5, threads, audit, &mut NullRecorder)
+                .expect("audit passes at the true bound");
+            assert_reports_agree(&tag, threads, &seq, &par);
         }
     }
 }
 
 #[test]
 fn audited_recorded_sweeps_are_byte_identical() {
-    let (name, inst) = rank2_families().swap_remove(0);
+    let (tag, inst) = first(ScheduleKind::Edge);
+    let tag = format!("audited recorded {tag}");
     let p = inst.max_event_probability();
+    let audit = Some((&p, &1e-9));
     let (seq, seq_bytes) = record(|rec| {
-        distributed_fixer2_audited_recorded(&inst, 5, CriterionCheck::Enforce, 1, &p, &1e-9, rec)
-            .expect("audit passes at the true bound")
+        solve(&inst, ScheduleKind::Edge, 5, 1, audit, rec).expect("audit passes at the true bound")
     });
     for threads in thread_counts() {
         let (par, par_bytes) = record(|rec| {
-            distributed_fixer2_audited_recorded(
-                &inst,
-                5,
-                CriterionCheck::Enforce,
-                threads,
-                &p,
-                &1e-9,
-                rec,
-            )
-            .expect("audit passes at the true bound")
+            solve(&inst, ScheduleKind::Edge, 5, threads, audit, rec)
+                .expect("audit passes at the true bound")
         });
-        assert_reports_agree(
-            &format!("audited recorded fixer2 on {name}"),
-            threads,
-            &seq,
-            &par,
-        );
-        assert_streams_identical(
-            &format!("audited recorded fixer2 on {name}"),
-            threads,
-            &seq_bytes,
-            &par_bytes,
-        );
+        assert_reports_agree(&tag, threads, &seq, &par);
+        assert_streams_identical(&tag, threads, &seq_bytes, &par_bytes);
     }
 }
 
@@ -282,17 +257,97 @@ fn audit_failures_are_identical_at_every_thread_count() {
     // counts — no matter how many workers swept the class.
     let inst = rank2_instance(&ring(40), 3);
     let tight = inst.max_event_probability() / 2.0;
-    let base = distributed_fixer2_audited(&inst, 5, CriterionCheck::Enforce, 1, &tight, &0.0)
+    let audit = Some((&tight, &0.0));
+    let base = solve(&inst, ScheduleKind::Edge, 5, 1, audit, &mut NullRecorder)
         .expect_err("the true probability exceeds the claimed bound");
     assert!(matches!(base, DistError::Fixer(_)), "audit verdict error");
     for threads in thread_counts() {
-        let err =
-            distributed_fixer2_audited(&inst, 5, CriterionCheck::Enforce, threads, &tight, &0.0)
-                .expect_err("the true probability exceeds the claimed bound");
+        let err = solve(
+            &inst,
+            ScheduleKind::Edge,
+            5,
+            threads,
+            audit,
+            &mut NullRecorder,
+        )
+        .expect_err("the true probability exceeds the claimed bound");
         assert_eq!(
             format!("{base:?}"),
             format!("{err:?}"),
             "audit failure at {threads} threads"
         );
     }
+}
+
+/// Checks that an audited sequential run records the same stream timed
+/// (`timed`, into a `TimingRecorder`) as untimed (`quiet`), and that the
+/// sink saw one step span per variable.
+fn assert_timing_is_side_band(
+    tag: &str,
+    inst: &Instance<f64>,
+    timed: impl FnOnce(&mut JsonlRecorder<Vec<u8>>, &mut TimingRecorder) -> FixReport,
+    quiet: impl FnOnce(&mut JsonlRecorder<Vec<u8>>) -> FixReport,
+) {
+    let mut timing = TimingRecorder::new();
+    let (timed, timed_bytes) = record(|rec| timed(rec, &mut timing));
+    let (quiet, quiet_bytes) = record(quiet);
+    assert_eq!(timed.assignment(), quiet.assignment(), "{tag}");
+    assert_streams_identical(tag, 1, &quiet_bytes, &timed_bytes);
+    let text = String::from_utf8(timed_bytes).expect("stream is utf-8");
+    let m = inst.num_variables();
+    let audits = text
+        .lines()
+        .filter(|l| l.contains("\"audit_pass\""))
+        .count();
+    assert_eq!(audits, m, "{tag}: one audit event per step");
+    assert_eq!(
+        timing.scope(TimingScope::FixStep).count(),
+        m as u64,
+        "{tag}"
+    );
+    assert_eq!(timing.scope(TimingScope::FixRun).count(), 1, "{tag}");
+}
+
+#[test]
+fn audited_timed_sequential_runs_record_the_untimed_stream() {
+    // `run_with` takes an audit and a timing sink at once; the sink is
+    // side-band, so the recorded stream (audit events included) must be
+    // byte-identical to the same call with `NullTiming`.
+    let (_, inst) = first(ScheduleKind::Edge);
+    let p = inst.max_event_probability();
+    let (audit, order) = (Some((&p, &1e-9)), 0..inst.num_variables());
+    let fixer = || Fixer2::new(&inst).expect("below threshold");
+    assert_timing_is_side_band(
+        "fixer2",
+        &inst,
+        |rec, timing| {
+            fixer()
+                .run_with(order.clone(), audit, rec, timing)
+                .expect("P* holds")
+        },
+        |rec| {
+            fixer()
+                .run_with(order.clone(), audit, rec, &mut NullTiming)
+                .expect("P* holds")
+        },
+    );
+
+    let (_, inst) = first(ScheduleKind::Distance2);
+    let p = inst.max_event_probability();
+    let (audit, order) = (Some((&p, &1e-9)), 0..inst.num_variables());
+    let fixer = || Fixer3::new(&inst).expect("below threshold");
+    assert_timing_is_side_band(
+        "fixer3",
+        &inst,
+        |rec, timing| {
+            fixer()
+                .run_with(order.clone(), audit, rec, timing)
+                .expect("P* holds")
+        },
+        |rec| {
+            fixer()
+                .run_with(order.clone(), audit, rec, &mut NullTiming)
+                .expect("P* holds")
+        },
+    );
 }

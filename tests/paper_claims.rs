@@ -3,12 +3,25 @@
 //! Each test names the theorem/lemma/corollary it exercises.
 
 use sharp_lll::apps::sinkless::sinkless_orientation_instance;
-use sharp_lll::core::dist::{distributed_fixer2, distributed_fixer3, CriterionCheck};
+use sharp_lll::core::dist::{self, DistReport, Schedule, Sweep};
 use sharp_lll::core::triples::{decompose, f_surface, is_representable};
 use sharp_lll::core::{audit_p_star, Fixer2, Fixer3, FixerError, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, random_3_uniform, random_regular, ring, torus};
-use sharp_lll::local::log_star;
+use sharp_lll::graphs::Graph;
+use sharp_lll::local::{log_star, SimError};
 use sharp_lll::numeric::{BigRational, Num};
+use sharp_lll::obs::{NullRecorder, NullTiming};
+
+/// A distributed driver below the threshold: the schedule `coloring`
+/// computes from seed 9 (`Schedule::edge` for Corollary 1.2,
+/// `Schedule::distance2` for Corollary 1.4), then the default sweep.
+fn distributed<T: Num>(inst: &Instance<T>, coloring: Coloring) -> DistReport {
+    let schedule = coloring(inst.dependency_graph(), 9, 1).expect("coloring converges");
+    let (rec, sink) = (&mut NullRecorder, &mut NullTiming);
+    dist::run(inst, &schedule, &Sweep::default(), rec, sink).expect("below threshold")
+}
+
+type Coloring = fn(&Graph, u64, usize) -> Result<Schedule, SimError>;
 
 fn q(n: i64, d: u64) -> BigRational {
     BigRational::from_ratio(n, d)
@@ -146,7 +159,7 @@ fn corollary_1_2_rounds_do_not_grow_with_n() {
     for &n in &sizes {
         let g = ring(n);
         let inst = edge_instance::<f64>(&g, 3);
-        let rep = distributed_fixer2(&inst, 9, CriterionCheck::Enforce).expect("below threshold");
+        let rep = distributed(&inst, Schedule::edge);
         assert!(rep.fix.is_success());
         rounds.push(rep.rounds);
     }
@@ -164,7 +177,7 @@ fn corollary_1_4_rounds_do_not_grow_with_n() {
     for &n in &sizes {
         let h = hyper_ring(n);
         let inst = hyperedge_instance::<f64>(&h, 3);
-        let rep = distributed_fixer3(&inst, 9, CriterionCheck::Enforce).expect("below threshold");
+        let rep = distributed(&inst, Schedule::distance2);
         assert!(rep.fix.is_success());
         rounds.push(rep.rounds);
     }
@@ -193,7 +206,7 @@ fn corollaries_1_2_and_1_4_rounds_fit_the_d2_log_star_envelope() {
     const C: usize = 24;
     for &n in &[256usize, 1024, 4096] {
         let inst = edge_instance::<f64>(&ring(n), 3); // d = 2
-        let rep = distributed_fixer2(&inst, 9, CriterionCheck::Enforce).expect("below threshold");
+        let rep = distributed(&inst, Schedule::edge);
         assert!(rep.fix.is_success());
         let bound = A * 4 + B * log_star(n as u64) as usize + C;
         println!("fixer2 ring({n}): rounds = {}, bound = {bound}", rep.rounds);
@@ -205,7 +218,7 @@ fn corollaries_1_2_and_1_4_rounds_fit_the_d2_log_star_envelope() {
     }
     for &n in &[256usize, 1024] {
         let inst = hyperedge_instance::<f64>(&hyper_ring(n), 3); // d = 4
-        let rep = distributed_fixer3(&inst, 9, CriterionCheck::Enforce).expect("below threshold");
+        let rep = distributed(&inst, Schedule::distance2);
         assert!(rep.fix.is_success());
         let bound = A * 16 + B * log_star(n as u64) as usize + C;
         println!(

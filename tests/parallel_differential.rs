@@ -27,10 +27,7 @@ use sharp_lll::coloring::{
     linial_schedule, luby_mis, vertex_coloring, ColeVishkinProgram, Coloring, LinialProgram,
     LubyProgram, MisResult, ReduceProgram,
 };
-use sharp_lll::core::dist::{
-    distributed_fixer2, distributed_fixer2_parallel, distributed_fixer3,
-    distributed_fixer3_parallel, CriterionCheck, Schedule, ScheduleKind,
-};
+use sharp_lll::core::dist::{self, DistReport, Schedule, ScheduleKind, Sweep};
 use sharp_lll::core::{Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, path, random_regular, ring};
 use sharp_lll::graphs::Graph;
@@ -39,6 +36,7 @@ use sharp_lll::local::{broadcast, NodeContext, NodeProgram, RoundResult, Simulat
 use sharp_lll::mt::dist::{distributed_mt_parallel, MtProgram};
 use sharp_lll::mt::MtReport;
 use sharp_lll::numeric::Num;
+use sharp_lll::obs::{NullRecorder, NullTiming};
 
 /// Worker counts to exercise; `LLL_DIFF_THREADS=2` (or `1,2,3,8`, …)
 /// overrides, so CI can run the battery once per pinned count.
@@ -203,8 +201,9 @@ where
 {
     let reference = sim.run(|ctx| make(ctx), max_rounds).expect("reference run");
     for threads in thread_counts_and_one() {
-        let par = sim
-            .run_parallel(threads, |ctx| make(ctx), max_rounds)
+        let psim = sim.clone().threads(threads);
+        let par = psim
+            .run_auto(|ctx| make(ctx), max_rounds)
             .expect("parallel run");
         if reference.outputs != par.outputs
             || reference.rounds != par.rounds
@@ -220,7 +219,8 @@ where
                 let _ = sim.run_recorded(|ctx| make(ctx), max_rounds, rec);
             });
             let par_stream = record(&|rec| {
-                let _ = sim.run_parallel_recorded(threads, |ctx| make(ctx), max_rounds, rec);
+                let _ =
+                    psim.run_auto_timed_recorded(|ctx| make(ctx), max_rounds, rec, &mut NullTiming);
             });
             let triage = match sharp_lll::obs::diff::diff_streams(&seq_stream, &par_stream, 3) {
                 Some(d) => d.to_string(),
@@ -512,13 +512,25 @@ fn hyper_instance<T: Num>(n: usize, k: usize) -> Instance<T> {
 fn fixer_drivers_match_across_engines() {
     let inst2 = ring_instance::<f64>(72, 3);
     let inst3 = hyper_instance::<f64>(48, 3);
-    let r2 = distributed_fixer2(&inst2, 17, CriterionCheck::Enforce).expect("fixer2");
-    let r3 = distributed_fixer3(&inst3, 17, CriterionCheck::Enforce).expect("fixer3");
+    // Coloring and sweep both on `threads` workers.
+    let solve = |inst: &Instance<f64>, kind: ScheduleKind, threads: usize| -> DistReport {
+        let g = inst.dependency_graph();
+        let schedule = match kind {
+            ScheduleKind::Edge => Schedule::edge(g, 17, threads),
+            ScheduleKind::Distance2 => Schedule::distance2(g, 17, threads),
+        }
+        .expect("schedule");
+        let sweep = Sweep {
+            threads,
+            ..Sweep::default()
+        };
+        dist::run(inst, &schedule, &sweep, &mut NullRecorder, &mut NullTiming).expect("fixer")
+    };
+    let r2 = solve(&inst2, ScheduleKind::Edge, 1);
+    let r3 = solve(&inst3, ScheduleKind::Distance2, 1);
     for threads in thread_counts() {
-        let p2 = distributed_fixer2_parallel(&inst2, 17, CriterionCheck::Enforce, threads)
-            .expect("fixer2");
-        let p3 = distributed_fixer3_parallel(&inst3, 17, CriterionCheck::Enforce, threads)
-            .expect("fixer3");
+        let p2 = solve(&inst2, ScheduleKind::Edge, threads);
+        let p3 = solve(&inst3, ScheduleKind::Distance2, threads);
         for (tag, seq, par) in [("fixer2", &r2, &p2), ("fixer3", &r3, &p3)] {
             assert_eq!(seq.rounds, par.rounds, "{tag} rounds at {threads} threads");
             assert_eq!(

@@ -234,8 +234,8 @@ proptest! {
         let gsim = Simulator::with_ids(&g, ids).expect("ids are a permutation").seed(3);
         let hsim = Simulator::with_ids(&h, hids).expect("ids are a permutation").seed(3);
         for t in [1usize, threads] {
-            let gb = gsim.run_parallel(t, |_| GatherProgram::new(2), 4).expect("gather");
-            let hb = hsim.run_parallel(t, |_| GatherProgram::new(2), 4).expect("gather");
+            let gb = gsim.clone().threads(t).run_auto(|_| GatherProgram::new(2), 4).expect("gather");
+            let hb = hsim.clone().threads(t).run_auto(|_| GatherProgram::new(2), 4).expect("gather");
             for (v, &pv) in perm.iter().enumerate() {
                 prop_assert_eq!(&gb.outputs[v], &hb.outputs[pv], "ball of node {}", v);
             }
