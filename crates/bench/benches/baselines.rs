@@ -10,7 +10,7 @@ use lll_bench::workloads::{random_rank2_instance, shuffled_order};
 use lll_core::Fixer2;
 use lll_graphs::gen::{random_regular, ring, torus};
 use lll_mt::dist::distributed_mt;
-use lll_mt::{parallel_mt, parallel_mt_with, sequential_mt, Selection};
+use lll_mt::{parallel_mt, sequential_mt, Selection};
 
 fn bench_mt(c: &mut Criterion) {
     let mut g = c.benchmark_group("e10_moser_tardos");
@@ -28,14 +28,15 @@ fn bench_mt(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                parallel_mt(black_box(inst), seed, 10_000_000).expect("converges")
+                parallel_mt(black_box(inst), seed, 10_000_000, Selection::IdMinima)
+                    .expect("converges")
             })
         });
         g.bench_with_input(BenchmarkId::new("message-passing", n), &inst, |b, inst| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                distributed_mt(black_box(inst), seed, 1 << 20).expect("converges")
+                distributed_mt(black_box(inst), seed, 1 << 20, 1).expect("converges")
             })
         });
     }
@@ -52,7 +53,7 @@ fn bench_mt(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                parallel_mt_with(black_box(&inst), seed, 10_000_000, sel).expect("converges")
+                parallel_mt(black_box(&inst), seed, 10_000_000, sel).expect("converges")
             })
         });
     }
@@ -67,7 +68,8 @@ fn bench_boundary(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            parallel_mt(black_box(&inst), seed, 10_000_000).expect("classic regime")
+            parallel_mt(black_box(&inst), seed, 10_000_000, Selection::IdMinima)
+                .expect("classic regime")
         })
     });
     g.finish();

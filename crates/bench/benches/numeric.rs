@@ -1,17 +1,15 @@
 //! Criterion kernels for experiment E22: the fixed-width 256-bit
-//! `Wide` tier against the heap gear on identical magnitudes, plus the
-//! two-`Small` gcd fast path. Operands are rebuilt after every gear
-//! flip — canonical forms must never cross a `set_wide_tier_enabled`
-//! boundary.
+//! `Wide` tier against the `#[doc(hidden)]` `limb_*` reference methods
+//! on the same operands, plus the two-`Small` gcd fast path. The
+//! reference timings include materializing both operands as limb
+//! vectors, which is part of what the `Wide` tier saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use lll_numeric::{set_wide_tier_enabled, BigInt, BigRational};
+use lll_numeric::{BigInt, BigRational};
 
-/// Two ~200-bit operands: inside the `Wide` window when the wide gear
-/// is on, heap limb vectors otherwise. Built fresh under the current
-/// gear setting.
+/// Two ~200-bit operands, inside the `Wide` window.
 fn mid_operands() -> (BigInt, BigInt) {
     let a = &(&BigInt::one() << 200) + &BigInt::from(0x1234_5678_9abc_def0_i128);
     let b = &(&BigInt::one() << 197) + &BigInt::from(0xfeed_face_cafe_f00d_i128);
@@ -20,33 +18,42 @@ fn mid_operands() -> (BigInt, BigInt) {
 
 fn bench_wide_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("e22_wide_kernels");
-    for (gear, wide) in [("wide", true), ("heap", false)] {
-        set_wide_tier_enabled(wide);
-        let (a, b) = mid_operands();
-        g.bench_function(format!("mul_200bit_{gear}"), |bch| {
-            bch.iter(|| black_box(&a) * black_box(&b))
-        });
-        g.bench_function(format!("add_200bit_{gear}"), |bch| {
-            bch.iter(|| black_box(&a) + black_box(&b))
-        });
-        g.bench_function(format!("divrem_200bit_{gear}"), |bch| {
-            bch.iter(|| black_box(&a).divrem(black_box(&b)))
-        });
-        g.bench_function(format!("gcd_200bit_{gear}"), |bch| {
-            bch.iter(|| black_box(&a).gcd(black_box(&b)))
-        });
-        // The engine's inner-loop shape at this magnitude: a rational
-        // product whose normalization gcds land in the mid window.
-        let num = BigRational::from_ratio(823_543, 1_048_576);
-        let mut acc = BigRational::one();
-        for _ in 0..12 {
-            acc = &acc * &num;
-        }
-        g.bench_function(format!("rational_mul_mid_{gear}"), |bch| {
-            bch.iter(|| black_box(&acc) * black_box(&num))
-        });
+    let (a, b) = mid_operands();
+    g.bench_function("mul_200bit_wide", |bch| {
+        bch.iter(|| black_box(&a) * black_box(&b))
+    });
+    g.bench_function("mul_200bit_limb", |bch| {
+        bch.iter(|| black_box(&a).limb_mul(black_box(&b)))
+    });
+    g.bench_function("add_200bit_wide", |bch| {
+        bch.iter(|| black_box(&a) + black_box(&b))
+    });
+    g.bench_function("add_200bit_limb", |bch| {
+        bch.iter(|| black_box(&a).limb_add(black_box(&b)))
+    });
+    g.bench_function("divrem_200bit_wide", |bch| {
+        bch.iter(|| black_box(&a).divrem(black_box(&b)))
+    });
+    g.bench_function("divrem_200bit_limb", |bch| {
+        bch.iter(|| black_box(&a).limb_divrem(black_box(&b)))
+    });
+    g.bench_function("gcd_200bit_wide", |bch| {
+        bch.iter(|| black_box(&a).gcd(black_box(&b)))
+    });
+    g.bench_function("gcd_200bit_limb", |bch| {
+        bch.iter(|| black_box(&a).limb_gcd(black_box(&b)))
+    });
+
+    // The engine's inner-loop shape at this magnitude: a rational
+    // product whose normalization gcds land in the mid window.
+    let num = BigRational::from_ratio(823_543, 1_048_576);
+    let mut acc = BigRational::one();
+    for _ in 0..12 {
+        acc = &acc * &num;
     }
-    set_wide_tier_enabled(true);
+    g.bench_function("rational_mul_mid_wide", |bch| {
+        bch.iter(|| black_box(&acc) * black_box(&num))
+    });
 
     // The two-`Small` gcd fast path (the overwhelmingly common case in
     // audited runs — E22's rank-2 pass never leaves `Small`).

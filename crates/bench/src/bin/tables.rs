@@ -644,19 +644,21 @@ fn main() {
         let data = ex::e18_serve_throughput(100, 96, 5);
         write_csv(
             "e18_serve_throughput.csv",
-            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec",
+            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec,cache_hits,cache_misses",
             &data
                 .iter()
                 .map(|r| {
                     format!(
-                        "{},{},{},{},{},{},{:.1}",
+                        "{},{},{},{},{},{},{:.1},{},{}",
                         r.mode,
                         r.requests,
                         r.clauses,
                         r.width,
                         r.p50_micros,
                         r.p99_micros,
-                        r.inst_per_sec
+                        r.inst_per_sec,
+                        r.cache_hits,
+                        r.cache_misses
                     )
                 })
                 .collect::<Vec<_>>(),
@@ -671,6 +673,8 @@ fn main() {
                     r.p50_micros.to_string(),
                     r.p99_micros.to_string(),
                     format!("{:.1}", r.inst_per_sec),
+                    r.cache_hits.to_string(),
+                    r.cache_misses.to_string(),
                 ]
             })
             .collect();
@@ -683,12 +687,14 @@ fn main() {
                     "cnf (m x w)",
                     "p50 (us)",
                     "p99 (us)",
-                    "inst/sec"
+                    "inst/sec",
+                    "hits",
+                    "misses"
                 ],
                 &rows
             )
         );
-        println!("(100 same-shape rank-3 DIMACS requests through lll-serve's engine; response\n bytes asserted identical cold vs warm before timing — the cache only moves\n the schedule coloring off the request path, never a byte of the answer)\n");
+        println!("(100 same-shape rank-3 DIMACS requests through lll-serve's engine; response\n bytes asserted identical cold vs warm before timing — the cache only moves\n the schedule coloring off the request path, never a byte of the answer;\n CI gates the warm pass at hits == requests and misses == 0)\n");
         trace_experiment(&mut obs, "E18", rows.len());
     }
 
@@ -830,17 +836,15 @@ fn main() {
         let data = ex::e22_wide_tier(2048, 512);
         write_csv(
             "e22_wide_tier.csv",
-            "driver,n,millis,narrow_millis,gear_ratio,baseline_millis,speedup,tier_promotes,tier_demotes",
+            "driver,n,millis,baseline_millis,speedup,tier_promotes,tier_demotes",
             &data
                 .iter()
                 .map(|r| {
                     format!(
-                        "{},{},{:.3},{:.3},{:.3},{:.1},{:.3},{},{}",
+                        "{},{},{:.3},{:.1},{:.3},{},{}",
                         r.driver,
                         r.n,
                         r.millis,
-                        r.narrow_millis,
-                        r.gear_ratio,
                         r.baseline_millis,
                         r.speedup,
                         r.tier_promotes,
@@ -856,8 +860,6 @@ fn main() {
                     r.driver.clone(),
                     r.n.to_string(),
                     format!("{:.1}", r.millis),
-                    format!("{:.1}", r.narrow_millis),
-                    format!("{:.2}", r.gear_ratio),
                     format!("{:.1}", r.baseline_millis),
                     format!("{:.2}", r.speedup),
                     r.tier_promotes.to_string(),
@@ -871,9 +873,7 @@ fn main() {
                 &[
                     "driver",
                     "n",
-                    "ms (wide)",
-                    "ms (i128/heap)",
-                    "gear ratio",
+                    "ms",
                     "ms (pre-gear)",
                     "speedup",
                     "promotes",
@@ -882,7 +882,7 @@ fn main() {
                 &rows
             )
         );
-        println!("(audited E2/E6 drivers on BigRational, k=16, tightness 0.9, seed 7, exact zero\n tolerance, one worker, best-of-2; streams and assignments asserted byte-identical\n across t in {{1,2,8}} and across both gears before timing; pre-gear baseline\n measured at commit 5ab4b4d on the same machine — CI gates speedup >= 1.5)\n");
+        println!("(audited E2/E6 drivers on BigRational, k=16, tightness 0.9, seed 7, exact zero\n tolerance, one worker, best-of-2; streams and assignments asserted byte-identical\n across t in {{1,2,8}} before timing; pre-gear baseline\n measured at commit 5ab4b4d on the same machine — CI gates speedup >= 1.5)\n");
         trace_experiment(&mut obs, "E22", rows.len());
     }
 

@@ -25,8 +25,8 @@ use lll_graphs::gen::{
     hyper_ring, random_3_uniform, random_bipartite_biregular, random_regular, ring, torus,
 };
 use lll_local::log_star;
-use lll_mt::dist::distributed_mt_parallel;
-use lll_mt::{parallel_mt, sequential_mt};
+use lll_mt::dist::distributed_mt;
+use lll_mt::{parallel_mt, sequential_mt, Selection};
 use lll_numeric::{BigRational, Num};
 use lll_obs::{NullRecorder, NullTiming, Recorder};
 
@@ -161,7 +161,8 @@ pub fn e2_rounds_rank2(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
             let inst = random_rank2_instance(&g, 8, 0.9, 7);
             let det = solve_seeded(&inst, ScheduleKind::Edge, 5, &workers(threads));
             assert!(det.fix.is_success());
-            let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
+            let mt = parallel_mt(&inst, 5, 1_000_000, Selection::IdMinima)
+                .expect("classic criterion regime");
             RoundsRow {
                 n,
                 log_star_n: log_star(n as u64),
@@ -183,7 +184,8 @@ pub fn e6_rounds_rank3(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
             let inst = random_rank3_instance(&h, 8, 0.9, 7);
             let det = solve_seeded(&inst, ScheduleKind::Distance2, 5, &workers(threads));
             assert!(det.fix.is_success());
-            let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
+            let mt = parallel_mt(&inst, 5, 1_000_000, Selection::IdMinima)
+                .expect("classic criterion regime");
             RoundsRow {
                 n,
                 log_star_n: log_star(n as u64),
@@ -421,7 +423,8 @@ pub fn e9_boundary(sizes: &[usize]) -> Vec<BoundaryRow> {
             let g = random_regular(n, 4, 21).expect("feasible parameters");
             let inst = sinkless_orientation_instance::<f64>(&g).expect("no isolated nodes");
             let refused = Fixer2::new(&inst).is_err();
-            let mt = parallel_mt(&inst, 17, 1_000_000).expect("classic criterion holds for d=4");
+            let mt = parallel_mt(&inst, 17, 1_000_000, Selection::IdMinima)
+                .expect("classic criterion holds for d=4");
             let orientation = orientation_from_assignment(&g, &mt.assignment);
             BoundaryRow {
                 n,
@@ -460,7 +463,7 @@ pub fn e10_mt_scaling(sizes: &[usize], trials: usize) -> Vec<MtRow> {
                 seq_total += sequential_mt(&inst, trial as u64, 10_000_000)
                     .expect("converges")
                     .resamplings;
-                par_total += parallel_mt(&inst, trial as u64, 10_000_000)
+                par_total += parallel_mt(&inst, trial as u64, 10_000_000, Selection::IdMinima)
                     .expect("converges")
                     .rounds;
             }
@@ -523,7 +526,7 @@ pub fn a1_value_rule(trials: usize) -> Vec<AblationRow> {
 }
 
 /// A2 — ablation: arithmetic backend (`f64` vs the exact rational
-/// backend in its two gears — `Wide` tier disabled/enabled).
+/// backend).
 #[derive(Debug, Clone)]
 pub struct BackendRow {
     /// Backend label.
@@ -538,14 +541,10 @@ pub struct BackendRow {
     pub tier_demotes: u64,
 }
 
-/// One exact-backend A2 run: build, fix, audit once, with the `Wide`
-/// tier set as given and the tier-transition counters bracketing the
-/// run. The instance is built *after* the gear flip — canonical forms
-/// must not cross a flip.
-fn a2_exact_run(label: &str, wide: bool) -> BackendRow {
+/// The exact-backend A2 run: build, fix, audit once, with the
+/// tier-transition counters bracketing the run.
+fn a2_exact_run() -> BackendRow {
     let h = hyper_ring(12);
-    let restore = lll_numeric::wide_tier_enabled();
-    lll_numeric::set_wide_tier_enabled(wide);
     lll_numeric::reset_tier_counters();
     let start = Instant::now();
     let inst_q = hyper_orientation_instance::<BigRational>(&h).expect("valid hypergraph");
@@ -566,9 +565,8 @@ fn a2_exact_run(label: &str, wide: bool) -> BackendRow {
     let rep_q = fixer.into_report();
     let micros = start.elapsed().as_micros() as f64;
     let tiers = lll_numeric::tier_counters();
-    lll_numeric::set_wide_tier_enabled(restore);
     BackendRow {
-        backend: label.to_owned(),
+        backend: "exact".to_owned(),
         success_and_audit: rep_q.is_success() && audit.holds(),
         micros,
         tier_promotes: tiers.promote,
@@ -576,11 +574,8 @@ fn a2_exact_run(label: &str, wide: bool) -> BackendRow {
     }
 }
 
-/// Runs ablation A2 on a hyper-ring orientation instance: `f64`,
-/// exact with the historical two-tier representation (`exact-i128`),
-/// and exact with the 256-bit middle tier (`exact-wide`). The two
-/// exact gears must agree on success/audit — only residency and time
-/// may differ.
+/// Runs ablation A2 on a hyper-ring orientation instance: `f64` vs
+/// exact `BigRational`.
 pub fn a2_backend() -> Vec<BackendRow> {
     let h = hyper_ring(12);
 
@@ -600,8 +595,7 @@ pub fn a2_backend() -> Vec<BackendRow> {
             tier_promotes: 0,
             tier_demotes: 0,
         },
-        a2_exact_run("exact-i128", false),
-        a2_exact_run("exact-wide", true),
+        a2_exact_run(),
     ]
 }
 
@@ -701,8 +695,8 @@ pub fn e12_honest_mt(sizes: &[usize], threads: usize) -> Vec<HonestMtRow> {
         .map(|&n| {
             let g = ring(n);
             let inst = random_rank2_instance(&g, 8, 0.9, 13);
-            let honest = distributed_mt_parallel(&inst, 13, 1 << 20, threads).expect("converges");
-            let looped = parallel_mt(&inst, 13, 1 << 20).expect("converges");
+            let honest = distributed_mt(&inst, 13, 1 << 20, threads).expect("converges");
+            let looped = parallel_mt(&inst, 13, 1 << 20, Selection::IdMinima).expect("converges");
             HonestMtRow {
                 n,
                 honest_rounds: honest.rounds,
@@ -1034,6 +1028,11 @@ pub struct ServeThroughputRow {
     pub p99_micros: u64,
     /// Instances solved per second of wall-clock.
     pub inst_per_sec: f64,
+    /// Schedule-cache hits during the timed pass ([`lll_serve::EngineStats`]
+    /// delta).
+    pub cache_hits: u64,
+    /// Schedule-cache misses during the timed pass.
+    pub cache_misses: u64,
 }
 
 /// Runs experiment E18: feeds `requests` same-shape rank-3 DIMACS
@@ -1044,7 +1043,9 @@ pub struct ServeThroughputRow {
 /// response bytes identical pair-by-pair *before* any timing is
 /// reported. Latencies land in an [`lll_obs::hist::Histogram`]; the
 /// cache may only change when the coloring runs, never what the sweep
-/// answers.
+/// answers. Each row also carries the engine's cache-counter deltas
+/// over its timed pass, the deterministic evidence that every warm
+/// request skipped the coloring.
 pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThroughputRow> {
     use lll_serve::{Engine, EngineConfig, Payload, Request, SolveRequest};
 
@@ -1085,6 +1086,7 @@ pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThr
     let mut rows = Vec::new();
     for (mode, engine) in [("cold", &cold), ("warm", &warm)] {
         let mut hist = lll_obs::hist::Histogram::new();
+        let before = engine.stats();
         let t = Instant::now();
         for line in &wire {
             let req = Instant::now();
@@ -1093,6 +1095,7 @@ pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThr
             debug_assert!(!response.is_shutdown());
         }
         let secs = t.elapsed().as_secs_f64();
+        let after = engine.stats();
         rows.push(ServeThroughputRow {
             mode: mode.to_owned(),
             requests,
@@ -1101,6 +1104,8 @@ pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThr
             p50_micros: hist.p50(),
             p99_micros: hist.p99(),
             inst_per_sec: requests as f64 / secs,
+            cache_hits: after.cache_hits - before.cache_hits,
+            cache_misses: after.cache_misses - before.cache_misses,
         });
     }
     rows
@@ -1750,33 +1755,27 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
 }
 
 /// E22 — the second exact gear end to end: the audited E2/E6 drivers
-/// on `BigRational` with the 256-bit `Wide` tier enabled (this
-/// release's gear) vs disabled (the historical `i128`/heap two-tier
-/// representation), against the recorded pre-gear baseline. Streams
-/// and assignments are asserted byte-identical across worker counts
-/// *and* across gears before a single number is reported: the wide
-/// tier is a representation change, never an arithmetic one.
+/// on `BigRational` (with its 256-bit `Wide` tier) against the recorded
+/// pre-gear baseline. Streams and assignments are asserted
+/// byte-identical across worker counts before a single number is
+/// reported.
 #[derive(Debug, Clone)]
 pub struct WideTierRow {
     /// Driver label: `"fixer2-audited"` or `"fixer3-audited"`.
     pub driver: String,
     /// Number of events.
     pub n: usize,
-    /// Audited driver wall-clock at one worker, wide gear (ms).
+    /// Audited driver wall-clock at one worker (ms).
     pub millis: f64,
-    /// Same run with the wide tier disabled (ms).
-    pub narrow_millis: f64,
-    /// `narrow_millis / millis` — the wide tier's marginal gear ratio.
-    pub gear_ratio: f64,
     /// Pre-gear baseline wall-clock (ms); see the `E22_BASELINE_*`
     /// constants for provenance.
     pub baseline_millis: f64,
     /// `baseline_millis / millis` — the full speedup this release
     /// claims (wide tier + audit-probability cache + sparse tuples).
     pub speedup: f64,
-    /// `BigInt` tier promotions during the wide-gear timed pass.
+    /// `BigInt` tier promotions during the timed pass.
     pub tier_promotes: u64,
-    /// `BigInt` tier demotions during the wide-gear timed pass.
+    /// `BigInt` tier demotions during the timed pass.
     pub tier_demotes: u64,
 }
 
@@ -1790,26 +1789,14 @@ pub const E22_BASELINE_RANK2_MILLIS: f64 = 113.8;
 /// Pre-gear rank-3 baseline (`hyper_ring(512)`, same protocol).
 pub const E22_BASELINE_RANK3_MILLIS: f64 = 233.1;
 
-/// One gear pass of E22: flips the wide tier, rebuilds both instances
-/// from scratch (canonical forms must never cross a gear flip),
-/// captures the recorded audited streams and assignments at each
-/// worker count, then times the audited unrecorded drivers at one
-/// worker. Returns per-thread `(rank-2 stream, rank-2 assignment,
-/// rank-3 stream, rank-3 assignment)` plus the two timings and the
-/// tier-counter deltas bracketing each timed run.
-#[allow(clippy::type_complexity)]
-fn e22_gear_pass(
-    n2: usize,
-    n3: usize,
-    thread_counts: &[usize],
-    wide: bool,
-) -> (
-    Vec<(Vec<u8>, String, Vec<u8>, String)>,
-    (f64, lll_numeric::TierCounters),
-    (f64, lll_numeric::TierCounters),
-) {
-    lll_numeric::set_wide_tier_enabled(wide);
-    lll_numeric::reset_tier_counters();
+/// Runs experiment E22 on the E2/E6 audited workloads (`ring(n2)`
+/// rank 2, `hyper_ring(n3)` rank 3, `k = 16`, tightness 0.9, seed 7,
+/// exact zero tolerance). Byte-identity is the gate, timing the
+/// payload: recorded streams and assignments must match across
+/// `t ∈ {1, 2, 8}` before the audited one-worker wall-clocks (with the
+/// tier-counter deltas bracketing each) are reported against the
+/// pre-gear baseline.
+pub fn e22_wide_tier(n2: usize, n3: usize) -> Vec<WideTierRow> {
     let g = ring(n2);
     let i2 = crate::workloads::random_rank2_instance_in::<BigRational>(&g, 16, 0.9, 7);
     let p2 = i2.max_event_probability();
@@ -1818,8 +1805,8 @@ fn e22_gear_pass(
     let p3 = i3.max_event_probability();
     let zero = BigRational::zero();
 
-    let mut streams = Vec::new();
-    for &t in thread_counts {
+    let mut first = None;
+    for t in [1usize, 2, 8] {
         let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
         let rep2 = solve_seeded_recorded(
             &i2,
@@ -1838,93 +1825,70 @@ fn e22_gear_pass(
             &mut rec,
         );
         let s3 = rec.finish().expect("in-memory writer never fails");
-        streams.push((
+        let run = (
             s2,
             format!("{:?}/{}", rep2.fix.assignment(), rep2.rounds),
             s3,
             format!("{:?}/{}", rep3.fix.assignment(), rep3.rounds),
-        ));
-    }
-
-    lll_numeric::reset_tier_counters();
-    let (_, m2) = best_of(2, || {
-        solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(1, &p2, &zero))
-    });
-    let t2 = lll_numeric::tier_counters();
-    lll_numeric::reset_tier_counters();
-    let (_, m3) = best_of(2, || {
-        solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(1, &p3, &zero))
-    });
-    let t3 = lll_numeric::tier_counters();
-    (streams, (m2, t2), (m3, t3))
-}
-
-/// Runs experiment E22 on the E2/E6 audited workloads (`ring(n2)`
-/// rank 2, `hyper_ring(n3)` rank 3, `k = 16`, tightness 0.9, seed 7,
-/// exact zero tolerance). Byte-identity is the gate, timing the
-/// payload: recorded streams and assignments must match across
-/// `t ∈ {1, 2, 8}` and across both gears before the audited
-/// one-worker wall-clocks are reported against the pre-gear baseline.
-pub fn e22_wide_tier(n2: usize, n3: usize) -> Vec<WideTierRow> {
-    let thread_counts = [1usize, 2, 8];
-    let restore = lll_numeric::wide_tier_enabled();
-    let (narrow_streams, (narrow2, _), (narrow3, _)) = e22_gear_pass(n2, n3, &thread_counts, false);
-    let (wide_streams, (wide2, tiers2), (wide3, tiers3)) =
-        e22_gear_pass(n2, n3, &thread_counts, true);
-    lll_numeric::set_wide_tier_enabled(restore);
-
-    for (i, &t) in thread_counts.iter().enumerate() {
-        let wide_run = &wide_streams[i];
-        let narrow_run = &narrow_streams[i];
+        );
+        let Some(base) = &first else {
+            first = Some(run);
+            continue;
+        };
         assert_eq!(
-            wide_run.0, wide_streams[0].0,
+            run.0, base.0,
             "rank-2 stream diverged across workers at t={t}"
         );
         assert_eq!(
-            wide_run.2, wide_streams[0].2,
+            run.1, base.1,
+            "rank-2 assignment diverged across workers at t={t}"
+        );
+        assert_eq!(
+            run.2, base.2,
             "rank-3 stream diverged across workers at t={t}"
         );
         assert_eq!(
-            wide_run.0, narrow_run.0,
-            "rank-2 stream diverged across gears at t={t}"
-        );
-        assert_eq!(
-            wide_run.1, narrow_run.1,
-            "rank-2 assignment diverged across gears at t={t}"
-        );
-        assert_eq!(
-            wide_run.2, narrow_run.2,
-            "rank-3 stream diverged across gears at t={t}"
-        );
-        assert_eq!(
-            wide_run.3, narrow_run.3,
-            "rank-3 assignment diverged across gears at t={t}"
+            run.3, base.3,
+            "rank-3 assignment diverged across workers at t={t}"
         );
     }
 
+    lll_numeric::reset_tier_counters();
+    let (_, millis2) = best_of(2, || {
+        solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(1, &p2, &zero))
+    });
+    let tiers2 = lll_numeric::tier_counters();
+    lll_numeric::reset_tier_counters();
+    let (_, millis3) = best_of(2, || {
+        solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(1, &p3, &zero))
+    });
+    let tiers3 = lll_numeric::tier_counters();
+
+    let row =
+        |driver: &str, n, millis, baseline_millis, tiers: lll_numeric::TierCounters| WideTierRow {
+            driver: driver.to_owned(),
+            n,
+            millis,
+            baseline_millis,
+            speedup: baseline_millis / millis,
+            tier_promotes: tiers.promote,
+            tier_demotes: tiers.demote,
+        };
     vec![
-        WideTierRow {
-            driver: "fixer2-audited".to_owned(),
-            n: n2,
-            millis: wide2,
-            narrow_millis: narrow2,
-            gear_ratio: narrow2 / wide2,
-            baseline_millis: E22_BASELINE_RANK2_MILLIS,
-            speedup: E22_BASELINE_RANK2_MILLIS / wide2,
-            tier_promotes: tiers2.promote,
-            tier_demotes: tiers2.demote,
-        },
-        WideTierRow {
-            driver: "fixer3-audited".to_owned(),
-            n: n3,
-            millis: wide3,
-            narrow_millis: narrow3,
-            gear_ratio: narrow3 / wide3,
-            baseline_millis: E22_BASELINE_RANK3_MILLIS,
-            speedup: E22_BASELINE_RANK3_MILLIS / wide3,
-            tier_promotes: tiers3.promote,
-            tier_demotes: tiers3.demote,
-        },
+        row(
+            "fixer2-audited",
+            n2,
+            millis2,
+            E22_BASELINE_RANK2_MILLIS,
+            tiers2,
+        ),
+        row(
+            "fixer3-audited",
+            n3,
+            millis3,
+            E22_BASELINE_RANK3_MILLIS,
+            tiers3,
+        ),
     ]
 }
 

@@ -447,7 +447,8 @@ impl<'i, T: Num> Fixer3<'i, T> {
     /// `y` a previous run chose, applying exactly the φ updates
     /// [`fix_variable`](Fixer3::fix_variable) would apply for winner `y`
     /// — without re-running the value search and without emitting any
-    /// event (the resume seam; see [`Fixer2::replay_variable`] and
+    /// event (the resume seam; see
+    /// [`Fixer2::replay_variable`](crate::Fixer2::replay_variable) and
     /// `crate::dist`).
     ///
     /// At rank 3 the equivalence holds because the original step used a

@@ -10,9 +10,13 @@
 //! The experiment `E11` and several tests run the fixers to completion
 //! under these adversaries and re-verify success and property `P*`.
 
+use std::cmp::Reverse;
+
 use lll_numeric::Num;
+use lll_obs::NullRecorder;
 
 use crate::fixer3::Fixer3;
+use crate::sweep::ClassFixer;
 use crate::triples::representability_score;
 use crate::{FixReport, Fixer2, FixerError};
 
@@ -69,21 +73,9 @@ fn gcd(a: usize, b: usize) -> usize {
 ///
 /// [`FixerError::NonFiniteCost`] if a fixing step computes an
 /// incomparable cost (see [`Fixer2::fix_variable`]).
-pub fn run_fixer2_adaptive_worst<T: Num>(
-    mut fixer: Fixer2<'_, T>,
-) -> Result<FixReport, FixerError> {
-    let inst = fixer.instance();
-    let m = inst.num_variables();
-    for _ in 0..m {
-        let next = (0..m)
-            .filter(|&x| fixer.partial().get(x).is_none())
-            .map(|x| (fixer2_best_cost(&fixer, x), x))
-            .max_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite costs"))
-            .map(|(_, x)| x)
-            .expect("an unfixed variable remains");
-        fixer.fix_variable(next)?;
-    }
-    Ok(fixer.into_report())
+pub fn run_fixer2_adaptive_worst<T: Num>(fixer: Fixer2<'_, T>) -> Result<FixReport, FixerError> {
+    // Ties go to the highest-index variable.
+    run_adaptive(fixer, |f, x| (fixer2_best_cost(f, x), x))
 }
 
 /// The cost the fixer would pay for its best value of `x` right now
@@ -136,21 +128,42 @@ fn fixer2_best_cost<T: Num>(fixer: &Fixer2<'_, T>, x: usize) -> T {
 ///
 /// [`FixerError::NonFiniteCost`] if a fixing step computes an
 /// incomparable cost (see [`Fixer3::fix_variable`]).
-pub fn run_fixer3_adaptive_worst<T: Num>(
-    mut fixer: Fixer3<'_, T>,
+pub fn run_fixer3_adaptive_worst<T: Num>(fixer: Fixer3<'_, T>) -> Result<FixReport, FixerError> {
+    // Ties go to the lowest-index variable.
+    run_adaptive(fixer, fixer3_key)
+}
+
+/// The rank-3 adversary's ranking key: smallest margin first, then
+/// lowest index.
+fn fixer3_key<T: Num>(fixer: &Fixer3<'_, T>, x: usize) -> (Reverse<T>, Reverse<usize>) {
+    (Reverse(fixer3_best_margin(fixer, x)), Reverse(x))
+}
+
+/// Fixes every variable of `fixer`, each step picking the
+/// [`most_hostile`] unfixed one under `key`.
+fn run_adaptive<T: Num, F: ClassFixer<T>, K: PartialOrd>(
+    mut fixer: F,
+    key: impl Fn(&F, usize) -> K,
 ) -> Result<FixReport, FixerError> {
-    let inst = fixer.instance();
-    let m = inst.num_variables();
-    for _ in 0..m {
-        let next = (0..m)
-            .filter(|&x| fixer.partial().get(x).is_none())
-            .map(|x| (fixer3_best_margin(&fixer, x), x))
-            .min_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite margins"))
-            .map(|(_, x)| x)
-            .expect("an unfixed variable remains");
-        fixer.fix_variable(next)?;
+    for _ in 0..fixer.instance().num_variables() {
+        let next = most_hostile(&fixer, &key);
+        fixer.fix_cell(&[next], &mut NullRecorder)?;
     }
     Ok(fixer.into_report())
+}
+
+/// The unfixed variable with the largest `key`. Keys carry the
+/// variable index as a tie-break, so the maximum is unique.
+fn most_hostile<T: Num, F: ClassFixer<T>, K: PartialOrd>(
+    fixer: &F,
+    key: impl Fn(&F, usize) -> K,
+) -> usize {
+    (0..fixer.instance().num_variables())
+        .filter(|&x| fixer.partial().get(x).is_none())
+        .map(|x| (key(fixer, x), x))
+        .max_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite scores"))
+        .map(|(_, x)| x)
+        .expect("an unfixed variable remains")
 }
 
 /// The best representability score over the values of `x` given the
@@ -277,14 +290,8 @@ mod tests {
         // And stepwise: re-run manually with audits.
         let p = inst.max_event_probability();
         let mut fixer = Fixer3::new(&inst).expect("below threshold");
-        let m = inst.num_variables();
-        for _ in 0..m {
-            let next = (0..m)
-                .filter(|&x| fixer.partial().get(x).is_none())
-                .map(|x| (fixer3_best_margin(&fixer, x), x))
-                .min_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap())
-                .map(|(_, x)| x)
-                .unwrap();
+        for _ in 0..inst.num_variables() {
+            let next = most_hostile(&fixer, fixer3_key);
             fixer.fix_variable(next).unwrap();
             let audit = audit_p_star(
                 &inst,
@@ -299,6 +306,22 @@ mod tests {
             );
         }
         assert!(fixer.into_report().is_success());
+    }
+
+    #[test]
+    fn adaptive_adversaries_keep_their_tie_breaks() {
+        // On symmetric rings every unfixed variable scores the same at
+        // the start, so the order is all tie-break: rank 2 takes the
+        // last maximum, rank 3 the first minimum.
+        let order = |steps: &[crate::FixStepRecord]| -> Vec<usize> {
+            steps.iter().map(|s| s.variable).collect()
+        };
+        let report =
+            run_fixer2_adaptive_worst(Fixer2::new(&ring_instance(10, 3)).unwrap()).unwrap();
+        assert_eq!(order(report.steps()), (0..10).rev().collect::<Vec<_>>());
+        let report =
+            run_fixer3_adaptive_worst(Fixer3::new(&hyper_ring_instance(9, 3)).unwrap()).unwrap();
+        assert_eq!(order(report.steps()), (0..9).collect::<Vec<_>>());
     }
 
     #[test]

@@ -213,6 +213,9 @@ impl<T: Num> NodeProgram for MtProgram<'_, T> {
 
 /// Runs distributed Moser–Tardos on the simulator, doubling the
 /// iteration budget until the assembled assignment avoids all events.
+/// The LOCAL simulation runs on `threads` worker threads (see
+/// [`Simulator::run_auto`]); the outcome — assignment, resamplings and
+/// round bill — is identical for every thread count.
 ///
 /// The returned [`MtReport::rounds`] is the honest total of LOCAL rounds
 /// across all attempts (the doubling trick's price included);
@@ -224,22 +227,6 @@ impl<T: Num> NodeProgram for MtProgram<'_, T> {
 /// [`MtError::BudgetExhausted`] once the iteration budget exceeds
 /// `max_iterations`.
 pub fn distributed_mt<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    max_iterations: usize,
-) -> Result<MtReport, MtError> {
-    distributed_mt_parallel(inst, seed, max_iterations, 1)
-}
-
-/// [`distributed_mt`] with the LOCAL simulation running on `threads`
-/// worker threads (see [`Simulator::run_auto`]); the outcome —
-/// assignment, resamplings and round bill — is identical for every
-/// thread count.
-///
-/// # Errors
-///
-/// As [`distributed_mt`].
-pub fn distributed_mt_parallel<T: Num>(
     inst: &Instance<T>,
     seed: u64,
     max_iterations: usize,
@@ -311,7 +298,7 @@ mod tests {
     #[test]
     fn converges_and_verifies() {
         let inst = ring_instance(60, 4);
-        let rep = distributed_mt(&inst, 3, 1 << 20).unwrap();
+        let rep = distributed_mt(&inst, 3, 1 << 20, 1).unwrap();
         assert!(inst.no_event_occurs(&rep.assignment).unwrap());
         assert!(rep.rounds >= 2);
     }
@@ -319,7 +306,7 @@ mod tests {
     #[test]
     fn owners_partition_the_variables() {
         let inst = ring_instance(10, 3);
-        let rep = distributed_mt(&inst, 1, 1 << 16).unwrap();
+        let rep = distributed_mt(&inst, 1, 1 << 16, 1).unwrap();
         assert_eq!(rep.assignment.len(), inst.num_variables());
         // Every variable got exactly one owner-written value in range.
         for (x, &v) in rep.assignment.iter().enumerate() {
@@ -332,24 +319,24 @@ mod tests {
         // Budget K costs 1 warmup round + 2K iteration rounds; on an
         // easy instance the first attempt (K = 8) should succeed.
         let inst = ring_instance(20, 8);
-        let rep = distributed_mt(&inst, 5, 1 << 16).unwrap();
+        let rep = distributed_mt(&inst, 5, 1 << 16, 1).unwrap();
         assert_eq!(rep.rounds, 1 + 2 * 8);
     }
 
     #[test]
     fn reproducible_by_seed() {
         let inst = ring_instance(30, 4);
-        let a = distributed_mt(&inst, 9, 1 << 16).unwrap();
-        let b = distributed_mt(&inst, 9, 1 << 16).unwrap();
+        let a = distributed_mt(&inst, 9, 1 << 16, 1).unwrap();
+        let b = distributed_mt(&inst, 9, 1 << 16, 1).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_driver_matches_sequential_bit_for_bit() {
         let inst = ring_instance(40, 4);
-        let base = distributed_mt(&inst, 9, 1 << 16).unwrap();
+        let base = distributed_mt(&inst, 9, 1 << 16, 1).unwrap();
         for t in [2usize, 8] {
-            let par = distributed_mt_parallel(&inst, 9, 1 << 16, t).unwrap();
+            let par = distributed_mt(&inst, 9, 1 << 16, t).unwrap();
             assert_eq!(par, base, "threads {t}");
         }
     }
@@ -362,7 +349,7 @@ mod tests {
         b.set_event_predicate(1, move |vals| vals[x] == 0);
         let inst = b.build().unwrap();
         assert!(matches!(
-            distributed_mt(&inst, 0, 64),
+            distributed_mt(&inst, 0, 64, 1),
             Err(MtError::BudgetExhausted { .. })
         ));
     }
@@ -370,8 +357,8 @@ mod tests {
     #[test]
     fn agrees_with_loop_based_parallel_mt_on_solvability() {
         let inst = ring_instance(40, 3);
-        let dist = distributed_mt(&inst, 2, 1 << 20).unwrap();
-        let par = crate::parallel_mt(&inst, 2, 1 << 20).unwrap();
+        let dist = distributed_mt(&inst, 2, 1 << 20, 1).unwrap();
+        let par = crate::parallel_mt(&inst, 2, 1 << 20, crate::Selection::IdMinima).unwrap();
         assert!(inst.no_event_occurs(&dist.assignment).unwrap());
         assert!(inst.no_event_occurs(&par.assignment).unwrap());
     }

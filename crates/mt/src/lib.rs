@@ -17,8 +17,9 @@
 //! * [`sequential_mt`] — the textbook loop (lowest-index violated event
 //!   first, which is a valid selection rule under MT's analysis).
 //! * [`parallel_mt`] — per round, all violated events that are local
-//!   minima (by event index) among their violated neighbors resample
-//!   their variables simultaneously; this is the classic distributed
+//!   minima among their violated neighbors (by event index or by fresh
+//!   random priorities, see [`Selection`]) resample their variables
+//!   simultaneously; this is the classic distributed
 //!   variant whose round count the experiments record. One MT round
 //!   costs a constant number of LOCAL rounds (exchange values, agree on
 //!   the independent set, resample); [`MtReport::local_rounds`] applies
@@ -166,27 +167,13 @@ pub enum Selection {
     RandomPriority,
 }
 
-/// The parallel (distributed) Moser–Tardos algorithm with the default
-/// index-minima selection; see [`parallel_mt_with`] for the selection
-/// ablation.
+/// The parallel (distributed) Moser–Tardos algorithm: each round, the
+/// violated events that `selection` picks resample simultaneously.
 ///
 /// # Errors
 ///
 /// [`MtError::BudgetExhausted`] after `max_rounds` rounds.
 pub fn parallel_mt<T: Num>(
-    inst: &Instance<T>,
-    seed: u64,
-    max_rounds: usize,
-) -> Result<MtReport, MtError> {
-    parallel_mt_with(inst, seed, max_rounds, Selection::IdMinima)
-}
-
-/// The parallel Moser–Tardos algorithm with an explicit selection rule.
-///
-/// # Errors
-///
-/// [`MtError::BudgetExhausted`] after `max_rounds` rounds.
-pub fn parallel_mt_with<T: Num>(
     inst: &Instance<T>,
     seed: u64,
     max_rounds: usize,
@@ -286,7 +273,7 @@ mod tests {
     #[test]
     fn parallel_converges_and_counts_rounds() {
         let inst = ring_instance(100, 4);
-        let rep = parallel_mt(&inst, 3, 10_000).unwrap();
+        let rep = parallel_mt(&inst, 3, 10_000, Selection::IdMinima).unwrap();
         assert!(inst.no_event_occurs(&rep.assignment).unwrap());
         assert!(rep.rounds >= 1);
         assert_eq!(rep.local_rounds(), rep.rounds * LOCAL_ROUNDS_PER_MT_ROUND);
@@ -295,8 +282,8 @@ mod tests {
     #[test]
     fn random_priority_selection_also_converges() {
         let inst = ring_instance(80, 4);
-        let id = parallel_mt_with(&inst, 3, 10_000, Selection::IdMinima).unwrap();
-        let luby = parallel_mt_with(&inst, 3, 10_000, Selection::RandomPriority).unwrap();
+        let id = parallel_mt(&inst, 3, 10_000, Selection::IdMinima).unwrap();
+        let luby = parallel_mt(&inst, 3, 10_000, Selection::RandomPriority).unwrap();
         assert!(inst.no_event_occurs(&id.assignment).unwrap());
         assert!(inst.no_event_occurs(&luby.assignment).unwrap());
     }
@@ -324,7 +311,7 @@ mod tests {
             Err(MtError::BudgetExhausted { budget: 50 })
         );
         assert_eq!(
-            parallel_mt(&inst, 0, 50),
+            parallel_mt(&inst, 0, 50, Selection::IdMinima),
             Err(MtError::BudgetExhausted { budget: 50 })
         );
     }
@@ -348,7 +335,7 @@ mod tests {
         let inst = b.build().unwrap();
         let rep = sequential_mt(&inst, 0, 10).unwrap();
         assert_eq!(rep.resamplings, 0);
-        let rep = parallel_mt(&inst, 0, 10).unwrap();
+        let rep = parallel_mt(&inst, 0, 10, Selection::IdMinima).unwrap();
         assert_eq!(rep.rounds, 0);
     }
 }

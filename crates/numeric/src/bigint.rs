@@ -16,12 +16,11 @@
 //! `i128::MAX`, so `i128::MIN`, whose magnitude `2^127` has no inline
 //! negation, is `Wide`; `Wide` iff it needs at most 256 bits; `Heap`
 //! limb vectors carry no most-significant zero limbs and always encode
-//! at least 257 bits), and zero is `Small(0)` — so derived structural
-//! equality and hashing coincide with numeric equality. The `Wide` tier
-//! can be disabled at runtime ([`set_wide_tier_enabled`]) for A/B
-//! benchmarking, restoring the historical two-tier canonical form; tier
-//! crossings are counted ([`tier_counters`]) so benchmarks can report
-//! tier residency.
+//! at least 257 bits), and zero is `Small(0)` — so a value's tier
+//! depends on its magnitude alone, and derived structural equality and
+//! hashing coincide with numeric equality. Tier crossings are counted
+//! ([`tier_counters`]) so benchmarks can report tier residency; the
+//! counters only observe and never change a result.
 //!
 //! Arithmetic on two stack-resident values uses checked `i128`/`u128`/
 //! `U256` primitives and **never allocates** while the result still fits
@@ -41,36 +40,15 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Shl, Shr, Sub, SubAssign};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::arena::Scratch;
 use crate::u256::U256;
 
-/// Whether freshly built values may use the stack-resident 256-bit
-/// `Wide` tier (`true` by default). Disabling restores the historical
-/// two-tier `Small`/`Heap` canonical form for A/B benchmarking.
-static WIDE_ENABLED: AtomicBool = AtomicBool::new(true);
 /// Results that spilled into a wider representation tier.
 static TIER_PROMOTE: AtomicU64 = AtomicU64::new(0);
 /// Results computed in a wider domain that canonicalized back down.
 static TIER_DEMOTE: AtomicU64 = AtomicU64::new(0);
-
-/// Enables or disables the 256-bit `Wide` representation tier for values
-/// built *after* the call (process-wide).
-///
-/// Intended for A/B benchmarking only: values must not flow across a
-/// flip, because the canonical form — and hence structural equality —
-/// differs between the two modes. Build every operand fresh after
-/// changing the setting (the E22 benchmark rebuilds its instances per
-/// mode for exactly this reason).
-pub fn set_wide_tier_enabled(enabled: bool) {
-    WIDE_ENABLED.store(enabled, AtomicOrdering::Relaxed);
-}
-
-/// `true` iff the 256-bit `Wide` tier is currently enabled.
-pub fn wide_tier_enabled() -> bool {
-    WIDE_ENABLED.load(AtomicOrdering::Relaxed)
-}
 
 /// Snapshot of the representation-tier transition counters.
 ///
@@ -135,14 +113,13 @@ impl Sign {
 }
 
 /// Canonical tagged representation: `Small` iff the magnitude fits
-/// `i128::MAX`, then `Wide` while it fits 256 bits (when the tier is
-/// enabled), otherwise normalized heap limbs (never empty, top limb
-/// non-zero).
+/// `i128::MAX`, then `Wide` while it fits 256 bits, otherwise normalized
+/// heap limbs (never empty, top limb non-zero).
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Small(i128),
-    /// Stack-resident 256-bit magnitude; only built while
-    /// [`wide_tier_enabled`] and never for magnitudes that fit `Small`.
+    /// Stack-resident 256-bit magnitude; never built for magnitudes that
+    /// fit `Small`.
     Wide {
         sign: Sign,
         mag: U256,
@@ -212,18 +189,11 @@ impl BigInt {
         if mag <= SMALL_MAX_MAG {
             let v = mag as i128;
             BigInt::small(if sign == Sign::Minus { -v } else { v })
-        } else if wide_tier_enabled() {
+        } else {
             BigInt {
                 repr: Repr::Wide {
                     sign,
                     mag: U256::from_u128(mag),
-                },
-            }
-        } else {
-            BigInt {
-                repr: Repr::Heap {
-                    sign,
-                    limbs: Self::mag_to_limbs(mag),
                 },
             }
         }
@@ -240,17 +210,8 @@ impl BigInt {
                 return BigInt::small(if sign == Sign::Minus { -v } else { v });
             }
         }
-        if wide_tier_enabled() {
-            BigInt {
-                repr: Repr::Wide { sign, mag },
-            }
-        } else {
-            BigInt {
-                repr: Repr::Heap {
-                    sign,
-                    limbs: mag.to_limbs(),
-                },
-            }
+        BigInt {
+            repr: Repr::Wide { sign, mag },
         }
     }
 
@@ -296,12 +257,10 @@ impl BigInt {
         }
         match Self::limbs_to_mag(&limbs) {
             Some(mag) => {
-                if mag <= SMALL_MAX_MAG || wide_tier_enabled() {
-                    count_demote();
-                }
+                count_demote();
                 Self::from_sign_mag(sign, mag)
             }
-            None if limbs.len() <= 8 && wide_tier_enabled() => {
+            None if limbs.len() <= 8 => {
                 count_demote();
                 BigInt {
                     repr: Repr::Wide {
@@ -348,8 +307,7 @@ impl BigInt {
 
     /// The representation tier the value currently occupies. By the
     /// canonical-form invariant this is determined by the magnitude
-    /// alone (given the [`wide_tier_enabled`] setting at construction
-    /// time). Exposed for tests and diagnostics.
+    /// alone. Exposed for tests and diagnostics.
     pub fn tier(&self) -> Tier {
         match &self.repr {
             Repr::Small(_) => Tier::Small,

@@ -44,8 +44,7 @@ mod serde_impls;
 mod u256;
 
 pub use bigint::{
-    reset_tier_counters, set_wide_tier_enabled, tier_counters, wide_tier_enabled, BigInt,
-    ParseBigIntError, Sign, Tier, TierCounters,
+    reset_tier_counters, tier_counters, BigInt, ParseBigIntError, Sign, Tier, TierCounters,
 };
 pub use num::{Num, F64_MARGIN};
 pub use primes::{is_prime_u64, next_prime, primes_below};

@@ -16,7 +16,7 @@
 //! a second bounded-memory fold that reconstructs *resumable* run state
 //! — the applied `(variable, value)` step sequence, round and audit
 //! counters, the byte offset, and the rolling
-//! [`StreamDigest`](crate::StreamDigest) — and verifies every
+//! [`StreamDigest`] — and verifies every
 //! `#checkpoint ` sidecar it passes against its own counters. Both
 //! folds skip `#`-prefixed sidecar lines, so checkpointed and plain
 //! streams replay identically.

@@ -2,7 +2,7 @@
 //!
 //! [`ServeMetrics`] registers every counter, gauge, and latency
 //! summary the daemon exposes on one [`MetricsRegistry`]; the
-//! [`Engine`](crate::Engine) owns the bundle and feeds it from the
+//! [`Engine`] owns the bundle and feeds it from the
 //! request path. Everything here is strictly side-band (DESIGN.md
 //! §3.11): metric writes are sharded relaxed atomics that never gate,
 //! reorder, or feed back into a solve, so the response stream and any

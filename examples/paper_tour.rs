@@ -14,7 +14,7 @@ use sharp_lll::core::orders::run_fixer3_adaptive_worst;
 use sharp_lll::core::triples::{decompose, f_surface, is_representable};
 use sharp_lll::core::{audit_p_star, Fixer2, Fixer3, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, random_regular};
-use sharp_lll::mt::parallel_mt;
+use sharp_lll::mt::{parallel_mt, Selection};
 use sharp_lll::numeric::{BigRational, Num};
 use sharp_lll::obs::{NullRecorder, NullTiming};
 
@@ -162,7 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("deterministic fixer refuses: {}", Fixer2::new(&so).is_err());
     let so_f = sinkless_orientation_instance::<f64>(&g)?;
-    let mt = parallel_mt(&so_f, 3, 1 << 20)?;
+    let mt = parallel_mt(&so_f, 3, 1 << 20, Selection::IdMinima)?;
     println!(
         "randomized Moser-Tardos solves it in {} MT rounds",
         mt.rounds

@@ -13,7 +13,7 @@
 use sharp_lll::apps::sinkless::sinkless_orientation_instance;
 use sharp_lll::core::{Fixer2, Fixer3};
 use sharp_lll::graphs::gen::{hyper_ring, random_regular, torus};
-use sharp_lll::mt::parallel_mt;
+use sharp_lll::mt::{parallel_mt, Selection};
 
 // Re-implements the bench workload inline so the example is
 // self-contained (one fair k-valued variable per edge, random bad sets
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let inst = controlled_instance(t, 77);
         let guaranteed = inst.satisfies_exponential_criterion();
         let greedy = Fixer2::new_unchecked(&inst)?.run_default()?;
-        let mt = parallel_mt(&inst, 77, 200_000)
+        let mt = parallel_mt(&inst, 77, 200_000, Selection::IdMinima)
             .map(|r| r.rounds.to_string())
             .unwrap_or_else(|_| "diverged".to_owned());
         println!(
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(e) => println!("Fixer2::new refuses: {e}"),
         Ok(_) => unreachable!("sinkless orientation is at the threshold"),
     }
-    let mt = parallel_mt(&so, 3, 200_000)?;
+    let mt = parallel_mt(&so, 3, 200_000, Selection::IdMinima)?;
     println!(
         "parallel Moser-Tardos still solves it, in {} rounds (randomized).",
         mt.rounds

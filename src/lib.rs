@@ -23,8 +23,9 @@
 //! * [`apps`] — applications: sinkless orientation, rank-3 hypergraph
 //!   orientation, weak splitting, bounded-intersection SAT.
 //!
-//! See `README.md` for a guided tour and `EXPERIMENTS.md` for the
-//! experiment-by-experiment reproduction record.
+//! The README follows below as a guided tour (its Rust blocks compile
+//! as doctests); `EXPERIMENTS.md` is the experiment-by-experiment
+//! reproduction record.
 //!
 //! # Quickstart
 //!
@@ -52,6 +53,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![doc = include_str!("../README.md")]
 #![forbid(unsafe_code)]
 
 pub use lll_apps as apps;

@@ -9,7 +9,7 @@ use sharp_lll::core::dist::{
 use sharp_lll::core::{solve_deterministically, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::hyper_ring;
 use sharp_lll::mt::dist::distributed_mt;
-use sharp_lll::mt::{parallel_mt, sequential_mt};
+use sharp_lll::mt::{parallel_mt, sequential_mt, Selection};
 use sharp_lll::numeric::Num;
 use sharp_lll::obs::{NullRecorder, NullTiming};
 
@@ -81,10 +81,15 @@ fn every_method_solves_the_same_rank2_instance() {
         "mt-seq",
         sequential_mt(&inst, 1, 1 << 20).unwrap().assignment,
     ));
-    solutions.push(("mt-par", parallel_mt(&inst, 1, 1 << 20).unwrap().assignment));
+    solutions.push((
+        "mt-par",
+        parallel_mt(&inst, 1, 1 << 20, Selection::IdMinima)
+            .unwrap()
+            .assignment,
+    ));
     solutions.push((
         "mt-msg",
-        distributed_mt(&inst, 1, 1 << 20).unwrap().assignment,
+        distributed_mt(&inst, 1, 1 << 20, 1).unwrap().assignment,
     ));
     for (name, assignment) in solutions {
         assert!(

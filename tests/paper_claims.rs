@@ -245,7 +245,7 @@ fn mt_rounds_stay_polylogarithmic_at_the_threshold() {
     for &n in &[32usize, 128, 512] {
         let g = random_regular(n, 4, 21).expect("feasible parameters");
         let inst = sinkless_orientation_instance::<f64>(&g).expect("no isolated nodes");
-        let rep = sharp_lll::mt::dist::distributed_mt(&inst, 17, 1 << 20).expect("MT solves");
+        let rep = sharp_lll::mt::dist::distributed_mt(&inst, 17, 1 << 20, 1).expect("MT solves");
         assert!(inst
             .no_event_occurs(&rep.assignment)
             .expect("full assignment"));

@@ -33,7 +33,7 @@ use sharp_lll::graphs::gen::{hyper_ring, path, random_regular, ring};
 use sharp_lll::graphs::Graph;
 use sharp_lll::local::gather::GatherProgram;
 use sharp_lll::local::{broadcast, NodeContext, NodeProgram, RoundResult, Simulator};
-use sharp_lll::mt::dist::{distributed_mt_parallel, MtProgram};
+use sharp_lll::mt::dist::{distributed_mt, MtProgram};
 use sharp_lll::mt::MtReport;
 use sharp_lll::numeric::Num;
 use sharp_lll::obs::{NullRecorder, NullTiming};
@@ -608,7 +608,7 @@ fn mt_driver_matches_across_engines() {
     let inst = ring_instance::<f64>(56, 4);
     let reference = oracle_mt(&inst, 31, 1 << 20);
     for threads in thread_counts_and_one() {
-        let par = distributed_mt_parallel(&inst, 31, 1 << 20, threads).expect("mt");
+        let par = distributed_mt(&inst, 31, 1 << 20, threads).expect("mt");
         assert_eq!(reference, par, "distributed MT at {threads} threads");
     }
 }
