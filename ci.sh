@@ -29,6 +29,24 @@ timeout 600 cargo test -q -p lll-local -p lll-coloring
 LLL_DIFF_THREADS=2 timeout 900 cargo test -q --test parallel_differential
 LLL_DIFF_THREADS=8 timeout 900 cargo test -q --test parallel_differential
 
+echo "==> E2/E6 round gate (deterministic round counts must match the committed CSVs)"
+# The deterministic columns are exact work counters: a change to the
+# schedule colorings or the fixers that moves them must regenerate
+# results/e2_rounds_rank2.csv and results/e6_rounds_rank3.csv and say
+# why. The Moser-Tardos column is context, not gated.
+tmp_rounds="$(mktemp -d)"
+cargo run --release -q -p lll-bench --bin tables -- --csv "$tmp_rounds" E2 E6 > /dev/null
+det_cols='/^#/ { next }
+  !hdr { for (i = 1; i <= NF; i++) col[$i] = i; hdr = 1; next }
+  { print $col["n"], $col["det_rounds"], $col["det_coloring_rounds"]; rows++ }
+  END { exit !(col["n"] && col["det_rounds"] && col["det_coloring_rounds"] && rows) }'
+for f in e2_rounds_rank2 e6_rounds_rank3; do
+  awk -F, "$det_cols" "results/$f.csv" > "$tmp_rounds/$f.want"
+  awk -F, "$det_cols" "$tmp_rounds/$f.csv" > "$tmp_rounds/$f.got"
+  diff "$tmp_rounds/$f.want" "$tmp_rounds/$f.got"
+done
+rm -rf "$tmp_rounds"
+
 echo "==> differential battery, parallel fixing sweep at 2 and 8 workers"
 LLL_DIFF_THREADS=2 cargo test -q --test fixer_parallel_differential
 LLL_DIFF_THREADS=8 cargo test -q --test fixer_parallel_differential

@@ -773,7 +773,7 @@ pub struct SpeedupRow {
     /// Worker threads of the parallel backend.
     pub threads: usize,
     /// `Simulator::run` wall-clock of the workload's LOCAL portion — the
-    /// two schedule-coloring programs (Linial + greedy reduction) on the
+    /// two schedule-coloring programs (Linial + block reduction) on the
     /// prebuilt line graph — in milliseconds, best of three passes.
     pub sim_seq_millis: f64,
     /// `Simulator::run_auto` (slab engine) wall-clock of the same two
@@ -812,7 +812,7 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
 
         // The LOCAL portion of the rank-2 driver is the schedule edge
         // coloring = vertex coloring of the line graph: Linial's color
-        // reduction followed by the greedy class reduction. Time the two
+        // reduction followed by the block color reduction. Time the two
         // engine entry points (`run` vs `run_auto`) directly on those
         // two programs, so the sim columns compare the engines alone —
         // derived-graph construction and driver bookkeeping are engine
@@ -1335,7 +1335,7 @@ fn best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (R, f64) {
 }
 
 /// Runs the traced schedule-coloring workload — the LOCAL portion of the
-/// E14 rank-2 driver (Linial color reduction, then the greedy class
+/// E14 rank-2 driver (Linial color reduction, then the block color
 /// reduction, on the line graph of a ring-based rank-2 instance) —
 /// through the given flight recorder, and returns the two outcomes
 /// (Linial, Reduce).

@@ -6,10 +6,13 @@
 //! `O(d²)` colors. The paper invokes Panconesi–Rizzi resp.
 //! Fraigniaud–Heinrich–Kosowski for these; this crate substitutes the
 //! classic **Linial color reduction** (via polynomials over `F_q`)
-//! followed by greedy color-class reduction. The substitution preserves
-//! the `log* n` dependence on `n` — the quantity the sharp-threshold
-//! statement is about — and only worsens the additive `poly(d)` term
-//! (documented in `DESIGN.md`).
+//! followed by Kuhn–Wattenhofer **block color reduction** to `Δ + 1`
+//! colors in `O(Δ·log(P/Δ))` rounds from a `P`-coloring. The
+//! substitution preserves the `log* n` dependence on `n` — the quantity
+//! the sharp-threshold statement is about — and only adds a `log d`
+//! factor to the additive `poly(d)` term: `O(d log d + log* n)` for
+//! the edge coloring, `O(d² log d + log* n)` for the distance-2
+//! coloring (documented in `DESIGN.md`).
 //!
 //! All algorithms here are real [`NodeProgram`]s executed round-by-round
 //! on the [`Simulator`]; the reported round counts are honest
@@ -46,7 +49,7 @@ mod reduce;
 pub use cole_vishkin::{cole_vishkin_ring, cv_schedule, ColeVishkinProgram};
 pub use linial::{linial_schedule, LinialProgram};
 pub use mis::{is_mis, luby_mis, LubyProgram, MisMsg, MisResult};
-pub use reduce::ReduceProgram;
+pub use reduce::{reduction_rounds, ReduceProgram};
 
 /// A computed coloring together with its honest round cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,8 +110,10 @@ pub fn linial_coloring(sim: &Simulator<'_>, max_rounds: usize) -> Result<Colorin
     })
 }
 
-/// Reduces an existing proper coloring to `target` colors by processing
-/// color classes greedily, one class per round.
+/// Reduces an existing proper `P`-coloring to `target` colors with the
+/// block reduction of [`ReduceProgram`]: every block of `target + 1`
+/// colors clears its top class each round, so the run takes
+/// [`reduction_rounds`]`(P, target) = O(target·log(P/target))` rounds.
 ///
 /// `target` must be at least `Δ + 1`; the input coloring must be proper.
 ///
@@ -119,7 +124,7 @@ pub fn linial_coloring(sim: &Simulator<'_>, max_rounds: usize) -> Result<Colorin
 /// # Panics
 ///
 /// Panics if `target <= Δ` or the input coloring is not proper (both
-/// would make the greedy step unsound).
+/// would make the recoloring step unsound).
 pub fn reduce_coloring(
     sim: &Simulator<'_>,
     input: &Coloring,
@@ -173,8 +178,8 @@ pub fn reduce_coloring(
     })
 }
 
-/// Full vertex coloring: Linial to `O(Δ²)` colors, then greedy reduction
-/// to `Δ + 1`. Round cost `log* n + O(Δ²)`.
+/// Full vertex coloring: Linial to `O(Δ²)` colors, then block reduction
+/// to `Δ + 1`. Round cost `log* n + O(Δ log Δ)`.
 ///
 /// # Errors
 ///
@@ -204,8 +209,9 @@ pub fn vertex_coloring_with_target(
     )
 }
 
-/// Distance-2 vertex coloring with `deg(G²) + 1 = O(Δ²)` colors — the
-/// 2-hop coloring used to schedule the rank-3 fixer (Corollary 1.4).
+/// Distance-2 vertex coloring with `deg(G²) + 1 = O(Δ²)` colors in
+/// `log* n + O(Δ² log Δ)` host rounds — the 2-hop coloring used to
+/// schedule the rank-3 fixer (Corollary 1.4).
 ///
 /// Internally colors the square graph `G²`; one `G²` round is simulated
 /// by 2 rounds on `G`, and the returned round count is already converted.
@@ -226,7 +232,7 @@ pub fn distance2_coloring(sim: &Simulator<'_>, max_rounds: usize) -> Result<Colo
     Ok(c)
 }
 
-/// Edge coloring with `2Δ - 1` colors in `log* n + O(Δ²)` host rounds —
+/// Edge coloring with `2Δ - 1` colors in `log* n + O(Δ log Δ)` host rounds —
 /// the scheduling structure of the rank-2 fixer (Corollary 1.2).
 ///
 /// Internally colors the line graph `L(G)` (ids: edge ids); one `L(G)`

@@ -1,15 +1,59 @@
-//! Greedy color-class reduction.
+//! Block color-class reduction (Kuhn–Wattenhofer with blocks of
+//! `target + 1` colors).
 //!
-//! Given a proper `m`-coloring, one color class is eliminated per round:
-//! in round `t` every node of color `m - t` recolors to the smallest
-//! color in `[0, target)` not used by a neighbor. A color class is an
-//! independent set (the input coloring is proper), so simultaneous
-//! recoloring within a class is safe, and `target > Δ` guarantees a free
-//! color. After `m - target` rounds the palette is `[0, target)`.
+//! Given a proper `P`-coloring and a `target > Δ`, the palette is split
+//! into blocks of `b = target + 1` consecutive colors. In every round the
+//! top class of every full block recolors at once to the smallest color
+//! among its block's first `target` colors not used by a neighbor in the
+//! same block, and then every node re-encodes its color
+//! `c ↦ ⌊c/b⌋·target + c mod b`, which packs the blocks into disjoint
+//! ranges of `target` colors each. A color class is an independent set
+//! (the coloring is proper), and a node has at most `Δ < target`
+//! neighbors in its block, so the recoloring is safe and always finds a
+//! free color; distinct blocks land in distinct ranges, so the
+//! re-encoded coloring stays proper.
+//!
+//! Each round shrinks the palette from `P` to
+//! `(G − 1)·target + min(rem, target)` with `G = ⌈P/b⌉` blocks and
+//! `rem = P − (G − 1)·b` colors in the last one: one color per full
+//! block, so large palettes lose a `1/b` fraction per round and the walk
+//! down to `target` takes `O(Δ·log(P/Δ))` rounds ([`reduction_rounds`]).
+//! While `P ≤ 2·target + 1` there is only one full block, and the rule is
+//! the classic one-class-per-round reduction, round for round.
 
 use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, StepResult};
 
-/// The color-class reduction [`NodeProgram`].
+/// The palette after one round of block reduction from `palette` colors
+/// toward `target`.
+fn next_palette(palette: u64, target: u64) -> u64 {
+    let b = target + 1;
+    let blocks = palette.div_ceil(b);
+    let rem = palette - (blocks - 1) * b;
+    (blocks - 1) * target + rem.min(target)
+}
+
+/// The number of rounds [`ReduceProgram`] takes to bring a proper
+/// `palette`-coloring down to `target` colors (0 if `palette <= target`).
+///
+/// This is the palette walk every node runs to decide when to halt, so a
+/// run's round count equals it exactly. It never exceeds
+/// `palette − target`, the one-class-per-round count, and equals it
+/// exactly when `palette <= 2·target + 1`.
+///
+/// # Panics
+///
+/// Panics if `target == 0`.
+pub fn reduction_rounds(mut palette: u64, target: u64) -> usize {
+    assert!(target > 0, "target must be positive");
+    let mut rounds = 0;
+    while palette > target {
+        palette = next_palette(palette, target);
+        rounds += 1;
+    }
+    rounds
+}
+
+/// The block color-class reduction [`NodeProgram`].
 ///
 /// State is kept in 32 bits throughout (colors are bounded by the
 /// palette, which must fit in the 32-bit message type anyway): one
@@ -20,8 +64,10 @@ pub struct ReduceProgram {
     color: u32,
     palette: u32,
     target: u32,
-    round: u32,
-    port_colors: Vec<u32>,
+    /// Scratch for the free-color search: `used[c]` marks local color `c`
+    /// as taken by a neighbor in this node's block. Sized `target + 1`
+    /// once in `init`, so rounds never allocate.
+    used: Vec<bool>,
 }
 
 impl ReduceProgram {
@@ -49,32 +95,35 @@ impl ReduceProgram {
             color: color as u32,
             palette: palette as u32,
             target: target as u32,
-            round: 0,
-            port_colors: Vec::new(),
+            used: Vec::new(),
         }
     }
 
-    fn mex(&self) -> u32 {
-        (0..self.target)
-            .find(|c| !self.port_colors.contains(c))
-            .expect("target > Δ guarantees a free color")
-    }
-
-    /// The state transition shared by both engine entry points: ingest
-    /// neighbor colors, recolor if this round clears our class, and
-    /// return `Some(final color)` when the palette has reached `target`.
+    /// The state transition shared by both engine entry points: recolor
+    /// if this node is in the top class of a full block, re-encode into
+    /// the packed palette, and return `Some(final color)` once the
+    /// palette has reached `target`. Every neighbor broadcasts its current
+    /// color every round, so `inbox` is the whole neighborhood in this
+    /// round's encoding.
     fn advance(&mut self, inbox: &[Option<u32>]) -> Option<u64> {
-        for (port, msg) in inbox.iter().enumerate() {
-            if let Some(c) = msg {
-                self.port_colors[port] = *c;
+        let b = self.target + 1;
+        let block = self.color / b;
+        let mut local = self.color % b;
+        if local == self.target {
+            self.used.fill(false);
+            for &c in inbox.iter().flatten() {
+                if c / b == block {
+                    self.used[(c % b) as usize] = true;
+                }
             }
+            local = self.used[..self.target as usize]
+                .iter()
+                .position(|&u| !u)
+                .expect("target > Δ guarantees a free color") as u32;
         }
-        self.round += 1;
-        let class = self.palette - self.round;
-        if self.color == class {
-            self.color = self.mex();
-        }
-        (class == self.target).then_some(u64::from(self.color))
+        self.color = block * self.target + local;
+        self.palette = next_palette(u64::from(self.palette), u64::from(self.target)) as u32;
+        (self.palette <= self.target).then_some(u64::from(self.color))
     }
 }
 
@@ -83,7 +132,7 @@ impl NodeProgram for ReduceProgram {
     type Output = u64;
 
     fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u32>> {
-        self.port_colors = vec![u32::MAX; ctx.degree];
+        self.used = vec![false; self.target as usize + 1];
         broadcast(self.color, ctx.degree)
     }
 
@@ -94,8 +143,8 @@ impl NodeProgram for ReduceProgram {
         }
     }
 
-    // The reduction dominates the fixers' scheduling cost (palette −
-    // target rounds of it), so it takes the allocation-free path.
+    // The reduction is the fixers' scheduling cost, so it takes the
+    // allocation-free path.
     fn round_into(
         &mut self,
         _ctx: &mut NodeContext,
@@ -154,19 +203,51 @@ mod tests {
     }
 
     #[test]
-    fn round_count_is_palette_minus_target() {
+    fn round_count_is_the_palette_walk() {
         let g = torus(5, 5);
-        // Inflate a greedy coloring into a sparse large palette.
+        // Inflate a greedy coloring into a sparse large palette: from 39
+        // colors to 5, six full blocks of 6 shrink at once in round 1.
         let greedy = crate::greedy_coloring_sequential(&g);
         let input: Vec<u64> = greedy.iter().map(|&c| (c * 7 + 3) as u64).collect();
         let palette = 5 * 7 + 3 + 1;
         let proper: Vec<usize> = input.iter().map(|&c| c as usize).collect();
         assert!(g.is_proper_coloring(&proper));
         let target = g.max_degree() as u64 + 1;
-        let (out, rounds) = run_reduce(&g, &input, palette as u64, target);
+        let (out, rounds) = run_reduce(&g, &input, palette, target);
         assert!(g.is_proper_coloring(&out));
         assert!(out.iter().all(|&c| (c as u64) < target));
-        assert_eq!(rounds, palette - target as usize);
+        assert_eq!(rounds, reduction_rounds(palette, target));
+        assert_eq!(rounds, 14); // one class per round: 34
+    }
+
+    #[test]
+    fn palette_walk_pins_known_counts() {
+        assert_eq!(reduction_rounds(4, 3), 1);
+        assert_eq!(reduction_rounds(3, 3), 0);
+        assert_eq!(reduction_rounds(1, 3), 0);
+        // dense-d8's distance-2 coloring: raw ids 0..600 down to Δ(G²)+1.
+        assert_eq!(reduction_rounds(600, 57), 165);
+        assert_eq!(next_palette(600, 57), 590);
+        // One full block plus a partial one: the classic single class.
+        assert_eq!(next_palette(9, 4), 8);
+        // Two full blocks: two classes at once.
+        assert_eq!(next_palette(10, 4), 8);
+    }
+
+    #[test]
+    fn block_reduction_never_takes_more_rounds_than_one_class_per_round() {
+        for target in 1..=64u64 {
+            for palette in target + 1..=4096 {
+                let rounds = reduction_rounds(palette, target) as u64;
+                let greedy = palette - target;
+                assert!(rounds <= greedy, "P={palette} t={target}");
+                assert_eq!(
+                    rounds == greedy,
+                    palette <= 2 * target + 1,
+                    "P={palette} t={target}: {rounds} vs {greedy}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the distributed coloring pipeline.
 
 use lll_coloring::{
-    cole_vishkin_ring, distance2_coloring, edge_coloring, is_mis, linial_coloring, luby_mis,
-    vertex_coloring, vertex_coloring_with_target,
+    cole_vishkin_ring, distance2_coloring, edge_coloring, greedy_coloring_sequential, is_mis,
+    linial_coloring, luby_mis, reduction_rounds, vertex_coloring, vertex_coloring_with_target,
+    ReduceProgram,
 };
 use lll_graphs::gen::{gnp, random_regular, ring};
 use lll_local::Simulator;
@@ -20,6 +21,46 @@ proptest! {
         prop_assert!(g.is_proper_coloring(&c.colors));
         prop_assert_eq!(c.palette, g.max_degree() + 1);
         prop_assert!(c.colors.iter().all(|&x| x < c.palette));
+    }
+
+    #[test]
+    fn block_reduction_from_sparse_palettes(
+        n in 4usize..40,
+        p in 0.05f64..0.5,
+        seed in 0u64..1000,
+        stride in 1u64..1024,
+        offset in 0u64..1024,
+        slack in 0u64..1024,
+    ) {
+        // Inflate a greedy coloring into a sparse proper input palette of
+        // up to 2^16 colors, spread over many blocks.
+        let g = gnp(n, p, seed);
+        prop_assume!(g.max_degree() >= 1);
+        let input: Vec<u64> = greedy_coloring_sequential(&g)
+            .iter()
+            .map(|&c| c as u64 * stride + offset)
+            .collect();
+        let palette = input.iter().max().unwrap() + 1 + slack;
+        let target = g.max_degree() as u64 + 1;
+        prop_assume!(palette > target);
+        prop_assert!(palette <= 1 << 16);
+        let sim = Simulator::with_shuffled_ids(&g, seed);
+        let mut by_id = vec![0; n];
+        for (v, &c) in input.iter().enumerate() {
+            by_id[sim.id_of(v) as usize] = c;
+        }
+        let mk = |ctx: &lll_local::NodeContext| ReduceProgram::new(by_id[ctx.id as usize], palette, target);
+        let seq = sim.run(mk, 100_000).expect("converges");
+        let out: Vec<usize> = seq.outputs.iter().map(|&c| c as usize).collect();
+        prop_assert!(g.is_proper_coloring(&out));
+        prop_assert!(seq.outputs.iter().all(|&c| c < target));
+        prop_assert_eq!(seq.rounds, reduction_rounds(palette, target));
+        for t in [1usize, 3, 8] {
+            let par = sim.clone().threads(t).run_auto(mk, 100_000).expect("converges");
+            prop_assert_eq!(&par.outputs, &seq.outputs, "threads {}", t);
+            prop_assert_eq!(par.rounds, seq.rounds, "threads {}", t);
+            prop_assert_eq!(par.messages, seq.messages, "threads {}", t);
+        }
     }
 
     #[test]

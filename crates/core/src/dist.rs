@@ -10,12 +10,12 @@
 //!   share no endpoint, so all their variables can be fixed
 //!   simultaneously. `O(d + log* n)` rounds in the paper with
 //!   Panconesi–Rizzi; our Linial-based substitute gives
-//!   `O(d²) + log* n` (see `DESIGN.md`).
+//!   `O(d log d) + log* n` (see `DESIGN.md`).
 //! * **Rank ≤ 3 (Corollary 1.4)**: a *distance-2 coloring* of the
 //!   dependency graph guarantees that same-colored event nodes are ≥ 3
 //!   apart, so each can fix **all** of its incident variables without
 //!   touching another fixer's events. `O(d² + log* n)` in the paper with
-//!   FHK'16; `O(d⁴) + log* n` with our substitute.
+//!   FHK'16; `O(d² log d) + log* n` with our substitute.
 //!
 //! Round accounting: the coloring rounds are measured exactly on the
 //! simulator; each color class then costs 2 rounds (one to exchange the

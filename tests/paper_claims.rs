@@ -196,12 +196,14 @@ fn corollaries_1_2_and_1_4_rounds_fit_the_d2_log_star_envelope() {
     // and the rank-3 hyper-ring family (d = 4): any regression that
     // inflates the round bill — in the schedule coloring or in the
     // class sweep — trips this before it shows up in EXPERIMENTS.md.
-    // Calibrated on the seed revision: rank-2 rings sit flat at 55
-    // rounds (48 of them the edge coloring); rank-3 hyper-rings plateau
-    // at 580 from n = 1024 on (562 of them the distance-2 coloring —
-    // the palette reduction dominates, and stays n-independent past
-    // the plateau per `corollary_1_4_rounds_do_not_grow_with_n`).
-    const A: usize = 35;
+    // Calibrated on the block color reduction: rank-2 rings sit flat at
+    // 29 rounds (22 of them the edge coloring); rank-3 hyper-rings
+    // plateau at 96 from n = 1024 on (78 of them the distance-2
+    // coloring — the palette reduction dominates, and stays
+    // n-independent past the plateau per
+    // `corollary_1_4_rounds_do_not_grow_with_n`). The one-class-per-round
+    // reduction (55 and 580 rounds) would exceed the rank-3 envelope.
+    const A: usize = 5;
     const B: usize = 3;
     const C: usize = 24;
     for &n in &[256usize, 1024, 4096] {

@@ -90,7 +90,7 @@ fn oracle_linial(sim: &Simulator<'_>, budget: usize) -> Coloring {
     }
 }
 
-/// Linial, then the greedy class reduction to `Δ + 1` colors, both on
+/// Linial, then the block color reduction to `Δ + 1` colors, both on
 /// the reference engine.
 fn oracle_vertex(sim: &Simulator<'_>, budget: usize) -> Coloring {
     let rough = oracle_linial(sim, budget);
