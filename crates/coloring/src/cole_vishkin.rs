@@ -14,7 +14,7 @@
 //! `{0, …, 5}`; three clean-up rounds recolor the classes 5, 4, 3
 //! greedily into `{0, 1, 2}`.
 
-use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
+use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
 
 use crate::Coloring;
 
@@ -77,13 +77,13 @@ impl NodeProgram for ColeVishkinProgram {
     type Message = u64;
     type Output = u64;
 
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u64>> {
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<u64> {
         self.color = ctx.id;
         self.neighbor_colors = vec![u64::MAX; ctx.degree];
-        broadcast(self.color, ctx.degree)
+        Some(self.color)
     }
 
-    fn round(&mut self, ctx: &mut NodeContext, inbox: &[Option<u64>]) -> RoundResult<u64, u64> {
+    fn round(&mut self, _ctx: &mut NodeContext, inbox: Inbox<'_, u64>) -> RoundResult<u64, u64> {
         for (port, msg) in inbox.iter().enumerate() {
             if let Some(c) = msg {
                 self.neighbor_colors[port] = *c;
@@ -95,7 +95,7 @@ impl NodeProgram for ColeVishkinProgram {
             let pred = self.neighbor_colors[self.pred_port];
             self.color = Self::cv_step(self.color, pred, width);
             self.step += 1;
-            return RoundResult::Continue(broadcast(self.color, ctx.degree));
+            return RoundResult::Continue(Some(self.color));
         }
         // Cleanup phase: recolor classes 5, 4, 3 into {0, 1, 2}.
         if self.color == self.cleanup_class {
@@ -107,7 +107,7 @@ impl NodeProgram for ColeVishkinProgram {
             RoundResult::Halt(self.color)
         } else {
             self.cleanup_class -= 1;
-            RoundResult::Continue(broadcast(self.color, ctx.degree))
+            RoundResult::Continue(Some(self.color))
         }
     }
 }

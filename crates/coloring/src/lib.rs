@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 
 use lll_graphs::Graph;
-use lll_local::{NodeContext, NodeProgram, SimError, Simulator};
+use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
 
 mod cole_vishkin;
 mod linial;
@@ -67,7 +67,10 @@ pub struct Coloring {
 }
 
 /// Runs Linial's color reduction alone: from ids (`< n`) down to the
-/// `O(Δ²)` fixed-point palette in `log* n + O(1)` rounds.
+/// `O(Δ²)` fixed-point palette in `log* n + O(1)` rounds. When no step
+/// of [`linial_schedule`] would shrink the palette, the ids are returned
+/// as the coloring, at palette `n`, in 0 rounds and without a simulator
+/// run.
 ///
 /// # Errors
 ///
@@ -100,7 +103,17 @@ pub fn linial_coloring(sim: &Simulator<'_>, max_rounds: usize) -> Result<Colorin
         });
     }
     let schedule = linial_schedule(n as u64, delta as u64);
-    let palette = schedule.last().map_or(n as u64, |&(_, q)| q * q);
+    let Some(&(_, q)) = schedule.last() else {
+        // No step shrinks the id palette (`n` is at most the fixed point
+        // `q²` already): the ids are the coloring, and deciding on them
+        // costs no communication.
+        return Ok(Coloring {
+            colors: (0..n).map(|v| sim.id_of(v) as usize).collect(),
+            palette: n,
+            rounds: 0,
+        });
+    };
+    let palette = q * q;
     let template = LinialProgram::new(schedule);
     let run = sim.run_auto(|_| template.clone(), max_rounds)?;
     Ok(Coloring {
@@ -280,12 +293,12 @@ impl NodeProgram for ConstProgram {
     type Message = ();
     type Output = u64;
 
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<()>> {
-        lll_local::silence(ctx.degree)
+    fn init(&mut self, _: &mut NodeContext) -> Option<()> {
+        None
     }
 
-    fn round(&mut self, _: &mut NodeContext, _: &[Option<()>]) -> lll_local::RoundResult<(), u64> {
-        lll_local::RoundResult::Halt(self.0)
+    fn round(&mut self, _: &mut NodeContext, _: Inbox<'_, ()>) -> RoundResult<(), u64> {
+        RoundResult::Halt(self.0)
     }
 }
 
@@ -312,6 +325,25 @@ mod tests {
             let q = lll_numeric::next_prime(2 * d + 2);
             assert!(c.palette as u64 <= q * q, "{name}: palette {}", c.palette);
         }
+    }
+
+    #[test]
+    fn linial_with_an_empty_schedule_returns_the_ids_in_zero_rounds() {
+        // K6: Δ = 5, so the fixed point nextprime(6)² = 49 ≥ 6 ids and no
+        // schedule step shrinks the palette.
+        let g = complete(6);
+        assert!(linial_schedule(6, 5).is_empty());
+        let sim = Simulator::with_shuffled_ids(&g, 4);
+        let c = linial_coloring(&sim, 0).unwrap();
+        let ids: Vec<usize> = (0..6).map(|v| sim.id_of(v) as usize).collect();
+        assert_eq!(c.colors, ids);
+        assert_eq!(c.palette, 6);
+        assert_eq!(c.rounds, 0);
+        // The reduction after it still reaches Δ + 1 colors.
+        let v = vertex_coloring(&sim, 100).unwrap();
+        assert!(g.is_proper_coloring(&v.colors));
+        assert_eq!(v.palette, 6);
+        assert_eq!(v.rounds, 0, "palette n = Δ + 1 needs no reduction");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `q₁²` with `q₁ = nextprime(Δ + 1) = O(Δ)` after `log* m + O(1)`
 //! steps.
 
-use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, StepResult};
+use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult};
 use lll_numeric::next_prime;
 
 /// Computes the reduction schedule `(k, q)` per round for initial palette
@@ -105,7 +105,7 @@ impl LinialProgram {
     /// One reduction step: pick a point of our polynomial's graph not
     /// owned by any neighbor (read straight off the inbox — silent ports
     /// forbid nothing).
-    fn reduce(&self, inbox: &[Option<u32>], k: u64, q: u64) -> u64 {
+    fn reduce(&self, inbox: Inbox<'_, u32>, k: u64, q: u64) -> u64 {
         'point: for x in 0..q {
             let y = poly_eval(self.color, k, q, x);
             for nc in inbox.iter().flatten() {
@@ -119,61 +119,41 @@ impl LinialProgram {
         }
         unreachable!("q > kΔ guarantees a surviving point")
     }
-
-    /// The state transition shared by both engine entry points: one
-    /// schedule step, returning `Some(final color)` when the schedule is
-    /// exhausted (immediately, if it was empty).
-    fn advance(&mut self, degree: usize, inbox: &[Option<u32>]) -> Option<u64> {
-        if self.step >= self.schedule.len() {
-            // Schedule was empty (palette already at fixed point).
-            return Some(self.color);
-        }
-        let (k, q) = self.schedule[self.step];
-        debug_assert_eq!(
-            inbox.iter().flatten().count(),
-            degree,
-            "all neighbors broadcast"
-        );
-        self.color = self.reduce(inbox, k, q);
-        self.step += 1;
-        (self.step == self.schedule.len()).then_some(self.color)
-    }
 }
 
 impl NodeProgram for LinialProgram {
     type Message = u32;
     type Output = u64;
 
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u32>> {
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<u32> {
         self.color = ctx.id;
         // Colors only shrink from here, so the id bounds every message;
-        // 32-bit messages halve the slab traffic of a u64.
+        // a 32-bit message halves the node slot of a u64.
         assert!(
             self.color <= u64::from(u32::MAX),
             "Linial requires ids < n, which must fit in 32 bits"
         );
-        broadcast(self.color as u32, ctx.degree)
+        Some(self.color as u32)
     }
 
-    fn round(&mut self, ctx: &mut NodeContext, inbox: &[Option<u32>]) -> RoundResult<u32, u64> {
-        match self.advance(ctx.degree, inbox) {
-            Some(color) => RoundResult::Halt(color),
-            None => RoundResult::Continue(broadcast(self.color as u32, ctx.degree)),
-        }
-    }
-
-    fn round_into(
-        &mut self,
-        ctx: &mut NodeContext,
-        inbox: &[Option<u32>],
-        out: &mut [Option<u32>],
-    ) -> StepResult<u64> {
-        match self.advance(ctx.degree, inbox) {
-            Some(color) => StepResult::Halt(color),
-            None => {
-                out.fill(Some(self.color as u32));
-                StepResult::Continue
-            }
+    /// One schedule step; halts with the final color once the schedule
+    /// is exhausted (immediately, if it was empty).
+    fn round(&mut self, ctx: &mut NodeContext, inbox: Inbox<'_, u32>) -> RoundResult<u32, u64> {
+        let Some(&(k, q)) = self.schedule.get(self.step) else {
+            // Schedule was empty (palette already at fixed point).
+            return RoundResult::Halt(self.color);
+        };
+        debug_assert_eq!(
+            inbox.iter().flatten().count(),
+            ctx.degree,
+            "all neighbors broadcast"
+        );
+        self.color = self.reduce(inbox, k, q);
+        self.step += 1;
+        if self.step == self.schedule.len() {
+            RoundResult::Halt(self.color)
+        } else {
+            RoundResult::Continue(Some(self.color as u32))
         }
     }
 }

@@ -7,7 +7,7 @@
 //! Moser–Tardos implementation (violated events elect an independent
 //! set to resample) and as a reference symmetry-breaking primitive.
 
-use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
+use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
 use rand::RngExt;
 
 /// Message of the MIS protocol.
@@ -64,19 +64,19 @@ impl NodeProgram for LubyProgram {
     type Message = MisMsg;
     type Output = Option<bool>;
 
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<MisMsg>> {
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<MisMsg> {
         self.draw = ctx.rng.random();
         if ctx.degree == 0 {
             // Isolated nodes join immediately (no one to contest).
             self.status = Status::In;
         }
-        broadcast(self.message(ctx), ctx.degree)
+        Some(self.message(ctx))
     }
 
     fn round(
         &mut self,
         ctx: &mut NodeContext,
-        inbox: &[Option<MisMsg>],
+        inbox: Inbox<'_, MisMsg>,
     ) -> RoundResult<MisMsg, Option<bool>> {
         if !self.phase_b {
             // Phase A: compare draws; local minima join.
@@ -94,7 +94,7 @@ impl NodeProgram for LubyProgram {
                 }
             }
             self.phase_b = true;
-            RoundResult::Continue(broadcast(self.message(ctx), ctx.degree))
+            RoundResult::Continue(Some(self.message(ctx)))
         } else {
             // Phase B: neighbors of fresh MIS members drop out.
             if self.status == Status::Undecided
@@ -112,7 +112,7 @@ impl NodeProgram for LubyProgram {
                 });
             }
             self.draw = ctx.rng.random();
-            RoundResult::Continue(broadcast(self.message(ctx), ctx.degree))
+            RoundResult::Continue(Some(self.message(ctx)))
         }
     }
 }

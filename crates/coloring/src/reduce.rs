@@ -21,7 +21,7 @@
 //! While `P ≤ 2·target + 1` there is only one full block, and the rule is
 //! the classic one-class-per-round reduction, round for round.
 
-use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, StepResult};
+use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult};
 
 /// The palette after one round of block reduction from `palette` colors
 /// toward `target`.
@@ -84,7 +84,7 @@ impl ReduceProgram {
             target > 0 && target < palette,
             "target must be in (0, palette)"
         );
-        // Messages carry colors in 32 bits (half the slab traffic of a
+        // Messages carry colors in 32 bits (half the node slot of a
         // u64); a palette beyond 2^32 would overflow the id space of any
         // graph the simulator can hold anyway.
         assert!(
@@ -98,22 +98,36 @@ impl ReduceProgram {
             used: Vec::new(),
         }
     }
+}
 
-    /// The state transition shared by both engine entry points: recolor
-    /// if this node is in the top class of a full block, re-encode into
-    /// the packed palette, and return `Some(final color)` once the
-    /// palette has reached `target`. Every neighbor broadcasts its current
-    /// color every round, so `inbox` is the whole neighborhood in this
-    /// round's encoding.
-    fn advance(&mut self, inbox: &[Option<u32>]) -> Option<u64> {
+impl NodeProgram for ReduceProgram {
+    type Message = u32;
+    type Output = u64;
+
+    fn init(&mut self, _ctx: &mut NodeContext) -> Option<u32> {
+        self.used = vec![false; self.target as usize + 1];
+        Some(self.color)
+    }
+
+    /// Recolors if this node is in the top class of a full block,
+    /// re-encodes into the packed palette, and halts once the palette has
+    /// reached `target`. Every neighbor broadcasts its current color every
+    /// round, so `inbox` is the whole neighborhood in this round's
+    /// encoding — but only the top class of a block reads it, so the
+    /// other nodes cost no delivery at all.
+    fn round(&mut self, _ctx: &mut NodeContext, inbox: Inbox<'_, u32>) -> RoundResult<u32, u64> {
         let b = self.target + 1;
         let block = self.color / b;
         let mut local = self.color % b;
         if local == self.target {
             self.used.fill(false);
+            // A neighbor is in this block iff its color lies within `b`
+            // of the block's first color (no division per read).
+            let first = block * b;
             for &c in inbox.iter().flatten() {
-                if c / b == block {
-                    self.used[(c % b) as usize] = true;
+                let offset = c.wrapping_sub(first);
+                if offset < b {
+                    self.used[offset as usize] = true;
                 }
             }
             local = self.used[..self.target as usize]
@@ -123,40 +137,10 @@ impl ReduceProgram {
         }
         self.color = block * self.target + local;
         self.palette = next_palette(u64::from(self.palette), u64::from(self.target)) as u32;
-        (self.palette <= self.target).then_some(u64::from(self.color))
-    }
-}
-
-impl NodeProgram for ReduceProgram {
-    type Message = u32;
-    type Output = u64;
-
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u32>> {
-        self.used = vec![false; self.target as usize + 1];
-        broadcast(self.color, ctx.degree)
-    }
-
-    fn round(&mut self, ctx: &mut NodeContext, inbox: &[Option<u32>]) -> RoundResult<u32, u64> {
-        match self.advance(inbox) {
-            Some(color) => RoundResult::Halt(color),
-            None => RoundResult::Continue(broadcast(self.color, ctx.degree)),
-        }
-    }
-
-    // The reduction is the fixers' scheduling cost, so it takes the
-    // allocation-free path.
-    fn round_into(
-        &mut self,
-        _ctx: &mut NodeContext,
-        inbox: &[Option<u32>],
-        out: &mut [Option<u32>],
-    ) -> StepResult<u64> {
-        match self.advance(inbox) {
-            Some(color) => StepResult::Halt(color),
-            None => {
-                out.fill(Some(self.color));
-                StepResult::Continue
-            }
+        if self.palette <= self.target {
+            RoundResult::Halt(u64::from(self.color))
+        } else {
+            RoundResult::Continue(Some(self.color))
         }
     }
 }
@@ -254,28 +238,5 @@ mod tests {
     #[should_panic(expected = "input color out of palette")]
     fn rejects_out_of_palette_color() {
         ReduceProgram::new(5, 5, 3);
-    }
-
-    #[test]
-    fn in_place_entry_point_matches_allocating_round() {
-        // The native `round_into` override must be observationally
-        // identical to `round`: the sequential engine uses the latter,
-        // the slab engine the former.
-        let g = torus(6, 7);
-        let greedy = crate::greedy_coloring_sequential(&g);
-        let input: Vec<u64> = greedy.iter().map(|&c| (c * 5 + 2) as u64).collect();
-        let palette = 5 * 5 + 2 + 1;
-        let target = g.max_degree() as u64 + 1;
-        let sim = Simulator::new(&g);
-        let mk = |ctx: &lll_local::NodeContext| {
-            ReduceProgram::new(input[ctx.id as usize], palette, target)
-        };
-        let seq = sim.run(mk, 10_000).unwrap();
-        for t in [1usize, 3, 8] {
-            let par = sim.clone().threads(t).run_auto(mk, 10_000).unwrap();
-            assert_eq!(par.outputs, seq.outputs, "threads {t}");
-            assert_eq!(par.rounds, seq.rounds, "threads {t}");
-            assert_eq!(par.messages, seq.messages, "threads {t}");
-        }
     }
 }

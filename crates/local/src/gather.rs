@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::{broadcast, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
+use crate::{Inbox, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
 
 /// The radius-`r` view of a node: every id within distance `r` and every
 /// edge with at least one endpoint within distance `r - 1` (exactly the
@@ -93,15 +93,15 @@ impl NodeProgram for GatherProgram {
     type Message = GatherMsg;
     type Output = Ball;
 
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<GatherMsg>> {
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<GatherMsg> {
         self.ids.insert(ctx.id);
-        broadcast((ctx.id, Vec::new()), ctx.degree)
+        Some((ctx.id, Vec::new()))
     }
 
     fn round(
         &mut self,
         ctx: &mut NodeContext,
-        inbox: &[Option<GatherMsg>],
+        inbox: Inbox<'_, GatherMsg>,
     ) -> RoundResult<GatherMsg, Ball> {
         if self.radius == 0 {
             // Radius 0: the node may not incorporate anything it heard.
@@ -121,10 +121,7 @@ impl NodeProgram for GatherProgram {
             return RoundResult::Halt(self.ball(ctx.id));
         }
         self.radius -= 1;
-        RoundResult::Continue(broadcast(
-            (ctx.id, self.edges.iter().copied().collect()),
-            ctx.degree,
-        ))
+        RoundResult::Continue(Some((ctx.id, self.edges.iter().copied().collect())))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Process-wide memory gauges for the slab engine.
 //!
-//! The parallel engine records its slab geometry here on every run —
+//! The parallel engine records its node-slot geometry here on every run —
 //! lock-free atomics, last-writer-wins — so long-lived hosts (the serve
 //! daemon's Prometheus endpoint, the bench harness) can export "how big
 //! is the engine's working set" without threading a handle through
@@ -9,29 +9,29 @@
 //! under a lock (fields may straddle two concurrent runs — acceptable
 //! for monitoring, where each field is individually truthful).
 //!
-//! [`peak_rss_bytes`] complements the logical slab accounting with the
+//! [`peak_rss_bytes`] complements the logical slot accounting with the
 //! allocator truth: the process's peak resident set, read from
 //! `/proc/self/status` where the platform provides it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Geometry of the parallel engine's message slabs for one run.
+/// Geometry of the parallel engine's node-slot buffers for one run.
 ///
-/// `slab_bytes` is the engine's dominant steady-state allocation: the
-/// two double-buffered slabs of `Option<P::Message>` slots, one slot
-/// per port (see `crate::parallel`). It is a *type-level* bound —
+/// `slab_bytes` is the engine's message storage: the two
+/// double-buffered vectors of `Option<P::Message>` slots, one node slot
+/// per node (see `crate::parallel`). It is a *type-level* bound —
 /// messages owning heap payloads (e.g. `Vec`s) add indirect bytes the
 /// slot size cannot see — which is exactly what makes it stable across
 /// rounds and cheap to record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlabStats {
-    /// Bytes of the two message slabs: `2 × slots × size_of(slot)`.
+    /// Bytes of the two node-slot buffers: `2 × slots × size_of(slot)`.
     pub slab_bytes: u64,
-    /// Port slots per slab.
+    /// Node slots per buffer (the node count).
     pub slots: u64,
-    /// Worker shards the port range was cut into.
+    /// Worker shards the node range was cut into.
     pub shards: u64,
-    /// Slots of the widest shard — the load-balance worst case.
+    /// Node slots of the widest shard.
     pub max_shard_slots: u64,
 }
 

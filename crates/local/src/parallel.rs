@@ -1,19 +1,18 @@
 //! The execution engine of the simulator.
 //!
 //! [`Simulator::run_auto`] shards the nodes into contiguous,
-//! slot-balanced ranges and replaces per-round inbox allocations with
-//! two *message slabs* — one `Option<M>` slot per (node, port) pair in
-//! CSR order, as laid out by [`lll_graphs::Graph::port_slot`]. Each
-//! shard owns its region of both slabs, a `RwLock<Vec<Option<M>>>` of
-//! its own. The slabs are double-buffered: a round is "every shard runs
-//! `round()` on its nodes against the read slab, writing outboxes into
-//! its own region of the write slab; barrier; swap parity". A node
-//! *reads* its inbox by following a twin table, precomputed once per
-//! run as `(shard, local slot)` pairs from
-//! [`lll_graphs::Graph::twin_ports`], into its neighbors' regions of the
-//! read slab, so delivery is an O(1) lookup. A shard write-locks only
-//! its own region and read-locks only the other parity, so the locks
-//! are never contended — and no `unsafe` is needed.
+//! port-balanced ranges and keeps every message in two *node-slot
+//! buffers* — one `Option<M>` slot per node, the node's broadcast of
+//! one round parity. Each shard owns its region of both buffers, a
+//! `RwLock<Vec<Option<M>>>` of its own. The buffers alternate: a round
+//! is "every shard runs `round()` on its nodes against the read parity,
+//! storing each node's broadcast (or `None`) into its own region of the
+//! write parity; barrier; swap parity". A node reads its [`Inbox`]
+//! lazily: a port resolves to the neighbor behind it, and that
+//! neighbor's slot in the read parity, only when the program asks, so
+//! delivery costs what the program reads. A shard write-locks only its
+//! own region and read-locks only the other parity, so the locks are
+//! never contended — and no `unsafe` is needed.
 //!
 //! # The worker pool
 //!
@@ -31,9 +30,9 @@
 //! The pool never hangs. A node program that panics is caught inside its
 //! band, which still reaches the phase barrier; the calling thread then
 //! releases the workers and re-raises the panic with its original
-//! payload. An error or the round limit releases the workers before the
-//! run returns, and so does a panic in the calling thread's own
-//! bookkeeping (a drop guard holds the release).
+//! payload. The round limit releases the workers before the run returns,
+//! and so does a panic in the calling thread's own bookkeeping (a drop
+//! guard holds the release).
 //!
 //! # Determinism
 //!
@@ -43,28 +42,29 @@
 //! * **Sharding is static.** Shard boundaries depend only on the graph
 //!   and the thread count, never on execution state, and each node is
 //!   processed by exactly one worker with exclusive access to its
-//!   program, context, RNG and output slot. How shards are grouped into
+//!   program, context, RNG, output and slot. How shards are grouped into
 //!   bands depends on the host, but bands only decide *which thread* runs
 //!   a shard, never what it computes.
 //! * **Node steps are isolated.** A node's `round` call reads only the
-//!   read slab, which no one writes during the phase, and its own state;
-//!   per-node RNGs are seeded from `(simulator seed, node id)` exactly as
-//!   in the reference engine, so interleaving cannot perturb randomness.
+//!   read parity, which no one writes during the phase, and its own
+//!   state; per-node RNGs are seeded from `(simulator seed, node id)`
+//!   exactly as in the reference engine, so interleaving cannot perturb
+//!   randomness.
 //! * **Reductions are order-independent.** The per-round tallies
 //!   (messages sent, nodes halted) are sums. A shard stops at its first
-//!   failing node, and shards cover ascending node ranges, so the first
-//!   failing shard in shard order holds the minimum failing node — the
-//!   error (or panic) the reference engine, scanning nodes in order,
-//!   reports.
+//!   panicking node, and shards cover ascending node ranges, so the first
+//!   faulting shard in shard order holds the minimum panicking node — the
+//!   panic the reference engine, scanning nodes in order, raises.
 //! * **Program construction is sequential.** The `make` closure runs on
 //!   the calling thread in node order, preserving `FnMut` side-effect
 //!   order.
 //!
-//! Round and message accounting also agree: the engine counts a message
-//! when it is produced rather than when it is delivered, and every
-//! produced outbox is delivered exactly one round later, so the running
-//! totals coincide with the sequential delivery count — including the
-//! terminal-round rule documented at the crate root.
+//! Round and message accounting also agree: the engine bills a broadcast
+//! of a degree-`d` node as `d` messages when it is produced rather than
+//! when it is delivered, and every broadcast is delivered exactly one
+//! round later, so the running totals coincide with the reference
+//! engine's delivery count — including the terminal-round rule
+//! documented at the crate root.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -78,20 +78,10 @@ use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{NetworkInfo, NodeContext, NodeProgram, RunOutcome, SimError, Simulator, StepResult};
-
-/// Lifecycle of a node inside the double-buffered engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeState {
-    /// Executes `round` every round.
-    Running,
-    /// Halted last round; its slots in the buffer that is about to
-    /// become the write slab still hold its final (already delivered)
-    /// outbox and must be wiped exactly once.
-    Draining,
-    /// Halted; both slabs hold `None` in its slots forever.
-    Done,
-}
+use crate::{
+    Inbox, NetworkInfo, NodeContext, NodeProgram, RoundResult, RunOutcome, SimError, Simulator,
+    Slots,
+};
 
 /// Per-band, per-phase tallies, reduced by summation on the calling
 /// thread (order-independent, so shard layout cannot leak into the
@@ -102,33 +92,30 @@ struct RoundStats {
     halted: usize,
 }
 
-/// Why a band stopped a phase early.
+/// Why a run stopped early.
 enum Fault {
-    /// A node program misbehaved (the run returns this error).
+    /// The round limit (the run returns this error).
     Sim(SimError),
     /// A node program panicked (the run re-raises this payload).
     Panic(Box<dyn Any + Send>),
 }
 
-/// One shard's region of a message slab.
+/// One shard's region of a node-slot buffer.
 type Region<M> = RwLock<Vec<Option<M>>>;
 
-/// A read lock on one shard's region of the read slab.
-type ReadGuard<'s, M> = RwLockReadGuard<'s, Vec<Option<M>>>;
+/// A read lock on one shard's region of the read parity.
+pub(crate) type ReadGuard<'s, M> = RwLockReadGuard<'s, Vec<Option<M>>>;
 
 /// A shard's exclusive engine state for the whole run: disjoint `&mut`
 /// windows carved out of the engine's flat vectors with [`split_mut`].
 struct Shard<'a, P: NodeProgram> {
-    /// Index of the shard (and of its slab regions).
+    /// Index of the shard (and of its buffer regions).
     index: usize,
     /// First node of the shard (nodes are `first_node..first_node + len`).
     first_node: usize,
-    /// Global slot index of the shard's first slot.
-    first_slot: usize,
     programs: &'a mut [P],
     ctxs: &'a mut [NodeContext],
     outputs: &'a mut [Option<P::Output>],
-    states: &'a mut [NodeState],
     /// Nodes that halted this phase, in ascending order. Only filled
     /// when a recorder is enabled; the calling thread drains the buffers
     /// in static shard order after the phase barrier, which reproduces
@@ -145,21 +132,18 @@ struct Shard<'a, P: NodeProgram> {
 /// A run of consecutive shards executed by one thread for the whole run.
 struct Band<'a, P: NodeProgram> {
     shards: Vec<Shard<'a, P>>,
-    /// Reusable inbox buffer (cleared per node).
-    scratch: Vec<Option<P::Message>>,
     /// The next phase: 0 is the init phase, `r ≥ 1` is round `r`.
     phase: usize,
-    /// Tallies of the last phase, or the fault that stopped it.
-    outcome: Result<RoundStats, Fault>,
+    /// Tallies of the last phase, or the panic that stopped it.
+    outcome: thread::Result<RoundStats>,
 }
 
-/// The run's shared, read-mostly state: the graph, the twin table and
-/// the two slabs (`regions[parity][shard]`).
-struct Slabs<'g, M> {
+/// The run's shared, read-mostly state: the graph, the shard bounds and
+/// the two node-slot buffers (`regions[parity][shard]`).
+struct Buffers<'g, M> {
     g: &'g Graph,
-    /// For every global slot `s`, the `(shard, local slot)` holding the
-    /// message that arrives on `s`.
-    twin: Vec<(usize, usize)>,
+    /// Shard `s` covers nodes `bounds[s]..bounds[s + 1]`.
+    bounds: Vec<usize>,
     regions: [Vec<Region<M>>; 2],
 }
 
@@ -229,102 +213,62 @@ pub fn split_mut<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [
 }
 
 /// One pass over a shard: the init phase (`read == None`) calls `init`
-/// and lays the outboxes into the shard's `write` region; a round phase
-/// gathers each node's inbox from the read slab via the twin table and
-/// calls `round`.
+/// and stores each broadcast in the shard's `write` region; a round
+/// phase calls `round` with an inbox over the read parity. A halted
+/// node's slot is stored `None` in every phase, so it reads as silent
+/// from either parity.
 fn work_shard<P: NodeProgram, R: Recorder>(
     g: &Graph,
-    twin: &[(usize, usize)],
-    read: Option<&[ReadGuard<'_, P::Message>]>,
+    read: Option<Slots<'_, P::Message>>,
     write: &mut [Option<P::Message>],
     shard: &mut Shard<'_, P>,
-    scratch: &mut Vec<Option<P::Message>>,
-) -> Result<RoundStats, SimError> {
+) -> RoundStats {
     let mut stats = RoundStats::default();
-    let offsets = g.port_offsets();
-    for (i, (program, ctx)) in shard
+    let nodes = shard
         .programs
         .iter_mut()
         .zip(shard.ctxs.iter_mut())
-        .enumerate()
-    {
-        let v = shard.first_node + i;
-        let slot0 = offsets[v];
-        let deg = offsets[v + 1] - slot0;
-        let base = slot0 - shard.first_slot;
-        let out = &mut write[base..base + deg];
-        let Some(read) = read else {
-            let msgs = program.init(ctx);
-            if msgs.len() != deg {
-                return Err(SimError::BadOutboxLength {
-                    node: v,
-                    got: msgs.len(),
-                    expected: deg,
-                });
-            }
-            for (slot, msg) in out.iter_mut().zip(msgs) {
-                stats.sent += usize::from(msg.is_some());
-                *slot = msg;
-            }
+        .zip(shard.outputs.iter_mut().zip(write.iter_mut()));
+    for (i, ((program, ctx), (output, slot))) in nodes.enumerate() {
+        let Some(slots) = read else {
+            *slot = program.init(ctx);
+            stats.sent += if slot.is_some() { ctx.degree } else { 0 };
             continue;
         };
-        match shard.states[i] {
-            NodeState::Done => {}
-            NodeState::Draining => {
-                // The final outbox was delivered last round out of the
-                // other slab; wipe this (now write) slab's copy so the
-                // halted node stays silent in both buffers.
-                out.fill(None);
-                shard.states[i] = NodeState::Done;
+        if output.is_some() {
+            *slot = None;
+            continue;
+        }
+        let v = shard.first_node + i;
+        let inbox = Inbox {
+            neighbors: g.neighbors(v),
+            slots,
+        };
+        match program.round(ctx, inbox) {
+            RoundResult::Continue(msg) => {
+                stats.sent += if msg.is_some() { ctx.degree } else { 0 };
+                *slot = msg;
             }
-            NodeState::Running => {
-                scratch.clear();
-                scratch.extend(
-                    twin[slot0..slot0 + deg]
-                        .iter()
-                        .map(|&(sh, local)| read[sh][local].clone()),
-                );
-                // Hand the node its write-slab window; programs overriding
-                // `round_into` fill it without allocating. The window still
-                // holds the node's outbox of two rounds ago (the slabs
-                // alternate), which is fine: on `Continue` every slot is
-                // stored, on `Halt` the engine wipes the window, and on a
-                // length violation the run aborts.
-                match program.round_into(ctx, scratch, out) {
-                    StepResult::Continue => {
-                        stats.sent += out.iter().flatten().count();
-                    }
-                    StepResult::Halt(o) => {
-                        shard.outputs[i] = Some(o);
-                        out.fill(None);
-                        shard.states[i] = NodeState::Draining;
-                        stats.halted += 1;
-                        if R::ENABLED {
-                            shard.halts.push(v);
-                        }
-                    }
-                    StepResult::BadOutboxLength(got) => {
-                        return Err(SimError::BadOutboxLength {
-                            node: v,
-                            got,
-                            expected: deg,
-                        });
-                    }
+            RoundResult::Halt(o) => {
+                *output = Some(o);
+                *slot = None;
+                stats.halted += 1;
+                if R::ENABLED {
+                    shard.halts.push(v);
                 }
             }
         }
     }
-    Ok(stats)
+    stats
 }
 
-impl<M: Clone> Slabs<'_, M> {
+impl<M> Buffers<'_, M> {
     /// Runs the band's next phase: each shard in order, against the read
     /// parity (read-locked region by region into `reads`, a buffer kept
     /// across phases) and into its own region of the write parity. The
     /// init phase writes parity 0; round `r` reads parity `(r - 1) % 2`
-    /// and writes parity `r % 2`. Stops at the first failing shard and
-    /// turns a panic into a [`Fault`], so the caller always reaches the
-    /// phase barrier.
+    /// and writes parity `r % 2`. Turns a panic into the band's outcome,
+    /// so the caller always reaches the phase barrier.
     fn run_band<'s, P, R, T>(&'s self, band: &mut Band<'_, P>, reads: &mut Vec<ReadGuard<'s, M>>)
     where
         P: NodeProgram<Message = M>,
@@ -340,39 +284,38 @@ impl<M: Clone> Slabs<'_, M> {
                     .map(|r| r.read().unwrap_or_else(PoisonError::into_inner)),
             );
         }
-        let read = (phase > 0).then_some(&reads[..]);
+        let read = (phase > 0).then_some(Slots::Regions {
+            regions: &reads[..],
+            starts: &self.bounds,
+        });
         let write = &self.regions[phase % 2];
-        let Band {
-            shards, scratch, ..
-        } = band;
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        let shards = &mut band.shards;
+        band.outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut stats = RoundStats::default();
             for shard in shards.iter_mut() {
                 let mut region = write[shard.index]
                     .write()
                     .unwrap_or_else(PoisonError::into_inner);
                 let started = span_start::<T>();
-                let s = work_shard::<P, R>(self.g, &self.twin, read, &mut region, shard, scratch)
-                    .map_err(Fault::Sim)?;
+                let s = work_shard::<P, R>(self.g, read, &mut region, shard);
                 if T::ENABLED {
                     shard.nanos = span_nanos(started);
                 }
                 stats.sent += s.sent;
                 stats.halted += s.halted;
             }
-            Ok(stats)
+            stats
         }));
-        band.outcome = outcome.unwrap_or_else(|payload| Err(Fault::Panic(payload)));
         reads.clear();
     }
 }
 
 /// Folds the phase just run: per-shard occupancy into `timing`, halt
 /// events (phase `round`) into `rec` in static shard order, tallies by
-/// summation. Returns the first band's fault, in band order — the fault
-/// of the minimum failing node — after emitting the halts of every node
-/// below it, exactly as far as the reference engine gets before it
-/// aborts.
+/// summation. Returns the first band's panic, in band order — the panic
+/// of the minimum panicking node — after emitting the halts of every
+/// node below it, exactly as far as the reference engine gets before it
+/// unwinds.
 fn collect<P, R, T>(
     bands: &[Mutex<Band<'_, P>>],
     round: usize,
@@ -396,7 +339,8 @@ where
             }
             shard.halts.clear();
         }
-        let s = std::mem::replace(&mut band.outcome, Ok(RoundStats::default()))?;
+        let s = std::mem::replace(&mut band.outcome, Ok(RoundStats::default()))
+            .map_err(Fault::Panic)?;
         stats.sent += s.sent;
         stats.halted += s.halted;
     }
@@ -426,7 +370,7 @@ where
     R: Recorder,
     T: TimingSink,
 {
-    // Init phase: outboxes land in the slab read by round 1.
+    // Init phase: broadcasts land in the parity read by round 1.
     phase();
     let init = collect(bands, 0, rec, timing)?;
 
@@ -434,7 +378,7 @@ where
     let mut messages = 0usize;
     let mut round_messages = Vec::new();
     let mut running = n;
-    // Messages sitting in the read slab: sent last phase = delivered
+    // Messages sitting in the read parity: sent last phase = delivered
     // this round, which keeps the tally equal to the reference engine's
     // delivery count.
     let mut inflight = init.sent;
@@ -511,11 +455,7 @@ impl<'g> Simulator<'g> {
     /// The outcome — outputs, round count, message count, and any error
     /// or panic — is **bit-for-bit identical to [`Simulator::run`]** for
     /// every thread count (see the [module docs](self) for why), so
-    /// callers may treat the knob as a pure performance setting. Even
-    /// at one thread this engine is much faster than the reference
-    /// engine, because it reuses two flat message slabs instead of
-    /// allocating per-node inboxes every round and delivers messages
-    /// through the O(1) twin-port table.
+    /// callers may treat the knob as a pure performance setting.
     ///
     /// # Errors
     ///
@@ -605,7 +545,6 @@ impl<'g> Simulator<'g> {
             .collect();
         let mut programs: Vec<P> = (0..n).map(|v| make(&ctxs[v])).collect();
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut states = vec![NodeState::Running; n];
 
         if R::ENABLED {
             rec.record(&Event::SimRunStart {
@@ -616,50 +555,36 @@ impl<'g> Simulator<'g> {
             });
         }
 
-        let offsets = g.port_offsets();
-        let bounds = shard_bounds(offsets, threads);
-        let slot_cuts: Vec<usize> = bounds.iter().map(|&v| offsets[v]).collect();
+        let bounds = shard_bounds(g.port_offsets(), threads);
         crate::gauges::record_slab(crate::gauges::SlabStats {
-            slab_bytes: 2 * g.num_ports() as u64 * std::mem::size_of::<Option<P::Message>>() as u64,
-            slots: g.num_ports() as u64,
+            slab_bytes: 2 * n as u64 * std::mem::size_of::<Option<P::Message>>() as u64,
+            slots: n as u64,
             shards: threads as u64,
-            max_shard_slots: slot_cuts
+            max_shard_slots: bounds
                 .windows(2)
                 .map(|w| (w[1] - w[0]) as u64)
                 .max()
                 .unwrap_or(0),
         });
-        let region = |w: &[usize]| RwLock::new(vec![None; w[1] - w[0]]);
-        let slabs = Slabs {
-            g,
-            twin: g
-                .twin_ports()
-                .into_iter()
-                .map(|t| {
-                    let sh = slot_cuts.partition_point(|&c| c <= t) - 1;
-                    (sh, t - slot_cuts[sh])
-                })
-                .collect(),
-            regions: [
-                slot_cuts.windows(2).map(region).collect(),
-                slot_cuts.windows(2).map(region).collect(),
-            ],
-        };
+        let region = |w: &[usize]| RwLock::new((w[0]..w[1]).map(|_| None).collect());
+        let regions = [
+            bounds.windows(2).map(region).collect(),
+            bounds.windows(2).map(region).collect(),
+        ];
+        let buffers = Buffers { g, bounds, regions };
+        let bounds = &buffers.bounds;
 
-        let mut shards = split_mut(&mut programs, &bounds)
+        let mut shards = split_mut(&mut programs, bounds)
             .into_iter()
-            .zip(split_mut(&mut ctxs, &bounds))
-            .zip(split_mut(&mut outputs, &bounds))
-            .zip(split_mut(&mut states, &bounds))
+            .zip(split_mut(&mut ctxs, bounds))
+            .zip(split_mut(&mut outputs, bounds))
             .enumerate()
-            .map(|(index, (((programs, ctxs), outputs), states))| Shard {
+            .map(|(index, ((programs, ctxs), outputs))| Shard {
                 index,
                 first_node: bounds[index],
-                first_slot: slot_cuts[index],
                 programs,
                 ctxs,
                 outputs,
-                states,
                 halts: Vec::new(),
                 nanos: 0,
             });
@@ -674,7 +599,6 @@ impl<'g> Simulator<'g> {
             .map(|_| {
                 Mutex::new(Band {
                     shards: shards.by_ref().take(band_len).collect(),
-                    scratch: Vec::new(),
                     phase: 0,
                     outcome: Ok(RoundStats::default()),
                 })
@@ -684,7 +608,7 @@ impl<'g> Simulator<'g> {
         let bill = if let [band] = &bands[..] {
             let mut reads = Vec::new();
             drive(&bands, n, max_rounds, rec, timing, || {
-                slabs.run_band::<P, R, T>(&mut lock(band), &mut reads);
+                buffers.run_band::<P, R, T>(&mut lock(band), &mut reads);
             })
         } else {
             let stop = AtomicBool::new(false);
@@ -692,7 +616,7 @@ impl<'g> Simulator<'g> {
             // band whose worker the OS refuses to spawn runs on the
             // calling thread instead.
             let gates: OnceLock<[Barrier; 2]> = OnceLock::new();
-            let (stop, gates, slabs) = (&stop, &gates, &slabs);
+            let (stop, gates, buffers) = (&stop, &gates, &buffers);
             thread::scope(|s| {
                 let mut mine = vec![&bands[0]];
                 for band in &bands[1..] {
@@ -706,7 +630,7 @@ impl<'g> Simulator<'g> {
                             if stop.load(Ordering::Acquire) {
                                 break;
                             }
-                            slabs.run_band::<P, R, T>(&mut lock(band), &mut reads);
+                            buffers.run_band::<P, R, T>(&mut lock(band), &mut reads);
                             end.wait();
                         }
                     });
@@ -724,7 +648,7 @@ impl<'g> Simulator<'g> {
                 drive(&bands, n, max_rounds, rec, timing, || {
                     start.wait();
                     for band in &mine {
-                        slabs.run_band::<P, R, T>(&mut lock(band), &mut reads);
+                        buffers.run_band::<P, R, T>(&mut lock(band), &mut reads);
                     }
                     end.wait();
                 })
@@ -803,18 +727,17 @@ mod tests {
 
     #[test]
     fn run_auto_accepts_degenerate_thread_counts() {
-        use crate::{broadcast, NodeProgram, RoundResult};
         struct Once;
         impl NodeProgram for Once {
             type Message = u64;
             type Output = u64;
-            fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u64>> {
-                broadcast(ctx.id, ctx.degree)
+            fn init(&mut self, ctx: &mut NodeContext) -> Option<u64> {
+                Some(ctx.id)
             }
             fn round(
                 &mut self,
                 _ctx: &mut NodeContext,
-                inbox: &[Option<u64>],
+                inbox: Inbox<'_, u64>,
             ) -> RoundResult<u64, u64> {
                 RoundResult::Halt(inbox.iter().flatten().sum())
             }
@@ -841,36 +764,25 @@ mod tests {
 
     /// Floods partial sums; nodes whose id is a multiple of 3 halt in
     /// round `at`, the others run for `ttl` rounds. In round `at`, the
-    /// nodes listed in `panics` panic and those in `bad` return an outbox
-    /// of the wrong length.
+    /// nodes listed in `panics` panic.
     #[derive(Clone, Copy)]
     struct Faulty {
         ttl: usize,
         at: usize,
         panics: &'static [u64],
-        bad: &'static [u64],
         round: usize,
     }
 
     impl NodeProgram for Faulty {
         type Message = u64;
         type Output = u64;
-        fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u64>> {
-            crate::broadcast(ctx.id, ctx.degree)
+        fn init(&mut self, ctx: &mut NodeContext) -> Option<u64> {
+            Some(ctx.id)
         }
-        fn round(
-            &mut self,
-            ctx: &mut NodeContext,
-            inbox: &[Option<u64>],
-        ) -> crate::RoundResult<u64, u64> {
+        fn round(&mut self, ctx: &mut NodeContext, inbox: Inbox<'_, u64>) -> RoundResult<u64, u64> {
             self.round += 1;
-            if self.round == self.at {
-                if self.panics.contains(&ctx.id) {
-                    panic!("node {} panicked in round {}", ctx.id, self.round);
-                }
-                if self.bad.contains(&ctx.id) {
-                    return crate::RoundResult::Continue(vec![None; ctx.degree + 3]);
-                }
+            if self.round == self.at && self.panics.contains(&ctx.id) {
+                panic!("node {} panicked in round {}", ctx.id, self.round);
             }
             let sum = inbox
                 .iter()
@@ -882,9 +794,9 @@ mod tests {
                 self.ttl
             };
             if self.round >= last {
-                crate::RoundResult::Halt(sum)
+                RoundResult::Halt(sum)
             } else {
-                crate::RoundResult::Continue(crate::broadcast(sum, ctx.degree))
+                RoundResult::Continue(Some(sum))
             }
         }
     }
@@ -918,11 +830,11 @@ mod tests {
             ttl: 6,
             at: 3,
             panics: &[],
-            bad: &[],
             round: 0,
         };
         let cases = [
-            // A mid-run panic, two of them in different shards.
+            // A mid-run panic, two of them in different shards: the
+            // lowest panicking node decides.
             (
                 Faulty {
                     panics: &[17, 5],
@@ -930,31 +842,6 @@ mod tests {
                 },
                 20,
                 "panic: node 5 panicked in round 3",
-            ),
-            // A mid-run wrong-length outbox.
-            (
-                Faulty { bad: &[11], ..base },
-                20,
-                "error: node 11 produced outbox",
-            ),
-            // Mixed faults: the lowest failing node decides either way.
-            (
-                Faulty {
-                    panics: &[5],
-                    bad: &[17],
-                    ..base
-                },
-                20,
-                "panic: node 5",
-            ),
-            (
-                Faulty {
-                    panics: &[17],
-                    bad: &[5],
-                    ..base
-                },
-                20,
-                "error: node 5",
             ),
             // The round limit.
             (base, 4, "error: round limit 4 exceeded"),
@@ -1001,25 +888,24 @@ mod tests {
     fn path_endpoints_survive_uneven_shards() {
         // Degree-1 endpoints make slot balancing uneven; every thread
         // count must still agree with the sequential engine.
-        use crate::{broadcast, NodeProgram, RoundResult};
         struct Echo(u8);
         impl NodeProgram for Echo {
             type Message = u64;
             type Output = u64;
-            fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<u64>> {
-                broadcast(ctx.id, ctx.degree)
+            fn init(&mut self, ctx: &mut NodeContext) -> Option<u64> {
+                Some(ctx.id)
             }
             fn round(
                 &mut self,
                 ctx: &mut NodeContext,
-                inbox: &[Option<u64>],
+                inbox: Inbox<'_, u64>,
             ) -> RoundResult<u64, u64> {
                 let sum: u64 = inbox.iter().flatten().sum();
                 if self.0 == 0 {
                     RoundResult::Halt(sum)
                 } else {
                     self.0 -= 1;
-                    RoundResult::Continue(broadcast(sum + ctx.id, ctx.degree))
+                    RoundResult::Continue(Some(sum + ctx.id))
                 }
             }
         }

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use lll_core::Instance;
-use lll_local::{broadcast, NodeContext, NodeProgram, RoundResult, Simulator};
+use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult, Simulator};
 use lll_numeric::Num;
 use rand::RngExt;
 
@@ -109,7 +109,7 @@ impl<'i, T: Num> MtProgram<'i, T> {
         var.num_values() - 1
     }
 
-    fn absorb_values(&mut self, inbox: &[Option<MtMsg>]) {
+    fn absorb_values(&mut self, inbox: Inbox<'_, MtMsg>) {
         let support = self.inst.event(self.node).support();
         for msg in inbox.iter().flatten() {
             if let MtMsg::Values(pairs) = msg {
@@ -144,7 +144,7 @@ impl<T: Num> NodeProgram for MtProgram<'_, T> {
     type Message = MtMsg;
     type Output = MtNodeOutput;
 
-    fn init(&mut self, ctx: &mut NodeContext) -> Vec<Option<MtMsg>> {
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<MtMsg> {
         let pairs: Vec<(usize, usize)> = self
             .owned
             .clone()
@@ -155,13 +155,13 @@ impl<T: Num> NodeProgram for MtProgram<'_, T> {
                 (x, val)
             })
             .collect();
-        broadcast(MtMsg::Values(pairs), ctx.degree)
+        Some(MtMsg::Values(pairs))
     }
 
     fn round(
         &mut self,
         ctx: &mut NodeContext,
-        inbox: &[Option<MtMsg>],
+        inbox: Inbox<'_, MtMsg>,
     ) -> RoundResult<MtMsg, MtNodeOutput> {
         match self.phase {
             Phase::Warmup | Phase::Resample => {
@@ -177,10 +177,7 @@ impl<T: Num> NodeProgram for MtProgram<'_, T> {
                     return RoundResult::Halt(self.output());
                 }
                 self.phase = Phase::Exchange;
-                RoundResult::Continue(broadcast(
-                    MtMsg::Violated(self.violated, ctx.id),
-                    ctx.degree,
-                ))
+                RoundResult::Continue(Some(MtMsg::Violated(self.violated, ctx.id)))
             }
             Phase::Exchange => {
                 // Learn the neighbors' violated flags; local minima among
@@ -202,9 +199,9 @@ impl<T: Num> NodeProgram for MtProgram<'_, T> {
                             (x, val)
                         })
                         .collect();
-                    RoundResult::Continue(broadcast(MtMsg::Values(pairs), ctx.degree))
+                    RoundResult::Continue(Some(MtMsg::Values(pairs)))
                 } else {
-                    RoundResult::Continue(broadcast(MtMsg::Values(Vec::new()), ctx.degree))
+                    RoundResult::Continue(Some(MtMsg::Values(Vec::new())))
                 }
             }
         }

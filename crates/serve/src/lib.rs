@@ -1,8 +1,8 @@
 //! `lll-serve`: a batched, cache-warmed LLL-solving daemon.
 //!
 //! The one-shot binaries in this workspace recompute the full
-//! topology pipeline — schedule coloring, twin ports, scheduling
-//! classes — for every instance, even though the Brandt–Maus–Uitto
+//! topology pipeline — schedule coloring and scheduling classes — for
+//! every instance, even though the Brandt–Maus–Uitto
 //! machinery makes all of it a pure function of the dependency graph
 //! and a seed. This crate serves the amortized, many-instance regime:
 //! a long-lived [`Engine`] answers newline-delimited solve requests

@@ -71,11 +71,11 @@ pub struct ServeMetrics {
     pub queue_depth: Gauge,
     /// Bytes of request lines currently being solved.
     pub inflight_bytes: Gauge,
-    /// Bytes of the parallel engine's two message slabs (last run).
+    /// Bytes of the parallel engine's two node-slot buffers (last run).
     pub slab_bytes: Gauge,
-    /// Port slots per message slab (last run).
+    /// Node slots per buffer (last run).
     pub slab_slots: Gauge,
-    /// Worker shards the slab was cut into (last run).
+    /// Worker shards the nodes were cut into (last run).
     pub slab_shards: Gauge,
     /// Slots of the widest shard — the load-balance worst case.
     pub slab_max_shard_slots: Gauge,
@@ -142,19 +142,17 @@ impl ServeMetrics {
         );
         let slab_bytes = registry.gauge(
             "lll_engine_slab_bytes",
-            "Bytes of the parallel engine's two message slabs (last run)",
+            "Bytes of the parallel engine's two node-slot buffers (last run)",
         );
-        let slab_slots = registry.gauge(
-            "lll_engine_slab_slots",
-            "Port slots per message slab (last run)",
-        );
+        let slab_slots =
+            registry.gauge("lll_engine_slab_slots", "Node slots per buffer (last run)");
         let slab_shards = registry.gauge(
             "lll_engine_slab_shards",
-            "Worker shards the slab was cut into (last run)",
+            "Worker shards the nodes were cut into (last run)",
         );
         let slab_max_shard_slots = registry.gauge(
             "lll_engine_slab_max_shard_slots",
-            "Slots of the widest slab shard (last run)",
+            "Node slots of the widest shard (last run)",
         );
         let peak_rss_bytes = registry.gauge(
             "lll_process_peak_rss_bytes",
