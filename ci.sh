@@ -22,9 +22,10 @@ echo "==> tier-1 gate, serial test runner"
 RUST_TEST_THREADS=1 cargo test -q
 
 echo "==> LOCAL engine: pool liveness + differential battery at 2 and 8 workers"
-# The engine's worker pool synchronizes phases with barriers; under
-# `timeout` a deadlock fails this gate instead of hanging it. The test
-# binaries were built by the full-suite step above.
+# The engine runs on the phase pool (`lll_local::pool`), whose workers
+# wait at a spin-then-park gate between phases; under `timeout` a
+# deadlock fails this gate instead of hanging it. The test binaries were
+# built by the full-suite step above.
 timeout 600 cargo test -q -p lll-local -p lll-coloring
 LLL_DIFF_THREADS=2 timeout 900 cargo test -q --test parallel_differential
 LLL_DIFF_THREADS=8 timeout 900 cargo test -q --test parallel_differential
@@ -48,8 +49,10 @@ done
 rm -rf "$tmp_rounds"
 
 echo "==> differential battery, parallel fixing sweep at 2 and 8 workers"
-LLL_DIFF_THREADS=2 cargo test -q --test fixer_parallel_differential
-LLL_DIFF_THREADS=8 cargo test -q --test fixer_parallel_differential
+# The sweep runs on the same phase pool as the engine, so it runs under
+# `timeout` for the same reason.
+LLL_DIFF_THREADS=2 timeout 900 cargo test -q --test fixer_parallel_differential
+LLL_DIFF_THREADS=8 timeout 900 cargo test -q --test fixer_parallel_differential
 
 echo "==> flight recorder: traced workload + summarize/series/diff + timing"
 cargo test -q -p lll-bench --test obs_differential
@@ -106,7 +109,9 @@ cargo run --release -q -p lll-obs --bin obs-report -- \
   resume-check "$tmp_ckpt/prefix.jsonl" "$tmp_ckpt/killed.jsonl"
 rm -rf "$tmp_ckpt"
 # E20: a #checkpoint sidecar every N progress events must stay within
-# 1.05x of the uncheckpointed recorder (numeric-interval rows only; the
+# 1.05x of the uncheckpointed recorder. The overhead column is the median
+# ratio over alternated (off, checkpointed) pairs timed in one process,
+# so host drift cancels within each pair (numeric-interval rows only; the
 # uninterrupted/resumed rows are wall-clock context, not a gate).
 cargo run --release -q -p lll-bench --bin tables -- --csv results E20
 awk -F, '!/^#/ && NR > 2 && $2 ~ /^[0-9]+$/ { if ($4 > 1.05) bad = 1 } END { exit bad }' \

@@ -827,7 +827,7 @@ fn main() {
             "{}",
             render_table(&["n", "mode", "millis", "vs full", "steps"], &wrows)
         );
-        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing — CI gates the densest sidecar cadence at 1.05x)\n");
+        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing; overhead is the median ratio over alternated off/on pairs, which CI\n gates at 1.05x for every cadence)\n");
         trace_experiment(&mut obs, "E20", overhead.len() + wallclock.len());
     }
 

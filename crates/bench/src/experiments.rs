@@ -1592,9 +1592,12 @@ pub struct ResumeOverheadRow {
     /// exactly the unreplicated code path) or the progress-event
     /// interval as a number.
     pub interval: String,
-    /// Best-of-three wall-clock milliseconds of the recorded sweep.
+    /// Median over the pairs of the pair's fastest pass, in wall-clock
+    /// milliseconds (for `"off"`, over the off side of every pair).
     pub millis: f64,
-    /// `millis` relative to the `"off"` row of the same `n`.
+    /// Median over [`E20_PAIRS`] alternated pairs of this cadence's
+    /// fastest pass divided by the fastest `"off"` pass of the same pair
+    /// (1 for `"off"`).
     pub overhead: f64,
     /// `#checkpoint` sidecar lines written in one pass.
     pub checkpoints: usize,
@@ -1602,13 +1605,24 @@ pub struct ResumeOverheadRow {
     pub bytes: usize,
 }
 
+/// Alternated (off, checkpointed) pairs that E20 times per cadence.
+pub const E20_PAIRS: usize = 15;
+
+/// Passes of each flavor in one E20 pair, interleaved; the pair compares
+/// the fastest of each.
+const E20_PASSES: usize = 3;
+
 /// Runs the checkpoint-interval half of experiment E20: times
 /// [`record_sweep_workload`] streaming into an in-memory
-/// [`lll_obs::JsonlRecorder`] with checkpointing off, then with a
-/// `#checkpoint` sidecar every `interval` progress events for each
-/// requested interval. The acceptance target (EXPERIMENTS.md) is the
-/// densest interval within 1.05× of `"off"`: a sidecar is one rolling
-/// digest update plus one short line, never a stream rewrite.
+/// [`lll_obs::JsonlRecorder`], for each requested interval in
+/// [`E20_PAIRS`] pairs of passes with checkpointing off and with a
+/// `#checkpoint` sidecar every `interval` progress events. A pair
+/// interleaves the two flavors, alternating which goes first, so host
+/// drift cancels within it, and compares the fastest pass of each, so a
+/// preempted pass does not count; the row's overhead is the median of
+/// the per-pair ratios. The acceptance target (EXPERIMENTS.md) is every
+/// interval within 1.05× of `"off"`: a sidecar is one rolling digest
+/// update plus one short line, never a stream rewrite.
 pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow> {
     let count_checkpoints = |buf: &[u8]| {
         String::from_utf8_lossy(buf)
@@ -1616,38 +1630,75 @@ pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow
             .filter(|l| l.starts_with(lll_obs::CHECKPOINT_PREFIX))
             .count()
     };
-    // Warm-up pass so the "off" flavor doesn't pay cold caches.
-    record_sweep_workload(n, 1, &mut lll_obs::NullRecorder);
-    let (off_bytes, off_millis) = best_of(3, || {
+    // One timed pass: the stream and its wall-clock milliseconds.
+    let pass = |interval: Option<u64>| {
+        let started = Instant::now();
         let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
+        if let Some(interval) = interval {
+            rec = rec.checkpoint_every(interval);
+        }
         record_sweep_workload(n, 1, &mut rec);
-        rec.finish().expect("in-memory writer never fails").len()
-    });
-    let mut rows = vec![ResumeOverheadRow {
-        n,
-        interval: "off".to_owned(),
-        millis: off_millis,
-        overhead: 1.0,
-        checkpoints: 0,
-        bytes: off_bytes,
-    }];
+        let buf = rec.finish().expect("in-memory writer never fails");
+        (buf, started.elapsed().as_secs_f64() * 1e3)
+    };
+    // Warm-up pass so neither flavor pays cold caches.
+    let (off_buf, _) = pass(None);
+    let mut off_millis = Vec::with_capacity(E20_PAIRS * intervals.len());
+    let mut rows = Vec::with_capacity(intervals.len() + 1);
     for &interval in intervals {
-        let (buf, millis) = best_of(3, || {
-            let mut rec =
-                lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20)).checkpoint_every(interval);
-            record_sweep_workload(n, 1, &mut rec);
-            rec.finish().expect("in-memory writer never fails")
-        });
+        let mut millis = Vec::with_capacity(E20_PAIRS);
+        let mut ratios = Vec::with_capacity(E20_PAIRS);
+        let mut buf = Vec::new();
+        for pair in 0..E20_PAIRS {
+            let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+            for k in 0..E20_PASSES {
+                for checkpointed in [(pair + k) % 2 == 0, (pair + k) % 2 == 1] {
+                    if checkpointed {
+                        let (b, ms) = pass(Some(interval));
+                        on = on.min(ms);
+                        buf = b;
+                    } else {
+                        off = off.min(pass(None).1);
+                    }
+                }
+            }
+            off_millis.push(off);
+            millis.push(on);
+            ratios.push(on / off);
+        }
         rows.push(ResumeOverheadRow {
             n,
             interval: interval.to_string(),
-            millis,
-            overhead: millis / off_millis,
+            millis: median(&mut millis),
+            overhead: median(&mut ratios),
             checkpoints: count_checkpoints(&buf),
             bytes: buf.len(),
         });
     }
+    rows.insert(
+        0,
+        ResumeOverheadRow {
+            n,
+            interval: "off".to_owned(),
+            millis: median(&mut off_millis),
+            overhead: 1.0,
+            checkpoints: 0,
+            bytes: off_buf.len(),
+        },
+    );
     rows
+}
+
+/// The median of a non-empty sample (the mean of the middle two for an
+/// even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
 }
 
 /// E20 — resumed-vs-uninterrupted wall clock: what a mid-run kill

@@ -63,7 +63,7 @@
 use std::fmt;
 
 use lll_coloring::{distance2_coloring, edge_coloring};
-use lll_local::{SimError, Simulator};
+use lll_local::{PoolStats, SimError, Simulator};
 use lll_numeric::Num;
 use lll_obs::timing::{span_nanos, span_start};
 use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink};
@@ -73,7 +73,7 @@ use crate::error::FixerError;
 use crate::fg::FgFixer;
 use crate::fixer2::{audit_verdict, fix_run_start_event};
 use crate::instance::{max_probability, Instance};
-use crate::sweep::{fix_class_sharded, ClassFixer};
+use crate::sweep::{with_class_pool, ClassFixer};
 use crate::triples::Phi;
 use crate::{FixReport, Fixer2, Fixer3};
 
@@ -168,6 +168,11 @@ pub struct DistReport {
     pub num_classes: usize,
     /// The assignment outcome.
     pub fix: FixReport,
+    /// What the fixing sweep's phase pool did: OS workers spawned (at
+    /// most one per band for the whole sweep) and class phases handed
+    /// off. Observation only: it differs across thread counts and hosts
+    /// while everything above is identical.
+    pub sweep_pool: PoolStats,
 }
 
 /// Budget for the coloring subroutines; generous, only a guard against
@@ -694,7 +699,7 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     sink: &mut S,
 ) -> Result<DistReport, DistError> {
     let initial_probs = check_criterion(inst, sweep.check)?;
-    let classes = classes(inst, schedule)?;
+    let mut classes = classes(inst, schedule)?;
     let warmup_classes = classes.len() - schedule.palette();
     let audit = sweep.audit;
 
@@ -711,36 +716,42 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     };
 
     let run_started = span_start::<S>();
-    for mut cells in classes {
-        let class_started = span_start::<S>();
-        assert_cells_disjoint(inst, &cells);
-        // Keep each cell's still-unfixed variables (a rank-3 variable
-        // sits in the cell of every event it affects; the first class
-        // to reach it fixes it). Membership is stable while the class
-        // runs — the witness above guarantees no other cell of the
-        // class touches these events — and replayed steps update the
-        // partial assignment exactly like live ones, so each class sees
-        // the membership the uninterrupted run saw.
-        for cell in &mut cells {
-            cell.retain(|&x| fixer.partial().get(x).is_none());
-        }
-        cells.retain(|cell| !cell.is_empty());
-        if cells.is_empty() {
-            continue;
-        }
-        let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
-        if let Some(rp) = replay.as_mut() {
-            if rp.replay_class(inst, &mut fixer, &class_vars, audit, &mut auditor, rec)? {
-                replay = None;
+    let classes = &mut classes;
+    let (swept, sweep_pool) = with_class_pool(sweep.threads, audit, |pool| {
+        for cells in classes {
+            let class_started = span_start::<S>();
+            assert_cells_disjoint(inst, cells);
+            // Keep each cell's still-unfixed variables (a rank-3 variable
+            // sits in the cell of every event it affects; the first class
+            // to reach it fixes it). Membership is stable while the class
+            // runs — the witness above guarantees no other cell of the
+            // class touches these events — and replayed steps update the
+            // partial assignment exactly like live ones, so each class
+            // sees the membership the uninterrupted run saw.
+            for cell in cells.iter_mut() {
+                cell.retain(|&x| fixer.partial().get(x).is_none());
             }
-            continue;
+            cells.retain(|cell| !cell.is_empty());
+            if cells.is_empty() {
+                continue;
+            }
+            let cells: &Vec<Vec<usize>> = cells;
+            let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
+            if let Some(rp) = replay.as_mut() {
+                if rp.replay_class(inst, &mut fixer, &class_vars, audit, &mut auditor, rec)? {
+                    replay = None;
+                }
+                continue;
+            }
+            let deltas = pool.fix_class(&mut fixer, cells, rec)?;
+            audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
+            if S::ENABLED {
+                sink.record_span(TimingScope::FixClass, span_nanos(class_started));
+            }
         }
-        let deltas = fix_class_sharded(&mut fixer, &cells, sweep.threads, audit, rec)?;
-        audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
-        if S::ENABLED {
-            sink.record_span(TimingScope::FixClass, span_nanos(class_started));
-        }
-    }
+        Ok::<(), DistError>(())
+    });
+    swept?;
     if S::ENABLED {
         sink.record_span(TimingScope::FixRun, span_nanos(run_started));
     }
@@ -769,6 +780,7 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
         coloring_rounds,
         num_classes: palette + warmup_classes,
         fix,
+        sweep_pool,
     })
 }
 
@@ -868,6 +880,7 @@ pub fn distributed_fg<T: Num>(
         coloring_rounds: schedule.coloring_rounds(),
         num_classes: palette,
         fix,
+        sweep_pool: PoolStats::default(),
     })
 }
 
@@ -1108,6 +1121,46 @@ mod tests {
         Sweep {
             threads,
             ..Sweep::default()
+        }
+    }
+
+    #[test]
+    fn a_sweep_spawns_once_not_once_per_class() {
+        // K_7 with one 3-valued variable per edge: an edge schedule of
+        // up to 11 colors plus the rank-1 warm-up, with up to 3 cells
+        // (edges) per class.
+        let n = 7;
+        let mut b = InstanceBuilder::<f64>::new(n);
+        let mut incident: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for u in 0..n {
+            for v in u + 1..n {
+                let x = b.add_uniform_variable(&[u, v], 3);
+                incident[u].push(x);
+                incident[v].push(x);
+            }
+        }
+        for (v, vars) in incident.into_iter().enumerate() {
+            b.set_event_predicate(v, move |vals| vars.iter().all(|&x| vals[x] == 0));
+        }
+        let inst = b.build().unwrap();
+        let schedule = edge(&inst, 5, 1);
+        let base = solve(&inst, &schedule, &threads(1)).unwrap();
+        assert!(base.num_classes >= 10, "{} classes", base.num_classes);
+        assert_eq!(base.sweep_pool.spawns, 0);
+        let rep = solve(&inst, &schedule, &threads(2)).unwrap();
+        assert_eq!(rep.fix.assignment(), base.fix.assignment());
+        // One phase per class of two or more cells (edges; the warm-up
+        // class is empty), all on one pool.
+        let mut cells = vec![0usize; schedule.palette()];
+        for &c in schedule.colors() {
+            cells[c] += 1;
+        }
+        let sharded = cells.iter().filter(|&&k| k >= 2).count();
+        assert!(sharded >= 2, "{cells:?}");
+        assert_eq!(rep.sweep_pool.handoffs, sharded);
+        assert!(rep.sweep_pool.spawns <= 1, "{:?}", rep.sweep_pool);
+        if lll_local::pool::available_cores() >= 2 {
+            assert_eq!(rep.sweep_pool.spawns, 1);
         }
     }
 

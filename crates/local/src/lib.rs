@@ -79,8 +79,10 @@
 pub mod gather;
 pub mod gauges;
 pub mod parallel;
+pub mod pool;
 
 pub use parallel::{effective_workers, shard_bounds, split_mut};
+pub use pool::PoolStats;
 
 use std::fmt;
 
@@ -278,6 +280,11 @@ pub struct RunOutcome<O> {
     /// `messages`). Maintained by both engines with or without a
     /// recorder attached.
     pub round_messages: Vec<usize>,
+    /// What the run's [phase pool](crate::pool) did: OS workers spawned
+    /// and phases handed off (zero for the reference engine, which runs
+    /// no pool). Observation only: it differs across thread counts and
+    /// hosts while everything above is identical.
+    pub pool: PoolStats,
 }
 
 impl<O> RunOutcome<O> {
@@ -583,6 +590,7 @@ impl<'g> Simulator<'g> {
             rounds,
             messages,
             round_messages,
+            pool: PoolStats::default(),
         })
     }
 }

@@ -7,7 +7,7 @@
 //! `RwLock<Vec<Option<M>>>` of its own. The buffers alternate: a round
 //! is "every shard runs `round()` on its nodes against the read parity,
 //! storing each node's broadcast (or `None`) into its own region of the
-//! write parity; barrier; swap parity". A node reads its [`Inbox`]
+//! write parity; end of phase; swap parity". A node reads its [`Inbox`]
 //! lazily: a port resolves to the neighbor behind it, and that
 //! neighbor's slot in the read parity, only when the program asks, so
 //! delivery costs what the program reads. A shard write-locks only its
@@ -16,23 +16,20 @@
 //!
 //! # The worker pool
 //!
-//! One run opens one [`std::thread::scope`]. Consecutive shards are
-//! grouped into *bands*, at most one per available core; the calling
+//! A run executes on one [phase pool](crate::pool): consecutive shards
+//! are grouped into *bands*, at most one per available core; the calling
 //! thread runs band 0 and every other band gets one OS worker for the
-//! whole run (or, if the OS refuses to spawn it, runs on the calling
-//! thread too). Phases (the init phase, then one per round) are separated
-//! by two [`Barrier`]s: the calling thread releases the workers into a
-//! phase, runs its own band, and waits for them at the end of it; in
-//! between phases it alone reduces the tallies, emits events and decides
-//! whether another phase follows. A run with a single band — one shard,
-//! or a single-core host — spawns nothing and touches no barrier.
+//! whole run. Each phase (the init phase, then one per round) is one
+//! handoff of the pool. Between phases the calling thread alone reduces
+//! the tallies, emits events and decides whether another phase follows. A
+//! run with a single band — one shard, or a single-core host — spawns
+//! nothing.
 //!
 //! The pool never hangs. A node program that panics is caught inside its
-//! band, which still reaches the phase barrier; the calling thread then
-//! releases the workers and re-raises the panic with its original
-//! payload. The round limit releases the workers before the run returns,
-//! and so does a panic in the calling thread's own bookkeeping (a drop
-//! guard holds the release).
+//! band, which still finishes the phase; the calling thread then stops
+//! the workers and re-raises the panic with its original payload. The
+//! round limit stops the workers before the run returns, and so does a
+//! panic in the calling thread's own bookkeeping.
 //!
 //! # Determinism
 //!
@@ -67,10 +64,8 @@
 //! documented at the crate root.
 
 use std::any::Any;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
-use std::thread;
+use std::panic;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use lll_graphs::Graph;
 use lll_obs::timing::{span_nanos, span_start};
@@ -78,6 +73,7 @@ use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::pool::{self, Phases};
 use crate::{
     Inbox, NetworkInfo, NodeContext, NodeProgram, RoundResult, RunOutcome, SimError, Simulator,
     Slots,
@@ -118,12 +114,12 @@ struct Shard<'a, P: NodeProgram> {
     outputs: &'a mut [Option<P::Output>],
     /// Nodes that halted this phase, in ascending order. Only filled
     /// when a recorder is enabled; the calling thread drains the buffers
-    /// in static shard order after the phase barrier, which reproduces
+    /// in static shard order after the phase, which reproduces
     /// the reference engine's ascending-node halt emission exactly.
     halts: Vec<usize>,
     /// Wall-clock nanoseconds spent on this shard in the current phase.
     /// Written only when a timing sink is enabled and folded into the
-    /// sink by the calling thread after the phase barrier, so (like the
+    /// sink by the calling thread after the phase, so (like the
     /// recorder) the sink never crosses a thread boundary and the
     /// deterministic event stream never sees a clock.
     nanos: u64,
@@ -134,8 +130,8 @@ struct Band<'a, P: NodeProgram> {
     shards: Vec<Shard<'a, P>>,
     /// The next phase: 0 is the init phase, `r ≥ 1` is round `r`.
     phase: usize,
-    /// Tallies of the last phase, or the panic that stopped it.
-    outcome: thread::Result<RoundStats>,
+    /// Tallies of the last phase.
+    stats: RoundStats,
 }
 
 /// The run's shared, read-mostly state: the graph, the shard bounds and
@@ -145,12 +141,6 @@ struct Buffers<'g, M> {
     /// Shard `s` covers nodes `bounds[s]..bounds[s + 1]`.
     bounds: Vec<usize>,
     regions: [Vec<Region<M>>; 2],
-}
-
-/// Locks a mutex that a panicking band may have poisoned; the engine
-/// stops after any fault, so the data behind it is never trusted again.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The effective worker count for `threads` requested workers over
@@ -262,19 +252,28 @@ fn work_shard<P: NodeProgram, R: Recorder>(
     stats
 }
 
+/// The read guards a band holds during one phase: the thread-local
+/// scratch of the engine's pool, kept across phases to reuse its storage.
+type Reads<'s, M> = Vec<ReadGuard<'s, M>>;
+
+/// The engine's open pool: its bands and each thread's [`Reads`].
+type Pool<'p, 'a, 's, P> = Phases<'p, Band<'a, P>, Reads<'s, <P as NodeProgram>::Message>>;
+
 impl<M> Buffers<'_, M> {
     /// Runs the band's next phase: each shard in order, against the read
-    /// parity (read-locked region by region into `reads`, a buffer kept
-    /// across phases) and into its own region of the write parity. The
-    /// init phase writes parity 0; round `r` reads parity `(r - 1) % 2`
-    /// and writes parity `r % 2`. Turns a panic into the band's outcome,
-    /// so the caller always reaches the phase barrier.
-    fn run_band<'s, P, R, T>(&'s self, band: &mut Band<'_, P>, reads: &mut Vec<ReadGuard<'s, M>>)
+    /// parity (read-locked region by region into `reads`) and into its
+    /// own region of the write parity. The init phase writes parity 0;
+    /// round `r` reads parity `(r - 1) % 2` and writes parity `r % 2`. A
+    /// panicking node unwinds into the pool, which records it as the
+    /// band's fault.
+    fn run_band<'s, P, R, T>(&'s self, band: &mut Band<'_, P>, reads: &mut Reads<'s, M>)
     where
         P: NodeProgram<Message = M>,
         R: Recorder,
         T: TimingSink,
     {
+        // Guards left behind by a phase that panicked.
+        reads.clear();
         let phase = band.phase;
         band.phase += 1;
         if phase > 0 {
@@ -289,35 +288,31 @@ impl<M> Buffers<'_, M> {
             starts: &self.bounds,
         });
         let write = &self.regions[phase % 2];
-        let shards = &mut band.shards;
-        band.outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut stats = RoundStats::default();
-            for shard in shards.iter_mut() {
-                let mut region = write[shard.index]
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let started = span_start::<T>();
-                let s = work_shard::<P, R>(self.g, read, &mut region, shard);
-                if T::ENABLED {
-                    shard.nanos = span_nanos(started);
-                }
-                stats.sent += s.sent;
-                stats.halted += s.halted;
+        band.stats = RoundStats::default();
+        for shard in &mut band.shards {
+            let mut region = write[shard.index]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            let started = span_start::<T>();
+            let s = work_shard::<P, R>(self.g, read, &mut region, shard);
+            if T::ENABLED {
+                shard.nanos = span_nanos(started);
             }
-            stats
-        }));
+            band.stats.sent += s.sent;
+            band.stats.halted += s.halted;
+        }
         reads.clear();
     }
 }
 
-/// Folds the phase just run: per-shard occupancy into `timing`, halt
-/// events (phase `round`) into `rec` in static shard order, tallies by
-/// summation. Returns the first band's panic, in band order — the panic
-/// of the minimum panicking node — after emitting the halts of every
-/// node below it, exactly as far as the reference engine gets before it
-/// unwinds.
-fn collect<P, R, T>(
-    bands: &[Mutex<Band<'_, P>>],
+/// Runs one phase on the pool and folds it: per-shard occupancy into
+/// `timing`, halt events (phase `round`) into `rec` in static shard
+/// order, tallies by summation. On a panic, returns the first faulting
+/// band's payload — the panic of the minimum panicking node — after
+/// emitting the halts of every node below it, exactly as far as the
+/// reference engine gets before it unwinds.
+fn phase<P, R, T>(
+    pool: &mut Pool<'_, '_, '_, P>,
     round: usize,
     rec: &mut R,
     timing: &mut T,
@@ -327,9 +322,11 @@ where
     R: Recorder,
     T: TimingSink,
 {
+    let fault = pool.phase().err();
+    let folded = fault.as_ref().map_or(pool.len(), |f| f.band + 1);
     let mut stats = RoundStats::default();
-    for band in bands {
-        let mut band = lock(band);
+    for b in 0..folded {
+        let mut band = pool.band(b);
         for shard in &mut band.shards {
             if T::ENABLED {
                 timing.record_span(TimingScope::ShardWork, shard.nanos);
@@ -339,12 +336,13 @@ where
             }
             shard.halts.clear();
         }
-        let s = std::mem::replace(&mut band.outcome, Ok(RoundStats::default()))
-            .map_err(Fault::Panic)?;
-        stats.sent += s.sent;
-        stats.halted += s.halted;
+        stats.sent += band.stats.sent;
+        stats.halted += band.stats.halted;
     }
-    Ok(stats)
+    match fault {
+        Some(f) => Err(Fault::Panic(f.payload)),
+        None => Ok(stats),
+    }
 }
 
 /// A run's bill: what [`RunOutcome`] carries besides the outputs.
@@ -354,16 +352,15 @@ struct Bill {
     round_messages: Vec<usize>,
 }
 
-/// The calling thread's side of a run: executes `phase` (one init or
-/// round phase across every band) until every node halted, reducing
-/// each phase with [`collect`] and recording the round structure.
+/// The calling thread's side of a run: executes one init or round
+/// [`phase`] at a time until every node halted, recording the round
+/// structure.
 fn drive<P, R, T>(
-    bands: &[Mutex<Band<'_, P>>],
+    pool: &mut Pool<'_, '_, '_, P>,
     n: usize,
     max_rounds: usize,
     rec: &mut R,
     timing: &mut T,
-    mut phase: impl FnMut(),
 ) -> Result<Bill, Fault>
 where
     P: NodeProgram,
@@ -371,8 +368,7 @@ where
     T: TimingSink,
 {
     // Init phase: broadcasts land in the parity read by round 1.
-    phase();
-    let init = collect(bands, 0, rec, timing)?;
+    let init = phase(pool, 0, rec, timing)?;
 
     let mut rounds = 0usize;
     let mut messages = 0usize;
@@ -399,8 +395,7 @@ where
         let delivered = inflight;
         messages += delivered;
         round_messages.push(delivered);
-        phase();
-        let stats = collect(bands, rounds, rec, timing)?;
+        let stats = phase(pool, rounds, rec, timing)?;
         running -= stats.halted;
         if R::ENABLED {
             rec.record(&Event::RoundEnd {
@@ -430,22 +425,6 @@ where
         messages,
         round_messages,
     })
-}
-
-/// Releases the pool's workers from the start barrier with the stop flag
-/// set. Dropped by the calling thread on every way out of a pooled run
-/// — a finished run, an error, the round limit, or an unwinding panic —
-/// always between phases, when every worker waits at the start barrier.
-struct Release<'a> {
-    start: &'a Barrier,
-    stop: &'a AtomicBool,
-}
-
-impl Drop for Release<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.start.wait();
-    }
 }
 
 impl<'g> Simulator<'g> {
@@ -485,8 +464,8 @@ impl<'g> Simulator<'g> {
     /// The recorded stream is **byte-identical to the one
     /// [`Simulator::run_recorded`] emits**, at every thread count:
     /// shards buffer their halt transitions and the calling thread
-    /// merges the buffers in static shard order after each phase
-    /// barrier, which is ascending node order — exactly the order the
+    /// merges the buffers in static shard order after each phase,
+    /// which is ascending node order — exactly the order the
     /// reference engine emits them in. The recorder itself never crosses
     /// a thread boundary. To resume a recorded run from a checkpoint,
     /// wrap `rec` in a [`SkipPrefixRecorder`](lll_obs::SkipPrefixRecorder):
@@ -495,7 +474,7 @@ impl<'g> Simulator<'g> {
     ///
     /// Per-phase shard occupancy is timed by the thread running the
     /// shard into a shard-private slot and folded into `timing` by the
-    /// calling thread after the phase barrier
+    /// calling thread after the phase
     /// ([`TimingScope::ShardWork`], one span per shard per phase),
     /// alongside whole-round ([`TimingScope::SimRound`]) and whole-run
     /// ([`TimingScope::SimRun`]) spans. The sink never crosses a thread
@@ -589,72 +568,19 @@ impl<'g> Simulator<'g> {
                 nanos: 0,
             });
         // Shard count (= determinism-relevant layout) and OS worker count
-        // are decoupled: oversubscribing a host buys nothing, so bands of
-        // consecutive shards share a thread when `threads` exceeds the
-        // available parallelism — on a single-core host every shard runs
-        // on the calling thread with zero spawns.
-        let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let band_len = threads.div_ceil(effective_workers(cores, threads));
-        let bands: Vec<Mutex<Band<'_, P>>> = (0..threads.div_ceil(band_len))
-            .map(|_| {
-                Mutex::new(Band {
-                    shards: shards.by_ref().take(band_len).collect(),
-                    phase: 0,
-                    outcome: Ok(RoundStats::default()),
-                })
-            })
-            .collect();
-
-        let bill = if let [band] = &bands[..] {
-            let mut reads = Vec::new();
-            drive(&bands, n, max_rounds, rec, timing, || {
-                buffers.run_band::<P, R, T>(&mut lock(band), &mut reads);
-            })
-        } else {
-            let stop = AtomicBool::new(false);
-            // The phase barriers, made once the party count is known: a
-            // band whose worker the OS refuses to spawn runs on the
-            // calling thread instead.
-            let gates: OnceLock<[Barrier; 2]> = OnceLock::new();
-            let (stop, gates, buffers) = (&stop, &gates, &buffers);
-            thread::scope(|s| {
-                let mut mine = vec![&bands[0]];
-                for band in &bands[1..] {
-                    let spawned = thread::Builder::new().spawn_scoped(s, move || {
-                        let [start, end] = gates.wait();
-                        let mut reads = Vec::new();
-                        loop {
-                            start.wait();
-                            // Pairs with the `Release` store in
-                            // `Release::drop`, made before its start wait.
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            buffers.run_band::<P, R, T>(&mut lock(band), &mut reads);
-                            end.wait();
-                        }
-                    });
-                    if spawned.is_err() {
-                        mine.push(band);
-                    }
-                }
-                // Nothing since the first spawn can panic, so every
-                // spawned worker gets its barriers.
-                let parties = bands.len() + 1 - mine.len();
-                let [start, end] =
-                    gates.get_or_init(|| [Barrier::new(parties), Barrier::new(parties)]);
-                let _release = Release { start, stop };
-                let mut reads = Vec::new();
-                drive(&bands, n, max_rounds, rec, timing, || {
-                    start.wait();
-                    for band in &mine {
-                        buffers.run_band::<P, R, T>(&mut lock(band), &mut reads);
-                    }
-                    end.wait();
-                })
-            })
-        };
-        drop(bands);
+        // are decoupled: bands of consecutive shards share a thread when
+        // `threads` exceeds the available parallelism.
+        let band_len = pool::band_len(threads);
+        let bands = (0..threads.div_ceil(band_len)).map(|_| Band {
+            shards: shards.by_ref().take(band_len).collect(),
+            phase: 0,
+            stats: RoundStats::default(),
+        });
+        let (bill, pool) = pool::run(
+            bands,
+            |band, reads| buffers.run_band::<P, R, T>(band, reads),
+            |pool| drive(pool, n, max_rounds, rec, timing),
+        );
         let bill = match bill {
             Ok(bill) => bill,
             Err(Fault::Sim(e)) => return Err(e),
@@ -671,6 +597,7 @@ impl<'g> Simulator<'g> {
             rounds: bill.rounds,
             messages: bill.messages,
             round_messages: bill.round_messages,
+            pool,
         })
     }
 }
@@ -880,6 +807,42 @@ mod tests {
                     )),
                     clean
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_spawns_once_and_hands_off_once_per_phase() {
+        /// Counts the rounds a run starts.
+        #[derive(Default)]
+        struct Rounds(usize);
+        impl Recorder for Rounds {
+            fn record(&mut self, event: &Event) {
+                if matches!(event, Event::RoundStart { .. }) {
+                    self.0 += 1;
+                }
+            }
+        }
+        let g = ring(24).square();
+        let program = Faulty {
+            ttl: 6,
+            at: 3,
+            panics: &[],
+            round: 0,
+        };
+        for t in [1usize, 2] {
+            let mut rounds = Rounds::default();
+            let out = Simulator::new(&g)
+                .threads(t)
+                .run_auto_timed_recorded(|_| program, 20, &mut rounds, &mut NullTiming)
+                .unwrap();
+            // One phase per started round (the free terminal round
+            // included) plus the init phase.
+            assert_eq!(out.pool.handoffs, rounds.0 + 1, "threads {t}");
+            let bands = t.div_ceil(pool::band_len(t));
+            assert_eq!(out.pool.spawns, bands - 1, "threads {t}");
+            if t == 2 && pool::available_cores() >= 2 {
+                assert_eq!(out.pool.spawns, 1);
             }
         }
     }
