@@ -294,7 +294,7 @@ impl<'c, T: Num, F: ClassFixer<T>> ClassPool<'_, '_, 'c, T, F> {
         // Fork before the phase: forks are pure functions of the
         // pre-class state and the static shard bounds. Consecutive shards
         // share a band, so band order is shard order.
-        let band_len = shards.div_ceil(self.pool.len());
+        let band_len = shards.div_ceil(self.pool.band_count());
         for (s, w) in bounds.windows(2).enumerate() {
             self.pool.band(s / band_len).push(Job {
                 fork: fixer.fork(base + offsets[w[0]]),
@@ -313,7 +313,7 @@ impl<'c, T: Num, F: ClassFixer<T>> ClassPool<'_, '_, 'c, T, F> {
         // would have raised.
         let mut deltas = Vec::new();
         let mut outcome = Ok(());
-        for b in 0..self.pool.len() {
+        for b in 0..self.pool.band_count() {
             for mut job in self.pool.band(b).drain(..) {
                 if outcome.is_err() {
                     continue;

@@ -323,7 +323,7 @@ where
     T: TimingSink,
 {
     let fault = pool.phase().err();
-    let folded = fault.as_ref().map_or(pool.len(), |f| f.band + 1);
+    let folded = fault.as_ref().map_or(pool.band_count(), |f| f.band + 1);
     let mut stats = RoundStats::default();
     for b in 0..folded {
         let mut band = pool.band(b);

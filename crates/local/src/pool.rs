@@ -29,9 +29,10 @@
 //! closed spins for at most [`SPIN`] and then parks, so a handoff between
 //! two running threads costs a few cache-line transfers and never a futex
 //! sleep, while a waiter that would wait longer gives its core back. The
-//! budget is a fixed constant, not a knob, and the spin never yields: on a
-//! loaded host a longer or open-ended spin takes the core from the very
-//! thread it waits for.
+//! budget is a fixed constant, not a knob, and the spin never yields. A
+//! waiter whose last wait outlasted the budget parks at once until a wait
+//! is short again: on a loaded host the thread it waits for is often
+//! descheduled, and spinning would take the core from it.
 //!
 //! # Faults
 //!
@@ -57,13 +58,15 @@ use crate::effective_workers;
 /// How long a thread that finds the gate closed spins before it parks.
 ///
 /// Measured on a 2-vCPU host (EXPERIMENTS L3, "Remaining sync cost"): a
-/// zero-work phase at two threads costs about 1.5 µs with this budget,
+/// zero-work phase at two threads costs about 1.3 µs with this budget,
 /// against 15 µs when every wait parks at once (as much as two `Barrier`
 /// waits). When the calling thread waits 10 µs for its worker each phase,
 /// a 5 µs budget parks it and the phase costs 19 µs; 20 µs covers the
 /// wait and the phase costs 11.7 µs, and 50 µs gains nothing more. So the
-/// budget covers about one band's share of a cheap round, and a waiter
-/// that would wait longer gives its core back.
+/// budget covers about one band's share of a cheap round. Beside a busy
+/// loop, spinning on every wait made a zero-work phase cost 12–43 µs; a
+/// waiter that stops spinning once a wait outlasts the budget holds it at
+/// 10–13 µs, against 17–20 µs for the barriers.
 pub const SPIN: Duration = Duration::from_micros(20);
 
 /// Epoch value that tells the workers to exit.
@@ -150,22 +153,32 @@ struct Gate {
 /// until unparked. The party that makes `ready()` true unparks the
 /// waiter afterwards, so no wakeup is lost (an unpark before the park
 /// makes the park return at once), and a spurious return re-checks.
-fn wait_until(ready: impl Fn() -> bool) {
+///
+/// `spin` is the waiter's own record of whether spinning pays: it stays
+/// set while waits end within the budget and is cleared by a wait that
+/// outlasts it, after which the waiter parks at once until a wait is
+/// short again. On a loaded host the thread waited for is often
+/// descheduled, so waits outlast the budget and the waiter stops taking
+/// CPU from it.
+fn wait_until(spin: &mut bool, ready: impl Fn() -> bool) {
     if ready() {
         return;
     }
     let started = Instant::now();
-    while started.elapsed() < SPIN {
-        for _ in 0..64 {
-            hint::spin_loop();
-            if ready() {
-                return;
+    if *spin {
+        while started.elapsed() < SPIN {
+            for _ in 0..64 {
+                hint::spin_loop();
+                if ready() {
+                    return;
+                }
             }
         }
     }
     while !ready() {
         thread::park();
     }
+    *spin = started.elapsed() < SPIN;
 }
 
 /// The calling thread's handle on an open pool.
@@ -178,17 +191,14 @@ pub struct Phases<'p, B, L> {
     gate: Option<(&'p Gate, Vec<Thread>)>,
     epoch: usize,
     handoffs: usize,
+    /// Whether the calling thread spins at its next wait.
+    spin: bool,
 }
 
 impl<B, L> Phases<'_, B, L> {
     /// Number of bands.
-    pub fn len(&self) -> usize {
+    pub fn band_count(&self) -> usize {
         self.bands.len()
-    }
-
-    /// Whether the pool has no bands (never: [`run`] requires one).
-    pub fn is_empty(&self) -> bool {
-        self.bands.is_empty()
     }
 
     /// Band `i`'s mailbox, between phases.
@@ -227,7 +237,7 @@ impl<B, L> Phases<'_, B, L> {
             }
         }
         if let Some((gate, _)) = &self.gate {
-            wait_until(|| gate.busy.load(Ordering::Acquire) == 0);
+            wait_until(&mut self.spin, || gate.busy.load(Ordering::Acquire) == 0);
             for (band, slot) in self.bands.iter().enumerate() {
                 if let Some(payload) = lock(&slot.fault).take() {
                     faults.push(BandPanic { band, payload });
@@ -284,24 +294,23 @@ where
         .collect();
     assert!(!slots.is_empty(), "a pool needs at least one band");
     let work: &(dyn Fn(&mut B, &mut L) + Sync) = &work;
-    if slots.len() == 1 {
+    let open = |gate: Option<(&Gate, Vec<Thread>)>| {
+        let spawns = gate.as_ref().map_or(0, |(_, workers)| workers.len());
         let mut phases = Phases {
             bands: &slots,
             work,
             local: L::default(),
-            gate: None,
+            gate,
             epoch: 0,
             handoffs: 0,
+            spin: true,
         };
         let out = drive(&mut phases);
         let handoffs = phases.handoffs;
-        return (
-            out,
-            PoolStats {
-                spawns: 0,
-                handoffs,
-            },
-        );
+        (out, PoolStats { spawns, handoffs })
+    };
+    if slots.len() == 1 {
+        return open(None);
     }
     let gate = Gate {
         epoch: AtomicUsize::new(0),
@@ -315,8 +324,9 @@ where
             let spawned = thread::Builder::new().spawn_scoped(s, move || {
                 let mut local = L::default();
                 let mut seen = 0;
+                let mut spin = true;
                 loop {
-                    wait_until(|| gate.epoch.load(Ordering::Acquire) != seen);
+                    wait_until(&mut spin, || gate.epoch.load(Ordering::Acquire) != seen);
                     seen = gate.epoch.load(Ordering::Acquire);
                     if seen == STOP {
                         break;
@@ -324,6 +334,8 @@ where
                     if let Some(payload) = slot.run(work, &mut local) {
                         *lock(&slot.fault) = Some(payload);
                     }
+                    // Release: the caller's acquire load of a zero busy
+                    // count sees everything this band wrote.
                     if gate.busy.fetch_sub(1, Ordering::AcqRel) == 1 {
                         gate.caller.unpark();
                     }
@@ -336,18 +348,7 @@ where
                 slot.spawned.store(true, Ordering::Relaxed);
             }
         }
-        let spawns = workers.len();
-        let mut phases = Phases {
-            bands: &slots,
-            work,
-            local: L::default(),
-            gate: Some((gate, workers)),
-            epoch: 0,
-            handoffs: 0,
-        };
-        let out = drive(&mut phases);
-        let handoffs = phases.handoffs;
-        (out, PoolStats { spawns, handoffs })
+        open(Some((gate, workers)))
     })
 }
 
@@ -364,7 +365,7 @@ mod tests {
                 |pool| {
                     for phase in 1..=5 {
                         pool.phase().expect("no band panics");
-                        for b in 0..pool.len() {
+                        for b in 0..pool.band_count() {
                             assert_eq!(*pool.band(b), phase, "{bands} bands");
                         }
                     }
