@@ -716,6 +716,8 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     };
 
     let run_started = span_start::<S>();
+    // The pool's mailboxes borrow each class's cells, so the classes
+    // outlive the pool.
     let classes = &mut classes;
     let (swept, sweep_pool) = with_class_pool(sweep.threads, audit, |pool| {
         for cells in classes {
