@@ -1606,7 +1606,7 @@ pub struct ResumeOverheadRow {
 }
 
 /// Alternated (off, checkpointed) pairs that E20 times per cadence.
-pub const E20_PAIRS: usize = 15;
+pub const E20_PAIRS: usize = 25;
 
 /// Passes of each flavor in one E20 pair, interleaved; the pair compares
 /// the fastest of each.
