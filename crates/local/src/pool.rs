@@ -58,7 +58,7 @@ use crate::effective_workers;
 /// How long a thread that finds the gate closed spins before it parks.
 ///
 /// Measured on a 2-vCPU host (EXPERIMENTS L3, "Remaining sync cost"): a
-/// zero-work phase at two threads costs about 1.3 µs with this budget,
+/// zero-work phase at two threads costs 1.1–1.4 µs with this budget,
 /// against 15 µs when every wait parks at once (as much as two `Barrier`
 /// waits). When the calling thread waits 10 µs for its worker each phase,
 /// a 5 µs budget parks it and the phase costs 19 µs; 20 µs covers the
