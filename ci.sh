@@ -135,6 +135,16 @@ cargo test -q -p lll-bench --bin ledger
 cargo run --release -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
   --all --smoke --seconds 0.5 --seed 1
 
+echo "==> ledger counter gate (exact work counters must match results/ledger_counters.txt)"
+# alloc.count, alloc.bytes, numeric.promotes/demotes, sweep.steps,
+# coloring.rounds and obs.events of every workload's smoke run are
+# deterministic: a change that moves one regenerates the file with
+# scripts/ledger_counters.sh and says why in CHANGES.md.
+tmp_ledger="$(mktemp -d)"
+scripts/ledger_counters.sh > "$tmp_ledger/got"
+diff results/ledger_counters.txt "$tmp_ledger/got"
+rm -rf "$tmp_ledger"
+
 echo "==> service mode: protocol + cache + parse + soak batteries"
 # The stages below run the lll-serve and lll-metrics-scrape binaries
 # directly; build them (and obs-report) as the workflow's service job does.

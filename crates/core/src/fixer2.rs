@@ -18,7 +18,7 @@
 //! irrelevant (the process is *order-oblivious*), which is what makes
 //! the distributed schedule of Corollary 1.2 correct.
 
-use lll_numeric::Num;
+use lll_numeric::{BigInt, BigRational, Num};
 use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingSink};
 
 use crate::error::FixerError;
@@ -123,43 +123,6 @@ impl<'i, T: Num> Fixer2<'i, T> {
         &self.phi
     }
 
-    /// The increase factor `Inc(t, y)` of event `ev` when fixing
-    /// variable `x` to `y` (0 if the event is already impossible, as in
-    /// the paper).
-    fn inc(&self, ev: usize, x: usize, y: usize) -> T {
-        let old = self.inst.probability(ev, &self.partial);
-        self.prob_and_inc(ev, &old, x, y).1
-    }
-
-    /// `(Pr[ev | partial ∪ {x:y}], Inc(ev, y))` with the invariant
-    /// `Pr[ev | partial]` precomputed — the value-selection loops hoist
-    /// it so the conditional-probability enumeration runs once per event
-    /// instead of once per candidate value. The factor is bit-identical
-    /// to [`inc`](Fixer2::inc); the probability is returned so the
-    /// winner's value can seed [`post_probs`](Fixer2::post_probs). An
-    /// impossible event stays impossible under any extension, so both
-    /// components are zero without enumerating.
-    fn prob_and_inc(&self, ev: usize, old: &T, x: usize, y: usize) -> (T, T) {
-        if old.is_zero() {
-            return (T::zero(), T::zero());
-        }
-        let p = self.inst.probability_with(ev, &self.partial, x, y);
-        let inc = p.clone() / old.clone();
-        (p, inc)
-    }
-
-    /// `(Pr[ev | partial ∪ {x:y}], Inc(t, y) · w)` with the cost as one
-    /// fused multiply-divide: [`Num::mul_div`] lets the exact backend
-    /// cross-multiply and reduce once instead of normalising the
-    /// quotient and the product separately. Canonical forms are unique,
-    /// so the cost — and for `f64`, the operation order — is
-    /// bit-identical to `inc_given(ev, old, x, y) * w`.
-    fn prob_and_cost(&self, ev: usize, old: &T, x: usize, y: usize, w: &T) -> (T, T) {
-        let p = self.inst.probability_with(ev, &self.partial, x, y);
-        let cost = T::mul_div(p.clone(), w.clone(), old.clone());
-        (p, cost)
-    }
-
     /// Fixes variable `x` (which must be unfixed), choosing the value
     /// minimising the φ-weighted sum of increase factors; returns the
     /// chosen value. Exact cost ties select the lowest value index, for
@@ -195,98 +158,14 @@ impl<'i, T: Num> Fixer2<'i, T> {
         rec: &mut R,
     ) -> Result<usize, FixerError> {
         assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        let var = self.inst.variable(x);
-        let k = var.num_values();
-        let choice = match *var.affects() {
-            [u] => {
-                // Rank 1: any value with Inc ≤ 1 exists by expectation.
-                // Strict `<` keeps the first minimiser, so exact ties
-                // resolve to the lowest index.
-                let old_u = self.inst.probability(u, &self.partial);
-                let mut best: Option<(T, usize, T)> = None;
-                for y in 0..k {
-                    let (p_u, inc) = self.prob_and_inc(u, &old_u, x, y);
-                    if non_finite(&inc) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: u,
-                        });
-                    }
-                    let better = match &best {
-                        None => true,
-                        Some((b, _, _)) => inc < *b,
-                    };
-                    if better {
-                        best = Some((inc, y, p_u));
-                    }
-                }
-                let (_, choice, p_u) = best.expect("variables have at least one value");
-                self.post_probs[u] = Some(p_u);
-                choice
-            }
-            [u, v] => {
-                let g = self.inst.dependency_graph();
-                let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                let s = self
-                    .phi
-                    .get(eid, u)
-                    .expect("u is an endpoint of its edge")
-                    .clone();
-                let t = self
-                    .phi
-                    .get(eid, v)
-                    .expect("v is an endpoint of its edge")
-                    .clone();
-                let old_u = self.inst.probability(u, &self.partial);
-                let old_v = self.inst.probability(v, &self.partial);
-                // The winner's costs double as the new φ values and its
-                // probabilities seed the audit cache, so the loop
-                // carries them instead of recomputing after it.
-                let mut best: Option<(T, usize, T, T, T, T)> = None;
-                for y in 0..k {
-                    let (p_u, cost_u) = self.prob_and_cost(u, &old_u, x, y, &s);
-                    if non_finite(&cost_u) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: u,
-                        });
-                    }
-                    let (p_v, cost_v) = self.prob_and_cost(v, &old_v, x, y, &t);
-                    if non_finite(&cost_v) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: v,
-                        });
-                    }
-                    let cost = cost_u.clone() + cost_v.clone();
-                    if non_finite(&cost) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: u,
-                        });
-                    }
-                    let better = match &best {
-                        None => true,
-                        Some((b, ..)) => cost < *b,
-                    };
-                    if better {
-                        best = Some((cost, y, cost_u, cost_v, p_u, p_v));
-                    }
-                }
-                let (_, best, new_u, new_v, p_u, p_v) =
-                    best.expect("variables have at least one value");
-                self.phi
-                    .set(eid, u, new_u)
-                    .expect("u is an endpoint of its edge");
-                self.phi
-                    .set(eid, v, new_v)
-                    .expect("v is an endpoint of its edge");
-                self.post_probs[u] = Some(p_u);
-                self.post_probs[v] = Some(p_v);
-                best
-            }
-            _ => unreachable!("rank validated at construction"),
-        };
+        let choice = fix_rank_le2(
+            self.inst,
+            &self.partial,
+            &mut self.phi,
+            &mut self.post_probs,
+            x,
+            None,
+        )?;
         if R::ENABLED {
             rec.record(&fix_step_event(
                 self.inst,
@@ -294,7 +173,7 @@ impl<'i, T: Num> Fixer2<'i, T> {
                 self.step_base + self.steps.len(),
                 x,
                 choice,
-                |ev| self.inc(ev, x, choice).to_f64(),
+                |ev| inc(self.inst, &self.partial, ev, x, choice).to_f64(),
             ));
         }
         self.partial.fix(x, choice);
@@ -326,50 +205,18 @@ impl<'i, T: Num> Fixer2<'i, T> {
     /// resumed drivers validate recorded values before replaying).
     pub fn replay_variable(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
         assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        let var = self.inst.variable(x);
-        assert!(y < var.num_values(), "value {y} out of range");
-        match *var.affects() {
-            [_] => {} // rank 1: the step only fixes the value
-            [u, v] => {
-                let g = self.inst.dependency_graph();
-                let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                let s = self
-                    .phi
-                    .get(eid, u)
-                    .expect("u is an endpoint of its edge")
-                    .clone();
-                let t = self
-                    .phi
-                    .get(eid, v)
-                    .expect("v is an endpoint of its edge")
-                    .clone();
-                let old_u = self.inst.probability(u, &self.partial);
-                let (p_u, new_u) = self.prob_and_cost(u, &old_u, x, y, &s);
-                if non_finite(&new_u) {
-                    return Err(FixerError::NonFiniteCost {
-                        variable: x,
-                        event: u,
-                    });
-                }
-                let old_v = self.inst.probability(v, &self.partial);
-                let (p_v, new_v) = self.prob_and_cost(v, &old_v, x, y, &t);
-                if non_finite(&new_v) {
-                    return Err(FixerError::NonFiniteCost {
-                        variable: x,
-                        event: v,
-                    });
-                }
-                self.phi
-                    .set(eid, u, new_u)
-                    .expect("u is an endpoint of its edge");
-                self.phi
-                    .set(eid, v, new_v)
-                    .expect("v is an endpoint of its edge");
-                self.post_probs[u] = Some(p_u);
-                self.post_probs[v] = Some(p_v);
-            }
-            _ => unreachable!("rank validated at construction"),
-        }
+        assert!(
+            y < self.inst.variable(x).num_values(),
+            "value {y} out of range"
+        );
+        fix_rank_le2(
+            self.inst,
+            &self.partial,
+            &mut self.phi,
+            &mut self.post_probs,
+            x,
+            Some(y),
+        )?;
         self.partial.fix(x, y);
         self.steps.push(FixStepRecord {
             variable: x,
@@ -543,6 +390,238 @@ impl<T: Num> crate::sweep::ClassFixer<T> for Fixer2<'_, T> {
 /// always compare and never trip this.
 pub(crate) fn non_finite<T: PartialOrd>(c: &T) -> bool {
     c.partial_cmp(c).is_none()
+}
+
+/// The increase factor `Inc(ev, y)` of event `ev` when fixing variable
+/// `x` to `y` (0 if the event is already impossible, as in the paper).
+pub(crate) fn inc<T: Num>(
+    inst: &Instance<T>,
+    partial: &PartialAssignment,
+    ev: usize,
+    x: usize,
+    y: usize,
+) -> T {
+    let old = inst.probability(ev, partial);
+    prob_and_inc(inst, partial, ev, &old, x, y).1
+}
+
+/// `(Pr[ev | partial ∪ {x:y}], Inc(ev, y))` with the invariant
+/// `old = Pr[ev | partial]` hoisted out of the value loops. An
+/// impossible event stays impossible under any extension, so both
+/// components are zero without enumerating.
+pub(crate) fn prob_and_inc<T: Num>(
+    inst: &Instance<T>,
+    partial: &PartialAssignment,
+    ev: usize,
+    old: &T,
+    x: usize,
+    y: usize,
+) -> (T, T) {
+    if old.is_zero() {
+        return (T::zero(), T::zero());
+    }
+    let p = inst.probability_with(ev, partial, x, y);
+    let inc = p.clone() / old.clone();
+    (p, inc)
+}
+
+/// `(Pr[ev | partial ∪ {x:y}], Inc(ev, y) · w)` with the cost as one
+/// fused [`Num::mul_div`]. Canonical forms are unique, so the cost —
+/// and for `f64`, the operation order — is bit-identical to
+/// `Inc(ev, y) * w`.
+pub(crate) fn prob_and_cost<T: Num>(
+    inst: &Instance<T>,
+    partial: &PartialAssignment,
+    ev: usize,
+    old: &T,
+    x: usize,
+    y: usize,
+    w: &T,
+) -> (T, T) {
+    let p = inst.probability_with(ev, partial, x, y);
+    let cost = T::mul_div(p.clone(), w.clone(), old.clone());
+    (p, cost)
+}
+
+/// One fixing step of a rank-1 or rank-2 variable `x`, shared by both
+/// fixers; returns the chosen value.
+///
+/// Rank 1 takes the value of least `Inc(u, y)`. Rank 2 takes the value
+/// of least `φ_e^u·Inc(u, y) + φ_e^v·Inc(v, y)` and writes the two
+/// weighted factors into `φ_e^u` and `φ_e^v`. Exact cost ties select
+/// the lowest value index on every backend (strict `<`); the class
+/// sweep's determinism relies on this. Every touched event's post-fix
+/// probability goes to `post_probs`.
+///
+/// `replay = Some(y)` applies the updates for winner `y` without the
+/// search. A rank-1 replay writes nothing.
+///
+/// # Errors
+///
+/// [`FixerError::NonFiniteCost`] if a cost is not comparable (an `f64`
+/// NaN, e.g. `0·∞` from a degenerate φ-product).
+pub(crate) fn fix_rank_le2<T: Num>(
+    inst: &Instance<T>,
+    partial: &PartialAssignment,
+    phi: &mut Phi<T>,
+    post_probs: &mut [Option<T>],
+    x: usize,
+    replay: Option<usize>,
+) -> Result<usize, FixerError> {
+    let cost_error = |event| FixerError::NonFiniteCost { variable: x, event };
+    match *inst.variable(x).affects() {
+        [u] => {
+            if let Some(y) = replay {
+                return Ok(y);
+            }
+            // Any value with Inc ≤ 1 exists by expectation.
+            let old_u = inst.probability(u, partial);
+            let (y, p_u) = match old_u.as_rational() {
+                Some(old) => {
+                    let (y, [p]) = exact_search(inst, partial, x, [(u, old, &BigRational::one())]);
+                    (y, T::from_rational(p))
+                }
+                None => {
+                    let mut best: Option<(T, usize, T)> = None;
+                    for y in 0..inst.variable(x).num_values() {
+                        let (p_u, inc) = prob_and_inc(inst, partial, u, &old_u, x, y);
+                        if non_finite(&inc) {
+                            return Err(cost_error(u));
+                        }
+                        if best.as_ref().is_none_or(|(b, ..)| inc < *b) {
+                            best = Some((inc, y, p_u));
+                        }
+                    }
+                    let (_, y, p_u) = best.expect("variables have at least one value");
+                    (y, p_u)
+                }
+            };
+            post_probs[u] = Some(p_u);
+            Ok(y)
+        }
+        [u, v] => {
+            let eid = inst
+                .dependency_graph()
+                .edge_id(u, v)
+                .expect("co-affected events are adjacent");
+            let endpoint = "node is an endpoint of its edge";
+            let s = phi.get(eid, u).expect(endpoint).clone();
+            let t = phi.get(eid, v).expect(endpoint).clone();
+            let old_u = inst.probability(u, partial);
+            let old_v = inst.probability(v, partial);
+            let exact = (
+                s.as_rational(),
+                t.as_rational(),
+                old_u.as_rational(),
+                old_v.as_rational(),
+            );
+            let (y, p_u, p_v) = match (replay, exact) {
+                (Some(y), _) => (
+                    y,
+                    inst.probability_with(u, partial, x, y),
+                    inst.probability_with(v, partial, x, y),
+                ),
+                (None, (Some(s), Some(t), Some(ou), Some(ov))) => {
+                    let (y, [p_u, p_v]) = exact_search(inst, partial, x, [(u, ou, s), (v, ov, t)]);
+                    (y, T::from_rational(p_u), T::from_rational(p_v))
+                }
+                _ => {
+                    let mut best: Option<(T, usize, T, T)> = None;
+                    for y in 0..inst.variable(x).num_values() {
+                        let (p_u, cost_u) = prob_and_cost(inst, partial, u, &old_u, x, y, &s);
+                        if non_finite(&cost_u) {
+                            return Err(cost_error(u));
+                        }
+                        let (p_v, cost_v) = prob_and_cost(inst, partial, v, &old_v, x, y, &t);
+                        if non_finite(&cost_v) {
+                            return Err(cost_error(v));
+                        }
+                        let cost = cost_u + cost_v;
+                        if non_finite(&cost) {
+                            return Err(cost_error(u));
+                        }
+                        if best.as_ref().is_none_or(|(b, ..)| cost < *b) {
+                            best = Some((cost, y, p_u, p_v));
+                        }
+                    }
+                    let (_, y, p_u, p_v) = best.expect("variables have at least one value");
+                    (y, p_u, p_v)
+                }
+            };
+            // Only the winner's φ values are built.
+            let new_u = T::mul_div(p_u.clone(), s, old_u);
+            if non_finite(&new_u) {
+                return Err(cost_error(u));
+            }
+            let new_v = T::mul_div(p_v.clone(), t, old_v);
+            if non_finite(&new_v) {
+                return Err(cost_error(v));
+            }
+            phi.set(eid, u, new_u).expect(endpoint);
+            phi.set(eid, v, new_v).expect(endpoint);
+            post_probs[u] = Some(p_u);
+            post_probs[v] = Some(p_v);
+            Ok(y)
+        }
+        _ => unreachable!("rank validated at construction"),
+    }
+}
+
+/// The exact value search in integers over the cost
+/// `Σ_i w_i·Inc(e_i, y)` of the `terms` `(e_i, old_i, w_i)`, where
+/// `old_i = Pr[e_i | partial]`. With `Pr[e_i | partial ∪ {x:y}] =
+/// N_i(y)/D_i` and `D_i` the same for every `y`, the cost times the
+/// positive constant `Π_i D_i·old_i.num·w_i.den` is the integer key
+/// `Σ_i c_i·N_i(y)` with `c_i = w_i.num·old_i.den·Π_{j≠i} D_j·old_j.num·w_j.den`.
+/// So the keys order the values as the rational costs do, ties
+/// included, and strict `<` keeps the lowest index. An impossible event
+/// (`old_i = 0`) costs 0 under `mul_div`'s zero-divisor convention: its
+/// term drops, its factor leaves the constant, and it is not
+/// enumerated. Returns the winner and its post-fix probabilities.
+fn exact_search<T: Num, const N: usize>(
+    inst: &Instance<T>,
+    partial: &PartialAssignment,
+    x: usize,
+    terms: [(usize, &BigRational, &BigRational); N],
+) -> (usize, [BigRational; N]) {
+    let parts = |i: usize, y: usize| {
+        let (ev, old, _) = terms[i];
+        if old.is_zero() {
+            (BigInt::zero(), BigInt::one())
+        } else {
+            inst.probability_with_parts(ev, partial, x, y)
+        }
+    };
+    let first: [(BigInt, BigInt); N] = std::array::from_fn(|i| parts(i, 0));
+    let scale = |j: usize| {
+        let (_, old, w) = terms[j];
+        if old.is_zero() {
+            return BigInt::one();
+        }
+        &(&first[j].1 * old.numer()) * w.denom()
+    };
+    let coef: [BigInt; N] = std::array::from_fn(|i| {
+        let (_, old, w) = terms[i];
+        if old.is_zero() {
+            return BigInt::zero();
+        }
+        let own = w.numer() * old.denom();
+        (0..N)
+            .filter(|&j| j != i)
+            .fold(own, |acc, j| &acc * &scale(j))
+    });
+    let key = |n: &[BigInt; N]| (0..N).fold(BigInt::zero(), |acc, i| &acc + &(&coef[i] * &n[i]));
+    let mut best_n: [BigInt; N] = std::array::from_fn(|i| first[i].0.clone());
+    let mut best = (key(&best_n), 0);
+    for y in 1..inst.variable(x).num_values() {
+        let n = std::array::from_fn(|i| parts(i, y).0);
+        let k = key(&n);
+        if k < best.0 {
+            (best, best_n) = ((k, y), n);
+        }
+    }
+    let probs = std::array::from_fn(|i| BigRational::new(best_n[i].clone(), first[i].1.clone()));
+    (best.1, probs)
 }
 
 /// Builds the [`Event::FixRunStart`] payload for an instance.

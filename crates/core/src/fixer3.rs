@@ -27,7 +27,7 @@ use lll_numeric::Num;
 use lll_obs::{NullRecorder, NullTiming, Recorder, TimingSink};
 
 use crate::error::FixerError;
-use crate::fixer2::{fix_step_event, non_finite};
+use crate::fixer2::{fix_rank_le2, fix_step_event, inc, non_finite, prob_and_cost, prob_and_inc};
 use crate::instance::{Instance, PartialAssignment};
 use crate::triples::{decompose, representability_score, Phi};
 use crate::{FixReport, FixStepRecord};
@@ -140,40 +140,6 @@ impl<'i, T: Num> Fixer3<'i, T> {
         self.invariant_intact
     }
 
-    fn inc(&self, ev: usize, x: usize, y: usize) -> T {
-        let old = self.inst.probability(ev, &self.partial);
-        self.prob_and_inc(ev, &old, x, y).1
-    }
-
-    /// `(Pr[ev | partial ∪ {x:y}], Inc(ev, y))` with the invariant
-    /// `Pr[ev | partial]` precomputed — the value-selection loops hoist
-    /// it so the conditional-probability enumeration runs once per event
-    /// instead of once per candidate value. The factor is bit-identical
-    /// to [`inc`](Fixer3::inc); the probability is returned so the
-    /// winner's value can seed [`post_probs`](Fixer3::post_probs). An
-    /// impossible event stays impossible under any extension, so both
-    /// components are zero without enumerating.
-    fn prob_and_inc(&self, ev: usize, old: &T, x: usize, y: usize) -> (T, T) {
-        if old.is_zero() {
-            return (T::zero(), T::zero());
-        }
-        let p = self.inst.probability_with(ev, &self.partial, x, y);
-        let inc = p.clone() / old.clone();
-        (p, inc)
-    }
-
-    /// `(Pr[ev | partial ∪ {x:y}], Inc(t, y) · w)` with the cost as one
-    /// fused multiply-divide: [`Num::mul_div`] lets the exact backend
-    /// cross-multiply and reduce once instead of normalising the
-    /// quotient and the product separately. Canonical forms are unique,
-    /// so the cost — and for `f64`, the operation order — is
-    /// bit-identical to `inc_given(ev, old, x, y) * w`.
-    fn prob_and_cost(&self, ev: usize, old: &T, x: usize, y: usize, w: &T) -> (T, T) {
-        let p = self.inst.probability_with(ev, &self.partial, x, y);
-        let cost = T::mul_div(p.clone(), w.clone(), old.clone());
-        (p, cost)
-    }
-
     /// Fixes variable `x`, returning the chosen value. Exact cost ties
     /// select the lowest value index, for every backend — the class
     /// sweep's determinism relies on this.
@@ -210,97 +176,16 @@ impl<'i, T: Num> Fixer3<'i, T> {
         rec: &mut R,
     ) -> Result<usize, FixerError> {
         assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        let var = self.inst.variable(x);
-        let k = var.num_values();
-        let choice = match *var.affects() {
-            [u] => {
-                // Strict `<` keeps the first minimiser, so exact ties
-                // resolve to the lowest index.
-                let old_u = self.inst.probability(u, &self.partial);
-                let mut best: Option<(T, usize, T)> = None;
-                for y in 0..k {
-                    let (p_u, inc) = self.prob_and_inc(u, &old_u, x, y);
-                    if non_finite(&inc) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: u,
-                        });
-                    }
-                    let better = match &best {
-                        None => true,
-                        Some((b, _, _)) => inc < *b,
-                    };
-                    if better {
-                        best = Some((inc, y, p_u));
-                    }
-                }
-                let (_, choice, p_u) = best.expect("variables have at least one value");
-                self.post_probs[u] = Some(p_u);
-                choice
-            }
-            [u, v] => {
-                let g = self.inst.dependency_graph();
-                let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                let s = self
-                    .phi
-                    .get(eid, u)
-                    .expect("u is an endpoint of its edge")
-                    .clone();
-                let t = self
-                    .phi
-                    .get(eid, v)
-                    .expect("v is an endpoint of its edge")
-                    .clone();
-                let old_u = self.inst.probability(u, &self.partial);
-                let old_v = self.inst.probability(v, &self.partial);
-                // The winner's costs double as the new φ values and its
-                // probabilities seed the audit cache, so the loop
-                // carries them instead of recomputing after it.
-                let mut best: Option<(T, usize, T, T, T, T)> = None;
-                for y in 0..k {
-                    let (p_u, cost_u) = self.prob_and_cost(u, &old_u, x, y, &s);
-                    if non_finite(&cost_u) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: u,
-                        });
-                    }
-                    let (p_v, cost_v) = self.prob_and_cost(v, &old_v, x, y, &t);
-                    if non_finite(&cost_v) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: v,
-                        });
-                    }
-                    let cost = cost_u.clone() + cost_v.clone();
-                    if non_finite(&cost) {
-                        return Err(FixerError::NonFiniteCost {
-                            variable: x,
-                            event: u,
-                        });
-                    }
-                    let better = match &best {
-                        None => true,
-                        Some((b, ..)) => cost < *b,
-                    };
-                    if better {
-                        best = Some((cost, y, cost_u, cost_v, p_u, p_v));
-                    }
-                }
-                let (_, best, new_u, new_v, p_u, p_v) =
-                    best.expect("variables have at least one value");
-                self.phi
-                    .set(eid, u, new_u)
-                    .expect("u is an endpoint of its edge");
-                self.phi
-                    .set(eid, v, new_v)
-                    .expect("v is an endpoint of its edge");
-                self.post_probs[u] = Some(p_u);
-                self.post_probs[v] = Some(p_v);
-                best
-            }
-            [u, v, w] => self.fix_rank3(x, u, v, w)?,
-            _ => unreachable!("rank validated at construction"),
+        let choice = match *self.inst.variable(x).affects() {
+            [u, v, w] => self.fix_rank3(x, (u, v, w), None)?,
+            _ => fix_rank_le2(
+                self.inst,
+                &self.partial,
+                &mut self.phi,
+                &mut self.post_probs,
+                x,
+                None,
+            )?,
         };
         if R::ENABLED {
             rec.record(&fix_step_event(
@@ -309,7 +194,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
                 self.step_base + self.steps.len(),
                 x,
                 choice,
-                |ev| self.inc(ev, x, choice).to_f64(),
+                |ev| inc(self.inst, &self.partial, ev, x, choice).to_f64(),
             ));
         }
         self.partial.fix(x, choice);
@@ -320,8 +205,15 @@ impl<'i, T: Num> Fixer3<'i, T> {
         Ok(choice)
     }
 
-    /// The rank-3 step described in the module docs.
-    fn fix_rank3(&mut self, x: usize, u: usize, v: usize, w: usize) -> Result<usize, FixerError> {
+    /// The rank-3 step described in the module docs; returns the chosen
+    /// value. `replay = Some(y)` makes `y` the only candidate, so the
+    /// step applies exactly the updates of a search that chose `y`.
+    fn fix_rank3(
+        &mut self,
+        x: usize,
+        (u, v, w): (usize, usize, usize),
+        replay: Option<usize>,
+    ) -> Result<usize, FixerError> {
         let g = self.inst.dependency_graph();
         let e = g.edge_id(u, v).expect("u, v share variable x");
         let e1 = g.edge_id(u, w).expect("u, w share variable x");
@@ -336,7 +228,10 @@ impl<'i, T: Num> Fixer3<'i, T> {
         let b = at(e, v) * at(e2, v);
         let c = at(e1, w) * at(e2, w);
 
-        let k = self.inst.variable(x).num_values();
+        let values = match replay {
+            Some(y) => y..y + 1,
+            None => 0..self.inst.variable(x).num_values(),
+        };
         let old_u = self.inst.probability(u, &self.partial);
         let old_v = self.inst.probability(v, &self.partial);
         let old_w = self.inst.probability(w, &self.partial);
@@ -345,30 +240,20 @@ impl<'i, T: Num> Fixer3<'i, T> {
         // component and score is checked for self-comparability here, so
         // the comparison closures below cannot see a NaN.
         #[allow(clippy::type_complexity)]
-        let mut candidates: Vec<(T, usize, (T, T, T), (T, T, T))> = Vec::with_capacity(k);
-        for y in 0..k {
-            let (p_u, sa) = self.prob_and_cost(u, &old_u, x, y, &a);
-            if non_finite(&sa) {
-                return Err(FixerError::NonFiniteCost {
-                    variable: x,
-                    event: u,
-                });
+        let mut candidates: Vec<(T, usize, (T, T, T), (T, T, T))> =
+            Vec::with_capacity(values.len());
+        let checked = |(p, s): (T, T), event: usize| {
+            if non_finite(&s) {
+                return Err(FixerError::NonFiniteCost { variable: x, event });
             }
-            let (p_v, sb) = self.prob_and_cost(v, &old_v, x, y, &b);
-            if non_finite(&sb) {
-                return Err(FixerError::NonFiniteCost {
-                    variable: x,
-                    event: v,
-                });
-            }
-            let (p_w, inc_w) = self.prob_and_inc(w, &old_w, x, y);
-            let sc = inc_w * c.clone();
-            if non_finite(&sc) {
-                return Err(FixerError::NonFiniteCost {
-                    variable: x,
-                    event: w,
-                });
-            }
+            Ok((p, s))
+        };
+        let (inst, partial) = (self.inst, &self.partial);
+        for y in values {
+            let (p_u, sa) = checked(prob_and_cost(inst, partial, u, &old_u, x, y, &a), u)?;
+            let (p_v, sb) = checked(prob_and_cost(inst, partial, v, &old_v, x, y, &b), v)?;
+            let (p_w, inc_w) = prob_and_inc(inst, partial, w, &old_w, x, y);
+            let (p_w, sc) = checked((p_w, inc_w * c.clone()), w)?;
             let score = representability_score(&sa, &sb, &sc);
             if non_finite(&score) {
                 return Err(FixerError::NonFiniteCost {
@@ -473,134 +358,25 @@ impl<'i, T: Num> Fixer3<'i, T> {
         let var = self.inst.variable(x);
         assert!(y < var.num_values(), "value {y} out of range");
         match *var.affects() {
-            [_] => {} // rank 1: the step only fixes the value
-            [u, v] => {
-                let g = self.inst.dependency_graph();
-                let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                let s = self
-                    .phi
-                    .get(eid, u)
-                    .expect("u is an endpoint of its edge")
-                    .clone();
-                let t = self
-                    .phi
-                    .get(eid, v)
-                    .expect("v is an endpoint of its edge")
-                    .clone();
-                let old_u = self.inst.probability(u, &self.partial);
-                let (p_u, new_u) = self.prob_and_cost(u, &old_u, x, y, &s);
-                if non_finite(&new_u) {
-                    return Err(FixerError::NonFiniteCost {
-                        variable: x,
-                        event: u,
-                    });
-                }
-                let old_v = self.inst.probability(v, &self.partial);
-                let (p_v, new_v) = self.prob_and_cost(v, &old_v, x, y, &t);
-                if non_finite(&new_v) {
-                    return Err(FixerError::NonFiniteCost {
-                        variable: x,
-                        event: v,
-                    });
-                }
-                self.phi
-                    .set(eid, u, new_u)
-                    .expect("u is an endpoint of its edge");
-                self.phi
-                    .set(eid, v, new_v)
-                    .expect("v is an endpoint of its edge");
-                self.post_probs[u] = Some(p_u);
-                self.post_probs[v] = Some(p_v);
+            [u, v, w] => {
+                self.fix_rank3(x, (u, v, w), Some(y))?;
             }
-            [u, v, w] => self.replay_rank3(x, y, u, v, w)?,
-            _ => unreachable!("rank validated at construction"),
+            _ => {
+                fix_rank_le2(
+                    self.inst,
+                    &self.partial,
+                    &mut self.phi,
+                    &mut self.post_probs,
+                    x,
+                    Some(y),
+                )?;
+            }
         }
         self.partial.fix(x, y);
         self.steps.push(FixStepRecord {
             variable: x,
             value: y,
         });
-        Ok(())
-    }
-
-    /// The rank-3 arm of [`replay_variable`](Fixer3::replay_variable):
-    /// recomputes the recorded winner's scaled triple and takes the same
-    /// decompose-else-fallback branch [`fix_rank3`](Fixer3::fix_rank3)
-    /// took for it.
-    fn replay_rank3(
-        &mut self,
-        x: usize,
-        y: usize,
-        u: usize,
-        v: usize,
-        w: usize,
-    ) -> Result<(), FixerError> {
-        let g = self.inst.dependency_graph();
-        let e = g.edge_id(u, v).expect("u, v share variable x");
-        let e1 = g.edge_id(u, w).expect("u, w share variable x");
-        let e2 = g.edge_id(v, w).expect("v, w share variable x");
-        let at = |eid: usize, node: usize| {
-            self.phi
-                .get(eid, node)
-                .expect("node is an endpoint of its edge")
-                .clone()
-        };
-        let a = at(e, u) * at(e1, u);
-        let b = at(e, v) * at(e2, v);
-        let c = at(e1, w) * at(e2, w);
-        let old_u = self.inst.probability(u, &self.partial);
-        let (p_u, sa) = self.prob_and_cost(u, &old_u, x, y, &a);
-        if non_finite(&sa) {
-            return Err(FixerError::NonFiniteCost {
-                variable: x,
-                event: u,
-            });
-        }
-        let old_v = self.inst.probability(v, &self.partial);
-        let (p_v, sb) = self.prob_and_cost(v, &old_v, x, y, &b);
-        if non_finite(&sb) {
-            return Err(FixerError::NonFiniteCost {
-                variable: x,
-                event: v,
-            });
-        }
-        let old_w = self.inst.probability(w, &self.partial);
-        let (p_w, sc) = self.prob_and_cost(w, &old_w, x, y, &c);
-        if non_finite(&sc) {
-            return Err(FixerError::NonFiniteCost {
-                variable: x,
-                event: w,
-            });
-        }
-        self.post_probs[u] = Some(p_u);
-        self.post_probs[v] = Some(p_v);
-        self.post_probs[w] = Some(p_w);
-        let endpoint = "node is an endpoint of its edge";
-        if let Some(d) = decompose(&sa, &sb, &sc) {
-            self.phi.set(e, u, d.a1).expect(endpoint);
-            self.phi.set(e1, u, d.a2).expect(endpoint);
-            self.phi.set(e, v, d.b1).expect(endpoint);
-            self.phi.set(e2, v, d.b3).expect(endpoint);
-            self.phi.set(e1, w, d.c2).expect(endpoint);
-            self.phi.set(e2, w, d.c3).expect(endpoint);
-            return Ok(());
-        }
-        // The original step fell through to the multiplicative fallback
-        // (its winner's triple did not decompose), so replay does too.
-        self.invariant_intact = false;
-        let scale = |target: T, denom: &T| {
-            if denom.is_zero() {
-                T::zero()
-            } else {
-                target / denom.clone()
-            }
-        };
-        let new_a1 = scale(sa, &self.phi.get(e1, u).expect(endpoint).clone());
-        self.phi.set(e, u, new_a1).expect(endpoint);
-        let new_b1 = scale(sb, &self.phi.get(e2, v).expect(endpoint).clone());
-        self.phi.set(e, v, new_b1).expect(endpoint);
-        let new_c2 = scale(sc, &self.phi.get(e2, w).expect(endpoint).clone());
-        self.phi.set(e1, w, new_c2).expect(endpoint);
         Ok(())
     }
 

@@ -1,12 +1,13 @@
 //! LLL instances: discrete random variables, bad events, and the exact
 //! conditional-probability engine.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
 
 use lll_graphs::{Graph, GraphBuilder, Hyperedge, Hypergraph};
-use lll_numeric::Num;
+use lll_numeric::{BigInt, BigRational, Num};
 
 use crate::error::{BuildError, FixerError};
 
@@ -17,7 +18,8 @@ const TABLE_LIMIT: usize = 1 << 15;
 
 /// Supports up to this length are evaluated in stack buffers; longer
 /// ones fall back to the heap. Supports are small in every LLL workload
-/// (bounded dependency degree), so the hot paths never allocate.
+/// (bounded dependency degree), so the hot paths never allocate (on
+/// exact backends, while the integers stay in the `Small` tier).
 const STACK_SUPPORT: usize = 16;
 
 /// A view of the values assigned to the support variables of an event,
@@ -206,6 +208,12 @@ pub struct Instance<T> {
     events: Vec<Event<T>>,
     dependency: Graph,
     hypergraph: Hypergraph,
+    /// The distinct variable distributions as integer tables, shared by
+    /// every variable that has them (exact backends only; empty for
+    /// `f64`).
+    dists: Vec<IntDist>,
+    /// Each variable's index into `dists` (empty for `f64`).
+    dist_of: Vec<usize>,
 }
 
 impl<T: Num> Instance<T> {
@@ -302,37 +310,108 @@ impl<T: Num> Instance<T> {
         })
     }
 
+    /// The exact enumeration of
+    /// [`probability_with`](Instance::probability_with) as the unreduced
+    /// pair `(N, D)` of [`exact_parts`](Instance::exact_parts): `D`
+    /// does not depend on `value`, so the value search compares the
+    /// candidates' numerators directly. Exact backends only (`f64` has
+    /// no integer table).
+    pub(crate) fn probability_with_parts(
+        &self,
+        v: usize,
+        partial: &PartialAssignment,
+        var: usize,
+        value: usize,
+    ) -> (BigInt, BigInt) {
+        self.exact_parts(v, |x| {
+            if x == var {
+                Some(value)
+            } else {
+                partial.get(x)
+            }
+        })
+    }
+
     fn prob_impl(&self, v: usize, lookup: impl Fn(usize) -> Option<usize>) -> T {
-        // The fixers call this in a tight loop; stack buffers avoid three
-        // heap allocations per call on the hot path.
+        if T::is_exact() {
+            let (num, den) = self.exact_parts(v, lookup);
+            return T::from_rational(BigRational::new(num, den));
+        }
+        let mut fold = FloatFold {
+            variables: &self.variables,
+            total: T::zero(),
+        };
+        self.enumerate(v, lookup, &mut fold);
+        fold.total
+    }
+
+    /// `Pr[v | lookup]` over an exact backend as the unreduced pair
+    /// `(N, D)`: `N = Σ_tuples Π weights` over the interned integer
+    /// distributions and `D = Π lcd` over the free support variables.
+    /// `D` depends only on *which* variables are free. One
+    /// `BigRational::new(N, D)` yields the canonical value, which is
+    /// unique, so it equals the rational `Σ Π p` fold bit for bit.
+    fn exact_parts(&self, v: usize, lookup: impl Fn(usize) -> Option<usize>) -> (BigInt, BigInt) {
+        let mut fold = ExactFold {
+            inst: self,
+            num: BigInt::zero(),
+        };
+        self.enumerate(v, &lookup, &mut fold);
+        let mut den = BigInt::one();
+        for &x in &self.events[v].support {
+            if lookup(x).is_none() {
+                den = &den * &self.dist(x).lcd;
+            }
+        }
+        (fold.num, den)
+    }
+
+    /// The interned integer distribution of variable `x` (exact
+    /// backends only).
+    fn dist(&self, x: usize) -> &IntDist {
+        &self.dists[self.dist_of[x]]
+    }
+
+    /// Feeds `fold` every occurring support tuple of event `v` that is
+    /// consistent with the values `lookup` reports as fixed. The
+    /// fixers call this in a tight loop; stack buffers avoid three heap
+    /// allocations per call on the hot path.
+    fn enumerate(
+        &self,
+        v: usize,
+        lookup: impl Fn(usize) -> Option<usize>,
+        fold: &mut impl TupleFold,
+    ) {
         let support_len = self.events[v].support.len();
         if support_len <= STACK_SUPPORT {
             let mut values = [0usize; STACK_SUPPORT];
             let mut free = [0usize; STACK_SUPPORT];
             let mut counters = [0usize; STACK_SUPPORT];
-            self.prob_loop(
+            self.enumerate_in(
                 v,
                 lookup,
                 &mut values[..support_len],
                 &mut free[..support_len],
                 &mut counters[..support_len],
-            )
+                fold,
+            );
         } else {
             let mut values = vec![0usize; support_len];
             let mut free = vec![0usize; support_len];
             let mut counters = vec![0usize; support_len];
-            self.prob_loop(v, lookup, &mut values, &mut free, &mut counters)
+            self.enumerate_in(v, lookup, &mut values, &mut free, &mut counters, fold);
         }
     }
 
-    fn prob_loop(
+    fn enumerate_in(
         &self,
         v: usize,
         lookup: impl Fn(usize) -> Option<usize>,
         values: &mut [usize],
         free_buf: &mut [usize],
         counters: &mut [usize],
-    ) -> T {
+        fold: &mut impl TupleFold,
+    ) {
         let event = &self.events[v];
         let support = &event.support;
         let mut num_free = 0usize; // positions in support
@@ -347,25 +426,15 @@ impl<T: Num> Instance<T> {
         }
         let free = &free_buf[..num_free];
         if free.is_empty() {
-            return if event.occurs(values) {
-                T::one()
-            } else {
-                T::zero()
-            };
+            if event.occurs(values) {
+                fold.tuple(std::iter::empty());
+            }
+            return;
         }
         if let Some(occ) = &event.occ {
-            return self.prob_sparse(v, occ, values, free);
+            return enumerate_listed(support, occ, values, free, fold);
         }
-        // Odometer over the free positions. For exact backends the tuple
-        // weights are buffered in odometer order and folded through the
-        // `Num` accumulation kernels, whose overrides renormalize once
-        // per call instead of once per tuple; the kernel *defaults* are
-        // the literal inline folds below, so the two arms compute the
-        // same sequence of `Num` operations and inexact backends keep
-        // the historical allocation-free loop (the `is_exact` branch is
-        // resolved at monomorphization).
-        let mut total = T::zero();
-        let mut weights: Vec<T> = Vec::new();
+        // Odometer over the free positions, position 0 fastest.
         let counters = &mut counters[..num_free];
         counters.fill(0);
         'tuples: loop {
@@ -373,19 +442,11 @@ impl<T: Num> Instance<T> {
                 values[pos] = counters[ci];
             }
             if event.occurs(values) {
-                let probs = |ci: usize| {
-                    let pos = free[ci];
-                    &self.variables[support[pos]].probs[counters[ci]]
-                };
-                if T::is_exact() {
-                    weights.push(T::product_of((0..free.len()).map(probs)));
-                } else {
-                    let mut w = T::one();
-                    for ci in 0..free.len() {
-                        w = w * probs(ci).clone();
-                    }
-                    total = total + w;
-                }
+                fold.tuple(
+                    free.iter()
+                        .zip(counters.iter())
+                        .map(|(&pos, &c)| (support[pos], c)),
+                );
             }
             // increment odometer
             let mut ci = 0;
@@ -400,57 +461,6 @@ impl<T: Num> Instance<T> {
                 counters[ci] = 0;
                 ci += 1;
             }
-        }
-        if T::is_exact() {
-            T::sum_of(weights.iter())
-        } else {
-            total
-        }
-    }
-
-    /// The sparse arm of [`prob_loop`](Instance::prob_loop): iterates the
-    /// event's precomputed occurring tuples instead of the full odometer.
-    /// The list is stored in odometer order, consistency filtering
-    /// preserves that order, and the weight/accumulation arithmetic below
-    /// is literally the odometer arm's — so the two paths produce the
-    /// same sequence of `Num` operations and are bit-identical on every
-    /// backend; only the cost of *rejecting* non-occurring tuples
-    /// disappears.
-    fn prob_sparse(&self, v: usize, occ: &[u16], values: &[usize], free: &[usize]) -> T {
-        let event = &self.events[v];
-        let support = &event.support;
-        let s = support.len();
-        let mut total = T::zero();
-        let mut weights: Vec<T> = Vec::new();
-        'tuples: for tuple in occ.chunks_exact(s) {
-            // `free` lists free positions ascending, so one merge pointer
-            // splits positions into free (skipped) and fixed (matched).
-            let mut fi = 0usize;
-            for (pos, &t_val) in tuple.iter().enumerate() {
-                if fi < free.len() && free[fi] == pos {
-                    fi += 1;
-                } else if t_val as usize != values[pos] {
-                    continue 'tuples;
-                }
-            }
-            let probs = |ci: usize| {
-                let pos = free[ci];
-                &self.variables[support[pos]].probs[tuple[pos] as usize]
-            };
-            if T::is_exact() {
-                weights.push(T::product_of((0..free.len()).map(probs)));
-            } else {
-                let mut w = T::one();
-                for ci in 0..free.len() {
-                    w = w * probs(ci).clone();
-                }
-                total = total + w;
-            }
-        }
-        if T::is_exact() {
-            T::sum_of(weights.iter())
-        } else {
-            total
         }
     }
 
@@ -613,6 +623,128 @@ pub(crate) fn max_probability<T: Num>(probs: impl IntoIterator<Item = T>) -> T {
         }
     }
     best
+}
+
+/// The listed arm of the enumeration: iterates the event's precomputed
+/// occurring tuples instead of the full odometer. The list is stored in
+/// odometer order and consistency filtering preserves that order, so a
+/// fold sees the same tuples in the same order on either arm and
+/// produces the same value bit for bit; only the cost of *rejecting*
+/// non-occurring tuples disappears.
+fn enumerate_listed(
+    support: &[usize],
+    occ: &[u16],
+    values: &[usize],
+    free: &[usize],
+    fold: &mut impl TupleFold,
+) {
+    'tuples: for tuple in occ.chunks_exact(support.len()) {
+        // `free` lists free positions ascending, so one merge pointer
+        // splits positions into free (skipped) and fixed (matched).
+        let mut fi = 0usize;
+        for (pos, &t_val) in tuple.iter().enumerate() {
+            if fi < free.len() && free[fi] == pos {
+                fi += 1;
+            } else if t_val as usize != values[pos] {
+                continue 'tuples;
+            }
+        }
+        fold.tuple(free.iter().map(|&pos| (support[pos], tuple[pos] as usize)));
+    }
+}
+
+/// The arithmetic of the enumeration: one call per occurring tuple,
+/// with the `(variable, value)` pairs of its free positions in support
+/// order.
+trait TupleFold {
+    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)>);
+}
+
+/// The inexact backends' fold: `total = total + Π p`, each product a
+/// left fold from one — the `Num` operation sequence the engine has
+/// always performed, so `f64` results keep their rounding bit for bit.
+struct FloatFold<'a, T> {
+    variables: &'a [Variable<T>],
+    total: T,
+}
+
+impl<T: Num> TupleFold for FloatFold<'_, T> {
+    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)>) {
+        let mut w = T::one();
+        for (x, y) in free {
+            w = w * self.variables[x].probs[y].clone();
+        }
+        self.total = self.total.clone() + w;
+    }
+}
+
+/// The exact backends' fold: integer weights over the interned
+/// distributions, summed into one numerator. `Small`-tier values never
+/// allocate.
+struct ExactFold<'a, T> {
+    inst: &'a Instance<T>,
+    num: BigInt,
+}
+
+impl<T: Num> TupleFold for ExactFold<'_, T> {
+    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)>) {
+        let mut w = BigInt::one();
+        for (x, y) in free {
+            w = &w * &self.inst.dist(x).weights[y];
+        }
+        self.num += &w;
+    }
+}
+
+/// A variable distribution over an exact backend in integers:
+/// `Pr[X = y] = weights[y] / lcd`, where `lcd` is the least common
+/// denominator of the probabilities (so the weights sum to it).
+#[derive(Debug, Clone)]
+struct IntDist {
+    weights: Vec<BigInt>,
+    lcd: BigInt,
+}
+
+impl IntDist {
+    fn new(probs: &[&BigRational]) -> IntDist {
+        let mut lcd = BigInt::one();
+        for p in probs {
+            lcd = &(&lcd / &lcd.gcd(p.denom())) * p.denom();
+        }
+        let weights = probs
+            .iter()
+            .map(|p| &(p.numer() * &lcd) / p.denom())
+            .collect();
+        IntDist { weights, lcd }
+    }
+}
+
+/// Interns the distinct distributions of an exact-backend instance:
+/// the table of integer distributions and each variable's index into
+/// it. Variables with equal probability vectors share one entry; both
+/// lists are empty for inexact backends.
+fn intern_distributions<T: Num>(variables: &[Variable<T>]) -> (Vec<IntDist>, Vec<usize>) {
+    let (mut dists, mut dist_of) = (Vec::new(), Vec::new());
+    if !T::is_exact() {
+        return (dists, dist_of);
+    }
+    let mut index: HashMap<Vec<&BigRational>, usize> = HashMap::new();
+    for (x, var) in variables.iter().enumerate() {
+        // Builders add runs of identically distributed variables; a
+        // repeat of the previous distribution skips the hash.
+        if x > 0 && variables[x - 1].probs == var.probs {
+            dist_of.push(dist_of[x - 1]);
+            continue;
+        }
+        let probs: Vec<&BigRational> = var.probs.iter().filter_map(Num::as_rational).collect();
+        let next = dists.len();
+        let i = *index.entry(probs).or_insert_with_key(|probs| {
+            dists.push(IntDist::new(probs));
+            next
+        });
+        dist_of.push(i);
+    }
+    (dists, dist_of)
 }
 
 /// Summary of an instance's LLL parameters (see [`Instance::summary`]).
@@ -827,11 +959,14 @@ impl<T: Num> InstanceBuilder<T> {
         let hypergraph = Hypergraph::new(self.num_events, hyperedges, max_rank)
             .expect("validated event indices");
 
+        let (dists, dist_of) = intern_distributions(&variables);
         Ok(Instance {
             variables,
             events,
             dependency,
             hypergraph,
+            dists,
+            dist_of,
         })
     }
 }

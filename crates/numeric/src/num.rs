@@ -75,6 +75,16 @@ pub trait Num:
     /// [`BigRational`], `false` for `f64`).
     fn is_exact() -> bool;
 
+    /// The value as an exact rational: `Some` for [`BigRational`],
+    /// `None` for `f64`. Together with [`from_rational`](Num::from_rational)
+    /// this is the seam through which generic code runs integer kernels
+    /// on exact backends; the branch resolves at monomorphization.
+    fn as_rational(&self) -> Option<&BigRational>;
+
+    /// The backend value of an exact rational (the identity for
+    /// [`BigRational`]; `f64` rounds, and its callers never reach it).
+    fn from_rational(r: BigRational) -> Self;
+
     /// Decides `sqrt(radicand) <= bound` (for `radicand >= 0`).
     ///
     /// Exact backends decide this via `bound >= 0 && radicand <= bound²`;
@@ -169,17 +179,16 @@ pub trait Num:
         p
     }
 
-    /// Sum of a sequence of terms — the accumulation kernel of the
-    /// conditional-probability odometer (`Instance::prob_loop`).
+    /// Sum of a sequence of terms — the kernel of the representability
+    /// polynomial `r = 8 + ab − 2a − 2b − 2c` (`lll-core`'s `triples`).
     ///
     /// The default is the literal left fold `acc = acc + t.clone()`
-    /// starting from zero, matching the historical inline loop so the
-    /// `f64` backend's rounding sequence is unchanged. [`BigRational`]
-    /// overrides it with a raw numerator/denominator accumulator that
-    /// turns same-denominator runs — every tuple of a fixed free-variable
-    /// set shares one weight denominator — into plain integer additions,
-    /// normalizing once; exact associativity plus canonical-form
-    /// uniqueness make the result structurally identical.
+    /// starting from zero, so the `f64` backend's rounding sequence is
+    /// that of the inline sum. [`BigRational`] overrides it with a raw
+    /// numerator/denominator accumulator that turns same-denominator runs
+    /// into plain integer additions, normalizing once; exact
+    /// associativity plus canonical-form uniqueness make the result
+    /// structurally identical.
     fn sum_of<'a, I>(terms: I) -> Self
     where
         I: IntoIterator<Item = &'a Self>,
@@ -234,6 +243,14 @@ impl Num for f64 {
         false
     }
 
+    fn as_rational(&self) -> Option<&BigRational> {
+        None
+    }
+
+    fn from_rational(r: BigRational) -> Self {
+        r.to_f64()
+    }
+
     fn sqrt_leq(radicand: &Self, bound: &Self) -> bool {
         debug_assert!(*radicand >= -F64_MARGIN, "negative radicand {radicand}");
         radicand.max(0.0).sqrt() <= *bound
@@ -263,6 +280,14 @@ impl Num for BigRational {
 
     fn is_exact() -> bool {
         true
+    }
+
+    fn as_rational(&self) -> Option<&BigRational> {
+        Some(self)
+    }
+
+    fn from_rational(r: BigRational) -> Self {
+        r
     }
 
     fn sqrt_leq(radicand: &Self, bound: &Self) -> bool {
@@ -363,6 +388,15 @@ mod tests {
     fn rational_backend() {
         backend_smoke::<BigRational>();
         assert!(<BigRational as Num>::is_exact());
+    }
+
+    #[test]
+    fn rational_seam() {
+        let r = BigRational::from_ratio(-3, 8);
+        assert_eq!(r.as_rational(), Some(&r));
+        assert_eq!(BigRational::from_rational(r.clone()), r);
+        assert_eq!(0.25f64.as_rational(), None);
+        assert_eq!(f64::from_rational(r), -0.375);
     }
 
     #[test]

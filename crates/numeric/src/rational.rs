@@ -258,9 +258,7 @@ impl BigRational {
 
     /// Exact sum of `terms` in one pass: the accumulator is kept as a
     /// *raw* numerator/denominator pair so consecutive terms over the
-    /// same denominator — the common case for conditional-probability
-    /// sums, whose tuple weights share one product-of-supports
-    /// denominator — cost a single integer addition instead of a
+    /// same denominator cost a single integer addition instead of a
     /// cross-multiply plus gcd. Rational addition is exactly associative
     /// and canonical forms are unique, so the final [`BigRational::new`]
     /// yields bit-for-bit the value of the naive left fold.

@@ -1,0 +1,103 @@
+//! The exact probability engine allocates nothing while its integers
+//! stay in the `Small` tier: `probability` and `probability_with` on a
+//! `BigRational` instance are counted by a global allocator that tallies
+//! the calling thread's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use lll_core::{Instance, InstanceBuilder, PartialAssignment};
+use lll_numeric::BigRational;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: a thread being torn down may still free memory.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: each method forwards its arguments unchanged to `System`, which
+// implements the `GlobalAlloc` contract; the only extra work is a
+// thread-local counter update, which neither allocates nor touches the
+// memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` was allocated by this allocator (hence by `System`)
+        // with `layout`, as the caller of `realloc` guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator (hence by `System`)
+        // with `layout`, as the caller of `dealloc` guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+/// Event 0 has a tabled support of three biased variables with mixed
+/// denominators (the occurring-tuple arm); event 1 shares the first and
+/// adds three 33-valued variables, past the truth-table limit (the
+/// predicate odometer).
+fn instance() -> Instance<BigRational> {
+    let q = BigRational::from_ratio;
+    let mut b = InstanceBuilder::<BigRational>::new(2);
+    let x = b.add_variable(&[0, 1], vec![q(1, 6), q(1, 2), q(1, 3)]);
+    let y = b.add_variable(&[0], vec![q(3, 10), q(7, 10)]);
+    let z = b.add_uniform_variable(&[0], 4);
+    let wide: Vec<usize> = (0..3).map(|_| b.add_uniform_variable(&[1], 33)).collect();
+    b.set_event_predicate(0, move |vals| vals[x] + vals[y] + vals[z] == 2);
+    b.set_event_predicate(1, move |vals| {
+        (vals[x] + vals[wide[0]] * vals[wide[1]] + vals[wide[2]]) % 7 == 3
+    });
+    b.build().unwrap()
+}
+
+#[test]
+fn exact_probabilities_on_small_values_allocate_nothing() {
+    let inst = instance();
+    let empty = PartialAssignment::new(inst.num_variables());
+    let mut partial = empty.clone();
+    partial.fix(1, 1);
+    partial.fix(3, 5);
+    for p in [&empty, &partial] {
+        for v in 0..inst.num_events() {
+            let (n, pr) = allocations(|| inst.probability(v, p));
+            assert_eq!(n, 0, "probability({v}) = {pr} allocated");
+            assert!(pr.is_positive());
+            for value in 0..3 {
+                let (n, pr) = allocations(|| inst.probability_with(v, p, 0, value));
+                assert_eq!(n, 0, "probability_with({v}, x0 = {value}) = {pr} allocated");
+            }
+        }
+    }
+    // The counter sees this thread's allocations.
+    let (n, _) = allocations(|| vec![0u8; 16]);
+    assert_eq!(n, 1);
+}
