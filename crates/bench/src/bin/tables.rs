@@ -765,14 +765,22 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "{},{},{:.3},{:.4},{},{}",
-                    r.n, r.interval, r.millis, r.overhead, r.checkpoints, r.bytes
+                    "{},{},{:.3},{:.4},{},{},{},{},{}",
+                    r.n,
+                    r.interval,
+                    r.millis,
+                    r.overhead,
+                    r.checkpoints,
+                    r.bytes,
+                    r.progress,
+                    r.digested,
+                    r.event_bytes
                 )
             })
             .collect();
         csv.extend(wallclock.iter().map(|r| {
             format!(
-                "{},{},{:.3},{:.4},0,0",
+                "{},{},{:.3},{:.4},0,0,0,0,0",
                 r.n,
                 r.mode,
                 r.millis,
@@ -781,7 +789,7 @@ fn main() {
         }));
         write_csv(
             "e20_resume_overhead.csv",
-            "n,row,millis,overhead,checkpoints,bytes",
+            "n,row,millis,overhead,checkpoints,bytes,progress,digested,event_bytes",
             &csv,
         );
         let rows: Vec<Vec<String>> = overhead
@@ -794,6 +802,8 @@ fn main() {
                     format!("{:.3}", r.overhead),
                     r.checkpoints.to_string(),
                     r.bytes.to_string(),
+                    r.progress.to_string(),
+                    r.digested.to_string(),
                 ]
             })
             .collect();
@@ -806,7 +816,9 @@ fn main() {
                     "millis",
                     "overhead",
                     "checkpoints",
-                    "bytes"
+                    "bytes",
+                    "progress",
+                    "digested"
                 ],
                 &rows
             )
@@ -827,7 +839,7 @@ fn main() {
             "{}",
             render_table(&["n", "mode", "millis", "vs full", "steps"], &wrows)
         );
-        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing; overhead is the median ratio over alternated off/on pairs, which CI\n gates at 1.05x for every cadence)\n");
+        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing; overhead is the median ratio over alternated off/on pairs, reported\n as context; CI gates the counts: checkpoints == floor(progress / interval) and\n digested == the stream's event bytes, for every cadence)\n");
         trace_experiment(&mut obs, "E20", overhead.len() + wallclock.len());
     }
 

@@ -1603,6 +1603,14 @@ pub struct ResumeOverheadRow {
     pub checkpoints: usize,
     /// JSONL bytes written per pass, sidecars included.
     pub bytes: usize,
+    /// Progress events (`round_end` + `fix_step`) in one pass's stream.
+    pub progress: usize,
+    /// Event bytes the recorder's rolling digest consumed in one pass
+    /// ([`lll_obs::StreamDigest::bytes`]; 0 for `"off"`).
+    pub digested: u64,
+    /// The stream's non-sidecar bytes: what a digest that reads each
+    /// event line once consumes.
+    pub event_bytes: usize,
 }
 
 /// Alternated (off, checkpointed) pairs that E20 times per cadence.
@@ -1620,17 +1628,14 @@ const E20_PASSES: usize = 3;
 /// interleaves the two flavors, alternating which goes first, so host
 /// drift cancels within it, and compares the fastest pass of each, so a
 /// preempted pass does not count; the row's overhead is the median of
-/// the per-pair ratios. The acceptance target (EXPERIMENTS.md) is every
-/// interval within 1.05× of `"off"`: a sidecar is one rolling digest
-/// update plus one short line, never a stream rewrite.
+/// the per-pair ratios. The timings are context; the gate is on counts
+/// (EXPERIMENTS.md): each cadence writes `⌊progress / interval⌋`
+/// sidecars, and its digest consumes exactly the stream's event bytes,
+/// so a sidecar is one short line and each event line is digested
+/// once, never a prefix re-read.
 pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow> {
-    let count_checkpoints = |buf: &[u8]| {
-        String::from_utf8_lossy(buf)
-            .lines()
-            .filter(|l| l.starts_with(lll_obs::CHECKPOINT_PREFIX))
-            .count()
-    };
-    // One timed pass: the stream and its wall-clock milliseconds.
+    // One timed pass: the stream, the bytes its digest consumed, and its
+    // wall-clock milliseconds.
     let pass = |interval: Option<u64>| {
         let started = Instant::now();
         let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
@@ -1638,27 +1643,56 @@ pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow
             rec = rec.checkpoint_every(interval);
         }
         record_sweep_workload(n, 1, &mut rec);
+        let digested = rec.digest().map_or(0, |d| d.bytes());
         let buf = rec.finish().expect("in-memory writer never fails");
-        (buf, started.elapsed().as_secs_f64() * 1e3)
+        (buf, digested, started.elapsed().as_secs_f64() * 1e3)
+    };
+    // The row of one cadence's stream, with its timing filled in later.
+    let row = |interval: String, buf: &[u8], digested: u64| {
+        let text = String::from_utf8_lossy(buf);
+        let (mut checkpoints, mut progress, mut event_bytes) = (0, 0, 0);
+        for line in text.lines() {
+            if line.starts_with(lll_obs::CHECKPOINT_PREFIX) {
+                checkpoints += 1;
+                continue;
+            }
+            event_bytes += line.len() + 1;
+            if line.starts_with("{\"type\":\"round_end\"")
+                || line.starts_with("{\"type\":\"fix_step\"")
+            {
+                progress += 1;
+            }
+        }
+        ResumeOverheadRow {
+            n,
+            interval,
+            millis: 0.0,
+            overhead: 1.0,
+            checkpoints,
+            bytes: buf.len(),
+            progress,
+            digested,
+            event_bytes,
+        }
     };
     // Warm-up pass so neither flavor pays cold caches.
-    let (off_buf, _) = pass(None);
+    let (off_buf, ..) = pass(None);
     let mut off_millis = Vec::with_capacity(E20_PAIRS * intervals.len());
     let mut rows = Vec::with_capacity(intervals.len() + 1);
     for &interval in intervals {
         let mut millis = Vec::with_capacity(E20_PAIRS);
         let mut ratios = Vec::with_capacity(E20_PAIRS);
-        let mut buf = Vec::new();
+        let (mut buf, mut digested) = (Vec::new(), 0);
         for pair in 0..E20_PAIRS {
             let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
             for k in 0..E20_PASSES {
                 for checkpointed in [(pair + k) % 2 == 0, (pair + k) % 2 == 1] {
                     if checkpointed {
-                        let (b, ms) = pass(Some(interval));
+                        let (b, d, ms) = pass(Some(interval));
                         on = on.min(ms);
-                        buf = b;
+                        (buf, digested) = (b, d);
                     } else {
-                        off = off.min(pass(None).1);
+                        off = off.min(pass(None).2);
                     }
                 }
             }
@@ -1667,23 +1701,16 @@ pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow
             ratios.push(on / off);
         }
         rows.push(ResumeOverheadRow {
-            n,
-            interval: interval.to_string(),
             millis: median(&mut millis),
             overhead: median(&mut ratios),
-            checkpoints: count_checkpoints(&buf),
-            bytes: buf.len(),
+            ..row(interval.to_string(), &buf, digested)
         });
     }
     rows.insert(
         0,
         ResumeOverheadRow {
-            n,
-            interval: "off".to_owned(),
             millis: median(&mut off_millis),
-            overhead: 1.0,
-            checkpoints: 0,
-            bytes: off_buf.len(),
+            ..row("off".to_owned(), &off_buf, 0)
         },
     );
     rows
@@ -2072,7 +2099,14 @@ mod tests {
         // Sidecars are the only extra bytes: the event stream itself is
         // byte-identical with checkpointing on or off.
         assert!(on.bytes > off.bytes, "sidecars occupy bytes");
+        assert_eq!(on.event_bytes, off.bytes);
         assert!((off.overhead - 1.0).abs() < 1e-12);
+        // The count gate: one sidecar per full interval, each event line
+        // digested once.
+        assert_eq!(on.progress, off.progress);
+        assert_eq!(on.checkpoints, on.progress / 8);
+        assert_eq!(on.digested, on.event_bytes as u64);
+        assert_eq!(off.digested, 0);
     }
 
     #[test]

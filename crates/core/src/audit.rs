@@ -119,12 +119,17 @@ pub(crate) struct AuditDelta<T> {
 /// a `Some(p)` entry short-circuits the `Pr[v | partial]` enumeration.
 /// The caller guarantees freshness for every event touched by `vars` —
 /// the fixing step that touched `v` last wrote `Pr[v | partial ∪ {x:y}]`
-/// there, and `probability_with` runs the *identical* enumeration as
-/// `probability` against the post-fix partial (variables fixed later
-/// are outside `support(v)`, or they would have rewritten the entry),
-/// so the cached value equals the recomputation bit for bit on every
-/// backend. Pass `&[]` to disable the cache (entries beyond the slice
-/// are recomputed).
+/// there, taken from bucket `y` of the step's bucketed pass
+/// ([`Instance::probability_by_value`]). That bucket sees the tuples of
+/// `probability` against the post-fix partial in the same order and
+/// repeats its operation sequence: on `f64` the same left products over
+/// the free variables and the same running sum, and on exact backends
+/// the same integer numerator over the same `Π lcd`, normalized once.
+/// Variables fixed later are outside `support(v)`, or they would have
+/// rewritten the entry. So the cached value equals the recomputation
+/// bit for bit on every backend (the zero written for an impossible
+/// event is also what the recomputation yields). Pass `&[]` to disable
+/// the cache (entries beyond the slice are recomputed).
 pub(crate) fn audit_delta_for<T: Num>(
     inst: &Instance<T>,
     partial: &PartialAssignment,

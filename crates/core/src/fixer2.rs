@@ -22,7 +22,7 @@ use lll_numeric::{BigInt, BigRational, Num};
 use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingSink};
 
 use crate::error::FixerError;
-use crate::instance::{Instance, PartialAssignment};
+use crate::instance::{Instance, PartialAssignment, ValueProbs};
 use crate::triples::Phi;
 use crate::{FixReport, FixStepRecord};
 
@@ -67,6 +67,9 @@ pub struct Fixer2<'i, T> {
     /// class audit reads; anything else may be stale and must not be
     /// trusted (see [`audit_delta_for`](crate::audit::audit_delta_for)).
     post_probs: Vec<Option<T>>,
+    /// The bucketed-pass buffers of a step, one per touched event,
+    /// reused across steps.
+    by_value: [ValueProbs<T>; 2],
 }
 
 impl<'i, T: Num> Fixer2<'i, T> {
@@ -103,6 +106,7 @@ impl<'i, T: Num> Fixer2<'i, T> {
             step_base: 0,
             steps: Vec::new(),
             post_probs: vec![None; inst.num_events()],
+            by_value: Default::default(),
         })
     }
 
@@ -163,6 +167,7 @@ impl<'i, T: Num> Fixer2<'i, T> {
             &self.partial,
             &mut self.phi,
             &mut self.post_probs,
+            &mut self.by_value,
             x,
             None,
         )?;
@@ -173,7 +178,7 @@ impl<'i, T: Num> Fixer2<'i, T> {
                 self.step_base + self.steps.len(),
                 x,
                 choice,
-                |ev| inc(self.inst, &self.partial, ev, x, choice).to_f64(),
+                |i, ev| recorded_inc(&self.by_value[i], &self.post_probs[ev]),
             ));
         }
         self.partial.fix(x, choice);
@@ -214,6 +219,7 @@ impl<'i, T: Num> Fixer2<'i, T> {
             &self.partial,
             &mut self.phi,
             &mut self.post_probs,
+            &mut self.by_value,
             x,
             Some(y),
         )?;
@@ -333,6 +339,7 @@ impl<T: Num> crate::sweep::ClassFixer<T> for Fixer2<'_, T> {
             // cloning the parent's (absorb likewise leaves the parent's
             // cache alone — its stale entries are never read).
             post_probs: vec![None; self.inst.num_events()],
+            by_value: self.by_value.clone(),
         }
     }
 
@@ -392,55 +399,21 @@ pub(crate) fn non_finite<T: PartialOrd>(c: &T) -> bool {
     c.partial_cmp(c).is_none()
 }
 
-/// The increase factor `Inc(ev, y)` of event `ev` when fixing variable
-/// `x` to `y` (0 if the event is already impossible, as in the paper).
-pub(crate) fn inc<T: Num>(
-    inst: &Instance<T>,
-    partial: &PartialAssignment,
-    ev: usize,
-    x: usize,
-    y: usize,
-) -> T {
-    let old = inst.probability(ev, partial);
-    prob_and_inc(inst, partial, ev, &old, x, y).1
-}
-
-/// `(Pr[ev | partial ∪ {x:y}], Inc(ev, y))` with the invariant
-/// `old = Pr[ev | partial]` hoisted out of the value loops. An
-/// impossible event stays impossible under any extension, so both
-/// components are zero without enumerating.
-pub(crate) fn prob_and_inc<T: Num>(
-    inst: &Instance<T>,
-    partial: &PartialAssignment,
-    ev: usize,
-    old: &T,
-    x: usize,
-    y: usize,
-) -> (T, T) {
+/// `Inc(E, y) = Pr[E | partial ∪ {x:y}] / Pr[E | partial]`, or 0 if the
+/// event is already impossible (`old = 0`), as in the paper.
+pub(crate) fn inc_or_zero<T: Num>(p: T, old: &T) -> T {
     if old.is_zero() {
-        return (T::zero(), T::zero());
+        T::zero()
+    } else {
+        p / old.clone()
     }
-    let p = inst.probability_with(ev, partial, x, y);
-    let inc = p.clone() / old.clone();
-    (p, inc)
 }
 
-/// `(Pr[ev | partial ∪ {x:y}], Inc(ev, y) · w)` with the cost as one
-/// fused [`Num::mul_div`]. Canonical forms are unique, so the cost —
-/// and for `f64`, the operation order — is bit-identical to
-/// `Inc(ev, y) * w`.
-pub(crate) fn prob_and_cost<T: Num>(
-    inst: &Instance<T>,
-    partial: &PartialAssignment,
-    ev: usize,
-    old: &T,
-    x: usize,
-    y: usize,
-    w: &T,
-) -> (T, T) {
-    let p = inst.probability_with(ev, partial, x, y);
-    let cost = T::mul_div(p.clone(), w.clone(), old.clone());
-    (p, cost)
+/// The recorded `Inc` of a finished step's touched event: the winner's
+/// post-fix probability over the step's own `Pr[E | partial]`.
+pub(crate) fn recorded_inc<T: Num>(probs: &ValueProbs<T>, post: &Option<T>) -> f64 {
+    let post = post.clone().expect("a live step wrote every touched event");
+    inc_or_zero(post, probs.old()).to_f64()
 }
 
 /// One fixing step of a rank-1 or rank-2 variable `x`, shared by both
@@ -451,7 +424,10 @@ pub(crate) fn prob_and_cost<T: Num>(
 /// weighted factors into `φ_e^u` and `φ_e^v`. Exact cost ties select
 /// the lowest value index on every backend (strict `<`); the class
 /// sweep's determinism relies on this. Every touched event's post-fix
-/// probability goes to `post_probs`.
+/// probability goes to `post_probs`. Each touched event is walked once,
+/// by [`Instance::probability_by_value`] into `by_value` (one buffer
+/// per touched event, in `affects` order), which then holds the step's
+/// `Pr[E | partial]` for the recorder.
 ///
 /// `replay = Some(y)` applies the updates for winner `y` without the
 /// search. A rank-1 replay writes nothing.
@@ -465,6 +441,7 @@ pub(crate) fn fix_rank_le2<T: Num>(
     partial: &PartialAssignment,
     phi: &mut Phi<T>,
     post_probs: &mut [Option<T>],
+    by_value: &mut [ValueProbs<T>],
     x: usize,
     replay: Option<usize>,
 ) -> Result<usize, FixerError> {
@@ -474,17 +451,24 @@ pub(crate) fn fix_rank_le2<T: Num>(
             if let Some(y) = replay {
                 return Ok(y);
             }
-            // Any value with Inc ≤ 1 exists by expectation.
-            let old_u = inst.probability(u, partial);
-            let (y, p_u) = match old_u.as_rational() {
-                Some(old) => {
-                    let (y, [p]) = exact_search(inst, partial, x, [(u, old, &BigRational::one())]);
+            inst.probability_by_value(u, partial, x, &mut by_value[0]);
+            let bu = &by_value[0];
+            // Any value with Inc ≤ 1 exists by expectation. An impossible
+            // event reports p = Inc = 0 for every value.
+            let (y, p_u) = match bu.old().as_rational() {
+                Some(_) => {
+                    let (y, [p]) = exact_search([(bu, &BigRational::one())]);
                     (y, T::from_rational(p))
                 }
                 None => {
                     let mut best: Option<(T, usize, T)> = None;
-                    for y in 0..inst.variable(x).num_values() {
-                        let (p_u, inc) = prob_and_inc(inst, partial, u, &old_u, x, y);
+                    for y in 0..bu.num_values() {
+                        let p_u = if bu.old().is_zero() {
+                            T::zero()
+                        } else {
+                            bu.prob(y)
+                        };
+                        let inc = inc_or_zero(p_u.clone(), bu.old());
                         if non_finite(&inc) {
                             return Err(cost_error(u));
                         }
@@ -507,8 +491,10 @@ pub(crate) fn fix_rank_le2<T: Num>(
             let endpoint = "node is an endpoint of its edge";
             let s = phi.get(eid, u).expect(endpoint).clone();
             let t = phi.get(eid, v).expect(endpoint).clone();
-            let old_u = inst.probability(u, partial);
-            let old_v = inst.probability(v, partial);
+            inst.probability_by_value(u, partial, x, &mut by_value[0]);
+            inst.probability_by_value(v, partial, x, &mut by_value[1]);
+            let (bu, bv) = (&by_value[0], &by_value[1]);
+            let (old_u, old_v) = (bu.old(), bv.old());
             let exact = (
                 s.as_rational(),
                 t.as_rational(),
@@ -516,23 +502,21 @@ pub(crate) fn fix_rank_le2<T: Num>(
                 old_v.as_rational(),
             );
             let (y, p_u, p_v) = match (replay, exact) {
-                (Some(y), _) => (
-                    y,
-                    inst.probability_with(u, partial, x, y),
-                    inst.probability_with(v, partial, x, y),
-                ),
-                (None, (Some(s), Some(t), Some(ou), Some(ov))) => {
-                    let (y, [p_u, p_v]) = exact_search(inst, partial, x, [(u, ou, s), (v, ov, t)]);
+                (Some(y), _) => (y, bu.prob(y), bv.prob(y)),
+                (None, (Some(s), Some(t), Some(_), Some(_))) => {
+                    let (y, [p_u, p_v]) = exact_search([(bu, s), (bv, t)]);
                     (y, T::from_rational(p_u), T::from_rational(p_v))
                 }
                 _ => {
                     let mut best: Option<(T, usize, T, T)> = None;
-                    for y in 0..inst.variable(x).num_values() {
-                        let (p_u, cost_u) = prob_and_cost(inst, partial, u, &old_u, x, y, &s);
+                    for y in 0..bu.num_values() {
+                        let p_u = bu.prob(y);
+                        let cost_u = T::mul_div(p_u.clone(), s.clone(), old_u.clone());
                         if non_finite(&cost_u) {
                             return Err(cost_error(u));
                         }
-                        let (p_v, cost_v) = prob_and_cost(inst, partial, v, &old_v, x, y, &t);
+                        let p_v = bv.prob(y);
+                        let cost_v = T::mul_div(p_v.clone(), t.clone(), old_v.clone());
                         if non_finite(&cost_v) {
                             return Err(cost_error(v));
                         }
@@ -549,11 +533,11 @@ pub(crate) fn fix_rank_le2<T: Num>(
                 }
             };
             // Only the winner's φ values are built.
-            let new_u = T::mul_div(p_u.clone(), s, old_u);
+            let new_u = T::mul_div(p_u.clone(), s, old_u.clone());
             if non_finite(&new_u) {
                 return Err(cost_error(u));
             }
-            let new_v = T::mul_div(p_v.clone(), t, old_v);
+            let new_v = T::mul_div(p_v.clone(), t, old_v.clone());
             if non_finite(&new_v) {
                 return Err(cost_error(v));
             }
@@ -568,60 +552,66 @@ pub(crate) fn fix_rank_le2<T: Num>(
 }
 
 /// The exact value search in integers over the cost
-/// `Σ_i w_i·Inc(e_i, y)` of the `terms` `(e_i, old_i, w_i)`, where
-/// `old_i = Pr[e_i | partial]`. With `Pr[e_i | partial ∪ {x:y}] =
-/// N_i(y)/D_i` and `D_i` the same for every `y`, the cost times the
-/// positive constant `Π_i D_i·old_i.num·w_i.den` is the integer key
-/// `Σ_i c_i·N_i(y)` with `c_i = w_i.num·old_i.den·Π_{j≠i} D_j·old_j.num·w_j.den`.
-/// So the keys order the values as the rational costs do, ties
-/// included, and strict `<` keeps the lowest index. An impossible event
-/// (`old_i = 0`) costs 0 under `mul_div`'s zero-divisor convention: its
-/// term drops, its factor leaves the constant, and it is not
-/// enumerated. Returns the winner and its post-fix probabilities.
+/// `Σ_i w_i·Inc(e_i, y)` of the `terms` `(probs_i, w_i)`, where
+/// `probs_i` holds one bucketed pass over `e_i`: `old_i = Pr[e_i |
+/// partial]` and `Pr[e_i | partial ∪ {x:y}] = N_i(y)/D_i`, with `D_i`
+/// the same for every `y`. The cost times the positive constant
+/// `Π_i D_i·old_i.num·w_i.den` is the integer key `Σ_i c_i·N_i(y)` with
+/// `c_i = w_i.num·old_i.den·Π_{j≠i} D_j·old_j.num·w_j.den`. So the keys
+/// order the values as the rational costs do, ties included, and strict
+/// `<` keeps the lowest index. An impossible event (`old_i = 0`) costs
+/// 0 under `mul_div`'s zero-divisor convention: its term drops, its
+/// factor leaves the constant, and its post-fix probability is 0.
+/// Returns the winner and its post-fix probabilities.
 fn exact_search<T: Num, const N: usize>(
-    inst: &Instance<T>,
-    partial: &PartialAssignment,
-    x: usize,
-    terms: [(usize, &BigRational, &BigRational); N],
+    terms: [(&ValueProbs<T>, &BigRational); N],
 ) -> (usize, [BigRational; N]) {
-    let parts = |i: usize, y: usize| {
-        let (ev, old, _) = terms[i];
-        if old.is_zero() {
-            (BigInt::zero(), BigInt::one())
-        } else {
-            inst.probability_with_parts(ev, partial, x, y)
-        }
+    let old = |i: usize| {
+        terms[i]
+            .0
+            .old()
+            .as_rational()
+            .expect("exact backends hold rationals")
     };
-    let first: [(BigInt, BigInt); N] = std::array::from_fn(|i| parts(i, 0));
     let scale = |j: usize| {
-        let (_, old, w) = terms[j];
-        if old.is_zero() {
+        let (probs, w) = terms[j];
+        if old(j).is_zero() {
             return BigInt::one();
         }
-        &(&first[j].1 * old.numer()) * w.denom()
+        &(probs.den() * old(j).numer()) * w.denom()
     };
     let coef: [BigInt; N] = std::array::from_fn(|i| {
-        let (_, old, w) = terms[i];
-        if old.is_zero() {
+        if old(i).is_zero() {
             return BigInt::zero();
         }
-        let own = w.numer() * old.denom();
+        let own = terms[i].1.numer() * old(i).denom();
         (0..N)
             .filter(|&j| j != i)
             .fold(own, |acc, j| &acc * &scale(j))
     });
-    let key = |n: &[BigInt; N]| (0..N).fold(BigInt::zero(), |acc, i| &acc + &(&coef[i] * &n[i]));
-    let mut best_n: [BigInt; N] = std::array::from_fn(|i| first[i].0.clone());
-    let mut best = (key(&best_n), 0);
-    for y in 1..inst.variable(x).num_values() {
-        let n = std::array::from_fn(|i| parts(i, y).0);
-        let k = key(&n);
+    let key = |y: usize| {
+        (0..N)
+            .filter(|&i| !coef[i].is_zero())
+            .fold(BigInt::zero(), |acc, i| {
+                &acc + &(&coef[i] * terms[i].0.num(y))
+            })
+    };
+    let mut best = (key(0), 0);
+    for y in 1..terms[0].0.num_values() {
+        let k = key(y);
         if k < best.0 {
-            (best, best_n) = ((k, y), n);
+            best = (k, y);
         }
     }
-    let probs = std::array::from_fn(|i| BigRational::new(best_n[i].clone(), first[i].1.clone()));
-    (best.1, probs)
+    let y = best.1;
+    let probs = std::array::from_fn(|i| {
+        if old(i).is_zero() {
+            BigRational::zero()
+        } else {
+            BigRational::new(terms[i].0.num(y).clone(), terms[i].0.den().clone())
+        }
+    });
+    (y, probs)
 }
 
 /// Builds the [`Event::FixRunStart`] payload for an instance.
@@ -673,19 +663,24 @@ pub(crate) fn audit_verdict<R: Recorder>(
 
 /// Builds the [`Event::FixStep`] payload shared by the rank-2 and rank-3
 /// fixers: `touched` is the affected-event set of `variable`, `inc` comes
-/// from the caller's closure (evaluated against the pre-fix partial),
-/// `phi_product` and `headroom` read the already-updated φ-tables.
+/// from the caller's closure (called with each touched event's position
+/// and id), `phi_product` and `headroom` read the already-updated
+/// φ-tables.
 pub(crate) fn fix_step_event<T: Num>(
     inst: &Instance<T>,
     phi: &Phi<T>,
     step: usize,
     variable: usize,
     value: usize,
-    mut inc_of: impl FnMut(usize) -> f64,
+    mut inc_of: impl FnMut(usize, usize) -> f64,
 ) -> Event {
     let g = inst.dependency_graph();
     let touched: Vec<usize> = inst.variable(variable).affects().to_vec();
-    let inc: Vec<f64> = touched.iter().map(|&ev| inc_of(ev)).collect();
+    let inc: Vec<f64> = touched
+        .iter()
+        .enumerate()
+        .map(|(i, &ev)| inc_of(i, ev))
+        .collect();
     let phi_product: Vec<f64> = touched
         .iter()
         .map(|&ev| phi.product_at(g, ev).to_f64())
@@ -986,5 +981,51 @@ mod tests {
         let float = tie_instance::<f64>();
         let mut fixer = Fixer2::new(&float).unwrap();
         assert_eq!(fixer.fix_variable(0).unwrap(), 0);
+    }
+
+    /// Predicate calls per step. Each event's support (`x` plus 15
+    /// private coins, `2^16` tuples) is past the truth-table limit, so
+    /// every tuple the enumeration visits calls the predicate, and the
+    /// counts are the walks' work. A step walks each touched event once
+    /// over its free variables, recorded or not: `Π_free k_i` calls per
+    /// event.
+    #[test]
+    fn a_step_walks_each_touched_event_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        fn check<T: Num>() {
+            let calls = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+            let mut b = InstanceBuilder::<T>::new(2);
+            let x = b.add_uniform_variable(&[0, 1], 2);
+            let own: Vec<Vec<usize>> = (0..2)
+                .map(|v| (0..15).map(|_| b.add_uniform_variable(&[v], 2)).collect())
+                .collect();
+            for (v, vars) in own.iter().enumerate() {
+                let (count, vars) = (Arc::clone(&calls[v]), vars.clone());
+                b.set_event_predicate(v, move |vals| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    vals[x] == v && vars.iter().all(|&z| vals[z] == 0)
+                });
+            }
+            let inst = b.build().unwrap();
+            let taken = || calls.each_ref().map(|c| c.swap(0, Ordering::Relaxed));
+            assert_eq!(taken(), [0, 0], "no truth table was built");
+            let mut fixer = Fixer2::new_unchecked(&inst).unwrap();
+            // Rank 2: both events have 16 free variables.
+            fixer.fix_variable(x).unwrap();
+            assert_eq!(taken(), [1 << 16, 1 << 16]);
+            // Rank 1, recorded: x is fixed, 15 free variables remain.
+            let mut rec = lll_obs::CounterRecorder::new();
+            fixer.fix_variable_recorded(own[0][0], &mut rec).unwrap();
+            assert_eq!(taken(), [1 << 15, 0]);
+            assert_eq!(rec.fix_steps, 1);
+            // A recorded rank-2 step on a fresh fixer.
+            let mut fixer = Fixer2::new_unchecked(&inst).unwrap();
+            fixer.fix_variable_recorded(x, &mut rec).unwrap();
+            assert_eq!(taken(), [1 << 16, 1 << 16]);
+        }
+        check::<f64>();
+        check::<BigRational>();
     }
 }

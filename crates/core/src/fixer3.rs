@@ -27,8 +27,8 @@ use lll_numeric::Num;
 use lll_obs::{NullRecorder, NullTiming, Recorder, TimingSink};
 
 use crate::error::FixerError;
-use crate::fixer2::{fix_rank_le2, fix_step_event, inc, non_finite, prob_and_cost, prob_and_inc};
-use crate::instance::{Instance, PartialAssignment};
+use crate::fixer2::{fix_rank_le2, fix_step_event, inc_or_zero, non_finite, recorded_inc};
+use crate::instance::{Instance, PartialAssignment, ValueProbs};
 use crate::triples::{decompose, representability_score, Phi};
 use crate::{FixReport, FixStepRecord};
 
@@ -72,6 +72,9 @@ pub struct Fixer3<'i, T> {
     /// class audit reads; anything else may be stale and must not be
     /// trusted (see [`audit_delta_for`](crate::audit::audit_delta_for)).
     post_probs: Vec<Option<T>>,
+    /// The bucketed-pass buffers of a step, one per touched event,
+    /// reused across steps.
+    by_value: [ValueProbs<T>; 3],
 }
 
 impl<'i, T: Num> Fixer3<'i, T> {
@@ -109,6 +112,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
             step_base: 0,
             steps: Vec::new(),
             post_probs: vec![None; inst.num_events()],
+            by_value: Default::default(),
         })
     }
 
@@ -183,6 +187,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
                 &self.partial,
                 &mut self.phi,
                 &mut self.post_probs,
+                &mut self.by_value,
                 x,
                 None,
             )?,
@@ -194,7 +199,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
                 self.step_base + self.steps.len(),
                 x,
                 choice,
-                |ev| inc(self.inst, &self.partial, ev, x, choice).to_f64(),
+                |i, ev| recorded_inc(&self.by_value[i], &self.post_probs[ev]),
             ));
         }
         self.partial.fix(x, choice);
@@ -232,9 +237,11 @@ impl<'i, T: Num> Fixer3<'i, T> {
             Some(y) => y..y + 1,
             None => 0..self.inst.variable(x).num_values(),
         };
-        let old_u = self.inst.probability(u, &self.partial);
-        let old_v = self.inst.probability(v, &self.partial);
-        let old_w = self.inst.probability(w, &self.partial);
+        for (probs, ev) in self.by_value.iter_mut().zip([u, v, w]) {
+            self.inst.probability_by_value(ev, &self.partial, x, probs);
+        }
+        let [bu, bv, bw] = &self.by_value;
+        let (old_u, old_v, old_w) = (bu.old(), bv.old(), bw.old());
         // Candidate triples, most robustly representable first, each
         // carrying its post-fix probabilities for the audit cache. Every
         // component and score is checked for self-comparability here, so
@@ -242,18 +249,24 @@ impl<'i, T: Num> Fixer3<'i, T> {
         #[allow(clippy::type_complexity)]
         let mut candidates: Vec<(T, usize, (T, T, T), (T, T, T))> =
             Vec::with_capacity(values.len());
-        let checked = |(p, s): (T, T), event: usize| {
+        let checked = |s: T, event: usize| {
             if non_finite(&s) {
                 return Err(FixerError::NonFiniteCost { variable: x, event });
             }
-            Ok((p, s))
+            Ok(s)
         };
-        let (inst, partial) = (self.inst, &self.partial);
         for y in values {
-            let (p_u, sa) = checked(prob_and_cost(inst, partial, u, &old_u, x, y, &a), u)?;
-            let (p_v, sb) = checked(prob_and_cost(inst, partial, v, &old_v, x, y, &b), v)?;
-            let (p_w, inc_w) = prob_and_inc(inst, partial, w, &old_w, x, y);
-            let (p_w, sc) = checked((p_w, inc_w * c.clone()), w)?;
+            let p_u = bu.prob(y);
+            let sa = checked(T::mul_div(p_u.clone(), a.clone(), old_u.clone()), u)?;
+            let p_v = bv.prob(y);
+            let sb = checked(T::mul_div(p_v.clone(), b.clone(), old_v.clone()), v)?;
+            // An impossible `w` reports p = Inc = 0.
+            let p_w = if old_w.is_zero() {
+                T::zero()
+            } else {
+                bw.prob(y)
+            };
+            let sc = checked(inc_or_zero(p_w.clone(), old_w) * c.clone(), w)?;
             let score = representability_score(&sa, &sb, &sc);
             if non_finite(&score) {
                 return Err(FixerError::NonFiniteCost {
@@ -367,6 +380,7 @@ impl<'i, T: Num> Fixer3<'i, T> {
                     &self.partial,
                     &mut self.phi,
                     &mut self.post_probs,
+                    &mut self.by_value,
                     x,
                     Some(y),
                 )?;
@@ -474,6 +488,7 @@ impl<T: Num> crate::sweep::ClassFixer<T> for Fixer3<'_, T> {
             // cloning the parent's (absorb likewise leaves the parent's
             // cache alone — its stale entries are never read).
             post_probs: vec![None; self.inst.num_events()],
+            by_value: self.by_value.clone(),
         }
     }
 

@@ -310,26 +310,66 @@ impl<T: Num> Instance<T> {
         })
     }
 
-    /// The exact enumeration of
-    /// [`probability_with`](Instance::probability_with) as the unreduced
-    /// pair `(N, D)` of [`exact_parts`](Instance::exact_parts): `D`
-    /// does not depend on `value`, so the value search compares the
-    /// candidates' numerators directly. Exact backends only (`f64` has
-    /// no integer table).
-    pub(crate) fn probability_with_parts(
+    /// `Pr[v | partial]` and every candidate's `Pr[v | partial ∪ {x:y}]`
+    /// from one walk of event `v` with the unfixed variable `x` left
+    /// free: each occurring tuple is filed under `x`'s value, so bucket
+    /// `y` receives exactly the tuples that
+    /// [`probability_with`](Instance::probability_with)`(v, partial, x,
+    /// y)` visits, in the same relative order, on either arm.
+    ///
+    /// Exact backends sum each bucket's integer weights into the
+    /// numerator `N(y)` over `D = Π lcd` of the free support variables
+    /// other than `x`, and `Pr[v | partial]` is `Σ_y w_x(y)·N(y)` over
+    /// `D·lcd_x`. Canonical forms are unique, so every value equals the
+    /// separate walks' value. The `f64` fold repeats each separate
+    /// walk's operation sequence: per bucket a left product from one
+    /// over the other free variables, then `total + w`; for
+    /// `Pr[v | partial]` a second accumulator whose product includes
+    /// `x`'s factor at its support position. So every value is the same
+    /// bit for bit. `out` is the caller's buffer, reused across steps.
+    pub(crate) fn probability_by_value(
         &self,
         v: usize,
         partial: &PartialAssignment,
-        var: usize,
-        value: usize,
-    ) -> (BigInt, BigInt) {
-        self.exact_parts(v, |x| {
-            if x == var {
-                Some(value)
-            } else {
-                partial.get(x)
+        x: usize,
+        out: &mut ValueProbs<T>,
+    ) {
+        debug_assert!(partial.get(x).is_none(), "variable {x} is fixed");
+        debug_assert!(self.events[v].support.binary_search(&x).is_ok());
+        let k = self.variables[x].num_values();
+        let lookup = |z: usize| partial.get(z);
+        if T::is_exact() {
+            out.nums.clear();
+            out.nums.resize(k, BigInt::zero());
+            let mut fold = ByValue {
+                weights: ExactWeights { inst: self },
+                x,
+                sums: &mut out.nums,
+                total: None,
+            };
+            self.enumerate(v, lookup, &mut fold);
+            out.den = self.free_den(v, |z| z != x && partial.get(z).is_none());
+            let dist = self.dist(x);
+            let mut num = BigInt::zero();
+            for (w, n) in dist.weights.iter().zip(&out.nums) {
+                num += &(w * n);
             }
-        })
+            out.old = T::from_rational(BigRational::new(num, &out.den * &dist.lcd));
+        } else {
+            out.probs.clear();
+            out.probs.resize(k, T::zero());
+            let mut old = T::zero();
+            let mut fold = ByValue {
+                weights: FloatWeights {
+                    variables: &self.variables,
+                },
+                x,
+                sums: &mut out.probs,
+                total: Some(&mut old),
+            };
+            self.enumerate(v, lookup, &mut fold);
+            out.old = old;
+        }
     }
 
     fn prob_impl(&self, v: usize, lookup: impl Fn(usize) -> Option<usize>) -> T {
@@ -337,12 +377,14 @@ impl<T: Num> Instance<T> {
             let (num, den) = self.exact_parts(v, lookup);
             return T::from_rational(BigRational::new(num, den));
         }
-        let mut fold = FloatFold {
-            variables: &self.variables,
-            total: T::zero(),
+        let mut fold = Total {
+            weights: FloatWeights {
+                variables: &self.variables,
+            },
+            sum: T::zero(),
         };
         self.enumerate(v, lookup, &mut fold);
-        fold.total
+        fold.sum
     }
 
     /// `Pr[v | lookup]` over an exact backend as the unreduced pair
@@ -352,18 +394,24 @@ impl<T: Num> Instance<T> {
     /// `BigRational::new(N, D)` yields the canonical value, which is
     /// unique, so it equals the rational `Σ Π p` fold bit for bit.
     fn exact_parts(&self, v: usize, lookup: impl Fn(usize) -> Option<usize>) -> (BigInt, BigInt) {
-        let mut fold = ExactFold {
-            inst: self,
-            num: BigInt::zero(),
+        let mut fold = Total {
+            weights: ExactWeights { inst: self },
+            sum: BigInt::zero(),
         };
         self.enumerate(v, &lookup, &mut fold);
+        (fold.sum, self.free_den(v, |x| lookup(x).is_none()))
+    }
+
+    /// `Π lcd` over the support variables of event `v` that `free`
+    /// selects, in support order (exact backends only).
+    fn free_den(&self, v: usize, free: impl Fn(usize) -> bool) -> BigInt {
         let mut den = BigInt::one();
         for &x in &self.events[v].support {
-            if lookup(x).is_none() {
+            if free(x) {
                 den = &den * &self.dist(x).lcd;
             }
         }
-        (fold.num, den)
+        den
     }
 
     /// The interned integer distribution of variable `x` (exact
@@ -653,46 +701,157 @@ fn enumerate_listed(
     }
 }
 
-/// The arithmetic of the enumeration: one call per occurring tuple,
-/// with the `(variable, value)` pairs of its free positions in support
-/// order.
+/// What the enumeration feeds: one call per occurring tuple, with the
+/// `(variable, value)` pairs of its free positions in support order.
 trait TupleFold {
-    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)>);
+    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)> + Clone);
 }
 
-/// The inexact backends' fold: `total = total + Π p`, each product a
+/// The arithmetic of the enumeration: adds one tuple's weight, the
+/// product over its `(variable, value)` pairs, into an accumulator.
+trait Weights {
+    type Sum;
+    fn add(&self, sum: &mut Self::Sum, free: impl Iterator<Item = (usize, usize)>);
+}
+
+/// The inexact backends' arithmetic: `sum = sum + Π p`, each product a
 /// left fold from one — the `Num` operation sequence the engine has
 /// always performed, so `f64` results keep their rounding bit for bit.
-struct FloatFold<'a, T> {
+struct FloatWeights<'a, T> {
     variables: &'a [Variable<T>],
-    total: T,
 }
 
-impl<T: Num> TupleFold for FloatFold<'_, T> {
-    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)>) {
+impl<T: Num> Weights for FloatWeights<'_, T> {
+    type Sum = T;
+
+    fn add(&self, sum: &mut T, free: impl Iterator<Item = (usize, usize)>) {
         let mut w = T::one();
         for (x, y) in free {
             w = w * self.variables[x].probs[y].clone();
         }
-        self.total = self.total.clone() + w;
+        *sum = sum.clone() + w;
     }
 }
 
-/// The exact backends' fold: integer weights over the interned
-/// distributions, summed into one numerator. `Small`-tier values never
+/// The exact backends' arithmetic: integer weights over the interned
+/// distributions, summed into a numerator. `Small`-tier values never
 /// allocate.
-struct ExactFold<'a, T> {
+struct ExactWeights<'a, T> {
     inst: &'a Instance<T>,
-    num: BigInt,
 }
 
-impl<T: Num> TupleFold for ExactFold<'_, T> {
-    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)>) {
+impl<T: Num> Weights for ExactWeights<'_, T> {
+    type Sum = BigInt;
+
+    fn add(&self, sum: &mut BigInt, free: impl Iterator<Item = (usize, usize)>) {
         let mut w = BigInt::one();
         for (x, y) in free {
             w = &w * &self.inst.dist(x).weights[y];
         }
-        self.num += &w;
+        *sum += &w;
+    }
+}
+
+/// Every tuple into one accumulator: `Pr[v | lookup]`.
+struct Total<W: Weights> {
+    weights: W,
+    sum: W::Sum,
+}
+
+impl<W: Weights> TupleFold for Total<W> {
+    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)> + Clone) {
+        self.weights.add(&mut self.sum, free);
+    }
+}
+
+/// The bucketing wrapper of [`Instance::probability_by_value`]: files
+/// each tuple's weight without `x`'s factor under `x`'s value, and adds
+/// its full weight into `total` when there is one.
+struct ByValue<'b, W: Weights> {
+    weights: W,
+    x: usize,
+    sums: &'b mut [W::Sum],
+    total: Option<&'b mut W::Sum>,
+}
+
+impl<W: Weights> TupleFold for ByValue<'_, W> {
+    fn tuple(&mut self, free: impl Iterator<Item = (usize, usize)> + Clone) {
+        let x = self.x;
+        let (_, y) = free
+            .clone()
+            .find(|&(z, _)| z == x)
+            .expect("x is free in the walk");
+        let rest = free.clone().filter(move |&(z, _)| z != x);
+        self.weights.add(&mut self.sums[y], rest);
+        if let Some(total) = self.total.as_deref_mut() {
+            self.weights.add(total, free);
+        }
+    }
+}
+
+/// Every candidate's conditional probability of one event, from one
+/// [`Instance::probability_by_value`] pass. The caller owns it and
+/// reuses it across steps, so once its buffers have grown to the
+/// variable's value count a pass on `Small` values allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueProbs<T> {
+    /// `Pr[E | partial]`.
+    old: T,
+    /// Inexact backends: `Pr[E | partial ∪ {x:y}]` per value `y`.
+    probs: Vec<T>,
+    /// Exact backends: the numerator `N(y)` of `Pr[E | partial ∪ {x:y}]`
+    /// over `den`, per value `y`.
+    nums: Vec<BigInt>,
+    /// Exact backends: `D = Π lcd` over the free support variables other
+    /// than `x`, the same for every `y`.
+    den: BigInt,
+}
+
+impl<T: Num> Default for ValueProbs<T> {
+    fn default() -> Self {
+        ValueProbs {
+            old: T::zero(),
+            probs: Vec::new(),
+            nums: Vec::new(),
+            den: BigInt::one(),
+        }
+    }
+}
+
+impl<T: Num> ValueProbs<T> {
+    /// `Pr[E | partial]`.
+    pub(crate) fn old(&self) -> &T {
+        &self.old
+    }
+
+    /// `Pr[E | partial ∪ {x:y}]`.
+    pub(crate) fn prob(&self, y: usize) -> T {
+        if T::is_exact() {
+            T::from_rational(BigRational::new(self.nums[y].clone(), self.den.clone()))
+        } else {
+            self.probs[y].clone()
+        }
+    }
+
+    /// `N(y)`, the numerator of `Pr[E | partial ∪ {x:y}]` over
+    /// [`den`](ValueProbs::den) (exact backends only).
+    pub(crate) fn num(&self, y: usize) -> &BigInt {
+        &self.nums[y]
+    }
+
+    /// `D`, the denominator shared by every `N(y)` (exact backends
+    /// only).
+    pub(crate) fn den(&self) -> &BigInt {
+        &self.den
+    }
+
+    /// The number of candidate values.
+    pub(crate) fn num_values(&self) -> usize {
+        if T::is_exact() {
+            self.nums.len()
+        } else {
+            self.probs.len()
+        }
     }
 }
 
@@ -1247,6 +1406,124 @@ mod tests {
                     let (a, b) = (r.unconditional_probability(v), r.probability(v, &empty));
                     proptest::prop_assert!(identical(&a, &b), "exact arm {} event {}: {} vs {}", arm, v, a, b);
                 }
+            }
+        }
+    }
+
+    /// A random support variable `x` of event 0 and an assignment that
+    /// fixes each other variable with probability one half, to a random
+    /// value.
+    fn random_partial<T: Num>(inst: &Instance<T>, seed: u64) -> (usize, PartialAssignment) {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let support = inst.event(0).support();
+        let x = support[rng.random_range(0..support.len())];
+        let mut partial = PartialAssignment::new(inst.num_variables());
+        for z in (0..inst.num_variables()).filter(|&z| z != x) {
+            if rng.random_bool(0.5) {
+                partial.fix(z, rng.random_range(0..inst.variable(z).num_values()));
+            }
+        }
+        (x, partial)
+    }
+
+    /// The bucketed pass over every event `x` affects, into the reused
+    /// buffer `out`, against `probability` and each `probability_with`,
+    /// bit for bit; on exact backends also `N(y)/D` itself. Returns
+    /// whether some checked event was impossible under `partial`.
+    fn check_pass<T: Num>(
+        inst: &Instance<T>,
+        partial: &PartialAssignment,
+        x: usize,
+        out: &mut ValueProbs<T>,
+    ) -> Result<bool, proptest::TestCaseError> {
+        let mut impossible = false;
+        for &v in inst.variable(x).affects() {
+            inst.probability_by_value(v, partial, x, out);
+            let old = inst.probability(v, partial);
+            proptest::prop_assert!(
+                identical(out.old(), &old),
+                "event {}: {} vs {}",
+                v,
+                out.old(),
+                old
+            );
+            impossible |= old.is_zero();
+            let k = inst.variable(x).num_values();
+            proptest::prop_assert_eq!(out.num_values(), k);
+            for y in 0..k {
+                let want = inst.probability_with(v, partial, x, y);
+                let got = out.prob(y);
+                proptest::prop_assert!(
+                    identical(&got, &want),
+                    "event {} y {}: {} vs {}",
+                    v,
+                    y,
+                    got,
+                    want
+                );
+                if T::is_exact() {
+                    let ratio = BigRational::new(out.num(y).clone(), out.den().clone());
+                    proptest::prop_assert_eq!(Some(&ratio), want.as_rational());
+                }
+            }
+        }
+        Ok(impossible)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The bucketed pass equals `probability` and every per-value
+        /// `probability_with` on all four engine arms, both backends,
+        /// random partials and mixed value counts, through one reused
+        /// buffer per backend.
+        #[test]
+        fn bucketed_pass_matches_the_separate_walks(
+            extra in 0usize..64,
+            weights in proptest::collection::vec(0u8..255, 1..6),
+            modulus in 5usize..13,
+            residue in 0usize..13,
+            seed in 0u64..1 << 32,
+        ) {
+            let residue = residue % modulus;
+            let (mut f_out, mut r_out) = (ValueProbs::default(), ValueProbs::default());
+            for arm in 0..4 {
+                let ks = arm_shape(arm, extra);
+                let f = arm_instance::<f64>(&ks, &weights, modulus, residue);
+                let r = arm_instance::<BigRational>(&ks, &weights, modulus, residue);
+                for s in 0..3 {
+                    let (x, partial) = random_partial(&f, seed + s);
+                    check_pass(&f, &partial, x, &mut f_out)?;
+                    check_pass(&r, &partial, x, &mut r_out)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_pass_reports_impossible_events() {
+        // `sum % usize::MAX` is the sum itself, which never reaches
+        // `usize::MAX - 1`: event 0 never occurs, on every arm.
+        let (mut f_out, mut r_out) = (ValueProbs::default(), ValueProbs::default());
+        for arm in 0..4 {
+            let ks = arm_shape(arm, 1);
+            let f = arm_instance::<f64>(&ks, &[3, 1, 4], usize::MAX, usize::MAX - 1);
+            let r = arm_instance::<BigRational>(&ks, &[3, 1, 4], usize::MAX, usize::MAX - 1);
+            let (x, partial) = random_partial(&f, arm as u64);
+            assert!(
+                check_pass(&f, &partial, x, &mut f_out).unwrap(),
+                "arm {arm}"
+            );
+            assert!(
+                check_pass(&r, &partial, x, &mut r_out).unwrap(),
+                "arm {arm}"
+            );
+            f.probability_by_value(0, &partial, x, &mut f_out);
+            r.probability_by_value(0, &partial, x, &mut r_out);
+            assert!(f_out.old().is_zero() && r_out.old().is_zero(), "arm {arm}");
+            for y in 0..f.variable(x).num_values() {
+                assert!(f_out.prob(y).is_zero() && r_out.prob(y).is_zero());
             }
         }
     }

@@ -15,7 +15,9 @@ use std::cmp::Reverse;
 use lll_numeric::Num;
 use lll_obs::NullRecorder;
 
+use crate::fixer2::inc_or_zero;
 use crate::fixer3::Fixer3;
+use crate::instance::{Instance, PartialAssignment, ValueProbs};
 use crate::sweep::ClassFixer;
 use crate::triples::representability_score;
 use crate::{FixReport, Fixer2, FixerError};
@@ -85,17 +87,11 @@ fn fixer2_best_cost<T: Num>(fixer: &Fixer2<'_, T>, x: usize) -> T {
     let var = inst.variable(x);
     let g = inst.dependency_graph();
     let k = var.num_values();
-    let inc = |ev: usize, y: usize| -> T {
-        let old = inst.probability(ev, fixer.partial());
-        if old.is_zero() {
-            T::zero()
-        } else {
-            inst.probability_with(ev, fixer.partial(), x, y) / old
-        }
-    };
+    let passes = passes(inst, fixer.partial(), x);
+    let inc = |i: usize, y: usize| inc_or_zero(passes[i].prob(y), passes[i].old());
     match *var.affects() {
-        [u] => (0..k)
-            .map(|y| inc(u, y))
+        [_] => (0..k)
+            .map(|y| inc(0, y))
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
             .expect("k >= 1"),
         [u, v] => {
@@ -111,7 +107,7 @@ fn fixer2_best_cost<T: Num>(fixer: &Fixer2<'_, T>, x: usize) -> T {
                 .expect("v is an endpoint of its edge")
                 .clone();
             (0..k)
-                .map(|y| inc(u, y) * s.clone() + inc(v, y) * t.clone())
+                .map(|y| inc(0, y) * s.clone() + inc(1, y) * t.clone())
                 .min_by(|a, b| a.partial_cmp(b).expect("finite"))
                 .expect("k >= 1")
         }
@@ -189,24 +185,31 @@ fn fixer3_best_margin<T: Num>(fixer: &Fixer3<'_, T>, x: usize) -> T {
     let a = at(e, u) * at(e1, u);
     let b = at(e, v) * at(e2, v);
     let c = at(e1, w) * at(e2, w);
-    let inc = |ev: usize, y: usize| -> T {
-        let old = inst.probability(ev, fixer.partial());
-        if old.is_zero() {
-            T::zero()
-        } else {
-            inst.probability_with(ev, fixer.partial(), x, y) / old
-        }
-    };
+    let passes = passes(inst, fixer.partial(), x);
+    let inc = |i: usize, y: usize| inc_or_zero(passes[i].prob(y), passes[i].old());
     (0..var.num_values())
         .map(|y| {
             representability_score(
-                &(inc(u, y) * a.clone()),
-                &(inc(v, y) * b.clone()),
-                &(inc(w, y) * c.clone()),
+                &(inc(0, y) * a.clone()),
+                &(inc(1, y) * b.clone()),
+                &(inc(2, y) * c.clone()),
             )
         })
         .max_by(|s1, s2| s1.partial_cmp(s2).expect("finite scores"))
         .expect("k >= 1")
+}
+
+/// One bucketed pass over each event `x` affects (in `affects` order).
+fn passes<T: Num>(inst: &Instance<T>, partial: &PartialAssignment, x: usize) -> Vec<ValueProbs<T>> {
+    inst.variable(x)
+        .affects()
+        .iter()
+        .map(|&ev| {
+            let mut probs = ValueProbs::default();
+            inst.probability_by_value(ev, partial, x, &mut probs);
+            probs
+        })
+        .collect()
 }
 
 #[cfg(test)]

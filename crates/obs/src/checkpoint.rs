@@ -43,28 +43,38 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// fold maintain one, so a checkpoint's digest pins the exact event
 /// prefix it summarizes — independent of provenance and of whether
 /// checkpointing was on.
+///
+/// It also counts the bytes it has consumed since it was created or
+/// resumed. The count is work, not identity: a recorder that digests
+/// each event line once consumes exactly the stream's event bytes, so
+/// the count exposes a digest that re-reads a prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamDigest(u64);
+pub struct StreamDigest {
+    hash: u64,
+    bytes: u64,
+}
 
 impl StreamDigest {
     /// The digest of the empty stream.
     pub fn new() -> StreamDigest {
-        StreamDigest(FNV_OFFSET)
+        StreamDigest::from_value(FNV_OFFSET)
     }
 
-    /// A digest resumed from a previously-reported value.
+    /// A digest resumed from a previously-reported value (its byte count
+    /// starts at zero).
     pub fn from_value(v: u64) -> StreamDigest {
-        StreamDigest(v)
+        StreamDigest { hash: v, bytes: 0 }
     }
 
     /// Folds bytes into the digest.
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
+        let mut h = self.hash;
         for &b in bytes {
             h ^= u64::from(b);
             h = h.wrapping_mul(FNV_PRIME);
         }
-        self.0 = h;
+        self.hash = h;
+        self.bytes += bytes.len() as u64;
     }
 
     /// Folds one event line (without its newline); the newline is
@@ -77,12 +87,17 @@ impl StreamDigest {
 
     /// The current digest value.
     pub fn value(&self) -> u64 {
-        self.0
+        self.hash
+    }
+
+    /// The bytes folded in since this digest was created or resumed.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 
     /// The digest as the 16-hex-digit form used in checkpoint lines.
     pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
+        format!("{:016x}", self.hash)
     }
 }
 
@@ -205,6 +220,14 @@ mod tests {
         c.update(b"{\"type\":\"round_end\",\"round\":1}\n");
         assert_eq!(a.value(), c.value());
         assert_eq!(a.hex().len(), 16);
+        // Each byte counts once, newlines included; a resumed digest
+        // counts from zero.
+        let line_bytes = b"{\"type\":\"round_end\",\"round\":1}\n".len() as u64;
+        assert_eq!(b.bytes(), c.bytes());
+        assert_eq!(StreamDigest::new().bytes(), 0);
+        let mut r = StreamDigest::from_value(a.value());
+        r.update_line("{\"type\":\"round_end\",\"round\":1}");
+        assert_eq!(r.bytes(), line_bytes);
     }
 
     #[test]

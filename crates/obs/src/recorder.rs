@@ -333,6 +333,13 @@ impl<W: Write> JsonlRecorder<W> {
         self.last_ckpt
     }
 
+    /// The rolling event-line digest, if checkpointing is on. Its
+    /// [`bytes`](StreamDigest::bytes) count is the event bytes this
+    /// recorder has digested, each line once.
+    pub fn digest(&self) -> Option<StreamDigest> {
+        self.ckpt.as_ref().map(|ck| ck.digest)
+    }
+
     /// Lines written so far (including the meta line, if any).
     pub fn lines(&self) -> usize {
         self.lines

@@ -1,12 +1,13 @@
 //! The exact probability engine allocates nothing while its integers
 //! stay in the `Small` tier: `probability` and `probability_with` on a
-//! `BigRational` instance are counted by a global allocator that tallies
-//! the calling thread's allocations.
+//! `BigRational` instance, and a fixing step's bucketed pass once the
+//! fixer's buffers are warm, are counted by a global allocator that
+//! tallies the calling thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lll_core::{Instance, InstanceBuilder, PartialAssignment};
+use lll_core::{Fixer2, Instance, InstanceBuilder, PartialAssignment};
 use lll_numeric::BigRational;
 
 thread_local! {
@@ -100,4 +101,39 @@ fn exact_probabilities_on_small_values_allocate_nothing() {
     // The counter sees this thread's allocations.
     let (n, _) = allocations(|| vec![0u8; 16]);
     assert_eq!(n, 1);
+}
+
+/// A `Fixer2` step walks each touched event once into buffers the fixer
+/// keeps across steps. Once a rank-1 and a rank-2 step have grown them
+/// (and the step log has its first capacity), further rank-1 and rank-2
+/// steps over no more values allocate nothing: the pass, the integer
+/// value search and the φ update all stay in the `Small` tier.
+#[test]
+fn warm_fixing_steps_on_small_values_allocate_nothing() {
+    let q = BigRational::from_ratio;
+    let mut b = InstanceBuilder::<BigRational>::new(2);
+    let thirds = || vec![q(1, 6), q(1, 2), q(1, 3)];
+    let a = b.add_variable(&[0, 1], thirds());
+    let c = b.add_variable(&[0, 1], thirds());
+    let wide4 = b.add_uniform_variable(&[0], 4);
+    let coin = b.add_variable(&[0], vec![q(3, 10), q(7, 10)]);
+    let wide: Vec<usize> = (0..3).map(|_| b.add_uniform_variable(&[1], 33)).collect();
+    b.set_event_predicate(0, move |vals| {
+        vals[a] + vals[c] + vals[wide4] + vals[coin] == 2
+    });
+    b.set_event_predicate(1, move |vals| {
+        (vals[a] + vals[c] + vals[wide[0]] * vals[wide[1]] + vals[wide[2]]) % 7 == 3
+    });
+    let inst = b.build().unwrap();
+    let mut fixer = Fixer2::new_unchecked(&inst).unwrap();
+    // Warm-up: a 4-valued rank-1 step and a rank-2 step.
+    fixer.fix_variable(wide4).unwrap();
+    fixer.fix_variable(a).unwrap();
+    for (x, rank) in [(c, 2), (coin, 1)] {
+        let (n, y) = allocations(|| fixer.fix_variable(x));
+        assert_eq!(
+            n, 0,
+            "rank-{rank} step on variable {x} (chose {y:?}) allocated"
+        );
+    }
 }
