@@ -844,7 +844,7 @@ fn main() {
     }
 
     if wanted(&selected, "E22") {
-        println!("== E22: the second exact gear — wide-tier audited driver wall-clock ==");
+        println!("== E22: audited exact drivers — wall-clock and BigInt tier traffic ==");
         let data = ex::e22_wide_tier(2048, 512);
         write_csv(
             "e22_wide_tier.csv",
@@ -894,7 +894,7 @@ fn main() {
                 &rows
             )
         );
-        println!("(audited E2/E6 drivers on BigRational, k=16, tightness 0.9, seed 7, exact zero\n tolerance, one worker, best-of-2; streams and assignments asserted byte-identical\n across t in {{1,2,8}} before timing; pre-gear baseline\n measured at commit 5ab4b4d on the same machine — CI gates speedup >= 1.5)\n");
+        println!("(audited E2/E6 drivers on BigRational, k=16, tightness 0.9, seed 7, exact zero\n tolerance, one worker, best-of-2; streams and assignments asserted byte-identical\n across t in {{1,2,8}} before timing; pre-gear baseline\n measured at commit 5ab4b4d on the same machine — CI gates speedup >= 1.5\n and promotes == demotes == 0)\n");
         trace_experiment(&mut obs, "E22", rows.len());
     }
 

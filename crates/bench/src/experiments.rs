@@ -1832,11 +1832,11 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
     ]
 }
 
-/// E22 — the second exact gear end to end: the audited E2/E6 drivers
-/// on `BigRational` (with its 256-bit `Wide` tier) against the recorded
-/// pre-gear baseline. Streams and assignments are asserted
-/// byte-identical across worker counts before a single number is
-/// reported.
+/// E22 — the audited E2/E6 drivers on `BigRational` against the
+/// recorded pre-gear baseline, with the `BigInt` tier traffic of each
+/// timed pass (0 promotions and demotions on both rows since short φ
+/// witnesses). Streams and assignments are asserted byte-identical
+/// across worker counts before a single number is reported.
 #[derive(Debug, Clone)]
 pub struct WideTierRow {
     /// Driver label: `"fixer2-audited"` or `"fixer3-audited"`.
@@ -1848,8 +1848,8 @@ pub struct WideTierRow {
     /// Pre-gear baseline wall-clock (ms); see the `E22_BASELINE_*`
     /// constants for provenance.
     pub baseline_millis: f64,
-    /// `baseline_millis / millis` — the full speedup this release
-    /// claims (wide tier + audit-probability cache + sparse tuples).
+    /// `baseline_millis / millis` — the speedup over the pre-gear
+    /// baseline.
     pub speedup: f64,
     /// `BigInt` tier promotions during the timed pass.
     pub tier_promotes: u64,

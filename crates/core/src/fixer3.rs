@@ -223,15 +223,10 @@ impl<'i, T: Num> Fixer3<'i, T> {
         let e = g.edge_id(u, v).expect("u, v share variable x");
         let e1 = g.edge_id(u, w).expect("u, w share variable x");
         let e2 = g.edge_id(v, w).expect("v, w share variable x");
-        let at = |eid: usize, node: usize| {
-            self.phi
-                .get(eid, node)
-                .expect("node is an endpoint of its edge")
-                .clone()
-        };
-        let a = at(e, u) * at(e1, u);
-        let b = at(e, v) * at(e2, v);
-        let c = at(e1, w) * at(e2, w);
+        let at = |eid: usize, node: usize| self.phi.get(eid, node).cloned();
+        let a = at(e, u)? * at(e1, u)?;
+        let b = at(e, v)? * at(e2, v)?;
+        let c = at(e1, w)? * at(e2, w)?;
 
         let values = match replay {
             Some(y) => y..y + 1,
@@ -300,13 +295,12 @@ impl<'i, T: Num> Fixer3<'i, T> {
 
         for (_, y, (sa, sb, sc), (p_u, p_v, p_w)) in &candidates {
             if let Some(d) = decompose(sa, sb, sc) {
-                let endpoint = "node is an endpoint of its edge";
-                self.phi.set(e, u, d.a1).expect(endpoint);
-                self.phi.set(e1, u, d.a2).expect(endpoint);
-                self.phi.set(e, v, d.b1).expect(endpoint);
-                self.phi.set(e2, v, d.b3).expect(endpoint);
-                self.phi.set(e1, w, d.c2).expect(endpoint);
-                self.phi.set(e2, w, d.c3).expect(endpoint);
+                self.phi.set(e, u, d.a1)?;
+                self.phi.set(e1, u, d.a2)?;
+                self.phi.set(e, v, d.b1)?;
+                self.phi.set(e2, v, d.b3)?;
+                self.phi.set(e1, w, d.c2)?;
+                self.phi.set(e2, w, d.c3)?;
                 self.post_probs[u] = Some(p_u.clone());
                 self.post_probs[v] = Some(p_v.clone());
                 self.post_probs[w] = Some(p_w.clone());
@@ -331,13 +325,12 @@ impl<'i, T: Num> Fixer3<'i, T> {
                 target / denom.clone()
             }
         };
-        let endpoint = "node is an endpoint of its edge";
-        let new_a1 = scale(sa, &self.phi.get(e1, u).expect(endpoint).clone());
-        self.phi.set(e, u, new_a1).expect(endpoint);
-        let new_b1 = scale(sb, &self.phi.get(e2, v).expect(endpoint).clone());
-        self.phi.set(e, v, new_b1).expect(endpoint);
-        let new_c2 = scale(sc, &self.phi.get(e2, w).expect(endpoint).clone());
-        self.phi.set(e1, w, new_c2).expect(endpoint);
+        let new_a1 = scale(sa, self.phi.get(e1, u)?);
+        self.phi.set(e, u, new_a1)?;
+        let new_b1 = scale(sb, self.phi.get(e2, v)?);
+        self.phi.set(e, v, new_b1)?;
+        let new_c2 = scale(sc, self.phi.get(e2, w)?);
+        self.phi.set(e1, w, new_c2)?;
         Ok(y)
     }
 

@@ -223,6 +223,16 @@ const TERNARY_ITERS: usize = 128;
 /// for every triple exactly on the boundary surface), and finally located
 /// by an exact ternary search for strictly interior triples.
 ///
+/// On exact backends the floating-point guess `x_f` is first rounded to
+/// `k = 1, 2, …, 53` fractional bits, and the first of these dyadics
+/// that passes the exact check becomes `a₁`. The proof needs only
+/// *some* `x ∈ [a/2, 2 − b/2]` with `c(x) ≥ c`: every such `x` yields
+/// six values that satisfy Definition 3.3 and cover the triple, so `P*`
+/// holds after the step, and the next step's existence argument uses
+/// `P*` alone. A short `a₁` keeps the φ entries' numerators and
+/// denominators short (the full 53-bit `x_f` would divide into `a₂`,
+/// `b₃` and `c₂`). The `f64` backend takes `x_f` unrounded.
+///
 /// Returns `None` if the triple is not representable (or, for the `f64`
 /// backend, sits too close to the boundary for the search to certify).
 ///
@@ -324,10 +334,28 @@ pub fn decompose<T: Num>(a: &T, b: &T, c: &T) -> Option<Decomposition<T>> {
     let good =
         |x: &T| -> bool { *x > zero && *x < two && *x >= lo && *x <= hi && c_of_x(a, b, x) >= *c };
 
-    // 1. Floating-point guess at the arg-max of c(x), verified in T.
+    // 1. Floating-point guess at the arg-max of c(x), verified in T. Exact
+    //    backends first try the guess rounded to k = 1, 2, … fractional
+    //    bits and keep the first rounding that passes, so φ entries stay
+    //    short; f64 takes the full guess, as it always has.
     if let Some(xf) = closed_form_x_f64(a.to_f64(), b.to_f64()) {
         let xf = xf.clamp(lo.to_f64(), hi.to_f64());
         if xf.is_finite() {
+            if T::is_exact() {
+                let mut tried = f64::NAN;
+                for k in 1..=53 {
+                    // Scaling by 2^k and rounding are exact in f64.
+                    let scale = (1u64 << k) as f64;
+                    let xk = (xf * scale).round() / scale;
+                    if xk != tried {
+                        tried = xk;
+                        let x = T::from_f64_approx(xk);
+                        if good(&x) {
+                            return Some(build(&x));
+                        }
+                    }
+                }
+            }
             let x = T::from_f64_approx(xf);
             if good(&x) {
                 return Some(build(&x));
@@ -497,7 +525,12 @@ mod tests {
         assert!(is_representable(&0.25f64, &1.5, &0.1));
         let d = decompose(&q(1, 4), &q(3, 2), &q(1, 10)).unwrap();
         assert!(d.covers(&q(1, 4), &q(3, 2), &q(1, 10), &BigRational::zero()));
-        // products are exact
+        // a1 is a dyadic j/2^k with k <= 53 ...
+        let den = d.a1.denom();
+        let k = den.bit_len() - 1;
+        assert_eq!(den, &(&lll_numeric::BigInt::one() << k), "a1 = {}", d.a1);
+        assert!(k <= 53, "a1 = {}", d.a1);
+        // ... and the products are still exact
         assert_eq!(d.a1.clone() * d.a2.clone(), q(1, 4));
         assert_eq!(d.b1.clone() * d.b3.clone(), q(3, 2));
         assert_eq!(d.c2.clone() * d.c3.clone(), q(1, 10));

@@ -1,34 +1,29 @@
-//! Sign–magnitude arbitrary-precision integers with a three-tier
-//! stack-first representation.
+//! Sign–magnitude arbitrary-precision integers with an inline fast
+//! tier.
 //!
-//! The representation is a tagged union ([`Repr`]) with three tiers:
+//! The representation is a tagged union ([`Repr`]) with two tiers:
 //!
 //! 1. `Small` — magnitudes up to `i128::MAX`, stored inline as a single
 //!    `i128`.
-//! 2. `Wide` — magnitudes up to `2^256 - 1`, stored as a sign plus a
-//!    fixed-width [`U256`] (four `u64` words, still entirely on the
-//!    stack).
-//! 3. `Heap` — everything larger, as a little-endian vector of `u32`
+//! 2. `Heap` — everything larger, as a little-endian vector of `u32`
 //!    limbs plus a [`Sign`].
 //!
-//! The representation is *canonical* — every value lives in the
-//! **smallest tier that fits it** (`Small` iff the magnitude is at most
-//! `i128::MAX`, so `i128::MIN`, whose magnitude `2^127` has no inline
-//! negation, is `Wide`; `Wide` iff it needs at most 256 bits; `Heap`
-//! limb vectors carry no most-significant zero limbs and always encode
-//! at least 257 bits), and zero is `Small(0)` — so a value's tier
-//! depends on its magnitude alone, and derived structural equality and
-//! hashing coincide with numeric equality. Tier crossings are counted
-//! ([`tier_counters`]) so benchmarks can report tier residency; the
-//! counters only observe and never change a result.
+//! The representation is *canonical* — `Small` iff the magnitude is at
+//! most `i128::MAX` (so `i128::MIN`, whose magnitude `2^127` has no
+//! inline negation, is `Heap`), `Heap` limb vectors carry no
+//! most-significant zero limbs, and zero is `Small(0)` — so a value's
+//! tier depends on its magnitude alone, and derived structural equality
+//! and hashing coincide with numeric equality. Tier crossings are
+//! counted ([`tier_counters`]) so benchmarks can report tier residency;
+//! the counters only observe and never change a result.
 //!
-//! Arithmetic on two stack-resident values uses checked `i128`/`u128`/
-//! `U256` primitives and **never allocates** while the result still fits
-//! 256 bits; overflow (and any heap operand) falls back to the limb
-//! algorithms, whose results demote back down as soon as they fit again.
-//! The limb paths remain reachable directly through the `#[doc(hidden)]`
-//! `limb_*` reference methods so differential tests can pin both fast
-//! tiers against them bit-for-bit.
+//! Arithmetic on two inline values uses checked `i128`/`u128`
+//! primitives and **never allocates** while the result still fits;
+//! overflow (and any heap operand) falls back to the limb algorithms,
+//! whose results demote back inline as soon as they fit again. The limb
+//! paths remain reachable directly through the `#[doc(hidden)]` `limb_*`
+//! reference methods so differential tests can pin the inline fast paths
+//! against them bit-for-bit.
 //!
 //! Only the operations needed by the workspace are implemented — ring
 //! arithmetic, Euclidean division, binary GCD, bit shifts, integer square
@@ -43,27 +38,24 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::arena::Scratch;
-use crate::u256::U256;
 
-/// Results that spilled into a wider representation tier.
+/// Inline results that spilled into the limb path.
 static TIER_PROMOTE: AtomicU64 = AtomicU64::new(0);
-/// Results computed in a wider domain that canonicalized back down.
+/// Limb-path results that canonicalized back inline.
 static TIER_DEMOTE: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the representation-tier transition counters.
 ///
 /// `promote` counts results that outgrew their operands' tier (an inline
-/// `i128` fast path overflowing into `Wide`/`Heap`, or a `Wide`
-/// operation overflowing into the limb path). `demote` counts results
-/// computed in a wider domain that canonicalized into a strictly
-/// narrower representation. Both are process-wide relaxed counters —
-/// cheap enough to leave on, precise enough to spot tier-residency
-/// regressions without a profiler.
+/// `i128` fast path overflowing into the limb path). `demote` counts
+/// limb-path results that canonicalized back into the inline tier. Both
+/// are process-wide relaxed counters — cheap enough to leave on, precise
+/// enough to spot tier-residency regressions without a profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierCounters {
-    /// Fast-path overflows into a wider tier.
+    /// Inline fast-path overflows into the limb path.
     pub promote: u64,
-    /// Wider-domain results canonicalized into a narrower tier.
+    /// Limb-path results canonicalized into the inline tier.
     pub demote: u64,
 }
 
@@ -113,17 +105,11 @@ impl Sign {
 }
 
 /// Canonical tagged representation: `Small` iff the magnitude fits
-/// `i128::MAX`, then `Wide` while it fits 256 bits, otherwise normalized
-/// heap limbs (never empty, top limb non-zero).
+/// `i128::MAX`, otherwise normalized heap limbs (never empty, top limb
+/// non-zero).
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Small(i128),
-    /// Stack-resident 256-bit magnitude; never built for magnitudes that
-    /// fit `Small`.
-    Wide {
-        sign: Sign,
-        mag: U256,
-    },
     Heap {
         sign: Sign,
         /// Little-endian limbs; no trailing (most significant) zeros.
@@ -137,8 +123,6 @@ enum Repr {
 pub enum Tier {
     /// Inline `i128`.
     Small,
-    /// Stack-resident 256-bit sign–magnitude.
-    Wide,
     /// Heap-allocated limb vector.
     Heap,
 }
@@ -191,40 +175,11 @@ impl BigInt {
             BigInt::small(if sign == Sign::Minus { -v } else { v })
         } else {
             BigInt {
-                repr: Repr::Wide {
+                repr: Repr::Heap {
                     sign,
-                    mag: U256::from_u128(mag),
+                    limbs: Self::mag_to_limbs(mag),
                 },
             }
-        }
-    }
-
-    /// Builds the canonical representation of `sign · mag` from a
-    /// 256-bit magnitude computed by a `Wide` fast path, demoting to the
-    /// inline form when it fits.
-    fn from_sign_u256(sign: Sign, mag: U256) -> BigInt {
-        if let Some(m) = mag.to_u128() {
-            if m <= SMALL_MAX_MAG {
-                count_demote();
-                let v = m as i128;
-                return BigInt::small(if sign == Sign::Minus { -v } else { v });
-            }
-        }
-        BigInt {
-            repr: Repr::Wide { sign, mag },
-        }
-    }
-
-    /// Sign and 256-bit magnitude for stack-resident tiers (`None` for
-    /// heap values) — the common entry to the `Wide` fast paths.
-    fn sign_mag256(&self) -> Option<(Sign, U256)> {
-        match &self.repr {
-            Repr::Small(v) => Some((
-                if *v < 0 { Sign::Minus } else { Sign::Plus },
-                U256::from_u128(v.unsigned_abs()),
-            )),
-            Repr::Wide { sign, mag } => Some((*sign, *mag)),
-            Repr::Heap { .. } => None,
         }
     }
 
@@ -250,41 +205,31 @@ impl BigInt {
     }
 
     /// Normalizes a limb vector into the canonical representation,
-    /// demoting to the narrowest tier the magnitude fits.
+    /// demoting to the inline tier when the magnitude fits.
     fn canonical(sign: Sign, mut limbs: Vec<u32>) -> BigInt {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
         match Self::limbs_to_mag(&limbs) {
-            Some(mag) => {
+            Some(mag) if mag <= SMALL_MAX_MAG => {
                 count_demote();
                 Self::from_sign_mag(sign, mag)
             }
-            None if limbs.len() <= 8 => {
-                count_demote();
-                BigInt {
-                    repr: Repr::Wide {
-                        sign,
-                        mag: U256::from_limbs(&limbs).expect("at most 8 limbs"),
-                    },
-                }
-            }
-            None => BigInt {
+            _ => BigInt {
                 repr: Repr::Heap { sign, limbs },
             },
         }
     }
 
     /// Sign and limb view of the magnitude; borrows for heap values,
-    /// materializes (allocates) for stack-resident ones — only the limb
-    /// fallback paths call this.
+    /// materializes (allocates) for inline ones — only the limb fallback
+    /// paths call this.
     fn to_parts(&self) -> (Sign, Cow<'_, [u32]>) {
         match &self.repr {
             Repr::Small(v) => {
                 let sign = if *v < 0 { Sign::Minus } else { Sign::Plus };
                 (sign, Cow::Owned(Self::mag_to_limbs(v.unsigned_abs())))
             }
-            Repr::Wide { sign, mag } => (*sign, Cow::Owned(mag.to_limbs())),
             Repr::Heap { sign, limbs } => (*sign, Cow::Borrowed(limbs)),
         }
     }
@@ -311,7 +256,6 @@ impl BigInt {
     pub fn tier(&self) -> Tier {
         match &self.repr {
             Repr::Small(_) => Tier::Small,
-            Repr::Wide { .. } => Tier::Wide,
             Repr::Heap { .. } => Tier::Heap,
         }
     }
@@ -325,7 +269,7 @@ impl BigInt {
     pub fn is_negative(&self) -> bool {
         match &self.repr {
             Repr::Small(v) => *v < 0,
-            Repr::Wide { sign, .. } | Repr::Heap { sign, .. } => *sign == Sign::Minus,
+            Repr::Heap { sign, .. } => *sign == Sign::Minus,
         }
     }
 
@@ -333,8 +277,8 @@ impl BigInt {
     pub fn is_positive(&self) -> bool {
         match &self.repr {
             Repr::Small(v) => *v > 0,
-            // Wide and heap magnitudes are never zero (canonical form).
-            Repr::Wide { sign, .. } | Repr::Heap { sign, .. } => *sign == Sign::Plus,
+            // Heap magnitudes are never zero (canonical form).
+            Repr::Heap { sign, .. } => *sign == Sign::Plus,
         }
     }
 
@@ -342,7 +286,6 @@ impl BigInt {
     pub fn is_even(&self) -> bool {
         match &self.repr {
             Repr::Small(v) => v & 1 == 0,
-            Repr::Wide { mag, .. } => mag.is_even(),
             Repr::Heap { limbs, .. } => limbs.first().is_none_or(|l| l % 2 == 0),
         }
     }
@@ -357,7 +300,7 @@ impl BigInt {
                     Sign::Plus
                 }
             }
-            Repr::Wide { sign, .. } | Repr::Heap { sign, .. } => *sign,
+            Repr::Heap { sign, .. } => *sign,
         }
     }
 
@@ -365,12 +308,6 @@ impl BigInt {
     pub fn abs(&self) -> BigInt {
         match &self.repr {
             Repr::Small(v) => BigInt::small(v.abs()),
-            Repr::Wide { mag, .. } => BigInt {
-                repr: Repr::Wide {
-                    sign: Sign::Plus,
-                    mag: *mag,
-                },
-            },
             Repr::Heap { limbs, .. } => BigInt {
                 repr: Repr::Heap {
                     sign: Sign::Plus,
@@ -384,7 +321,6 @@ impl BigInt {
     pub fn bit_len(&self) -> u64 {
         match &self.repr {
             Repr::Small(v) => (128 - v.unsigned_abs().leading_zeros()) as u64,
-            Repr::Wide { mag, .. } => mag.bit_len(),
             Repr::Heap { limbs, .. } => Self::mag_bit_len(limbs),
         }
     }
@@ -403,7 +339,6 @@ impl BigInt {
     pub fn bit(&self, i: u64) -> bool {
         match &self.repr {
             Repr::Small(v) => i < 128 && (v.unsigned_abs() >> i) & 1 == 1,
-            Repr::Wide { mag, .. } => mag.bit(i),
             Repr::Heap { limbs, .. } => {
                 let limb = (i / BASE_BITS as u64) as usize;
                 let off = (i % BASE_BITS as u64) as u32;
@@ -726,22 +661,7 @@ impl BigInt {
             }
             // |heap| > i128::MAX >= |small|: the quotient is zero.
             (Repr::Small(_), Repr::Heap { .. }) => (BigInt::zero(), self.clone()),
-            // A canonical heap divisor outweighs any 256-bit dividend;
-            // the limb-count check keeps this robust even for heap
-            // values built while the `Wide` tier was disabled.
-            (Repr::Wide { .. }, Repr::Heap { limbs, .. }) if limbs.len() > 8 => {
-                (BigInt::zero(), self.clone())
-            }
-            _ => {
-                if let (Some((sa, ma)), Some((sb, mb))) = (self.sign_mag256(), other.sign_mag256())
-                {
-                    assert!(!mb.is_zero(), "division by zero BigInt");
-                    let (q, r) = ma.divrem(mb);
-                    let q_sign = if sa == sb { Sign::Plus } else { Sign::Minus };
-                    return (Self::from_sign_u256(q_sign, q), Self::from_sign_u256(sa, r));
-                }
-                self.limb_divrem(other)
-            }
+            _ => self.limb_divrem(other),
         }
     }
 
@@ -766,11 +686,6 @@ impl BigInt {
                 Sign::Plus,
                 Self::gcd_u128(a.unsigned_abs(), b.unsigned_abs()),
             );
-        }
-        // Stack-resident operands (at least one `Wide`): binary GCD on
-        // `U256`, no allocation.
-        if let (Some((_, ma)), Some((_, mb))) = (self.sign_mag256(), other.sign_mag256()) {
-            return Self::from_sign_u256(Sign::Plus, U256::gcd(ma, mb));
         }
         self.limb_gcd(other)
     }
@@ -859,7 +774,6 @@ impl BigInt {
         // the other 52 reject without computing a root.
         let low = match &self.repr {
             Repr::Small(v) => (v.unsigned_abs() & 63) as u64,
-            Repr::Wide { mag, .. } => (mag.limb32(0) & 63) as u64,
             Repr::Heap { limbs, .. } => (limbs.first().copied().unwrap_or(0) & 63) as u64,
         };
         if Self::SQUARES_MOD_64 >> low & 1 == 0 {
@@ -878,20 +792,6 @@ impl BigInt {
     pub fn to_f64(&self) -> f64 {
         match &self.repr {
             Repr::Small(v) => *v as f64,
-            Repr::Wide { sign, mag } => {
-                // Fold base-2^32 limbs exactly like the heap arm below:
-                // the rounding sequence (and hence the result) must not
-                // depend on the tier a magnitude happens to occupy.
-                let mut v = 0.0f64;
-                for i in (0..8).rev() {
-                    v = v * (u32::MAX as f64 + 1.0) + mag.limb32(i) as f64;
-                }
-                if *sign == Sign::Minus {
-                    -v
-                } else {
-                    v
-                }
-            }
             Repr::Heap { sign, limbs } => {
                 let mut v = 0.0f64;
                 for &l in limbs.iter().rev() {
@@ -910,8 +810,8 @@ impl BigInt {
     pub fn to_u64(&self) -> Option<u64> {
         match &self.repr {
             Repr::Small(v) => u64::try_from(*v).ok(),
-            // Wide and heap magnitudes exceed i128::MAX and hence u64::MAX.
-            Repr::Wide { .. } | Repr::Heap { .. } => None,
+            // Heap magnitudes exceed i128::MAX and hence u64::MAX.
+            Repr::Heap { .. } => None,
         }
     }
 
@@ -919,7 +819,7 @@ impl BigInt {
     pub fn to_i64(&self) -> Option<i64> {
         match &self.repr {
             Repr::Small(v) => i64::try_from(*v).ok(),
-            Repr::Wide { .. } | Repr::Heap { .. } => None,
+            Repr::Heap { .. } => None,
         }
     }
 
@@ -1011,39 +911,12 @@ impl BigInt {
     /// Compares magnitudes across any tier pair without allocating.
     fn cmp_abs(&self, other: &BigInt) -> Ordering {
         match (&self.repr, &other.repr) {
+            (Repr::Small(a), Repr::Small(b)) => a.unsigned_abs().cmp(&b.unsigned_abs()),
+            // A canonical heap magnitude exceeds every inline one.
+            (Repr::Small(_), Repr::Heap { .. }) => Ordering::Less,
+            (Repr::Heap { .. }, Repr::Small(_)) => Ordering::Greater,
             (Repr::Heap { limbs: la, .. }, Repr::Heap { limbs: lb, .. }) => Self::cmp_mag(la, lb),
-            (Repr::Heap { limbs, .. }, _) => {
-                let (_, mb) = other.sign_mag256().expect("non-heap operand");
-                Self::cmp_u256_vs_limbs(mb, limbs).reverse()
-            }
-            (_, Repr::Heap { limbs, .. }) => {
-                let (_, ma) = self.sign_mag256().expect("non-heap operand");
-                Self::cmp_u256_vs_limbs(ma, limbs)
-            }
-            _ => {
-                let (_, ma) = self.sign_mag256().expect("non-heap operand");
-                let (_, mb) = other.sign_mag256().expect("non-heap operand");
-                ma.cmp_mag(mb)
-            }
         }
-    }
-
-    /// Compares a 256-bit magnitude against a normalized limb vector
-    /// without materializing limbs. Canonically a heap magnitude always
-    /// wins, but comparing limb-by-limb keeps the order correct even for
-    /// narrow heap values built while the `Wide` tier was disabled.
-    fn cmp_u256_vs_limbs(mag: U256, limbs: &[u32]) -> Ordering {
-        let wlen = mag.bit_len().div_ceil(BASE_BITS as u64) as usize;
-        if wlen != limbs.len() {
-            return wlen.cmp(&limbs.len());
-        }
-        for i in (0..wlen).rev() {
-            match mag.limb32(i).cmp(&limbs[i]) {
-                Ordering::Equal => {}
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
     }
 }
 
@@ -1069,12 +942,6 @@ impl Neg for &BigInt {
         match &self.repr {
             // Canonical form excludes i128::MIN, so negation never overflows.
             Repr::Small(v) => BigInt::small(-v),
-            Repr::Wide { sign, mag } => BigInt {
-                repr: Repr::Wide {
-                    sign: sign.flip(),
-                    mag: *mag,
-                },
-            },
             Repr::Heap { sign, limbs } => BigInt {
                 repr: Repr::Heap {
                     sign: sign.flip(),
@@ -1090,40 +957,12 @@ impl Neg for BigInt {
     fn neg(self) -> BigInt {
         match self.repr {
             Repr::Small(v) => BigInt::small(-v),
-            Repr::Wide { sign, mag } => BigInt {
-                repr: Repr::Wide {
-                    sign: sign.flip(),
-                    mag,
-                },
-            },
             Repr::Heap { sign, limbs } => BigInt {
                 repr: Repr::Heap {
                     sign: sign.flip(),
                     limbs,
                 },
             },
-        }
-    }
-}
-
-impl BigInt {
-    /// Sign–magnitude addition over 256-bit magnitudes, spilling to the
-    /// limb path only when a same-sign sum needs a 257th bit.
-    fn wide_add(sa: Sign, ma: U256, sb: Sign, mb: U256) -> BigInt {
-        if sa == sb {
-            match ma.checked_add(mb) {
-                Some(m) => Self::from_sign_u256(sa, m),
-                None => {
-                    count_promote();
-                    Self::canonical(sa, Self::add_mag(&ma.to_limbs(), &mb.to_limbs()))
-                }
-            }
-        } else {
-            match ma.cmp_mag(mb) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => Self::from_sign_u256(sa, ma.wrapping_sub(mb)),
-                Ordering::Less => Self::from_sign_u256(sb, mb.wrapping_sub(ma)),
-            }
         }
     }
 }
@@ -1143,9 +982,6 @@ impl Add for &BigInt {
             let sign = if *a < 0 { Sign::Minus } else { Sign::Plus };
             return BigInt::from_sign_mag(sign, a.unsigned_abs() + b.unsigned_abs());
         }
-        if let (Some((sa, ma)), Some((sb, mb))) = (self.sign_mag256(), other.sign_mag256()) {
-            return BigInt::wide_add(sa, ma, sb, mb);
-        }
         self.limb_add(other)
     }
 }
@@ -1163,9 +999,6 @@ impl Sub for &BigInt {
             let sign = if *a < 0 { Sign::Minus } else { Sign::Plus };
             return BigInt::from_sign_mag(sign, a.unsigned_abs() + b.unsigned_abs());
         }
-        if let (Some((sa, ma)), Some((sb, mb))) = (self.sign_mag256(), other.sign_mag256()) {
-            return BigInt::wide_add(sa, ma, sb.flip(), mb);
-        }
         self.limb_sub(other)
     }
 }
@@ -1177,28 +1010,8 @@ impl Mul for &BigInt {
             if let Some(p) = a.checked_mul(*b) {
                 return BigInt::from(p);
             }
-            // Two 127-bit magnitudes multiply to at most 254 bits —
-            // always representable in the `Wide` tier.
+            // Overflow: the product leaves the inline tier.
             count_promote();
-            let sign = if (*a < 0) == (*b < 0) {
-                Sign::Plus
-            } else {
-                Sign::Minus
-            };
-            return BigInt::from_sign_u256(
-                sign,
-                U256::mul_u128(a.unsigned_abs(), b.unsigned_abs()),
-            );
-        }
-        if let (Some((sa, ma)), Some((sb, mb))) = (self.sign_mag256(), other.sign_mag256()) {
-            let sign = if sa == sb { Sign::Plus } else { Sign::Minus };
-            return match ma.checked_mul(mb) {
-                Some(m) => BigInt::from_sign_u256(sign, m),
-                None => {
-                    count_promote();
-                    BigInt::canonical(sign, BigInt::mul_mag(&ma.to_limbs(), &mb.to_limbs()))
-                }
-            };
         }
         self.limb_mul(other)
     }
@@ -1230,17 +1043,7 @@ impl Shl<u64> for &BigInt {
             if width + bits <= 127 {
                 return BigInt::from_sign_mag(self.sign(), mag << bits);
             }
-        }
-        if let Some((sign, mag)) = self.sign_mag256() {
-            if let Some(shifted) = mag.checked_shl(bits) {
-                if matches!(self.repr, Repr::Small(_)) {
-                    // The result left the inline tier (the ≤127-bit case
-                    // returned above).
-                    count_promote();
-                }
-                return BigInt::from_sign_u256(sign, shifted);
-            }
-            // Past 256 bits: spill to the limb path.
+            // The result leaves the inline tier.
             count_promote();
         }
         let (sign, limbs) = self.to_parts();
@@ -1255,9 +1058,6 @@ impl Shr<u64> for &BigInt {
             let mag = v.unsigned_abs();
             let shifted = if bits >= 128 { 0 } else { mag >> bits };
             return BigInt::from_sign_mag(self.sign(), shifted);
-        }
-        if let Repr::Wide { sign, mag } = &self.repr {
-            return BigInt::from_sign_u256(*sign, mag.shr(bits));
         }
         let (sign, limbs) = self.to_parts();
         BigInt::canonical(sign, BigInt::shr_mag(&limbs, bits))

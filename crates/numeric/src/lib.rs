@@ -41,7 +41,6 @@ mod primes;
 mod rational;
 #[cfg(feature = "serde")]
 mod serde_impls;
-mod u256;
 
 pub use bigint::{
     reset_tier_counters, tier_counters, BigInt, ParseBigIntError, Sign, Tier, TierCounters,

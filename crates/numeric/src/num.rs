@@ -351,7 +351,7 @@ impl Num for BigRational {
         // Reduce in two stages rather than once over the combined
         // six-factor pair: the staged gcds stay within the inline/u128
         // fast path for the magnitudes the fixers produce, where the
-        // combined pair would cross into the wide tier. Both routes end
+        // combined pair would cross into the heap tier. Both routes end
         // at the same canonical value.
         (a / c) * b
     }

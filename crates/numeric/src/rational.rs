@@ -281,7 +281,7 @@ impl BigRational {
                 num = &(&num * &t.den) + &(&t.num * &den);
                 den = &den * &t.den;
                 // Keep the raw pair bounded: normalise once the
-                // denominator outgrows the fixed-width tier.
+                // denominator outgrows 256 bits.
                 if den.bit_len() > 256 {
                     let r = BigRational::new(num, den);
                     num = r.num;

@@ -116,7 +116,7 @@ fn biased(k: usize, rng: &mut StdRng) -> Vec<BigRational> {
 /// Probabilities over `k` values with dyadic denominators near 2^55:
 /// the `f64` values of biased weights, the last value taking the exact
 /// remainder. A few such variables push the kernel's common
-/// denominators past `i128` into the `Wide` and `Heap` tiers.
+/// denominators past `i128` into the `Heap` tier.
 fn dyadic(k: usize, rng: &mut StdRng) -> Vec<BigRational> {
     let mut probs: Vec<BigRational> = biased(k, rng)
         .iter()
@@ -281,8 +281,8 @@ proptest! {
 }
 
 /// Seven free dyadic variables make the common denominator about
-/// 2^385, so the kernel's numerator and denominator live in the `Heap`
-/// tier (the random instances reach `Wide`).
+/// 2^385, so the kernel's numerator and denominator are far past 256
+/// bits.
 #[test]
 fn kernel_matches_the_rational_fold_past_256_bits() {
     let mut rng = StdRng::seed_from_u64(7);

@@ -320,3 +320,62 @@ fn backends_agree_end_to_end() {
     assert_eq!(re.assignment(), rf.assignment());
     assert!((exact.criterion_value().to_f64() - float.criterion_value()).abs() < 1e-12);
 }
+
+/// A rank-3 instance on `hyper_ring(n)` in the shape of the E6 workload:
+/// one fair `k`-valued variable per hyperedge, and at each node a random
+/// bad set of its `k^deg` support combinations sized for criterion
+/// tightness `t = p·2^d`.
+fn random_rank3_instance(n: usize, k: usize, t: f64, seed: u64) -> Instance<BigRational> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    let h = hyper_ring(n);
+    let d = h.max_dependency_degree();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = InstanceBuilder::<BigRational>::new(h.num_nodes());
+    let vars: Vec<usize> = (0..h.num_edges())
+        .map(|i| b.add_uniform_variable(h.edge(i).nodes(), k))
+        .collect();
+    for v in 0..h.num_nodes() {
+        let support: Vec<usize> = h.incident(v).iter().map(|&i| vars[i]).collect();
+        let total = k.pow(support.len() as u32);
+        let bad_count = (t * total as f64 / 2f64.powi(d as i32)).floor() as usize;
+        let mut bad = BTreeSet::new();
+        while bad.len() < bad_count {
+            bad.insert(rng.random_range(0..total));
+        }
+        b.set_event_predicate(v, move |vals| {
+            bad.contains(&support.iter().fold(0, |acc, &x| acc * k + vals[x]))
+        });
+    }
+    b.build().expect("valid instance")
+}
+
+/// Lemma 3.5's proof needs only *some* good `a₁`, and `decompose` takes
+/// the shortest dyadic one it finds on exact backends. So exact rank-3
+/// fixing keeps every φ entry's numerator and denominator within 16 bits
+/// (the unrounded 53-bit `f64` arg-max gave 56–60-bit denominators),
+/// and `P*`'s pair sums stay intact.
+#[test]
+fn lemma_3_5_short_witnesses_keep_exact_phi_entries_short() {
+    for seed in [1, 2, 3] {
+        let inst = random_rank3_instance(48, 16, 0.9, seed);
+        let mut fixer = Fixer3::new(&inst).expect("below threshold");
+        for x in 0..inst.num_variables() {
+            fixer.fix_variable(x).expect("exact costs are finite");
+        }
+        assert!(fixer.invariant_intact(), "seed {seed}");
+        let g = inst.dependency_graph();
+        for (eid, &(u, v)) in g.edges().iter().enumerate() {
+            for node in [u, v] {
+                let phi = fixer.phi().get(eid, node).expect("endpoint");
+                let bits = phi.numer().bit_len().max(phi.denom().bit_len());
+                assert!(
+                    bits <= 16,
+                    "seed {seed}: φ({eid}, {node}) = {phi} has {bits} bits"
+                );
+            }
+        }
+        assert!(fixer.into_report().is_success(), "seed {seed}");
+    }
+}
