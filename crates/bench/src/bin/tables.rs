@@ -703,19 +703,20 @@ fn main() {
         let data = ex::e19_metrics_overhead(400, 96, 5);
         write_csv(
             "e19_metrics_overhead.csv",
-            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec",
+            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec,overhead",
             &data
                 .iter()
                 .map(|r| {
                     format!(
-                        "{},{},{},{},{},{},{:.1}",
+                        "{},{},{},{},{},{},{:.1},{:.4}",
                         r.mode,
                         r.requests,
                         r.clauses,
                         r.width,
                         r.p50_micros,
                         r.p99_micros,
-                        r.inst_per_sec
+                        r.inst_per_sec,
+                        r.overhead
                     )
                 })
                 .collect::<Vec<_>>(),
@@ -730,6 +731,7 @@ fn main() {
                     r.p50_micros.to_string(),
                     r.p99_micros.to_string(),
                     format!("{:.1}", r.inst_per_sec),
+                    format!("{:.3}", r.overhead),
                 ]
             })
             .collect();
@@ -742,12 +744,13 @@ fn main() {
                     "cnf (m x w)",
                     "p50 (us)",
                     "p99 (us)",
-                    "inst/sec"
+                    "inst/sec",
+                    "overhead"
                 ],
                 &rows
             )
         );
-        println!("(the warm E18 workload with the Prometheus exporter bound to a Unix socket and\n a scraper fetching the exposition in a loop; response bytes asserted identical\n quiet vs scraped before timing — CI gates the slowdown at 1.05x)\n");
+        println!("(the warm E18 workload with the Prometheus exporter bound to a Unix socket and\n a scraper fetching the exposition in a loop; response bytes asserted identical\n quiet vs scraped before timing; overhead = median scraped/quiet time over\n {} alternated pass pairs — CI gates it at 1.05)\n", ex::E19_PAIRS);
         trace_experiment(&mut obs, "E19", rows.len());
     }
 
@@ -1016,13 +1019,35 @@ fn main() {
 
     if wanted(&selected, "A2") {
         println!("== A2: ablation — arithmetic backend ==");
-        let rows: Vec<Vec<String>> = ex::a2_backend()
+        let data = ex::a2_backend();
+        write_csv(
+            "a2_backend.csv",
+            "backend,success_and_audit,runs,micros_median,micros_min,micros_max,tier_promotes,tier_demotes",
+            &data
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{},{},{},{:.0},{:.0},{:.0},{},{}",
+                        r.backend,
+                        r.success_and_audit,
+                        ex::A2_RUNS,
+                        r.micros,
+                        r.micros_min,
+                        r.micros_max,
+                        r.tier_promotes,
+                        r.tier_demotes
+                    )
+                })
+                .collect::<Vec<_>>(),
+        );
+        let rows: Vec<Vec<String>> = data
             .into_iter()
             .map(|r| {
                 vec![
                     r.backend,
                     r.success_and_audit.to_string(),
                     format!("{:.0}", r.micros),
+                    format!("{:.0}–{:.0}", r.micros_min, r.micros_max),
                     r.tier_promotes.to_string(),
                     r.tier_demotes.to_string(),
                 ]
@@ -1034,12 +1059,17 @@ fn main() {
                 &[
                     "backend",
                     "success (+P* audit)",
-                    "µs/run",
+                    "µs/run (median)",
+                    "µs min–max",
                     "tier promotes",
                     "tier demotes",
                 ],
                 &rows
             )
+        );
+        println!(
+            "({} interleaved runs per backend, alternating which goes first)\n",
+            ex::A2_RUNS
         );
         trace_experiment(&mut obs, "A2", rows.len());
     }

@@ -533,21 +533,48 @@ pub struct BackendRow {
     pub backend: String,
     /// Whether the run succeeded and (for exact) audited `P*` clean.
     pub success_and_audit: bool,
-    /// Wall-clock (µs) for one full fixing pass.
+    /// Median wall-clock (µs) of one full fixing pass over [`A2_RUNS`]
+    /// runs.
     pub micros: f64,
+    /// The fastest of those runs (µs).
+    pub micros_min: f64,
+    /// The slowest of those runs (µs).
+    pub micros_max: f64,
     /// `BigInt` tier promotions during the run (0 for `f64`).
     pub tier_promotes: u64,
     /// `BigInt` tier demotions during the run (0 for `f64`).
     pub tier_demotes: u64,
 }
 
+/// Timed runs of each A2 backend, interleaved.
+pub const A2_RUNS: usize = 7;
+
+/// The `f64` A2 run: build and fix.
+fn a2_f64_run(h: &lll_graphs::Hypergraph) -> BackendRow {
+    let start = Instant::now();
+    let inst_f = hyper_orientation_instance::<f64>(h).expect("valid hypergraph");
+    let rep_f = Fixer3::new(&inst_f)
+        .expect("below threshold")
+        .run_default()
+        .expect("finite costs below the threshold");
+    let micros = start.elapsed().as_micros() as f64;
+    BackendRow {
+        backend: "f64".to_owned(),
+        success_and_audit: rep_f.is_success(),
+        micros,
+        micros_min: micros,
+        micros_max: micros,
+        tier_promotes: 0,
+        tier_demotes: 0,
+    }
+}
+
 /// The exact-backend A2 run: build, fix, audit once, with the
 /// tier-transition counters bracketing the run.
-fn a2_exact_run() -> BackendRow {
-    let h = hyper_ring(12);
+fn a2_exact_run(h: &lll_graphs::Hypergraph) -> BackendRow {
     lll_numeric::reset_tier_counters();
     let start = Instant::now();
-    let inst_q = hyper_orientation_instance::<BigRational>(&h).expect("valid hypergraph");
+    let inst_q = hyper_orientation_instance::<BigRational>(h).expect("valid hypergraph");
     let p = inst_q.max_event_probability();
     let mut fixer = Fixer3::new(&inst_q).expect("below threshold");
     for x in 0..inst_q.num_variables() {
@@ -569,34 +596,40 @@ fn a2_exact_run() -> BackendRow {
         backend: "exact".to_owned(),
         success_and_audit: rep_q.is_success() && audit.holds(),
         micros,
+        micros_min: micros,
+        micros_max: micros,
         tier_promotes: tiers.promote,
         tier_demotes: tiers.demote,
     }
 }
 
 /// Runs ablation A2 on a hyper-ring orientation instance: `f64` vs
-/// exact `BigRational`.
+/// exact `BigRational`, [`A2_RUNS`] timed runs each. The runs
+/// interleave the backends, alternating which goes first, so host drift
+/// falls on both; each row reports the median and the range. The
+/// success flag and the tier counters, deterministic, are the first
+/// run's.
 pub fn a2_backend() -> Vec<BackendRow> {
     let h = hyper_ring(12);
-
-    let start = Instant::now();
-    let inst_f = hyper_orientation_instance::<f64>(&h).expect("valid hypergraph");
-    let rep_f = Fixer3::new(&inst_f)
-        .expect("below threshold")
-        .run_default()
-        .expect("finite costs below the threshold");
-    let micros_f = start.elapsed().as_micros() as f64;
-
-    vec![
-        BackendRow {
-            backend: "f64".to_owned(),
-            success_and_audit: rep_f.is_success(),
-            micros: micros_f,
-            tier_promotes: 0,
-            tier_demotes: 0,
-        },
-        a2_exact_run(),
-    ]
+    let runs: [fn(&lll_graphs::Hypergraph) -> BackendRow; 2] = [a2_f64_run, a2_exact_run];
+    let mut samples: [Vec<BackendRow>; 2] = Default::default();
+    for run in 0..A2_RUNS {
+        for b in [run % 2, (run + 1) % 2] {
+            samples[b].push(runs[b](&h));
+        }
+    }
+    samples
+        .map(|rows| {
+            let mut micros: Vec<f64> = rows.iter().map(|r| r.micros).collect();
+            let first = rows.into_iter().next().expect("A2_RUNS >= 1");
+            BackendRow {
+                micros: median(&mut micros),
+                micros_min: micros[0],
+                micros_max: micros[micros.len() - 1],
+                ..first
+            }
+        })
+        .into()
 }
 
 /// E11 — order adversaries: the fixers' success under static hostile
@@ -1124,23 +1157,32 @@ pub struct MetricsOverheadRow {
     pub clauses: usize,
     /// Clause width (ring-formula `w`).
     pub width: usize,
-    /// Median request latency in microseconds.
+    /// Median request latency in microseconds, over every pass of the
+    /// mode.
     pub p50_micros: u64,
-    /// 99th-percentile request latency in microseconds.
+    /// 99th-percentile request latency in microseconds, over every pass
+    /// of the mode.
     pub p99_micros: u64,
-    /// Instances solved per second of wall-clock.
+    /// Instances solved per second of wall-clock, at the mode's median
+    /// pass time.
     pub inst_per_sec: f64,
+    /// Median over [`E19_PAIRS`] alternated pairs of the pair's scraped
+    /// pass time divided by its quiet pass time (1 for `"quiet"`).
+    pub overhead: f64,
 }
+
+/// Alternated (quiet, scraped) pass pairs that E19 times.
+pub const E19_PAIRS: usize = 11;
 
 /// Runs experiment E19: the warm E18 workload solved in two modes —
 /// telemetry idle vs the Prometheus exporter bound to a Unix socket
 /// with a scraper thread fetching the exposition throughout. The two
-/// modes run as tightly interleaved pass pairs (quiet, scraped) × 5
-/// and each reports its fastest pass, so host-level drift between
-/// measurement windows cancels out of the ratio. Response bytes are
-/// asserted identical across every pass of both modes before any
-/// timing is reported (the side-band contract), and CI gates the
-/// scraped throughput at ≤ 1.05× overhead.
+/// modes run as [`E19_PAIRS`] pass pairs in one process, alternating
+/// which mode goes first, so host drift between measurement windows
+/// cancels within a pair; the scraped row's overhead is the median of
+/// the per-pair time ratios. Response bytes are asserted identical
+/// across every pass of both modes before any timing is reported (the
+/// side-band contract), and CI gates the overhead at ≤ 1.05.
 pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsOverheadRow> {
     use lll_serve::{
         spawn_telemetry, Engine, EngineConfig, Payload, Request, SolveRequest, TelemetryConfig,
@@ -1226,13 +1268,19 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
         })
     };
 
-    // Five interleaved (quiet, scraped) pass pairs; each mode keeps
-    // its fastest pass, the usual guard against one-off preemptions.
-    let mut best: [Option<(lll_obs::hist::Histogram, f64)>; 2] = [None, None];
-    for _pass in 0..5 {
-        for (mi, engine) in engines.iter().enumerate() {
+    // Alternated pass pairs: each mode's latencies go into one
+    // histogram, its pass times into `secs`, and each pair's scraped/
+    // quiet time ratio into `ratios`.
+    let mut hists = [
+        lll_obs::hist::Histogram::new(),
+        lll_obs::hist::Histogram::new(),
+    ];
+    let mut secs: [Vec<f64>; 2] = Default::default();
+    let mut ratios = Vec::with_capacity(E19_PAIRS);
+    for pair in 0..E19_PAIRS {
+        for mi in [pair % 2, (pair + 1) % 2] {
+            let (engine, hist) = (&engines[mi], &mut hists[mi]);
             active.store(mi == 1, Ordering::Relaxed);
-            let mut hist = lll_obs::hist::Histogram::new();
             let mut responses = Vec::with_capacity(wire.len());
             let t = Instant::now();
             for line in &wire {
@@ -1240,14 +1288,12 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
                 responses.push(engine.solve_line(line).to_json());
                 hist.record(req.elapsed().as_micros() as u64);
             }
-            let secs = t.elapsed().as_secs_f64();
+            secs[mi].push(t.elapsed().as_secs_f64());
             // The side-band contract, asserted before timing is
             // reported: scraping cannot change a response byte.
             assert_eq!(responses, baseline, "telemetry changed response bytes");
-            if best[mi].as_ref().is_none_or(|(_, s)| secs < *s) {
-                best[mi] = Some((hist, secs));
-            }
         }
+        ratios.push(secs[1][pair] / secs[0][pair]);
     }
     active.store(false, Ordering::Relaxed);
     stop.store(true, Ordering::Relaxed);
@@ -1255,27 +1301,24 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
     assert!(scrapes > 0, "E19 scraped mode never scraped the socket");
     telemetry.shutdown();
 
+    let overhead = [1.0, median(&mut ratios)];
     ["quiet", "scraped"]
         .into_iter()
-        .zip(best)
-        .map(|(mode, slot)| {
-            let (hist, secs) = slot.expect("five passes ran");
-            MetricsOverheadRow {
-                mode: mode.to_owned(),
-                requests,
-                clauses: m,
-                width: w,
-                p50_micros: hist.p50(),
-                p99_micros: hist.p99(),
-                inst_per_sec: requests as f64 / secs,
-            }
+        .zip(hists.iter().zip(&mut secs))
+        .zip(overhead)
+        .map(|((mode, (hist, secs)), overhead)| MetricsOverheadRow {
+            mode: mode.to_owned(),
+            requests,
+            clauses: m,
+            width: w,
+            p50_micros: hist.p50(),
+            p99_micros: hist.p99(),
+            inst_per_sec: requests as f64 / median(secs),
+            overhead,
         })
         .collect()
 }
 
-/// Runs `f` `k` times; returns its (deterministic) result and the
-/// minimum wall-clock milliseconds observed — the usual guard against
-/// one-off scheduling noise.
 /// The experiments' end-to-end distributed solve of an instance below
 /// the threshold: the `kind` schedule colored from `seed` on
 /// `sweep.threads` simulator workers, then the sweep.
@@ -1322,6 +1365,9 @@ fn audited<'a, T>(threads: usize, p_bound: &'a T, tol: &'a T) -> Sweep<'a, T> {
     }
 }
 
+/// Runs `f` `k` times; returns its (deterministic) result and the
+/// minimum wall-clock milliseconds observed — the usual guard against
+/// one-off scheduling noise.
 fn best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;

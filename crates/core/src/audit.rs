@@ -84,7 +84,7 @@ pub fn audit_p_star_recorded<T: Num, R: lll_obs::Recorder>(
 ) -> AuditReport {
     let report = audit_p_star(inst, partial, phi, p_bound, tol);
     if R::ENABLED {
-        rec.record(&crate::fixer2::audit_event(step, variable, &report));
+        rec.record(&crate::fixer::audit_event(step, variable, &report));
     }
     report
 }

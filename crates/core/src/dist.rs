@@ -71,7 +71,7 @@ use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink
 use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
 use crate::fg::FgFixer;
-use crate::fixer2::{audit_verdict, fix_run_start_event};
+use crate::fixer::{audit_verdict, fix_run_start_event};
 use crate::instance::{max_probability, Instance};
 use crate::sweep::{with_class_pool, ClassFixer};
 use crate::triples::Phi;

@@ -53,10 +53,14 @@ impl std::error::Error for BuildError {}
 #[derive(Debug, Clone, PartialEq)]
 pub enum FixerError {
     /// The instance's maximum variable rank exceeds what the fixer
-    /// supports (2 for [`Fixer2`], 3 for [`Fixer3`]).
+    /// supports: the rank bound `R` of a [`Fixer`], so 2 for [`Fixer2`]
+    /// (including the edge schedule of [`dist::run`]) and 3 for
+    /// [`Fixer3`].
     ///
+    /// [`Fixer`]: crate::Fixer
     /// [`Fixer2`]: crate::Fixer2
     /// [`Fixer3`]: crate::Fixer3
+    /// [`dist::run`]: crate::dist::run
     RankTooLarge {
         /// Maximum rank found in the instance.
         found: usize,
@@ -108,8 +112,19 @@ pub enum FixerError {
         /// The node that is not an endpoint of that edge.
         node: usize,
     },
+    /// Two events that share a variable have no dependency edge, so a
+    /// fixing step has nowhere to keep their `φ` values. A built
+    /// instance never gets here (its dependency graph joins every pair
+    /// of events that share a variable); the step returns this instead
+    /// of panicking.
+    NotAdjacent {
+        /// One affected event.
+        u: usize,
+        /// The other affected event.
+        v: usize,
+    },
     /// An audited run found property `P*` broken after a fixing step
-    /// (see [`Fixer3::run_with`](crate::Fixer3::run_with)).
+    /// (see [`Fixer::run_with`](crate::Fixer::run_with)).
     PStarViolated {
         /// 0-based index of the fixing step within the order.
         step: usize,
@@ -158,6 +173,9 @@ impl fmt::Display for FixerError {
             }
             FixerError::NotAnEndpoint { edge, node } => {
                 write!(f, "node {node} is not an endpoint of edge {edge}")
+            }
+            FixerError::NotAdjacent { u, v } => {
+                write!(f, "co-affected events {u} and {v} share no dependency edge")
             }
             FixerError::PStarViolated {
                 step,

@@ -1,5 +1,4 @@
-//! The rank-3 deterministic fixer (Theorem 1.3) — the paper's main
-//! contribution.
+//! The rank-3 step (Theorem 1.3) — the paper's main contribution.
 //!
 //! Bookkeeping is the potential `φ : (edge, endpoint) → [0, 2]` of
 //! property `P*` (Definition 3.1). To fix a rank-3 variable `X` on the
@@ -19,18 +18,15 @@
 //! representable (highest [`representability_score`]), which the
 //! ablation experiment compares against first-feasible selection.
 //!
-//! Rank-2 and rank-1 variables are handled by the weighted rank-2 rule
-//! and plain expectation, matching the paper's "virtual third event"
-//! reduction without materialising virtual nodes.
+//! Rank-2 and rank-1 variables take the rank ≤ 2 step (module
+//! `rank2`), matching the paper's "virtual third event" reduction
+//! without materialising virtual nodes.
 
 use lll_numeric::Num;
-use lll_obs::{NullRecorder, NullTiming, Recorder, TimingSink};
 
+use super::{buffers, inc_or_zero, non_finite, shared_edge, Fixer};
 use crate::error::FixerError;
-use crate::fixer2::{fix_rank_le2, fix_step_event, inc_or_zero, non_finite, recorded_inc};
-use crate::instance::{Instance, PartialAssignment, ValueProbs};
-use crate::triples::{decompose, representability_score, Phi};
-use crate::{FixReport, FixStepRecord};
+use crate::triples::{decompose, representability_score};
 
 /// How the fixer chooses among the values whose triples are
 /// representable (ablation A1; the default is [`ValueRule::BestScore`]).
@@ -45,184 +41,19 @@ pub enum ValueRule {
     FirstFeasible,
 }
 
-/// The sequential rank-3 fixing process.
-///
-/// See the crate-level example. Like [`Fixer2`](crate::Fixer2), the
-/// process is order-oblivious; `new` validates rank ≤ 3 and the
-/// exponential criterion, `new_unchecked` skips the criterion for the
-/// threshold experiments.
-#[derive(Debug, Clone)]
-pub struct Fixer3<'i, T> {
-    inst: &'i Instance<T>,
-    partial: PartialAssignment,
-    phi: Phi<T>,
-    rule: ValueRule,
-    invariant_intact: bool,
-    /// Global index of this fixer's first step — 0 for a root fixer,
-    /// the shard's start position for a sweep fork (so recorded
-    /// `fix_step` events carry run-global step numbers).
-    step_base: usize,
-    steps: Vec<FixStepRecord>,
-    /// `Pr[v | partial]` per event, refreshed whenever a *live* fixing
-    /// step touches `v` — the value-selection loop already computes the
-    /// winner's conditional probability, so stashing it here lets
-    /// [`audit_delta`](crate::sweep::ClassFixer::audit_delta) skip the
-    /// re-enumeration. Entries are meaningful only for events touched by
-    /// the steps since the last fork/absorb, which is exactly the set a
-    /// class audit reads; anything else may be stale and must not be
-    /// trusted (see [`audit_delta_for`](crate::audit::audit_delta_for)).
-    post_probs: Vec<Option<T>>,
-    /// The bucketed-pass buffers of a step, one per touched event,
-    /// reused across steps.
-    by_value: [ValueProbs<T>; 3],
-}
-
-impl<'i, T: Num> Fixer3<'i, T> {
-    /// Creates a fixer, validating rank ≤ 3 and `p < 2^-d`.
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::RankTooLarge`] or [`FixerError::CriterionViolated`].
-    pub fn new(inst: &'i Instance<T>) -> Result<Fixer3<'i, T>, FixerError> {
-        let fixer = Fixer3::new_unchecked(inst)?;
-        inst.check_exponential_criterion(inst.max_event_probability())?;
-        Ok(fixer)
-    }
-
-    /// Creates a fixer without the criterion check (rank ≤ 3 is still
-    /// required).
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::RankTooLarge`].
-    pub fn new_unchecked(inst: &'i Instance<T>) -> Result<Fixer3<'i, T>, FixerError> {
-        let rank = inst.max_rank();
-        if rank > 3 {
-            return Err(FixerError::RankTooLarge {
-                found: rank,
-                supported: 3,
-            });
-        }
-        Ok(Fixer3 {
-            inst,
-            partial: PartialAssignment::new(inst.num_variables()),
-            phi: Phi::ones(inst.dependency_graph()),
-            rule: ValueRule::default(),
-            invariant_intact: true,
-            step_base: 0,
-            steps: Vec::new(),
-            post_probs: vec![None; inst.num_events()],
-            by_value: Default::default(),
-        })
-    }
-
-    /// Selects the value-selection rule (ablation A1); returns `self`.
-    pub fn with_rule(mut self, rule: ValueRule) -> Fixer3<'i, T> {
-        self.rule = rule;
-        self
-    }
-
-    /// The instance being fixed.
-    pub fn instance(&self) -> &'i Instance<T> {
-        self.inst
-    }
-
-    /// Current partial assignment.
-    pub fn partial(&self) -> &PartialAssignment {
-        &self.partial
-    }
-
-    /// Current potential `φ`.
-    pub fn phi(&self) -> &Phi<T> {
-        &self.phi
-    }
-
-    /// Whether every fixing step so far maintained property `P*`
-    /// (always `true` below the threshold; above it the greedy fallback
-    /// may have to break sub-property (1)).
-    pub fn invariant_intact(&self) -> bool {
-        self.invariant_intact
-    }
-
-    /// Fixes variable `x`, returning the chosen value. Exact cost ties
-    /// select the lowest value index, for every backend — the class
-    /// sweep's determinism relies on this.
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::NonFiniteCost`] if a cost or score is not
-    /// comparable (an `f64` NaN, e.g. `0·∞` from a degenerate
-    /// φ-product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is already fixed.
-    pub fn fix_variable(&mut self, x: usize) -> Result<usize, FixerError> {
-        self.fix_variable_recorded(x, &mut NullRecorder)
-    }
-
-    /// [`fix_variable`](Fixer3::fix_variable) with a flight recorder:
-    /// emits one [`Event::FixStep`](lll_obs::Event::FixStep) carrying
-    /// the increase factors, the post-update φ-products and the `P*` pair-sum headroom (3 entries
-    /// at rank 3, one per dependency edge of the hyperedge). With
-    /// [`NullRecorder`] this compiles to exactly the unrecorded path.
-    ///
-    /// # Errors
-    ///
-    /// As [`fix_variable`](Fixer3::fix_variable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is already fixed.
-    pub fn fix_variable_recorded<R: Recorder>(
-        &mut self,
-        x: usize,
-        rec: &mut R,
-    ) -> Result<usize, FixerError> {
-        assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        let choice = match *self.inst.variable(x).affects() {
-            [u, v, w] => self.fix_rank3(x, (u, v, w), None)?,
-            _ => fix_rank_le2(
-                self.inst,
-                &self.partial,
-                &mut self.phi,
-                &mut self.post_probs,
-                &mut self.by_value,
-                x,
-                None,
-            )?,
-        };
-        if R::ENABLED {
-            rec.record(&fix_step_event(
-                self.inst,
-                &self.phi,
-                self.step_base + self.steps.len(),
-                x,
-                choice,
-                |i, ev| recorded_inc(&self.by_value[i], &self.post_probs[ev]),
-            ));
-        }
-        self.partial.fix(x, choice);
-        self.steps.push(FixStepRecord {
-            variable: x,
-            value: choice,
-        });
-        Ok(choice)
-    }
-
+impl<T: Num, const R: usize> Fixer<'_, T, R> {
     /// The rank-3 step described in the module docs; returns the chosen
     /// value. `replay = Some(y)` makes `y` the only candidate, so the
     /// step applies exactly the updates of a search that chose `y`.
-    fn fix_rank3(
+    pub(super) fn fix_rank3(
         &mut self,
         x: usize,
         (u, v, w): (usize, usize, usize),
         replay: Option<usize>,
     ) -> Result<usize, FixerError> {
-        let g = self.inst.dependency_graph();
-        let e = g.edge_id(u, v).expect("u, v share variable x");
-        let e1 = g.edge_id(u, w).expect("u, w share variable x");
-        let e2 = g.edge_id(v, w).expect("v, w share variable x");
+        let e = shared_edge(self.inst, u, v)?;
+        let e1 = shared_edge(self.inst, u, w)?;
+        let e2 = shared_edge(self.inst, v, w)?;
         let at = |eid: usize, node: usize| self.phi.get(eid, node).cloned();
         let a = at(e, u)? * at(e1, u)?;
         let b = at(e, v)? * at(e2, v)?;
@@ -232,10 +63,11 @@ impl<'i, T: Num> Fixer3<'i, T> {
             Some(y) => y..y + 1,
             None => 0..self.inst.variable(x).num_values(),
         };
-        for (probs, ev) in self.by_value.iter_mut().zip([u, v, w]) {
+        let by_value = buffers(&mut self.by_value)?;
+        for (probs, ev) in by_value.iter_mut().zip([u, v, w]) {
             self.inst.probability_by_value(ev, &self.partial, x, probs);
         }
-        let [bu, bv, bw] = &self.by_value;
+        let [bu, bv, bw] = &*by_value;
         let (old_u, old_v, old_w) = (bu.old(), bv.old(), bw.old());
         // Candidate triples, most robustly representable first, each
         // carrying its post-fix probabilities for the audit cache. Every
@@ -333,221 +165,16 @@ impl<'i, T: Num> Fixer3<'i, T> {
         self.phi.set(e1, w, new_c2)?;
         Ok(y)
     }
-
-    /// Replays a recorded fixing step: fixes variable `x` to the value
-    /// `y` a previous run chose, applying exactly the φ updates
-    /// [`fix_variable`](Fixer3::fix_variable) would apply for winner `y`
-    /// — without re-running the value search and without emitting any
-    /// event (the resume seam; see
-    /// [`Fixer2::replay_variable`](crate::Fixer2::replay_variable) and
-    /// `crate::dist`).
-    ///
-    /// At rank 3 the equivalence holds because the original step used a
-    /// decomposition of `y`'s scaled triple iff one exists: had `y` won
-    /// via the multiplicative fallback, *no* candidate decomposed —
-    /// in particular `y` — so replaying `decompose`-else-fallback on
-    /// `y`'s triple alone takes the same branch and writes the same φ
-    /// entries (including the `invariant_intact` flag).
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::NonFiniteCost`] if the recorded value's cost is not
-    /// comparable (only reachable if the replayed state is degenerate —
-    /// an honest prefix of a completed run never trips this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is already fixed or `y` is out of range (the
-    /// resumed drivers validate recorded values before replaying).
-    pub fn replay_variable(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
-        assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        let var = self.inst.variable(x);
-        assert!(y < var.num_values(), "value {y} out of range");
-        match *var.affects() {
-            [u, v, w] => {
-                self.fix_rank3(x, (u, v, w), Some(y))?;
-            }
-            _ => {
-                fix_rank_le2(
-                    self.inst,
-                    &self.partial,
-                    &mut self.phi,
-                    &mut self.post_probs,
-                    &mut self.by_value,
-                    x,
-                    Some(y),
-                )?;
-            }
-        }
-        self.partial.fix(x, y);
-        self.steps.push(FixStepRecord {
-            variable: x,
-            value: y,
-        });
-        Ok(())
-    }
-
-    /// Runs the process over the given variable order (must enumerate
-    /// every unfixed variable exactly once) and reports the outcome.
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::NonFiniteCost`] if a fixing step computes an
-    /// incomparable cost (see [`fix_variable`](Fixer3::fix_variable)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run(self, order: impl IntoIterator<Item = usize>) -> Result<FixReport, FixerError> {
-        self.run_with(order, None, &mut NullRecorder, &mut NullTiming)
-    }
-
-    /// Runs the process in variable-id order.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Fixer3::run).
-    pub fn run_default(self) -> Result<FixReport, FixerError> {
-        let m = self.inst.num_variables();
-        self.run(0..m)
-    }
-
-    /// [`run`](Fixer3::run) with an optional `P*` audit after every
-    /// step, a flight recorder and a side-band timing sink — the
-    /// contract of [`Fixer2::run_with`](crate::Fixer2::run_with), whose
-    /// implementation it shares.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Fixer3::run), plus [`FixerError::PStarViolated`] at the
-    /// first step after which the audited invariant no longer holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order re-fixes or misses a variable.
-    pub fn run_with<R: Recorder, S: TimingSink>(
-        self,
-        order: impl IntoIterator<Item = usize>,
-        audit: Option<(&T, &T)>,
-        rec: &mut R,
-        timing: &mut S,
-    ) -> Result<FixReport, FixerError> {
-        crate::sweep::run_in_order(self, order, audit, rec, timing)
-    }
-
-    /// Finalizes into a report (all variables must be fixed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if some variable is unfixed.
-    pub fn into_report(self) -> FixReport {
-        let assignment = self.partial.into_complete();
-        let violated = self
-            .inst
-            .violated_events(&assignment)
-            .expect("assignment is complete and in range");
-        FixReport::new(assignment, violated, self.steps)
-    }
-}
-
-impl<T: Num> crate::sweep::ClassFixer<T> for Fixer3<'_, T> {
-    fn instance(&self) -> &Instance<T> {
-        self.inst
-    }
-
-    fn partial(&self) -> &PartialAssignment {
-        &self.partial
-    }
-
-    fn phi(&self) -> &Phi<T> {
-        &self.phi
-    }
-
-    fn into_report(self) -> FixReport {
-        Fixer3::into_report(self)
-    }
-
-    fn fork(&self, step_base: usize) -> Self {
-        Fixer3 {
-            inst: self.inst,
-            partial: self.partial.clone(),
-            phi: self.phi.clone(),
-            rule: self.rule,
-            invariant_intact: self.invariant_intact,
-            step_base,
-            steps: Vec::new(),
-            // A fork audits only events its own live steps touch, so it
-            // starts with an empty probability cache instead of deep-
-            // cloning the parent's (absorb likewise leaves the parent's
-            // cache alone — its stale entries are never read).
-            post_probs: vec![None; self.inst.num_events()],
-            by_value: self.by_value.clone(),
-        }
-    }
-
-    fn steps_done(&self) -> usize {
-        self.step_base + self.steps.len()
-    }
-
-    fn fix_cell<R: Recorder>(&mut self, cell: &[usize], rec: &mut R) -> Result<(), FixerError> {
-        for &x in cell {
-            self.fix_variable_recorded(x, rec)?;
-        }
-        Ok(())
-    }
-
-    fn absorb(&mut self, shard: Self) {
-        let g = self.inst.dependency_graph();
-        // A fixed variable's φ writes are confined to the dependency
-        // edges among its affected events; copying every entry of those
-        // edges (written or not) is safe because no concurrent shard
-        // touches them — class cells have disjoint event sets.
-        for step in &shard.steps {
-            self.partial.fix(step.variable, step.value);
-            let touched = self.inst.variable(step.variable).affects();
-            for (i, &u) in touched.iter().enumerate() {
-                for &v in &touched[i + 1..] {
-                    let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                    for node in [u, v] {
-                        let val = shard
-                            .phi
-                            .get(eid, node)
-                            .expect("node is an endpoint of its edge")
-                            .clone();
-                        self.phi
-                            .set(eid, node, val)
-                            .expect("node is an endpoint of its edge");
-                    }
-                }
-            }
-        }
-        self.invariant_intact &= shard.invariant_intact;
-        self.steps.extend(shard.steps);
-    }
-
-    fn replay(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
-        self.replay_variable(x, y)
-    }
-
-    fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> crate::audit::AuditDelta<T> {
-        crate::audit::audit_delta_for(
-            self.inst,
-            &self.partial,
-            &self.phi,
-            &self.post_probs,
-            vars,
-            p_bound,
-            tol,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit::audit_p_star;
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{Instance, InstanceBuilder};
+    use crate::Fixer3;
     use lll_numeric::BigRational;
+    use lll_obs::NullTiming;
     use rand::seq::SliceRandom;
     use rand::{rngs::StdRng, SeedableRng};
 

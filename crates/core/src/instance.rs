@@ -551,9 +551,8 @@ impl<T: Num> Instance<T> {
     }
 
     /// The exponential-criterion check given the precomputed maximum
-    /// event probability `p`, shared by `Fixer2::new`, `Fixer3::new` and
-    /// the scheduled drivers so that all of them refuse with one error
-    /// value.
+    /// event probability `p`, shared by `Fixer::new` and the scheduled
+    /// drivers so that all of them refuse with one error value.
     ///
     /// # Errors
     ///

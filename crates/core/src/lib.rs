@@ -13,16 +13,21 @@
 //! order**, such that in the end no bad event can occur — for `r = 2`
 //! (Theorem 1.1) and, the main result, for `r = 3` (Theorem 1.3):
 //!
-//! * [`Fixer2`] — the rank-2 process: each step picks a value whose two
-//!   conditional-probability increase factors, weighted by the current
-//!   bookkeeping values on the shared dependency edge, keep their sum
-//!   ≤ 2 (linearity of expectation).
-//! * [`Fixer3`] — the rank-3 process: bookkeeping is the paper's
-//!   potential `φ : (edge, endpoint) → [0, 2]` with property `P*`
-//!   (Definition 3.1); the existence of a good value reduces to the
-//!   geometry of **representable triples** (module [`triples`]:
-//!   Definition 3.3, the surface `f(a, b)` of Lemma 3.5, its convexity —
-//!   Lemma 3.6 — and the incurvedness of `S_rep` — Lemma 3.7).
+//! * [`Fixer`] — the sequential process, one struct over the rank bound
+//!   `R`, used through the paper's two names:
+//!   * [`Fixer2`] (`R = 2`) — the rank-2 process: each step picks a
+//!     value whose two conditional-probability increase factors,
+//!     weighted by the current bookkeeping values on the shared
+//!     dependency edge, keep their sum ≤ 2 (linearity of expectation).
+//!   * [`Fixer3`] (`R = 3`) — the rank-3 process: bookkeeping is the
+//!     paper's potential `φ : (edge, endpoint) → [0, 2]` with property
+//!     `P*` (Definition 3.1); the existence of a good value for a rank-3
+//!     variable reduces to the geometry of **representable triples**
+//!     (module [`triples`]: Definition 3.3, the surface `f(a, b)` of
+//!     Lemma 3.5, its convexity — Lemma 3.6 — and the incurvedness of
+//!     `S_rep` — Lemma 3.7). Rank-1 and rank-2 variables take the
+//!     [`Fixer2`] step, so on a rank ≤ 2 instance the two processes are
+//!     one.
 //! * [`dist`] — the distributed versions (Corollaries 1.2 and 1.4): an
 //!   edge coloring resp. distance-2 coloring of the dependency graph
 //!   schedules non-conflicting variables into the same round, giving
@@ -62,8 +67,7 @@
 mod audit;
 mod error;
 mod fg;
-mod fixer2;
-mod fixer3;
+mod fixer;
 mod instance;
 mod sweep;
 
@@ -74,17 +78,16 @@ pub mod triples;
 pub use audit::{audit_p_star, audit_p_star_recorded, AuditReport, IncrementalAuditor};
 pub use error::{BuildError, FixerError};
 pub use fg::{fg_criterion, FgCriterion, FgFixer};
-pub use fixer2::Fixer2;
-pub use fixer3::{Fixer3, ValueRule};
+pub use fixer::{Fixer, Fixer2, Fixer3, ValueRule};
 pub use instance::{Event, Instance, InstanceBuilder, PartialAssignment, VarValues, Variable};
 pub use triples::{Decomposition, Phi};
 
 /// Solves an instance with the strongest applicable deterministic
 /// method, in order of preference:
 ///
-/// 1. [`Fixer2`] for rank ≤ 2 below the sharp threshold (Theorem 1.1),
-/// 2. [`Fixer3`] for rank ≤ 3 below the sharp threshold (Theorem 1.3),
-/// 3. [`FgFixer`] for any rank under the (much stronger) generic
+/// 1. [`Fixer3`] for rank ≤ 3 below the sharp threshold (Theorem 1.3;
+///    on a rank ≤ 2 instance it is the rank-2 process of Theorem 1.1),
+/// 2. [`FgFixer`] for any rank under the (much stronger) generic
 ///    criterion `p·(d+1)^C < 1`, scheduled by a sequential greedy
 ///    distance-2 coloring of the dependency graph.
 ///
@@ -112,16 +115,8 @@ pub use triples::{Decomposition, Phi};
 pub fn solve_deterministically<T: lll_numeric::Num>(
     inst: &Instance<T>,
 ) -> Result<FixReport, FixerError> {
-    let rank = inst.max_rank();
-    if rank <= 2 {
-        if let Ok(fixer) = Fixer2::new(inst) {
-            return fixer.run_default();
-        }
-    }
-    if rank <= 3 {
-        if let Ok(fixer) = Fixer3::new(inst) {
-            return fixer.run_default();
-        }
+    if let Ok(fixer) = Fixer3::new(inst) {
+        return fixer.run_default();
     }
     // Generic fallback: greedy distance-2 classes (sequential here; the
     // distributed variant lives in `dist::distributed_fg`).

@@ -15,12 +15,11 @@ use std::cmp::Reverse;
 use lll_numeric::Num;
 use lll_obs::NullRecorder;
 
-use crate::fixer2::inc_or_zero;
-use crate::fixer3::Fixer3;
+use crate::fixer::inc_or_zero;
 use crate::instance::{Instance, PartialAssignment, ValueProbs};
 use crate::sweep::ClassFixer;
 use crate::triples::representability_score;
-use crate::{FixReport, Fixer2, FixerError};
+use crate::{FixReport, Fixer2, Fixer3, FixerError};
 
 /// A static order family over `m` variables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

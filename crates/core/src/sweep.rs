@@ -51,18 +51,19 @@ use lll_obs::{BufRecorder, Event, NullRecorder, Recorder, TimingScope, TimingSin
 
 use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
-use crate::fixer2::{audit_verdict, fix_run_start_event};
+use crate::fixer::{audit_verdict, fix_run_start_event};
 use crate::instance::{Instance, PartialAssignment};
 use crate::triples::Phi;
 use crate::FixReport;
 
 /// A fixer that the class sweep can fork, run over cells, and merge
-/// back. Implemented by [`Fixer2`](crate::Fixer2) and
-/// [`Fixer3`](crate::Fixer3) (the implementations live in their modules
-/// because merging needs the private `partial`/`phi`/`steps` fields).
-/// It is also all that the fixers' own sequential run
-/// ([`run_in_order`]) and the distributed driver (`crate::dist::run`)
-/// need of a fixer, so both are written once for both ranks.
+/// back. Implemented once by [`Fixer`](crate::Fixer), so by both
+/// [`Fixer2`](crate::Fixer2) and [`Fixer3`](crate::Fixer3) (the impl
+/// lives in the fixer's module because merging needs the private
+/// `partial`/`phi`/`steps` fields). It is also all that the fixers' own
+/// sequential run ([`run_in_order`]) and the distributed driver
+/// (`crate::dist::run`) need of a fixer, so both are written once for
+/// both ranks.
 pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// The instance being fixed.
     fn instance(&self) -> &Instance<T>;
@@ -90,7 +91,7 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// Replays a recorded fixing step: fixes `x` to the value `y` a
     /// previous run chose, applying the exact `φ` updates of a live
     /// step but skipping the value search and emitting no event (see
-    /// [`Fixer2::replay_variable`](crate::Fixer2::replay_variable)).
+    /// [`Fixer::replay_variable`](crate::Fixer::replay_variable)).
     /// The resumed drivers in `crate::dist` drive this from a recorded
     /// step prefix.
     fn replay(&mut self, x: usize, y: usize) -> Result<(), FixerError>;
@@ -117,7 +118,7 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> AuditDelta<T>;
 }
 
-/// The sequential run behind `Fixer2::run_with` and `Fixer3::run_with`:
+/// The sequential run behind `Fixer::run_with`:
 /// fixes `order` one variable at a time, optionally re-verifying `P*`
 /// after every step, with the run bracketed in `rec` and timed into
 /// `timing`.

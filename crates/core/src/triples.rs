@@ -488,6 +488,12 @@ impl<T: Num> Phi<T> {
         }
     }
 
+    /// Overwrites both values of edge `eid` with `other`'s (a sweep
+    /// shard's potential over the same graph).
+    pub(crate) fn copy_edge(&mut self, other: &Phi<T>, eid: usize) {
+        self.values[eid].clone_from(&other.values[eid]);
+    }
+
     /// The pair sum `φ_e^u + φ_e^v` of edge `eid` (sub-property (1) of
     /// `P*` demands ≤ 2).
     pub fn pair_sum(&self, eid: usize) -> T {

@@ -37,8 +37,6 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Shl, Shr, Sub, Sub
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use crate::arena::Scratch;
-
 /// Inline results that spilled into the limb path.
 static TIER_PROMOTE: AtomicU64 = AtomicU64::new(0);
 /// Limb-path results that canonicalized back inline.
@@ -511,10 +509,9 @@ impl BigInt {
 
     /// Binary GCD on raw magnitudes.
     ///
-    /// The loop mutates two arena-pooled scratch buffers in place
+    /// The loop mutates two working copies in place
     /// (`shr1_in_place`/`sub_mag_in_place`) instead of allocating a fresh
-    /// vector per halving/subtraction as the pre-arena version did; only
-    /// the final result is materialized for the caller.
+    /// vector per halving or subtraction.
     fn gcd_mag(a_in: &[u32], b_in: &[u32]) -> Vec<u32> {
         if a_in.is_empty() {
             return b_in.to_vec();
@@ -522,8 +519,8 @@ impl BigInt {
         if b_in.is_empty() {
             return a_in.to_vec();
         }
-        let mut a = Scratch::from_slice(a_in);
-        let mut b = Scratch::from_slice(b_in);
+        let mut a = a_in.to_vec();
+        let mut b = b_in.to_vec();
         let mut shift = 0u64;
         while Self::is_even_mag(&a) && Self::is_even_mag(&b) {
             Self::shr1_in_place(&mut a);
@@ -617,15 +614,13 @@ impl BigInt {
             };
             return (q, r);
         }
-        // Shift–subtract over two arena-pooled scratch buffers: the
-        // remainder and the walking shifted divisor are mutated in place
-        // (the pre-arena loop allocated a fresh vector per subtraction
-        // and per halving of the divisor).
+        // Shift–subtract: the remainder and the walking shifted divisor
+        // are mutated in place, not reallocated per subtraction or per
+        // halving of the divisor.
         let mut shift = Self::mag_bit_len(a) - Self::mag_bit_len(b);
-        let mut rem = Scratch::from_slice(a);
+        let mut rem = a.to_vec();
         let mut quo: Vec<u32> = vec![0; (shift / BASE_BITS as u64 + 1) as usize];
-        let mut cur = Scratch::take();
-        cur.extend_from_slice(&Self::shl_mag(b, shift));
+        let mut cur = Self::shl_mag(b, shift);
         loop {
             if Self::cmp_mag(&rem, &cur) != Ordering::Less {
                 Self::sub_mag_in_place(&mut rem, &cur);
@@ -641,7 +636,7 @@ impl BigInt {
         while quo.last() == Some(&0) {
             quo.pop();
         }
-        (quo, rem.to_vec())
+        (quo, rem)
     }
 
     /// Euclidean division returning `(quotient, remainder)` with the

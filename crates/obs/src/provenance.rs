@@ -23,7 +23,9 @@ pub struct Provenance {
     pub graph: Option<(usize, usize, usize)>,
     /// Per-shard node counts of the parallel engine's static cuts.
     pub shards: Option<Vec<usize>>,
-    /// `git rev-parse --short HEAD`, or `"unknown"`.
+    /// The checkout's abbreviated commit id, suffixed `-dirty` when
+    /// tracked files differ from it (`git describe --always --dirty`),
+    /// or `"unknown"`.
     pub git_rev: String,
     /// `rustc -V`, or `"unknown"`.
     pub rustc: String,
@@ -41,7 +43,7 @@ impl Provenance {
             threads: None,
             graph: None,
             shards: None,
-            git_rev: command_line("git", &["rev-parse", "--short", "HEAD"]),
+            git_rev: command_line("git", &["describe", "--always", "--dirty", "--exclude=*"]),
             rustc: command_line("rustc", &["-V"]),
             crate_version: env!("CARGO_PKG_VERSION").to_string(),
         }
@@ -163,6 +165,26 @@ mod tests {
         assert_eq!(v.get("seed"), Some(&serde::Value::U64(7)));
         assert!(v.get("git_rev").is_some());
         assert!(v.get("rustc").is_some());
+    }
+
+    #[test]
+    fn git_rev_is_a_commit_id_marked_dirty_or_unknown() {
+        let rev = Provenance::capture().git_rev;
+        let id = rev.strip_suffix("-dirty").unwrap_or(&rev);
+        assert!(
+            rev == "unknown" || (id.len() >= 4 && id.bytes().all(|b| b.is_ascii_hexdigit())),
+            "{rev}"
+        );
+    }
+
+    #[test]
+    fn a_dirty_rev_reaches_both_formats() {
+        let p = Provenance {
+            git_rev: "9f910d7-dirty".to_owned(),
+            ..Provenance::capture()
+        };
+        assert!(p.to_jsonl().contains(r#""git_rev":"9f910d7-dirty""#));
+        assert!(p.csv_comment().contains(" git=9f910d7-dirty "));
     }
 
     #[test]
