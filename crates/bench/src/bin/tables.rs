@@ -846,61 +846,6 @@ fn main() {
         trace_experiment(&mut obs, "E20", overhead.len() + wallclock.len());
     }
 
-    if wanted(&selected, "E22") {
-        println!("== E22: audited exact drivers — wall-clock and BigInt tier traffic ==");
-        let data = ex::e22_wide_tier(2048, 512);
-        write_csv(
-            "e22_wide_tier.csv",
-            "driver,n,millis,baseline_millis,speedup,tier_promotes,tier_demotes",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{:.3},{:.1},{:.3},{},{}",
-                        r.driver,
-                        r.n,
-                        r.millis,
-                        r.baseline_millis,
-                        r.speedup,
-                        r.tier_promotes,
-                        r.tier_demotes
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
-            .iter()
-            .map(|r| {
-                vec![
-                    r.driver.clone(),
-                    r.n.to_string(),
-                    format!("{:.1}", r.millis),
-                    format!("{:.1}", r.baseline_millis),
-                    format!("{:.2}", r.speedup),
-                    r.tier_promotes.to_string(),
-                    r.tier_demotes.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "driver",
-                    "n",
-                    "ms",
-                    "ms (pre-gear)",
-                    "speedup",
-                    "promotes",
-                    "demotes",
-                ],
-                &rows
-            )
-        );
-        println!("(audited E2/E6 drivers on BigRational, k=16, tightness 0.9, seed 7, exact zero\n tolerance, one worker, best-of-2; streams and assignments asserted byte-identical\n across t in {{1,2,8}} before timing; pre-gear baseline\n measured at commit 5ab4b4d on the same machine — CI gates speedup >= 1.5\n and promotes == demotes == 0)\n");
-        trace_experiment(&mut obs, "E22", rows.len());
-    }
-
     if selected.contains("TRACE") {
         println!("== TRACE: recorded schedule-coloring workload (ring n = {TRACE_N}) ==");
         let mut timing = lll_obs::TimingRecorder::new();

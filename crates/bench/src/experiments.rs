@@ -1878,144 +1878,6 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
     ]
 }
 
-/// E22 — the audited E2/E6 drivers on `BigRational` against the
-/// recorded pre-gear baseline, with the `BigInt` tier traffic of each
-/// timed pass (0 promotions and demotions on both rows since short φ
-/// witnesses). Streams and assignments are asserted byte-identical
-/// across worker counts before a single number is reported.
-#[derive(Debug, Clone)]
-pub struct WideTierRow {
-    /// Driver label: `"fixer2-audited"` or `"fixer3-audited"`.
-    pub driver: String,
-    /// Number of events.
-    pub n: usize,
-    /// Audited driver wall-clock at one worker (ms).
-    pub millis: f64,
-    /// Pre-gear baseline wall-clock (ms); see the `E22_BASELINE_*`
-    /// constants for provenance.
-    pub baseline_millis: f64,
-    /// `baseline_millis / millis` — the speedup over the pre-gear
-    /// baseline.
-    pub speedup: f64,
-    /// `BigInt` tier promotions during the timed pass.
-    pub tier_promotes: u64,
-    /// `BigInt` tier demotions during the timed pass.
-    pub tier_demotes: u64,
-}
-
-/// Pre-gear rank-2 baseline: the audited E22 rank-2 workload
-/// (`ring(2048)`, `k = 16`, tightness 0.9, seed 7, exact zero
-/// tolerance, one worker, best-of-2) measured at commit `5ab4b4d` —
-/// the tip before the wide tier, the audit-probability cache, and the
-/// sparse occurring-tuple lists landed — on the same machine that
-/// produced `results/e22_wide_tier.csv`.
-pub const E22_BASELINE_RANK2_MILLIS: f64 = 113.8;
-/// Pre-gear rank-3 baseline (`hyper_ring(512)`, same protocol).
-pub const E22_BASELINE_RANK3_MILLIS: f64 = 233.1;
-
-/// Runs experiment E22 on the E2/E6 audited workloads (`ring(n2)`
-/// rank 2, `hyper_ring(n3)` rank 3, `k = 16`, tightness 0.9, seed 7,
-/// exact zero tolerance). Byte-identity is the gate, timing the
-/// payload: recorded streams and assignments must match across
-/// `t ∈ {1, 2, 8}` before the audited one-worker wall-clocks (with the
-/// tier-counter deltas bracketing each) are reported against the
-/// pre-gear baseline.
-pub fn e22_wide_tier(n2: usize, n3: usize) -> Vec<WideTierRow> {
-    let g = ring(n2);
-    let i2 = crate::workloads::random_rank2_instance_in::<BigRational>(&g, 16, 0.9, 7);
-    let p2 = i2.max_event_probability();
-    let h = hyper_ring(n3);
-    let i3 = crate::workloads::random_rank3_instance_in::<BigRational>(&h, 16, 0.9, 7);
-    let p3 = i3.max_event_probability();
-    let zero = BigRational::zero();
-
-    let mut first = None;
-    for t in [1usize, 2, 8] {
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep2 = solve_seeded_recorded(
-            &i2,
-            ScheduleKind::Edge,
-            5,
-            &audited(t, &p2, &zero),
-            &mut rec,
-        );
-        let s2 = rec.finish().expect("in-memory writer never fails");
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
-        let rep3 = solve_seeded_recorded(
-            &i3,
-            ScheduleKind::Distance2,
-            5,
-            &audited(t, &p3, &zero),
-            &mut rec,
-        );
-        let s3 = rec.finish().expect("in-memory writer never fails");
-        let run = (
-            s2,
-            format!("{:?}/{}", rep2.fix.assignment(), rep2.rounds),
-            s3,
-            format!("{:?}/{}", rep3.fix.assignment(), rep3.rounds),
-        );
-        let Some(base) = &first else {
-            first = Some(run);
-            continue;
-        };
-        assert_eq!(
-            run.0, base.0,
-            "rank-2 stream diverged across workers at t={t}"
-        );
-        assert_eq!(
-            run.1, base.1,
-            "rank-2 assignment diverged across workers at t={t}"
-        );
-        assert_eq!(
-            run.2, base.2,
-            "rank-3 stream diverged across workers at t={t}"
-        );
-        assert_eq!(
-            run.3, base.3,
-            "rank-3 assignment diverged across workers at t={t}"
-        );
-    }
-
-    lll_numeric::reset_tier_counters();
-    let (_, millis2) = best_of(2, || {
-        solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(1, &p2, &zero))
-    });
-    let tiers2 = lll_numeric::tier_counters();
-    lll_numeric::reset_tier_counters();
-    let (_, millis3) = best_of(2, || {
-        solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(1, &p3, &zero))
-    });
-    let tiers3 = lll_numeric::tier_counters();
-
-    let row =
-        |driver: &str, n, millis, baseline_millis, tiers: lll_numeric::TierCounters| WideTierRow {
-            driver: driver.to_owned(),
-            n,
-            millis,
-            baseline_millis,
-            speedup: baseline_millis / millis,
-            tier_promotes: tiers.promote,
-            tier_demotes: tiers.demote,
-        };
-    vec![
-        row(
-            "fixer2-audited",
-            n2,
-            millis2,
-            E22_BASELINE_RANK2_MILLIS,
-            tiers2,
-        ),
-        row(
-            "fixer3-audited",
-            n3,
-            millis3,
-            E22_BASELINE_RANK3_MILLIS,
-            tiers3,
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,6 +22,15 @@ const TABLE_LIMIT: usize = 1 << 15;
 /// exact backends, while the integers stay in the `Small` tier).
 const STACK_SUPPORT: usize = 16;
 
+/// Value counts up to this bucket a certified event's bucketed pass in
+/// a stack buffer of machine words; more values fall back to the heap.
+const STACK_VALUES: usize = 64;
+
+/// The largest `Π lcd` an event's word certificate admits. Every weight
+/// sum of a certified event is at most its `Π lcd`, so it fits a `u128`
+/// and converts to a `Small`-tier [`BigInt`] without touching the heap.
+const WORD_MAX: u128 = i128::MAX as u128;
+
 /// A view of the values assigned to the support variables of an event,
 /// indexable by variable id.
 ///
@@ -214,6 +223,10 @@ pub struct Instance<T> {
     dists: Vec<IntDist>,
     /// Each variable's index into `dists` (empty for `f64`).
     dist_of: Vec<usize>,
+    /// Per event: whether `Π lcd` over its support is at most
+    /// [`WORD_MAX`], so its enumeration sums in machine words (empty for
+    /// `f64`). See [`word_certificate`].
+    certified: Vec<bool>,
 }
 
 impl<T: Num> Instance<T> {
@@ -320,7 +333,8 @@ impl<T: Num> Instance<T> {
     /// Exact backends sum each bucket's integer weights into the
     /// numerator `N(y)` over `D = Π lcd` of the free support variables
     /// other than `x`, and `Pr[v | partial]` is `Σ_y w_x(y)·N(y)` over
-    /// `D·lcd_x`. Canonical forms are unique, so every value equals the
+    /// `D·lcd_x` — in machine words when `v` is certified, in `BigInt`s
+    /// otherwise. Canonical forms are unique, so every value equals the
     /// separate walks' value. The `f64` fold repeats each separate
     /// walk's operation sequence: per bucket a left product from one
     /// over the other free variables, then `total + w`; for
@@ -339,22 +353,56 @@ impl<T: Num> Instance<T> {
         let k = self.variables[x].num_values();
         let lookup = |z: usize| partial.get(z);
         if T::is_exact() {
-            out.nums.clear();
-            out.nums.resize(k, BigInt::zero());
-            let mut fold = ByValue {
-                weights: ExactWeights { inst: self },
-                x,
-                sums: &mut out.nums,
-                total: None,
-            };
-            self.enumerate(v, lookup, &mut fold);
-            out.den = self.free_den(v, |z| z != x && partial.get(z).is_none());
             let dist = self.dist(x);
-            let mut num = BigInt::zero();
-            for (w, n) in dist.weights.iter().zip(&out.nums) {
-                num += &(w * n);
+            let free = |z: usize| z != x && partial.get(z).is_none();
+            out.nums.clear();
+            if self.certified[v] {
+                let mut stack = [0u128; STACK_VALUES];
+                let mut heap = Vec::new();
+                let sums = if k <= STACK_VALUES {
+                    &mut stack[..k]
+                } else {
+                    heap.resize(k, 0);
+                    &mut heap[..]
+                };
+                let mut fold = ByValue {
+                    weights: WordWeights { inst: self },
+                    x,
+                    sums: &mut *sums,
+                    total: None,
+                };
+                self.enumerate(v, lookup, &mut fold);
+                // `Σ_y w_x(y)·N(y) ≤ lcd_x·D ≤ Π lcd`: the certificate
+                // covers the numerator and the denominator of `old` too.
+                let den = self.free_den_word(v, free);
+                let num: u128 = dist
+                    .word_weights
+                    .iter()
+                    .zip(&*sums)
+                    .map(|(w, n)| w * n)
+                    .sum();
+                out.nums.extend(sums.iter().map(|&n| BigInt::from(n)));
+                out.den = BigInt::from(den);
+                out.old = T::from_rational(BigRational::new(
+                    BigInt::from(num),
+                    BigInt::from(den * dist.word_lcd),
+                ));
+            } else {
+                out.nums.resize(k, BigInt::zero());
+                let mut fold = ByValue {
+                    weights: ExactWeights { inst: self },
+                    x,
+                    sums: &mut out.nums,
+                    total: None,
+                };
+                self.enumerate(v, lookup, &mut fold);
+                out.den = self.free_den(v, free);
+                let mut num = BigInt::zero();
+                for (w, n) in dist.weights.iter().zip(&out.nums) {
+                    num += &(w * n);
+                }
+                out.old = T::from_rational(BigRational::new(num, &out.den * &dist.lcd));
             }
-            out.old = T::from_rational(BigRational::new(num, &out.den * &dist.lcd));
         } else {
             out.probs.clear();
             out.probs.resize(k, T::zero());
@@ -392,14 +440,28 @@ impl<T: Num> Instance<T> {
     /// distributions and `D = Π lcd` over the free support variables.
     /// `D` depends only on *which* variables are free. One
     /// `BigRational::new(N, D)` yields the canonical value, which is
-    /// unique, so it equals the rational `Σ Π p` fold bit for bit.
+    /// unique, so it equals the rational `Σ Π p` fold bit for bit. A
+    /// certified event sums in machine words, any other in `BigInt`s;
+    /// both give the same pair.
     fn exact_parts(&self, v: usize, lookup: impl Fn(usize) -> Option<usize>) -> (BigInt, BigInt) {
+        let free = |x| lookup(x).is_none();
+        if self.certified[v] {
+            let mut fold = Total {
+                weights: WordWeights { inst: self },
+                sum: 0,
+            };
+            self.enumerate(v, &lookup, &mut fold);
+            return (
+                BigInt::from(fold.sum),
+                BigInt::from(self.free_den_word(v, free)),
+            );
+        }
         let mut fold = Total {
             weights: ExactWeights { inst: self },
             sum: BigInt::zero(),
         };
         self.enumerate(v, &lookup, &mut fold);
-        (fold.sum, self.free_den(v, |x| lookup(x).is_none()))
+        (fold.sum, self.free_den(v, free))
     }
 
     /// `Π lcd` over the support variables of event `v` that `free`
@@ -412,6 +474,18 @@ impl<T: Num> Instance<T> {
             }
         }
         den
+    }
+
+    /// [`free_den`](Instance::free_den) in a machine word, for a
+    /// certified event `v`: a product over part of its support is at
+    /// most its `Π lcd`.
+    fn free_den_word(&self, v: usize, free: impl Fn(usize) -> bool) -> u128 {
+        let support = &self.events[v].support;
+        support
+            .iter()
+            .filter(|&&x| free(x))
+            .map(|&x| self.dist(x).word_lcd)
+            .product()
     }
 
     /// The interned integer distribution of variable `x` (exact
@@ -578,7 +652,11 @@ impl<T: Num> Instance<T> {
     /// (the regime of the Moser–Tardos baseline). Evaluated in `f64` —
     /// `e` is irrational, and nothing downstream needs this exactly.
     pub fn satisfies_classic_criterion(&self) -> bool {
-        let p = self.max_event_probability().to_f64();
+        self.classic_criterion_for(self.max_event_probability().to_f64())
+    }
+
+    /// `e·p·(d+1) < 1` for a precomputed maximum event probability `p`.
+    fn classic_criterion_for(&self, p: f64) -> bool {
         let d = self.max_dependency_degree() as f64;
         std::f64::consts::E * p * (d + 1.0) < 1.0
     }
@@ -593,17 +671,21 @@ impl<T: Num> Instance<T> {
     }
 
     /// A one-stop summary of the instance's LLL parameters, for display
-    /// and logging.
+    /// and logging. Runs the unconditional pass once: every field equals
+    /// its individual method.
     pub fn summary(&self) -> InstanceSummary {
+        let p = self.max_event_probability();
+        let max_event_probability = p.to_f64();
+        let criterion = self.criterion_value_for(p);
         InstanceSummary {
             num_events: self.num_events(),
             num_variables: self.num_variables(),
             max_rank: self.max_rank(),
             max_dependency_degree: self.max_dependency_degree(),
-            max_event_probability: self.max_event_probability().to_f64(),
-            criterion_value: self.criterion_value().to_f64(),
-            exponential_criterion: self.satisfies_exponential_criterion(),
-            classic_criterion: self.satisfies_classic_criterion(),
+            max_event_probability,
+            criterion_value: criterion.to_f64(),
+            exponential_criterion: criterion < T::one(),
+            classic_criterion: self.classic_criterion_for(max_event_probability),
         }
     }
 
@@ -751,6 +833,26 @@ impl<T: Num> Weights for ExactWeights<'_, T> {
     }
 }
 
+/// [`ExactWeights`] in machine words, for certified events only: every
+/// product and every sum is a weight sum over part of the event's
+/// support, hence at most its `Π lcd ≤` [`WORD_MAX`], so no operation
+/// can overflow and none is checked.
+struct WordWeights<'a, T> {
+    inst: &'a Instance<T>,
+}
+
+impl<T: Num> Weights for WordWeights<'_, T> {
+    type Sum = u128;
+
+    fn add(&self, sum: &mut u128, free: impl Iterator<Item = (usize, usize)>) {
+        let mut w = 1;
+        for (x, y) in free {
+            w *= self.inst.dist(x).word_weights[y];
+        }
+        *sum += w;
+    }
+}
+
 /// Every tuple into one accumulator: `Pr[v | lookup]`.
 struct Total<W: Weights> {
     weights: W,
@@ -791,7 +893,8 @@ impl<W: Weights> TupleFold for ByValue<'_, W> {
 /// Every candidate's conditional probability of one event, from one
 /// [`Instance::probability_by_value`] pass. The caller owns it and
 /// reuses it across steps, so once its buffers have grown to the
-/// variable's value count a pass on `Small` values allocates nothing.
+/// variable's value count a pass on `Small` values allocates nothing
+/// (on a certified event, for up to `STACK_VALUES` values).
 #[derive(Debug, Clone)]
 pub(crate) struct ValueProbs<T> {
     /// `Pr[E | partial]`.
@@ -861,6 +964,12 @@ impl<T: Num> ValueProbs<T> {
 struct IntDist {
     weights: Vec<BigInt>,
     lcd: BigInt,
+    /// `weights` and `lcd` as machine words, when `lcd ≤ WORD_MAX` (each
+    /// weight is at most `lcd`). Otherwise `word_lcd` reads 0, no
+    /// certified event has this variable in its support, and nothing
+    /// reads the words.
+    word_weights: Vec<u128>,
+    word_lcd: u128,
 }
 
 impl IntDist {
@@ -869,12 +978,34 @@ impl IntDist {
         for p in probs {
             lcd = &(&lcd / &lcd.gcd(p.denom())) * p.denom();
         }
-        let weights = probs
+        let weights: Vec<BigInt> = probs
             .iter()
             .map(|p| &(p.numer() * &lcd) / p.denom())
             .collect();
-        IntDist { weights, lcd }
+        let word = |n: &BigInt| n.to_i128().map_or(0, |w| w as u128);
+        IntDist {
+            word_weights: weights.iter().map(word).collect(),
+            word_lcd: word(&lcd),
+            weights,
+            lcd,
+        }
     }
+}
+
+/// The word certificate of an event with this `support`: whether `Π lcd`
+/// over it is at most [`WORD_MAX`]. A variable's weights sum to its
+/// `lcd`, so every sum of tuple weights over any subset of the support,
+/// and every product inside one, is at most `Π lcd`: a certified event
+/// can sum in `u128` with no overflow check. An `lcd` past `WORD_MAX`
+/// reads 0 in words and fails the certificate.
+fn word_certificate(dists: &[IntDist], dist_of: &[usize], support: &[usize]) -> bool {
+    support
+        .iter()
+        .try_fold(1u128, |prod, &x| {
+            let lcd = dists[dist_of[x]].word_lcd;
+            prod.checked_mul(lcd).filter(|&p| lcd != 0 && p <= WORD_MAX)
+        })
+        .is_some()
 }
 
 /// Interns the distinct distributions of an exact-backend instance:
@@ -1118,6 +1249,14 @@ impl<T: Num> InstanceBuilder<T> {
             .expect("validated event indices");
 
         let (dists, dist_of) = intern_distributions(&variables);
+        let certified = if T::is_exact() {
+            events
+                .iter()
+                .map(|e| word_certificate(&dists, &dist_of, &e.support))
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ok(Instance {
             variables,
             events,
@@ -1125,6 +1264,7 @@ impl<T: Num> InstanceBuilder<T> {
             hypergraph,
             dists,
             dist_of,
+            certified,
         })
     }
 }
@@ -1345,19 +1485,31 @@ mod tests {
         modulus: usize,
         residue: usize,
     ) -> Instance<T> {
-        let mut b = InstanceBuilder::<T>::new(2);
-        let mut support = Vec::new();
-        for (j, &k) in ks.iter().enumerate() {
+        let probs = |j: usize, k: usize| {
             let w: Vec<u64> = (0..k)
                 .map(|i| 1 + u64::from(weights[(i + j) % weights.len()] % 7))
                 .collect();
             let total: u64 = w.iter().sum();
-            let probs = w
-                .iter()
+            w.iter()
                 .map(|&wi| T::from_ratio(wi as i64, total))
-                .collect();
+                .collect()
+        };
+        arm_instance_with(ks, probs, modulus, residue)
+    }
+
+    /// [`arm_instance`] with the distribution of each support variable
+    /// `j` of `k` values given by `probs(j, k)`.
+    fn arm_instance_with<T: Num>(
+        ks: &[usize],
+        probs: impl Fn(usize, usize) -> Vec<T>,
+        modulus: usize,
+        residue: usize,
+    ) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(2);
+        let mut support = Vec::new();
+        for (j, &k) in ks.iter().enumerate() {
             let affects: &[usize] = if j == 0 { &[0, 1] } else { &[0] };
-            support.push(b.add_variable(affects, probs));
+            support.push(b.add_variable(affects, probs(j, k)));
         }
         let own = b.add_uniform_variable(&[1], 3);
         let (first, ev0) = (support[0], support.clone());
@@ -1500,6 +1652,174 @@ mod tests {
         }
     }
 
+    /// `Π lcd` of event 0 relative to the word certificate's bound.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Bound {
+        /// At most `i128::MAX`, as close below as the shape allows (equal
+        /// to it for a single multi-valued variable, whose `lcd` is then
+        /// the Mersenne prime `2^127 − 1`).
+        At,
+        /// Just past `i128::MAX`.
+        Above,
+        /// Near `2^136`: past `u128::MAX`, so a word fold would overflow.
+        Far,
+    }
+
+    /// An [`arm_instance`] whose event 0 has `Π lcd` at `bound`: every
+    /// multi-valued support variable `j` draws value 0 with probability
+    /// `1/D_j` (so its `lcd` is `D_j`) and splits the rest unevenly over
+    /// its other values. The `D_j` differ, and the last one is sized so
+    /// that `Π D_j` lands at the bound.
+    fn bound_instance(
+        ks: &[usize],
+        bound: Bound,
+        modulus: usize,
+        residue: usize,
+    ) -> Instance<BigRational> {
+        let multi: Vec<usize> = (0..ks.len()).filter(|&j| ks[j] > 1).collect();
+        let (target, round_up) = match bound {
+            Bound::At => (BigInt::from(i128::MAX), false),
+            Bound::Above => (&BigInt::from(i128::MAX) + &BigInt::one(), true),
+            Bound::Far => (&BigInt::one() << 136, true),
+        };
+        let bits = target.bit_len() as f64 / multi.len() as f64;
+        let mut dens: Vec<BigInt> = multi
+            .iter()
+            .enumerate()
+            .map(|(i, _)| BigInt::from(2f64.powf(bits) as u128 + 7 * i as u128))
+            .collect();
+        let last = dens.len() - 1;
+        let rest = dens[..last].iter().fold(BigInt::one(), |acc, d| &acc * d);
+        dens[last] = if round_up {
+            &(&(&target + &rest) - &BigInt::one()) / &rest
+        } else {
+            &target / &rest
+        };
+        let probs = |j: usize, k: usize| {
+            let Some(i) = multi.iter().position(|&m| m == j) else {
+                return vec![BigRational::one()];
+            };
+            let den = &dens[i];
+            assert!(
+                den >= &BigInt::from(k),
+                "denominator {den} below {k} values"
+            );
+            // Value 0 weighs 1; the other values split `D − 1` in
+            // shares 1, 2, …, the last taking the remainder.
+            let share = &(den - &BigInt::one()) / &BigInt::from(k * k);
+            let mut nums: Vec<BigInt> = std::iter::once(BigInt::one())
+                .chain((1..k - 1).map(|y| &share * &BigInt::from(y)))
+                .collect();
+            let used = nums.iter().fold(BigInt::zero(), |acc, n| &acc + n);
+            nums.push(den - &used);
+            nums.into_iter()
+                .map(|n| BigRational::new(n, den.clone()))
+                .collect()
+        };
+        let inst = arm_instance_with(ks, probs, modulus, residue);
+        let lcd = inst.free_den(0, |_| true);
+        let max = BigInt::from(i128::MAX);
+        match bound {
+            Bound::At => assert!(lcd <= max && lcd.bit_len() == 127, "{lcd}"),
+            Bound::Above => assert!(lcd > max && lcd.bit_len() == 128, "{lcd}"),
+            Bound::Far => assert!(lcd.bit_len() > 130, "{lcd}"),
+        }
+        inst
+    }
+
+    /// The word fold against the `BigInt` fold on one instance: `big` is
+    /// `inst` with every certificate withdrawn. Checks each certificate
+    /// against `Π lcd ≤ i128::MAX` in `BigInt`s, then, for every event,
+    /// the unreduced `(N, D)` under `partial` and under the empty
+    /// assignment, and for every event `x` affects, the bucketed
+    /// pass's `N(y)`, `D`, `old` and values. Returns how many events were
+    /// certified.
+    fn check_word_fold(
+        inst: &Instance<BigRational>,
+        partial: &PartialAssignment,
+        x: usize,
+    ) -> Result<usize, proptest::TestCaseError> {
+        let mut big = inst.clone();
+        big.certified.fill(false);
+        let empty = PartialAssignment::new(inst.num_variables());
+        let max = BigInt::from(i128::MAX);
+        for v in 0..inst.num_events() {
+            let bound = inst.free_den(v, |_| true) <= max;
+            proptest::prop_assert_eq!(inst.certified[v], bound, "event {} certificate", v);
+            // `prob_impl` is `BigRational::new` of these pairs.
+            for p in [partial, &empty] {
+                let lookup = |z: usize| p.get(z);
+                proptest::prop_assert_eq!(
+                    inst.exact_parts(v, lookup),
+                    big.exact_parts(v, lookup),
+                    "event {} (N, D)",
+                    v
+                );
+            }
+        }
+        let (mut word, mut wide) = (ValueProbs::default(), ValueProbs::default());
+        for &v in inst.variable(x).affects() {
+            inst.probability_by_value(v, partial, x, &mut word);
+            big.probability_by_value(v, partial, x, &mut wide);
+            proptest::prop_assert_eq!(&word.nums, &wide.nums, "event {} N(y)", v);
+            proptest::prop_assert_eq!(&word.den, &wide.den, "event {} D", v);
+            proptest::prop_assert_eq!(&word.old, &wide.old, "event {} old", v);
+            for y in 0..word.num_values() {
+                proptest::prop_assert_eq!(word.prob(y), wide.prob(y), "event {} y {}", v, y);
+            }
+        }
+        Ok(inst.certified.iter().filter(|&&c| c).count())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The word fold equals the `BigInt` fold on all four engine arms,
+        /// through `prob_impl` and `probability_by_value`, with small
+        /// mixed denominators (every event certified) and with event 0's
+        /// `Π lcd` just at `i128::MAX` (certified), just above it and far
+        /// past `u128::MAX` (both on the fallback).
+        #[test]
+        fn word_fold_matches_the_bigint_fold(
+            extra in 0usize..64,
+            weights in proptest::collection::vec(0u8..255, 1..6),
+            modulus in 5usize..13,
+            residue in 0usize..13,
+            seed in 0u64..1 << 32,
+        ) {
+            let residue = residue % modulus;
+            for arm in 0..4 {
+                let ks = arm_shape(arm, extra);
+                let small = arm_instance::<BigRational>(&ks, &weights, modulus, residue);
+                let (x, partial) = random_partial(&small, seed);
+                proptest::prop_assert_eq!(check_word_fold(&small, &partial, x)?, 2);
+                for bound in [Bound::At, Bound::Above, Bound::Far] {
+                    let inst = bound_instance(&ks, bound, modulus, residue);
+                    let certified = check_word_fold(&inst, &partial, x)?;
+                    proptest::prop_assert_eq!(inst.certified[0], bound == Bound::At);
+                    proptest::prop_assert!(certified >= usize::from(bound == Bound::At));
+                    check_pass(&inst, &partial, x, &mut ValueProbs::default())?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_buckets_spill_past_the_stack_buffer() {
+        // `x` has more values than the stack buffer holds: the certified
+        // pass buckets on the heap, and still equals the `BigInt` fold.
+        let ks = [STACK_VALUES + 6, 3, 2];
+        let inst = arm_instance::<BigRational>(&ks, &[5, 2, 6], 7, 3);
+        assert!(inst.certified.iter().all(|&c| c));
+        for seed in 0..4 {
+            let (x, partial) = random_partial(&inst, seed);
+            check_word_fold(&inst, &partial, x).unwrap();
+        }
+        let mut partial = PartialAssignment::new(inst.num_variables());
+        partial.fix(1, 2);
+        assert_eq!(check_word_fold(&inst, &partial, 0).unwrap(), 2);
+    }
+
     #[test]
     fn bucketed_pass_reports_impossible_events() {
         // `sum % usize::MAX` is the sum itself, which never reaches
@@ -1562,6 +1882,34 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("criterion p*2^d"));
         assert!(text.contains("events:            2"));
+    }
+
+    /// The summary runs the unconditional pass once; each field must
+    /// still equal its individual method.
+    fn assert_summary_matches_methods<T: Num>(inst: &Instance<T>) {
+        let s = inst.summary();
+        assert_eq!(s.max_rank, inst.max_rank());
+        assert_eq!(s.max_dependency_degree, inst.max_dependency_degree());
+        let p = inst.max_event_probability().to_f64();
+        assert_eq!(s.max_event_probability.to_bits(), p.to_bits());
+        let c = inst.criterion_value().to_f64();
+        assert_eq!(s.criterion_value.to_bits(), c.to_bits());
+        assert_eq!(
+            s.exponential_criterion,
+            inst.satisfies_exponential_criterion()
+        );
+        assert_eq!(s.classic_criterion, inst.satisfies_classic_criterion());
+    }
+
+    #[test]
+    fn summary_fields_equal_the_individual_methods() {
+        assert_summary_matches_methods(&two_event_instance::<f64>());
+        assert_summary_matches_methods(&two_event_instance::<BigRational>());
+        for arm in 0..4 {
+            let ks = arm_shape(arm, 3);
+            assert_summary_matches_methods(&arm_instance::<f64>(&ks, &[3, 1, 4], 5, 2));
+            assert_summary_matches_methods(&arm_instance::<BigRational>(&ks, &[3, 1, 4], 5, 2));
+        }
     }
 
     #[test]

@@ -818,6 +818,16 @@ impl BigInt {
         }
     }
 
+    /// Converts to `i128` if the magnitude is at most `i128::MAX` (the
+    /// inline tier: every `i128` but `i128::MIN`); never allocates.
+    pub fn to_i128(&self) -> Option<i128> {
+        match &self.repr {
+            Repr::Small(v) => Some(*v),
+            // Heap magnitudes exceed i128::MAX.
+            Repr::Heap { .. } => None,
+        }
+    }
+
     /// Reference limb-path comparison used by differential tests.
     #[doc(hidden)]
     pub fn limb_cmp(&self, other: &BigInt) -> Ordering {
@@ -1328,6 +1338,9 @@ mod tests {
         assert_eq!(BigInt::from(u64::MAX).to_u64(), Some(u64::MAX));
         assert_eq!((&BigInt::from(u64::MAX) + &BigInt::one()).to_u64(), None);
         assert_eq!(big(-1).to_u64(), None);
+        assert_eq!(big(i128::MAX).to_i128(), Some(i128::MAX));
+        assert_eq!(big(-i128::MAX).to_i128(), Some(-i128::MAX));
+        assert_eq!((&big(i128::MAX) + &BigInt::one()).to_i128(), None);
         let v = big(1i128 << 80);
         assert!((v.to_f64() - 2f64.powi(80)).abs() < 1e60);
         assert_eq!(big(-42).to_f64(), -42.0);
@@ -1367,6 +1380,7 @@ mod tests {
         assert_eq!(&min + &BigInt::one(), BigInt::from(i128::MIN + 1));
         assert!(BigInt::from(i128::MIN + 1).is_inline());
         assert_eq!(min.to_i64(), None);
+        assert_eq!(min.to_i128(), None);
         // Parsing produces the same (heap) canonical value.
         let parsed: BigInt = "-170141183460469231731687303715884105728".parse().unwrap();
         assert_eq!(parsed, min);

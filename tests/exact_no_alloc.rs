@@ -1,14 +1,15 @@
 //! The exact probability engine allocates nothing while its integers
 //! stay in the `Small` tier: `probability` and `probability_with` on a
-//! `BigRational` instance, and a fixing step's bucketed pass once the
-//! fixer's buffers are warm, are counted by a global allocator that
-//! tallies the calling thread's allocations.
+//! `BigRational` instance, up to events whose `Π lcd` sits just under
+//! `i128::MAX`, and a fixing step's bucketed pass once the fixer's
+//! buffers are warm, are counted by a global allocator that tallies the
+//! calling thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lll_core::{Fixer2, Instance, InstanceBuilder, PartialAssignment};
-use lll_numeric::BigRational;
+use lll_numeric::{BigInt, BigRational};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -101,6 +102,88 @@ fn exact_probabilities_on_small_values_allocate_nothing() {
     // The counter sees this thread's allocations.
     let (n, _) = allocations(|| vec![0u8; 16]);
     assert_eq!(n, 1);
+}
+
+/// `Pr[X = 0] = 1/d`, `Pr[X = 1] = (d − 1)/d`: `lcd = d`, and value 1
+/// weighs almost all of it.
+fn skewed_coin(d: u128) -> Vec<BigRational> {
+    let d = BigInt::from(d);
+    let rest = &d - &BigInt::one();
+    vec![
+        BigRational::new(BigInt::one(), d.clone()),
+        BigRational::new(rest, d),
+    ]
+}
+
+/// `Σ Π p` over the occurring tuples of `support`, in rationals: the
+/// fold the integer engine must agree with.
+fn rational_fold(
+    inst: &Instance<BigRational>,
+    support: &[usize],
+    occurs: impl Fn(&[usize]) -> bool,
+) -> BigRational {
+    let mut values = vec![0; support.len()];
+    let mut total = BigRational::zero();
+    loop {
+        if occurs(&values) {
+            let mut w = BigRational::one();
+            for (&x, &y) in support.iter().zip(&values) {
+                w = &w * inst.variable(x).prob(y);
+            }
+            total = &total + &w;
+        }
+        let Some(i) = (0..values.len()).find(|&i| values[i] + 1 < 2) else {
+            return total;
+        };
+        values[i] += 1;
+        values[..i].fill(0);
+    }
+}
+
+/// Event 0 is certified by a hair: its `Π lcd` is
+/// `(2^63 − 25)·(2^64 − 59)`, just under `i128::MAX`, and the tuple it
+/// counts weighs almost all of it. Its probabilities stay in machine
+/// words and allocate nothing. Event 1's `Π lcd` is past `2^128`: its
+/// enumeration takes the `BigInt` fallback, which may allocate but
+/// equals the rational fold.
+#[test]
+fn certificate_boundary_events() {
+    let mut b = InstanceBuilder::<BigRational>::new(2);
+    let (d0, d1) = ((1u128 << 63) - 25, (1u128 << 64) - 59);
+    assert!(d0.checked_mul(d1).is_some_and(|p| p <= i128::MAX as u128));
+    let u = b.add_variable(&[0], skewed_coin(d0));
+    let v = b.add_variable(&[0], skewed_coin(d1));
+    let w = b.add_variable(&[1], skewed_coin((1 << 64) + 13));
+    let z = b.add_variable(&[1], skewed_coin((1 << 64) + 1));
+    b.set_event_predicate(0, move |vals| vals[u] == 1 && vals[v] == 1);
+    b.set_event_predicate(1, move |vals| vals[w] + vals[z] >= 1);
+    let inst = b.build().unwrap();
+    let empty = PartialAssignment::new(inst.num_variables());
+    let mut partial = empty.clone();
+    partial.fix(u, 1);
+
+    for p in [&empty, &partial] {
+        let (n, pr) = allocations(|| inst.probability(0, p));
+        assert_eq!(n, 0, "certified probability {pr} allocated");
+        for value in 0..2 {
+            let (n, pr) = allocations(|| inst.probability_with(0, p, v, value));
+            assert_eq!(
+                n, 0,
+                "certified probability_with(v = {value}) = {pr} allocated"
+            );
+        }
+    }
+    let want = rational_fold(&inst, &[u, v], |t| t == [1, 1]);
+    assert_eq!(inst.probability(0, &empty), want);
+    assert!(want.numer().is_inline() && want.denom().is_inline());
+
+    let want = rational_fold(&inst, &[w, z], |t| t[0] + t[1] >= 1);
+    assert!(
+        !want.denom().is_inline(),
+        "event 1's denominator is past i128"
+    );
+    assert_eq!(inst.probability(1, &empty), want);
+    assert_eq!(inst.unconditional_probability(1), want);
 }
 
 /// A `Fixer2` step walks each touched event once into buffers the fixer

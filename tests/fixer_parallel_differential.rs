@@ -10,7 +10,9 @@
 //! Each family runs through `dist::run` plain, recorded (byte-identity
 //! via in-memory `JsonlRecorder<Vec<u8>>` streams), and audited
 //! (verdicts — including the exact `PStarViolated` error under an
-//! impossible bound — must match the sequential ones). The sequential
+//! impossible bound — must match the sequential ones). One rank-2 and
+//! one rank-3 family also run exactly on `BigRational`, audited with
+//! zero tolerance, recorded and byte-compared. The sequential
 //! fixers' audited `run_with` is also held to the same stream with and
 //! without a timing sink.
 //!
@@ -23,6 +25,7 @@ use sharp_lll::core::dist::{self, DistError, DistReport, Schedule, ScheduleKind,
 use sharp_lll::core::{FixReport, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, random_3_uniform, random_regular, ring, torus};
 use sharp_lll::graphs::{Graph, Hypergraph};
+use sharp_lll::numeric::{BigRational, Num};
 use sharp_lll::obs::{
     JsonlRecorder, NullRecorder, NullTiming, Recorder, TimingRecorder, TimingScope,
 };
@@ -47,9 +50,9 @@ fn thread_counts() -> Vec<usize> {
 /// edge affecting its two endpoint events; the bad event at a node is
 /// "every incident edge drew 0" (probability `k^-deg`, so `k = 3`
 /// stays below `2^-d` up to degree 4).
-fn rank2_instance(g: &Graph, k: usize) -> Instance<f64> {
+fn rank2_instance<T: Num>(g: &Graph, k: usize) -> Instance<T> {
     let n = g.num_nodes();
-    let mut b = InstanceBuilder::<f64>::new(n);
+    let mut b = InstanceBuilder::<T>::new(n);
     let mut incident: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &(u, v) in g.edges() {
         let x = b.add_uniform_variable(&[u, v], k);
@@ -66,9 +69,9 @@ fn rank2_instance(g: &Graph, k: usize) -> Instance<f64> {
 /// Rank-3 instance on a 3-uniform hypergraph: one `k`-valued variable
 /// per hyperedge affecting its nodes; the bad event at a node is
 /// "every incident hyperedge drew 0" (probability `k^-deg`).
-fn rank3_instance(h: &Hypergraph, k: usize) -> Instance<f64> {
+fn rank3_instance<T: Num>(h: &Hypergraph, k: usize) -> Instance<T> {
     let n = h.num_nodes();
-    let mut b = InstanceBuilder::<f64>::new(n);
+    let mut b = InstanceBuilder::<T>::new(n);
     let vars: Vec<usize> = (0..h.num_edges())
         .map(|e| b.add_uniform_variable(h.edge(e).nodes(), k))
         .collect();
@@ -168,12 +171,12 @@ fn record<R>(run: impl FnOnce(&mut JsonlRecorder<Vec<u8>>) -> R) -> (R, Vec<u8>)
 /// One seeded, enforced solve with the `kind` schedule colored on
 /// `threads` simulator workers and swept on as many, audited against
 /// `audit` when given, recorded into `rec`.
-fn solve<R: Recorder>(
-    inst: &Instance<f64>,
+fn solve<T: Num, R: Recorder>(
+    inst: &Instance<T>,
     kind: ScheduleKind,
     seed: u64,
     threads: usize,
-    audit: Option<(&f64, &f64)>,
+    audit: Option<(&T, &T)>,
     rec: &mut R,
 ) -> Result<DistReport, DistError> {
     let g = inst.dependency_graph();
@@ -247,6 +250,39 @@ fn audited_recorded_sweeps_are_byte_identical() {
         });
         assert_reports_agree(&tag, threads, &seq, &par);
         assert_streams_identical(&tag, threads, &seq_bytes, &par_bytes);
+    }
+}
+
+#[test]
+fn exact_audited_recorded_sweeps_are_byte_identical() {
+    // On `BigRational` with zero tolerance, the audit checks `P*` exactly
+    // after every step, and the rank-3 steps decompose exactly; the
+    // recorded stream and the assignment must not depend on the worker
+    // count.
+    let cases = [
+        (
+            "exact fixer2 on ring(64)",
+            ScheduleKind::Edge,
+            rank2_instance::<BigRational>(&ring(64), 3),
+        ),
+        (
+            "exact fixer3 on hyper_ring(48)",
+            ScheduleKind::Distance2,
+            rank3_instance::<BigRational>(&hyper_ring(48), 3),
+        ),
+    ];
+    for (tag, kind, inst) in cases {
+        let (p, zero) = (inst.max_event_probability(), BigRational::zero());
+        let audit = Some((&p, &zero));
+        let (seq, seq_bytes) =
+            record(|rec| solve(&inst, kind, 5, 1, audit, rec).expect("P* holds exactly"));
+        assert!(seq.fix.is_success(), "{tag} reference run succeeds");
+        for threads in thread_counts() {
+            let (par, par_bytes) =
+                record(|rec| solve(&inst, kind, 5, threads, audit, rec).expect("P* holds exactly"));
+            assert_reports_agree(tag, threads, &seq, &par);
+            assert_streams_identical(tag, threads, &seq_bytes, &par_bytes);
+        }
     }
 }
 
