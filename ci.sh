@@ -92,21 +92,27 @@ tmp_ckpt="$(mktemp -d)"
 # Uninterrupted reference, then the same run aborted mid-stream (the
 # kill switch calls abort() after the 100th event — no flush, no
 # destructors, exactly a crash) and resumed in place at a different
-# worker count. The resumed file must be byte-identical to the
-# reference, and the offline verifier must agree the (prefix,
-# checkpoint, continuation) triple is coherent. The first build above
-# covers the root package only, so build the `ckpt` binary here.
+# worker count, in both directions: killed at 1 worker and resumed at
+# 4, then killed at 4 and resumed at 1 (the resume re-executes the
+# sharded prefix classes on one worker). Each resumed file must be
+# byte-identical to the reference, and the offline verifier must agree
+# the (prefix, checkpoint, continuation) triple is coherent. The first
+# build above covers the root package only, so build the `ckpt` binary
+# here.
 cargo build --release -q -p lll-bench --bin ckpt
 ./target/release/ckpt run --out "$tmp_ckpt/ref.jsonl" --n 256 --interval 8
-rc=0
-./target/release/ckpt run --out "$tmp_ckpt/killed.jsonl" --n 256 --interval 8 \
-  --kill-after-events 100 2>/dev/null || rc=$?
-test "$rc" -eq 134 # SIGABRT: the run really died mid-stream
-cp "$tmp_ckpt/killed.jsonl" "$tmp_ckpt/prefix.jsonl"
-./target/release/ckpt resume --out "$tmp_ckpt/killed.jsonl" --n 256 --interval 8 --threads 4
-cmp "$tmp_ckpt/ref.jsonl" "$tmp_ckpt/killed.jsonl"
-cargo run --release -q -p lll-obs --bin obs-report -- \
-  resume-check "$tmp_ckpt/prefix.jsonl" "$tmp_ckpt/killed.jsonl"
+for pair in 1:4 4:1; do
+  kill_t="${pair%:*}" resume_t="${pair#*:}"
+  rc=0
+  ./target/release/ckpt run --out "$tmp_ckpt/killed.jsonl" --n 256 --interval 8 \
+    --threads "$kill_t" --kill-after-events 100 2>/dev/null || rc=$?
+  test "$rc" -eq 134 # SIGABRT: the run really died mid-stream
+  cp "$tmp_ckpt/killed.jsonl" "$tmp_ckpt/prefix.jsonl"
+  ./target/release/ckpt resume --out "$tmp_ckpt/killed.jsonl" --n 256 --interval 8 --threads "$resume_t"
+  cmp "$tmp_ckpt/ref.jsonl" "$tmp_ckpt/killed.jsonl"
+  cargo run --release -q -p lll-obs --bin obs-report -- \
+    resume-check "$tmp_ckpt/prefix.jsonl" "$tmp_ckpt/killed.jsonl"
+done
 rm -rf "$tmp_ckpt"
 # E20: checkpointing is gated on counts, not wall clock. For every
 # numeric cadence N the checkpointed stream must carry exactly

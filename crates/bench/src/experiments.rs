@@ -1786,8 +1786,9 @@ pub struct ResumeWallClockRow {
     pub mode: String,
     /// Best-of-three wall-clock milliseconds.
     pub millis: f64,
-    /// Recorded steps covered by the timed portion (replayed steps
-    /// count for `"resumed"`: the fold is part of recovery).
+    /// Recorded steps covered by the timed portion (for `"resumed"`
+    /// the prefix counts too: folding and re-executing it is part of
+    /// recovery).
     pub steps: u64,
 }
 

@@ -185,54 +185,53 @@ fn recorded_resume_rejoins_byte_for_byte() {
     }
 }
 
-/// `audited` mode: the kill grid over an audited run. Interval 1 puts
-/// a sidecar after every fixing step, which forces the hardest
-/// boundary: a prefix ending exactly at a class boundary with that
-/// class's audit event still owed — the resumed run must rebuild the
-/// audit cache and emit the owed verdict before continuing.
+/// `audited` mode: the kill grid over an audited run, rank 2 on an edge
+/// schedule and rank 3 on a distance-2 schedule. Interval 1 puts a
+/// sidecar after every fixing step, which forces the hardest boundary:
+/// a prefix ending exactly at a class boundary with that class's audit
+/// event still owed — the resumed run must emit the owed verdict before
+/// continuing.
 #[test]
 fn audited_resume_rebuilds_verdicts_byte_for_byte() {
     let g = ring(64);
-    let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    let p = inst.max_event_probability();
-    let schedule = Schedule::edge(inst.dependency_graph(), 5, 1).expect("coloring converges");
-    let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(1);
-    let audit = Some((&p, &1e-9));
-    let full = sweep(
-        &inst,
-        &schedule,
-        1,
-        audit,
-        ResumeCursor::default(),
-        &mut rec,
-    );
-    let bytes = rec.finish().expect("in-memory writer never fails");
-    let checkpoints = checkpoints_in(&bytes);
-    assert!(
-        checkpoints.len() >= 3,
-        "want a kill grid, got {checkpoints:?}"
-    );
-    for (k, ck) in checkpoints.iter().enumerate() {
-        let prefix = &bytes[..ck.resume_offset() as usize];
-        let state = fold_prefix(prefix);
-        let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
-        for t in THREADS {
-            let mut tail = JsonlRecorder::resumed(Vec::new(), 1, ck);
-            let resumed = sweep(&inst, &schedule, t, audit, cursor, &mut tail);
-            assert_rejoined(
-                prefix,
-                &tail.finish().expect("in-memory writer never fails"),
-                &bytes,
-                &format!(
-                    "audited kill at checkpoint {k} (step {}), threads {t}",
-                    ck.step
-                ),
-            );
-            assert_reports_agree(
-                &resumed,
-                &full,
-                &format!("audited checkpoint {k}, threads {t}"),
-            );
+    let inst2 = random_rank2_instance(&g, 8, 0.9, 7);
+    let sched2 = Schedule::edge(inst2.dependency_graph(), 5, 1).expect("coloring converges");
+    let h = hyper_ring(48);
+    let inst3 = random_rank3_instance(&h, 8, 0.9, 7);
+    let sched3 = Schedule::distance2(inst3.dependency_graph(), 7, 1).expect("coloring converges");
+    for (fixer, inst, schedule) in [("fixer2", &inst2, &sched2), ("fixer3", &inst3, &sched3)] {
+        let p = inst.max_event_probability();
+        let audit = Some((&p, &1e-9));
+        let mut rec = JsonlRecorder::new(Vec::new()).checkpoint_every(1);
+        let full = sweep(inst, schedule, 1, audit, ResumeCursor::default(), &mut rec);
+        let bytes = rec.finish().expect("in-memory writer never fails");
+        let checkpoints = checkpoints_in(&bytes);
+        assert!(
+            checkpoints.len() >= 3,
+            "want a kill grid, got {checkpoints:?}"
+        );
+        for (k, ck) in checkpoints.iter().enumerate() {
+            let prefix = &bytes[..ck.resume_offset() as usize];
+            let state = fold_prefix(prefix);
+            let cursor = ResumeCursor::from_run_state(&state).expect("prefix has a checkpoint");
+            for t in THREADS {
+                let mut tail = JsonlRecorder::resumed(Vec::new(), 1, ck);
+                let resumed = sweep(inst, schedule, t, audit, cursor, &mut tail);
+                assert_rejoined(
+                    prefix,
+                    &tail.finish().expect("in-memory writer never fails"),
+                    &bytes,
+                    &format!(
+                        "audited {fixer} kill at checkpoint {k} (step {}), threads {t}",
+                        ck.step
+                    ),
+                );
+                assert_reports_agree(
+                    &resumed,
+                    &full,
+                    &format!("audited {fixer} checkpoint {k}, threads {t}"),
+                );
+            }
         }
     }
 }

@@ -111,9 +111,13 @@ pub(crate) struct AuditDelta<T> {
 }
 
 /// Computes the [`AuditDelta`] for the given already-fixed variables
-/// against the given state — the union-of-`affects` analogue of
-/// [`IncrementalAuditor::reverify`], shared by the sequential and the
-/// sharded audit paths so their verdicts are identical by construction.
+/// against the given state — the one incremental update path: the
+/// sequential auditor ([`IncrementalAuditor::reverify`] and
+/// [`reverify_class`](IncrementalAuditor::reverify_class)) and the
+/// sharded sweep's workers all compute it, so their verdicts are
+/// identical by construction. A check fails exactly when
+/// [`audit_p_star`]'s does: when a value exceeds its bound (an `f64`
+/// NaN bound passes both).
 ///
 /// `post_probs` is the fixers' per-event conditional-probability cache:
 /// a `Some(p)` entry short-circuits the `Pr[v | partial]` enumeration.
@@ -148,8 +152,8 @@ pub(crate) fn audit_delta_for<T: Num>(
         for (i, &u) in touched.iter().enumerate() {
             for &v in &touched[i + 1..] {
                 if let Some(eid) = g.edge_id(u, v) {
-                    let ok = phi.pair_sum(eid) <= two.clone() + tol.clone();
-                    pairs.push((eid, ok));
+                    let over = phi.pair_sum(eid) > two.clone() + tol.clone();
+                    pairs.push((eid, !over));
                 }
             }
         }
@@ -160,8 +164,8 @@ pub(crate) fn audit_delta_for<T: Num>(
                 Some(Some(p)) => p.clone(),
                 _ => inst.probability(v, partial),
             };
-            let ok = pr <= bound + tol.clone();
-            probs.push((v, product, ok));
+            let over = pr > bound + tol.clone();
+            probs.push((v, product, !over));
         }
     }
     AuditDelta { pairs, probs }
@@ -262,7 +266,8 @@ impl<T: Num> IncrementalAuditor<T> {
     }
 
     /// Re-verifies `P*` after variable `x` was fixed, re-examining only
-    /// the events `affects(x)` and the dependency edges among them.
+    /// the events `affects(x)` and the dependency edges among them: the
+    /// one-variable [`reverify_class`](IncrementalAuditor::reverify_class).
     pub fn reverify(
         &mut self,
         inst: &Instance<T>,
@@ -270,20 +275,7 @@ impl<T: Num> IncrementalAuditor<T> {
         phi: &Phi<T>,
         x: usize,
     ) -> AuditReport {
-        let g = inst.dependency_graph();
-        let touched = inst.variable(x).affects();
-        for (i, &u) in touched.iter().enumerate() {
-            for &v in &touched[i + 1..] {
-                if let Some(eid) = g.edge_id(u, v) {
-                    self.recheck_pair(phi, eid);
-                }
-            }
-        }
-        for &v in touched {
-            self.products[v] = phi.product_at(g, v);
-            self.recheck_prob(v, &inst.probability(v, partial));
-        }
-        self.report()
+        self.reverify_class(inst, partial, phi, &[x])
     }
 
     /// Re-verifies `P*` after *all* variables of a scheduling class were
@@ -360,6 +352,31 @@ mod tests {
         b.set_event_predicate(1, move |vals| vals[x] == 0 && vals[y] == 0);
         b.set_event_predicate(2, move |vals| vals[y] == 0 && vals[z] == 0);
         b.build().unwrap()
+    }
+
+    /// A zero and an infinite φ entry at one node make its product, and
+    /// so its probability bound, NaN on `f64`: the incremental updates
+    /// still report what the full scan reports.
+    #[test]
+    fn incremental_updates_match_the_full_scan_on_a_nan_bound() {
+        let mut b = InstanceBuilder::<f64>::new(3);
+        let x = b.add_uniform_variable(&[0, 1], 4);
+        let y = b.add_uniform_variable(&[1, 2], 4);
+        b.set_event_predicate(0, move |v| v[x] == 0);
+        b.set_event_predicate(1, move |v| v[x] == 0 && v[y] == 0);
+        b.set_event_predicate(2, move |v| v[y] == 0);
+        let inst = b.build().unwrap();
+        let g = inst.dependency_graph();
+        let mut phi = Phi::ones(g);
+        phi.set(g.edge_id(0, 1).unwrap(), 1, 0.0).unwrap();
+        phi.set(g.edge_id(1, 2).unwrap(), 1, f64::INFINITY).unwrap();
+        let partial = PartialAssignment::new(2);
+        let p = inst.max_event_probability();
+        let full = audit_p_star(&inst, &partial, &phi, &p, &1e-9);
+        let mut auditor = IncrementalAuditor::new(&inst, &partial, &phi, &p, &1e-9);
+        assert_eq!(auditor.report(), full);
+        assert_eq!(auditor.reverify(&inst, &partial, &phi, x), full);
+        assert_eq!(auditor.reverify_class(&inst, &partial, &phi, &[x, y]), full);
     }
 
     #[test]

@@ -66,7 +66,10 @@ use lll_coloring::{distance2_coloring, edge_coloring};
 use lll_local::{PoolStats, SimError, Simulator};
 use lll_numeric::Num;
 use lll_obs::timing::{span_nanos, span_start};
-use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink};
+use lll_obs::{
+    BufRecorder, Event, NullRecorder, NullTiming, Recorder, SkipPrefixRecorder, TimingScope,
+    TimingSink,
+};
 
 use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
@@ -75,7 +78,7 @@ use crate::fixer::{audit_verdict, fix_run_start_event};
 use crate::instance::{max_probability, Instance};
 use crate::sweep::{with_class_pool, ClassFixer};
 use crate::triples::Phi;
-use crate::{FixReport, Fixer2, Fixer3};
+use crate::{FixReport, FixStepRecord, Fixer2, Fixer3};
 
 /// Whether to enforce the exponential criterion `p < 2^-d` before
 /// running (threshold experiments run the greedy process unchecked).
@@ -104,13 +107,13 @@ pub enum DistError {
         /// Slots the supplied schedule actually carries.
         found: usize,
     },
-    /// A resumed run's recorded step prefix contradicts the schedule it
-    /// is replayed against — wrong schedule or instance, a prefix from a
-    /// different driver, or corrupt audit accounting. The resumed
-    /// drivers fail loudly rather than continue a stream they could not
-    /// reproduce byte for byte.
+    /// A resumed run's recorded step prefix contradicts the steps the
+    /// re-executed sweep takes — wrong schedule or instance, a prefix
+    /// from a different driver, a tampered step, or corrupt audit
+    /// accounting. The resumed drivers fail loudly rather than continue
+    /// a stream they could not reproduce byte for byte.
     ResumeMismatch {
-        /// Index into the recorded step prefix at which replay failed
+        /// Index into the recorded step prefix at which the check failed
         /// (`prefix.len()` for end-of-prefix accounting failures).
         at: usize,
         /// What the schedule expected at that point.
@@ -310,10 +313,12 @@ impl Schedule {
 /// sidecar, plus the stream accounting the resumed drivers need to
 /// continue the event stream byte for byte.
 ///
-/// The fixers are pure functions of their applied step sequence, so the
-/// prefix alone determines the mid-run state exactly; the counters
-/// determine which bracketing/audit events the prefix already contains
-/// (and therefore must *not* be re-emitted). Build one from a folded
+/// The sweep is a pure function of the instance and the schedule, so a
+/// resumed [`run`] re-executes it from the start, checks every step it
+/// takes inside the prefix against the recorded one, and drops the
+/// events the prefix already holds; the counters determine which
+/// bracketing/audit events those are (and therefore must *not* be
+/// re-emitted). Build one from a folded
 /// [`RunState`](lll_obs::replay::RunState) via
 /// [`ResumeCursor::from_run_state`], or assemble the parts manually.
 /// The [`Default`] cursor is empty: a fresh start.
@@ -325,7 +330,7 @@ pub struct ResumeCursor<'a> {
 }
 
 impl<'a> ResumeCursor<'a> {
-    /// A cursor from raw parts: the step prefix to replay, the number of
+    /// A cursor from raw parts: the recorded step prefix, the number of
     /// audit events the prefix already contains, and whether the prefix
     /// contains the run's `fix_run_start` bracket (it does whenever the
     /// checkpoint landed inside the fixing run).
@@ -357,7 +362,7 @@ impl<'a> ResumeCursor<'a> {
         })
     }
 
-    /// The recorded step prefix this cursor replays.
+    /// The recorded step prefix a resumed run re-executes.
     pub fn steps(&self) -> &'a [(u64, u64)] {
         self.steps
     }
@@ -371,117 +376,11 @@ fn resume_mismatch(at: usize, expected: impl Into<String>, found: impl Into<Stri
     }
 }
 
-/// The replay phase of a resumed sweep: walks the recorded step prefix
-/// through the schedule's class order, verifying each recorded step
-/// against the variable the schedule puts there, and hands the run over
-/// to live execution at the exact step where the prefix ends.
-struct ReplayPhase<'a> {
-    steps: &'a [(u64, u64)],
-    pos: usize,
-    /// Audit events the prefix already contains.
-    audits: u64,
-    /// Non-empty classes fully replayed so far.
-    classes_replayed: u64,
-}
-
-impl ReplayPhase<'_> {
-    /// Replays one scheduled class from the prefix. Returns `false`
-    /// while the prefix extends beyond the class (the class was fully
-    /// replayed, nothing live happened) and `true` once the prefix is
-    /// exhausted — at the class boundary or inside the class, in which
-    /// case the in-class remainder has been fixed live (sequentially:
-    /// identical event order to the shard-merged emission), the
-    /// boundary audit emitted, and `auditor` rebuilt for the remaining
-    /// classes.
-    ///
-    /// Rebuilding the auditor by a full scan is sound because the
-    /// incremental cache is a pure function of `(partial, φ)` — see
-    /// [`ClassFixer::fresh_auditor`]. The boundary class's audit
-    /// verdict therefore equals the uninterrupted run's, whose cache
-    /// described the same state.
-    fn replay_class<T: Num, F: ClassFixer<T>, R: Recorder>(
-        &mut self,
-        inst: &Instance<T>,
-        fixer: &mut F,
-        class_vars: &[usize],
-        audit: Option<(&T, &T)>,
-        auditor: &mut Option<IncrementalAuditor<T>>,
-        rec: &mut R,
-    ) -> Result<bool, DistError> {
-        let take = (self.steps.len() - self.pos).min(class_vars.len());
-        for &x in &class_vars[..take] {
-            let (rx, ry) = self.steps[self.pos];
-            if rx != x as u64 {
-                return Err(resume_mismatch(
-                    self.pos,
-                    format!("variable {x} (schedule order)"),
-                    format!("variable {rx}"),
-                ));
-            }
-            let k = inst.variable(x).num_values();
-            if ry >= k as u64 {
-                return Err(resume_mismatch(
-                    self.pos,
-                    format!("a value below {k} for variable {x}"),
-                    format!("value {ry}"),
-                ));
-            }
-            fixer.replay(x, ry as usize).map_err(DistError::Fixer)?;
-            self.pos += 1;
-        }
-        let boundary_exact = take == class_vars.len();
-        if boundary_exact {
-            self.classes_replayed += 1;
-            if self.pos < self.steps.len() {
-                return Ok(false);
-            }
-        } else {
-            // The prefix ends inside this class: the rest of the class
-            // runs live. Sequential cell order equals the sharded
-            // drivers' static merge order, so the continued stream
-            // stays byte-identical at every thread count.
-            fixer
-                .fix_cell(&class_vars[take..], rec)
-                .map_err(DistError::Fixer)?;
-        }
-        if let Some((p_bound, tol)) = audit {
-            let rebuilt = fixer.fresh_auditor(p_bound, tol);
-            // Every class up to this one owes its audit event once its
-            // last step ran. Checkpoints land only after event lines,
-            // and the class audit event follows the class's last
-            // fix_step — so a prefix ending exactly at a class boundary
-            // may or may not contain that class's audit event, while
-            // one ending inside the class cannot.
-            let finished = self.classes_replayed + u64::from(!boundary_exact);
-            let pending = self.audits + 1 == finished;
-            let emitted = boundary_exact && self.audits == finished;
-            if !(pending || emitted) {
-                let owed = finished - 1;
-                let expected = if boundary_exact {
-                    format!("{owed} or {finished} audit events")
-                } else {
-                    format!("{owed} audit events")
-                };
-                let found = format!("{} audit events", self.audits);
-                return Err(resume_mismatch(self.pos, expected, found));
-            }
-            if pending {
-                class_verdict(&rebuilt, fixer, class_vars, rec)?;
-            }
-            *auditor = Some(rebuilt);
-        }
-        Ok(true)
-    }
-}
-
-/// Sets up the replay phase of a sweep: validates the cursor's
-/// accounting against the sweep's mode and decides whether the
-/// `fix_run_start` bracket must still be emitted. Returns
-/// `(replay, emit_fix_run_start)`; the empty cursor is a fresh start.
-fn begin_replay<'a>(
-    cursor: &ResumeCursor<'a>,
-    audited: bool,
-) -> Result<(Option<ReplayPhase<'a>>, bool), DistError> {
+/// Checks a resume cursor's accounting against the sweep's mode and
+/// decides whether the `fix_run_start` bracket must still be emitted
+/// (`true` unless the prefix holds it); the empty cursor is a fresh
+/// start.
+fn begin_resume(cursor: &ResumeCursor<'_>, audited: bool) -> Result<bool, DistError> {
     if !audited && cursor.audits != 0 {
         return Err(resume_mismatch(
             cursor.steps.len(),
@@ -502,13 +401,72 @@ fn begin_replay<'a>(
             ),
         ));
     }
-    let replay = (!cursor.steps.is_empty()).then_some(ReplayPhase {
-        steps: cursor.steps,
-        pos: 0,
-        audits: cursor.audits,
-        classes_replayed: 0,
-    });
-    Ok((replay, !cursor.fix_run_started))
+    Ok(!cursor.fix_run_started)
+}
+
+/// Checks the steps a resumed run took from position `start` on against
+/// the recorded prefix, as far as both reach: each recorded step must
+/// name the variable the run fixed there, with a value in its domain
+/// and equal to the value the run chose.
+fn check_prefix<T: Num>(
+    inst: &Instance<T>,
+    recorded: &[(u64, u64)],
+    taken: &[FixStepRecord],
+    start: usize,
+) -> Result<(), DistError> {
+    for (at, (&(rx, ry), step)) in recorded.iter().zip(taken).enumerate().skip(start) {
+        let x = step.variable;
+        if rx != x as u64 {
+            return Err(resume_mismatch(
+                at,
+                format!("variable {x} (schedule order)"),
+                format!("variable {rx}"),
+            ));
+        }
+        let k = inst.variable(x).num_values();
+        if ry >= k as u64 {
+            return Err(resume_mismatch(
+                at,
+                format!("a value below {k} for variable {x}"),
+                format!("value {ry}"),
+            ));
+        }
+        if ry != step.value as u64 {
+            return Err(resume_mismatch(
+                at,
+                format!("value {} for variable {x}", step.value),
+                format!("value {ry}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Whether the class that holds the end of a resumed run's prefix (the
+/// `finished`-th non-empty class) still owes its audit event. Every
+/// earlier class's audit event is in the prefix. Checkpoints land only
+/// after event lines, and a class's audit event follows its last
+/// `fix_step`, so a prefix ending exactly at the class's end (`exact`)
+/// may or may not hold that class's event, while one ending inside the
+/// class cannot.
+fn boundary_verdict_owed(
+    cursor: &ResumeCursor<'_>,
+    finished: u64,
+    exact: bool,
+) -> Result<bool, DistError> {
+    let pending = cursor.audits + 1 == finished;
+    let emitted = exact && cursor.audits == finished;
+    if pending || emitted {
+        return Ok(pending);
+    }
+    let owed = finished - 1;
+    let expected = if exact {
+        format!("{owed} or {finished} audit events")
+    } else {
+        format!("{owed} audit events")
+    };
+    let found = format!("{} audit events", cursor.audits);
+    Err(resume_mismatch(cursor.steps.len(), expected, found))
 }
 
 /// The options of a [`run`] besides the instance, the schedule and the
@@ -544,16 +502,17 @@ pub struct Sweep<'a, T> {
     /// with the class's last step and variable.
     pub audit: Option<(&'a T, &'a T)>,
     /// Where to pick a recorded run back up; the empty default cursor
-    /// is a fresh start. A non-empty cursor replays its step prefix
-    /// through the schedule (verifying every recorded step against the
-    /// variable the schedule puts there) and continues live from the
-    /// exact step where the prefix ends: the events written to the
-    /// recorder are the uninterrupted run's stream minus the prefix, at
-    /// every `threads` count (DESIGN.md §3.12), and the report bills the
-    /// whole logical run. Audit events the prefix already contains are
-    /// not re-emitted; the audit cache is rebuilt by a full scan at the
-    /// live boundary, which equals the cache the uninterrupted run
-    /// carried there.
+    /// is a fresh start. A non-empty cursor re-executes the sweep from
+    /// the start, checks every step the run takes inside the prefix
+    /// against the recorded step (variable and value), and drops the
+    /// events the prefix already holds: classes inside the prefix run
+    /// unrecorded, and the class the prefix ends in is buffered and
+    /// forwarded through a [`SkipPrefixRecorder`]. The events written to
+    /// the recorder are the uninterrupted run's stream minus the prefix,
+    /// at every `threads` count (DESIGN.md §3.12), and the report bills
+    /// the whole logical run. Audit events the prefix already contains
+    /// are not re-emitted; the auditor runs from the fresh-start seed,
+    /// as in the uninterrupted run.
     pub resume: ResumeCursor<'a>,
 }
 
@@ -687,8 +646,10 @@ fn expect_slots(schedule: &Schedule, expected: usize) -> Result<(), DistError> {
 }
 
 /// The sweep behind [`run`], for either fixer: checks the criterion,
-/// builds the classes, then fixes (or, while a resume prefix lasts,
-/// replays) them in order.
+/// builds the classes, then fixes them in order. A resumed sweep runs
+/// the same classes from the start: a class that re-executes steps of
+/// the cursor's prefix is checked against it before any of its events
+/// go on, and only the events past the prefix do.
 fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     inst: &Instance<T>,
     mut fixer: F,
@@ -702,18 +663,15 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     let mut classes = classes(inst, schedule)?;
     let warmup_classes = classes.len() - schedule.palette();
     let audit = sweep.audit;
+    let cursor = &sweep.resume;
+    let prefix = cursor.steps;
 
-    let (mut replay, emit_start) = begin_replay(&sweep.resume, audit.is_some())?;
+    let emit_start = begin_resume(cursor, audit.is_some())?;
     if R::ENABLED && emit_start {
         rec.record(&fix_run_start_event(inst));
     }
-    let mut auditor = if replay.is_some() {
-        // Rebuilt at the live boundary (see ReplayPhase::replay_class);
-        // scanning here would describe pre-replay state.
-        None
-    } else {
-        fresh_start_auditor(inst, fixer.phi(), initial_probs, audit)
-    };
+    let mut auditor = fresh_start_auditor(inst, fixer.phi(), initial_probs, audit);
+    let mut classes_run = 0u64;
 
     let run_started = span_start::<S>();
     // The pool's mailboxes borrow each class's cells, so the classes
@@ -727,9 +685,7 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
             // sits in the cell of every event it affects; the first class
             // to reach it fixes it). Membership is stable while the class
             // runs — the witness above guarantees no other cell of the
-            // class touches these events — and replayed steps update the
-            // partial assignment exactly like live ones, so each class
-            // sees the membership the uninterrupted run saw.
+            // class touches these events.
             for cell in cells.iter_mut() {
                 cell.retain(|&x| fixer.partial().get(x).is_none());
             }
@@ -739,14 +695,41 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
             }
             let cells: &Vec<Vec<usize>> = cells;
             let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
-            if let Some(rp) = replay.as_mut() {
-                if rp.replay_class(inst, &mut fixer, &class_vars, audit, &mut auditor, rec)? {
-                    replay = None;
-                }
-                continue;
+            classes_run += 1;
+            let start = fixer.steps_done();
+            if start >= prefix.len() {
+                let deltas = pool.fix_class(&mut fixer, cells, rec)?;
+                audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
+            } else {
+                // The class re-executes recorded steps. A class inside
+                // the prefix runs unrecorded: the prefix holds its
+                // events. The class the prefix ends in runs into a
+                // buffer that goes on only once its steps matched the
+                // prefix, minus the part the prefix holds.
+                let end = start + class_vars.len();
+                let boundary = prefix.len() <= end;
+                let mut buf = BufRecorder::new();
+                let fixed = if R::ENABLED && boundary {
+                    pool.fix_class(&mut fixer, cells, &mut buf)
+                } else {
+                    pool.fix_class(&mut fixer, cells, &mut NullRecorder)
+                };
+                check_prefix(inst, prefix, fixer.steps(), start)?;
+                let owed = boundary
+                    && audit.is_some()
+                    && boundary_verdict_owed(cursor, classes_run, prefix.len() == end)?;
+                let verdict = fixed.and_then(|deltas| {
+                    if owed {
+                        audit_class(&mut auditor, &deltas, &fixer, &class_vars, &mut buf)
+                    } else {
+                        let mut in_prefix = NullRecorder;
+                        audit_class(&mut auditor, &deltas, &fixer, &class_vars, &mut in_prefix)
+                    }
+                });
+                let held = (prefix.len() - start) as u64;
+                buf.replay_into(&mut SkipPrefixRecorder::new(rec, held));
+                verdict?;
             }
-            let deltas = pool.fix_class(&mut fixer, cells, rec)?;
-            audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
             if S::ENABLED {
                 sink.record_span(TimingScope::FixClass, span_nanos(class_started));
             }
@@ -757,14 +740,12 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     if S::ENABLED {
         sink.record_span(TimingScope::FixRun, span_nanos(run_started));
     }
-    if let Some(rp) = replay {
+    let ran = fixer.steps_done();
+    if ran < prefix.len() {
         return Err(resume_mismatch(
-            rp.pos,
+            ran,
             "end of the schedule",
-            format!(
-                "{} recorded steps beyond the schedule",
-                rp.steps.len() - rp.pos
-            ),
+            format!("{} recorded steps beyond the schedule", prefix.len() - ran),
         ));
     }
 
@@ -804,9 +785,9 @@ fn check_criterion<T: Num>(
     Ok(Some(probs))
 }
 
-/// The auditor of an audited run that starts fresh (no replay), seeded
-/// from the criterion check's probabilities when it ran. Nothing is
-/// fixed yet, so `Pr[v | partial]` is the unconditional probability
+/// The auditor of an audited run, fresh or resumed (both start from
+/// the empty assignment), seeded from the criterion check's
+/// probabilities when it ran. Nothing is fixed yet, so `Pr[v | partial]` is the unconditional probability
 /// computed by the identical enumeration — the seeded auditor equals
 /// [`IncrementalAuditor::new`]'s full scan bit for bit.
 fn fresh_start_auditor<T: Num>(
@@ -1492,11 +1473,102 @@ mod tests {
     }
 
     #[test]
+    fn a_tampered_step_inside_a_sharded_class_records_nothing() {
+        // The prefix ends inside a class of many cells, after a step
+        // whose recorded value was changed: the class's later steps are
+        // past the prefix, so their events would reach the recorder if
+        // the class were forwarded before its steps were checked.
+        let inst = ring_instance(64, 3);
+        let sched = edge(&inst, 5, 1);
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+        run(&inst, &sched, &Sweep::default(), &mut rec, &mut NullTiming).unwrap();
+        let honest = fold(&rec.finish().unwrap()).steps().to_vec();
+        // One variable per ring edge, so a class is a run of steps of
+        // one edge color.
+        let g = inst.dependency_graph();
+        let color = |&(x, _): &(u64, u64)| match *inst.variable(x as usize).affects() {
+            [u, v] => sched.colors()[g.edge_id(u, v).unwrap()],
+            _ => unreachable!("ring variables have rank 2"),
+        };
+        let (mut start, mut len) = (0, 0);
+        let mut i = 0;
+        while i < honest.len() {
+            let j = i + honest[i..]
+                .iter()
+                .take_while(|s| color(s) == color(&honest[i]))
+                .count();
+            if j - i > len {
+                (start, len) = (i, j - i);
+            }
+            i = j;
+        }
+        assert!(len >= 8, "the widest class has {len} cells");
+        let tampered = start + len / 2;
+        let mut steps = honest.clone();
+        steps[tampered].1 = (steps[tampered].1 + 1) % 3;
+        let end = start + len - 1;
+        for t in [2usize, 8] {
+            for (prefix, ok) in [(&honest[..end], true), (&steps[..end], false)] {
+                let sweep = Sweep {
+                    threads: t,
+                    resume: ResumeCursor::new(prefix, 0, true),
+                    ..Sweep::default()
+                };
+                let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+                let result = run(&inst, &sched, &sweep, &mut rec, &mut NullTiming);
+                let bytes = rec.finish().unwrap();
+                if ok {
+                    assert!(result.is_ok() && !bytes.is_empty(), "threads {t}");
+                    continue;
+                }
+                match result {
+                    Err(DistError::ResumeMismatch { at, .. }) => assert_eq!(at, tampered),
+                    other => panic!("threads {t}: expected a mismatch, got {other:?}"),
+                }
+                assert!(
+                    bytes.is_empty(),
+                    "threads {t}: the tampered class was recorded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefix_ending_at_a_class_boundary_records_the_verdict_once() {
+        // A prefix that ends with a class's last step may stop before
+        // or after that class's audit event: the resumed run records
+        // the verdict only in the first case.
+        let inst = ring_instance(32, 3);
+        let sched = edge(&inst, 5, 1);
+        let p = inst.max_event_probability();
+        let (bytes, _) = recorded(&inst, &sched, &audited(1, &p, &1e-9));
+        let text = std::str::from_utf8(&bytes).unwrap();
+        let steps = fold(&bytes).steps().to_vec();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let verdict = lines
+            .iter()
+            .position(|l| l.contains("\"audit_pass\""))
+            .unwrap();
+        let k = lines[..verdict]
+            .iter()
+            .filter(|l| l.contains("\"fix_step\""))
+            .count();
+        for (audits, from) in [(0, verdict), (1, verdict + 1)] {
+            let sweep = Sweep {
+                resume: ResumeCursor::new(&steps[..k], audits, true),
+                ..audited(2, &p, &1e-9)
+            };
+            let (tail, _) = recorded(&inst, &sched, &sweep);
+            assert_eq!(tail, lines[from..].concat().as_bytes(), "{audits} audits");
+        }
+    }
+
+    #[test]
     fn contradictory_resume_cursors_are_rejected() {
         // Steps and audit events follow `fix_run_start` in every
         // stream, so a cursor claiming either without the bracket
         // cannot be continued: the sweep would emit the bracket after
-        // the replayed prefix.
+        // the recorded prefix.
         let inst = ring_instance(16, 3);
         let sched = edge(&inst, 5, 1);
         let p = inst.max_event_probability();

@@ -50,8 +50,8 @@ pub struct Fixer<'i, T, const R: usize> {
     /// `fix_step` events carry run-global step numbers).
     step_base: usize,
     steps: Vec<FixStepRecord>,
-    /// `Pr[v | partial]` per event, refreshed whenever a *live* fixing
-    /// step touches `v` — the value-selection loop already computes the
+    /// `Pr[v | partial]` per event, refreshed whenever a fixing step
+    /// touches `v` — the value-selection loop already computes the
     /// winner's conditional probability, so stashing it here lets
     /// [`audit_delta`](crate::sweep::ClassFixer::audit_delta) skip the
     /// re-enumeration. Entries are meaningful only for events touched by
@@ -195,7 +195,12 @@ impl<'i, T: Num, const R: usize> Fixer<'i, T, R> {
         rec: &mut Rec,
     ) -> Result<usize, FixerError> {
         assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        let choice = self.step(x, None)?;
+        // A step takes the rank-3 `S_rep` step or the rank ≤ 2 step by
+        // the variable's rank (see the rank modules).
+        let choice = match *self.inst.variable(x).affects() {
+            [u, v, w] => self.fix_rank3(x, (u, v, w)),
+            _ => self.fix_rank_le2(x),
+        }?;
         if Rec::ENABLED {
             rec.record(&fix_step_event(
                 self.inst,
@@ -206,45 +211,12 @@ impl<'i, T: Num, const R: usize> Fixer<'i, T, R> {
                 |i, ev| recorded_inc(&self.by_value[i], &self.post_probs[ev]),
             ));
         }
-        self.push(x, choice);
+        self.partial.fix(x, choice);
+        self.steps.push(FixStepRecord {
+            variable: x,
+            value: choice,
+        });
         Ok(choice)
-    }
-
-    /// Replays a recorded fixing step: fixes variable `x` to the value
-    /// `y` a previous run chose, applying exactly the φ updates
-    /// [`fix_variable`](Fixer::fix_variable) would apply for winner `y`
-    /// — without re-running the value search and without emitting any
-    /// event. Because the fixing process is deterministic, replaying a
-    /// run's recorded `(variable, value)` steps reproduces its partial
-    /// assignment and `φ` state bit for bit; this is the resume seam the
-    /// checkpointed drivers re-seed from (see `crate::dist`).
-    ///
-    /// At rank 3 the equivalence holds because the original step used a
-    /// decomposition of `y`'s scaled triple iff one exists: had `y` won
-    /// via the multiplicative fallback, *no* candidate decomposed — in
-    /// particular `y` — so replaying decompose-else-fallback on `y`'s
-    /// triple alone takes the same branch and writes the same φ entries
-    /// (including the `invariant_intact` flag).
-    ///
-    /// # Errors
-    ///
-    /// [`FixerError::NonFiniteCost`] if the recorded value's cost is not
-    /// comparable (only reachable if the replayed state is degenerate —
-    /// an honest prefix of a completed run never trips this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is already fixed or `y` is out of range (the
-    /// resumed drivers validate recorded values before replaying).
-    pub fn replay_variable(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
-        assert!(self.partial.get(x).is_none(), "variable {x} already fixed");
-        assert!(
-            y < self.inst.variable(x).num_values(),
-            "value {y} out of range"
-        );
-        self.step(x, Some(y))?;
-        self.push(x, y);
-        Ok(())
     }
 
     /// Runs the process over the given variable order (must enumerate
@@ -324,25 +296,6 @@ impl<'i, T: Num, const R: usize> Fixer<'i, T, R> {
             .expect("assignment is complete and in range");
         FixReport::new(assignment, violated, self.steps)
     }
-
-    /// One fixing step of `x` by its rank, without committing the value
-    /// (see the rank modules); `replay = Some(y)` makes `y` the only
-    /// candidate.
-    fn step(&mut self, x: usize, replay: Option<usize>) -> Result<usize, FixerError> {
-        match *self.inst.variable(x).affects() {
-            [u, v, w] => self.fix_rank3(x, (u, v, w), replay),
-            _ => self.fix_rank_le2(x, replay),
-        }
-    }
-
-    /// Commits a finished step.
-    fn push(&mut self, x: usize, y: usize) {
-        self.partial.fix(x, y);
-        self.steps.push(FixStepRecord {
-            variable: x,
-            value: y,
-        });
-    }
 }
 
 impl<'i, T: Num> Fixer3<'i, T> {
@@ -399,6 +352,10 @@ impl<T: Num, const R: usize> crate::sweep::ClassFixer<T> for Fixer<'_, T, R> {
         self.step_base + self.steps.len()
     }
 
+    fn steps(&self) -> &[FixStepRecord] {
+        &self.steps
+    }
+
     fn fix_cell<Rec: Recorder>(&mut self, cell: &[usize], rec: &mut Rec) -> Result<(), FixerError> {
         for &x in cell {
             self.fix_variable_recorded(x, rec)?;
@@ -424,10 +381,6 @@ impl<T: Num, const R: usize> crate::sweep::ClassFixer<T> for Fixer<'_, T, R> {
         }
         self.invariant_intact &= shard.invariant_intact;
         self.steps.extend(shard.steps);
-    }
-
-    fn replay(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
-        self.replay_variable(x, y)
     }
 
     fn audit_delta(&self, vars: &[usize], p_bound: &T, tol: &T) -> crate::audit::AuditDelta<T> {

@@ -39,9 +39,6 @@ impl<T: Num, const R: usize> Fixer<'_, T, R> {
     /// `by_value` (one buffer per touched event, in `affects` order),
     /// which then holds the step's `Pr[E | partial]` for the recorder.
     ///
-    /// `replay = Some(y)` applies the updates for winner `y` without the
-    /// search. A rank-1 replay writes nothing.
-    ///
     /// # Errors
     ///
     /// [`FixerError::NonFiniteCost`] if a cost is not comparable (an
@@ -51,18 +48,11 @@ impl<T: Num, const R: usize> Fixer<'_, T, R> {
     /// [`FixerError::RankTooLarge`] if `x` has rank 3 or more.
     ///
     /// [`Instance::probability_by_value`]: crate::Instance::probability_by_value
-    pub(super) fn fix_rank_le2(
-        &mut self,
-        x: usize,
-        replay: Option<usize>,
-    ) -> Result<usize, FixerError> {
+    pub(super) fn fix_rank_le2(&mut self, x: usize) -> Result<usize, FixerError> {
         let inst = self.inst;
         let cost_error = |event| FixerError::NonFiniteCost { variable: x, event };
         match *inst.variable(x).affects() {
             [u] => {
-                if let Some(y) = replay {
-                    return Ok(y);
-                }
                 let [bu] = buffers(&mut self.by_value)?;
                 inst.probability_by_value(u, &self.partial, x, bu);
                 // Any value with Inc ≤ 1 exists by expectation. An
@@ -110,9 +100,8 @@ impl<T: Num, const R: usize> Fixer<'_, T, R> {
                     old_u.as_rational(),
                     old_v.as_rational(),
                 );
-                let (y, p_u, p_v) = match (replay, exact) {
-                    (Some(y), _) => (y, bu.prob(y), bv.prob(y)),
-                    (None, (Some(s), Some(t), Some(_), Some(_))) => {
+                let (y, p_u, p_v) = match exact {
+                    (Some(s), Some(t), Some(_), Some(_)) => {
                         let (y, [p_u, p_v]) = exact_search([(bu, s), (bv, t)]);
                         (y, T::from_rational(p_u), T::from_rational(p_v))
                     }

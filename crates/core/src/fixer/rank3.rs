@@ -43,13 +43,11 @@ pub enum ValueRule {
 
 impl<T: Num, const R: usize> Fixer<'_, T, R> {
     /// The rank-3 step described in the module docs; returns the chosen
-    /// value. `replay = Some(y)` makes `y` the only candidate, so the
-    /// step applies exactly the updates of a search that chose `y`.
+    /// value.
     pub(super) fn fix_rank3(
         &mut self,
         x: usize,
         (u, v, w): (usize, usize, usize),
-        replay: Option<usize>,
     ) -> Result<usize, FixerError> {
         let e = shared_edge(self.inst, u, v)?;
         let e1 = shared_edge(self.inst, u, w)?;
@@ -59,10 +57,7 @@ impl<T: Num, const R: usize> Fixer<'_, T, R> {
         let b = at(e, v)? * at(e2, v)?;
         let c = at(e1, w)? * at(e2, w)?;
 
-        let values = match replay {
-            Some(y) => y..y + 1,
-            None => 0..self.inst.variable(x).num_values(),
-        };
+        let values = 0..self.inst.variable(x).num_values();
         let by_value = buffers(&mut self.by_value)?;
         for (probs, ev) in by_value.iter_mut().zip([u, v, w]) {
             self.inst.probability_by_value(ev, &self.partial, x, probs);

@@ -54,7 +54,7 @@ use crate::error::FixerError;
 use crate::fixer::{audit_verdict, fix_run_start_event};
 use crate::instance::{Instance, PartialAssignment};
 use crate::triples::Phi;
-use crate::FixReport;
+use crate::{FixReport, FixStepRecord};
 
 /// A fixer that the class sweep can fork, run over cells, and merge
 /// back. Implemented once by [`Fixer`](crate::Fixer), so by both
@@ -85,25 +85,13 @@ pub(crate) trait ClassFixer<T: Num>: Send + Sized {
     /// Fixing steps performed so far (run-global).
     fn steps_done(&self) -> usize;
 
+    /// This fixer's own step log, in fixing order: every step of a
+    /// root fixer, or a fork's steps from its `step_base` on. A resumed
+    /// `crate::dist::run` checks the recorded prefix against it.
+    fn steps(&self) -> &[FixStepRecord];
+
     /// Fixes every variable of one cell, in order.
     fn fix_cell<R: Recorder>(&mut self, cell: &[usize], rec: &mut R) -> Result<(), FixerError>;
-
-    /// Replays a recorded fixing step: fixes `x` to the value `y` a
-    /// previous run chose, applying the exact `φ` updates of a live
-    /// step but skipping the value search and emitting no event (see
-    /// [`Fixer::replay_variable`](crate::Fixer::replay_variable)).
-    /// The resumed drivers in `crate::dist` drive this from a recorded
-    /// step prefix.
-    fn replay(&mut self, x: usize, y: usize) -> Result<(), FixerError>;
-
-    /// A freshly scanned [`IncrementalAuditor`] over the fixer's
-    /// current state. The auditor's cache is a pure function of
-    /// `(partial, φ)`, so this equals the incremental cache an audited
-    /// run carries at the same point — which is what lets a resumed run
-    /// rebuild audit state at the live boundary (DESIGN.md §3.12).
-    fn fresh_auditor(&self, p_bound: &T, tol: &T) -> IncrementalAuditor<T> {
-        IncrementalAuditor::new(self.instance(), self.partial(), self.phi(), p_bound, tol)
-    }
 
     /// Merges a finished shard fork back into `self`: applies its fixed
     /// values, copies the `φ` entries its steps touched, appends its
@@ -139,7 +127,9 @@ where
     if R::ENABLED {
         rec.record(&fix_run_start_event(fixer.instance()));
     }
-    let mut auditor = audit.map(|(p_bound, tol)| fixer.fresh_auditor(p_bound, tol));
+    let mut auditor = audit.map(|(p_bound, tol)| {
+        IncrementalAuditor::new(fixer.instance(), fixer.partial(), fixer.phi(), p_bound, tol)
+    });
     for (step, x) in order.into_iter().enumerate() {
         let step_started = span_start::<S>();
         fixer.fix_cell(&[x], rec)?;
@@ -387,8 +377,8 @@ mod tests {
             }
             self.inner.fix_cell(cell, rec)
         }
-        fn replay(&mut self, x: usize, y: usize) -> Result<(), FixerError> {
-            self.inner.replay(x, y)
+        fn steps(&self) -> &[FixStepRecord] {
+            self.inner.steps()
         }
         fn absorb(&mut self, shard: Self) {
             self.inner.absorb(shard.inner);

@@ -360,40 +360,36 @@ impl<W: Write> JsonlRecorder<W> {
     }
 }
 
-/// Drops every event until `rounds` [`Event::RoundEnd`]s have passed,
+/// Drops every event through the `k`-th progress event (`round_end` or
+/// `fix_step`, the events a checkpointing [`JsonlRecorder`] counts),
 /// then forwards the rest to the wrapped recorder verbatim.
 ///
-/// This is the simulator's resume seam: a LOCAL simulation is cheap to
-/// re-execute deterministically, so a resumed simulation (in
-/// `lll-local`) re-runs the protocol from round 1 with this wrapper
-/// around its recorder to suppress the rounds the durable prefix already contains — the inner recorder
-/// (typically a [`JsonlRecorder::resumed`]) only ever sees the
-/// continuation, byte-identical to an uninterrupted run's tail.
+/// This is the resume seam of both deterministic layers. A LOCAL
+/// simulation and a fixing sweep are pure functions of their input, so
+/// a resumed run re-executes from the start and drops the events the
+/// durable prefix holds with this wrapper. A resumed simulation (in
+/// `lll-local`) wraps its recorder with `k` = the checkpoint's `round`.
+/// A resumed sweep (`lll-core`'s `dist::run`) runs the classes inside
+/// the prefix unrecorded and forwards the buffered events of the class
+/// the prefix ends in through this wrapper, with `k` = the prefix steps
+/// in that class. The inner recorder (typically a
+/// [`JsonlRecorder::resumed`]) only ever sees the continuation,
+/// byte-identical to an uninterrupted run's tail.
 ///
-/// The `sim_run_start` bracket counts as part of round 1's prefix: it
-/// is suppressed whenever `rounds > 0` (a checkpoint inside a sim run
-/// always has the bracket in its prefix).
+/// Everything before the `k`-th progress event counts as prefix,
+/// including the `sim_run_start`/`fix_run_start` bracket, so the bracket
+/// is dropped whenever `k > 0`; `k = 0` forwards everything.
 #[derive(Debug)]
 pub struct SkipPrefixRecorder<'a, R: Recorder> {
     inner: &'a mut R,
-    rounds: u64,
-    seen: u64,
+    skip: u64,
 }
 
 impl<'a, R: Recorder> SkipPrefixRecorder<'a, R> {
     /// Wraps `inner`, swallowing everything up to and including the
-    /// `rounds`-th `round_end` event.
-    pub fn new(inner: &'a mut R, rounds: u64) -> Self {
-        SkipPrefixRecorder {
-            inner,
-            rounds,
-            seen: 0,
-        }
-    }
-
-    /// `round_end` events swallowed or forwarded so far.
-    pub fn rounds_seen(&self) -> u64 {
-        self.seen
+    /// `k`-th progress event.
+    pub fn new(inner: &'a mut R, k: u64) -> Self {
+        SkipPrefixRecorder { inner, skip: k }
     }
 }
 
@@ -401,12 +397,12 @@ impl<R: Recorder> Recorder for SkipPrefixRecorder<'_, R> {
     const ENABLED: bool = R::ENABLED;
 
     fn record(&mut self, event: &Event) {
-        if self.seen >= self.rounds {
+        if self.skip == 0 {
             self.inner.record(event);
             return;
         }
-        if let Event::RoundEnd { .. } = event {
-            self.seen += 1;
+        if let Event::RoundEnd { .. } | Event::FixStep { .. } = event {
+            self.skip -= 1;
         }
     }
 }
@@ -520,6 +516,52 @@ mod tests {
         });
         assert_eq!(c.min_headroom, 0.75);
         assert_eq!(c.fix_steps, 1);
+    }
+
+    #[test]
+    fn skip_prefix_counts_rounds_and_steps_as_progress() {
+        let step = |step| Event::FixStep {
+            step,
+            variable: step,
+            value: 0,
+            rank: 1,
+            touched: vec![0],
+            inc: vec![1.0],
+            phi_product: vec![1.0],
+            headroom: vec![],
+        };
+        let stream = [
+            Event::FixRunStart {
+                variables: 3,
+                events: 1,
+                max_rank: 1,
+            },
+            step(0),
+            Event::AuditPass {
+                step: 0,
+                variable: 0,
+            },
+            Event::RoundEnd {
+                round: 1,
+                delivered: 0,
+                bytes: 0,
+                halted: 0,
+                running: 1,
+            },
+            step(1),
+            Event::AuditPass {
+                step: 1,
+                variable: 1,
+            },
+        ];
+        for (k, kept) in [(0, 6), (1, 4), (2, 2), (3, 1), (9, 0)] {
+            let mut c = CounterRecorder::new();
+            let mut skip = SkipPrefixRecorder::new(&mut c, k);
+            for event in &stream {
+                skip.record(event);
+            }
+            assert_eq!(c.events, kept, "k = {k}");
+        }
     }
 
     #[test]

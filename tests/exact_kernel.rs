@@ -8,7 +8,7 @@
 //!   and impossible events.
 //! * The shared rank-≤2 value search of both fixers against the
 //!   rational argmin of `φ_e^u·Inc(u, y) + φ_e^v·Inc(v, y)`, exact ties
-//!   and zero `φ` entries included, and replay against the live step.
+//!   and zero `φ` entries included.
 
 use lll_core::{Fixer2, Fixer3, Instance, InstanceBuilder, PartialAssignment, Phi};
 use lll_numeric::{BigRational, Num};
@@ -313,7 +313,7 @@ proptest! {
     /// rational argmin of its cost, the lowest index among exact ties,
     /// and writes the winner's weighted factors into φ (a winner that
     /// makes an event impossible writes a zero entry, and impossible
-    /// events cost 0). Replaying the chosen values reproduces the state.
+    /// events cost 0).
     #[test]
     fn rank_le2_search_is_the_rational_argmin(seed in 0u64..1 << 32) {
         let inst = random_instance(seed, 5, 2);
@@ -321,7 +321,6 @@ proptest! {
         order.shuffle(&mut StdRng::seed_from_u64(seed));
         let mut f2 = Fixer2::new_unchecked(&inst).unwrap();
         let mut f3 = Fixer3::new_unchecked(&inst).unwrap();
-        let mut replayed = Fixer2::new_unchecked(&inst).unwrap();
         for &x in &order {
             let costs: Vec<BigRational> = (0..inst.variable(x).num_values())
                 .map(|y| reference_cost(&inst, f2.partial(), f2.phi(), x, y))
@@ -329,7 +328,6 @@ proptest! {
             let want = (0..costs.len()).fold(0, |b, y| if costs[y] < costs[b] { y } else { b });
             prop_assert_eq!(f2.fix_variable(x), Ok(want), "variable {}, costs {:?}", x, costs);
             prop_assert_eq!(f3.fix_variable(x), Ok(want));
-            replayed.replay_variable(x, want).unwrap();
             if let [u, v] = *inst.variable(x).affects() {
                 let eid = inst.dependency_graph().edge_id(u, v).unwrap();
                 let phi = f2.phi();
@@ -337,8 +335,6 @@ proptest! {
                 prop_assert_eq!(&sum, &costs[want]);
             }
             prop_assert_eq!(f3.phi(), f2.phi());
-            prop_assert_eq!(replayed.phi(), f2.phi());
-            prop_assert_eq!(replayed.partial(), f2.partial());
         }
     }
 }
