@@ -18,6 +18,12 @@ cargo test -q -p lll-numeric --features serde --test differential
 echo "==> cargo test --workspace -q (full suite)"
 cargo test --workspace -q
 
+echo "==> rank-3 winner search: long-budget differential against the exact sort (release)"
+# The filtered search must choose what the exact sort of every
+# candidate's score chose, on both backends; the tier-1 run checks 48
+# random instances, this one 512 with up to 64 values per variable.
+cargo test --release -q --test exact_kernel -- --ignored
+
 echo "==> tier-1 gate, serial test runner"
 RUST_TEST_THREADS=1 cargo test -q
 
@@ -84,6 +90,12 @@ cargo run --release -q -p lll-bench --bin tables -- \
   --threads 4 --obs "$tmp_obs/sweep_t4.jsonl" SWEEP > /dev/null
 cargo run --release -q -p lll-obs --bin obs-report -- \
   diff "$tmp_obs/sweep_t1.jsonl" "$tmp_obs/sweep_t4.jsonl"
+# The rank-3 experiments' streams (E6 on BigRational, A1 under both
+# value rules) must be valid flight-recorder streams.
+cargo run --release -q -p lll-bench --bin tables -- \
+  --obs "$tmp_obs/rank3.jsonl" E6 A1 > /dev/null
+cargo run --release -q -p lll-obs --bin obs-report -- \
+  summarize --validate "$tmp_obs/rank3.jsonl" > /dev/null
 rm -rf "$tmp_obs"
 
 echo "==> checkpoint/resume: differential battery + kill/resume smoke + E20 gate"

@@ -16,6 +16,8 @@ mod rank3;
 
 pub use rank3::ValueRule;
 
+use rank3::Candidate;
+
 use lll_numeric::Num;
 use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingSink};
 
@@ -62,6 +64,13 @@ pub struct Fixer<'i, T, const R: usize> {
     /// The bucketed-pass buffers of a step, one per touched event,
     /// reused across steps.
     by_value: [ValueProbs<T>; R],
+    /// The rank-3 winner search's per-value entries, reused across
+    /// steps.
+    candidates: Vec<Candidate<T>>,
+    /// How many exact scores the rank-3 winner search has computed, over
+    /// this fixer's steps and the shards it absorbed: a deterministic
+    /// work counter (see `rank3`).
+    exact_scores: u64,
 }
 
 /// The rank-2 fixing process (Theorem 1.1).
@@ -138,6 +147,8 @@ impl<'i, T: Num, const R: usize> Fixer<'i, T, R> {
             steps: Vec::new(),
             post_probs: vec![None; inst.num_events()],
             by_value: std::array::from_fn(|_| ValueProbs::default()),
+            candidates: Vec::new(),
+            exact_scores: 0,
         })
     }
 
@@ -345,6 +356,8 @@ impl<T: Num, const R: usize> crate::sweep::ClassFixer<T> for Fixer<'_, T, R> {
             // cache alone — its stale entries are never read).
             post_probs: vec![None; self.inst.num_events()],
             by_value: self.by_value.clone(),
+            candidates: Vec::new(),
+            exact_scores: 0,
         }
     }
 
@@ -380,6 +393,7 @@ impl<T: Num, const R: usize> crate::sweep::ClassFixer<T> for Fixer<'_, T, R> {
             }
         }
         self.invariant_intact &= shard.invariant_intact;
+        self.exact_scores += shard.exact_scores;
         self.steps.extend(shard.steps);
     }
 

@@ -130,6 +130,205 @@ pub fn representability_score<T: Num>(a: &T, b: &T, c: &T) -> T {
     r.clone() * r - d
 }
 
+/// A closed interval `[lo, hi]` of reals with `f64` endpoints: the
+/// arithmetic of the rank-3 fixer's score filter.
+///
+/// Every operation rounds each endpoint to nearest and then moves it one
+/// ulp outward. A round-to-nearest result lies within half an ulp of the
+/// exact one, so the result encloses the exact result of the operation
+/// for every choice of operands in the operand intervals. The only
+/// results kept unwidened are exact by construction: a product or
+/// quotient with a zero operand, a sum or difference with one, and the
+/// conversion of an integer of at most 53 bits. This is the interval
+/// form of the forward error bounds of Shewchuk's adaptive predicates
+/// ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
+/// Geometric Predicates", 1997): a decision the enclosure makes is
+/// certain, and one it cannot make is left to exact arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Interval {
+    /// The lower endpoint.
+    pub lo: f64,
+    /// The upper endpoint.
+    pub hi: f64,
+}
+
+impl Interval {
+    /// The interval of every real: it decides nothing.
+    pub const UNBOUNDED: Interval = Interval {
+        lo: f64::NEG_INFINITY,
+        hi: f64::INFINITY,
+    };
+
+    /// The exact value `x`.
+    pub fn point(x: f64) -> Interval {
+        Interval { lo: x, hi: x }
+    }
+
+    /// An enclosure of the integer `n`: the point `n` when it has at
+    /// most 53 significant bits, else one ulp either side of the
+    /// correctly rounded `n as f64`.
+    pub fn of_int(n: i128) -> Interval {
+        let x = n as f64;
+        if n.unsigned_abs() <= 1 << 53 {
+            Interval::point(x)
+        } else {
+            Interval {
+                lo: x.next_down(),
+                hi: x.next_up(),
+            }
+        }
+    }
+
+    fn is_zero(self) -> bool {
+        self.lo == 0.0 && self.hi == 0.0
+    }
+
+    /// The interval with every negative part cut off (for a quantity
+    /// known to be non-negative).
+    fn at_least_zero(self) -> Interval {
+        Interval {
+            lo: self.lo.max(0.0),
+            hi: self.hi,
+        }
+    }
+
+    /// The smallest interval containing both.
+    fn hull(self, other: Interval) -> Interval {
+        Interval {
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
+        }
+    }
+
+    fn finite(self) -> Option<Interval> {
+        (self.lo.is_finite() && self.hi.is_finite()).then_some(self)
+    }
+}
+
+impl std::ops::Add for Interval {
+    type Output = Interval;
+
+    fn add(self, other: Interval) -> Interval {
+        if other.is_zero() {
+            return self;
+        }
+        if self.is_zero() {
+            return other;
+        }
+        Interval {
+            lo: (self.lo + other.lo).next_down(),
+            hi: (self.hi + other.hi).next_up(),
+        }
+    }
+}
+
+impl std::ops::Sub for Interval {
+    type Output = Interval;
+
+    fn sub(self, other: Interval) -> Interval {
+        if other.is_zero() {
+            return self;
+        }
+        Interval {
+            lo: (self.lo - other.hi).next_down(),
+            hi: (self.hi - other.lo).next_up(),
+        }
+    }
+}
+
+/// The product of two non-negative intervals (the only kind the score
+/// filter multiplies).
+impl std::ops::Mul for Interval {
+    type Output = Interval;
+
+    fn mul(self, other: Interval) -> Interval {
+        debug_assert!(self.lo >= 0.0 && other.lo >= 0.0, "{self:?} · {other:?}");
+        if self.is_zero() || other.is_zero() {
+            return Interval::point(0.0);
+        }
+        Interval {
+            lo: (self.lo * other.lo).next_down().max(0.0),
+            hi: (self.hi * other.hi).next_up(),
+        }
+    }
+}
+
+/// The quotient of a non-negative interval by a positive one (the only
+/// kind the score filter divides).
+impl std::ops::Div for Interval {
+    type Output = Interval;
+
+    fn div(self, other: Interval) -> Interval {
+        debug_assert!(self.lo >= 0.0 && other.lo > 0.0, "{self:?} / {other:?}");
+        if self.is_zero() {
+            return self;
+        }
+        Interval {
+            lo: (self.lo / other.hi).next_down().max(0.0),
+            hi: (self.hi / other.lo).next_up(),
+        }
+    }
+}
+
+/// An enclosure of [`representability_score`] over a box of triples:
+/// `Some(s)` contains the exact score of every `(a, b, c)` in
+/// `a × b × c`, so `s.lo ≥ 0` certifies representability, `s.hi < 0`
+/// certifies its absence, and disjoint enclosures certify the order of
+/// two scores. Where the box straddles one of the score's piece
+/// boundaries (`a + b = 4` or `r = 0`, see [`representability_score`]),
+/// `s` is the hull of the pieces' enclosures.
+///
+/// `None` when the box reaches below 0 or an endpoint overflows: there
+/// the caller decides exactly.
+///
+/// # Examples
+///
+/// ```
+/// use lll_core::triples::{score_enclosure, Interval};
+///
+/// // (1/4, 3/2, 1/10) from the paper's Figure 2, each coordinate known
+/// // to within one ulp, sits comfortably inside S_rep.
+/// let near = |x: f64| Interval { lo: x.next_down(), hi: x.next_up() };
+/// let s = score_enclosure(near(0.25), near(1.5), near(0.1)).unwrap();
+/// assert!(s.lo > 0.0 && s.hi - s.lo < 1e-12);
+/// // The all-ones start state lies exactly on the surface (score 0):
+/// // no enclosure of a box around it can certify the sign.
+/// let s = score_enclosure(near(1.0), near(1.0), near(1.0)).unwrap();
+/// assert!(s.lo < 0.0 && s.hi > 0.0);
+/// ```
+pub fn score_enclosure(a: Interval, b: Interval, c: Interval) -> Option<Interval> {
+    if [a, b, c].iter().any(|x| !(x.lo >= 0.0 && x.hi.is_finite())) {
+        return None;
+    }
+    let (two, four) = (Interval::point(2.0), Interval::point(4.0));
+    let slack = four - a - b;
+    // The score where `a + b > 4`.
+    let outside = slack - Interval::point(1.0);
+    if slack.hi < 0.0 {
+        return outside.finite();
+    }
+    let ab = a * b;
+    let r = Interval::point(8.0) + ab - two * a - two * b - two * c;
+    let inside = if r.hi < 0.0 {
+        r
+    } else {
+        // Where `a + b ≤ 4`, `4 − a, 4 − b ≥ 0`; where `r ≥ 0`, `r² − d`.
+        let d = ab * (four - a).at_least_zero() * (four - b).at_least_zero();
+        let r_pos = r.at_least_zero();
+        let squared = r_pos * r_pos - d;
+        if r.lo < 0.0 {
+            r.hull(squared)
+        } else {
+            squared
+        }
+    };
+    if slack.lo < 0.0 {
+        outside.hull(inside).finite()
+    } else {
+        inside.finite()
+    }
+}
+
 /// Brute-force inner maximisation of `c` over decompositions — the
 /// reference against which [`f_surface`] is validated (test-only quality,
 /// exported for the Figure 1 experiment).

@@ -186,7 +186,25 @@ impl BigRational {
         }
     }
 
-    /// Approximate `f64` value.
+    /// The `f64` value, with a bounded relative error.
+    ///
+    /// The quotient is first truncated to an integer of at least 80
+    /// significant bits (relative error below `2^-79`) and then
+    /// converted. Below `2^127` that integer is an `i128`, whose
+    /// conversion rounds correctly; scaling back by powers of two is
+    /// exact in the normal range. So for `q = 0` and for
+    /// `2^-1022 ≤ |q| < 2^127`,
+    ///
+    /// ```text
+    /// |to_f64(q) − q| ≤ (2^-53 + 2^-79)·|q| < 2^-52·|q|.
+    /// ```
+    ///
+    /// The result is not always the correctly rounded one (the
+    /// truncation can move a value that lies just past a rounding tie).
+    /// A larger finite quotient is converted limb by limb, with one
+    /// rounding per 32-bit limb, so its relative error is below
+    /// `2^-48`. A result below `2^-1022` is subnormal and keeps only
+    /// absolute accuracy (`2^-1075`); past `f64::MAX` it is infinite.
     pub fn to_f64(&self) -> f64 {
         // Scale so that the integer division keeps ~80 bits of precision,
         // then undo the scaling in chunks so exponents far outside the f64
@@ -595,6 +613,56 @@ mod tests {
                 "roundtrip {v:e}"
             );
         }
+    }
+
+    /// The documented error bound of `to_f64`, checked exactly: every
+    /// non-zero quotient of random numerators and denominators of 1 to
+    /// 400 bits (both tiers) in the normal range below `2^127` converts
+    /// within `2^-52` relative error, and larger finite ones within
+    /// `2^-48`.
+    #[test]
+    fn to_f64_error_is_bounded() {
+        let mut rng = proptest::TestRng::deterministic("to_f64_error_is_bounded");
+        let random_int = |rng: &mut proptest::TestRng| {
+            let bits = 1 + rng.below(400);
+            let top_bits = (bits - 1) % 64 + 1;
+            let top = (rng.next_u64() >> (64 - top_bits)) | (1 << (top_bits - 1));
+            let mut n = BigInt::from(top);
+            for _ in 0..(bits - top_bits) / 64 {
+                n = &(&n << 64) + &BigInt::from(rng.next_u64());
+            }
+            if rng.below(2) == 0 {
+                -n
+            } else {
+                n
+            }
+        };
+        let (mut near, mut large) = (0, 0);
+        for _ in 0..4000 {
+            let r = BigRational::new(random_int(&mut rng), random_int(&mut rng));
+            let x = r.to_f64();
+            let mag = x.abs();
+            if !(f64::MIN_POSITIVE..f64::MAX).contains(&mag) {
+                continue;
+            }
+            let err = (&BigRational::from_f64(x).unwrap() - &r).abs();
+            let bound_bits = if mag < 2f64.powi(127) {
+                near += 1;
+                52
+            } else {
+                large += 1;
+                48
+            };
+            let bound = &r.abs() * &BigRational::new(BigInt::one(), &BigInt::one() << bound_bits);
+            assert!(err <= bound, "to_f64({r}) = {x:e}");
+        }
+        assert!(near > 1000 && large > 100, "{near} near, {large} large");
+        // Boundary values convert exactly.
+        assert_eq!(
+            BigRational::new(BigInt::from(i128::MAX), BigInt::one()).to_f64(),
+            2f64.powi(127)
+        );
+        assert_eq!(q(1, 3).to_f64(), 1.0 / 3.0);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The exact probability engine allocates nothing while its integers
 //! stay in the `Small` tier: `probability` and `probability_with` on a
 //! `BigRational` instance, up to events whose `Π lcd` sits just under
-//! `i128::MAX`, and a fixing step's bucketed pass once the fixer's
-//! buffers are warm, are counted by a global allocator that tallies the
-//! calling thread's allocations.
+//! `i128::MAX`, and whole fixing steps of rank 1, 2 and 3 once the
+//! fixer's buffers are warm, are counted by a global allocator that
+//! tallies the calling thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lll_core::{Fixer2, Instance, InstanceBuilder, PartialAssignment};
+use lll_core::{Fixer2, Fixer3, Instance, InstanceBuilder, PartialAssignment};
 use lll_numeric::{BigInt, BigRational};
 
 thread_local! {
@@ -186,16 +186,20 @@ fn certificate_boundary_events() {
     assert_eq!(inst.unconditional_probability(1), want);
 }
 
-/// A `Fixer2` step walks each touched event once into buffers the fixer
+/// A fixing step walks each touched event once into buffers the fixer
 /// keeps across steps. Once a rank-1 and a rank-2 step have grown them
 /// (and the step log has its first capacity), further rank-1 and rank-2
 /// steps over no more values allocate nothing: the pass, the integer
-/// value search and the φ update all stay in the `Small` tier.
+/// value search and the φ update all stay in the `Small` tier. So does a
+/// rank-3 step after a first one: its pass, its filtered winner search
+/// (the candidate buffer is the fixer's), the winner's exact triple and
+/// its `decompose`.
 #[test]
 fn warm_fixing_steps_on_small_values_allocate_nothing() {
     let q = BigRational::from_ratio;
     let mut b = InstanceBuilder::<BigRational>::new(2);
     let thirds = || vec![q(1, 6), q(1, 2), q(1, 3)];
+    let thirds4 = || vec![q(1, 6), q(1, 3), q(1, 6), q(1, 3)];
     let a = b.add_variable(&[0, 1], thirds());
     let c = b.add_variable(&[0, 1], thirds());
     let wide4 = b.add_uniform_variable(&[0], 4);
@@ -218,5 +222,33 @@ fn warm_fixing_steps_on_small_values_allocate_nothing() {
             n, 0,
             "rank-{rank} step on variable {x} (chose {y:?}) allocated"
         );
+    }
+
+    // Rank 3: three 4-valued variables on one hyperedge, and per event a
+    // private variable with its own denominator.
+    let mut b = InstanceBuilder::<BigRational>::new(3);
+    let xs: Vec<usize> = (0..3)
+        .map(|_| b.add_variable(&[0, 1, 2], thirds4()))
+        .collect();
+    let own: Vec<usize> = (0..3)
+        .map(|e| {
+            b.add_variable(
+                &[e],
+                vec![q(2, 7 + e as u64), q(5 + e as i64, 7 + e as u64)],
+            )
+        })
+        .collect();
+    for (e, &z) in own.iter().enumerate() {
+        let xs = xs.clone();
+        b.set_event_predicate(e, move |vals| {
+            (vals[xs[0]] + 2 * vals[xs[1]] + vals[xs[2]] + e) % 4 == 0 && vals[z] == 0
+        });
+    }
+    let inst = b.build().unwrap();
+    let mut fixer = Fixer3::new(&inst).unwrap();
+    fixer.fix_variable(xs[0]).unwrap();
+    for &x in &xs[1..] {
+        let (n, y) = allocations(|| fixer.fix_variable(x));
+        assert_eq!(n, 0, "rank-3 step on variable {x} (chose {y:?}) allocated");
     }
 }

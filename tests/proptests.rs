@@ -3,13 +3,15 @@
 
 use proptest::prelude::*;
 use sharp_lll::coloring::luby_mis;
-use sharp_lll::core::triples::{decompose, is_representable, representability_score};
+use sharp_lll::core::triples::{
+    decompose, is_representable, representability_score, score_enclosure, Interval,
+};
 use sharp_lll::core::{audit_p_star, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, ring};
 use sharp_lll::graphs::Graph;
 use sharp_lll::local::gather::GatherProgram;
 use sharp_lll::local::Simulator;
-use sharp_lll::numeric::BigRational;
+use sharp_lll::numeric::{BigInt, BigRational};
 
 fn q(n: i64, d: u64) -> BigRational {
     BigRational::from_ratio(n, d)
@@ -106,6 +108,135 @@ proptest! {
         prop_assert!(audit.holds());
         prop_assert!(fixer.into_report().is_success());
     }
+}
+
+/// An enclosure of the rational `q` from its `f64` value, by the error
+/// bound `BigRational::to_f64` documents: `|to_f64(q) − q| ≤ 2^-52·|q|`
+/// for `q = 0` or `2^-1022 ≤ |q| < 2^127`, hence
+/// `|to_f64(q) − q| < 2^-51·|to_f64(q)|`.
+fn enclose(q: &BigRational) -> Interval {
+    let x = q.to_f64();
+    if x == 0.0 {
+        return Interval::point(0.0);
+    }
+    // Scaling by a power of two is exact in the normal range.
+    let tol = x.abs() * 2f64.powi(-51);
+    Interval {
+        lo: (x - tol).next_down(),
+        hi: (x + tol).next_up(),
+    }
+}
+
+/// Whether the exact `value` lies in `iv`.
+fn contains(iv: Interval, value: &BigRational) -> bool {
+    let at = |x: f64| BigRational::from_f64(x).expect("finite endpoint");
+    at(iv.lo) <= *value && *value <= at(iv.hi)
+}
+
+/// A rational in `[0, 5)` with a random denominator of up to 40 bits.
+fn fine(rng: &mut proptest::TestRng) -> BigRational {
+    let den = 1 + rng.below(1 << 40);
+    let num = rng.below(5 * den);
+    BigRational::new(BigInt::from(num), BigInt::from(den))
+}
+
+/// A triple for the score filter: a coarse or fine random point, a
+/// point of a boundary family (the all-ones start state, the surface
+/// family `(a, a, (2 − a)²)`, the planes `a + b = 4` and `r = 0`), or
+/// such a point with one coordinate moved by `±2^-e`, `e ∈ 30..90`.
+fn filter_triple(rng: &mut proptest::TestRng) -> [BigRational; 3] {
+    let coarse = |rng: &mut proptest::TestRng| q(rng.below(40) as i64, 8);
+    let mut t = match rng.below(6) {
+        0 => [coarse(rng), coarse(rng), coarse(rng)],
+        1 => [fine(rng), fine(rng), fine(rng)],
+        2 => [q(1, 1), q(1, 1), q(1, 1)],
+        3 => {
+            let a = &fine(rng) * &q(2, 5);
+            let c = &(&q(2, 1) - &a) * &(&q(2, 1) - &a);
+            [a.clone(), a, c]
+        }
+        4 => {
+            let a = &fine(rng) * &q(4, 5);
+            [a.clone(), &q(4, 1) - &a, coarse(rng)]
+        }
+        _ => {
+            // r = 8 + ab − 2a − 2b − 2c = 0.
+            let (a, b) = (&fine(rng) * &q(2, 5), &fine(rng) * &q(2, 5));
+            let c = &(&(&q(8, 1) + &(&a * &b)) - &(&q(2, 1) * &(&a + &b))) * &q(1, 2);
+            [a, b, c]
+        }
+    };
+    if rng.below(2) == 0 {
+        let e = 30 + rng.below(60);
+        let delta = BigRational::new(BigInt::one(), &BigInt::one() << e);
+        let i = rng.below(3) as usize;
+        t[i] = if rng.below(2) == 0 {
+            &t[i] + &delta
+        } else {
+            &t[i] - &delta
+        };
+    }
+    t
+}
+
+prop_compose! {
+    fn arb_filter_pair()(seed in 0u64..u64::MAX) -> [[BigRational; 3]; 2] {
+        let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+        [filter_triple(&mut rng), filter_triple(&mut rng)]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whenever the rank-3 filter calls a sign or an order certain, the
+    /// exact score agrees: the enclosure of a box around each triple,
+    /// built from `to_f64` and its documented error bound, contains the
+    /// exact `representability_score`, so a sign it certifies is the
+    /// exact sign, and disjoint enclosures order two scores exactly.
+    #[test]
+    fn score_filter_agrees_with_the_exact_score(pair in arb_filter_pair()) {
+        let mut bounds = Vec::new();
+        for t in &pair {
+            let exact = representability_score(&t[0], &t[1], &t[2]);
+            let Some(iv) = score_enclosure(enclose(&t[0]), enclose(&t[1]), enclose(&t[2])) else {
+                // Only a box reaching below 0 gets no enclosure.
+                prop_assert!(t.iter().any(|x| x.is_negative()));
+                bounds.push(None);
+                continue;
+            };
+            prop_assert!(contains(iv, &exact), "{:?} misses {} for {:?}", iv, exact, t);
+            if iv.lo >= 0.0 {
+                prop_assert!(!exact.is_negative());
+            }
+            if iv.hi < 0.0 {
+                prop_assert!(exact.is_negative());
+            }
+            bounds.push(Some((iv, exact)));
+        }
+        if let [Some((i0, s0)), Some((i1, s1))] = &bounds[..] {
+            if i0.lo > i1.hi {
+                prop_assert!(s0 > s1);
+            }
+            if i0.hi < i1.lo {
+                prop_assert!(s0 < s1);
+            }
+        }
+    }
+}
+
+/// Point boxes: `(0, 0, 0)` scores 64 and the apex `(0, 0, 4)` exactly
+/// 0, inside their enclosures; a box reaching below 0 or past the finite
+/// range gets none.
+#[test]
+fn point_boxes_are_enclosed() {
+    let p = Interval::point;
+    let s = score_enclosure(p(0.0), p(0.0), p(0.0)).unwrap();
+    assert!(s.lo <= 64.0 && 64.0 <= s.hi && s.hi - s.lo < 1e-12);
+    let s = score_enclosure(p(0.0), p(0.0), p(4.0)).unwrap();
+    assert!(s.lo <= 0.0 && 0.0 <= s.hi);
+    assert!(score_enclosure(p(-1.0), p(0.0), p(0.0)).is_none());
+    assert!(score_enclosure(p(f64::INFINITY), p(0.0), p(0.0)).is_none());
 }
 
 proptest! {
