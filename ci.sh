@@ -71,6 +71,10 @@ cargo run --release -q -p lll-bench --bin tables -- \
   --timing "$tmp_obs/timing.jsonl" E4 E16 TRACE
 cargo run --release -q -p lll-obs --bin obs-report -- \
   summarize --validate "$tmp_obs/trace.jsonl" > /dev/null
+# Both validating modes, and the side-band timing file through the
+# same reader (its `timing` lines decode like any other line).
+cargo run --release -q -p lll-obs --bin obs-report -- \
+  validate "$tmp_obs/trace.jsonl" "$tmp_obs/timing.jsonl" > /dev/null
 cargo run --release -q -p lll-obs --bin obs-report -- \
   series --out "$tmp_obs/series" "$tmp_obs/trace.jsonl" > /dev/null
 # Determinism: the same workload traced at 1 and 4 workers must be an

@@ -759,20 +759,17 @@ fn main() {
         let n = 512;
         let overhead = ex::e20_resume_overhead(n, &[8, 64, 512]);
         let wallclock = ex::e20_resume_wallclock(n, 8);
-        let uninterrupted = wallclock
-            .iter()
-            .find(|r| r.mode == "uninterrupted")
-            .expect("both modes reported")
-            .millis;
         let mut csv: Vec<String> = overhead
             .iter()
             .map(|r| {
                 format!(
-                    "{},{},{:.3},{:.4},{},{},{},{},{}",
+                    "{},{},{:.3},{:.4},{:.4},{:.4},{},{},{},{},{}",
                     r.n,
                     r.interval,
                     r.millis,
                     r.overhead,
+                    r.overhead_iqr.0,
+                    r.overhead_iqr.1,
                     r.checkpoints,
                     r.bytes,
                     r.progress,
@@ -783,16 +780,13 @@ fn main() {
             .collect();
         csv.extend(wallclock.iter().map(|r| {
             format!(
-                "{},{},{:.3},{:.4},0,0,0,0,0",
-                r.n,
-                r.mode,
-                r.millis,
-                r.millis / uninterrupted
+                "{},{},{:.3},{:.4},{:.4},{:.4},0,0,0,0,0",
+                r.n, r.mode, r.millis, r.vs_full, r.vs_full_iqr.0, r.vs_full_iqr.1
             )
         }));
         write_csv(
             "e20_resume_overhead.csv",
-            "n,row,millis,overhead,checkpoints,bytes,progress,digested,event_bytes",
+            "n,row,millis,overhead,overhead_q1,overhead_q3,checkpoints,bytes,progress,digested,event_bytes",
             &csv,
         );
         let rows: Vec<Vec<String>> = overhead
@@ -803,6 +797,7 @@ fn main() {
                     r.interval.clone(),
                     format!("{:.3}", r.millis),
                     format!("{:.3}", r.overhead),
+                    format!("{:.3}-{:.3}", r.overhead_iqr.0, r.overhead_iqr.1),
                     r.checkpoints.to_string(),
                     r.bytes.to_string(),
                     r.progress.to_string(),
@@ -818,6 +813,7 @@ fn main() {
                     "interval",
                     "millis",
                     "overhead",
+                    "IQR",
                     "checkpoints",
                     "bytes",
                     "progress",
@@ -833,32 +829,30 @@ fn main() {
                     r.n.to_string(),
                     r.mode.clone(),
                     format!("{:.3}", r.millis),
-                    format!("{:.3}", r.millis / uninterrupted),
+                    format!("{:.3}", r.vs_full),
+                    format!("{:.3}-{:.3}", r.vs_full_iqr.0, r.vs_full_iqr.1),
                     r.steps.to_string(),
                 ]
             })
             .collect();
         println!(
             "{}",
-            render_table(&["n", "mode", "millis", "vs full", "steps"], &wrows)
+            render_table(&["n", "mode", "millis", "vs full", "IQR", "steps"], &wrows)
         );
-        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing; overhead is the median ratio over alternated off/on pairs, reported\n as context; CI gates the counts: checkpoints == floor(progress / interval) and\n digested == the stream's event bytes, for every cadence)\n");
+        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing; overhead and vs full are medians of per-pair ratios over {} alternated\n pairs, with their interquartile range, reported as context; CI gates the\n counts: checkpoints == floor(progress / interval) and digested == the\n stream's event bytes, for every cadence)\n", ex::E20_PAIRS);
         trace_experiment(&mut obs, "E20", overhead.len() + wallclock.len());
     }
 
     if selected.contains("TRACE") {
         println!("== TRACE: recorded schedule-coloring workload (ring n = {TRACE_N}) ==");
+        // The timing sink is side-band: filling it leaves the stream as
+        // is, and it reaches a file only under --timing.
         let mut timing = lll_obs::TimingRecorder::new();
-        let timed = timing_path.is_some();
         if let Some(rec) = obs.as_mut() {
             rec.record(&Event::ExperimentStart {
                 id: "TRACE".to_owned(),
             });
-            let (lin, red) = if timed {
-                ex::record_trace_workload_timed(TRACE_N, threads, rec, &mut timing)
-            } else {
-                ex::record_trace_workload(TRACE_N, threads, rec)
-            };
+            let (lin, red) = ex::record_trace_workload(TRACE_N, threads, rec, &mut timing);
             rec.record(&Event::ExperimentEnd {
                 id: "TRACE".to_owned(),
                 rows: 0,
@@ -869,11 +863,7 @@ fn main() {
             );
         } else {
             let mut counter = lll_obs::CounterRecorder::new();
-            let (lin, red) = if timed {
-                ex::record_trace_workload_timed(TRACE_N, threads, &mut counter, &mut timing)
-            } else {
-                ex::record_trace_workload(TRACE_N, threads, &mut counter)
-            };
+            let (lin, red) = ex::record_trace_workload(TRACE_N, threads, &mut counter, &mut timing);
             println!(
                 "linial: {} rounds, {} messages; reduce: {} rounds, {} messages",
                 lin.rounds, lin.messages, red.rounds, red.messages

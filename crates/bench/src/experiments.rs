@@ -1383,27 +1383,16 @@ fn best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (R, f64) {
 /// Runs the traced schedule-coloring workload — the LOCAL portion of the
 /// E14 rank-2 driver (Linial color reduction, then the block color
 /// reduction, on the line graph of a ring-based rank-2 instance) —
-/// through the given flight recorder, and returns the two outcomes
-/// (Linial, Reduce).
+/// through the given flight recorder and side-band timing sink, and
+/// returns the two outcomes (Linial, Reduce).
 ///
-/// `threads == 1` uses `Simulator::run_recorded`; larger counts use the
-/// slab engine, whose merged event stream is byte-identical to the
-/// sequential one (the obs differential test pins this).
-pub fn record_trace_workload<R: lll_obs::Recorder>(
-    n: usize,
-    threads: usize,
-    rec: &mut R,
-) -> (lll_local::RunOutcome<u64>, lll_local::RunOutcome<u64>) {
-    record_trace_workload_timed(n, threads, rec, &mut lll_obs::NullTiming)
-}
-
-/// [`record_trace_workload`] with a side-band timing sink attached: the
-/// simulator runs feed `sim_run`/`sim_round` (and, on the parallel
-/// engine, `shard_work`) spans into `timing`. The event stream in `rec`
-/// is byte-identical to the untimed call — timing is wall-clock-only
-/// and never enters the deterministic channel (the obs differential
-/// battery pins this with timing enabled at several thread counts).
-pub fn record_trace_workload_timed<R: lll_obs::Recorder, T: lll_obs::TimingSink>(
+/// Both runs use the slab engine production runs, at every thread count
+/// (`Simulator::run_auto_timed_recorded`); its stream is byte-identical to
+/// the reference engine's (`tests/parallel_differential.rs` pins this).
+/// The simulator feeds `sim_run`/`sim_round`/`shard_work` spans into
+/// `timing`, which never touches the event stream in `rec` — pass
+/// [`NullTiming`] for an untimed run.
+pub fn record_trace_workload<R: lll_obs::Recorder, T: lll_obs::TimingSink>(
     n: usize,
     threads: usize,
     rec: &mut R,
@@ -1423,21 +1412,15 @@ pub fn record_trace_workload_timed<R: lll_obs::Recorder, T: lll_obs::TimingSink>
         .last()
         .map_or(lg.num_nodes() as u64, |&(_, q)| q * q);
     let template = lll_coloring::LinialProgram::new(schedule);
-    let lin = if threads <= 1 {
-        lsim.run_timed_recorded(|_| template.clone(), budget, rec, timing)
-    } else {
-        lsim.run_auto_timed_recorded(|_| template.clone(), budget, rec, timing)
-    }
-    .expect("converges");
+    let lin = lsim
+        .run_auto_timed_recorded(|_| template.clone(), budget, rec, timing)
+        .expect("converges");
     let mk_reduce = |ctx: &lll_local::NodeContext| {
         lll_coloring::ReduceProgram::new(lin.outputs[ctx.id as usize], fixed, delta + 1)
     };
-    let red = if threads <= 1 {
-        lsim.run_timed_recorded(mk_reduce, budget, rec, timing)
-    } else {
-        lsim.run_auto_timed_recorded(mk_reduce, budget, rec, timing)
-    }
-    .expect("converges");
+    let red = lsim
+        .run_auto_timed_recorded(mk_reduce, budget, rec, timing)
+        .expect("converges");
     (lin, red)
 }
 
@@ -1490,18 +1473,18 @@ pub fn e15_recorder_overhead(sizes: &[usize]) -> Vec<RecorderOverheadRow> {
     let mut rows = Vec::new();
     for &n in sizes {
         // Warm-up pass so the first timed flavor doesn't pay cold caches.
-        record_trace_workload(n, 1, &mut lll_obs::NullRecorder);
+        record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
         let (_, null_millis) = best_of(3, || {
-            record_trace_workload(n, 1, &mut lll_obs::NullRecorder);
+            record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
         });
         let (counter_events, counter_millis) = best_of(3, || {
             let mut rec = lll_obs::CounterRecorder::new();
-            record_trace_workload(n, 1, &mut rec);
+            record_trace_workload(n, 1, &mut rec, &mut NullTiming);
             rec.events
         });
         let ((jsonl_events, jsonl_bytes), jsonl_millis) = best_of(3, || {
             let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
-            record_trace_workload(n, 1, &mut rec);
+            record_trace_workload(n, 1, &mut rec, &mut NullTiming);
             let lines = rec.lines();
             let buf = rec.finish().expect("in-memory writer never fails");
             (lines, buf.len())
@@ -1540,7 +1523,7 @@ pub struct TimingOverheadRow {
     pub spans: u64,
 }
 
-/// Runs experiment E16: times [`record_trace_workload_timed`] under
+/// Runs experiment E16: times [`record_trace_workload`] under
 /// [`NullTiming`] — which is exactly the code path
 /// the untimed entry points delegate to, so its "overhead" row is the
 /// noise floor — and under a live
@@ -1552,13 +1535,13 @@ pub fn e16_timing_overhead(sizes: &[usize]) -> Vec<TimingOverheadRow> {
     let mut rows = Vec::new();
     for &n in sizes {
         // Warm-up pass so the first timed flavor doesn't pay cold caches.
-        record_trace_workload(n, 1, &mut lll_obs::NullRecorder);
+        record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
         let (_, off_millis) = best_of(3, || {
-            record_trace_workload_timed(n, 1, &mut lll_obs::NullRecorder, &mut lll_obs::NullTiming);
+            record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
         });
         let (spans, on_millis) = best_of(3, || {
             let mut timing = lll_obs::TimingRecorder::new();
-            record_trace_workload_timed(n, 1, &mut lll_obs::NullRecorder, &mut timing);
+            record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut timing);
             timing.spans()
         });
         for (flavor, millis, spans) in [("off", off_millis, 0), ("on", on_millis, spans)] {
@@ -1645,6 +1628,9 @@ pub struct ResumeOverheadRow {
     /// fastest pass divided by the fastest `"off"` pass of the same pair
     /// (1 for `"off"`).
     pub overhead: f64,
+    /// Lower and upper quartile of the per-pair ratios behind
+    /// `overhead` (1 for `"off"`).
+    pub overhead_iqr: (f64, f64),
     /// `#checkpoint` sidecar lines written in one pass.
     pub checkpoints: usize,
     /// JSONL bytes written per pass, sidecars included.
@@ -1714,6 +1700,7 @@ pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow
             interval,
             millis: 0.0,
             overhead: 1.0,
+            overhead_iqr: (1.0, 1.0),
             checkpoints,
             bytes: buf.len(),
             progress,
@@ -1746,9 +1733,11 @@ pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow
             millis.push(on);
             ratios.push(on / off);
         }
+        let [q1, overhead, q3] = quartiles(&mut ratios);
         rows.push(ResumeOverheadRow {
             millis: median(&mut millis),
-            overhead: median(&mut ratios),
+            overhead,
+            overhead_iqr: (q1, q3),
             ..row(interval.to_string(), &buf, digested)
         });
     }
@@ -1774,6 +1763,19 @@ fn median(xs: &mut [f64]) -> f64 {
     }
 }
 
+/// The lower quartile, median and upper quartile of a non-empty sample
+/// (the quartiles are the medians of the halves below and above the
+/// median, Tukey's hinges).
+fn quartiles(xs: &mut [f64]) -> [f64; 3] {
+    let mid = median(xs);
+    let half = xs.len() / 2;
+    if half == 0 {
+        return [mid; 3];
+    }
+    let upper = xs.len() - half;
+    [median(&mut xs[..half]), mid, median(&mut xs[upper..])]
+}
+
 /// E20 — resumed-vs-uninterrupted wall clock: what a mid-run kill
 /// actually costs at recovery time.
 #[derive(Debug, Clone)]
@@ -1784,8 +1786,14 @@ pub struct ResumeWallClockRow {
     /// (fold the surviving prefix, then continue from the midpoint
     /// checkpoint to the end).
     pub mode: String,
-    /// Best-of-three wall-clock milliseconds.
+    /// Median over [`E20_PAIRS`] alternated pairs of the mode's fastest
+    /// pass, in wall-clock milliseconds.
     pub millis: f64,
+    /// Median over the pairs of the resumed pass divided by the
+    /// uninterrupted pass of the same pair (1 for `"uninterrupted"`).
+    pub vs_full: f64,
+    /// Lower and upper quartile of the per-pair ratios behind `vs_full`.
+    pub vs_full_iqr: (f64, f64),
     /// Recorded steps covered by the timed portion (for `"resumed"`
     /// the prefix counts too: folding and re-executing it is part of
     /// recovery).
@@ -1799,6 +1807,12 @@ pub struct ResumeWallClockRow {
 /// byte-identical to the reference suffix — the wall-clock comparison
 /// is only meaningful between runs that provably produce the same
 /// stream (DESIGN.md §3.12).
+///
+/// A run takes a millisecond or two, so one best-of comparison reads
+/// anywhere in a wide band; like the overhead half, the two modes run
+/// in [`E20_PAIRS`] alternated pairs of three interleaved passes
+/// each, and the resumed row reports the median per-pair ratio with its
+/// quartiles.
 ///
 /// # Panics
 ///
@@ -1861,19 +1875,43 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
         rejoined, full,
         "resumed continuation diverged from the uninterrupted stream"
     );
-    let (_, full_millis) = best_of(3, run_full);
-    let (_, resumed_millis) = best_of(3, run_resumed);
+    let timed = |run: &dyn Fn() -> Vec<u8>| {
+        let started = Instant::now();
+        run();
+        started.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut full_millis, mut resumed_millis, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..E20_PAIRS {
+        let (mut full, mut resumed) = (f64::INFINITY, f64::INFINITY);
+        for k in 0..E20_PASSES {
+            for resumed_turn in [(pair + k) % 2 == 0, (pair + k) % 2 == 1] {
+                if resumed_turn {
+                    resumed = resumed.min(timed(&run_resumed));
+                } else {
+                    full = full.min(timed(&run_full));
+                }
+            }
+        }
+        full_millis.push(full);
+        resumed_millis.push(resumed);
+        ratios.push(resumed / full);
+    }
+    let [q1, vs_full, q3] = quartiles(&mut ratios);
     vec![
         ResumeWallClockRow {
             n,
             mode: "uninterrupted".to_owned(),
-            millis: full_millis,
+            millis: median(&mut full_millis),
+            vs_full: 1.0,
+            vs_full_iqr: (1.0, 1.0),
             steps: total_steps,
         },
         ResumeWallClockRow {
             n,
             mode: "resumed".to_owned(),
-            millis: resumed_millis,
+            millis: median(&mut resumed_millis),
+            vs_full,
+            vs_full_iqr: (q1, q3),
             steps: total_steps,
         },
     ]
@@ -2030,7 +2068,7 @@ mod tests {
     #[test]
     fn trace_workload_counts_match_outcomes() {
         let mut rec = lll_obs::CounterRecorder::new();
-        let (lin, red) = record_trace_workload(96, 1, &mut rec);
+        let (lin, red) = record_trace_workload(96, 1, &mut rec, &mut NullTiming);
         assert_eq!(rec.sim_runs, 2);
         assert_eq!(rec.rounds, lin.rounds + red.rounds);
         assert_eq!(rec.messages, lin.messages + red.messages);

@@ -7,17 +7,19 @@
 //! the `NullRecorder` path is the exact code the unrecorded entry
 //! points compile to, and every other recorder only observes.
 
-use lll_bench::experiments::{record_trace_workload, record_trace_workload_timed};
+use lll_bench::experiments::record_trace_workload;
 use lll_local::RunOutcome;
 use lll_obs::diff::diff_streams;
 use lll_obs::schema::validate_stream;
-use lll_obs::{CounterRecorder, JsonlRecorder, NullRecorder, TimingRecorder, TimingScope};
+use lll_obs::{
+    CounterRecorder, JsonlRecorder, NullRecorder, NullTiming, TimingRecorder, TimingScope,
+};
 
 const N: usize = 192;
 
 fn jsonl_at(threads: usize) -> Vec<u8> {
     let mut rec = JsonlRecorder::new(Vec::new());
-    record_trace_workload(N, threads, &mut rec);
+    record_trace_workload(N, threads, &mut rec, &mut NullTiming);
     rec.finish().expect("in-memory stream never fails")
 }
 
@@ -26,7 +28,7 @@ fn jsonl_at(threads: usize) -> Vec<u8> {
 fn timed_jsonl_at(threads: usize) -> (Vec<u8>, TimingRecorder) {
     let mut rec = JsonlRecorder::new(Vec::new());
     let mut timing = TimingRecorder::new();
-    record_trace_workload_timed(N, threads, &mut rec, &mut timing);
+    record_trace_workload(N, threads, &mut rec, &mut timing);
     (rec.finish().expect("in-memory stream never fails"), timing)
 }
 
@@ -87,12 +89,12 @@ fn timing_enabled_stream_is_byte_identical_at_every_thread_count() {
         // round spans for every billed round.
         assert_eq!(timing.scope(TimingScope::SimRun).count(), 2);
         assert!(timing.scope(TimingScope::SimRound).count() > 0);
-        if threads > 1 {
-            assert!(
-                timing.scope(TimingScope::ShardWork).count() > 0,
-                "parallel engine must report per-shard occupancy"
-            );
-        }
+        // The workload runs the slab engine at every thread count, one
+        // worker included, and it reports per-shard occupancy.
+        assert!(
+            timing.scope(TimingScope::ShardWork).count() > 0,
+            "slab engine must report per-shard occupancy at {threads} threads"
+        );
         // Timing lines live in their own schema-valid stream.
         validate_stream(&timing.to_jsonl()).expect("timing side-band passes schema validation");
     }
@@ -101,11 +103,11 @@ fn timing_enabled_stream_is_byte_identical_at_every_thread_count() {
 #[test]
 fn null_recorder_is_a_no_op_on_outcomes() {
     let mut null = NullRecorder;
-    let (nl, nr) = record_trace_workload(N, 1, &mut null);
+    let (nl, nr) = record_trace_workload(N, 1, &mut null, &mut NullTiming);
     let mut counter = CounterRecorder::new();
-    let (cl, cr) = record_trace_workload(N, 1, &mut counter);
+    let (cl, cr) = record_trace_workload(N, 1, &mut counter, &mut NullTiming);
     let mut jsonl = JsonlRecorder::new(Vec::new());
-    let (jl, jr) = record_trace_workload(N, 1, &mut jsonl);
+    let (jl, jr) = record_trace_workload(N, 1, &mut jsonl, &mut NullTiming);
 
     assert_eq!(outcome_fields(&nl), outcome_fields(&cl));
     assert_eq!(outcome_fields(&nr), outcome_fields(&cr));
@@ -116,7 +118,7 @@ fn null_recorder_is_a_no_op_on_outcomes() {
 #[test]
 fn messages_per_round_is_pinned_to_the_recorded_deliveries() {
     let mut counter = CounterRecorder::new();
-    let (lin, red) = record_trace_workload(N, 1, &mut counter);
+    let (lin, red) = record_trace_workload(N, 1, &mut counter, &mut NullTiming);
 
     let mut expected = lin.messages_per_round().to_vec();
     expected.extend_from_slice(red.messages_per_round());

@@ -66,29 +66,6 @@ pub fn audit_p_star<T: Num>(
     }
 }
 
-/// [`audit_p_star`] with a flight recorder: performs the same full scan
-/// and additionally emits the outcome as an
-/// [`AuditPass`](lll_obs::Event::AuditPass) or
-/// [`AuditViolation`](lll_obs::Event::AuditViolation) event tagged with
-/// the caller's `(step, variable)` context.
-#[allow(clippy::too_many_arguments)]
-pub fn audit_p_star_recorded<T: Num, R: lll_obs::Recorder>(
-    inst: &Instance<T>,
-    partial: &PartialAssignment,
-    phi: &Phi<T>,
-    p_bound: &T,
-    tol: &T,
-    step: usize,
-    variable: usize,
-    rec: &mut R,
-) -> AuditReport {
-    let report = audit_p_star(inst, partial, phi, p_bound, tol);
-    if R::ENABLED {
-        rec.record(&crate::fixer::audit_event(step, variable, &report));
-    }
-    report
-}
-
 /// The outcome of re-checking `P*` over the state touched by a set of
 /// fixed variables — every check result plus the recomputed per-node
 /// φ-products, self-contained so it can be computed *against a sweep

@@ -75,7 +75,7 @@ pub mod dist;
 pub mod orders;
 pub mod triples;
 
-pub use audit::{audit_p_star, audit_p_star_recorded, AuditReport, IncrementalAuditor};
+pub use audit::{audit_p_star, AuditReport, IncrementalAuditor};
 pub use error::{BuildError, FixerError};
 pub use fg::{fg_criterion, FgCriterion, FgFixer};
 pub use fixer::{Fixer, Fixer2, Fixer3, ValueRule};

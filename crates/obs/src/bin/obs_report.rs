@@ -18,15 +18,16 @@
 //! reprinting the live summary; `--idle-exit-ms N` makes it exit once
 //! the file has been quiet for `N` ms (useful in scripts and tests).
 //!
-//! Every mode streams its inputs line-by-line through a [`BufRead`] loop in
-//! bounded memory — a multi-gigabyte trace is folded without ever being
-//! resident. A final line cut short by a crashed producer (no trailing
-//! newline, not parseable) is reported as *truncated*, with a warning
-//! naming the byte offset where the durable prefix ends, after everything
-//! before it has been processed normally — including cuts that land
-//! inside the provenance meta line or a `#checkpoint ` sidecar line.
+//! Every mode but `diff` reads each input once, in bounded memory,
+//! through the one [`StreamReader`] loop, which decodes each line once
+//! for all the folds a mode runs; `diff` compares raw lines. A line that
+//! does not decode is a schema violation in every mode, and the reader's
+//! torn-tail rule gives every mode one verdict per file: an unterminated
+//! final line that does not decode, or an unterminated sidecar, is
+//! reported as *truncated* — with the byte offset where the durable
+//! prefix ends — after everything before it was processed.
 //!
-//! `validate` runs the stream through the schema validator *and* the
+//! `validate` folds each line through the schema validator *and* the
 //! checkpoint-aware [`RunState`] fold (which verifies every sidecar's
 //! counters and digest against the events before it); `--stats` prints
 //! one awk-friendly `key=value` line per file. `resume-check` verifies a
@@ -50,11 +51,11 @@
 use lll_obs::diff::first_divergence;
 use lll_obs::replay::{Replay, RunState};
 use lll_obs::report::Summary;
-use lll_obs::schema::StreamValidator;
+use lll_obs::schema::{Line, Record, Stop, StreamReader, StreamValidator};
 use lll_obs::Provenance;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Success.
@@ -86,95 +87,81 @@ impl Exit {
     }
 }
 
-/// Streams `path` line-by-line into `fold`. Returns the exit code for
-/// this file: `fold` errors map to [`EXIT_SCHEMA`], read errors to
-/// [`EXIT_IO`], and an unterminated final line that is not valid JSON
-/// (including a cut inside the meta line or a `#checkpoint ` sidecar,
-/// neither of which parses when torn) to [`EXIT_TRUNCATED`] — with a
-/// warning naming the byte offset where the durable prefix ends; earlier
-/// lines are still folded.
-fn stream_file(path: &str, mut fold: impl FnMut(usize, &str) -> Result<(), String>) -> u8 {
-    let file = match File::open(path) {
-        Ok(f) => f,
+/// Reads `path` through the one stream reader into `fold` and reports
+/// how it ended: [`EXIT_OK`], [`EXIT_SCHEMA`] for a line that does not
+/// decode or that `fold` rejects, [`EXIT_IO`] for a read error, and
+/// [`EXIT_TRUNCATED`] for a torn final line — with a warning naming the
+/// byte offset where the durable prefix ends; earlier lines are still
+/// folded.
+fn read_file(path: &str, fold: impl FnMut(&Record<'_>) -> Result<(), String>) -> u8 {
+    match File::open(path) {
+        Ok(file) => exit_code(
+            path,
+            StreamReader::default().read(BufReader::new(file), fold),
+        ),
         Err(e) => {
             eprintln!("obs-report: {path}: {e}");
-            return EXIT_IO;
-        }
-    };
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    let mut offset = 0u64;
-    loop {
-        line.clear();
-        let read = match reader.read_line(&mut line) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("obs-report: {path}: read error: {e}");
-                return EXIT_IO;
-            }
-        };
-        if read == 0 {
-            return EXIT_OK;
-        }
-        lineno += 1;
-        let start = offset;
-        offset += read as u64;
-        let terminated = line.ends_with('\n');
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        // An unterminated sidecar line is always torn (a sidecar is only
-        // durable with its newline); an unterminated JSON line is torn
-        // when it no longer parses.
-        let torn = !terminated
-            && (trimmed.starts_with('#') || serde_json::from_str::<serde::Value>(trimmed).is_err());
-        if torn {
-            eprintln!(
-                "obs-report: {path}: warning: line {lineno} is truncated at byte offset \
-                 {start} (crashed producer?); {} complete line(s) / {start} byte(s) were \
-                 processed",
-                lineno - 1
-            );
-            return EXIT_TRUNCATED;
-        }
-        if let Err(e) = fold(lineno, trimmed) {
-            eprintln!("obs-report: {path}: line {lineno}: {e}");
-            return EXIT_SCHEMA;
+            EXIT_IO
         }
     }
 }
 
-/// Output shaping for the summarize mode.
-#[derive(Clone, Copy, Default)]
-struct SummarizeOpts {
-    validate: bool,
-    /// Machine-readable output: one JSON object per input file.
-    json: bool,
-    /// Append the per-request (`req` correlation tag) section.
-    by_request: bool,
+/// The exit code of one read, reporting a failure on stderr.
+fn exit_code(path: &str, read: Result<(), Stop>) -> u8 {
+    match read {
+        Ok(()) => EXIT_OK,
+        Err(Stop::Torn { lineno, offset }) => {
+            eprintln!(
+                "obs-report: {path}: warning: line {lineno} is truncated at byte offset \
+                 {offset} (crashed producer?); {} complete line(s) / {offset} byte(s) were \
+                 processed",
+                lineno - 1
+            );
+            EXIT_TRUNCATED
+        }
+        Err(e) => {
+            eprintln!("obs-report: {path}: {e}");
+            if matches!(e, Stop::Io(_)) {
+                EXIT_IO
+            } else {
+                EXIT_SCHEMA
+            }
+        }
+    }
+}
+
+/// Prints the human summary, with the per-request section on request.
+fn print_summary(summary: &Summary, by_request: bool) {
+    print!("{summary}");
+    if by_request {
+        let mut section = String::new();
+        summary
+            .write_by_request(&mut section)
+            .expect("String sink never fails");
+        print!("{section}");
+    }
 }
 
 /// The summarize mode (also the legacy no-subcommand form): streaming
 /// validation (optional) + streaming summary per input file.
-fn run_summarize(opts: SummarizeOpts, paths: &[String]) -> u8 {
+fn run_summarize(a: &Args) -> u8 {
+    let (json, by_request) = (a.has("--json"), a.has("--by-request"));
     let mut exit = Exit(EXIT_OK);
-    for path in paths {
-        let mut validator = opts.validate.then(StreamValidator::new);
+    for path in &a.paths {
+        let mut validator = a.has("--validate").then(StreamValidator::new);
         let mut summary = Summary::default();
-        let code = stream_file(path, |_, line| {
+        let mut code = read_file(path, |rec| {
             if let Some(v) = validator.as_mut() {
-                v.check(line)?;
+                v.check(rec)?;
             }
-            summary.fold_line(line)
+            summary.fold(rec);
+            Ok(())
         });
-        let mut code = code;
         if code == EXIT_OK {
             if let Some(v) = validator.take() {
                 match v.finish() {
                     Ok(lines) => {
-                        if !opts.json {
+                        if !json {
                             println!("{path}: schema OK ({lines} lines)");
                         }
                     }
@@ -186,7 +173,7 @@ fn run_summarize(opts: SummarizeOpts, paths: &[String]) -> u8 {
             }
         }
         if code == EXIT_OK || code == EXIT_TRUNCATED {
-            if opts.json {
+            if json {
                 let mut obj = match summary.to_json() {
                     serde::Value::Object(fields) => fields,
                     _ => unreachable!("Summary::to_json returns an object"),
@@ -201,14 +188,7 @@ fn run_summarize(opts: SummarizeOpts, paths: &[String]) -> u8 {
                 }
             } else {
                 println!("== {path} ==");
-                print!("{summary}");
-                if opts.by_request {
-                    let mut section = String::new();
-                    summary
-                        .write_by_request(&mut section)
-                        .expect("String sink never fails");
-                    print!("{section}");
-                }
+                print_summary(&summary, by_request);
             }
         }
         exit.set(code);
@@ -218,72 +198,46 @@ fn run_summarize(opts: SummarizeOpts, paths: &[String]) -> u8 {
 
 /// The tail mode: follow a growing JSONL file, folding complete lines
 /// incrementally and reprinting the summary whenever new data arrives.
-/// A final line without its newline is held back until the producer
-/// finishes it. With `--idle-exit-ms N`, exits once the file has been
-/// quiet for `N` ms — code 0 normally, 3 if an unfinished partial line
-/// is still pending (crashed producer).
+/// A torn final line is held back until the producer finishes it. With
+/// `--idle-exit-ms N`, exits once the file has been quiet for `N` ms —
+/// code 0 normally, 3 if a torn final line is still pending (crashed
+/// producer).
 fn run_tail(path: &str, interval_ms: u64, idle_exit_ms: Option<u64>, by_request: bool) -> u8 {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("obs-report: {path}: {e}");
-            return EXIT_IO;
-        }
+    use std::io::{Seek, SeekFrom};
+    let Ok(mut file) = File::open(path).map_err(|e| eprintln!("obs-report: {path}: {e}")) else {
+        return EXIT_IO;
     };
     let mut summary = Summary::default();
-    let mut offset = 0u64;
-    let mut partial = String::new();
+    let mut reader = StreamReader::default();
     let mut idle = std::time::Duration::ZERO;
     let interval = std::time::Duration::from_millis(interval_ms.max(1));
     loop {
-        if let Err(e) = file.seek(SeekFrom::Start(offset)) {
+        if let Err(e) = file.seek(SeekFrom::Start(reader.offset())) {
             eprintln!("obs-report: {path}: seek: {e}");
             return EXIT_IO;
         }
-        let mut chunk = String::new();
-        match file.read_to_string(&mut chunk) {
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("obs-report: {path}: read error: {e}");
-                return EXIT_IO;
-            }
-        }
-        offset += chunk.len() as u64;
         let mut folded = 0usize;
-        if !chunk.is_empty() {
-            partial.push_str(&chunk);
-            while let Some(nl) = partial.find('\n') {
-                let line: String = partial.drain(..=nl).collect();
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if let Err(e) = summary.fold_line(line) {
-                    eprintln!("obs-report: {path}: {e}");
-                    return EXIT_SCHEMA;
-                }
-                folded += 1;
-            }
-        }
+        let read = reader.read(BufReader::new(&mut file), |rec| {
+            folded += usize::from(rec.line != Line::Blank);
+            summary.fold(rec);
+            Ok(())
+        });
+        let pending = match read {
+            Ok(()) => false,
+            Err(Stop::Torn { .. }) => true,
+            Err(e) => return exit_code(path, Err(e)),
+        };
         if folded > 0 {
             idle = std::time::Duration::ZERO;
             println!("== tail {path} ({} lines) ==", summary.lines);
-            print!("{summary}");
-            if by_request {
-                let mut section = String::new();
-                summary
-                    .write_by_request(&mut section)
-                    .expect("String sink never fails");
-                print!("{section}");
-            }
+            print_summary(&summary, by_request);
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
         } else {
             idle += interval;
             if let Some(limit) = idle_exit_ms {
                 if idle >= std::time::Duration::from_millis(limit) {
-                    if partial.trim().is_empty() {
+                    if !pending {
                         return EXIT_OK;
                     }
                     eprintln!(
@@ -309,7 +263,10 @@ fn run_series(out_dir: &Path, paths: &[String]) -> u8 {
     let mut exit = Exit(EXIT_OK);
     for path in paths {
         let mut replay = Replay::new();
-        let code = stream_file(path, |_, line| replay.fold_line(line));
+        let code = read_file(path, |rec| {
+            replay.fold(rec);
+            Ok(())
+        });
         exit.set(code);
         if code != EXIT_OK && code != EXIT_TRUNCATED {
             continue;
@@ -337,19 +294,13 @@ fn run_series(out_dir: &Path, paths: &[String]) -> u8 {
 
 /// The diff mode: bisect two streams to their first divergent event.
 fn run_diff(context: usize, a_path: &str, b_path: &str) -> u8 {
-    let open = |p: &str| -> Result<BufReader<File>, u8> {
-        File::open(p).map(BufReader::new).map_err(|e| {
-            eprintln!("obs-report: {p}: {e}");
-            EXIT_IO
-        })
+    let open = |p: &str| {
+        File::open(p)
+            .map(BufReader::new)
+            .map_err(|e| eprintln!("obs-report: {p}: {e}"))
     };
-    let a = match open(a_path) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let b = match open(b_path) {
-        Ok(r) => r,
-        Err(code) => return code,
+    let (Ok(a), Ok(b)) = (open(a_path), open(b_path)) else {
+        return EXIT_IO;
     };
     // map_while(Result::ok) treats a mid-stream read error as stream end;
     // that still yields a correct "diverges at index i" for the triage
@@ -373,77 +324,29 @@ fn run_diff(context: usize, a_path: &str, b_path: &str) -> u8 {
     }
 }
 
-/// Folds `path` through the checkpoint-aware [`RunState`] fold,
-/// byte-precisely (lines are passed unshortened, so the fold's byte
-/// offsets are file offsets). Returns the state, the torn-tail offset
-/// if the final line is unterminated (RunState policy: a torn tail is
-/// never folded), and the exit code.
-fn fold_run_state(path: &str) -> (RunState, Option<u64>, u8) {
+/// Folds `path` through the checkpoint-aware [`RunState`] fold; returns
+/// the state and the exit code of the read.
+fn fold_run_state(path: &str) -> (RunState, u8) {
     let mut state = RunState::new();
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("obs-report: {path}: {e}");
-            return (state, None, EXIT_IO);
-        }
-    };
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let read = match reader.read_line(&mut line) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("obs-report: {path}: read error: {e}");
-                return (state, None, EXIT_IO);
-            }
-        };
-        if read == 0 {
-            return (state, None, EXIT_OK);
-        }
-        lineno += 1;
-        match line.strip_suffix('\n') {
-            Some(content) => {
-                if let Err(e) = state.fold_line(content) {
-                    eprintln!("obs-report: {path}: line {lineno}: {e}");
-                    return (state, None, EXIT_SCHEMA);
-                }
-            }
-            None => {
-                let torn_at = state.bytes();
-                eprintln!(
-                    "obs-report: {path}: warning: line {lineno} is truncated at byte offset \
-                     {torn_at} (crashed producer?); the durable prefix is {torn_at} byte(s) / \
-                     {} event(s)",
-                    state.events()
-                );
-                return (state, Some(torn_at), EXIT_TRUNCATED);
-            }
-        }
-    }
+    let code = read_file(path, |rec| state.fold(rec));
+    (state, code)
 }
 
-/// The validate mode: schema validation plus the checkpoint-aware
-/// `RunState` fold (which verifies every `#checkpoint ` sidecar against
-/// the events before it). With `--stats`, prints one awk-friendly
-/// `key=value` line per file; `last_checkpoint_round` is `-1` when the
-/// stream carries no checkpoint.
+/// The validate mode: one read per file through the schema validator
+/// and the checkpoint-aware `RunState` fold (which verifies every
+/// `#checkpoint ` sidecar against the events before it). With
+/// `--stats`, prints one awk-friendly `key=value` line per file;
+/// `last_checkpoint_round` is `-1` when the stream carries no
+/// checkpoint.
 fn run_validate(stats: bool, paths: &[String]) -> u8 {
     let mut exit = Exit(EXIT_OK);
     for path in paths {
         let mut validator = StreamValidator::new();
-        let mut schema_ok = true;
-        let code = stream_file(path, |_, line| {
-            if schema_ok {
-                if let Err(e) = validator.check(line) {
-                    schema_ok = false;
-                    return Err(e);
-                }
-            }
-            Ok(())
+        let mut state = RunState::new();
+        let mut code = read_file(path, |rec| {
+            validator.check(rec)?;
+            state.fold(rec)
         });
-        let mut code = code;
         if code == EXIT_OK {
             if let Err(e) = validator.finish() {
                 eprintln!("obs-report: {path}: schema violation: {e}");
@@ -451,42 +354,32 @@ fn run_validate(stats: bool, paths: &[String]) -> u8 {
             }
         }
         if code == EXIT_OK || code == EXIT_TRUNCATED {
-            // Second pass: the resumable-state fold, with byte-precise
-            // offsets and sidecar counter/digest verification.
-            let (state, torn, fold_code) = fold_run_state(path);
-            if fold_code != EXIT_OK && fold_code != EXIT_TRUNCATED {
-                code = fold_code;
-            } else if fold_code == EXIT_TRUNCATED && code == EXIT_OK {
-                code = EXIT_TRUNCATED;
-            }
-            if code == EXIT_OK || code == EXIT_TRUNCATED {
-                if stats {
-                    let last_ck_round = state
-                        .last_checkpoint()
-                        .map_or(-1i64, |rp| rp.checkpoint.round as i64);
-                    println!(
-                        "{path}: events={} bytes={} rounds={} steps={} sim_runs={} \
-                         fix_runs={} audits={} checkpoints={} last_checkpoint_round={} \
-                         digest={:016x} torn={}",
-                        state.events(),
-                        state.bytes(),
-                        state.rounds(),
-                        state.steps().len(),
-                        state.sim_runs(),
-                        state.fix_runs(),
-                        state.audits(),
-                        u64::from(state.last_checkpoint().is_some()),
-                        last_ck_round,
-                        state.digest(),
-                        u64::from(torn.is_some()),
-                    );
-                } else {
-                    println!(
-                        "{path}: schema OK ({} event(s), {} byte(s))",
-                        state.events(),
-                        state.bytes()
-                    );
-                }
+            if stats {
+                let last_ck_round = state
+                    .last_checkpoint()
+                    .map_or(-1i64, |rp| rp.checkpoint.round as i64);
+                println!(
+                    "{path}: events={} bytes={} rounds={} steps={} sim_runs={} \
+                     fix_runs={} audits={} checkpoints={} last_checkpoint_round={} \
+                     digest={:016x} torn={}",
+                    state.events(),
+                    state.bytes(),
+                    state.rounds(),
+                    state.steps().len(),
+                    state.sim_runs(),
+                    state.fix_runs(),
+                    state.audits(),
+                    u64::from(state.last_checkpoint().is_some()),
+                    last_ck_round,
+                    state.digest(),
+                    u64::from(code == EXIT_TRUNCATED),
+                );
+            } else {
+                println!(
+                    "{path}: schema OK ({} event(s), {} byte(s))",
+                    state.events(),
+                    state.bytes()
+                );
             }
         }
         exit.set(code);
@@ -497,48 +390,28 @@ fn run_validate(stats: bool, paths: &[String]) -> u8 {
 /// Byte-compares the first `limit` bytes of two files in bounded
 /// memory. Returns the offset of the first mismatch, if any.
 fn compare_prefix(a_path: &str, b_path: &str, limit: u64) -> Result<Option<u64>, String> {
-    use std::io::Read;
-    let open = |p: &str| {
-        File::open(p)
-            .map(BufReader::new)
-            .map_err(|e| format!("{p}: {e}"))
-    };
-    let mut a = open(a_path)?.take(limit);
-    let mut b = open(b_path)?.take(limit);
-    let mut buf_a = vec![0u8; 64 * 1024];
-    let mut buf_b = vec![0u8; 64 * 1024];
-    let mut offset = 0u64;
-    loop {
-        let na = a.read(&mut buf_a).map_err(|e| format!("{a_path}: {e}"))?;
-        // Fill b's buffer to the same length as a's chunk.
-        let mut nb = 0usize;
-        while nb < na {
-            let n = b
-                .read(&mut buf_b[nb..na])
-                .map_err(|e| format!("{b_path}: {e}"))?;
-            if n == 0 {
-                break;
-            }
-            nb += n;
-        }
-        if na == 0 && nb == 0 {
-            if offset < limit {
+    fn bytes(
+        path: &str,
+        limit: u64,
+    ) -> Result<impl Iterator<Item = Result<u8, String>> + '_, String> {
+        use std::io::Read;
+        let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+        let bytes = BufReader::new(file).take(limit).bytes();
+        Ok(bytes.map(move |b| b.map_err(|e| format!("{path}: {e}"))))
+    }
+    let (mut a, mut b) = (bytes(a_path, limit)?, bytes(b_path, limit)?);
+    for offset in 0..limit {
+        match (a.next().transpose()?, b.next().transpose()?) {
+            (Some(x), Some(y)) if x == y => {}
+            (None, None) => {
                 return Err(format!(
                     "both files end at byte {offset}, before the checkpoint boundary {limit}"
-                ));
+                ))
             }
-            return Ok(None);
+            _ => return Ok(Some(offset)),
         }
-        for i in 0..na.min(nb) {
-            if buf_a[i] != buf_b[i] {
-                return Ok(Some(offset + i as u64));
-            }
-        }
-        if na != nb {
-            return Ok(Some(offset + na.min(nb) as u64));
-        }
-        offset += na as u64;
     }
+    Ok(None)
 }
 
 /// The resume-check mode: verifies a (prefix, checkpoint, continuation)
@@ -553,7 +426,7 @@ fn compare_prefix(a_path: &str, b_path: &str, limit: u64) -> Result<Option<u64>,
 /// through the checkpoint boundary, so the continuation really extends
 /// the checkpointed prefix rather than some other run.
 fn run_resume_check(prefix_path: &str, full_path: &str) -> u8 {
-    let (prefix_state, _torn, prefix_code) = fold_run_state(prefix_path);
+    let (prefix_state, prefix_code) = fold_run_state(prefix_path);
     if prefix_code != EXIT_OK && prefix_code != EXIT_TRUNCATED {
         return prefix_code;
     }
@@ -565,9 +438,9 @@ fn run_resume_check(prefix_path: &str, full_path: &str) -> u8 {
         );
         return EXIT_SCHEMA;
     };
-    let (full_state, full_torn, full_code) = fold_run_state(full_path);
+    let (full_state, full_code) = fold_run_state(full_path);
     if full_code != EXIT_OK {
-        if full_torn.is_some() {
+        if full_code == EXIT_TRUNCATED {
             eprintln!("obs-report: {full_path}: continued stream is itself truncated");
         }
         return full_code;
@@ -608,154 +481,98 @@ fn run_resume_check(prefix_path: &str, full_path: &str) -> u8 {
     EXIT_OK
 }
 
+/// One subcommand's arguments: its boolean flags that are present, the
+/// value of each of its `--option value` pairs, and every other argument
+/// as an input path.
+#[derive(Default)]
+struct Args {
+    flags: Vec<String>,
+    options: Vec<(String, String)>,
+    paths: Vec<String>,
+}
+
+impl Args {
+    /// Splits `args` by the subcommand's `flags` and `options`; `None`
+    /// when an option lacks its value.
+    fn parse(args: &[String], flags: &[&str], options: &[&str]) -> Option<Args> {
+        let mut out = Args::default();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if flags.contains(&a.as_str()) {
+                out.flags.push(a.clone());
+            } else if options.contains(&a.as_str()) {
+                out.options.push((a.clone(), it.next()?.clone()));
+            } else {
+                out.paths.push(a.clone());
+            }
+        }
+        Some(out)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f == flag)
+    }
+
+    /// The last value given for `option` (`Some(None)` when absent);
+    /// `None` when it does not parse.
+    fn value<T: std::str::FromStr>(&self, option: &str) -> Option<Option<T>> {
+        match self.options.iter().rev().find(|(o, _)| o == option) {
+            Some((_, v)) => v.parse().ok().map(Some),
+            None => Some(None),
+        }
+    }
+}
+
+/// Runs `command` (`""` for the legacy summary form); `None` on a usage
+/// error.
+fn run(command: &str, a: &Args) -> Option<u8> {
+    let paths = &a.paths;
+    Some(match command {
+        "summarize" | "" if !paths.is_empty() => run_summarize(a),
+        "validate" if !paths.is_empty() => run_validate(a.has("--stats"), paths),
+        "series" if !paths.is_empty() => {
+            run_series(Path::new(&a.value::<String>("--out")??), paths)
+        }
+        "tail" if paths.len() == 1 => run_tail(
+            &paths[0],
+            a.value("--interval-ms")?.unwrap_or(200),
+            a.value("--idle-exit-ms")?,
+            a.has("--by-request"),
+        ),
+        "diff" if paths.len() == 2 => {
+            run_diff(a.value("--context")?.unwrap_or(3), &paths[0], &paths[1])
+        }
+        "resume-check" if paths.len() == 2 => run_resume_check(&paths[0], &paths[1]),
+        _ => return None,
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let code = match args.first().map(String::as_str) {
-        Some("summarize") => {
-            let rest = &args[1..];
-            let opts = SummarizeOpts {
-                validate: rest.iter().any(|a| a == "--validate"),
-                json: rest.iter().any(|a| a == "--json"),
-                by_request: rest.iter().any(|a| a == "--by-request"),
-            };
-            let paths: Vec<String> = rest
-                .iter()
-                .filter(|a| !matches!(a.as_str(), "--validate" | "--json" | "--by-request"))
-                .cloned()
-                .collect();
-            if paths.is_empty() {
-                eprintln!("obs-report: no input files\n{USAGE}");
-                EXIT_IO
-            } else {
-                run_summarize(opts, &paths)
-            }
+    let (command, rest) = match args.first().map(String::as_str) {
+        Some(c @ ("summarize" | "validate" | "series" | "tail" | "diff" | "resume-check")) => {
+            (c, &args[1..])
         }
-        Some("tail") => {
-            let mut interval_ms = 200u64;
-            let mut idle_exit_ms = None;
-            let mut by_request = false;
-            let mut paths = Vec::new();
-            let mut it = args[1..].iter();
-            let mut usage_error = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--interval-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                        Some(n) => interval_ms = n,
-                        None => usage_error = true,
-                    },
-                    "--idle-exit-ms" => match it.next().and_then(|n| n.parse().ok()) {
-                        Some(n) => idle_exit_ms = Some(n),
-                        None => usage_error = true,
-                    },
-                    "--by-request" => by_request = true,
-                    _ => paths.push(a.clone()),
-                }
-            }
-            if usage_error || paths.len() != 1 {
-                eprintln!("obs-report: tail needs exactly one file\n{USAGE}");
-                EXIT_IO
-            } else {
-                run_tail(&paths[0], interval_ms, idle_exit_ms, by_request)
-            }
-        }
-        Some("series") => {
-            let mut out: Option<PathBuf> = None;
-            let mut paths = Vec::new();
-            let mut it = args[1..].iter();
-            let mut usage_error = false;
-            while let Some(a) = it.next() {
-                if a == "--out" {
-                    match it.next() {
-                        Some(dir) => out = Some(PathBuf::from(dir)),
-                        None => usage_error = true,
-                    }
-                } else {
-                    paths.push(a.clone());
-                }
-            }
-            match (out, usage_error, paths.is_empty()) {
-                (Some(dir), false, false) => run_series(&dir, &paths),
-                _ => {
-                    eprintln!("obs-report: series needs --out <dir> and input files\n{USAGE}");
-                    EXIT_IO
-                }
-            }
-        }
-        Some("validate") => {
-            let rest = &args[1..];
-            let stats = rest.iter().any(|a| a == "--stats");
-            let paths: Vec<String> = rest
-                .iter()
-                .filter(|a| a.as_str() != "--stats")
-                .cloned()
-                .collect();
-            if paths.is_empty() {
-                eprintln!("obs-report: no input files\n{USAGE}");
-                EXIT_IO
-            } else {
-                run_validate(stats, &paths)
-            }
-        }
-        Some("resume-check") => {
-            let paths: Vec<String> = args[1..].to_vec();
-            if paths.len() != 2 {
-                eprintln!("obs-report: resume-check needs exactly two files\n{USAGE}");
-                EXIT_IO
-            } else {
-                run_resume_check(&paths[0], &paths[1])
-            }
-        }
-        Some("diff") => {
-            let mut context = 3usize;
-            let mut paths = Vec::new();
-            let mut it = args[1..].iter();
-            let mut usage_error = false;
-            while let Some(a) = it.next() {
-                if a == "--context" {
-                    match it.next().and_then(|k| k.parse().ok()) {
-                        Some(k) => context = k,
-                        None => usage_error = true,
-                    }
-                } else {
-                    paths.push(a.clone());
-                }
-            }
-            if usage_error || paths.len() != 2 {
-                eprintln!("obs-report: diff needs exactly two files\n{USAGE}");
-                EXIT_IO
-            } else {
-                run_diff(context, &paths[0], &paths[1])
-            }
-        }
-        Some(_) => {
-            // Legacy form: flags and paths, no subcommand.
-            let validate = args.iter().any(|a| a == "--validate");
-            let paths: Vec<String> = args
-                .iter()
-                .filter(|a| *a != "--validate")
-                .cloned()
-                .collect();
-            if paths.is_empty() {
-                eprintln!("obs-report: no input files\n{USAGE}");
-                EXIT_IO
-            } else {
-                run_summarize(
-                    SummarizeOpts {
-                        validate,
-                        ..SummarizeOpts::default()
-                    },
-                    &paths,
-                )
-            }
-        }
-        None => {
-            eprintln!("obs-report: no input files\n{USAGE}");
-            EXIT_IO
-        }
+        _ => ("", &args[..]),
     };
+    let (flags, options): (&[&str], &[&str]) = match command {
+        "summarize" => (&["--validate", "--json", "--by-request"], &[]),
+        "validate" => (&["--stats"], &[]),
+        "series" => (&[], &["--out"]),
+        "tail" => (&["--by-request"], &["--interval-ms", "--idle-exit-ms"]),
+        "diff" => (&[], &["--context"]),
+        "resume-check" => (&[], &[]),
+        _ => (&["--validate"], &[]),
+    };
+    let code = Args::parse(rest, flags, options)
+        .and_then(|a| run(command, &a))
+        .unwrap_or_else(|| {
+            eprintln!("obs-report: missing or malformed arguments\n{USAGE}");
+            EXIT_IO
+        });
     ExitCode::from(code)
 }

@@ -15,24 +15,21 @@
 //!   bytes (meta and sidecar lines excluded) that ties a checkpoint to
 //!   the exact prefix it summarizes.
 //!
-//! Sidecar lines start with `#`, which no JSON object can, so every
-//! reader (validator, summarizer, differ, replay fold) skips them
-//! structurally; the event stream with sidecars stripped is
+//! Sidecar lines start with `#`, which no JSON object can, so the
+//! reader ([`schema`](crate::schema)) tells them from events
+//! structurally and every fold but [`RunState`](crate::replay::RunState)
+//! skips them; the event stream with sidecars stripped is
 //! byte-identical to one recorded without checkpointing (schema
 //! v2-additive). The state *fold* that consumes a prefix and
 //! reconstructs resumable run state lives in
 //! [`replay::RunState`](crate::replay::RunState); the offline verifier
 //! is `obs-report resume-check`.
 
+use crate::schema::Fields;
 use std::fmt;
 
 /// Prefix of a checkpoint sidecar line (including the trailing space).
 pub const CHECKPOINT_PREFIX: &str = "#checkpoint ";
-
-/// Prefix shared by every sidecar comment line. A line starting with
-/// `#` is never an event: readers skip unknown sidecars and parse known
-/// ones (`#checkpoint `).
-pub const SIDECAR_PREFIX: char = '#';
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -158,24 +155,25 @@ impl Checkpoint {
             .ok_or_else(|| format!("not a checkpoint line: {line:?}"))?;
         let v: serde::Value = serde_json::from_str(payload)
             .map_err(|e| format!("checkpoint payload is not valid JSON: {e}"))?;
-        let uint = |name: &str| match v.get(name) {
-            Some(serde::Value::U64(n)) => Ok(*n),
-            other => Err(format!(
-                "checkpoint field {name:?} must be an unsigned integer, got {other:?}"
-            )),
+        let f = Fields {
+            ty: "checkpoint",
+            obj: &v,
         };
-        let round = uint("round")?;
-        let step = uint("step")?;
-        let events = uint("events")?;
-        let offset = uint("offset")?;
-        let digest = match v.get("digest") {
-            Some(serde::Value::String(s)) if s.len() == 16 => {
-                u64::from_str_radix(s, 16).map_err(|e| format!("checkpoint digest is not hex: {e}"))
+        let (round, step, events, offset) = (
+            f.u64("round")?,
+            f.u64("step")?,
+            f.u64("events")?,
+            f.u64("offset")?,
+        );
+        let digest = f.string("digest")?;
+        let digest = match u64::from_str_radix(&digest, 16) {
+            Ok(d) if digest.len() == 16 => d,
+            _ => {
+                return Err(format!(
+                    "checkpoint field \"digest\" must be 16 hex digits, got {digest:?}"
+                ))
             }
-            other => Err(format!(
-                "checkpoint field \"digest\" must be a 16-hex-digit string, got {other:?}"
-            )),
-        }?;
+        };
         Ok(Checkpoint {
             round,
             step,
@@ -194,11 +192,6 @@ impl fmt::Display for Checkpoint {
             self.round, self.step, self.events, self.offset, self.digest
         )
     }
-}
-
-/// Whether a raw line is a sidecar comment (checkpoint or other).
-pub fn is_sidecar(line: &str) -> bool {
-    line.starts_with(SIDECAR_PREFIX)
 }
 
 #[cfg(test)]
@@ -258,12 +251,5 @@ mod tests {
         )
         .unwrap_err()
         .contains("digest"));
-    }
-
-    #[test]
-    fn sidecar_detection() {
-        assert!(is_sidecar("#checkpoint {}"));
-        assert!(is_sidecar("# a comment"));
-        assert!(!is_sidecar("{\"type\":\"meta\"}"));
     }
 }

@@ -5,6 +5,10 @@
 //! recorded stream is a pure function of the run's inputs. The JSONL
 //! encoding is hand-rolled with a fixed field order per variant, which is
 //! what makes byte-identity across engines a meaningful guarantee.
+//! `Event::decode` reads a line back; it is the schema check for event
+//! lines (`crate::schema`).
+
+use crate::schema::Fields;
 
 /// Version of the JSONL event schema. Bump on any change to field names,
 /// field order, or variant tags; see DESIGN.md §3.7 for the versioning rules.
@@ -293,6 +297,46 @@ impl Event {
         s.push('}');
         s
     }
+
+    /// Decodes the event an object line carries — the inverse of
+    /// [`Event::to_jsonl`], and the schema check for event lines: every
+    /// field the writer writes must be present with its kind (extra
+    /// fields are ignored). `None` for a `type` no variant serializes
+    /// under.
+    pub(crate) fn decode(f: &Fields<'_>) -> Result<Option<Event>, String> {
+        // `tag => Variant { field: reader, .. }`, each field read with the
+        // `Fields` method of its kind, in the writer's order.
+        macro_rules! decode {
+            ($($tag:literal => $variant:ident { $($field:ident: $read:ident),* },)*) => {
+                match f.ty {
+                    $($tag => Event::$variant { $($field: f.$read(stringify!($field))?),* },)*
+                    _ => return Ok(None),
+                }
+            };
+        }
+        Ok(Some(decode! {
+            "sim_run_start" => SimRunStart { nodes: usize, edges: usize, max_degree: usize, seed: u64 },
+            "round_start" => RoundStart { round: usize, running: usize },
+            "node_halt" => NodeHalt { round: usize, node: usize },
+            "round_end" => RoundEnd {
+                round: usize, delivered: usize, bytes: usize, halted: usize, running: usize
+            },
+            "sim_run_end" => SimRunEnd { rounds: usize, messages: usize },
+            "fix_run_start" => FixRunStart { variables: usize, events: usize, max_rank: usize },
+            "fix_step" => FixStep {
+                step: usize, variable: usize, value: usize, rank: usize,
+                touched: usizes, inc: floats, phi_product: floats, headroom: floats
+            },
+            "audit_pass" => AuditPass { step: usize, variable: usize },
+            "audit_violation" => AuditViolation {
+                step: usize, variable: usize, pair_violations: usizes, prob_violations: usizes
+            },
+            "fix_run_end" => FixRunEnd { steps: usize, violated: usize },
+            "experiment_start" => ExperimentStart { id: string },
+            "experiment_row" => ExperimentRow { id: string, index: usize },
+            "experiment_end" => ExperimentEnd { id: string, rows: usize },
+        }))
+    }
 }
 
 fn push_key(s: &mut String, key: &str) {
@@ -425,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_parses_as_json() {
+    fn every_variant_decodes_back() {
         let samples = vec![
             Event::SimRunStart {
                 nodes: 4,
@@ -491,12 +535,13 @@ mod tests {
             },
         ];
         for e in samples {
-            let line = e.to_jsonl();
-            let v: Result<serde::Value, serde_json::Error> = serde_json::from_str(&line);
-            let v = v.unwrap_or_else(|err| panic!("{line}: {err:?}"));
-            match v.get("type") {
-                Some(serde::Value::String(t)) => assert_eq!(t, e.kind(), "{line}"),
-                other => panic!("{line}: bad type field {other:?}"),
+            let line = e.to_jsonl_tagged(Some("\"q\""));
+            match crate::schema::Line::decode(&line) {
+                Ok(crate::schema::Line::Event { event, req }) => {
+                    assert_eq!(event, e, "{line}");
+                    assert_eq!(req.as_deref(), Some("\"q\""), "{line}");
+                }
+                other => panic!("{line}: {other:?}"),
             }
         }
     }

@@ -19,14 +19,16 @@
 //! Prometheus text-format exposition — like [`timing`], a strictly
 //! side-band channel that never feeds the deterministic stream.
 //!
-//! The read/diagnose side (DESIGN.md §3.8) lives in four modules:
-//! [`hist`] — log-bucketed fixed-point streaming histograms; [`timing`] —
-//! the side-band wall-clock channel (a [`TimingSink`] mirror of the
-//! recorder design, so untimed builds still compile to the status quo and
-//! the deterministic event stream never sees a clock); [`replay`] —
-//! bounded-memory folding of JSONL into per-round/per-node/per-step
-//! series; and [`diff`] — first-divergence triage for the differential
-//! batteries. The `obs-report` binary surfaces all of them.
+//! Recorded streams have one reader (DESIGN.md §3.7): [`schema`] decodes
+//! each line once into a typed [`Line`] and feeds the folds. The
+//! read/diagnose side (DESIGN.md §3.8) builds on it: [`hist`] —
+//! log-bucketed streaming histograms; [`timing`] — the side-band
+//! wall-clock channel (a [`TimingSink`] mirror of the recorder design, so
+//! untimed builds still compile to the status quo and the deterministic
+//! event stream never sees a clock); [`report`] and [`replay`] —
+//! bounded-memory folds into a summary and into per-round/per-node/
+//! per-step series; and [`diff`] — first-divergence triage over raw
+//! lines. The `obs-report` binary surfaces all of them.
 //!
 //! Checkpoint/resume (DESIGN.md §3.12) promotes the stream from a tee to
 //! the system of record: [`checkpoint`] defines the `#checkpoint` sidecar
@@ -58,4 +60,5 @@ pub use provenance::Provenance;
 pub use recorder::{
     BufRecorder, CounterRecorder, JsonlRecorder, NullRecorder, Recorder, SkipPrefixRecorder,
 };
-pub use timing::{NullTiming, TimingRecorder, TimingScope, TimingSink};
+pub use schema::Line;
+pub use timing::{NullTiming, TimingLine, TimingRecorder, TimingScope, TimingSink};

@@ -8,6 +8,7 @@
 
 use crate::event::push_str;
 use crate::event::SCHEMA_VERSION;
+use crate::schema::Fields;
 use std::process::Command;
 
 /// Facts about a recorded run, stamped on JSONL meta lines and CSV headers.
@@ -111,6 +112,58 @@ impl Provenance {
         s
     }
 
+    /// Decodes a meta line — the inverse of [`Provenance::to_jsonl`].
+    /// Optional facts are typed when present; a schema version newer
+    /// than this reader's is rejected (v2 is additive over v1, so both
+    /// read identically).
+    pub(crate) fn decode(f: &Fields<'_>) -> Result<Provenance, String> {
+        let schema = f.u64("schema")?;
+        if schema == 0 || schema > u64::from(SCHEMA_VERSION) {
+            return Err(format!(
+                "meta: schema version {schema} not supported (max {SCHEMA_VERSION})"
+            ));
+        }
+        let graph = |f: &Fields<'_>, _: &str| {
+            Ok((f.usize("nodes")?, f.usize("edges")?, f.usize("max_degree")?))
+        };
+        Ok(Provenance {
+            schema: schema as u32,
+            seed: f.optional("seed", Fields::u64)?,
+            threads: f.optional("threads", Fields::usize)?,
+            graph: f.optional("nodes", graph)?,
+            shards: f.optional("shards", Fields::usizes)?,
+            git_rev: f.string("git_rev")?,
+            rustc: f.string("rustc")?,
+            crate_version: f.string("crate_version")?,
+        })
+    }
+
+    /// The facts as `(key, value)` pairs in meta-line order, values as
+    /// their JSON text — what `obs-report summarize` prints.
+    pub fn facts(&self) -> Vec<(String, String)> {
+        let mut facts = vec![("schema", self.schema.to_string())];
+        facts.extend(self.seed.map(|v| ("seed", v.to_string())));
+        facts.extend(self.threads.map(|v| ("threads", v.to_string())));
+        if let Some((nodes, edges, max_degree)) = self.graph {
+            let graph = [
+                ("nodes", nodes),
+                ("edges", edges),
+                ("max_degree", max_degree),
+            ];
+            facts.extend(graph.map(|(k, v)| (k, v.to_string())));
+        }
+        let shards = self.shards.as_ref();
+        facts.extend(shards.map(|s| ("shards", format!("{s:?}").replace(' ', ""))));
+        let strings = [("git_rev", &self.git_rev), ("rustc", &self.rustc)];
+        for (k, v) in strings
+            .into_iter()
+            .chain([("crate_version", &self.crate_version)])
+        {
+            facts.push((k, format!("{v:?}")));
+        }
+        facts.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
+    }
+
     /// One-line `# provenance:` CSV comment. Readers must skip lines that
     /// start with `#`.
     pub fn csv_comment(&self) -> String {
@@ -165,6 +218,22 @@ mod tests {
         assert_eq!(v.get("seed"), Some(&serde::Value::U64(7)));
         assert!(v.get("git_rev").is_some());
         assert!(v.get("rustc").is_some());
+    }
+
+    #[test]
+    fn meta_line_decodes_back() {
+        let p = Provenance::capture()
+            .with_seed(7)
+            .with_threads(4)
+            .with_graph(16, 16, 2)
+            .with_shards(vec![4, 4, 4, 4]);
+        match crate::schema::Line::decode(&p.to_jsonl()) {
+            Ok(crate::schema::Line::Meta(q)) => assert_eq!(q, p),
+            other => panic!("{other:?}"),
+        }
+        let facts = p.facts();
+        assert_eq!(facts[0], ("schema".to_owned(), SCHEMA_VERSION.to_string()));
+        assert!(facts.contains(&("shards".to_owned(), "[4,4,4,4]".to_owned())));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Streaming analytics over recorded JSONL: fold a stream line-by-line,
 //! in bounded memory, into queryable time series.
 //!
-//! [`Replay`] never buffers the input — each line is parsed, folded into
-//! the accumulated series, and dropped, so memory is proportional to the
+//! [`Replay`] never buffers the input — each line is decoded once by the
+//! [`schema`](crate::schema) reader, folded into the accumulated series,
+//! and dropped, so memory is proportional to the
 //! *summary* (one point per round, halt, or fixing step), never to the raw
 //! event count or the file size. The three series mirror the paper's
 //! quantities of interest: the per-round message/byte bill (Corollary 1.2
@@ -18,11 +19,12 @@
 //! counters, the byte offset, and the rolling
 //! [`StreamDigest`] — and verifies every
 //! `#checkpoint ` sidecar it passes against its own counters. Both
-//! folds skip `#`-prefixed sidecar lines, so checkpointed and plain
-//! streams replay identically.
+//! folds read decoded lines, and [`Replay`] skips sidecars, so
+//! checkpointed and plain streams replay identically.
 
-use crate::checkpoint::{is_sidecar, Checkpoint, StreamDigest};
-use serde::Value;
+use crate::checkpoint::{Checkpoint, StreamDigest};
+use crate::event::Event;
+use crate::schema::{Line, Record, Stop, StreamReader};
 
 /// One `round_end` event: the per-round bill of one simulator run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,32 +76,12 @@ pub struct StepPoint {
     pub headroom_min: f64,
 }
 
-fn uint(v: Option<&Value>) -> u64 {
-    match v {
-        Some(Value::U64(n)) => *n,
-        _ => 0,
-    }
-}
-
-fn float(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(x) => Some(*x),
-        Value::U64(x) => Some(*x as f64),
-        Value::I64(x) => Some(*x as f64),
-        _ => None,
-    }
-}
-
-fn fold_min_max(v: Option<&Value>) -> (f64, f64) {
-    let mut min = f64::NAN;
-    let mut max = f64::NAN;
-    if let Some(Value::Array(xs)) = v {
-        for x in xs.iter().filter_map(float) {
-            min = if min.is_nan() { x } else { min.min(x) };
-            max = if max.is_nan() { x } else { max.max(x) };
-        }
-    }
-    (min, max)
+/// The smallest and largest non-NaN entry (`NaN` when there is none;
+/// non-finite values are written as `null` and decode to NaN).
+fn min_max(xs: &[f64]) -> (f64, f64) {
+    xs.iter()
+        .filter(|x| !x.is_nan())
+        .fold((f64::NAN, f64::NAN), |(lo, hi), &x| (x.min(lo), x.max(hi)))
 }
 
 /// CSV cell for a possibly-missing float.
@@ -134,76 +116,65 @@ impl Replay {
         Replay::default()
     }
 
-    /// Folds the next line of the stream. Blank lines are the caller's
-    /// to skip; this expects one JSON object per call.
-    ///
-    /// # Errors
-    ///
-    /// A description of the malformed line (invalid JSON or missing
-    /// `type` tag).
-    pub fn fold_line(&mut self, line: &str) -> Result<(), String> {
-        if is_sidecar(line) {
-            // Checkpoint (and other) sidecar comments are not events.
-            return Ok(());
-        }
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON: {e}"))?;
-        let ty = match v.get("type") {
-            Some(Value::String(t)) => t.clone(),
-            _ => return Err("missing \"type\" field".to_string()),
+    /// Folds the next decoded line of the stream; blank and sidecar
+    /// lines are not counted.
+    pub fn fold(&mut self, rec: &Record<'_>) {
+        let event = match &rec.line {
+            Line::Blank | Line::Sidecar(_) => return,
+            Line::Meta(_) => {
+                self.meta = Some(rec.text.trim().to_owned());
+                None
+            }
+            Line::Event { event, .. } => Some(event),
+            Line::Timing(_) | Line::Unknown { .. } => None,
         };
         self.lines += 1;
-        match ty.as_str() {
-            "meta" => self.meta = Some(line.to_string()),
-            "sim_run_start" => self.sim_runs_started += 1,
-            "round_end" => self.rounds.push(RoundPoint {
-                run: self.sim_runs_started.saturating_sub(1),
-                round: uint(v.get("round")),
-                delivered: uint(v.get("delivered")),
-                bytes: uint(v.get("bytes")),
-                halted: uint(v.get("halted")),
-                running: uint(v.get("running")),
+        let sim_run = self.sim_runs_started.saturating_sub(1);
+        match event {
+            Some(Event::SimRunStart { .. }) => self.sim_runs_started += 1,
+            Some(&Event::RoundEnd {
+                round,
+                delivered,
+                bytes,
+                halted,
+                running,
+            }) => self.rounds.push(RoundPoint {
+                run: sim_run,
+                round: round as u64,
+                delivered: delivered as u64,
+                bytes: bytes as u64,
+                halted: halted as u64,
+                running: running as u64,
             }),
-            "node_halt" => self.halts.push(HaltPoint {
-                run: self.sim_runs_started.saturating_sub(1),
-                round: uint(v.get("round")),
-                node: uint(v.get("node")),
+            Some(&Event::NodeHalt { round, node }) => self.halts.push(HaltPoint {
+                run: sim_run,
+                round: round as u64,
+                node: node as u64,
             }),
-            "fix_run_start" => self.fix_runs_started += 1,
-            "fix_step" => {
-                let (phi_min, phi_max) = fold_min_max(v.get("phi_product"));
-                let (headroom_min, _) = fold_min_max(v.get("headroom"));
+            Some(Event::FixRunStart { .. }) => self.fix_runs_started += 1,
+            Some(Event::FixStep {
+                step,
+                variable,
+                value,
+                rank,
+                phi_product,
+                headroom,
+                ..
+            }) => {
+                let (phi_min, phi_max) = min_max(phi_product);
                 self.steps.push(StepPoint {
                     run: self.fix_runs_started.saturating_sub(1),
-                    step: uint(v.get("step")),
-                    variable: uint(v.get("variable")),
-                    value: uint(v.get("value")),
-                    rank: uint(v.get("rank")),
+                    step: *step as u64,
+                    variable: *variable as u64,
+                    value: *value as u64,
+                    rank: *rank as u64,
                     phi_min,
                     phi_max,
-                    headroom_min,
+                    headroom_min: min_max(headroom).0,
                 });
             }
             _ => {}
         }
-        Ok(())
-    }
-
-    /// Folds a whole in-memory stream (tests and small files; the CLI
-    /// streams files through [`Replay::fold_line`] instead).
-    ///
-    /// # Errors
-    ///
-    /// As [`Replay::fold_line`], prefixed with the 1-based line number.
-    pub fn from_stream(text: &str) -> Result<Replay, String> {
-        let mut r = Replay::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            r.fold_line(line)
-                .map_err(|e| format!("line {}: {e}", i + 1))?;
-        }
-        Ok(r)
     }
 
     /// The provenance stamp for exported CSVs: the source stream's own
@@ -301,13 +272,13 @@ pub struct ResumePoint {
 /// fold's own counters and digest — a mismatch means the stream is
 /// corrupt, not merely torn, and folding fails loudly.
 ///
-/// Torn tails are the caller's to detect (a final line without `\n`):
-/// stop folding and treat [`RunState::bytes`] as the end of the durable
-/// prefix. [`RunState::from_stream`] implements exactly that policy.
+/// The durable prefix follows the reader's torn-tail rule
+/// ([`schema`](crate::schema)): a torn final line is never handed to the
+/// fold, so [`RunState::bytes`] ends the durable prefix, while an
+/// unterminated final line that decodes is folded as complete.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RunState {
     steps: Vec<(u64, u64)>,
-    lines: u64,
     events: u64,
     bytes: u64,
     round_ends: u64,
@@ -318,7 +289,6 @@ pub struct RunState {
     fix_run_complete: bool,
     audits: u64,
     digest: StreamDigest,
-    meta: Option<String>,
     last: Option<ResumePoint>,
 }
 
@@ -331,27 +301,19 @@ impl RunState {
         }
     }
 
-    /// Folds the next *terminated* line of the stream (newline already
-    /// stripped; blank lines are ignored). A torn final line must not be
-    /// passed here — see the type-level docs.
+    /// Folds the next decoded line of the stream.
     ///
     /// # Errors
     ///
-    /// A description of the malformed line (invalid JSON, missing
-    /// `type`, malformed `#checkpoint ` payload) or of a checkpoint
-    /// whose counters contradict the fold (corrupt stream).
-    pub fn fold_line(&mut self, line: &str) -> Result<(), String> {
-        self.lines += 1;
-        if line.trim().is_empty() {
-            self.bytes += line.len() as u64 + 1;
-            return Ok(());
-        }
-        if is_sidecar(line) {
-            if line.starts_with(crate::checkpoint::CHECKPOINT_PREFIX) {
-                let ck = Checkpoint::parse(line)?;
-                self.verify_checkpoint(&ck)?;
+    /// A `#checkpoint ` sidecar whose counters or digest contradict the
+    /// fold (a corrupt stream, not merely a torn one).
+    pub fn fold(&mut self, rec: &Record<'_>) -> Result<(), String> {
+        match &rec.line {
+            Line::Blank | Line::Sidecar(None) | Line::Meta(_) => {}
+            Line::Sidecar(Some(ck)) => {
+                self.verify_checkpoint(ck, rec.lineno)?;
                 self.last = Some(ResumePoint {
-                    checkpoint: ck,
+                    checkpoint: *ck,
                     audits: self.audits,
                     sim_runs: self.sim_runs,
                     sim_rounds: self.sim_rounds,
@@ -360,48 +322,44 @@ impl RunState {
                     fix_run_complete: self.fix_run_complete,
                 });
             }
-            self.bytes += line.len() as u64 + 1;
-            return Ok(());
+            line => {
+                if let Line::Event { event, .. } = line {
+                    self.fold_event(event);
+                }
+                self.events += 1;
+                self.digest.update_line(rec.text);
+            }
         }
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON: {e}"))?;
-        let ty = match v.get("type") {
-            Some(Value::String(t)) => t.clone(),
-            _ => return Err("missing \"type\" field".to_string()),
-        };
-        if ty == "meta" {
-            self.meta = Some(line.to_string());
-            self.bytes += line.len() as u64 + 1;
-            return Ok(());
-        }
-        match ty.as_str() {
-            "sim_run_start" => {
+        self.bytes += rec.bytes;
+        Ok(())
+    }
+
+    fn fold_event(&mut self, event: &Event) {
+        match *event {
+            Event::SimRunStart { .. } => {
                 self.sim_runs += 1;
                 self.sim_rounds = 0;
                 self.sim_run_complete = false;
             }
-            "round_end" => {
+            Event::RoundEnd { .. } => {
                 self.round_ends += 1;
                 self.sim_rounds += 1;
             }
-            "sim_run_end" => self.sim_run_complete = true,
-            "fix_run_start" => {
+            Event::SimRunEnd { .. } => self.sim_run_complete = true,
+            Event::FixRunStart { .. } => {
                 self.fix_runs += 1;
                 self.fix_run_complete = false;
             }
-            "fix_step" => self
-                .steps
-                .push((uint(v.get("variable")), uint(v.get("value")))),
-            "audit_pass" | "audit_violation" => self.audits += 1,
-            "fix_run_end" => self.fix_run_complete = true,
+            Event::FixStep {
+                variable, value, ..
+            } => self.steps.push((variable as u64, value as u64)),
+            Event::AuditPass { .. } | Event::AuditViolation { .. } => self.audits += 1,
+            Event::FixRunEnd { .. } => self.fix_run_complete = true,
             _ => {}
         }
-        self.events += 1;
-        self.digest.update_line(line);
-        self.bytes += line.len() as u64 + 1;
-        Ok(())
     }
 
-    fn verify_checkpoint(&self, ck: &Checkpoint) -> Result<(), String> {
+    fn verify_checkpoint(&self, ck: &Checkpoint, lineno: usize) -> Result<(), String> {
         let expect = (
             self.round_ends,
             self.steps.len() as u64,
@@ -415,7 +373,7 @@ impl RunState {
                 "checkpoint at line {} contradicts the fold: sidecar says \
                  (round,step,events,offset,digest)=({},{},{},{},{:016x}) \
                  but the fold reached ({},{},{},{},{:016x}) — corrupt stream",
-                self.lines,
+                lineno,
                 got.0,
                 got.1,
                 got.2,
@@ -432,29 +390,21 @@ impl RunState {
     }
 
     /// Folds a whole in-memory stream, tolerating a torn final line
-    /// (no trailing `\n`): the tail is *not* folded and its start
-    /// offset — the end of the durable prefix — is returned alongside
-    /// the state.
+    /// (the [`schema`](crate::schema) reader's rule): the tail is *not*
+    /// folded and its start offset — the end of the durable prefix — is
+    /// returned alongside the state.
     ///
     /// # Errors
     ///
-    /// As [`RunState::fold_line`], prefixed with the 1-based line
-    /// number.
+    /// A line that does not decode, or a contradicted checkpoint, with
+    /// its 1-based line number.
     pub fn from_stream(text: &str) -> Result<(RunState, Option<u64>), String> {
         let mut state = RunState::new();
-        for (idx, raw) in text.split_inclusive('\n').enumerate() {
-            let line_no = idx + 1;
-            match raw.strip_suffix('\n') {
-                Some(line) => state
-                    .fold_line(line)
-                    .map_err(|e| format!("line {line_no}: {e}"))?,
-                None => {
-                    let torn_at = state.bytes;
-                    return Ok((state, Some(torn_at)));
-                }
-            }
+        match StreamReader::default().read(text.as_bytes(), |rec| state.fold(rec)) {
+            Ok(()) => Ok((state, None)),
+            Err(Stop::Torn { offset, .. }) => Ok((state, Some(offset))),
+            Err(e) => Err(e.to_string()),
         }
-        Ok((state, None))
     }
 
     /// The applied `(variable, value)` fixing steps, in stream order.
@@ -476,11 +426,6 @@ impl RunState {
     /// `round_end` events folded, across all simulator runs.
     pub fn rounds(&self) -> u64 {
         self.round_ends
-    }
-
-    /// `round_end` events of the current (latest) simulator run.
-    pub fn sim_rounds(&self) -> u64 {
-        self.sim_rounds
     }
 
     /// Simulator runs started.
@@ -513,11 +458,6 @@ impl RunState {
         self.digest.value()
     }
 
-    /// The raw meta line, if the stream carried one.
-    pub fn meta(&self) -> Option<&str> {
-        self.meta.as_deref()
-    }
-
     /// The last verified `#checkpoint ` sidecar and the resumable facts
     /// frozen at it.
     pub fn last_checkpoint(&self) -> Option<&ResumePoint> {
@@ -528,7 +468,19 @@ impl RunState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+
+    impl Replay {
+        fn from_stream(text: &str) -> Result<Replay, String> {
+            let mut r = Replay::new();
+            StreamReader::default()
+                .read(text.as_bytes(), |rec| {
+                    r.fold(rec);
+                    Ok(())
+                })
+                .map_err(|e| e.to_string())?;
+            Ok(r)
+        }
+    }
     use crate::provenance::Provenance;
 
     fn sample_stream() -> String {
@@ -623,9 +575,12 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         assert!(Replay::from_stream("{oops").unwrap_err().contains("line 1"));
-        assert!(Replay::from_stream("{\"x\":1}")
+        assert!(Replay::from_stream("{\"x\":1}\n")
             .unwrap_err()
             .contains("type"));
+        // A known event with a missing field is an error, not a zero.
+        let e = Replay::from_stream("{\"type\":\"node_halt\",\"round\":1}\n").unwrap_err();
+        assert!(e.contains("line 1") && e.contains("\"node\""), "{e}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Folding a JSONL stream into a human-readable summary.
 
+use crate::event::Event;
+use crate::schema::{Line, Record};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -55,113 +57,59 @@ pub struct RequestStats {
     pub rounds: usize,
 }
 
-fn uint(v: Option<&Value>) -> usize {
-    match v {
-        Some(Value::U64(n)) => *n as usize,
-        _ => 0,
-    }
-}
-
 impl Summary {
-    /// Folds a full in-memory stream. Lines must individually be valid
-    /// JSON objects; run the stream through
-    /// [`crate::schema::validate_stream`] first when structural
-    /// guarantees matter. Large files should be streamed through
-    /// [`Summary::fold_line`] instead (as `obs-report` does) — this
-    /// convenience merely iterates it.
-    pub fn from_stream(text: &str) -> Result<Summary, String> {
-        let mut s = Summary::default();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            s.fold_line(line)
-                .map_err(|e| format!("line {}: {e}", i + 1))?;
-        }
-        Ok(s)
-    }
-
-    /// Folds one line into the summary — the bounded-memory entry point:
-    /// each line is parsed, aggregated and dropped, so memory stays
-    /// proportional to the summary, not the stream.
-    ///
-    /// # Errors
-    ///
-    /// A description of the malformed line (no line-number prefix; the
-    /// caller knows the position).
-    pub fn fold_line(&mut self, line: &str) -> Result<(), String> {
-        let s = self;
-        if line.starts_with('#') {
-            // Sidecar comment (e.g. a `#checkpoint ` line): not an
-            // event, not counted.
-            return Ok(());
-        }
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON: {e}"))?;
-        let ty = match v.get("type") {
-            Some(Value::String(t)) => t.clone(),
-            _ => return Err("missing \"type\" field".to_string()),
+    /// Folds one decoded line into the summary — the bounded-memory
+    /// entry point: memory stays proportional to the summary, not the
+    /// stream. Blank and sidecar lines are not counted.
+    pub fn fold(&mut self, rec: &Record<'_>) {
+        let line = &rec.line;
+        let Some(ty) = line.kind() else {
+            return;
         };
-        s.lines += 1;
-        *s.by_type.entry(ty.clone()).or_insert(0) += 1;
-        if let Some(req) = v.get("req") {
-            let r = s.by_request.entry(req.to_string()).or_default();
+        self.lines += 1;
+        *self.by_type.entry(ty.to_owned()).or_insert(0) += 1;
+        let (event, req) = match line {
+            Line::Event { event, req } => (Some(event), req),
+            Line::Unknown { req, .. } => (None, req),
+            _ => (None, &None),
+        };
+        if let Some(req) = req {
+            let r = self.by_request.entry(req.clone()).or_default();
             r.events += 1;
-            match ty.as_str() {
-                "fix_run_end" => r.fix_runs += 1,
-                "fix_step" => r.fix_steps += 1,
-                "sim_run_end" => {
+            match event {
+                Some(Event::FixRunEnd { .. }) => r.fix_runs += 1,
+                Some(Event::FixStep { .. }) => r.fix_steps += 1,
+                Some(Event::SimRunEnd { rounds, .. }) => {
                     r.sim_runs += 1;
-                    r.rounds += uint(v.get("rounds"));
+                    r.rounds += rounds;
                 }
                 _ => {}
             }
         }
-        match ty.as_str() {
-            "meta" => {
-                if let Value::Object(fields) = &v {
-                    for (k, val) in fields {
-                        if k != "type" {
-                            s.provenance.push((k.clone(), val.to_string()));
-                        }
-                    }
+        if let Line::Meta(p) = line {
+            self.provenance.extend(p.facts());
+        }
+        match event {
+            Some(Event::RoundEnd { bytes, .. }) => self.bytes += bytes,
+            Some(Event::NodeHalt { .. }) => self.node_halts += 1,
+            Some(Event::SimRunEnd { rounds, messages }) => {
+                self.sim_runs += 1;
+                self.rounds += rounds;
+                self.messages += messages;
+            }
+            Some(Event::FixStep { headroom, .. }) => {
+                self.fix_steps += 1;
+                // Non-finite entries (written as `null`) carry no minimum.
+                for &h in headroom.iter().filter(|h| !h.is_nan()) {
+                    self.min_headroom = Some(self.min_headroom.map_or(h, |m| m.min(h)));
                 }
             }
-            "round_end" => {
-                s.bytes += uint(v.get("bytes"));
-            }
-            "node_halt" => s.node_halts += 1,
-            "sim_run_end" => {
-                s.sim_runs += 1;
-                s.rounds += uint(v.get("rounds"));
-                s.messages += uint(v.get("messages"));
-            }
-            "fix_step" => {
-                s.fix_steps += 1;
-                if let Some(Value::Array(hs)) = v.get("headroom") {
-                    for h in hs {
-                        let h = match h {
-                            Value::F64(x) => Some(*x),
-                            Value::U64(x) => Some(*x as f64),
-                            Value::I64(x) => Some(*x as f64),
-                            _ => None,
-                        };
-                        if let Some(h) = h {
-                            s.min_headroom = Some(s.min_headroom.map_or(h, |m: f64| m.min(h)));
-                        }
-                    }
-                }
-            }
-            "audit_pass" => s.audit_passes += 1,
-            "audit_violation" => s.audit_violations += 1,
-            "fix_run_end" => s.fix_runs += 1,
-            "experiment_end" => {
-                if let (Some(Value::String(id)), rows) = (v.get("id"), uint(v.get("rows"))) {
-                    s.experiments.push((id.clone(), rows));
-                }
-            }
+            Some(Event::AuditPass { .. }) => self.audit_passes += 1,
+            Some(Event::AuditViolation { .. }) => self.audit_violations += 1,
+            Some(Event::FixRunEnd { .. }) => self.fix_runs += 1,
+            Some(Event::ExperimentEnd { id, rows }) => self.experiments.push((id.clone(), *rows)),
             _ => {}
         }
-        Ok(())
     }
 
     /// The summary as a machine-readable JSON object (one line via
@@ -169,67 +117,45 @@ impl Summary {
     /// Field order is fixed; `by_request` is keyed by the tag's JSON
     /// text and sorted.
     pub fn to_json(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("lines".to_owned(), Value::U64(self.lines as u64)),
-            ("sim_runs".to_owned(), Value::U64(self.sim_runs as u64)),
-            ("rounds".to_owned(), Value::U64(self.rounds as u64)),
-            ("messages".to_owned(), Value::U64(self.messages as u64)),
-            ("bytes".to_owned(), Value::U64(self.bytes as u64)),
-            ("node_halts".to_owned(), Value::U64(self.node_halts as u64)),
-            ("fix_runs".to_owned(), Value::U64(self.fix_runs as u64)),
-            ("fix_steps".to_owned(), Value::U64(self.fix_steps as u64)),
+        let n = |v: usize| Value::U64(v as u64);
+        let object = |fields: Vec<(&str, Value)>| {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+        };
+        let counts = |kv: &mut dyn Iterator<Item = (&String, &usize)>| {
+            Value::Object(kv.map(|(k, c)| (k.clone(), n(*c))).collect())
+        };
+        let requests = self.by_request.iter().map(|(req, r)| {
+            let stats = object(vec![
+                ("events", n(r.events)),
+                ("fix_runs", n(r.fix_runs)),
+                ("fix_steps", n(r.fix_steps)),
+                ("sim_runs", n(r.sim_runs)),
+                ("rounds", n(r.rounds)),
+            ]);
+            (req.clone(), stats)
+        });
+        object(vec![
+            ("lines", n(self.lines)),
+            ("sim_runs", n(self.sim_runs)),
+            ("rounds", n(self.rounds)),
+            ("messages", n(self.messages)),
+            ("bytes", n(self.bytes)),
+            ("node_halts", n(self.node_halts)),
+            ("fix_runs", n(self.fix_runs)),
+            ("fix_steps", n(self.fix_steps)),
+            ("audit_passes", n(self.audit_passes)),
+            ("audit_violations", n(self.audit_violations)),
             (
-                "audit_passes".to_owned(),
-                Value::U64(self.audit_passes as u64),
-            ),
-            (
-                "audit_violations".to_owned(),
-                Value::U64(self.audit_violations as u64),
-            ),
-            (
-                "min_headroom".to_owned(),
+                "min_headroom",
                 self.min_headroom.map_or(Value::Null, Value::F64),
             ),
+            ("by_type", counts(&mut self.by_type.iter())),
             (
-                "by_type".to_owned(),
-                Value::Object(
-                    self.by_type
-                        .iter()
-                        .map(|(ty, n)| (ty.clone(), Value::U64(*n as u64)))
-                        .collect(),
-                ),
+                "experiments",
+                counts(&mut self.experiments.iter().map(|(k, c)| (k, c))),
             ),
-            (
-                "experiments".to_owned(),
-                Value::Object(
-                    self.experiments
-                        .iter()
-                        .map(|(id, rows)| (id.clone(), Value::U64(*rows as u64)))
-                        .collect(),
-                ),
-            ),
-        ];
-        fields.push((
-            "by_request".to_owned(),
-            Value::Object(
-                self.by_request
-                    .iter()
-                    .map(|(req, r)| {
-                        (
-                            req.clone(),
-                            Value::Object(vec![
-                                ("events".to_owned(), Value::U64(r.events as u64)),
-                                ("fix_runs".to_owned(), Value::U64(r.fix_runs as u64)),
-                                ("fix_steps".to_owned(), Value::U64(r.fix_steps as u64)),
-                                ("sim_runs".to_owned(), Value::U64(r.sim_runs as u64)),
-                                ("rounds".to_owned(), Value::U64(r.rounds as u64)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-        Value::Object(fields)
+            ("by_request", Value::Object(requests.collect())),
+        ])
     }
 
     /// Writes the `--by-request` section: one line per correlation tag,
@@ -292,7 +218,27 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::schema::StreamReader;
+
+    impl Summary {
+        fn from_stream(text: &str) -> Result<Summary, String> {
+            let mut s = Summary::default();
+            StreamReader::default()
+                .read(text.as_bytes(), |rec| {
+                    s.fold(rec);
+                    Ok(())
+                })
+                .map_err(|e| e.to_string())?;
+            Ok(s)
+        }
+    }
+
+    #[test]
+    fn a_known_event_with_a_missing_field_is_an_error() {
+        // Read as 0 before the reader decoded lines; now it names the line.
+        let e = Summary::from_stream("{\"type\":\"round_end\",\"round\":1}\n").unwrap_err();
+        assert!(e.contains("line 1") && e.contains("delivered"), "{e}");
+    }
 
     #[test]
     fn folds_counts_and_minima() {

@@ -1,155 +1,333 @@
-//! Structural validation of recorded JSONL streams.
+//! The one reader of recorded JSONL streams.
 //!
-//! Two levels: [`validate_line`] checks a single line in isolation (JSON
-//! object, known `type` tag, required fields with the right JSON kinds), and
-//! [`StreamValidator`] additionally enforces the stream-level determinism
-//! contract — the meta line only at position one, round indices advancing by
-//! exactly one within a simulator run, and step indices advancing by exactly
-//! one within a fixer run.
+//! [`Line::decode`] decodes a line once into a typed [`Line`]. The
+//! decoding *is* the schema check, and each decoder sits beside its
+//! writer: events next to [`Event::to_jsonl`], the meta line next to
+//! [`Provenance::to_jsonl`], timing lines next to
+//! [`TimingRecorder::to_jsonl`](crate::TimingRecorder::to_jsonl), and
+//! sidecars in [`Checkpoint::parse`]. [`StreamReader`] hands the decoded
+//! lines to the folds — [`StreamValidator`] here, `Summary`, `Replay`
+//! and `RunState` — under one torn-tail rule (DESIGN.md §3.7): an
+//! unterminated final line counts as complete if it decodes and as torn
+//! if it does not, and an unterminated sidecar is always torn.
+//! [`StreamValidator`] adds the stream-level contract: the meta line
+//! only first, and round and step indices advancing by exactly one.
 
-use crate::event::SCHEMA_VERSION;
+use crate::checkpoint::{Checkpoint, CHECKPOINT_PREFIX};
+use crate::event::Event;
+use crate::provenance::Provenance;
+use crate::timing::TimingLine;
 use serde::Value;
+use std::fmt;
+use std::io::{self, BufRead};
 
-/// Field kinds the schema distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Kind {
-    Uint,
-    Array,
-    Str,
+/// One decoded line of a recorded stream.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Line {
+    /// An empty or whitespace-only line.
+    Blank,
+    /// A `#` sidecar comment; `Some` for a `#checkpoint ` record.
+    Sidecar(Option<Checkpoint>),
+    /// The provenance meta line.
+    Meta(Provenance),
+    /// An event, with the JSON text of its `req` correlation tag.
+    Event {
+        /// The decoded event.
+        event: Event,
+        /// The tag's JSON text (e.g. `"q7"` or `12`), if the line has one.
+        req: Option<String>,
+    },
+    /// A side-band timing summary line.
+    Timing(TimingLine),
+    /// A JSON object line whose `type` no decoder knows.
+    Unknown {
+        /// The line's `type` tag.
+        ty: String,
+        /// The JSON text of its `req` tag, if any.
+        req: Option<String>,
+    },
 }
 
-/// Required fields per event type. Optional meta-line fields (seed, threads,
-/// graph shape, shards) are checked only when present.
-fn required_fields(ty: &str) -> Option<&'static [(&'static str, Kind)]> {
-    use Kind::*;
-    Some(match ty {
-        "meta" => &[("schema", Uint), ("git_rev", Str), ("rustc", Str)],
-        "sim_run_start" => &[
-            ("nodes", Uint),
-            ("edges", Uint),
-            ("max_degree", Uint),
-            ("seed", Uint),
-        ],
-        "round_start" => &[("round", Uint), ("running", Uint)],
-        "node_halt" => &[("round", Uint), ("node", Uint)],
-        "round_end" => &[
-            ("round", Uint),
-            ("delivered", Uint),
-            ("bytes", Uint),
-            ("halted", Uint),
-            ("running", Uint),
-        ],
-        "sim_run_end" => &[("rounds", Uint), ("messages", Uint)],
-        "fix_run_start" => &[("variables", Uint), ("events", Uint), ("max_rank", Uint)],
-        "fix_step" => &[
-            ("step", Uint),
-            ("variable", Uint),
-            ("value", Uint),
-            ("rank", Uint),
-            ("touched", Array),
-            ("inc", Array),
-            ("phi_product", Array),
-            ("headroom", Array),
-        ],
-        "audit_pass" => &[("step", Uint), ("variable", Uint)],
-        "audit_violation" => &[
-            ("step", Uint),
-            ("variable", Uint),
-            ("pair_violations", Array),
-            ("prob_violations", Array),
-        ],
-        "fix_run_end" => &[("steps", Uint), ("violated", Uint)],
-        // Side-band timing summaries (own file, never interleaved with
-        // the deterministic event stream; see `crate::timing`).
-        "timing" => &[
-            ("scope", Str),
-            ("count", Uint),
-            ("p50_ns", Uint),
-            ("p90_ns", Uint),
-            ("p99_ns", Uint),
-            ("max_ns", Uint),
-            ("total_ns", Uint),
-        ],
-        "experiment_start" => &[("id", Str)],
-        "experiment_row" => &[("id", Str), ("index", Uint)],
-        "experiment_end" => &[("id", Str), ("rows", Uint)],
-        _ => return None,
-    })
-}
-
-fn uint(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-/// Validates one JSONL line structurally. Returns the event's `type` tag.
-pub fn validate_line(line: &str) -> Result<String, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON: {e}"))?;
-    if !matches!(v, Value::Object(_)) {
-        return Err(format!("expected a JSON object, got {}", v.kind()));
-    }
-    let ty = match v.get("type") {
-        Some(Value::String(t)) => t.clone(),
-        Some(other) => return Err(format!("\"type\" must be a string, got {}", other.kind())),
-        None => return Err("missing \"type\" field".to_string()),
-    };
-    let fields = required_fields(&ty).ok_or_else(|| format!("unknown event type \"{ty}\""))?;
-    for (name, kind) in fields {
-        let field = v
-            .get(name)
-            .ok_or_else(|| format!("{ty}: missing required field \"{name}\""))?;
-        let ok = match kind {
-            Kind::Uint => uint(field).is_some(),
-            Kind::Array => matches!(field, Value::Array(_)),
-            Kind::Str => matches!(field, Value::String(_)),
+impl Line {
+    /// Decodes one line (newline stripped; surrounding whitespace is
+    /// ignored).
+    ///
+    /// # Errors
+    ///
+    /// What is malformed: the JSON, the `type`, a field of a known line,
+    /// the `req` tag, the schema version, or a `#checkpoint ` payload.
+    pub fn decode(text: &str) -> Result<Line, String> {
+        let text = text.trim();
+        if text.is_empty() {
+            return Ok(Line::Blank);
+        }
+        if text.starts_with(CHECKPOINT_PREFIX) {
+            return Checkpoint::parse(text).map(|ck| Line::Sidecar(Some(ck)));
+        }
+        if text.starts_with('#') {
+            return Ok(Line::Sidecar(None));
+        }
+        let v: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        if !matches!(v, Value::Object(_)) {
+            return Err(format!("expected a JSON object, got {}", v.kind()));
+        }
+        let ty = match v.get("type") {
+            Some(Value::String(t)) => t.as_str(),
+            Some(other) => return Err(format!("\"type\" must be a string, got {}", other.kind())),
+            None => return Err("missing \"type\" field".to_string()),
         };
-        if !ok {
-            return Err(format!(
-                "{ty}: field \"{name}\" has kind {}, expected {kind:?}",
-                field.kind()
-            ));
+        let f = Fields { ty, obj: &v };
+        match ty {
+            "meta" => return Provenance::decode(&f).map(Line::Meta),
+            "timing" => return TimingLine::decode(&f).map(Line::Timing),
+            _ => {}
+        }
+        // Optional request-correlation tag (schema v2): a scalar, on any
+        // event line. v1 streams simply never carry it.
+        let req = match v.get("req") {
+            None => None,
+            Some(tag @ (Value::Null | Value::String(_) | Value::U64(_) | Value::I64(_))) => {
+                Some(serde_json::to_string(tag).map_err(|e| format!("{ty}: req: {e}"))?)
+            }
+            Some(other) => {
+                return Err(format!(
+                    "{ty}: field \"req\" must be a scalar, got {}",
+                    other.kind()
+                ))
+            }
+        };
+        Ok(match Event::decode(&f)? {
+            Some(event) => Line::Event { event, req },
+            None => Line::Unknown {
+                ty: ty.to_owned(),
+                req,
+            },
+        })
+    }
+
+    /// The line's `type` tag; `None` for blank and sidecar lines.
+    pub fn kind(&self) -> Option<&str> {
+        match self {
+            Line::Blank | Line::Sidecar(_) => None,
+            Line::Meta(_) => Some("meta"),
+            Line::Event { event, .. } => Some(event.kind()),
+            Line::Timing(_) => Some("timing"),
+            Line::Unknown { ty, .. } => Some(ty),
         }
     }
-    // Optional request-correlation tag (schema v2): a scalar, on any
-    // event type. v1 streams simply never carry it.
-    if let Some(req) = v.get("req") {
-        if !matches!(
-            req,
-            Value::Null | Value::String(_) | Value::U64(_) | Value::I64(_)
-        ) {
-            return Err(format!(
-                "{ty}: field \"req\" must be a scalar, got {}",
-                req.kind()
-            ));
-        }
-    }
-    if ty == "meta" {
-        let schema = uint(v.get("schema").expect("checked above")).expect("checked above");
-        // v2 is additive over v1 (optional `req` only), so both fold
-        // identically; reject anything newer than this reader.
-        if schema == 0 || schema > u64::from(SCHEMA_VERSION) {
-            return Err(format!(
-                "meta: schema version {schema} not supported (max {SCHEMA_VERSION})"
-            ));
-        }
-    }
-    Ok(ty)
 }
 
-/// Stateful validator for a whole stream; feed lines in order.
+/// The fields of one JSON object line, read by name with their schema
+/// kinds; every error names the line's type and the field.
+pub(crate) struct Fields<'a> {
+    pub(crate) ty: &'a str,
+    pub(crate) obj: &'a Value,
+}
+
+impl<'a> Fields<'a> {
+    fn get(&self, name: &str) -> Result<&'a Value, String> {
+        self.obj
+            .get(name)
+            .ok_or_else(|| format!("{}: missing required field \"{name}\"", self.ty))
+    }
+
+    fn mistyped(&self, name: &str, v: &Value, expected: &str) -> String {
+        format!(
+            "{}: field \"{name}\" has kind {}, expected {expected}",
+            self.ty,
+            v.kind()
+        )
+    }
+
+    /// `Some(read(name))` when the field is present, `None` when absent.
+    pub(crate) fn optional<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.obj.get(name).map(|_| read(self, name)).transpose()
+    }
+
+    pub(crate) fn u64(&self, name: &str) -> Result<u64, String> {
+        match self.get(name)? {
+            Value::U64(n) => Ok(*n),
+            v => Err(self.mistyped(name, v, "an unsigned integer")),
+        }
+    }
+
+    pub(crate) fn usize(&self, name: &str) -> Result<usize, String> {
+        let n = self.u64(name)?;
+        usize::try_from(n).map_err(|_| format!("{}: field \"{name}\" overflows usize", self.ty))
+    }
+
+    pub(crate) fn string(&self, name: &str) -> Result<String, String> {
+        match self.get(name)? {
+            Value::String(s) => Ok(s.clone()),
+            v => Err(self.mistyped(name, v, "a string")),
+        }
+    }
+
+    /// The array `name`, each entry read by `entry`.
+    fn array<T>(&self, name: &str, entry: impl Fn(&Value) -> Option<T>) -> Result<Vec<T>, String> {
+        match self.get(name)? {
+            Value::Array(xs) => xs.iter().map(entry).collect::<Option<_>>().ok_or_else(|| {
+                format!(
+                    "{}: field \"{name}\" has an entry of the wrong kind",
+                    self.ty
+                )
+            }),
+            v => Err(self.mistyped(name, v, "an array")),
+        }
+    }
+
+    pub(crate) fn usizes(&self, name: &str) -> Result<Vec<usize>, String> {
+        self.array(name, |x| match x {
+            Value::U64(n) => usize::try_from(*n).ok(),
+            _ => None,
+        })
+    }
+
+    /// An array of floats: `null` (the writer's encoding of a
+    /// non-finite value) decodes to NaN, and integer entries to floats.
+    pub(crate) fn floats(&self, name: &str) -> Result<Vec<f64>, String> {
+        self.array(name, |x| match x {
+            Value::F64(v) => Some(*v),
+            Value::U64(v) => Some(*v as f64),
+            Value::I64(v) => Some(*v as f64),
+            Value::Null => Some(f64::NAN),
+            _ => None,
+        })
+    }
+}
+
+/// One decoded line with its place in the stream, as handed to a fold.
+#[derive(Debug)]
+pub struct Record<'a> {
+    /// 1-based line number.
+    pub lineno: usize,
+    /// The raw line, without its newline.
+    pub text: &'a str,
+    /// The line's length in the stream, its newline included when it
+    /// has one.
+    pub bytes: u64,
+    /// The decoded line.
+    pub line: Line,
+}
+
+/// Why a [`StreamReader`] stopped before the end of its input.
+#[derive(Debug)]
+pub enum Stop {
+    /// The source failed to read.
+    Io(io::Error),
+    /// A line failed to decode, or a fold rejected it.
+    Bad {
+        /// 1-based line number.
+        lineno: usize,
+        /// What was wrong.
+        message: String,
+    },
+    /// The final line is torn: unterminated and undecodable, or an
+    /// unterminated sidecar. Everything before it was folded.
+    Torn {
+        /// 1-based line number of the torn line.
+        lineno: usize,
+        /// Byte offset where it starts — the end of the durable prefix.
+        offset: u64,
+    },
+}
+
+impl fmt::Display for Stop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Stop::Io(e) => write!(f, "read error: {e}"),
+            Stop::Bad { lineno, message } => write!(f, "line {lineno}: {message}"),
+            Stop::Torn { lineno, offset } => {
+                write!(f, "line {lineno} is truncated at byte offset {offset}")
+            }
+        }
+    }
+}
+
+/// Reads a stream line by line, decodes each line once, and hands it to
+/// a fold. Memory is one line, whatever the stream's length. Start one
+/// with `StreamReader::default()`.
+///
+/// The reader keeps its position, so a follower can read a growing file
+/// in chunks: after [`Stop::Torn`] the position stays at the start of the
+/// torn line, and the next [`StreamReader::read`] of the file from
+/// [`StreamReader::offset`] picks it up once its producer finishes it.
+#[derive(Debug, Default, Clone)]
+pub struct StreamReader {
+    lineno: usize,
+    offset: u64,
+}
+
+impl StreamReader {
+    /// Byte offset one past the last line read — the end of the durable
+    /// prefix.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Reads `src` to its end, folding every line into `fold`.
+    ///
+    /// # Errors
+    ///
+    /// [`Stop::Io`] on a read error, [`Stop::Bad`] on a terminated line
+    /// that does not decode or that `fold` rejects, and [`Stop::Torn`] on
+    /// a torn final line.
+    pub fn read<B: BufRead>(
+        &mut self,
+        mut src: B,
+        mut fold: impl FnMut(&Record<'_>) -> Result<(), String>,
+    ) -> Result<(), Stop> {
+        let mut buf = String::new();
+        loop {
+            buf.clear();
+            let n = src.read_line(&mut buf).map_err(Stop::Io)?;
+            if n == 0 {
+                return Ok(());
+            }
+            let lineno = self.lineno + 1;
+            let (text, terminated) = match buf.strip_suffix('\n') {
+                Some(text) => (text, true),
+                None => (buf.as_str(), false),
+            };
+            let torn = Stop::Torn {
+                lineno,
+                offset: self.offset,
+            };
+            let line = match Line::decode(text) {
+                Ok(Line::Sidecar(_)) if !terminated => return Err(torn),
+                Ok(line) => line,
+                Err(_) if !terminated => return Err(torn),
+                Err(message) => return Err(Stop::Bad { lineno, message }),
+            };
+            let rec = Record {
+                lineno,
+                text,
+                bytes: n as u64,
+                line,
+            };
+            fold(&rec).map_err(|message| Stop::Bad { lineno, message })?;
+            self.lineno = lineno;
+            self.offset += n as u64;
+        }
+    }
+}
+
+/// Stateful validator for a whole stream; feed it decoded lines in order.
 #[derive(Debug, Default)]
 pub struct StreamValidator {
     lines: usize,
     /// Round index of the current simulator run (0 right after `sim_run_start`).
-    sim_round: Option<u64>,
+    sim_round: Option<usize>,
     /// `true` between `round_start` and the matching `round_end`.
     in_round: bool,
     /// Step index expected next in the current fixer run.
-    fix_next_step: Option<u64>,
+    fix_next_step: Option<usize>,
     /// Step index of the last `fix_step`, for audit events.
-    fix_last_step: Option<u64>,
+    fix_last_step: Option<usize>,
 }
 
 impl StreamValidator {
@@ -158,111 +336,95 @@ impl StreamValidator {
         StreamValidator::default()
     }
 
-    /// Lines accepted so far.
-    pub fn lines(&self) -> usize {
-        self.lines
+    /// Checks the next line of the stream.
+    ///
+    /// # Errors
+    ///
+    /// A description of the violated invariant (the reader adds the
+    /// line number).
+    pub fn check(&mut self, rec: &Record<'_>) -> Result<(), String> {
+        match &rec.line {
+            Line::Blank => return Ok(()),
+            Line::Unknown { ty, .. } => return Err(format!("unknown event type \"{ty}\"")),
+            Line::Meta(_) if self.lines != 0 => {
+                return Err("meta line allowed only as the first line".to_string())
+            }
+            // Sidecars, meta and timing lines carry no stream-level
+            // invariants beyond decoding.
+            Line::Sidecar(_) | Line::Meta(_) | Line::Timing(_) => {}
+            Line::Event { event, .. } => self.check_event(event)?,
+        }
+        self.lines += 1;
+        Ok(())
     }
 
-    /// Validates the next line of the stream.
-    pub fn check(&mut self, line: &str) -> Result<(), String> {
-        let lineno = self.lines + 1;
-        let err = |msg: String| Err(format!("line {lineno}: {msg}"));
-        if line.starts_with('#') {
-            // Sidecar comments carry no stream-level invariants, but a
-            // known `#checkpoint ` sidecar must at least parse.
-            if line.starts_with(crate::checkpoint::CHECKPOINT_PREFIX) {
-                if let Err(e) = crate::checkpoint::Checkpoint::parse(line) {
-                    return err(e);
-                }
-            }
-            self.lines += 1;
-            return Ok(());
-        }
-        let ty = match validate_line(line) {
-            Ok(ty) => ty,
-            Err(e) => return err(e),
-        };
-        // Re-parse for the stream-level index checks; validate_line already
-        // guaranteed the fields exist with the right kinds.
-        let v: Value = serde_json::from_str(line).expect("validated above");
-        let field = |name: &str| uint(v.get(name).expect("validated above")).expect("validated");
-        match ty.as_str() {
-            "meta" if self.lines != 0 => {
-                return err("meta line allowed only as the first line".to_string());
-            }
-            "meta" => {}
-            "sim_run_start" => {
+    fn check_event(&mut self, event: &Event) -> Result<(), String> {
+        let ty = event.kind();
+        match *event {
+            Event::SimRunStart { .. } => {
                 self.sim_round = Some(0);
                 self.in_round = false;
             }
-            "round_start" => {
-                let round = field("round");
+            Event::RoundStart { round, .. } => {
                 match self.sim_round {
                     Some(prev) if round == prev + 1 => self.sim_round = Some(round),
                     Some(prev) => {
-                        return err(format!(
+                        return Err(format!(
                             "round_start round {round} does not follow round {prev}"
                         ))
                     }
-                    None => return err("round_start before sim_run_start".to_string()),
+                    None => return Err("round_start before sim_run_start".to_string()),
                 }
                 self.in_round = true;
             }
-            "node_halt" | "round_end" => {
-                let round = field("round");
+            Event::NodeHalt { round, .. } | Event::RoundEnd { round, .. } => {
                 match self.sim_round {
                     Some(cur) if round == cur && self.in_round => {}
                     _ => {
-                        return err(format!(
+                        return Err(format!(
                             "{ty} for round {round} outside an open round (current {:?})",
                             self.sim_round
                         ))
                     }
                 }
-                if ty == "round_end" {
+                if matches!(event, Event::RoundEnd { .. }) {
                     self.in_round = false;
                 }
             }
-            "sim_run_end" => {
+            Event::SimRunEnd { .. } => {
                 if self.sim_round.is_none() {
-                    return err("sim_run_end before sim_run_start".to_string());
+                    return Err("sim_run_end before sim_run_start".to_string());
                 }
                 if self.in_round {
-                    return err("sim_run_end inside an open round".to_string());
+                    return Err("sim_run_end inside an open round".to_string());
                 }
                 self.sim_round = None;
             }
-            "fix_run_start" => {
+            Event::FixRunStart { .. } => {
                 self.fix_next_step = Some(0);
                 self.fix_last_step = None;
             }
-            "fix_step" => {
-                let step = field("step");
-                match self.fix_next_step {
-                    Some(expected) if step == expected => {
-                        self.fix_next_step = Some(expected + 1);
-                        self.fix_last_step = Some(step);
-                    }
-                    Some(expected) => {
-                        return err(format!("fix_step step {step}, expected {expected}"))
-                    }
-                    None => return err("fix_step before fix_run_start".to_string()),
+            Event::FixStep { step, .. } => match self.fix_next_step {
+                Some(expected) if step == expected => {
+                    self.fix_next_step = Some(expected + 1);
+                    self.fix_last_step = Some(step);
                 }
-            }
-            "audit_pass" | "audit_violation" => {
-                let step = field("step");
+                Some(expected) => return Err(format!("fix_step step {step}, expected {expected}")),
+                None => return Err("fix_step before fix_run_start".to_string()),
+            },
+            Event::AuditPass { step, .. } | Event::AuditViolation { step, .. } => {
                 match self.fix_last_step {
                     Some(last) if step == last => {}
                     other => {
-                        return err(format!(
+                        return Err(format!(
                             "{ty} for step {step} does not match last fix_step {other:?}"
                         ))
                     }
                 }
             }
-            "fix_run_end" => {
+            Event::FixRunEnd { .. } => {
                 if self.fix_next_step.is_none() {
-                    return err("fix_run_end before fix_run_start".to_string());
+                    return Err("fix_run_end before fix_run_start".to_string());
                 }
                 self.fix_next_step = None;
                 self.fix_last_step = None;
@@ -270,11 +432,14 @@ impl StreamValidator {
             // Bench events carry no stream-level invariants.
             _ => {}
         }
-        self.lines += 1;
         Ok(())
     }
 
     /// Final consistency checks; returns the number of accepted lines.
+    ///
+    /// # Errors
+    ///
+    /// The bracket the stream left open.
     pub fn finish(self) -> Result<usize, String> {
         if self.in_round {
             return Err("stream ended inside an open round".to_string());
@@ -289,23 +454,22 @@ impl StreamValidator {
     }
 }
 
-/// Validates a full multi-line stream; returns the accepted line count.
+/// Validates a full in-memory stream; returns the accepted line count.
+///
+/// # Errors
+///
+/// The first decoding or stream-level violation, with its line number.
 pub fn validate_stream(text: &str) -> Result<usize, String> {
     let mut v = StreamValidator::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        v.check(line)?;
-    }
+    StreamReader::default()
+        .read(text.as_bytes(), |rec| v.check(rec))
+        .map_err(|e| e.to_string())?;
     v.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
-    use crate::provenance::Provenance;
 
     #[test]
     fn accepts_a_well_formed_stream() {
@@ -428,29 +592,31 @@ mod tests {
 
     #[test]
     fn accepts_v1_meta_and_tagged_lines() {
-        // A v1 stream (schema 1, no `req`) still validates under the
-        // v2 reader.
-        assert_eq!(
-            validate_line("{\"type\":\"meta\",\"schema\":1,\"git_rev\":\"x\",\"rustc\":\"y\"}"),
-            Ok("meta".to_string())
-        );
-        // Tagged lines validate with any scalar tag.
+        // A v1 stream (schema 1, no `req`) still decodes under the v2
+        // reader.
+        let v1 = "{\"type\":\"meta\",\"schema\":1,\"git_rev\":\"x\",\"rustc\":\"y\",\
+                  \"crate_version\":\"0.1.0\"}";
+        assert!(matches!(Line::decode(v1), Ok(Line::Meta(p)) if p.schema == 1));
+        // Tagged lines decode with any scalar tag, kept as its JSON text.
         for tag in ["\"q0\"", "12", "null"] {
             let line = format!("{{\"type\":\"node_halt\",\"req\":{tag},\"round\":1,\"node\":0}}");
-            assert_eq!(validate_line(&line), Ok("node_halt".to_string()), "{line}");
+            let decoded = Line::decode(&line).unwrap();
+            assert_eq!(decoded.kind(), Some("node_halt"), "{line}");
+            assert!(
+                matches!(decoded, Line::Event { req: Some(r), .. } if r == tag),
+                "{line}"
+            );
         }
         // Non-scalar tags are rejected.
         assert!(
-            validate_line("{\"type\":\"node_halt\",\"req\":[1],\"round\":1,\"node\":0}")
+            Line::decode("{\"type\":\"node_halt\",\"req\":[1],\"round\":1,\"node\":0}")
                 .unwrap_err()
                 .contains("scalar")
         );
         // Future schema versions are rejected.
-        assert!(validate_line(
-            "{\"type\":\"meta\",\"schema\":99,\"git_rev\":\"x\",\"rustc\":\"y\"}"
-        )
-        .unwrap_err()
-        .contains("not supported"));
+        assert!(Line::decode(&v1.replace("\"schema\":1", "\"schema\":99"))
+            .unwrap_err()
+            .contains("not supported"));
     }
 
     #[test]
@@ -472,6 +638,8 @@ mod tests {
         ]
         .join("\n");
         assert_eq!(validate_stream(&text), Ok(4));
+        assert_eq!(Line::decode("# a comment"), Ok(Line::Sidecar(None)));
+        assert!(matches!(Line::decode(good), Ok(Line::Sidecar(Some(_)))));
         let bad = text.replace(good, "#checkpoint {oops");
         let e = validate_stream(&bad).unwrap_err();
         assert!(e.contains("line 2"), "{e}");
@@ -479,12 +647,53 @@ mod tests {
 
     #[test]
     fn rejects_unknown_types_and_missing_fields() {
-        assert!(validate_line("{\"type\":\"mystery\"}")
-            .unwrap_err()
-            .contains("unknown event type"));
-        assert!(validate_line("{\"type\":\"node_halt\",\"round\":1}")
+        let e = validate_stream("{\"type\":\"mystery\"}").unwrap_err();
+        assert!(e.contains("unknown event type"), "{e}");
+        // Unknown types still decode, for the folds that count them.
+        assert_eq!(
+            Line::decode("{\"type\":\"mystery\"}").unwrap().kind(),
+            Some("mystery")
+        );
+        assert!(Line::decode("{\"type\":\"node_halt\",\"round\":1}")
             .unwrap_err()
             .contains("missing required field"));
-        assert!(validate_line("not json").is_err());
+        assert!(
+            Line::decode("{\"type\":\"node_halt\",\"round\":1,\"node\":-1}")
+                .unwrap_err()
+                .contains("expected an unsigned integer")
+        );
+        assert!(Line::decode("not json").is_err());
+    }
+
+    #[test]
+    fn torn_tail_rule() {
+        let done = Event::NodeHalt { round: 1, node: 0 }.to_jsonl();
+        let count = |text: &str| {
+            let mut n = 0;
+            StreamReader::default()
+                .read(text.as_bytes(), |_| {
+                    n += 1;
+                    Ok(())
+                })
+                .map(|()| n)
+        };
+        // An unterminated final line that decodes is complete.
+        assert_eq!(count(&format!("{done}\n{done}")).unwrap(), 2);
+        // One that does not decode is torn, at its start offset.
+        let cut = format!("{done}\n{}", &done[..10]);
+        assert!(matches!(
+            count(&cut),
+            Err(Stop::Torn { lineno: 2, offset }) if offset == done.len() as u64 + 1
+        ));
+        // An unterminated sidecar is always torn.
+        assert!(matches!(
+            count(&format!("{done}\n# note")),
+            Err(Stop::Torn { lineno: 2, .. })
+        ));
+        // A terminated line that does not decode is bad, not torn.
+        assert!(matches!(
+            count(&format!("{}\n{done}\n", &done[..10])),
+            Err(Stop::Bad { lineno: 1, .. })
+        ));
     }
 }

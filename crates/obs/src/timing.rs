@@ -15,6 +15,7 @@
 //! interleaved with event lines.
 
 use crate::hist::Histogram;
+use crate::schema::Fields;
 use std::io::{self, Write};
 use std::time::Instant;
 
@@ -169,6 +170,46 @@ impl TimingRecorder {
     }
 }
 
+/// One decoded `"type":"timing"` line, as [`TimingRecorder::to_jsonl`]
+/// writes it: the histogram summary of one scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimingLine {
+    /// The scope the spans were recorded under.
+    pub scope: TimingScope,
+    /// Spans recorded.
+    pub count: u64,
+    /// Median span, nanoseconds.
+    pub p50_ns: u64,
+    /// 90th-percentile span, nanoseconds.
+    pub p90_ns: u64,
+    /// 99th-percentile span, nanoseconds.
+    pub p99_ns: u64,
+    /// Longest span, nanoseconds.
+    pub max_ns: u64,
+    /// Sum of all spans, nanoseconds.
+    pub total_ns: u64,
+}
+
+impl TimingLine {
+    /// Decodes a timing line — the inverse of [`TimingRecorder::to_jsonl`].
+    pub(crate) fn decode(f: &Fields<'_>) -> Result<TimingLine, String> {
+        let name = f.string("scope")?;
+        let scope = TimingScope::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| format!("timing: unknown scope \"{name}\""))?;
+        Ok(TimingLine {
+            scope,
+            count: f.u64("count")?,
+            p50_ns: f.u64("p50_ns")?,
+            p90_ns: f.u64("p90_ns")?,
+            p99_ns: f.u64("p99_ns")?,
+            max_ns: f.u64("max_ns")?,
+            total_ns: f.u64("total_ns")?,
+        })
+    }
+}
+
 impl TimingSink for TimingRecorder {
     #[inline]
     fn record_span(&mut self, scope: TimingScope, nanos: u64) {
@@ -207,15 +248,24 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_are_schema_valid() {
+    fn jsonl_lines_decode_back() {
         let mut t = TimingRecorder::new();
         t.record_span(TimingScope::SimRun, 1_234_567);
         t.record_span(TimingScope::FixStep, 42);
         let text = t.to_jsonl();
         assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            let ty = crate::schema::validate_line(line).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(ty, "timing");
+        for (line, scope) in text
+            .lines()
+            .zip([TimingScope::SimRun, TimingScope::FixStep])
+        {
+            match crate::schema::Line::decode(line) {
+                Ok(crate::schema::Line::Timing(d)) => {
+                    assert_eq!(d.scope, scope);
+                    assert_eq!(d.count, 1);
+                    assert_eq!(d.p50_ns, d.max_ns);
+                }
+                other => panic!("{line}: {other:?}"),
+            }
         }
     }
 

@@ -196,6 +196,75 @@ fn complete_final_line_without_newline_is_fine() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The three read modes that validate, on one file: their exit codes.
+fn validating_exit_codes(path: &str) -> Vec<i32> {
+    [
+        vec!["validate", path],
+        vec!["summarize", "--validate", path],
+        vec!["--validate", path],
+    ]
+    .iter()
+    .map(|args| exit_code(&run(args)))
+    .collect()
+}
+
+#[test]
+fn every_validating_mode_gives_one_verdict_on_a_tail() {
+    // A complete final line without its newline decodes: complete.
+    let complete = scratch("tail-complete.jsonl");
+    std::fs::write(&complete, valid_stream().trim_end()).unwrap();
+    // A torn final line does not decode: truncated.
+    let torn = scratch("tail-torn.jsonl");
+    let mut text = valid_stream();
+    text.push_str("{\"type\":\"sim_run_start\",\"nodes\":4,\"ed");
+    std::fs::write(&torn, &text).unwrap();
+    // An unterminated sidecar is always torn, even a parseable one.
+    let sidecar = scratch("tail-sidecar.jsonl");
+    let text = checkpointed_stream(1);
+    let last = text.rfind("#checkpoint").unwrap();
+    let end = last + text[last..].find('\n').unwrap();
+    std::fs::write(&sidecar, &text[..end]).unwrap();
+    for (path, code) in [(&complete, 0), (&torn, 3), (&sidecar, 3)] {
+        let p = path.to_str().unwrap();
+        assert_eq!(validating_exit_codes(p), [code; 3], "{p}");
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn a_malformed_known_event_is_an_error_in_every_mode() {
+    // Line 4 is `round_end`: drop one field, then mistype another.
+    let missing = valid_stream().replace("\"delivered\":2,", "");
+    let mistyped = valid_stream().replace("\"halted\":1,", "\"halted\":\"1\",");
+    for (text, field) in [(missing, "delivered"), (mistyped, "halted")] {
+        let path = scratch("malformed.jsonl");
+        std::fs::write(&path, &text).unwrap();
+        let p = path.to_str().unwrap();
+        let out_dir = scratch("malformed-series");
+        let o = out_dir.to_str().unwrap();
+        for args in [
+            vec!["summarize", p],
+            vec!["summarize", "--json", p],
+            vec!["summarize", "--validate", p],
+            vec![p],
+            vec!["validate", p],
+            vec!["series", "--out", o, p],
+            vec!["tail", "--interval-ms", "10", "--idle-exit-ms", "50", p],
+            vec!["resume-check", p, p],
+        ] {
+            let out = run(&args);
+            let err = stderr(&out);
+            assert_eq!(exit_code(&out), 1, "{args:?}: {err}");
+            assert!(
+                err.contains("line 4") && err.contains(field),
+                "{args:?}: {err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&out_dir).ok();
+    }
+}
+
 #[test]
 fn series_writes_stamped_csvs() {
     let path = scratch("trace.jsonl");
