@@ -71,6 +71,14 @@ cargo run --release -q -p lll-bench --bin tables -- \
   --timing "$tmp_obs/timing.jsonl" E4 E16 TRACE
 cargo run --release -q -p lll-obs --bin obs-report -- \
   summarize --validate "$tmp_obs/trace.jsonl" > /dev/null
+# E16's `spans` column is a deterministic count: 0 on every `off` row
+# (the untimed path records nothing), > 0 on every `on` row. The
+# millis/overhead columns are context, not a gate.
+awk -F, '/^#/ { next } !hdr { for (i = 1; i <= NF; i++) col[$i] = i; hdr = 1; next }
+  $col["timing"] == "off" { off++; if ($col["spans"] != 0) bad = 1 }
+  $col["timing"] == "on" { on++; if (!($col["spans"] > 0)) bad = 1 }
+  END { exit !(col["timing"] && col["spans"] && off > 0 && on == off && !bad) }' \
+  "$tmp_obs/e16_timing_overhead.csv"
 # Both validating modes, and the side-band timing file through the
 # same reader (its `timing` lines decode like any other line).
 cargo run --release -q -p lll-obs --bin obs-report -- \

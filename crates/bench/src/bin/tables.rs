@@ -14,7 +14,7 @@
 //! series (Figure 1 surface, round-complexity curves, threshold sweep)
 //! suitable for plotting. Every CSV file starts with a `# provenance:`
 //! comment (seed-free run context: threads, git revision, rustc, crate
-//! version) which readers must skip.
+//! version, and the host's `nproc`) which readers must skip.
 //!
 //! With `--obs <file.jsonl>` the run additionally tees a flight-recorder
 //! stream: one schema-versioned `meta` line followed by
@@ -85,6 +85,7 @@ fn main() {
         }
     }
     let prov = Provenance::capture().with_threads(threads);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut obs: Option<JsonlRecorder<BufWriter<fs::File>>> = obs_path.as_ref().map(|path| {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             fs::create_dir_all(dir).expect("create obs output directory");
@@ -95,7 +96,7 @@ fn main() {
     let write_csv = |name: &str, header: &str, lines: &[String]| {
         if let Some(dir) = &csv_dir {
             let mut body = prov.csv_comment();
-            body.push('\n');
+            body.push_str(&format!(" nproc={nproc}\n"));
             body.push_str(header);
             body.push('\n');
             for l in lines {
@@ -106,6 +107,16 @@ fn main() {
             fs::write(&path, body).expect("write csv file");
             println!("(wrote {})", path.display());
         }
+    };
+    // A timed experiment prints its CSV rows, cell for cell, as a table.
+    let emit = |name: &str, header: &str, rows: &[Vec<String>]| {
+        write_csv(
+            name,
+            header,
+            &rows.iter().map(|r| r.join(",")).collect::<Vec<_>>(),
+        );
+        let cols: Vec<&str> = header.split(',').collect();
+        println!("{}", render_table(&cols, rows));
     };
 
     if wanted(&selected, "E1") {
@@ -460,297 +471,145 @@ fn main() {
 
     if wanted(&selected, "E14") {
         println!("== E14: parallel round engine — wall-clock vs the sequential engine ==");
-        let data = ex::e14_parallel_speedup(&[1 << 14, 1 << 16, 1 << 18], &[1, 2, 8]);
-        write_csv(
-            "e14_parallel_speedup.csv",
-            "n,threads,sim_seq_millis,sim_par_millis,sim_speedup,driver_seq_millis,driver_par_millis,driver_speedup",
-            &data
-                .iter()
+        let rows: Vec<Vec<String>> =
+            ex::e14_parallel_speedup(&[1 << 14, 1 << 16, 1 << 18], &[1, 2, 8])
+                .into_iter()
                 .map(|r| {
-                    format!(
-                        "{},{},{:.2},{:.2},{:.3},{:.2},{:.2},{:.3}",
-                        r.n,
-                        r.threads,
-                        r.sim_seq_millis,
-                        r.sim_par_millis,
-                        r.sim_speedup,
-                        r.driver_seq_millis,
-                        r.driver_par_millis,
-                        r.driver_speedup
-                    )
+                    let sim = [r.sim_seq_millis, r.sim_par_millis].map(|ms| format!("{ms:.2}"));
+                    let driver =
+                        [r.driver_seq_millis, r.driver_par_millis].map(|ms| format!("{ms:.2}"));
+                    let head = [r.n.to_string(), r.threads.to_string()];
+                    [
+                        &head[..],
+                        &sim,
+                        &spread(r.sim_speedup),
+                        &driver,
+                        &spread(r.driver_speedup),
+                    ]
+                    .concat()
                 })
-                .collect::<Vec<_>>(),
+                .collect();
+        emit(
+            "e14_parallel_speedup.csv",
+            "n,threads,sim_seq_millis,sim_par_millis,sim_speedup,sim_speedup_q1,sim_speedup_q3,driver_seq_millis,driver_par_millis,driver_speedup,driver_speedup_q1,driver_speedup_q3",
+            &rows,
         );
-        let rows: Vec<Vec<String>> = data
-            .into_iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.threads.to_string(),
-                    format!("{:.1}", r.sim_seq_millis),
-                    format!("{:.1}", r.sim_par_millis),
-                    format!("{:.2}x", r.sim_speedup),
-                    format!("{:.1}", r.driver_seq_millis),
-                    format!("{:.1}", r.driver_par_millis),
-                    format!("{:.2}x", r.driver_speedup),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "n",
-                    "threads",
-                    "sim seq (ms)",
-                    "sim par (ms)",
-                    "sim speedup",
-                    "driver seq (ms)",
-                    "driver par (ms)",
-                    "driver speedup"
-                ],
-                &rows
-            )
-        );
-        println!("(outputs asserted bit-identical between engines before timing is reported)\n");
+        println!("(outputs asserted bit-identical between engines before timing is reported)");
+        print_method();
         trace_experiment(&mut obs, "E14", rows.len());
     }
 
     if wanted(&selected, "E15") {
         println!("== E15: flight-recorder overhead (null vs counter vs jsonl) ==");
-        let data = ex::e15_recorder_overhead(&[1 << 14, 1 << 16]);
-        write_csv(
-            "e15_recorder_overhead.csv",
-            "n,recorder,millis,overhead,events,bytes",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{:.2},{:.4},{},{}",
-                        r.n, r.recorder, r.millis, r.overhead, r.events, r.bytes
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
+        let rows: Vec<Vec<String>> = ex::e15_recorder_overhead(&[1 << 14, 1 << 16])
             .into_iter()
             .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.recorder,
-                    format!("{:.1}", r.millis),
-                    format!("{:.2}x", r.overhead),
-                    r.events.to_string(),
-                    r.bytes.to_string(),
-                ]
+                let head = [r.n.to_string(), r.recorder, format!("{:.2}", r.millis)];
+                let counts = [r.events.to_string(), r.bytes.to_string()];
+                [&head[..], &spread(r.overhead), &counts].concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "n",
-                    "recorder",
-                    "millis",
-                    "overhead",
-                    "events",
-                    "jsonl bytes"
-                ],
-                &rows
-            )
+        emit(
+            "e15_recorder_overhead.csv",
+            "n,recorder,millis,overhead,overhead_q1,overhead_q3,events,bytes",
+            &rows,
         );
-        println!("(\"null\" is the exact code path the unrecorded entry points compile to —\n its overhead column doubles as the measurement-noise floor)\n");
+        println!("(\"null\" is the exact code path the unrecorded entry points compile to —\n its overhead column doubles as the measurement-noise floor)");
+        print_method();
         trace_experiment(&mut obs, "E15", rows.len());
     }
 
     if wanted(&selected, "E16") {
         println!("== E16: timing-profiler overhead (side-band NullTiming vs TimingRecorder) ==");
-        let data = ex::e16_timing_overhead(&[1 << 14, 1 << 16]);
-        write_csv(
-            "e16_timing_overhead.csv",
-            "n,timing,millis,overhead,spans",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{:.2},{:.4},{}",
-                        r.n, r.timing, r.millis, r.overhead, r.spans
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
+        let rows: Vec<Vec<String>> = ex::e16_timing_overhead(&[1 << 14, 1 << 16])
             .into_iter()
             .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.timing,
-                    format!("{:.1}", r.millis),
-                    format!("{:.2}x", r.overhead),
-                    r.spans.to_string(),
-                ]
+                let head = [r.n.to_string(), r.timing, format!("{:.2}", r.millis)];
+                [&head[..], &spread(r.overhead), &[r.spans.to_string()]].concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(&["n", "timing", "millis", "overhead", "spans"], &rows)
+        emit(
+            "e16_timing_overhead.csv",
+            "n,timing,millis,overhead,overhead_q1,overhead_q3,spans",
+            &rows,
         );
-        println!("(\"off\" is the exact code path the untimed entry points compile to;\n the acceptance target is \"on\" within 1.05x of it)\n");
+        println!("(\"off\" is the exact code path the untimed entry points compile to;\n the acceptance target is \"on\" within 1.05x of it)");
+        print_method();
         trace_experiment(&mut obs, "E16", rows.len());
     }
 
     if wanted(&selected, "E17") {
         println!("== E17: color-class-parallel fixing sweep — audited driver wall-clock ==");
-        let data = ex::e17_fixing_speedup(&[1 << 14, 1 << 16], &[1, 2, 8]);
-        write_csv(
-            "e17_fixing_speedup.csv",
-            "driver,n,threads,seq_millis,par_millis,speedup",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{:.2},{:.2},{:.3}",
-                        r.driver, r.n, r.threads, r.seq_millis, r.par_millis, r.speedup
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
+        let rows: Vec<Vec<String>> = ex::e17_fixing_speedup(&[1 << 14, 1 << 16], &[1, 2, 8])
             .into_iter()
             .map(|r| {
-                vec![
-                    r.driver,
-                    r.n.to_string(),
-                    r.threads.to_string(),
-                    format!("{:.1}", r.seq_millis),
-                    format!("{:.1}", r.par_millis),
-                    format!("{:.2}x", r.speedup),
-                ]
+                let head = [r.driver, r.n.to_string(), r.threads.to_string()];
+                let millis = [r.seq_millis, r.par_millis].map(|ms| format!("{ms:.2}"));
+                [&head[..], &millis, &spread(r.speedup)].concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(
-                &["driver", "n", "threads", "seq (ms)", "par (ms)", "speedup"],
-                &rows
-            )
+        emit(
+            "e17_fixing_speedup.csv",
+            "driver,n,threads,seq_millis,par_millis,speedup,speedup_q1,speedup_q3",
+            &rows,
         );
-        println!("(audited end-to-end drivers, best of two passes per point; assignments and\n round bills asserted identical before timing is reported — on a single-CPU\n host the speedup is engine efficiency, not parallelism; see EXPERIMENTS.md)\n");
+        println!("(audited end-to-end drivers; assignments and round bills asserted identical\n before timing is reported; the threads = 1 rows time the 1-worker driver\n against itself, the noise floor)");
+        print_method();
         trace_experiment(&mut obs, "E17", rows.len());
     }
 
     if wanted(&selected, "E18") {
         println!("== E18: service-mode throughput — fingerprint-cached schedules, cold vs warm ==");
-        let data = ex::e18_serve_throughput(100, 96, 5);
-        write_csv(
-            "e18_serve_throughput.csv",
-            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec,cache_hits,cache_misses",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{:.1},{},{}",
-                        r.mode,
-                        r.requests,
-                        r.clauses,
-                        r.width,
-                        r.p50_micros,
-                        r.p99_micros,
-                        r.inst_per_sec,
-                        r.cache_hits,
-                        r.cache_misses
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
+        let rows: Vec<Vec<String>> = ex::e18_serve_throughput(100, 96, 5)
             .into_iter()
             .map(|r| {
-                vec![
+                let head = [
                     r.mode,
                     r.requests.to_string(),
-                    format!("{}x{}", r.clauses, r.width),
+                    r.clauses.to_string(),
+                    r.width.to_string(),
                     r.p50_micros.to_string(),
                     r.p99_micros.to_string(),
                     format!("{:.1}", r.inst_per_sec),
-                    r.cache_hits.to_string(),
-                    r.cache_misses.to_string(),
-                ]
+                ];
+                let cache = [r.cache_hits.to_string(), r.cache_misses.to_string()];
+                [&head[..], &spread(r.speedup), &cache].concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "mode",
-                    "requests",
-                    "cnf (m x w)",
-                    "p50 (us)",
-                    "p99 (us)",
-                    "inst/sec",
-                    "hits",
-                    "misses"
-                ],
-                &rows
-            )
+        emit(
+            "e18_serve_throughput.csv",
+            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec,speedup,speedup_q1,speedup_q3,cache_hits,cache_misses",
+            &rows,
         );
-        println!("(100 same-shape rank-3 DIMACS requests through lll-serve's engine; response\n bytes asserted identical cold vs warm before timing — the cache only moves\n the schedule coloring off the request path, never a byte of the answer;\n CI gates the warm pass at hits == requests and misses == 0)\n");
+        println!("(100 same-shape rank-3 DIMACS requests through lll-serve's engine; response\n bytes asserted identical cold vs warm before timing — the cache only moves\n the schedule coloring off the request path, never a byte of the answer;\n CI gates the last warm pass at hits == requests and misses == 0)");
+        print_method();
         trace_experiment(&mut obs, "E18", rows.len());
     }
 
     if wanted(&selected, "E19") {
         println!("== E19: live-telemetry overhead — warm serve workload, quiet vs scraped ==");
-        let data = ex::e19_metrics_overhead(400, 96, 5);
-        write_csv(
-            "e19_metrics_overhead.csv",
-            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec,overhead",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{:.1},{:.4}",
-                        r.mode,
-                        r.requests,
-                        r.clauses,
-                        r.width,
-                        r.p50_micros,
-                        r.p99_micros,
-                        r.inst_per_sec,
-                        r.overhead
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
+        let rows: Vec<Vec<String>> = ex::e19_metrics_overhead(400, 96, 5)
             .into_iter()
             .map(|r| {
-                vec![
+                let head = [
                     r.mode,
                     r.requests.to_string(),
-                    format!("{}x{}", r.clauses, r.width),
+                    r.clauses.to_string(),
+                    r.width.to_string(),
                     r.p50_micros.to_string(),
                     r.p99_micros.to_string(),
                     format!("{:.1}", r.inst_per_sec),
-                    format!("{:.3}", r.overhead),
-                ]
+                ];
+                [&head[..], &spread(r.overhead)].concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "mode",
-                    "requests",
-                    "cnf (m x w)",
-                    "p50 (us)",
-                    "p99 (us)",
-                    "inst/sec",
-                    "overhead"
-                ],
-                &rows
-            )
+        emit(
+            "e19_metrics_overhead.csv",
+            "mode,requests,clauses,width,p50_micros,p99_micros,inst_per_sec,overhead,overhead_q1,overhead_q3",
+            &rows,
         );
-        println!("(the warm E18 workload with the Prometheus exporter bound to a Unix socket and\n a scraper fetching the exposition in a loop; response bytes asserted identical\n quiet vs scraped before timing; overhead = median scraped/quiet time over\n {} alternated pass pairs — CI gates it at 1.05)\n", ex::E19_PAIRS);
+        println!("(the warm E18 workload with the Prometheus exporter bound to a Unix socket and\n a scraper fetching the exposition in a loop; response bytes asserted identical\n quiet vs scraped on every pass; CI gates the overhead median at 1.05)");
+        print_method();
         trace_experiment(&mut obs, "E19", rows.len());
     }
 
@@ -759,88 +618,41 @@ fn main() {
         let n = 512;
         let overhead = ex::e20_resume_overhead(n, &[8, 64, 512]);
         let wallclock = ex::e20_resume_wallclock(n, 8);
-        let mut csv: Vec<String> = overhead
+        let mut rows: Vec<Vec<String>> = overhead
             .iter()
             .map(|r| {
-                format!(
-                    "{},{},{:.3},{:.4},{:.4},{:.4},{},{},{},{},{}",
-                    r.n,
-                    r.interval,
-                    r.millis,
-                    r.overhead,
-                    r.overhead_iqr.0,
-                    r.overhead_iqr.1,
-                    r.checkpoints,
-                    r.bytes,
-                    r.progress,
-                    r.digested,
-                    r.event_bytes
-                )
-            })
-            .collect();
-        csv.extend(wallclock.iter().map(|r| {
-            format!(
-                "{},{},{:.3},{:.4},{:.4},{:.4},0,0,0,0,0",
-                r.n, r.mode, r.millis, r.vs_full, r.vs_full_iqr.0, r.vs_full_iqr.1
-            )
-        }));
-        write_csv(
-            "e20_resume_overhead.csv",
-            "n,row,millis,overhead,overhead_q1,overhead_q3,checkpoints,bytes,progress,digested,event_bytes",
-            &csv,
-        );
-        let rows: Vec<Vec<String>> = overhead
-            .iter()
-            .map(|r| {
-                vec![
+                let head = [
                     r.n.to_string(),
                     r.interval.clone(),
                     format!("{:.3}", r.millis),
-                    format!("{:.3}", r.overhead),
-                    format!("{:.3}-{:.3}", r.overhead_iqr.0, r.overhead_iqr.1),
-                    r.checkpoints.to_string(),
-                    r.bytes.to_string(),
-                    r.progress.to_string(),
-                    r.digested.to_string(),
+                ];
+                let counts = [
+                    r.checkpoints,
+                    r.bytes,
+                    r.progress,
+                    r.digested as usize,
+                    r.event_bytes,
+                ];
+                [
+                    &head[..],
+                    &spread(r.overhead),
+                    &counts.map(|c| c.to_string()),
                 ]
+                .concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "n",
-                    "interval",
-                    "millis",
-                    "overhead",
-                    "IQR",
-                    "checkpoints",
-                    "bytes",
-                    "progress",
-                    "digested"
-                ],
-                &rows
-            )
+        rows.extend(wallclock.iter().map(|r| {
+            let head = [r.n.to_string(), r.mode.clone(), format!("{:.3}", r.millis)];
+            [&head[..], &spread(r.vs_full), &["0"; 5].map(String::from)].concat()
+        }));
+        emit(
+            "e20_resume_overhead.csv",
+            "n,row,millis,overhead,overhead_q1,overhead_q3,checkpoints,bytes,progress,digested,event_bytes",
+            &rows,
         );
-        let wrows: Vec<Vec<String>> = wallclock
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.mode.clone(),
-                    format!("{:.3}", r.millis),
-                    format!("{:.3}", r.vs_full),
-                    format!("{:.3}-{:.3}", r.vs_full_iqr.0, r.vs_full_iqr.1),
-                    r.steps.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(&["n", "mode", "millis", "vs full", "IQR", "steps"], &wrows)
-        );
-        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint, asserted byte-identical to the uninterrupted stream before any\n timing; overhead and vs full are medians of per-pair ratios over {} alternated\n pairs, with their interquartile range, reported as context; CI gates the\n counts: checkpoints == floor(progress / interval) and digested == the\n stream's event bytes, for every cadence)\n", ex::E20_PAIRS);
-        trace_experiment(&mut obs, "E20", overhead.len() + wallclock.len());
+        println!("(recorded rank-2 sweep with #checkpoint sidecars every N progress events; the\n resumed row folds the surviving prefix and continues from the midpoint\n checkpoint of a {}-step sweep, asserted byte-identical to the uninterrupted\n stream before any timing; its overhead is relative to the uninterrupted row;\n the timings are context; CI gates the counts: checkpoints ==\n floor(progress / interval) and digested == the stream's event bytes)", wallclock[0].steps);
+        print_method();
+        trace_experiment(&mut obs, "E20", rows.len());
     }
 
     if selected.contains("TRACE") {
@@ -954,58 +766,24 @@ fn main() {
 
     if wanted(&selected, "A2") {
         println!("== A2: ablation — arithmetic backend ==");
-        let data = ex::a2_backend();
-        write_csv(
-            "a2_backend.csv",
-            "backend,success_and_audit,runs,micros_median,micros_min,micros_max,tier_promotes,tier_demotes",
-            &data
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{:.0},{:.0},{:.0},{},{}",
-                        r.backend,
-                        r.success_and_audit,
-                        ex::A2_RUNS,
-                        r.micros,
-                        r.micros_min,
-                        r.micros_max,
-                        r.tier_promotes,
-                        r.tier_demotes
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows: Vec<Vec<String>> = data
+        let rows: Vec<Vec<String>> = ex::a2_backend()
             .into_iter()
             .map(|r| {
-                vec![
+                let head = [
                     r.backend,
                     r.success_and_audit.to_string(),
                     format!("{:.0}", r.micros),
-                    format!("{:.0}–{:.0}", r.micros_min, r.micros_max),
-                    r.tier_promotes.to_string(),
-                    r.tier_demotes.to_string(),
-                ]
+                ];
+                let tiers = [r.tier_promotes.to_string(), r.tier_demotes.to_string()];
+                [&head[..], &spread(r.vs_f64), &tiers].concat()
             })
             .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "backend",
-                    "success (+P* audit)",
-                    "µs/run (median)",
-                    "µs min–max",
-                    "tier promotes",
-                    "tier demotes",
-                ],
-                &rows
-            )
+        emit(
+            "a2_backend.csv",
+            "backend,success_and_audit,micros,vs_f64,vs_f64_q1,vs_f64_q3,tier_promotes,tier_demotes",
+            &rows,
         );
-        println!(
-            "({} interleaved runs per backend, alternating which goes first)\n",
-            ex::A2_RUNS
-        );
+        print_method();
         trace_experiment(&mut obs, "A2", rows.len());
     }
 
@@ -1037,6 +815,20 @@ fn trace_experiment<W: std::io::Write>(obs: &mut Option<JsonlRecorder<W>>, id: &
             rows,
         });
     }
+}
+
+/// A `[q1, median, q3]` spread as the cells `median, q1, q3`.
+fn spread([q1, mid, q3]: [f64; 3]) -> [String; 3] {
+    [mid, q1, q3].map(|x| format!("{x:.4}"))
+}
+
+/// The method line under every timed comparison.
+fn print_method() {
+    println!(
+        "(each side warmed up once off the clock, then timed in {} rounds with the\n first side rotating, a sample repeating a pass for at least {} ms; medians,\n with the interquartile range (IQR) of the per-round ratio to the first side)\n",
+        ex::ROUNDS,
+        ex::SAMPLE_MILLIS
+    );
 }
 
 fn rounds_row(r: ex::RoundsRow) -> Vec<String> {

@@ -4,6 +4,7 @@
 //! `tables` binary renders them into the tables recorded in
 //! `EXPERIMENTS.md`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use lll_apps::hyper_orientation::{
@@ -272,17 +273,18 @@ pub struct ThresholdRow {
     pub invariant_intact_r3: usize,
 }
 
+/// The criterion tightness values E7 sweeps (A1 reuses them).
+const E7_TIGHTNESS: [f64; 14] = [
+    0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 6.0, 10.0, 16.0,
+];
+
 /// Runs experiment E7. Both instance families have `d = 4`, so the
 /// sweep endpoint `t = 2^d = 16` makes some events *certain* — success
 /// is then impossible for any algorithm, bracketing the transition.
 pub fn e7_threshold_sweep(trials: usize) -> Vec<ThresholdRow> {
     let g = torus(6, 6);
     let h = hyper_ring(36);
-    [
-        0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 6.0, 10.0, 16.0,
-    ]
-    .iter()
-    .map(|&t| {
+    let rows = E7_TIGHTNESS.map(|t| {
         let mut s2 = 0;
         let mut s3 = 0;
         let mut intact = 0;
@@ -323,8 +325,8 @@ pub fn e7_threshold_sweep(trials: usize) -> Vec<ThresholdRow> {
             successes_r3: s3,
             invariant_intact_r3: intact,
         }
-    })
-    .collect()
+    });
+    rows.into()
 }
 
 /// E8 — applications end-to-end.
@@ -491,7 +493,8 @@ pub struct AblationRow {
     pub micros_per_instance: f64,
 }
 
-/// Runs ablation A1.
+/// Runs ablation A1 on E7's tightness grid, where the rank-3 fixer's
+/// success starts to fall, so the rules can separate.
 pub fn a1_value_rule(trials: usize) -> Vec<AblationRow> {
     let h = hyper_ring(36);
     let mut rows = Vec::new();
@@ -499,7 +502,7 @@ pub fn a1_value_rule(trials: usize) -> Vec<AblationRow> {
         ("best-score", ValueRule::BestScore),
         ("first-feasible", ValueRule::FirstFeasible),
     ] {
-        for &t in &[0.9, 1.1] {
+        for &t in &E7_TIGHTNESS {
             let mut successes = 0;
             let start = Instant::now();
             for trial in 0..trials {
@@ -533,47 +536,32 @@ pub struct BackendRow {
     pub backend: String,
     /// Whether the run succeeded and (for exact) audited `P*` clean.
     pub success_and_audit: bool,
-    /// Median wall-clock (µs) of one full fixing pass over [`A2_RUNS`]
-    /// runs.
+    /// Wall-clock of one full fixing pass (µs), median over the rounds.
     pub micros: f64,
-    /// The fastest of those runs (µs).
-    pub micros_min: f64,
-    /// The slowest of those runs (µs).
-    pub micros_max: f64,
+    /// Per-round time relative to `f64` as `[q1, median, q3]` (exactly
+    /// 1 for `f64`).
+    pub vs_f64: [f64; 3],
     /// `BigInt` tier promotions during the run (0 for `f64`).
     pub tier_promotes: u64,
     /// `BigInt` tier demotions during the run (0 for `f64`).
     pub tier_demotes: u64,
 }
 
-/// Timed runs of each A2 backend, interleaved.
-pub const A2_RUNS: usize = 7;
-
-/// The `f64` A2 run: build and fix.
-fn a2_f64_run(h: &lll_graphs::Hypergraph) -> BackendRow {
-    let start = Instant::now();
+/// The `f64` A2 run: build and fix. Returns the success flag and the
+/// (zero) tier counters.
+fn a2_f64_run(h: &lll_graphs::Hypergraph) -> (bool, lll_numeric::TierCounters) {
     let inst_f = hyper_orientation_instance::<f64>(h).expect("valid hypergraph");
     let rep_f = Fixer3::new(&inst_f)
         .expect("below threshold")
         .run_default()
         .expect("finite costs below the threshold");
-    let micros = start.elapsed().as_micros() as f64;
-    BackendRow {
-        backend: "f64".to_owned(),
-        success_and_audit: rep_f.is_success(),
-        micros,
-        micros_min: micros,
-        micros_max: micros,
-        tier_promotes: 0,
-        tier_demotes: 0,
-    }
+    (rep_f.is_success(), lll_numeric::TierCounters::default())
 }
 
 /// The exact-backend A2 run: build, fix, audit once, with the
 /// tier-transition counters bracketing the run.
-fn a2_exact_run(h: &lll_graphs::Hypergraph) -> BackendRow {
+fn a2_exact_run(h: &lll_graphs::Hypergraph) -> (bool, lll_numeric::TierCounters) {
     lll_numeric::reset_tier_counters();
-    let start = Instant::now();
     let inst_q = hyper_orientation_instance::<BigRational>(h).expect("valid hypergraph");
     let p = inst_q.max_event_probability();
     let mut fixer = Fixer3::new(&inst_q).expect("below threshold");
@@ -589,47 +577,33 @@ fn a2_exact_run(h: &lll_graphs::Hypergraph) -> BackendRow {
         &p,
         &BigRational::zero(),
     );
-    let rep_q = fixer.into_report();
-    let micros = start.elapsed().as_micros() as f64;
-    let tiers = lll_numeric::tier_counters();
-    BackendRow {
-        backend: "exact".to_owned(),
-        success_and_audit: rep_q.is_success() && audit.holds(),
-        micros,
-        micros_min: micros,
-        micros_max: micros,
-        tier_promotes: tiers.promote,
-        tier_demotes: tiers.demote,
-    }
+    let success = fixer.into_report().is_success() && audit.holds();
+    (success, lll_numeric::tier_counters())
 }
 
 /// Runs ablation A2 on a hyper-ring orientation instance: `f64` vs
-/// exact `BigRational`, [`A2_RUNS`] timed runs each. The runs
-/// interleave the backends, alternating which goes first, so host drift
-/// falls on both; each row reports the median and the range. The
-/// success flag and the tier counters, deterministic, are the first
-/// run's.
+/// exact `BigRational`, the two backends the sides of one [`sample`].
+/// The success flag and the tier counters, deterministic, are the last
+/// pass's.
 pub fn a2_backend() -> Vec<BackendRow> {
     let h = hyper_ring(12);
-    let runs: [fn(&lll_graphs::Hypergraph) -> BackendRow; 2] = [a2_f64_run, a2_exact_run];
-    let mut samples: [Vec<BackendRow>; 2] = Default::default();
-    for run in 0..A2_RUNS {
-        for b in [run % 2, (run + 1) % 2] {
-            samples[b].push(runs[b](&h));
-        }
-    }
-    samples
-        .map(|rows| {
-            let mut micros: Vec<f64> = rows.iter().map(|r| r.micros).collect();
-            let first = rows.into_iter().next().expect("A2_RUNS >= 1");
-            BackendRow {
-                micros: median(&mut micros),
-                micros_min: micros[0],
-                micros_max: micros[micros.len() - 1],
-                ..first
-            }
+    let runs: [fn(&lll_graphs::Hypergraph) -> _; 2] = [a2_f64_run, a2_exact_run];
+    let mut sides = runs.map(|run| {
+        let h = &h;
+        move || run(h)
+    });
+    ["f64", "exact"]
+        .into_iter()
+        .zip(sample(&mut sides))
+        .map(|(backend, ((success_and_audit, tiers), t))| BackendRow {
+            backend: backend.to_owned(),
+            success_and_audit,
+            micros: t.millis[1] * 1e3,
+            vs_f64: t.ratio,
+            tier_promotes: tiers.promote,
+            tier_demotes: tiers.demote,
         })
-        .into()
+        .collect()
 }
 
 /// E11 — order adversaries: the fixers' success under static hostile
@@ -807,31 +781,31 @@ pub struct SpeedupRow {
     pub threads: usize,
     /// `Simulator::run` wall-clock of the workload's LOCAL portion — the
     /// two schedule-coloring programs (Linial + block reduction) on the
-    /// prebuilt line graph — in milliseconds, best of three passes.
+    /// prebuilt line graph — in milliseconds, median over the rounds.
     pub sim_seq_millis: f64,
     /// `Simulator::run_auto` (slab engine) wall-clock of the same two
     /// programs.
     pub sim_par_millis: f64,
-    /// `sim_seq_millis / sim_par_millis`.
-    pub sim_speedup: f64,
+    /// Per-round `sim_seq / sim_par` as `[q1, median, q3]`.
+    pub sim_speedup: [f64; 3],
     /// Full rank-2 driver wall-clock (edge-schedule coloring plus
     /// `dist::run`) at one thread (the slab engine at one shard).
     pub driver_seq_millis: f64,
     /// The same at `threads` workers.
     pub driver_par_millis: f64,
-    /// `driver_seq_millis / driver_par_millis`.
-    pub driver_speedup: f64,
+    /// Per-round `driver_seq / driver_par` as `[q1, median, q3]`.
+    pub driver_speedup: [f64; 3],
 }
 
-/// Runs experiment E14: times the E2 dist-fixer workload at each size
-/// under the reference engine once, then under the slab engine at each
-/// worker count, asserting bit-for-bit equal outcomes throughout.
+/// Runs experiment E14: at each size, one [`sample`] times the
+/// reference engine against the slab engine at each worker count, and a
+/// second times the driver at one worker against each worker count,
+/// asserting bit-for-bit equal outcomes before any row is returned.
 ///
 /// Both the LOCAL-simulation portion alone (`Simulator::run` vs
 /// `Simulator::run_auto` on the schedule coloring) and the full
-/// driver are reported; the driver includes the inherently sequential
-/// fixing sweep, so its speedup is an Amdahl-diluted version of the
-/// simulator's.
+/// driver are reported; the driver includes the fixing sweep, so its
+/// speedup is an Amdahl-diluted version of the simulator's.
 pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<SpeedupRow> {
     use lll_coloring::vertex_coloring;
     use lll_local::Simulator;
@@ -850,9 +824,6 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
         // two programs, so the sim columns compare the engines alone —
         // derived-graph construction and driver bookkeeping are engine
         // independent and excluded (the driver columns charge them).
-        // Engine timings take the best of three passes after a warm-up
-        // pass, so neither side pays the cold caches of whichever
-        // happens to run first.
         let lg = dep.line_graph();
         let lsim = Simulator::new(&lg);
         let delta = lg.max_degree() as u64;
@@ -861,26 +832,44 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
             .last()
             .map_or(lg.num_nodes() as u64, |&(_, q)| q * q);
         let template = lll_coloring::LinialProgram::new(schedule);
-        // Warm-up pass; its output seeds the reduction stage (node ids
-        // on `lsim` are graph indices).
+        // One Linial run seeds the reduction stage of every side (node
+        // ids on `lsim` are graph indices).
         let rough = lsim.run(|_| template.clone(), budget).expect("converges");
         let mk_reduce = |ctx: &lll_local::NodeContext| {
             lll_coloring::ReduceProgram::new(rough.outputs[ctx.id as usize], fixed, delta + 1)
         };
-        let _warm = lsim.run(mk_reduce, budget).expect("converges");
-        let (seq_out, sim_seq_millis) = best_of(3, || {
-            let lin = lsim.run(|_| template.clone(), budget).expect("converges");
-            let red = lsim.run(mk_reduce, budget).expect("converges");
-            (lin, red)
-        });
+        let psims: Vec<Simulator> = thread_counts
+            .iter()
+            .map(|&t| lsim.clone().threads(t))
+            .collect();
+        let (lsim, template, mk_reduce) = (&lsim, &template, &mk_reduce);
+        let mut sim_sides: Vec<_> = std::iter::once(None)
+            .chain(psims.iter().map(Some))
+            .map(|psim| {
+                move || {
+                    let stages = match psim {
+                        None => (
+                            lsim.run(|_| template.clone(), budget),
+                            lsim.run(mk_reduce, budget),
+                        ),
+                        Some(p) => (
+                            p.run_auto(|_| template.clone(), budget),
+                            p.run_auto(mk_reduce, budget),
+                        ),
+                    };
+                    (stages.0.expect("converges"), stages.1.expect("converges"))
+                }
+            })
+            .collect();
+        let sim = sample(&mut sim_sides);
+        let (seq_out, sim_seq) = &sim[0];
         assert_eq!(
             seq_out.0.outputs, rough.outputs,
             "linial must be deterministic"
         );
-
-        // Cross-check: the staged timing loop reproduces the driver's
-        // own schedule coloring.
-        let col = vertex_coloring(&lsim, budget).expect("converges");
+        // Cross-check: the staged programs reproduce the driver's own
+        // schedule coloring.
+        let col = vertex_coloring(lsim, budget).expect("converges");
         assert_eq!(
             col.colors,
             seq_out
@@ -891,44 +880,28 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
                 .collect::<Vec<_>>(),
             "staged stages must equal the vertex_coloring driver"
         );
+        for (par_out, _) in &sim[1..] {
+            for (par, seq) in [(&par_out.0, &seq_out.0), (&par_out.1, &seq_out.1)] {
+                assert_eq!(par.outputs, seq.outputs, "engines must agree");
+                assert_eq!(par.rounds, seq.rounds, "engines must agree");
+            }
+        }
 
-        let t1 = Instant::now();
-        let base = solve_seeded(&inst, ScheduleKind::Edge, 5, &Sweep::default());
-        let driver_seq_millis = t1.elapsed().as_secs_f64() * 1e3;
-
-        for &threads in thread_counts {
-            let psim = lsim.clone().threads(threads);
-            let (par_out, sim_par_millis) = best_of(3, || {
-                let lin = psim
-                    .run_auto(|_| template.clone(), budget)
-                    .expect("converges");
-                let red = psim.run_auto(mk_reduce, budget).expect("converges");
-                (lin, red)
-            });
-            assert_eq!(par_out.0.outputs, seq_out.0.outputs, "engines must agree");
-            assert_eq!(par_out.1.outputs, seq_out.1.outputs, "engines must agree");
-            assert_eq!(par_out.0.rounds, seq_out.0.rounds, "engines must agree");
-            assert_eq!(par_out.1.rounds, seq_out.1.rounds, "engines must agree");
-
-            let t3 = Instant::now();
-            let par = solve_seeded(&inst, ScheduleKind::Edge, 5, &workers(threads));
-            let driver_par_millis = t3.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(par.rounds, base.rounds, "engines must agree");
-            assert_eq!(
-                par.fix.assignment(),
-                base.fix.assignment(),
-                "engines must agree"
-            );
-
+        let driver = sample_workers(thread_counts, |t| {
+            solve_seeded(&inst, ScheduleKind::Edge, 5, &workers(t))
+        });
+        for ((&threads, (_, sim_par)), driver_par) in
+            thread_counts.iter().zip(&sim[1..]).zip(&driver[1..])
+        {
             rows.push(SpeedupRow {
                 n,
                 threads,
-                sim_seq_millis,
-                sim_par_millis,
-                sim_speedup: sim_seq_millis / sim_par_millis,
-                driver_seq_millis,
-                driver_par_millis,
-                driver_speedup: driver_seq_millis / driver_par_millis,
+                sim_seq_millis: sim_seq.millis[1],
+                sim_par_millis: sim_par.millis[1],
+                sim_speedup: sim_par.speedup(),
+                driver_seq_millis: driver[0].millis[1],
+                driver_par_millis: driver_par.millis[1],
+                driver_speedup: driver_par.speedup(),
             });
         }
     }
@@ -940,7 +913,7 @@ pub fn e14_parallel_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<Spe
 /// per-class `P*` audit) at 1 worker vs `t` workers. Unlike E14 — where
 /// only the schedule coloring parallelized and the fixing sweep diluted
 /// the speedup à la Amdahl — both the fixing steps and the audit checks
-/// now run inside the sweep workers, so the whole driver scales.
+/// run inside the sweep workers, so the whole driver scales.
 #[derive(Debug, Clone)]
 pub struct FixSpeedupRow {
     /// Driver label: `"fixer2-audited"` or `"fixer3-audited"`.
@@ -949,82 +922,72 @@ pub struct FixSpeedupRow {
     pub n: usize,
     /// Sweep worker threads.
     pub threads: usize,
-    /// Audited driver wall-clock at 1 worker (ms).
+    /// Audited driver wall-clock at 1 worker (ms), median over the
+    /// rounds.
     pub seq_millis: f64,
     /// Audited driver wall-clock at `threads` workers (ms).
     pub par_millis: f64,
-    /// `seq_millis / par_millis`.
-    pub speedup: f64,
+    /// Per-round `seq / par` as `[q1, median, q3]`.
+    pub speedup: [f64; 3],
 }
 
-/// Runs experiment E17: times the audited rank-2 and rank-3 drivers at
-/// each size sequentially, then at each worker count — asserting
-/// bit-for-bit equal assignments and round bills before any timing is
-/// reported. Best-of-two wall-clock per point (E14's guard against
-/// one-off scheduling noise).
+/// Runs experiment E17: at each size, one [`sample`] per driver times
+/// the audited driver at 1 worker against each worker count, asserting
+/// bit-for-bit equal assignments and round bills before any row is
+/// returned. The `threads = 1` row times the 1-worker driver against
+/// itself: its speedup is the noise floor.
 pub fn e17_fixing_speedup(sizes: &[usize], thread_counts: &[usize]) -> Vec<FixSpeedupRow> {
     let mut rows = Vec::new();
     for &n in sizes {
         // Rank 2: the E2 ring workload under a per-class audit.
-        let g = ring(n);
-        let i2 = random_rank2_instance(&g, 8, 0.9, 7);
+        let i2 = random_rank2_instance(&ring(n), 8, 0.9, 7);
         let p2 = i2.max_event_probability();
-        let (base2, seq2) = best_of(2, || {
-            solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(1, &p2, &1e-9))
+        let r2 = sample_workers(thread_counts, |t| {
+            solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(t, &p2, &1e-9))
         });
-
         // Rank 3: the E6 hyper-ring workload under a per-class audit.
-        let h = hyper_ring(n);
-        let i3 = random_rank3_instance(&h, 8, 0.9, 7);
+        let i3 = random_rank3_instance(&hyper_ring(n), 8, 0.9, 7);
         let p3 = i3.max_event_probability();
-        let (base3, seq3) = best_of(2, || {
-            solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(1, &p3, &1e-9))
+        let r3 = sample_workers(thread_counts, |t| {
+            solve_seeded(&i3, ScheduleKind::Distance2, 5, &audited(t, &p3, &1e-9))
         });
-
-        for &threads in thread_counts {
-            let (par2, par2_millis) = best_of(2, || {
-                solve_seeded(&i2, ScheduleKind::Edge, 5, &audited(threads, &p2, &1e-9))
-            });
-            assert_eq!(par2.rounds, base2.rounds, "sweeps must agree");
-            assert_eq!(
-                par2.fix.assignment(),
-                base2.fix.assignment(),
-                "sweeps must agree"
-            );
-            rows.push(FixSpeedupRow {
-                driver: "fixer2-audited".to_owned(),
-                n,
-                threads,
-                seq_millis: seq2,
-                par_millis: par2_millis,
-                speedup: seq2 / par2_millis,
-            });
-
-            let (par3, par3_millis) = best_of(2, || {
-                solve_seeded(
-                    &i3,
-                    ScheduleKind::Distance2,
-                    5,
-                    &audited(threads, &p3, &1e-9),
-                )
-            });
-            assert_eq!(par3.rounds, base3.rounds, "sweeps must agree");
-            assert_eq!(
-                par3.fix.assignment(),
-                base3.fix.assignment(),
-                "sweeps must agree"
-            );
-            rows.push(FixSpeedupRow {
-                driver: "fixer3-audited".to_owned(),
-                n,
-                threads,
-                seq_millis: seq3,
-                par_millis: par3_millis,
-                speedup: seq3 / par3_millis,
-            });
+        for (i, &threads) in thread_counts.iter().enumerate() {
+            for (driver, timed) in [("fixer2-audited", &r2), ("fixer3-audited", &r3)] {
+                rows.push(FixSpeedupRow {
+                    driver: driver.to_owned(),
+                    n,
+                    threads,
+                    seq_millis: timed[0].millis[1],
+                    par_millis: timed[i + 1].millis[1],
+                    speedup: timed[i + 1].speedup(),
+                });
+            }
         }
     }
     rows
+}
+
+/// Times `solve` at one worker and at each of `thread_counts`, the
+/// sides of one [`sample`], and asserts that every run's round bill and
+/// assignment equal the one-worker run's. Returns the timings, the
+/// one-worker side first.
+fn sample_workers(thread_counts: &[usize], solve: impl Fn(usize) -> DistReport) -> Vec<Timing> {
+    let solve = &solve;
+    let mut sides: Vec<_> = std::iter::once(1)
+        .chain(thread_counts.iter().copied())
+        .map(|t| move || solve(t))
+        .collect();
+    let timed = sample(&mut sides);
+    let base = &timed[0].0;
+    for (report, _) in &timed[1..] {
+        assert_eq!(report.rounds, base.rounds, "sweeps must agree");
+        assert_eq!(
+            report.fix.assignment(),
+            base.fix.assignment(),
+            "sweeps must agree"
+        );
+    }
+    timed.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Records the `SWEEP` pseudo-experiment: the audited-workload rank-2
@@ -1049,43 +1012,49 @@ pub fn record_sweep_workload<R: lll_obs::Recorder>(
 pub struct ServeThroughputRow {
     /// `"cold"` (cache disabled) or `"warm"` (cache primed).
     pub mode: String,
-    /// Requests timed.
+    /// Requests per timed pass.
     pub requests: usize,
     /// Clauses per formula (ring-formula `m`).
     pub clauses: usize,
     /// Clause width (ring-formula `w`).
     pub width: usize,
-    /// Median request latency in microseconds (`obs::hist`).
+    /// Median request latency in microseconds (`obs::hist`), over every
+    /// pass of the mode.
     pub p50_micros: u64,
     /// 99th-percentile request latency in microseconds (`obs::hist`).
     pub p99_micros: u64,
-    /// Instances solved per second of wall-clock.
+    /// Instances solved per second, at the mode's median pass time.
     pub inst_per_sec: f64,
-    /// Schedule-cache hits during the timed pass ([`lll_serve::EngineStats`]
-    /// delta).
+    /// Per-round cold pass time over this mode's as `[q1, median, q3]`
+    /// (exactly 1 for `"cold"`).
+    pub speedup: [f64; 3],
+    /// Schedule-cache hits during the last timed pass
+    /// ([`lll_serve::EngineStats`] delta).
     pub cache_hits: u64,
-    /// Schedule-cache misses during the timed pass.
+    /// Schedule-cache misses during the last timed pass.
     pub cache_misses: u64,
 }
 
-/// Runs experiment E18: feeds `requests` same-shape rank-3 DIMACS
-/// requests (ring formulas with `m` clauses of width `w`, distinct
-/// polarity seeds — same dependency graph, so one fingerprint) through
-/// a cold engine (schedule recomputed per request) and a warm engine
-/// (fingerprint cache primed by the first request), asserting the
-/// response bytes identical pair-by-pair *before* any timing is
-/// reported. Latencies land in an [`lll_obs::hist::Histogram`]; the
-/// cache may only change when the coloring runs, never what the sweep
-/// answers. Each row also carries the engine's cache-counter deltas
-/// over its timed pass, the deterministic evidence that every warm
-/// request skipped the coloring.
-pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThroughputRow> {
+/// The E18/E19 serve workload: `requests` same-shape rank-3 DIMACS
+/// solve requests (ring formulas with `m` clauses of width `w`, distinct
+/// polarity seeds — one dependency graph, so one fingerprint), and two
+/// engines, with the schedule cache on or off as `caches` says. Every
+/// request runs through both engines before this returns, asserting
+/// identical response bytes and a solved status, so both engines are
+/// warm and the determinism contract holds before any pass is timed.
+/// Returns the wire lines, the engines and the responses.
+fn serve_workload(
+    requests: usize,
+    m: usize,
+    w: usize,
+    caches: [bool; 2],
+) -> (Vec<String>, [Arc<lll_serve::Engine>; 2], Vec<String>) {
     use lll_serve::{Engine, EngineConfig, Payload, Request, SolveRequest};
 
     let wire: Vec<String> = (0..requests)
         .map(|i| {
             Request::Solve(SolveRequest {
-                id: format!("\"e18-{i}\""),
+                id: format!("\"serve-{i}\""),
                 payload: Payload::Dimacs(ring_formula(m, w, i as u64).to_string()),
                 schedule_seed: None,
                 obs: None,
@@ -1094,54 +1063,85 @@ pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThr
             .to_json()
         })
         .collect();
-
-    let cold = Engine::new(EngineConfig {
-        cache: false,
-        ..EngineConfig::default()
+    let engines = caches.map(|cache| {
+        Arc::new(Engine::new(EngineConfig {
+            cache,
+            ..EngineConfig::default()
+        }))
     });
-    let warm = Engine::new(EngineConfig::default());
-    // Prime the warm cache (one miss, off the clock), then assert the
-    // determinism contract: cold bytes == warm bytes, request by
-    // request, before a single latency is reported.
-    warm.solve_line(&wire[0]);
-    for line in &wire {
-        let a = cold.solve_line(line).to_json();
-        let b = warm.solve_line(line).to_json();
-        assert_eq!(a, b, "cache state leaked into a response");
-        assert!(a.contains("\"status\":\"ok\""), "E18 workload must solve");
-    }
+    let responses: Vec<String> = wire
+        .iter()
+        .map(|line| {
+            let a = engines[0].solve_line(line).to_json();
+            let b = engines[1].solve_line(line).to_json();
+            assert_eq!(a, b, "engine configuration leaked into a response");
+            assert!(a.contains("\"status\":\"ok\""), "serve workload must solve");
+            a
+        })
+        .collect();
+    (wire, engines, responses)
+}
+
+/// Runs experiment E18: the `serve_workload` through a cold engine
+/// (schedule recomputed per request) and a warm engine (fingerprint
+/// cache primed), the two sides of one [`sample`]. Latencies of every
+/// pass land in one [`lll_obs::hist::Histogram`] per mode; the workload
+/// builder has already run every request through both engines, so the
+/// sampler's warm-up pass is as warm as the timed ones. Each row also
+/// carries the engine's cache-counter deltas over its last timed pass,
+/// the deterministic evidence that every warm request skipped the
+/// coloring.
+pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThroughputRow> {
+    let (wire, engines, _) = serve_workload(requests, m, w, [false, true]);
     assert_eq!(
-        warm.cached_schedules(),
+        engines[1].cached_schedules(),
         1,
         "same-shape requests must share one schedule"
     );
-
-    let mut rows = Vec::new();
-    for (mode, engine) in [("cold", &cold), ("warm", &warm)] {
-        let mut hist = lll_obs::hist::Histogram::new();
-        let before = engine.stats();
-        let t = Instant::now();
-        for line in &wire {
-            let req = Instant::now();
-            let response = engine.solve_line(line);
-            hist.record(req.elapsed().as_micros() as u64);
-            debug_assert!(!response.is_shutdown());
-        }
-        let secs = t.elapsed().as_secs_f64();
-        let after = engine.stats();
-        rows.push(ServeThroughputRow {
-            mode: mode.to_owned(),
-            requests,
-            clauses: m,
-            width: w,
-            p50_micros: hist.p50(),
-            p99_micros: hist.p99(),
-            inst_per_sec: requests as f64 / secs,
-            cache_hits: after.cache_hits - before.cache_hits,
-            cache_misses: after.cache_misses - before.cache_misses,
-        });
-    }
-    rows
+    let mut hists = [
+        lll_obs::hist::Histogram::new(),
+        lll_obs::hist::Histogram::new(),
+    ];
+    let wire = &wire;
+    let mut sides: Vec<_> = engines
+        .iter()
+        .zip(&mut hists)
+        .map(|(engine, hist)| {
+            move || {
+                let before = engine.stats();
+                for line in wire {
+                    let req = Instant::now();
+                    let response = engine.solve_line(line);
+                    hist.record(req.elapsed().as_micros() as u64);
+                    debug_assert!(!response.is_shutdown());
+                }
+                let after = engine.stats();
+                (
+                    after.cache_hits - before.cache_hits,
+                    after.cache_misses - before.cache_misses,
+                )
+            }
+        })
+        .collect();
+    let timed = sample(&mut sides);
+    ["cold", "warm"]
+        .into_iter()
+        .zip(hists.iter().zip(timed))
+        .map(
+            |(mode, (hist, ((cache_hits, cache_misses), t)))| ServeThroughputRow {
+                mode: mode.to_owned(),
+                requests,
+                clauses: m,
+                width: w,
+                p50_micros: hist.p50(),
+                p99_micros: hist.p99(),
+                inst_per_sec: requests as f64 / (t.millis[1] / 1e3),
+                speedup: t.speedup(),
+                cache_hits,
+                cache_misses,
+            },
+        )
+        .collect()
 }
 
 /// E19 — live-telemetry overhead: the E18 warm workload, quiet vs
@@ -1151,7 +1151,7 @@ pub struct MetricsOverheadRow {
     /// `"quiet"` (telemetry idle) or `"scraped"` (exporter bound and a
     /// scraper hammering the socket for the whole run).
     pub mode: String,
-    /// Requests timed.
+    /// Requests per timed pass.
     pub requests: usize,
     /// Clauses per formula (ring-formula `m`).
     pub clauses: usize,
@@ -1166,60 +1166,23 @@ pub struct MetricsOverheadRow {
     /// Instances solved per second of wall-clock, at the mode's median
     /// pass time.
     pub inst_per_sec: f64,
-    /// Median over [`E19_PAIRS`] alternated pairs of the pair's scraped
-    /// pass time divided by its quiet pass time (1 for `"quiet"`).
-    pub overhead: f64,
+    /// Per-round scraped pass time over the quiet one as `[q1, median,
+    /// q3]` (exactly 1 for `"quiet"`).
+    pub overhead: [f64; 3],
 }
 
-/// Alternated (quiet, scraped) pass pairs that E19 times.
-pub const E19_PAIRS: usize = 11;
-
-/// Runs experiment E19: the warm E18 workload solved in two modes —
-/// telemetry idle vs the Prometheus exporter bound to a Unix socket
-/// with a scraper thread fetching the exposition throughout. The two
-/// modes run as [`E19_PAIRS`] pass pairs in one process, alternating
-/// which mode goes first, so host drift between measurement windows
-/// cancels within a pair; the scraped row's overhead is the median of
-/// the per-pair time ratios. Response bytes are asserted identical
-/// across every pass of both modes before any timing is reported (the
-/// side-band contract), and CI gates the overhead at ≤ 1.05.
+/// Runs experiment E19: the warm E18 workload (`serve_workload` with
+/// both caches on) solved in two modes — telemetry idle vs the
+/// Prometheus exporter bound to a Unix socket with a scraper thread
+/// fetching the exposition throughout — the two sides of one
+/// [`sample`]. Every pass asserts its response bytes identical to the
+/// workload's (the side-band contract), and CI gates the overhead
+/// median at ≤ 1.05.
 pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsOverheadRow> {
-    use lll_serve::{
-        spawn_telemetry, Engine, EngineConfig, Payload, Request, SolveRequest, TelemetryConfig,
-    };
+    use lll_serve::{spawn_telemetry, TelemetryConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    let wire: Vec<String> = (0..requests)
-        .map(|i| {
-            Request::Solve(SolveRequest {
-                id: format!("\"e19-{i}\""),
-                payload: Payload::Dimacs(ring_formula(m, w, i as u64).to_string()),
-                schedule_seed: None,
-                obs: None,
-                timeout_ms: None,
-            })
-            .to_json()
-        })
-        .collect();
-
-    let engines = [
-        Arc::new(Engine::new(EngineConfig::default())),
-        Arc::new(Engine::new(EngineConfig::default())),
-    ];
-    // Warm both working sets off the clock.
-    let mut baseline: Vec<String> = Vec::new();
-    for (i, engine) in engines.iter().enumerate() {
-        let warm: Vec<String> = wire
-            .iter()
-            .map(|line| engine.solve_line(line).to_json())
-            .collect();
-        if i == 0 {
-            baseline = warm;
-        } else {
-            assert_eq!(warm, baseline, "telemetry changed response bytes");
-        }
-    }
+    let (wire, engines, baseline) = serve_workload(requests, m, w, [true, true]);
 
     // The exporter is bound to engine 1 for the whole experiment; the
     // scraper hits it only while `active` is up (the scraped passes),
@@ -1268,53 +1231,51 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
         })
     };
 
-    // Alternated pass pairs: each mode's latencies go into one
-    // histogram, its pass times into `secs`, and each pair's scraped/
-    // quiet time ratio into `ratios`.
     let mut hists = [
         lll_obs::hist::Histogram::new(),
         lll_obs::hist::Histogram::new(),
     ];
-    let mut secs: [Vec<f64>; 2] = Default::default();
-    let mut ratios = Vec::with_capacity(E19_PAIRS);
-    for pair in 0..E19_PAIRS {
-        for mi in [pair % 2, (pair + 1) % 2] {
-            let (engine, hist) = (&engines[mi], &mut hists[mi]);
-            active.store(mi == 1, Ordering::Relaxed);
-            let mut responses = Vec::with_capacity(wire.len());
-            let t = Instant::now();
-            for line in &wire {
-                let req = Instant::now();
-                responses.push(engine.solve_line(line).to_json());
-                hist.record(req.elapsed().as_micros() as u64);
+    let (wire, baseline, active) = (&wire, &baseline, &active);
+    let mut sides: Vec<_> = engines
+        .iter()
+        .zip(&mut hists)
+        .enumerate()
+        .map(|(mi, (engine, hist))| {
+            move || {
+                active.store(mi == 1, Ordering::Relaxed);
+                let responses: Vec<String> = wire
+                    .iter()
+                    .map(|line| {
+                        let req = Instant::now();
+                        let response = engine.solve_line(line).to_json();
+                        hist.record(req.elapsed().as_micros() as u64);
+                        response
+                    })
+                    .collect();
+                // Scraping cannot change a response byte.
+                assert_eq!(&responses, baseline, "telemetry changed response bytes");
             }
-            secs[mi].push(t.elapsed().as_secs_f64());
-            // The side-band contract, asserted before timing is
-            // reported: scraping cannot change a response byte.
-            assert_eq!(responses, baseline, "telemetry changed response bytes");
-        }
-        ratios.push(secs[1][pair] / secs[0][pair]);
-    }
+        })
+        .collect();
+    let timed = sample(&mut sides);
     active.store(false, Ordering::Relaxed);
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("scraper thread");
     assert!(scrapes > 0, "E19 scraped mode never scraped the socket");
     telemetry.shutdown();
 
-    let overhead = [1.0, median(&mut ratios)];
     ["quiet", "scraped"]
         .into_iter()
-        .zip(hists.iter().zip(&mut secs))
-        .zip(overhead)
-        .map(|((mode, (hist, secs)), overhead)| MetricsOverheadRow {
+        .zip(hists.iter().zip(timed))
+        .map(|(mode, (hist, ((), t)))| MetricsOverheadRow {
             mode: mode.to_owned(),
             requests,
             clauses: m,
             width: w,
             p50_micros: hist.p50(),
             p99_micros: hist.p99(),
-            inst_per_sec: requests as f64 / median(secs),
-            overhead,
+            inst_per_sec: requests as f64 / (t.millis[1] / 1e3),
+            overhead: t.ratio,
         })
         .collect()
 }
@@ -1363,21 +1324,6 @@ fn audited<'a, T>(threads: usize, p_bound: &'a T, tol: &'a T) -> Sweep<'a, T> {
         audit: Some((p_bound, tol)),
         ..Sweep::default()
     }
-}
-
-/// Runs `f` `k` times; returns its (deterministic) result and the
-/// minimum wall-clock milliseconds observed — the usual guard against
-/// one-off scheduling noise.
-fn best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..k {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (out.expect("k >= 1"), best)
 }
 
 /// Runs the traced schedule-coloring workload — the LOCAL portion of the
@@ -1454,10 +1400,12 @@ pub struct RecorderOverheadRow {
     pub n: usize,
     /// Recorder flavor: `"null"`, `"counter"` or `"jsonl"`.
     pub recorder: String,
-    /// Best-of-three wall-clock milliseconds of the traced portion.
+    /// Wall-clock milliseconds of the traced portion, median over the
+    /// rounds.
     pub millis: f64,
-    /// `millis` relative to the `"null"` row of the same `n`.
-    pub overhead: f64,
+    /// Per-round time relative to the `"null"` side of the same `n`, as
+    /// `[q1, median, q3]`.
+    pub overhead: [f64; 3],
     /// Events recorded in one pass (0 for `"null"`).
     pub events: usize,
     /// JSONL bytes written per pass (0 except for `"jsonl"`).
@@ -1468,37 +1416,40 @@ pub struct RecorderOverheadRow {
 /// [`NullRecorder`] (which is exactly the code
 /// path the unrecorded entry points delegate to — its "overhead" row is
 /// the measurement-noise floor), [`CounterRecorder`](lll_obs::CounterRecorder)
-/// and an in-memory [`JsonlRecorder`](lll_obs::JsonlRecorder).
+/// and an in-memory [`JsonlRecorder`](lll_obs::JsonlRecorder), the three
+/// sides of one [`sample`] per size.
 pub fn e15_recorder_overhead(sizes: &[usize]) -> Vec<RecorderOverheadRow> {
     let mut rows = Vec::new();
     for &n in sizes {
-        // Warm-up pass so the first timed flavor doesn't pay cold caches.
-        record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
-        let (_, null_millis) = best_of(3, || {
-            record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
-        });
-        let (counter_events, counter_millis) = best_of(3, || {
+        // Each side returns the (events, bytes) of its pass.
+        let mut null = || {
+            record_trace_workload(n, 1, &mut NullRecorder, &mut NullTiming);
+            (0, 0)
+        };
+        let mut counter = || {
             let mut rec = lll_obs::CounterRecorder::new();
             record_trace_workload(n, 1, &mut rec, &mut NullTiming);
-            rec.events
-        });
-        let ((jsonl_events, jsonl_bytes), jsonl_millis) = best_of(3, || {
+            (rec.events, 0)
+        };
+        let mut jsonl = || {
             let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
             record_trace_workload(n, 1, &mut rec, &mut NullTiming);
             let lines = rec.lines();
-            let buf = rec.finish().expect("in-memory writer never fails");
-            (lines, buf.len())
-        });
-        for (recorder, millis, events, bytes) in [
-            ("null", null_millis, 0, 0),
-            ("counter", counter_millis, counter_events, 0),
-            ("jsonl", jsonl_millis, jsonl_events, jsonl_bytes),
-        ] {
+            (
+                lines,
+                rec.finish().expect("in-memory writer never fails").len(),
+            )
+        };
+        let sides: &mut [&mut dyn FnMut() -> (usize, usize)] =
+            &mut [&mut null, &mut counter, &mut jsonl];
+        for (recorder, ((events, bytes), t)) in
+            ["null", "counter", "jsonl"].into_iter().zip(sample(sides))
+        {
             rows.push(RecorderOverheadRow {
                 n,
                 recorder: recorder.to_owned(),
-                millis,
-                overhead: millis / null_millis,
+                millis: t.millis[1],
+                overhead: t.ratio,
                 events,
                 bytes,
             });
@@ -1515,10 +1466,12 @@ pub struct TimingOverheadRow {
     /// Timing flavor: `"off"` ([`lll_obs::NullTiming`], exactly the
     /// untimed code path) or `"on"` ([`lll_obs::TimingRecorder`]).
     pub timing: String,
-    /// Best-of-three wall-clock milliseconds of the traced portion.
+    /// Wall-clock milliseconds of the traced portion, median over the
+    /// rounds.
     pub millis: f64,
-    /// `millis` relative to the `"off"` row of the same `n`.
-    pub overhead: f64,
+    /// Per-round time relative to the `"off"` side of the same `n`, as
+    /// `[q1, median, q3]`.
+    pub overhead: [f64; 3],
     /// Timing spans recorded in one pass (0 for `"off"`).
     pub spans: u64,
 }
@@ -1527,29 +1480,31 @@ pub struct TimingOverheadRow {
 /// [`NullTiming`] — which is exactly the code path
 /// the untimed entry points delegate to, so its "overhead" row is the
 /// noise floor — and under a live
-/// [`TimingRecorder`](lll_obs::TimingRecorder). The acceptance target
-/// (EXPERIMENTS.md) is an `"on"` overhead within 1.05× of `"off"` on the
-/// E14 schedule-coloring workload: one histogram store per span, no
-/// allocation on the hot path.
+/// [`TimingRecorder`](lll_obs::TimingRecorder), the two sides of one
+/// [`sample`] per size. The acceptance target (EXPERIMENTS.md) is an
+/// `"on"` overhead within 1.05× of `"off"` on the E14 schedule-coloring
+/// workload: one histogram store per span, no allocation on the hot
+/// path.
 pub fn e16_timing_overhead(sizes: &[usize]) -> Vec<TimingOverheadRow> {
     let mut rows = Vec::new();
     for &n in sizes {
-        // Warm-up pass so the first timed flavor doesn't pay cold caches.
-        record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
-        let (_, off_millis) = best_of(3, || {
-            record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut NullTiming);
-        });
-        let (spans, on_millis) = best_of(3, || {
+        // Each side returns the spans of its pass.
+        let mut off = || {
+            record_trace_workload(n, 1, &mut NullRecorder, &mut NullTiming);
+            0
+        };
+        let mut on = || {
             let mut timing = lll_obs::TimingRecorder::new();
-            record_trace_workload(n, 1, &mut lll_obs::NullRecorder, &mut timing);
+            record_trace_workload(n, 1, &mut NullRecorder, &mut timing);
             timing.spans()
-        });
-        for (flavor, millis, spans) in [("off", off_millis, 0), ("on", on_millis, spans)] {
+        };
+        let sides: &mut [&mut dyn FnMut() -> u64] = &mut [&mut off, &mut on];
+        for (flavor, (spans, t)) in ["off", "on"].into_iter().zip(sample(sides)) {
             rows.push(TimingOverheadRow {
                 n,
                 timing: flavor.to_owned(),
-                millis,
-                overhead: millis / off_millis,
+                millis: t.millis[1],
+                overhead: t.ratio,
                 spans,
             });
         }
@@ -1621,16 +1576,12 @@ pub struct ResumeOverheadRow {
     /// exactly the unreplicated code path) or the progress-event
     /// interval as a number.
     pub interval: String,
-    /// Median over the pairs of the pair's fastest pass, in wall-clock
-    /// milliseconds (for `"off"`, over the off side of every pair).
+    /// Wall-clock milliseconds of one recorded sweep, median over the
+    /// rounds.
     pub millis: f64,
-    /// Median over [`E20_PAIRS`] alternated pairs of this cadence's
-    /// fastest pass divided by the fastest `"off"` pass of the same pair
-    /// (1 for `"off"`).
-    pub overhead: f64,
-    /// Lower and upper quartile of the per-pair ratios behind
-    /// `overhead` (1 for `"off"`).
-    pub overhead_iqr: (f64, f64),
+    /// Per-round time relative to the `"off"` side as `[q1, median,
+    /// q3]` (exactly 1 for `"off"`).
+    pub overhead: [f64; 3],
     /// `#checkpoint` sidecar lines written in one pass.
     pub checkpoints: usize,
     /// JSONL bytes written per pass, sidecars included.
@@ -1645,110 +1596,161 @@ pub struct ResumeOverheadRow {
     pub event_bytes: usize,
 }
 
-/// Alternated (off, checkpointed) pairs that E20 times per cadence.
-pub const E20_PAIRS: usize = 25;
+/// The E20 workload, built off the clock: the instance and the colored
+/// schedule of [`record_sweep_workload`] at one worker, whose sweep
+/// (`dist::run` with the default [`Sweep`]) both halves of E20 time.
+fn e20_workload(n: usize) -> (Instance<f64>, Schedule) {
+    let inst = random_rank2_instance(&ring(n), 8, 0.9, 7);
+    let schedule =
+        Schedule::edge(inst.dependency_graph(), 5, 1).expect("schedule coloring converges");
+    (inst, schedule)
+}
 
-/// Passes of each flavor in one E20 pair, interleaved; the pair compares
-/// the fastest of each.
-const E20_PASSES: usize = 3;
-
-/// Runs the checkpoint-interval half of experiment E20: times
-/// [`record_sweep_workload`] streaming into an in-memory
-/// [`lll_obs::JsonlRecorder`], for each requested interval in
-/// [`E20_PAIRS`] pairs of passes with checkpointing off and with a
-/// `#checkpoint` sidecar every `interval` progress events. A pair
-/// interleaves the two flavors, alternating which goes first, so host
-/// drift cancels within it, and compares the fastest pass of each, so a
-/// preempted pass does not count; the row's overhead is the median of
-/// the per-pair ratios. The timings are context; the gate is on counts
-/// (EXPERIMENTS.md): each cadence writes `⌊progress / interval⌋`
-/// sidecars, and its digest consumes exactly the stream's event bytes,
-/// so a sidecar is one short line and each event line is digested
-/// once, never a prefix re-read.
+/// Runs the checkpoint-interval half of experiment E20: the
+/// `e20_workload` sweep streaming into an in-memory
+/// [`lll_obs::JsonlRecorder`] with checkpointing off and with a
+/// `#checkpoint` sidecar every `interval` progress events, each cadence
+/// one side of a single [`sample`]. The timings are context; the gate
+/// is on counts (EXPERIMENTS.md): each cadence writes
+/// `⌊progress / interval⌋` sidecars, and its digest consumes exactly
+/// the stream's event bytes, so a sidecar is one short line and each
+/// event line is digested once, never a prefix re-read.
 pub fn e20_resume_overhead(n: usize, intervals: &[u64]) -> Vec<ResumeOverheadRow> {
-    // One timed pass: the stream, the bytes its digest consumed, and its
-    // wall-clock milliseconds.
-    let pass = |interval: Option<u64>| {
-        let started = Instant::now();
-        let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
-        if let Some(interval) = interval {
-            rec = rec.checkpoint_every(interval);
-        }
-        record_sweep_workload(n, 1, &mut rec);
-        let digested = rec.digest().map_or(0, |d| d.bytes());
-        let buf = rec.finish().expect("in-memory writer never fails");
-        (buf, digested, started.elapsed().as_secs_f64() * 1e3)
-    };
-    // The row of one cadence's stream, with its timing filled in later.
-    let row = |interval: String, buf: &[u8], digested: u64| {
-        let text = String::from_utf8_lossy(buf);
-        let (mut checkpoints, mut progress, mut event_bytes) = (0, 0, 0);
-        for line in text.lines() {
-            if line.starts_with(lll_obs::CHECKPOINT_PREFIX) {
-                checkpoints += 1;
-                continue;
+    let (inst, schedule) = &e20_workload(n);
+    let cadences: Vec<Option<u64>> = std::iter::once(None)
+        .chain(intervals.iter().copied().map(Some))
+        .collect();
+    // Each side returns its pass's stream and the bytes its digest
+    // consumed.
+    let mut sides: Vec<_> = cadences
+        .iter()
+        .map(|&interval| {
+            move || {
+                let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
+                if let Some(interval) = interval {
+                    rec = rec.checkpoint_every(interval);
+                }
+                dist::run(inst, schedule, &Sweep::default(), &mut rec, &mut NullTiming)
+                    .expect("below threshold");
+                let digested = rec.digest().map_or(0, |d| d.bytes());
+                (
+                    rec.finish().expect("in-memory writer never fails"),
+                    digested,
+                )
             }
-            event_bytes += line.len() + 1;
-            if line.starts_with("{\"type\":\"round_end\"")
-                || line.starts_with("{\"type\":\"fix_step\"")
-            {
-                progress += 1;
-            }
-        }
-        ResumeOverheadRow {
-            n,
-            interval,
-            millis: 0.0,
-            overhead: 1.0,
-            overhead_iqr: (1.0, 1.0),
-            checkpoints,
-            bytes: buf.len(),
-            progress,
-            digested,
-            event_bytes,
-        }
-    };
-    // Warm-up pass so neither flavor pays cold caches.
-    let (off_buf, ..) = pass(None);
-    let mut off_millis = Vec::with_capacity(E20_PAIRS * intervals.len());
-    let mut rows = Vec::with_capacity(intervals.len() + 1);
-    for &interval in intervals {
-        let mut millis = Vec::with_capacity(E20_PAIRS);
-        let mut ratios = Vec::with_capacity(E20_PAIRS);
-        let (mut buf, mut digested) = (Vec::new(), 0);
-        for pair in 0..E20_PAIRS {
-            let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
-            for k in 0..E20_PASSES {
-                for checkpointed in [(pair + k) % 2 == 0, (pair + k) % 2 == 1] {
-                    if checkpointed {
-                        let (b, d, ms) = pass(Some(interval));
-                        on = on.min(ms);
-                        (buf, digested) = (b, d);
-                    } else {
-                        off = off.min(pass(None).2);
-                    }
+        })
+        .collect();
+    cadences
+        .iter()
+        .zip(sample(&mut sides))
+        .map(|(interval, ((buf, digested), t))| {
+            let (mut checkpoints, mut progress, mut event_bytes) = (0, 0, 0);
+            for line in String::from_utf8_lossy(&buf).lines() {
+                if line.starts_with(lll_obs::CHECKPOINT_PREFIX) {
+                    checkpoints += 1;
+                    continue;
+                }
+                event_bytes += line.len() + 1;
+                if line.starts_with("{\"type\":\"round_end\"")
+                    || line.starts_with("{\"type\":\"fix_step\"")
+                {
+                    progress += 1;
                 }
             }
-            off_millis.push(off);
-            millis.push(on);
-            ratios.push(on / off);
-        }
-        let [q1, overhead, q3] = quartiles(&mut ratios);
-        rows.push(ResumeOverheadRow {
-            millis: median(&mut millis),
-            overhead,
-            overhead_iqr: (q1, q3),
-            ..row(interval.to_string(), &buf, digested)
-        });
+            ResumeOverheadRow {
+                n,
+                interval: interval.map_or_else(|| "off".to_owned(), |i| i.to_string()),
+                millis: t.millis[1],
+                overhead: t.ratio,
+                checkpoints,
+                bytes: buf.len(),
+                progress,
+                digested,
+                event_bytes,
+            }
+        })
+        .collect()
+}
+
+/// Rounds of every timed comparison ([`sample`]). Odd, so a median and
+/// the quartiles are each one round's value.
+pub const ROUNDS: usize = 11;
+
+/// The least wall-clock span of one sample (ms): a side that runs
+/// faster repeats back to back within the sample, so millisecond runs
+/// are not read at the granularity of the clock and the scheduler.
+pub const SAMPLE_MILLIS: f64 = 20.0;
+
+/// One side of a comparison, as [`sample`] timed it. Each spread is
+/// `[q1, median, q3]` over the [`ROUNDS`] rounds.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// Wall-clock milliseconds per pass.
+    pub millis: [f64; 3],
+    /// This side's time over side 0's in the same round (exactly 1 for
+    /// side 0).
+    pub ratio: [f64; 3],
+}
+
+impl Timing {
+    /// Side 0's time over this side's in the same round, as
+    /// `[q1, median, q3]`: the reciprocal of [`Timing::ratio`], whose
+    /// quartiles swap (exact, because every spread entry is one
+    /// round's value).
+    pub fn speedup(&self) -> [f64; 3] {
+        let [q1, mid, q3] = self.ratio;
+        [1.0 / q3, 1.0 / mid, 1.0 / q1]
     }
-    rows.insert(
-        0,
-        ResumeOverheadRow {
-            millis: median(&mut off_millis),
-            ..row("off".to_owned(), &off_buf, 0)
-        },
-    );
-    rows
+}
+
+/// Times the sides of one comparison. Each side runs once off the
+/// clock as a warm-up; the fastest warm-up sets how many passes a
+/// sample runs back to back, so that a sample spans at least
+/// [`SAMPLE_MILLIS`]. Then [`ROUNDS`] rounds each time one sample of
+/// every side, the side that goes first moving on by one each round, so
+/// host drift falls on every side alike. Returns each side's output of
+/// its last pass, with its [`Timing`].
+///
+/// # Panics
+///
+/// Panics if `sides` is empty.
+pub fn sample<R, F: FnMut() -> R>(sides: &mut [F]) -> Vec<(R, Timing)> {
+    assert!(!sides.is_empty(), "a comparison has at least one side");
+    let k = sides.len();
+    let timed = |run: &mut F, passes: usize| {
+        let start = Instant::now();
+        let mut out = run();
+        for _ in 1..passes {
+            out = run();
+        }
+        (out, start.elapsed().as_secs_f64() * 1e3 / passes as f64)
+    };
+    let warm_up = sides
+        .iter_mut()
+        .map(|run| timed(run, 1).1)
+        .fold(f64::INFINITY, f64::min);
+    let passes = (SAMPLE_MILLIS / warm_up.max(1e-6)).ceil().max(1.0) as usize;
+    let mut outs: Vec<Option<R>> = (0..k).map(|_| None).collect();
+    let mut millis = vec![Vec::with_capacity(ROUNDS); k];
+    for round in 0..ROUNDS {
+        for i in (round..round + k).map(|i| i % k) {
+            let (out, ms) = timed(&mut sides[i], passes);
+            outs[i] = Some(out);
+            millis[i].push(ms);
+        }
+    }
+    let base = millis[0].clone();
+    outs.into_iter()
+        .zip(millis)
+        .map(|(out, mut ms)| {
+            let mut ratio: Vec<f64> = ms.iter().zip(&base).map(|(a, b)| a / b).collect();
+            let timing = Timing {
+                millis: quartiles(&mut ms),
+                ratio: quartiles(&mut ratio),
+            };
+            (out.expect("ROUNDS >= 1"), timing)
+        })
+        .collect()
 }
 
 /// The median of a non-empty sample (the mean of the middle two for an
@@ -1786,14 +1788,12 @@ pub struct ResumeWallClockRow {
     /// (fold the surviving prefix, then continue from the midpoint
     /// checkpoint to the end).
     pub mode: String,
-    /// Median over [`E20_PAIRS`] alternated pairs of the mode's fastest
-    /// pass, in wall-clock milliseconds.
+    /// Wall-clock milliseconds of the mode's pass, median over the
+    /// rounds.
     pub millis: f64,
-    /// Median over the pairs of the resumed pass divided by the
-    /// uninterrupted pass of the same pair (1 for `"uninterrupted"`).
-    pub vs_full: f64,
-    /// Lower and upper quartile of the per-pair ratios behind `vs_full`.
-    pub vs_full_iqr: (f64, f64),
+    /// Per-round time relative to the uninterrupted pass as `[q1,
+    /// median, q3]` (exactly 1 for `"uninterrupted"`).
+    pub vs_full: [f64; 3],
     /// Recorded steps covered by the timed portion (for `"resumed"`
     /// the prefix counts too: folding and re-executing it is part of
     /// recovery).
@@ -1801,18 +1801,12 @@ pub struct ResumeWallClockRow {
 }
 
 /// Runs the recovery half of experiment E20: records the checkpointed
-/// sweep once to fix the reference stream, kills it (logically) at the
-/// midpoint checkpoint, and times uninterrupted vs fold-plus-resume.
-/// Before any timing is reported the resumed continuation is asserted
-/// byte-identical to the reference suffix — the wall-clock comparison
-/// is only meaningful between runs that provably produce the same
-/// stream (DESIGN.md §3.12).
-///
-/// A run takes a millisecond or two, so one best-of comparison reads
-/// anywhere in a wide band; like the overhead half, the two modes run
-/// in [`E20_PAIRS`] alternated pairs of three interleaved passes
-/// each, and the resumed row reports the median per-pair ratio with its
-/// quartiles.
+/// `e20_workload` sweep once to fix the reference stream, kills it
+/// (logically) at the midpoint checkpoint, and times uninterrupted vs
+/// fold-plus-resume, the two sides of one [`sample`]. Before any timing
+/// the resumed continuation is asserted byte-identical to the reference
+/// suffix — the wall-clock comparison is only meaningful between runs
+/// that provably produce the same stream (DESIGN.md §3.12).
 ///
 /// # Panics
 ///
@@ -1821,21 +1815,12 @@ pub struct ResumeWallClockRow {
 pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> {
     use lll_obs::replay::RunState;
 
-    let g = ring(n);
-    let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    let schedule =
-        Schedule::edge(inst.dependency_graph(), 5, 1).expect("schedule coloring converges");
+    let (inst, schedule) = &e20_workload(n);
     let run_full = || {
         let mut rec =
             lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20)).checkpoint_every(interval);
-        dist::run(
-            &inst,
-            &schedule,
-            &Sweep::default(),
-            &mut rec,
-            &mut NullTiming,
-        )
-        .expect("below threshold");
+        dist::run(inst, schedule, &Sweep::default(), &mut rec, &mut NullTiming)
+            .expect("below threshold");
         rec.finish().expect("in-memory writer never fails")
     };
     let full = run_full();
@@ -1864,7 +1849,7 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
             resume: cursor,
             ..Sweep::default()
         };
-        dist::run(&inst, &schedule, &resume, &mut tail, &mut NullTiming).expect("below threshold");
+        dist::run(inst, schedule, &resume, &mut tail, &mut NullTiming).expect("below threshold");
         tail.finish().expect("in-memory writer never fails")
     };
     // Byte-identity first, timing after: prefix + continuation must be
@@ -1875,46 +1860,18 @@ pub fn e20_resume_wallclock(n: usize, interval: u64) -> Vec<ResumeWallClockRow> 
         rejoined, full,
         "resumed continuation diverged from the uninterrupted stream"
     );
-    let timed = |run: &dyn Fn() -> Vec<u8>| {
-        let started = Instant::now();
-        run();
-        started.elapsed().as_secs_f64() * 1e3
-    };
-    let (mut full_millis, mut resumed_millis, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..E20_PAIRS {
-        let (mut full, mut resumed) = (f64::INFINITY, f64::INFINITY);
-        for k in 0..E20_PASSES {
-            for resumed_turn in [(pair + k) % 2 == 0, (pair + k) % 2 == 1] {
-                if resumed_turn {
-                    resumed = resumed.min(timed(&run_resumed));
-                } else {
-                    full = full.min(timed(&run_full));
-                }
-            }
-        }
-        full_millis.push(full);
-        resumed_millis.push(resumed);
-        ratios.push(resumed / full);
-    }
-    let [q1, vs_full, q3] = quartiles(&mut ratios);
-    vec![
-        ResumeWallClockRow {
+    let sides: &mut [&dyn Fn() -> Vec<u8>] = &mut [&run_full, &run_resumed];
+    ["uninterrupted", "resumed"]
+        .into_iter()
+        .zip(sample(sides))
+        .map(|(mode, (_, t))| ResumeWallClockRow {
             n,
-            mode: "uninterrupted".to_owned(),
-            millis: median(&mut full_millis),
-            vs_full: 1.0,
-            vs_full_iqr: (1.0, 1.0),
+            mode: mode.to_owned(),
+            millis: t.millis[1],
+            vs_full: t.ratio,
             steps: total_steps,
-        },
-        ResumeWallClockRow {
-            n,
-            mode: "resumed".to_owned(),
-            millis: median(&mut resumed_millis),
-            vs_full,
-            vs_full_iqr: (q1, q3),
-            steps: total_steps,
-        },
-    ]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -2032,7 +1989,7 @@ mod tests {
         assert!(counter.events > 0);
         assert!(jsonl.bytes > 0);
         assert_eq!(null.events, 0);
-        assert!((null.overhead - 1.0).abs() < 1e-12);
+        assert_eq!(null.overhead, [1.0; 3]);
     }
 
     #[test]
@@ -2047,7 +2004,7 @@ mod tests {
         // byte-identical with checkpointing on or off.
         assert!(on.bytes > off.bytes, "sidecars occupy bytes");
         assert_eq!(on.event_bytes, off.bytes);
-        assert!((off.overhead - 1.0).abs() < 1e-12);
+        assert_eq!(off.overhead, [1.0; 3]);
         // The count gate: one sidecar per full interval, each event line
         // digested once.
         assert_eq!(on.progress, off.progress);
@@ -2063,6 +2020,60 @@ mod tests {
         let rows = e20_resume_wallclock(96, 8);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.millis > 0.0 && r.steps > 0));
+    }
+
+    #[test]
+    fn sample_rotates_the_first_side_and_skips_the_warm_up() {
+        use std::cell::RefCell;
+        for k in 2..=4 {
+            let log = RefCell::new(Vec::new());
+            let mut sides: Vec<_> = (0..k)
+                .map(|i| {
+                    let log = &log;
+                    move || {
+                        let mut log = log.borrow_mut();
+                        log.push(i);
+                        // Only the warm-up passes, the first k, are slow.
+                        if log.len() <= k {
+                            std::thread::sleep(std::time::Duration::from_millis(25));
+                        }
+                        log.len()
+                    }
+                })
+                .collect();
+            let timed = sample(&mut sides);
+            let log = log.into_inner();
+            let all_sides: Vec<usize> = (0..k).collect();
+            // One warm-up pass per side (a 25 ms warm-up makes a sample
+            // one pass), then one pass per side per round.
+            assert_eq!(log.len(), k + ROUNDS * k, "{log:?}");
+            let mut firsts = vec![0; k];
+            for pass in log.chunks(k) {
+                let mut order = pass.to_vec();
+                order.sort_unstable();
+                assert_eq!(order, all_sides, "every side once per round: {log:?}");
+                firsts[pass[0]] += 1;
+            }
+            firsts[log[0]] -= 1; // the warm-up is not a round
+            for &f in &firsts {
+                assert!(f == ROUNDS / k || f == ROUNDS.div_ceil(k), "{firsts:?}");
+            }
+            for (i, (out, t)) in timed.iter().enumerate() {
+                // The output is the side's last pass's.
+                assert_eq!(*out, log.iter().rposition(|&s| s == i).unwrap() + 1);
+                // The slow warm-up pass is not a sample.
+                assert!(t.millis[2] < 25.0, "{t:?}");
+            }
+            assert_eq!(timed[0].1.ratio, [1.0; 3]);
+        }
+    }
+
+    #[test]
+    fn quartiles_are_the_medians_of_the_halves() {
+        let mut odd = [7.0, 1.0, 5.0, 3.0, 2.0, 6.0, 4.0];
+        assert_eq!(quartiles(&mut odd), [2.0, 4.0, 6.0]);
+        let mut even = [8.0, 1.0, 7.0, 2.0, 6.0, 3.0, 5.0, 4.0];
+        assert_eq!(quartiles(&mut even), [2.5, 4.5, 6.5]);
     }
 
     #[test]
