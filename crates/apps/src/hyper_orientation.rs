@@ -28,57 +28,10 @@ pub const NUM_ORIENTATIONS: usize = 3;
 ///
 /// # Errors
 ///
-/// Returns [`AppError::BadInput`] if some hyperedge is not of rank
-/// exactly 3 or some node has hypergraph degree 0.
+/// Returns [`AppError::BadInput`] as
+/// [`hyper_orientation_instance_general`] does for `m = 3, t = 2`.
 pub fn hyper_orientation_instance<T: Num>(h: &Hypergraph) -> Result<Instance<T>, AppError> {
-    for (i, e) in h.edges().iter().enumerate() {
-        if e.rank() != 3 {
-            return Err(AppError::BadInput(format!(
-                "hyperedge {i} has rank {}, need exactly 3",
-                e.rank()
-            )));
-        }
-    }
-    if (0..h.num_nodes()).any(|v| h.degree(v) == 0) {
-        return Err(AppError::BadInput(
-            "isolated node can never be non-sink".to_owned(),
-        ));
-    }
-    let mut b = InstanceBuilder::<T>::new(h.num_nodes());
-    let vars: Vec<usize> = (0..h.num_edges())
-        .map(|i| b.add_uniform_variable(h.edge(i).nodes(), 27))
-        .collect();
-    for v in 0..h.num_nodes() {
-        // For each incident hyperedge, the local index of v within it.
-        let incident: Vec<(usize, usize)> = h
-            .incident(v)
-            .iter()
-            .map(|&i| {
-                let pos = h
-                    .edge(i)
-                    .nodes()
-                    .iter()
-                    .position(|&u| u == v)
-                    .expect("v is incident");
-                (vars[i], pos)
-            })
-            .collect();
-        b.set_event_predicate(v, move |vals| {
-            let mut sink_rounds = 0;
-            for round in 0..NUM_ORIENTATIONS {
-                let divisor = 3usize.pow(round as u32);
-                if incident
-                    .iter()
-                    .all(|&(x, pos)| (vals[x] / divisor) % 3 == pos)
-                {
-                    sink_rounds += 1;
-                }
-            }
-            sink_rounds >= 2
-        });
-    }
-    b.build()
-        .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
+    hyper_orientation_instance_general(h, NUM_ORIENTATIONS, 2)
 }
 
 /// Decodes an assignment into heads: `heads[i][round]` is the *node*
@@ -120,7 +73,9 @@ pub fn is_valid_orientation(h: &Hypergraph, heads: &[[usize; NUM_ORIENTATIONS]])
 ///
 /// Returns [`AppError::BadInput`] for non-3-uniform hypergraphs,
 /// isolated nodes, `m = 0`, `t = 0` or `t > m` (and `m > 6`, where the
-/// value space `3^m` stops being sensible for the exact engine).
+/// value space `3^m` stops being sensible for the exact engine), or a
+/// node with more than [`lll_core::MAX_BAD_TUPLES`] bad tuples (counted
+/// with repeats).
 pub fn hyper_orientation_instance_general<T: Num>(
     h: &Hypergraph,
     m: usize,
@@ -146,37 +101,50 @@ pub fn hyper_orientation_instance_general<T: Num>(
     }
     let num_values = 3usize.pow(m as u32);
     let mut b = InstanceBuilder::<T>::new(h.num_nodes());
-    let vars: Vec<usize> = (0..h.num_edges())
-        .map(|i| b.add_uniform_variable(h.edge(i).nodes(), num_values))
-        .collect();
-    let max_sink_rounds = m - t;
+    for i in 0..h.num_edges() {
+        b.add_uniform_variable(h.edge(i).nodes(), num_values);
+    }
     for v in 0..h.num_nodes() {
-        let incident: Vec<(usize, usize)> = h
-            .incident(v)
+        // Variable ids are hyperedge ids, so support order is the
+        // incident hyperedges' ids ascending; `heads[i]` is v's index in
+        // the i-th. The event occurs iff v heads all of them in more
+        // than m − t rounds: the union, over every set of m − t + 1
+        // rounds, of the values with v as head in those rounds and any
+        // heads in the other t − 1. The builder drops the repeats and
+        // reads at most one tuple past its bound.
+        let mut incident = h.incident(v).to_vec();
+        incident.sort_unstable();
+        let heads: Vec<usize> = incident
             .iter()
-            .map(|&i| {
-                let pos = h
-                    .edge(i)
-                    .nodes()
+            .map(|&i| h.edge(i).nodes().iter().position(|&u| u == v))
+            .collect::<Option<_>>()
+            .expect("v is incident");
+        let combos = 3usize
+            .checked_pow((heads.len() * (t - 1)) as u32)
+            .unwrap_or(usize::MAX);
+        let sets = (0..1usize << m).filter(|set| set.count_ones() as usize == m - t + 1);
+        let tuples = sets.flat_map(|set| {
+            let heads = &heads;
+            (0..combos).map(move |mut free| {
+                let mut digit = |r: usize| {
+                    if set >> r & 1 == 1 {
+                        return None;
+                    }
+                    let d = free % 3;
+                    free /= 3;
+                    Some(d)
+                };
+                heads
                     .iter()
-                    .position(|&u| u == v)
-                    .expect("v is incident");
-                (vars[i], pos)
+                    .map(|&head| {
+                        (0..m)
+                            .rev()
+                            .fold(0, |y, r| 3 * y + digit(r).unwrap_or(head))
+                    })
+                    .collect::<Vec<usize>>()
             })
-            .collect();
-        b.set_event_predicate(v, move |vals| {
-            let mut sink_rounds = 0;
-            for round in 0..m {
-                let divisor = 3usize.pow(round as u32);
-                if incident
-                    .iter()
-                    .all(|&(x, pos)| (vals[x] / divisor) % 3 == pos)
-                {
-                    sink_rounds += 1;
-                }
-            }
-            sink_rounds > max_sink_rounds
         });
+        b.set_event_bad_tuples(v, tuples);
     }
     b.build()
         .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
@@ -220,6 +188,58 @@ mod tests {
     use lll_graphs::gen::{hyper_ring, random_3_uniform};
     use lll_graphs::Hyperedge;
     use lll_numeric::BigRational;
+
+    /// The instance's former form: each event a predicate counting
+    /// sink rounds.
+    fn predicate_form<T: Num>(h: &Hypergraph, m: usize, t: usize) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(h.num_nodes());
+        for i in 0..h.num_edges() {
+            b.add_uniform_variable(h.edge(i).nodes(), 3usize.pow(m as u32));
+        }
+        for v in 0..h.num_nodes() {
+            let incident: Vec<(usize, usize)> = h
+                .incident(v)
+                .iter()
+                .map(|&i| (i, h.edge(i).nodes().iter().position(|&u| u == v).unwrap()))
+                .collect();
+            b.set_event_predicate(v, move |vals| {
+                let sink_rounds = (0..m)
+                    .filter(|&round| {
+                        let divisor = 3usize.pow(round as u32);
+                        incident
+                            .iter()
+                            .all(|&(x, pos)| (vals[x] / divisor) % 3 == pos)
+                    })
+                    .count();
+                sink_rounds > m - t
+            });
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bad_tuples_build_the_predicate_form() {
+        let cases = [
+            (
+                hyper_ring(9),
+                vec![(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)],
+            ),
+            (
+                random_3_uniform(12, 4, 2).unwrap(),
+                vec![(1, 1), (2, 1), (2, 2)],
+            ),
+        ];
+        for (h, shapes) in cases {
+            for (m, t) in shapes {
+                let f = hyper_orientation_instance_general::<f64>(&h, m, t).unwrap();
+                crate::assert_same_events(&f, &predicate_form(&h, m, t));
+                let r = hyper_orientation_instance_general::<BigRational>(&h, m, t).unwrap();
+                crate::assert_same_events(&r, &predicate_form(&h, m, t));
+            }
+        }
+        let paper = hyper_orientation_instance::<f64>(&hyper_ring(9)).unwrap();
+        crate::assert_same_events(&paper, &predicate_form(&hyper_ring(9), 3, 2));
+    }
 
     #[test]
     fn criterion_holds_strictly_below_threshold() {

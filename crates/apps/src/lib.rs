@@ -49,3 +49,15 @@ impl fmt::Display for AppError {
 }
 
 impl std::error::Error for AppError {}
+
+#[cfg(test)]
+/// Asserts that two instances have equal events: the same supports and
+/// the same bad lists in the same order.
+fn assert_same_events<T: lll_numeric::Num>(a: &lll_core::Instance<T>, b: &lll_core::Instance<T>) {
+    assert_eq!(a.num_events(), b.num_events());
+    for v in 0..a.num_events() {
+        let (x, y) = (a.event(v), b.event(v));
+        assert_eq!(x.support(), y.support(), "event {v}");
+        assert!(x.bad_tuples().eq(y.bad_tuples()), "event {v}");
+    }
+}

@@ -120,28 +120,14 @@ impl CnfFormula {
             b.add_uniform_variable(a, 2);
         }
         for (ci, clause) in self.clauses.iter().enumerate() {
-            // Falsified iff every literal is false; value 1 = true.
-            let lits: Vec<(usize, usize)> = clause
-                .iter()
-                .map(|&l| (l.unsigned_abs() as usize - 1, usize::from(l < 0)))
-                .collect();
-            b.set_event_predicate(ci, move |vals| {
-                lits.iter().all(|&(x, falsifying)| vals[x] == falsifying)
-            });
+            // Falsified iff every literal is false (value 1 = true): one
+            // bad tuple, in support order (variables ascending).
+            let mut lits = clause.clone();
+            lits.sort_unstable_by_key(|l| l.unsigned_abs());
+            let falsifying: Vec<usize> = lits.iter().map(|&l| usize::from(l < 0)).collect();
+            b.set_event_bad_tuples(ci, [falsifying]);
         }
-        b.to_instance_result()
-    }
-}
-
-/// Small extension trait-free helper so `to_instance` can map the build
-/// error uniformly.
-trait BuildExt<T> {
-    fn to_instance_result(&self) -> Result<Instance<T>, AppError>;
-}
-
-impl<T: Num> BuildExt<T> for InstanceBuilder<T> {
-    fn to_instance_result(&self) -> Result<Instance<T>, AppError> {
-        self.build()
+        b.build()
             .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
     }
 }
@@ -320,6 +306,45 @@ pub fn ring_formula(num_clauses: usize, width: usize, seed: u64) -> CnfFormula {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The instance's former form: each clause a predicate.
+    fn predicate_form<T: Num>(cnf: &CnfFormula) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(cnf.clauses().len());
+        let mut affects = vec![Vec::new(); cnf.num_vars()];
+        for (ci, clause) in cnf.clauses().iter().enumerate() {
+            for &l in clause {
+                affects[l.unsigned_abs() as usize - 1].push(ci);
+            }
+        }
+        for a in &affects {
+            b.add_uniform_variable(a, 2);
+        }
+        for (ci, clause) in cnf.clauses().iter().enumerate() {
+            let lits: Vec<(usize, usize)> = clause
+                .iter()
+                .map(|&l| (l.unsigned_abs() as usize - 1, usize::from(l < 0)))
+                .collect();
+            b.set_event_predicate(ci, move |vals| {
+                lits.iter().all(|&(x, falsifying)| vals[x] == falsifying)
+            });
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bad_tuples_build_the_predicate_form() {
+        let unsorted = CnfFormula::new(4, vec![vec![3, -1, 4], vec![-4, 2, -3], vec![1, -2]]);
+        for cnf in [
+            ring_formula(24, 5, 3),
+            ring_formula(9, 4, 4),
+            unsorted.unwrap(),
+        ] {
+            let f = cnf.to_instance::<f64>().unwrap();
+            crate::assert_same_events(&f, &predicate_form(&cnf));
+            let r = cnf.to_instance::<lll_numeric::BigRational>().unwrap();
+            crate::assert_same_events(&r, &predicate_form(&cnf));
+        }
+    }
 
     #[test]
     fn formula_validation() {

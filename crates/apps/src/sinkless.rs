@@ -35,27 +35,26 @@ pub fn sinkless_orientation_instance<T: Num>(g: &Graph) -> Result<Instance<T>, A
         ));
     }
     let mut b = InstanceBuilder::<T>::new(g.num_nodes());
-    // Variable x_e for edge id e; affects both endpoints.
-    let vars: Vec<usize> = (0..g.num_edges())
-        .map(|eid| {
-            let (u, v) = g.edge(eid);
-            b.add_uniform_variable(&[u, v], 2)
-        })
-        .collect();
+    // Variable x_e has id e; it affects both endpoints.
+    for eid in 0..g.num_edges() {
+        let (u, v) = g.edge(eid);
+        b.add_uniform_variable(&[u, v], 2);
+    }
     for v in 0..g.num_nodes() {
-        // v is a sink iff every incident edge points toward v.
-        let incident: Vec<(usize, usize)> = g
+        // v is a sink iff every incident edge points toward v: one bad
+        // tuple, in support order (variable ids ascending).
+        let mut incident: Vec<(usize, usize)> = g
             .incident_edges(v)
             .iter()
             .map(|&eid| {
                 let (a, _) = g.edge(eid);
                 let toward_v = if v == a { TOWARD_MIN } else { 1 - TOWARD_MIN };
-                (vars[eid], toward_v)
+                (eid, toward_v)
             })
             .collect();
-        b.set_event_predicate(v, move |vals| {
-            incident.iter().all(|&(x, toward_v)| vals[x] == toward_v)
-        });
+        incident.sort_unstable();
+        let sink: Vec<usize> = incident.iter().map(|&(_, toward_v)| toward_v).collect();
+        b.set_event_bad_tuples(v, [sink]);
     }
     b.build()
         .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
@@ -109,6 +108,43 @@ mod tests {
     use lll_graphs::gen::{random_regular, ring, torus};
     use lll_mt::sequential_mt;
     use lll_numeric::BigRational;
+
+    /// The instance's former form: each sink event a predicate.
+    fn predicate_form<T: Num>(g: &Graph) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(g.num_nodes());
+        for eid in 0..g.num_edges() {
+            let (u, v) = g.edge(eid);
+            b.add_uniform_variable(&[u, v], 2);
+        }
+        for v in 0..g.num_nodes() {
+            let incident: Vec<(usize, usize)> = g
+                .incident_edges(v)
+                .iter()
+                .map(|&eid| {
+                    let toward_v = if v == g.edge(eid).0 {
+                        TOWARD_MIN
+                    } else {
+                        1 - TOWARD_MIN
+                    };
+                    (eid, toward_v)
+                })
+                .collect();
+            b.set_event_predicate(v, move |vals| {
+                incident.iter().all(|&(x, toward_v)| vals[x] == toward_v)
+            });
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bad_tuples_build_the_predicate_form() {
+        for g in [torus(4, 4), ring(9), random_regular(20, 3, 5).unwrap()] {
+            let f = sinkless_orientation_instance::<f64>(&g).unwrap();
+            crate::assert_same_events(&f, &predicate_form(&g));
+            let r = sinkless_orientation_instance::<BigRational>(&g).unwrap();
+            crate::assert_same_events(&r, &predicate_form(&g));
+        }
+    }
 
     #[test]
     fn instance_sits_exactly_at_threshold_on_regular_graphs() {

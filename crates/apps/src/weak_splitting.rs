@@ -74,15 +74,12 @@ pub fn weak_splitting_instance<T: Num>(
     }
 
     let mut b = InstanceBuilder::<T>::new(nv);
-    let vars: Vec<usize> = (nv..n)
-        .map(|u| b.add_uniform_variable(bip.neighbors(u), colors))
-        .collect();
+    for u in nv..n {
+        b.add_uniform_variable(bip.neighbors(u), colors);
+    }
+    // Monochromatic: one bad tuple per color.
     for v in 0..nv {
-        let nbrs: Vec<usize> = bip.neighbors(v).iter().map(|&u| vars[u - nv]).collect();
-        b.set_event_predicate(v, move |vals| {
-            let first = vals[nbrs[0]];
-            nbrs.iter().all(|&x| vals[x] == first)
-        });
+        b.set_event_bad_tuples(v, (0..colors).map(|c| vec![c; bip.degree(v)]));
     }
     b.build()
         .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
@@ -107,7 +104,9 @@ pub fn is_weak_splitting(bip: &Graph, nv: usize, coloring: &[usize], min_colors:
 /// # Errors
 ///
 /// Same structural errors as [`weak_splitting_instance`], plus
-/// `min_colors < 2` or `min_colors > colors`.
+/// `min_colors < 2` or `min_colors > colors`, or a `V` node of degree
+/// `δ` with `colors^δ` past [`lll_core::MAX_BAD_TUPLES`] (its bad set
+/// is read off a predicate).
 pub fn weak_splitting_instance_general<T: Num>(
     bip: &Graph,
     nv: usize,
@@ -146,6 +145,40 @@ mod tests {
     use lll_core::{Fixer3, FixerError};
     use lll_graphs::gen::random_bipartite_biregular;
     use lll_numeric::BigRational;
+
+    /// The instances' former form: each event a predicate counting
+    /// distinct colors.
+    fn predicate_form<T: Num>(bip: &Graph, nv: usize, colors: usize, min: usize) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(nv);
+        for u in nv..bip.num_nodes() {
+            b.add_uniform_variable(bip.neighbors(u), colors);
+        }
+        for v in 0..nv {
+            let nbrs: Vec<usize> = bip.neighbors(v).iter().map(|&u| u - nv).collect();
+            b.set_event_predicate(v, move |vals| {
+                let mut seen: Vec<usize> = nbrs.iter().map(|&x| vals[x]).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len() < min
+            });
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bad_tuples_build_the_predicate_form() {
+        for (seed, colors) in [(1, 16), (2, 5)] {
+            let bip = random_bipartite_biregular(12, 3, 12, 3, seed).unwrap();
+            let f = weak_splitting_instance::<f64>(&bip, 12, colors).unwrap();
+            crate::assert_same_events(&f, &predicate_form(&bip, 12, colors, 2));
+            let r = weak_splitting_instance::<BigRational>(&bip, 12, colors).unwrap();
+            crate::assert_same_events(&r, &predicate_form(&bip, 12, colors, 2));
+            for min in 2..=3 {
+                let g = weak_splitting_instance_general::<BigRational>(&bip, 12, colors, min);
+                crate::assert_same_events(&g.unwrap(), &predicate_form(&bip, 12, colors, min));
+            }
+        }
+    }
 
     #[test]
     fn criterion_analysis_matches_paper() {

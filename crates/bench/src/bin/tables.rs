@@ -660,11 +660,12 @@ fn main() {
         // The timing sink is side-band: filling it leaves the stream as
         // is, and it reaches a file only under --timing.
         let mut timing = lll_obs::TimingRecorder::new();
+        let work = ex::TraceWorkload::new(TRACE_N);
         if let Some(rec) = obs.as_mut() {
             rec.record(&Event::ExperimentStart {
                 id: "TRACE".to_owned(),
             });
-            let (lin, red) = ex::record_trace_workload(TRACE_N, threads, rec, &mut timing);
+            let (lin, red) = work.record(threads, rec, &mut timing);
             rec.record(&Event::ExperimentEnd {
                 id: "TRACE".to_owned(),
                 rows: 0,
@@ -675,7 +676,7 @@ fn main() {
             );
         } else {
             let mut counter = lll_obs::CounterRecorder::new();
-            let (lin, red) = ex::record_trace_workload(TRACE_N, threads, &mut counter, &mut timing);
+            let (lin, red) = work.record(threads, &mut counter, &mut timing);
             println!(
                 "linial: {} rounds, {} messages; reduce: {} rounds, {} messages",
                 lin.rounds, lin.messages, red.rounds, red.messages
@@ -689,7 +690,7 @@ fn main() {
             // A φ-fixer pass on the same instance (recorded to a null
             // sink) fills the fix_run/fix_step scopes, so the side-band
             // file covers every TimingScope.
-            ex::time_fixer_workload(TRACE_N, &mut timing);
+            work.time_fixer(&mut timing);
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 fs::create_dir_all(dir).expect("create timing output directory");
             }

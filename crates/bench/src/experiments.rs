@@ -547,54 +547,41 @@ pub struct BackendRow {
     pub tier_demotes: u64,
 }
 
-/// The `f64` A2 run: build and fix. Returns the success flag and the
-/// (zero) tier counters.
-fn a2_f64_run(h: &lll_graphs::Hypergraph) -> (bool, lll_numeric::TierCounters) {
-    let inst_f = hyper_orientation_instance::<f64>(h).expect("valid hypergraph");
-    let rep_f = Fixer3::new(&inst_f)
-        .expect("below threshold")
-        .run_default()
-        .expect("finite costs below the threshold");
-    (rep_f.is_success(), lll_numeric::TierCounters::default())
-}
-
-/// The exact-backend A2 run: build, fix, audit once, with the
-/// tier-transition counters bracketing the run.
-fn a2_exact_run(h: &lll_graphs::Hypergraph) -> (bool, lll_numeric::TierCounters) {
-    lll_numeric::reset_tier_counters();
-    let inst_q = hyper_orientation_instance::<BigRational>(h).expect("valid hypergraph");
-    let p = inst_q.max_event_probability();
-    let mut fixer = Fixer3::new(&inst_q).expect("below threshold");
-    for x in 0..inst_q.num_variables() {
-        fixer.fix_variable(x).expect("exact costs are finite");
-    }
-    // One exact audit at the end of the run (per-step audits are what
-    // the unit tests do; here we bill a realistic usage).
-    let audit = audit_p_star(
-        &inst_q,
-        fixer.partial(),
-        fixer.phi(),
-        &p,
-        &BigRational::zero(),
-    );
-    let success = fixer.into_report().is_success() && audit.holds();
-    (success, lll_numeric::tier_counters())
-}
-
 /// Runs ablation A2 on a hyper-ring orientation instance: `f64` vs
 /// exact `BigRational`, the two backends the sides of one [`sample`].
-/// The success flag and the tier counters, deterministic, are the last
-/// pass's.
+/// Both backends' instances are built once, off the clock. The success
+/// flag and the tier counters, deterministic, are the last pass's.
 pub fn a2_backend() -> Vec<BackendRow> {
+    use lll_numeric::TierCounters;
     let h = hyper_ring(12);
-    let runs: [fn(&lll_graphs::Hypergraph) -> _; 2] = [a2_f64_run, a2_exact_run];
-    let mut sides = runs.map(|run| {
-        let h = &h;
-        move || run(h)
-    });
+    let inst_f = hyper_orientation_instance::<f64>(&h).expect("valid hypergraph");
+    let inst_q = hyper_orientation_instance::<BigRational>(&h).expect("valid hypergraph");
+    // `f64`: fix (no tiers to count).
+    let mut f64_side = || {
+        let rep = Fixer3::new(&inst_f).expect("below threshold").run_default();
+        let rep = rep.expect("finite costs below the threshold");
+        (rep.is_success(), TierCounters::default())
+    };
+    // Exact: fix, then one audit at the end of the run (per-step audits
+    // are what the unit tests do; here we bill a realistic usage), with
+    // the tier-transition counters bracketing the run.
+    let mut exact_side = || {
+        lll_numeric::reset_tier_counters();
+        let p = inst_q.max_event_probability();
+        let mut fixer = Fixer3::new(&inst_q).expect("below threshold");
+        for x in 0..inst_q.num_variables() {
+            fixer.fix_variable(x).expect("exact costs are finite");
+        }
+        let zero = BigRational::zero();
+        let audit = audit_p_star(&inst_q, fixer.partial(), fixer.phi(), &p, &zero);
+        let success = fixer.into_report().is_success() && audit.holds();
+        (success, lll_numeric::tier_counters())
+    };
+    let sides: &mut [&mut dyn FnMut() -> (bool, TierCounters)] =
+        &mut [&mut f64_side, &mut exact_side];
     ["f64", "exact"]
         .into_iter()
-        .zip(sample(&mut sides))
+        .zip(sample(sides))
         .map(|(backend, ((success_and_audit, tiers), t))| BackendRow {
             backend: backend.to_owned(),
             success_and_audit,
@@ -745,12 +732,9 @@ pub fn e13_criterion_gap() -> Vec<CriterionGapRow> {
         .iter()
         .map(|&k| {
             let mut b = lll_core::InstanceBuilder::<f64>::new(n);
-            let vars: Vec<usize> = (0..n)
-                .map(|i| b.add_uniform_variable(&[i, (i + 1) % n], k))
-                .collect();
             for i in 0..n {
-                let (l, r) = (vars[(i + n - 1) % n], vars[i]);
-                b.set_event_predicate(i, move |vals| vals[l] == 0 && vals[r] == 0);
+                b.add_uniform_variable(&[i, (i + 1) % n], k);
+                b.set_event_bad_tuples(i, [[0, 0]]);
             }
             let inst = b.build().expect("valid instance");
             let sharp = inst.criterion_value();
@@ -1326,71 +1310,84 @@ fn audited<'a, T>(threads: usize, p_bound: &'a T, tol: &'a T) -> Sweep<'a, T> {
     }
 }
 
-/// Runs the traced schedule-coloring workload — the LOCAL portion of the
-/// E14 rank-2 driver (Linial color reduction, then the block color
+/// The traced schedule-coloring workload — the LOCAL portion of the E14
+/// rank-2 driver (Linial color reduction, then the block color
 /// reduction, on the line graph of a ring-based rank-2 instance) —
-/// through the given flight recorder and side-band timing sink, and
-/// returns the two outcomes (Linial, Reduce).
-///
-/// Both runs use the slab engine production runs, at every thread count
-/// (`Simulator::run_auto_timed_recorded`); its stream is byte-identical to
-/// the reference engine's (`tests/parallel_differential.rs` pins this).
-/// The simulator feeds `sim_run`/`sim_round`/`shard_work` spans into
-/// `timing`, which never touches the event stream in `rec` — pass
-/// [`NullTiming`] for an untimed run.
-pub fn record_trace_workload<R: lll_obs::Recorder, T: lll_obs::TimingSink>(
-    n: usize,
-    threads: usize,
-    rec: &mut R,
-    timing: &mut T,
-) -> (lll_local::RunOutcome<u64>, lll_local::RunOutcome<u64>) {
-    use lll_local::Simulator;
-
-    let g = ring(n);
-    let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    let dep = inst.dependency_graph();
-    let budget = 10_000 + 4 * dep.num_nodes();
-    let lg = dep.line_graph();
-    let lsim = Simulator::new(&lg).threads(threads);
-    let delta = lg.max_degree() as u64;
-    let schedule = lll_coloring::linial_schedule(lg.num_nodes() as u64, delta);
-    let fixed = schedule
-        .last()
-        .map_or(lg.num_nodes() as u64, |&(_, q)| q * q);
-    let template = lll_coloring::LinialProgram::new(schedule);
-    let lin = lsim
-        .run_auto_timed_recorded(|_| template.clone(), budget, rec, timing)
-        .expect("converges");
-    let mk_reduce = |ctx: &lll_local::NodeContext| {
-        lll_coloring::ReduceProgram::new(lin.outputs[ctx.id as usize], fixed, delta + 1)
-    };
-    let red = lsim
-        .run_auto_timed_recorded(mk_reduce, budget, rec, timing)
-        .expect("converges");
-    (lin, red)
+/// built once by [`TraceWorkload::new`], so that a timed pass covers
+/// only [`TraceWorkload::record`]'s two programs.
+pub struct TraceWorkload {
+    inst: Instance<f64>,
+    lg: lll_graphs::Graph,
+    schedule: Vec<(u64, u64)>,
 }
 
-/// Feeds `fix_run`/`fix_step` spans into `timing` by running the rank-2
-/// φ-fixer on the same ring-based instance the traced workload is built
-/// from. The event stream goes to a [`NullRecorder`]
-/// on purpose: profiling the fixer must not append events to (or
-/// otherwise perturb) a trace being recorded alongside.
-pub fn time_fixer_workload<T: lll_obs::TimingSink>(n: usize, timing: &mut T) {
-    let g = ring(n);
-    let inst = random_rank2_instance(&g, 8, 0.9, 7);
-    let report = Fixer2::new(&inst)
-        .expect("trace instance is below the rank-2 threshold")
-        .run_with(
-            0..inst.num_variables(),
-            None,
-            &mut lll_obs::NullRecorder,
-            timing,
-        )
-        .expect("finite costs below the threshold");
-    assert!(
-        report.violated_events().is_empty(),
-        "rank-2 fixing must succeed on the trace instance"
-    );
+impl TraceWorkload {
+    /// Builds the instance on `ring(n)`, its line graph and the Linial
+    /// schedule.
+    pub fn new(n: usize) -> TraceWorkload {
+        let inst = random_rank2_instance(&ring(n), 8, 0.9, 7);
+        let lg = inst.dependency_graph().line_graph();
+        let schedule = lll_coloring::linial_schedule(lg.num_nodes() as u64, lg.max_degree() as u64);
+        TraceWorkload { inst, lg, schedule }
+    }
+
+    /// Runs the workload on `threads` shards through the given flight
+    /// recorder and side-band timing sink, and returns the two outcomes
+    /// (Linial, Reduce).
+    ///
+    /// Both runs use the slab engine production runs, at every thread
+    /// count (`Simulator::run_auto_timed_recorded`); its stream is
+    /// byte-identical to the reference engine's
+    /// (`tests/parallel_differential.rs` pins this). The simulator feeds
+    /// `sim_run`/`sim_round`/`shard_work` spans into `timing`, which
+    /// never touches the event stream in `rec` — pass [`NullTiming`] for
+    /// an untimed run.
+    pub fn record<R: lll_obs::Recorder, T: lll_obs::TimingSink>(
+        &self,
+        threads: usize,
+        rec: &mut R,
+        timing: &mut T,
+    ) -> (lll_local::RunOutcome<u64>, lll_local::RunOutcome<u64>) {
+        let budget = 10_000 + 4 * self.inst.num_events();
+        let delta = self.lg.max_degree() as u64;
+        let fixed = self
+            .schedule
+            .last()
+            .map_or(self.lg.num_nodes() as u64, |&(_, q)| q * q);
+        let lsim = lll_local::Simulator::new(&self.lg).threads(threads);
+        let template = lll_coloring::LinialProgram::new(self.schedule.clone());
+        let lin = lsim
+            .run_auto_timed_recorded(|_| template.clone(), budget, rec, timing)
+            .expect("converges");
+        let mk_reduce = |ctx: &lll_local::NodeContext| {
+            lll_coloring::ReduceProgram::new(lin.outputs[ctx.id as usize], fixed, delta + 1)
+        };
+        let red = lsim
+            .run_auto_timed_recorded(mk_reduce, budget, rec, timing)
+            .expect("converges");
+        (lin, red)
+    }
+
+    /// Feeds `fix_run`/`fix_step` spans into `timing` by running the
+    /// rank-2 φ-fixer on the workload's instance. The event stream goes
+    /// to a [`NullRecorder`] on purpose: profiling the fixer must not
+    /// append events to (or otherwise perturb) a trace being recorded
+    /// alongside.
+    pub fn time_fixer<T: lll_obs::TimingSink>(&self, timing: &mut T) {
+        let report = Fixer2::new(&self.inst)
+            .expect("trace instance is below the rank-2 threshold")
+            .run_with(
+                0..self.inst.num_variables(),
+                None,
+                &mut NullRecorder,
+                timing,
+            )
+            .expect("finite costs below the threshold");
+        assert!(
+            report.violated_events().is_empty(),
+            "rank-2 fixing must succeed on the trace instance"
+        );
+    }
 }
 
 /// E15 — flight-recorder overhead: one workload, three recorder flavors.
@@ -1412,28 +1409,30 @@ pub struct RecorderOverheadRow {
     pub bytes: usize,
 }
 
-/// Runs experiment E15: times [`record_trace_workload`] under
+/// Runs experiment E15: times [`TraceWorkload::record`] under
 /// [`NullRecorder`] (which is exactly the code
 /// path the unrecorded entry points delegate to — its "overhead" row is
 /// the measurement-noise floor), [`CounterRecorder`](lll_obs::CounterRecorder)
 /// and an in-memory [`JsonlRecorder`](lll_obs::JsonlRecorder), the three
-/// sides of one [`sample`] per size.
+/// sides of one [`sample`] per size. The workload is built once per
+/// size, off the clock.
 pub fn e15_recorder_overhead(sizes: &[usize]) -> Vec<RecorderOverheadRow> {
     let mut rows = Vec::new();
     for &n in sizes {
+        let work = TraceWorkload::new(n);
         // Each side returns the (events, bytes) of its pass.
         let mut null = || {
-            record_trace_workload(n, 1, &mut NullRecorder, &mut NullTiming);
+            work.record(1, &mut NullRecorder, &mut NullTiming);
             (0, 0)
         };
         let mut counter = || {
             let mut rec = lll_obs::CounterRecorder::new();
-            record_trace_workload(n, 1, &mut rec, &mut NullTiming);
+            work.record(1, &mut rec, &mut NullTiming);
             (rec.events, 0)
         };
         let mut jsonl = || {
             let mut rec = lll_obs::JsonlRecorder::new(Vec::with_capacity(1 << 20));
-            record_trace_workload(n, 1, &mut rec, &mut NullTiming);
+            work.record(1, &mut rec, &mut NullTiming);
             let lines = rec.lines();
             (
                 lines,
@@ -1476,26 +1475,28 @@ pub struct TimingOverheadRow {
     pub spans: u64,
 }
 
-/// Runs experiment E16: times [`record_trace_workload`] under
+/// Runs experiment E16: times [`TraceWorkload::record`] under
 /// [`NullTiming`] — which is exactly the code path
 /// the untimed entry points delegate to, so its "overhead" row is the
 /// noise floor — and under a live
 /// [`TimingRecorder`](lll_obs::TimingRecorder), the two sides of one
-/// [`sample`] per size. The acceptance target (EXPERIMENTS.md) is an
+/// [`sample`] per size, with the workload built once per size, off the
+/// clock. The acceptance target (EXPERIMENTS.md) is an
 /// `"on"` overhead within 1.05× of `"off"` on the E14 schedule-coloring
 /// workload: one histogram store per span, no allocation on the hot
 /// path.
 pub fn e16_timing_overhead(sizes: &[usize]) -> Vec<TimingOverheadRow> {
     let mut rows = Vec::new();
     for &n in sizes {
+        let work = TraceWorkload::new(n);
         // Each side returns the spans of its pass.
         let mut off = || {
-            record_trace_workload(n, 1, &mut NullRecorder, &mut NullTiming);
+            work.record(1, &mut NullRecorder, &mut NullTiming);
             0
         };
         let mut on = || {
             let mut timing = lll_obs::TimingRecorder::new();
-            record_trace_workload(n, 1, &mut NullRecorder, &mut timing);
+            work.record(1, &mut NullRecorder, &mut timing);
             timing.spans()
         };
         let sides: &mut [&mut dyn FnMut() -> u64] = &mut [&mut off, &mut on];
@@ -2079,7 +2080,7 @@ mod tests {
     #[test]
     fn trace_workload_counts_match_outcomes() {
         let mut rec = lll_obs::CounterRecorder::new();
-        let (lin, red) = record_trace_workload(96, 1, &mut rec, &mut NullTiming);
+        let (lin, red) = TraceWorkload::new(96).record(1, &mut rec, &mut NullTiming);
         assert_eq!(rec.sim_runs, 2);
         assert_eq!(rec.rounds, lin.rounds + red.rounds);
         assert_eq!(rec.messages, lin.messages + red.messages);

@@ -17,22 +17,21 @@ use lll_numeric::Num;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// The predicate shared by both generators: pack the event's support
-/// values into their mixed-radix index (support sorted by variable id,
-/// least-significant first — the enumeration order the bad sets were
-/// drawn in) and test membership in the (sorted) bad set. Packing folds
-/// directly over the full assignment — the predicate sits on the fixers'
-/// conditional-probability hot path, so it must not allocate.
-fn bad_set_predicate(
-    support: Vec<usize>,
-    bad: BTreeSet<usize>,
-    k: usize,
-) -> impl Fn(&lll_core::VarValues<'_>) -> bool {
-    let bad: Vec<usize> = bad.into_iter().collect();
-    move |vals| {
-        let idx = support.iter().rev().fold(0, |acc, &x| acc * k + vals[x]);
-        bad.binary_search(&idx).is_ok()
+/// The bad tuples shared by both generators: each drawn mixed-radix
+/// index decoded into its tuple of `deg` values in `0..k` (position 0
+/// least significant — the support's order, which the bad set was drawn
+/// in), flattened. The set iterates in index order, which is the
+/// builder's list order.
+fn bad_tuples(bad: &BTreeSet<usize>, k: usize, deg: usize) -> Vec<usize> {
+    let mut flat = Vec::with_capacity(bad.len() * deg);
+    for &idx in bad {
+        let mut rest = idx;
+        for _ in 0..deg {
+            flat.push(rest % k);
+            rest /= k;
+        }
     }
+    flat
 }
 
 /// A rank-2 instance on the edges of `g`: one `k`-valued fair variable
@@ -42,8 +41,9 @@ fn bad_set_predicate(
 ///
 /// # Panics
 ///
-/// Panics if `t < 0`, `k < 2`, some node is isolated, or some node's
-/// support is too large to enumerate (`k^deg > 2^22`).
+/// Panics if `t < 0`, `k < 2`, some node is isolated, some node's
+/// support is too large to draw from (`k^deg > 2^22`), or some event
+/// draws more than [`lll_core::MAX_BAD_TUPLES`] bad tuples.
 pub fn random_rank2_instance(g: &Graph, k: usize, t: f64, seed: u64) -> Instance<f64> {
     random_rank2_instance_in(g, k, t, seed)
 }
@@ -57,36 +57,11 @@ pub fn random_rank2_instance(g: &Graph, k: usize, t: f64, seed: u64) -> Instance
 ///
 /// Panics on the same degenerate inputs as [`random_rank2_instance`].
 pub fn random_rank2_instance_in<T: Num>(g: &Graph, k: usize, t: f64, seed: u64) -> Instance<T> {
-    assert!(t >= 0.0 && k >= 2, "need tightness >= 0 and k >= 2");
-    let d = g.max_degree();
-    assert!(d >= 1, "graph must have edges");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = InstanceBuilder::<T>::new(g.num_nodes());
-    let vars: Vec<usize> = (0..g.num_edges())
-        .map(|eid| {
-            let (u, v) = g.edge(eid);
-            b.add_uniform_variable(&[u, v], k)
-        })
-        .collect();
-    for v in 0..g.num_nodes() {
-        let deg = g.degree(v);
-        assert!(deg >= 1, "node {v} is isolated");
-        let total = k
-            .checked_pow(deg as u32)
-            .filter(|&x| x <= 1 << 22)
-            .expect("support too large");
-        let bad_count = ((t * total as f64 / 2f64.powi(d as i32)).floor() as usize).min(total);
-        let mut bad: BTreeSet<usize> = BTreeSet::new();
-        while bad.len() < bad_count {
-            bad.insert(rng.random_range(0..total));
-        }
-        // Support variables of event v, sorted ascending (matching the
-        // Instance's support order).
-        let mut support: Vec<usize> = g.incident_edges(v).iter().map(|&e| vars[e]).collect();
-        support.sort_unstable();
-        b.set_event_predicate(v, bad_set_predicate(support, bad, k));
-    }
-    b.build().expect("generated instance is valid")
+    let edges = (0..g.num_edges()).map(|eid| {
+        let (u, v) = g.edge(eid);
+        [u, v]
+    });
+    random_instance(g.num_nodes(), edges, g.max_degree(), k, t, seed)
 }
 
 /// A rank-3 instance on the hyperedges of `h`: one `k`-valued fair
@@ -115,16 +90,44 @@ pub fn random_rank3_instance_in<T: Num>(
     t: f64,
     seed: u64,
 ) -> Instance<T> {
+    let edges = (0..h.num_edges()).map(|i| h.edge(i).nodes());
+    random_instance(h.num_nodes(), edges, h.max_dependency_degree(), k, t, seed)
+}
+
+/// Both generators: one `k`-valued fair variable per edge of `edges`,
+/// affecting the edge's nodes, and at each node the bad set
+/// [`draw_bad_sets`] draws for dependency degree `d`.
+fn random_instance<T: Num, E: AsRef<[usize]>>(
+    num_nodes: usize,
+    edges: impl Iterator<Item = E>,
+    d: usize,
+    k: usize,
+    t: f64,
+    seed: u64,
+) -> Instance<T> {
+    let mut b = InstanceBuilder::<T>::new(num_nodes);
+    let mut degrees = vec![0; num_nodes];
+    for e in edges {
+        for &v in e.as_ref() {
+            degrees[v] += 1;
+        }
+        b.add_uniform_variable(e.as_ref(), k);
+    }
+    for (v, bad) in draw_bad_sets(&degrees, d, k, t, seed).iter().enumerate() {
+        b.set_event_bad_tuples(v, bad_tuples(bad, k, degrees[v]).chunks(degrees[v]));
+    }
+    b.build().expect("generated instance is valid")
+}
+
+/// Per node of the given degrees, a uniformly random set of
+/// `⌊t·K/2^d⌋` of its `K = k^deg` support combinations, as mixed-radix
+/// indices, all drawn from one generator seeded with `seed`.
+fn draw_bad_sets(degrees: &[usize], d: usize, k: usize, t: f64, seed: u64) -> Vec<BTreeSet<usize>> {
     assert!(t >= 0.0 && k >= 2, "need tightness >= 0 and k >= 2");
-    let d = h.max_dependency_degree();
-    assert!(d >= 1, "hypergraph must have edges");
+    assert!(d >= 1, "graph must have edges");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = InstanceBuilder::<T>::new(h.num_nodes());
-    let vars: Vec<usize> = (0..h.num_edges())
-        .map(|i| b.add_uniform_variable(h.edge(i).nodes(), k))
-        .collect();
-    for v in 0..h.num_nodes() {
-        let deg = h.degree(v);
+    let mut sets = Vec::with_capacity(degrees.len());
+    for (v, &deg) in degrees.iter().enumerate() {
         assert!(deg >= 1, "node {v} is isolated");
         let total = k
             .checked_pow(deg as u32)
@@ -135,11 +138,9 @@ pub fn random_rank3_instance_in<T: Num>(
         while bad.len() < bad_count {
             bad.insert(rng.random_range(0..total));
         }
-        let mut support: Vec<usize> = h.incident(v).iter().map(|&i| vars[i]).collect();
-        support.sort_unstable();
-        b.set_event_predicate(v, bad_set_predicate(support, bad, k));
+        sets.push(bad);
     }
-    b.build().expect("generated instance is valid")
+    sets
 }
 
 /// A shuffled variable order (the "adversarial order" family used by the
@@ -156,6 +157,75 @@ pub fn shuffled_order(num_vars: usize, seed: u64) -> Vec<usize> {
 mod tests {
     use super::*;
     use lll_graphs::gen::{hyper_ring, ring, torus};
+
+    /// The generators' former form: each event a predicate that packs
+    /// its support values into their mixed-radix index and looks it up
+    /// in the drawn set.
+    fn predicate_form<T: Num, E: AsRef<[usize]>>(
+        num_nodes: usize,
+        edges: impl Iterator<Item = E>,
+        d: usize,
+        k: usize,
+        seed: u64,
+    ) -> Instance<T> {
+        let mut b = InstanceBuilder::<T>::new(num_nodes);
+        let (mut degrees, mut supports) = (vec![0; num_nodes], vec![Vec::new(); num_nodes]);
+        for (x, e) in edges.enumerate() {
+            for &v in e.as_ref() {
+                degrees[v] += 1;
+                supports[v].push(x);
+            }
+            b.add_uniform_variable(e.as_ref(), k);
+        }
+        let sets = draw_bad_sets(&degrees, d, k, 0.9, seed);
+        for (v, (support, bad)) in supports.into_iter().zip(sets).enumerate() {
+            let bad: Vec<usize> = bad.into_iter().collect();
+            b.set_event_predicate(v, move |vals| {
+                let idx = support.iter().rev().fold(0, |acc, &x| acc * k + vals[x]);
+                bad.binary_search(&idx).is_ok()
+            });
+        }
+        b.build().unwrap()
+    }
+
+    fn assert_same_events<T: Num>(a: &Instance<T>, b: &Instance<T>) {
+        assert_eq!(a.num_events(), b.num_events());
+        for v in 0..a.num_events() {
+            let (x, y) = (a.event(v), b.event(v));
+            assert_eq!(x.support(), y.support(), "event {v}");
+            assert!(x.bad_tuples().eq(y.bad_tuples()), "event {v}");
+        }
+    }
+
+    fn rank2_matches<T: Num>(g: &Graph, k: usize, seed: u64) {
+        let edges = (0..g.num_edges()).map(|eid| {
+            let (u, v) = g.edge(eid);
+            [u, v]
+        });
+        let old = predicate_form::<T, _>(g.num_nodes(), edges, g.max_degree(), k, seed);
+        assert_same_events(&random_rank2_instance_in::<T>(g, k, 0.9, seed), &old);
+    }
+
+    fn rank3_matches<T: Num>(h: &Hypergraph, k: usize, seed: u64) {
+        let edges = (0..h.num_edges()).map(|i| h.edge(i).nodes());
+        let d = h.max_dependency_degree();
+        let old = predicate_form::<T, _>(h.num_nodes(), edges, d, k, seed);
+        assert_same_events(&random_rank3_instance_in::<T>(h, k, 0.9, seed), &old);
+    }
+
+    #[test]
+    fn bad_tuples_build_the_predicate_form() {
+        use lll_numeric::BigRational;
+        for (g, k) in [(ring(16), 16), (torus(4, 4), 4), (ring(9), 3)] {
+            rank2_matches::<f64>(&g, k, 11);
+            rank2_matches::<BigRational>(&g, k, 12);
+        }
+        let dense = lll_graphs::gen::random_3_uniform(18, 4, 3).unwrap();
+        for (h, k) in [(hyper_ring(12), 16), (dense, 8)] {
+            rank3_matches::<f64>(&h, k, 13);
+            rank3_matches::<BigRational>(&h, k, 14);
+        }
+    }
 
     #[test]
     fn rank2_tightness_is_controlled() {

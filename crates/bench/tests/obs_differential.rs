@@ -7,7 +7,7 @@
 //! the `NullRecorder` path is the exact code the unrecorded entry
 //! points compile to, and every other recorder only observes.
 
-use lll_bench::experiments::record_trace_workload;
+use lll_bench::experiments::TraceWorkload;
 use lll_local::RunOutcome;
 use lll_obs::diff::diff_streams;
 use lll_obs::schema::validate_stream;
@@ -19,7 +19,7 @@ const N: usize = 192;
 
 fn jsonl_at(threads: usize) -> Vec<u8> {
     let mut rec = JsonlRecorder::new(Vec::new());
-    record_trace_workload(N, threads, &mut rec, &mut NullTiming);
+    TraceWorkload::new(N).record(threads, &mut rec, &mut NullTiming);
     rec.finish().expect("in-memory stream never fails")
 }
 
@@ -28,7 +28,7 @@ fn jsonl_at(threads: usize) -> Vec<u8> {
 fn timed_jsonl_at(threads: usize) -> (Vec<u8>, TimingRecorder) {
     let mut rec = JsonlRecorder::new(Vec::new());
     let mut timing = TimingRecorder::new();
-    record_trace_workload(N, threads, &mut rec, &mut timing);
+    TraceWorkload::new(N).record(threads, &mut rec, &mut timing);
     (rec.finish().expect("in-memory stream never fails"), timing)
 }
 
@@ -103,11 +103,11 @@ fn timing_enabled_stream_is_byte_identical_at_every_thread_count() {
 #[test]
 fn null_recorder_is_a_no_op_on_outcomes() {
     let mut null = NullRecorder;
-    let (nl, nr) = record_trace_workload(N, 1, &mut null, &mut NullTiming);
+    let (nl, nr) = TraceWorkload::new(N).record(1, &mut null, &mut NullTiming);
     let mut counter = CounterRecorder::new();
-    let (cl, cr) = record_trace_workload(N, 1, &mut counter, &mut NullTiming);
+    let (cl, cr) = TraceWorkload::new(N).record(1, &mut counter, &mut NullTiming);
     let mut jsonl = JsonlRecorder::new(Vec::new());
-    let (jl, jr) = record_trace_workload(N, 1, &mut jsonl, &mut NullTiming);
+    let (jl, jr) = TraceWorkload::new(N).record(1, &mut jsonl, &mut NullTiming);
 
     assert_eq!(outcome_fields(&nl), outcome_fields(&cl));
     assert_eq!(outcome_fields(&nr), outcome_fields(&cr));
@@ -118,7 +118,7 @@ fn null_recorder_is_a_no_op_on_outcomes() {
 #[test]
 fn messages_per_round_is_pinned_to_the_recorded_deliveries() {
     let mut counter = CounterRecorder::new();
-    let (lin, red) = record_trace_workload(N, 1, &mut counter, &mut NullTiming);
+    let (lin, red) = TraceWorkload::new(N).record(1, &mut counter, &mut NullTiming);
 
     let mut expected = lin.messages_per_round().to_vec();
     expected.extend_from_slice(red.messages_per_round());

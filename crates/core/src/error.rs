@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::MAX_BAD_TUPLES;
+
 /// Error produced while building or evaluating an [`Instance`]
 /// (see [`InstanceBuilder::build`]).
 ///
@@ -26,6 +28,15 @@ pub enum BuildError {
     BadProbabilitySum(usize),
     /// A complete assignment handed to the instance was malformed.
     InvalidAssignment(String),
+    /// This event has more than [`MAX_BAD_TUPLES`] bad tuples, or its
+    /// predicate more value combinations to read.
+    EventTooLarge(usize),
+    /// A bad tuple of this event has a length other than its support
+    /// size.
+    WrongArity(usize),
+    /// A bad tuple of this event gives a variable a value outside its
+    /// domain.
+    ValueOutOfRange(usize),
 }
 
 impl fmt::Display for BuildError {
@@ -43,6 +54,11 @@ impl fmt::Display for BuildError {
                 write!(f, "probabilities of variable {x} do not sum to 1")
             }
             BuildError::InvalidAssignment(msg) => write!(f, "invalid assignment: {msg}"),
+            BuildError::EventTooLarge(v) => write!(f, "event {v} is past {MAX_BAD_TUPLES} tuples"),
+            BuildError::WrongArity(v) => write!(f, "a bad tuple of event {v} has the wrong length"),
+            BuildError::ValueOutOfRange(v) => {
+                write!(f, "a bad tuple of event {v} has a value outside its domain")
+            }
         }
     }
 }

@@ -195,14 +195,12 @@ mod tests {
     /// strong FG criterion holds.
     fn sparse_hyper_ring(n: usize, k: usize) -> Instance<f64> {
         let mut b = InstanceBuilder::<f64>::new(n);
-        let vars: Vec<usize> = (0..n)
-            .map(|i| b.add_uniform_variable(&[i, (i + 1) % n, (i + 2) % n], k))
-            .collect();
+        for i in 0..n {
+            b.add_uniform_variable(&[i, (i + 1) % n, (i + 2) % n], k);
+        }
+        // Event j occurs iff its three variables are all 0.
         for j in 0..n {
-            let (x1, x2, x3) = (vars[(j + n - 2) % n], vars[(j + n - 1) % n], vars[j]);
-            b.set_event_predicate(j, move |vals| {
-                vals[x1] == 0 && vals[x2] == 0 && vals[x3] == 0
-            });
+            b.set_event_bad_tuples(j, [[0, 0, 0]]);
         }
         b.build().unwrap()
     }
@@ -220,9 +218,9 @@ mod tests {
     #[test]
     fn solves_with_a_real_distance2_coloring_when_events_are_rare_enough() {
         // Need p·(d+1)^C < 1 with C ≈ 25 classes and d = 4: p < 5^-25 —
-        // use k-ary variables with k³ > 5^25 ⇒ k ≥ 2^14. Event tables
-        // would explode; instead shrink the class count by using the
-        // trivial partition into few classes on a path-like instance.
+        // use k-ary variables with k³ > 5^25 ⇒ k ≥ 2^14. Instead,
+        // shrink the class count by using the trivial partition into few
+        // classes on a path-like instance.
         // Here: a small hyper-ring, k = 40 (p = 1/64000), and the real
         // distance-2 coloring of its dependency graph (9 colors needed
         // at most; criterion 5^9/64000 ≈ 30 > 1 — still fails!). This

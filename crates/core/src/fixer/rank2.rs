@@ -495,47 +495,40 @@ mod tests {
         assert_eq!(fixer.fix_variable(0).unwrap(), 0);
     }
 
-    /// Predicate calls per step. Each event's support (`x` plus 15
-    /// private coins, `2^16` tuples) is past the truth-table limit, so
-    /// every tuple the enumeration visits calls the predicate, and the
-    /// counts are the walks' work. A step walks each touched event once
-    /// over its free variables, recorded or not: `Π_free k_i` calls per
-    /// event.
+    /// Walks per step. Each event's support is `x` plus 15 private
+    /// coins, and it occurs iff `x` is its own index and every coin is
+    /// 0. A step walks each touched event once over its free variables,
+    /// recorded or not.
     #[test]
     fn a_step_walks_each_touched_event_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+        use crate::instance::walks;
 
         fn check<T: Num>() {
-            let calls = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
             let mut b = InstanceBuilder::<T>::new(2);
             let x = b.add_uniform_variable(&[0, 1], 2);
             let own: Vec<Vec<usize>> = (0..2)
                 .map(|v| (0..15).map(|_| b.add_uniform_variable(&[v], 2)).collect())
                 .collect();
-            for (v, vars) in own.iter().enumerate() {
-                let (count, vars) = (Arc::clone(&calls[v]), vars.clone());
-                b.set_event_predicate(v, move |vals| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    vals[x] == v && vars.iter().all(|&z| vals[z] == 0)
-                });
+            for v in 0..2 {
+                let mut tuple = vec![0; 16];
+                tuple[0] = v;
+                b.set_event_bad_tuples(v, [tuple]);
             }
             let inst = b.build().unwrap();
-            let taken = || calls.each_ref().map(|c| c.swap(0, Ordering::Relaxed));
-            assert_eq!(taken(), [0, 0], "no truth table was built");
+            walks::take(2);
             let mut fixer = Fixer2::new_unchecked(&inst).unwrap();
             // Rank 2: both events have 16 free variables.
             fixer.fix_variable(x).unwrap();
-            assert_eq!(taken(), [1 << 16, 1 << 16]);
+            assert_eq!(walks::take(2), [1, 1]);
             // Rank 1, recorded: x is fixed, 15 free variables remain.
             let mut rec = lll_obs::CounterRecorder::new();
             fixer.fix_variable_recorded(own[0][0], &mut rec).unwrap();
-            assert_eq!(taken(), [1 << 15, 0]);
+            assert_eq!(walks::take(2), [1, 0]);
             assert_eq!(rec.fix_steps, 1);
             // A recorded rank-2 step on a fresh fixer.
             let mut fixer = Fixer2::new_unchecked(&inst).unwrap();
             fixer.fix_variable_recorded(x, &mut rec).unwrap();
-            assert_eq!(taken(), [1 << 16, 1 << 16]);
+            assert_eq!(walks::take(2), [1, 1]);
         }
         check::<f64>();
         check::<BigRational>();

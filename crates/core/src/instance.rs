@@ -1,6 +1,7 @@
 //! LLL instances: discrete random variables, bad events, and the exact
 //! conditional-probability engine.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Index;
@@ -11,10 +12,9 @@ use lll_numeric::{BigInt, BigRational, Num};
 
 use crate::error::{BuildError, FixerError};
 
-/// Threshold on the truth-table size below which event predicates are
-/// precomputed into a lookup table (pure optimization; semantics are
-/// unchanged).
-const TABLE_LIMIT: usize = 1 << 15;
+/// The most bad tuples one event may have, and the most value
+/// combinations a predicate is read on.
+pub const MAX_BAD_TUPLES: usize = 1 << 15;
 
 /// Supports up to this length are evaluated in stack buffers; longer
 /// ones fall back to the heap. Supports are small in every LLL workload
@@ -98,55 +98,62 @@ impl<T: fmt::Debug> fmt::Debug for Variable<T> {
     }
 }
 
-/// A bad event of the instance.
-#[derive(Clone)]
-pub struct Event<T> {
+/// A bad event of the instance: its support and its *bad set*, the
+/// support tuples under which it occurs, which is all `Pr[E | partial]`
+/// depends on. The bad set is a list without repeats, sorted on the
+/// reversed tuple: the order of the tuples' mixed-radix indices with
+/// position 0 least significant, in which the probability engine folds
+/// them.
+#[derive(Clone, Debug)]
+pub struct Event {
     support: Vec<usize>,
-    predicate: Predicate,
-    /// Mixed-radix truth table over support values (small supports only).
-    table: Option<Vec<bool>>,
-    /// Strides for table indexing, aligned with `support`.
-    strides: Vec<usize>,
-    /// The occurring support tuples, flattened with stride
-    /// `support.len()`, in table-index order — which is exactly the
-    /// probability engine's odometer order (position 0 fastest). Present
-    /// whenever `table` is: LLL workloads are sparse (few bad tuples per
-    /// event), so iterating this list replaces the full mixed-radix scan
-    /// in the conditional-probability engine. Values fit `u16` because
-    /// every `num_values` is bounded by the table size limit.
-    occ: Option<Vec<u16>>,
-    _marker: std::marker::PhantomData<T>,
+    /// The bad tuples, flattened: `bad[i·s + pos]` is the value of
+    /// `support[pos]` in tuple `i`.
+    bad: Vec<u32>,
+    /// The number of bad tuples (the flat list cannot count empty ones).
+    num_bad: usize,
 }
 
-impl<T: Num> Event<T> {
+impl Event {
     /// The variables the event depends on (sorted ascending).
     pub fn support(&self) -> &[usize] {
         &self.support
     }
 
+    /// The bad tuples, in the list's order: tuple `i` holds the values
+    /// of `support()` under which the event occurs.
+    pub fn bad_tuples(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.num_bad).map(|i| self.tuple(i))
+    }
+
+    fn tuple(&self, i: usize) -> &[u32] {
+        let s = self.support.len();
+        &self.bad[i * s..(i + 1) * s]
+    }
+
     /// Evaluates the event: does it occur under these support values?
+    /// A binary search of the bad list.
     ///
     /// `values[i]` is the value of `support()[i]`.
     pub fn occurs(&self, values: &[usize]) -> bool {
         debug_assert_eq!(values.len(), self.support.len());
-        if let Some(table) = &self.table {
-            let idx: usize = values.iter().zip(&self.strides).map(|(&v, &s)| v * s).sum();
-            table[idx]
-        } else {
-            (self.predicate)(&VarValues {
-                support: &self.support,
-                values,
-            })
-        }
+        self.occurs_by(|pos| values[pos])
     }
-}
 
-impl<T> fmt::Debug for Event<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Event")
-            .field("support", &self.support)
-            .field("tabled", &self.table.is_some())
-            .finish()
+    /// [`occurs`](Event::occurs) with the value at each support
+    /// position given by `value`.
+    fn occurs_by(&self, value: impl Fn(usize) -> usize) -> bool {
+        let (mut lo, mut hi) = (0, self.num_bad);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let tuple = self.tuple(mid).iter().rev().map(|&y| y as usize);
+            match tuple.cmp((0..self.support.len()).rev().map(&value)) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
     }
 }
 
@@ -214,7 +221,7 @@ impl PartialAssignment {
 #[derive(Debug, Clone)]
 pub struct Instance<T> {
     variables: Vec<Variable<T>>,
-    events: Vec<Event<T>>,
+    events: Vec<Event>,
     dependency: Graph,
     hypergraph: Hypergraph,
     /// The distinct variable distributions as integer tables, shared by
@@ -246,7 +253,7 @@ impl<T: Num> Instance<T> {
     }
 
     /// The event at node `v`.
-    pub fn event(&self, v: usize) -> &Event<T> {
+    pub fn event(&self, v: usize) -> &Event {
         &self.events[v]
     }
 
@@ -494,9 +501,9 @@ impl<T: Num> Instance<T> {
         &self.dists[self.dist_of[x]]
     }
 
-    /// Feeds `fold` every occurring support tuple of event `v` that is
-    /// consistent with the values `lookup` reports as fixed. The
-    /// fixers call this in a tight loop; stack buffers avoid three heap
+    /// Feeds `fold` every bad tuple of event `v` that is consistent with
+    /// the values `lookup` reports as fixed, in the list's order. The
+    /// fixers call this in a tight loop; stack buffers avoid two heap
     /// allocations per call on the hot path.
     fn enumerate(
         &self,
@@ -504,24 +511,23 @@ impl<T: Num> Instance<T> {
         lookup: impl Fn(usize) -> Option<usize>,
         fold: &mut impl TupleFold,
     ) {
+        #[cfg(test)]
+        walks::note(v);
         let support_len = self.events[v].support.len();
         if support_len <= STACK_SUPPORT {
             let mut values = [0usize; STACK_SUPPORT];
             let mut free = [0usize; STACK_SUPPORT];
-            let mut counters = [0usize; STACK_SUPPORT];
             self.enumerate_in(
                 v,
                 lookup,
                 &mut values[..support_len],
                 &mut free[..support_len],
-                &mut counters[..support_len],
                 fold,
             );
         } else {
             let mut values = vec![0usize; support_len];
             let mut free = vec![0usize; support_len];
-            let mut counters = vec![0usize; support_len];
-            self.enumerate_in(v, lookup, &mut values, &mut free, &mut counters, fold);
+            self.enumerate_in(v, lookup, &mut values, &mut free, fold);
         }
     }
 
@@ -531,7 +537,6 @@ impl<T: Num> Instance<T> {
         lookup: impl Fn(usize) -> Option<usize>,
         values: &mut [usize],
         free_buf: &mut [usize],
-        counters: &mut [usize],
         fold: &mut impl TupleFold,
     ) {
         let event = &self.events[v];
@@ -553,36 +558,18 @@ impl<T: Num> Instance<T> {
             }
             return;
         }
-        if let Some(occ) = &event.occ {
-            return enumerate_listed(support, occ, values, free, fold);
-        }
-        // Odometer over the free positions, position 0 fastest.
-        let counters = &mut counters[..num_free];
-        counters.fill(0);
-        'tuples: loop {
-            for (ci, &pos) in free.iter().enumerate() {
-                values[pos] = counters[ci];
-            }
-            if event.occurs(values) {
-                fold.tuple(
-                    free.iter()
-                        .zip(counters.iter())
-                        .map(|(&pos, &c)| (support[pos], c)),
-                );
-            }
-            // increment odometer
-            let mut ci = 0;
-            loop {
-                if ci == free.len() {
-                    break 'tuples;
+        'tuples: for tuple in event.bad.chunks_exact(support.len()) {
+            // `free` lists free positions ascending, so one merge pointer
+            // splits positions into free (skipped) and fixed (matched).
+            let mut fi = 0usize;
+            for (pos, &t_val) in tuple.iter().enumerate() {
+                if fi < free.len() && free[fi] == pos {
+                    fi += 1;
+                } else if t_val as usize != values[pos] {
+                    continue 'tuples;
                 }
-                counters[ci] += 1;
-                if counters[ci] < self.variables[support[free[ci]]].num_values() {
-                    break;
-                }
-                counters[ci] = 0;
-                ci += 1;
             }
+            fold.tuple(free.iter().map(|&pos| (support[pos], tuple[pos] as usize)));
         }
     }
 
@@ -710,25 +697,12 @@ impl<T: Num> Instance<T> {
                 )));
             }
         }
-        let mut bad = Vec::new();
-        let mut stack = [0usize; STACK_SUPPORT];
-        let mut heap = Vec::new();
-        for (v, event) in self.events.iter().enumerate() {
-            let s = event.support.len();
-            let values = if s <= STACK_SUPPORT {
-                &mut stack[..s]
-            } else {
-                heap.resize(s, 0);
-                &mut heap[..]
-            };
-            for (slot, &x) in values.iter_mut().zip(&event.support) {
-                *slot = assignment[x];
-            }
-            if event.occurs(values) {
-                bad.push(v);
-            }
-        }
-        Ok(bad)
+        Ok((0..self.num_events())
+            .filter(|&v| {
+                let event = &self.events[v];
+                event.occurs_by(|pos| assignment[event.support[pos]])
+            })
+            .collect())
     }
 
     /// Whether no bad event occurs under a complete assignment.
@@ -752,34 +726,6 @@ pub(crate) fn max_probability<T: Num>(probs: impl IntoIterator<Item = T>) -> T {
         }
     }
     best
-}
-
-/// The listed arm of the enumeration: iterates the event's precomputed
-/// occurring tuples instead of the full odometer. The list is stored in
-/// odometer order and consistency filtering preserves that order, so a
-/// fold sees the same tuples in the same order on either arm and
-/// produces the same value bit for bit; only the cost of *rejecting*
-/// non-occurring tuples disappears.
-fn enumerate_listed(
-    support: &[usize],
-    occ: &[u16],
-    values: &[usize],
-    free: &[usize],
-    fold: &mut impl TupleFold,
-) {
-    'tuples: for tuple in occ.chunks_exact(support.len()) {
-        // `free` lists free positions ascending, so one merge pointer
-        // splits positions into free (skipped) and fixed (matched).
-        let mut fi = 0usize;
-        for (pos, &t_val) in tuple.iter().enumerate() {
-            if fi < free.len() && free[fi] == pos {
-                fi += 1;
-            } else if t_val as usize != values[pos] {
-                continue 'tuples;
-            }
-        }
-        fold.tuple(free.iter().map(|&pos| (support[pos], tuple[pos] as usize)));
-    }
 }
 
 /// What the enumeration feeds: one call per occurring tuple, with the
@@ -1073,12 +1019,22 @@ impl fmt::Display for InstanceSummary {
 /// Builder for [`Instance`].
 ///
 /// The number of events is fixed up front; variables are added with the
-/// list of events they affect; predicates are attached per event (the
-/// default predicate never occurs). See the crate-level example.
+/// list of events they affect. An event's bad set is given as its bad
+/// tuples or as a predicate (see the two setters); an event given
+/// neither never occurs. See the crate-level example.
 pub struct InstanceBuilder<T> {
     num_events: usize,
-    variables: Vec<(Vec<usize>, Vec<T>)>,
-    predicates: Vec<Option<Predicate>>,
+    variables: Vec<Variable<T>>,
+    events: Vec<BadSet>,
+}
+
+/// One event's bad set as the builder holds it until `build`: tuples
+/// (sorted without repeats unless past [`MAX_BAD_TUPLES`]), or a
+/// predicate.
+#[derive(Clone)]
+enum BadSet {
+    Tuples(Vec<Vec<usize>>),
+    Predicate(Predicate),
 }
 
 impl<T: Num> InstanceBuilder<T> {
@@ -1087,7 +1043,7 @@ impl<T: Num> InstanceBuilder<T> {
         InstanceBuilder {
             num_events,
             variables: Vec::new(),
-            predicates: vec![None; num_events],
+            events: vec![BadSet::Tuples(Vec::new()); num_events],
         }
     }
 
@@ -1100,7 +1056,7 @@ impl<T: Num> InstanceBuilder<T> {
         let mut a = affects.to_vec();
         a.sort_unstable();
         a.dedup();
-        self.variables.push((a, probs));
+        self.variables.push(Variable { probs, affects: a });
         self.variables.len() - 1
     }
 
@@ -1110,15 +1066,42 @@ impl<T: Num> InstanceBuilder<T> {
         self.add_variable(affects, probs)
     }
 
-    /// Sets the predicate of event `v` (replacing any previous one).
-    ///
-    /// The predicate receives the values of the event's support variables
-    /// and returns `true` iff the bad event occurs.
+    /// Sets the bad set of event `v` (replacing any previous one) to
+    /// `tuples`, each one value per support variable in support order
+    /// (ids ascending), in any order and with repeats. `build` returns
+    /// [`BuildError::WrongArity`] for a tuple of another length,
+    /// [`BuildError::ValueOutOfRange`] for a value outside its
+    /// variable's domain and [`BuildError::EventTooLarge`] past
+    /// [`MAX_BAD_TUPLES`] tuples (repeats included; at most one more is
+    /// read).
+    pub fn set_event_bad_tuples<I>(&mut self, v: usize, tuples: I) -> &mut Self
+    where
+        I: IntoIterator,
+        I::Item: Into<Vec<usize>>,
+    {
+        let mut tuples: Vec<Vec<usize>> = tuples
+            .into_iter()
+            .take(MAX_BAD_TUPLES + 1)
+            .map(Into::into)
+            .collect();
+        if tuples.len() <= MAX_BAD_TUPLES {
+            tuples.sort_unstable_by(|a, b| a.iter().rev().cmp(b.iter().rev()));
+            tuples.dedup();
+        }
+        self.events[v] = BadSet::Tuples(tuples);
+        self
+    }
+
+    /// Sets the bad set of event `v` (replacing any previous one) to the
+    /// support values on which `pred` returns `true`. `build` reads
+    /// `pred` once on each of the support's `Π k` value combinations,
+    /// and returns [`BuildError::EventTooLarge`] if there are more than
+    /// [`MAX_BAD_TUPLES`].
     pub fn set_event_predicate<F>(&mut self, v: usize, pred: F) -> &mut Self
     where
         F: Fn(&VarValues<'_>) -> bool + Send + Sync + 'static,
     {
-        self.predicates[v] = Some(Arc::new(pred));
+        self.events[v] = BadSet::Predicate(Arc::new(pred));
         self
     }
 
@@ -1129,10 +1112,13 @@ impl<T: Num> InstanceBuilder<T> {
     /// Returns a [`BuildError`] if a variable affects an out-of-range or
     /// empty event set, has no values, has a non-positive probability, or
     /// probabilities that do not sum to 1 (exactly for exact backends,
-    /// within `1e-9` for `f64`).
+    /// within `1e-9` for `f64`); or if an event's bad set is malformed
+    /// or too large (see
+    /// [`set_event_bad_tuples`](InstanceBuilder::set_event_bad_tuples)
+    /// and [`set_event_predicate`](InstanceBuilder::set_event_predicate)).
     pub fn build(&self) -> Result<Instance<T>, BuildError> {
         // Validate variables.
-        for (x, (affects, probs)) in self.variables.iter().enumerate() {
+        for (x, Variable { probs, affects }) in self.variables.iter().enumerate() {
             if affects.is_empty() {
                 return Err(BuildError::EmptyAffects(x));
             }
@@ -1164,69 +1150,20 @@ impl<T: Num> InstanceBuilder<T> {
 
         // Support of each event = variables affecting it, ascending.
         let mut supports: Vec<Vec<usize>> = vec![Vec::new(); self.num_events];
-        for (x, (affects, _)) in self.variables.iter().enumerate() {
-            for &v in affects {
+        for (x, var) in self.variables.iter().enumerate() {
+            for &v in &var.affects {
                 supports[v].push(x);
             }
         }
-
-        let variables: Vec<Variable<T>> = self
-            .variables
-            .iter()
-            .map(|(affects, probs)| Variable {
-                probs: probs.clone(),
-                affects: affects.clone(),
-            })
-            .collect();
+        let variables = self.variables.clone();
 
         let mut events = Vec::with_capacity(self.num_events);
         for (v, support) in supports.into_iter().enumerate() {
-            let predicate: Predicate = self.predicates[v]
-                .clone()
-                .unwrap_or_else(|| Arc::new(|_| false));
-            // Truth-table precomputation for small supports.
-            let mut strides = vec![0usize; support.len()];
-            let mut size: usize = 1;
-            let mut fits = true;
-            for (pos, &x) in support.iter().enumerate() {
-                strides[pos] = size;
-                size = match size.checked_mul(variables[x].num_values()) {
-                    Some(s) if s <= TABLE_LIMIT => s,
-                    _ => {
-                        fits = false;
-                        break;
-                    }
-                };
-            }
-            let (table, occ) = if fits {
-                let mut table = vec![false; size];
-                let mut occ = Vec::new();
-                let mut values = vec![0usize; support.len()];
-                for (idx, slot) in table.iter_mut().enumerate() {
-                    let mut rest = idx;
-                    for (pos, &x) in support.iter().enumerate() {
-                        values[pos] = rest % variables[x].num_values();
-                        rest /= variables[x].num_values();
-                    }
-                    *slot = predicate(&VarValues {
-                        support: &support,
-                        values: &values,
-                    });
-                    if *slot {
-                        occ.extend(values.iter().map(|&v| v as u16));
-                    }
-                }
-                (Some(table), Some(occ))
-            } else {
-                (None, None)
-            };
+            let (bad, num_bad) = bad_list(v, &support, &variables, &self.events[v])?;
             events.push(Event {
                 support,
-                predicate,
-                table,
-                strides,
-                occ,
-                _marker: std::marker::PhantomData,
+                bad,
+                num_bad,
             });
         }
 
@@ -1269,12 +1206,100 @@ impl<T: Num> InstanceBuilder<T> {
     }
 }
 
+/// Event `v`'s flat bad list and its length: its tuples, checked, or
+/// its predicate read on the support's value combinations in index
+/// order (position 0 fastest), which is the list's order.
+fn bad_list<T: Num>(
+    v: usize,
+    support: &[usize],
+    variables: &[Variable<T>],
+    set: &BadSet,
+) -> Result<(Vec<u32>, usize), BuildError> {
+    let pred = match set {
+        BadSet::Tuples(tuples) if tuples.len() > MAX_BAD_TUPLES => {
+            return Err(BuildError::EventTooLarge(v));
+        }
+        BadSet::Tuples(tuples) => {
+            let mut bad = Vec::with_capacity(tuples.len() * support.len());
+            for tuple in tuples {
+                if tuple.len() != support.len() {
+                    return Err(BuildError::WrongArity(v));
+                }
+                for (&x, &y) in support.iter().zip(tuple) {
+                    // The list holds values as `u32`.
+                    let value = u32::try_from(y)
+                        .ok()
+                        .filter(|_| y < variables[x].num_values());
+                    bad.push(value.ok_or(BuildError::ValueOutOfRange(v))?);
+                }
+            }
+            return Ok((bad, tuples.len()));
+        }
+        BadSet::Predicate(pred) => pred,
+    };
+    let ks: Vec<usize> = support.iter().map(|&x| variables[x].num_values()).collect();
+    let size = ks
+        .iter()
+        .try_fold(1usize, |size, &k| {
+            size.checked_mul(k).filter(|&s| s <= MAX_BAD_TUPLES)
+        })
+        .ok_or(BuildError::EventTooLarge(v))?;
+    let (mut bad, mut num_bad) = (Vec::new(), 0);
+    let mut values = vec![0usize; support.len()];
+    for idx in 0..size {
+        let mut rest = idx;
+        for (value, &k) in values.iter_mut().zip(&ks) {
+            *value = rest % k;
+            rest /= k;
+        }
+        if pred(&VarValues {
+            support,
+            values: &values,
+        }) {
+            bad.extend(values.iter().map(|&y| y as u32));
+            num_bad += 1;
+        }
+    }
+    Ok((bad, num_bad))
+}
+
 impl<T: Num> fmt::Debug for InstanceBuilder<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InstanceBuilder")
             .field("num_events", &self.num_events)
             .field("num_variables", &self.variables.len())
             .finish()
+    }
+}
+
+/// A per-thread count of [`Instance::enumerate`]'s walks, per event, so
+/// that tests can check how often a step reads each event.
+#[cfg(test)]
+pub(crate) mod walks {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static WALKS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note(v: usize) {
+        WALKS.with_borrow_mut(|w| {
+            if w.len() <= v {
+                w.resize(v + 1, 0);
+            }
+            w[v] += 1;
+        });
+    }
+
+    /// This thread's walks of events `0..n` since the last call, and
+    /// resets the count.
+    pub(crate) fn take(n: usize) -> Vec<usize> {
+        WALKS.with_borrow_mut(|w| {
+            w.resize(w.len().max(n), 0);
+            let counts = w[..n].to_vec();
+            w.fill(0);
+            counts
+        })
     }
 }
 
@@ -1444,21 +1469,101 @@ mod tests {
     }
 
     #[test]
-    fn large_support_skips_table_but_matches() {
-        // 15 binary variables on one event -> table (2^15 > limit) skipped.
-        let mut b = InstanceBuilder::<f64>::new(1);
-        let vars: Vec<usize> = (0..15).map(|_| b.add_uniform_variable(&[0], 2)).collect();
-        let v0 = vars[0];
-        b.set_event_predicate(0, move |vals| vals[v0] == 0);
-        let inst = b.build().unwrap();
-        assert!((inst.unconditional_probability(0) - 0.5).abs() < 1e-12);
+    fn wide_supports_take_bad_tuples() {
+        // n binary variables on event 0, which occurs iff all are 0.
+        let build = |n: usize, tuples: bool| {
+            let mut b = InstanceBuilder::<BigRational>::new(1);
+            let vars: Vec<usize> = (0..n).map(|_| b.add_uniform_variable(&[0], 2)).collect();
+            if tuples {
+                b.set_event_bad_tuples(0, [vec![0; n]]);
+            } else {
+                b.set_event_predicate(0, move |vals| vars.iter().all(|&x| vals[x] == 0));
+            }
+            b.build()
+        };
+        // 2^15 combinations is the bound: the predicate is read on all.
+        let (p, t) = (build(15, false).unwrap(), build(15, true).unwrap());
+        assert_eq!(p.events[0].bad, t.events[0].bad);
+        assert_eq!(p.events[0].num_bad, 1);
+        // Past it the predicate is refused and the tuple is not.
+        assert_eq!(build(16, false).unwrap_err(), BuildError::EventTooLarge(0));
+        let wide = build(64, true).unwrap();
+        let mut half = BigRational::one();
+        for _ in 0..64 {
+            half = half * BigRational::from_ratio(1, 2);
+        }
+        assert_eq!(wide.unconditional_probability(0), half);
+        assert!(wide.no_event_occurs(&[1; 64]).unwrap());
+        assert_eq!(wide.violated_events(&[0; 64]).unwrap(), vec![0]);
     }
 
-    /// Value counts of one event's support, one shape per engine arm:
-    /// `(stack buffers, truth table)`, `(heap buffers, truth table)`,
-    /// `(stack buffers, odometer)`, `(heap buffers, odometer)` — the
-    /// single-valued variables keep the long tabled support's table
-    /// small, and the odometer shapes sit just past `TABLE_LIMIT`.
+    /// Event 0 over a 2-, 3- and 4-valued variable, given as `tuples`.
+    fn tuple_build(tuples: &[&[usize]]) -> Result<Instance<f64>, BuildError> {
+        let mut b = InstanceBuilder::<f64>::new(2);
+        for k in 2..5 {
+            b.add_uniform_variable(&[0, 1], k);
+        }
+        b.set_event_bad_tuples(0, tuples.iter().copied());
+        b.build()
+    }
+
+    #[test]
+    fn bad_tuples_are_sorted_on_the_reversed_tuple_without_repeats() {
+        let inst =
+            tuple_build(&[&[1, 0, 3], &[0, 2, 0], &[1, 0, 3], &[1, 2, 0], &[0, 0, 3]]).unwrap();
+        let event = inst.event(0);
+        let list: Vec<&[u32]> = event.bad_tuples().collect();
+        assert_eq!(list, [&[0, 2, 0][..], &[1, 2, 0], &[0, 0, 3], &[1, 0, 3]]);
+        assert_eq!(inst.event(1).bad_tuples().len(), 0);
+        for a in 0..2 {
+            for b in 0..3 {
+                for c in 0..4 {
+                    let bad = list.iter().any(|t| t == &[a as u32, b as u32, c as u32]);
+                    assert_eq!(event.occurs(&[a, b, c]), bad, "{a} {b} {c}");
+                }
+            }
+        }
+        assert!((inst.unconditional_probability(0) - 4.0 / 24.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn malformed_bad_tuples_are_typed_errors() {
+        assert_eq!(
+            tuple_build(&[&[0, 0, 0], &[0, 1]]).unwrap_err(),
+            BuildError::WrongArity(0)
+        );
+        assert_eq!(
+            tuple_build(&[&[0, 3, 0]]).unwrap_err(),
+            BuildError::ValueOutOfRange(0)
+        );
+        // One tuple past the bound, even all repeats, is refused.
+        let mut b = InstanceBuilder::<f64>::new(1);
+        b.add_uniform_variable(&[0], 2);
+        b.set_event_bad_tuples(0, std::iter::repeat_n([0], MAX_BAD_TUPLES));
+        assert_eq!(b.build().unwrap().event(0).bad_tuples().len(), 1);
+        b.set_event_bad_tuples(0, std::iter::repeat([0]));
+        assert_eq!(b.build().unwrap_err(), BuildError::EventTooLarge(0));
+    }
+
+    #[test]
+    fn empty_support_events_take_the_empty_tuple() {
+        for (tuples, p) in [(vec![], 0.0), (vec![vec![]], 1.0), (vec![vec![]; 3], 1.0)] {
+            let mut b = InstanceBuilder::<f64>::new(1);
+            b.set_event_bad_tuples(0, tuples);
+            let inst = b.build().unwrap();
+            assert_eq!(inst.unconditional_probability(0), p);
+            assert_eq!(inst.no_event_occurs(&[]).unwrap(), p == 0.0);
+        }
+        let mut b = InstanceBuilder::<f64>::new(1);
+        b.set_event_predicate(0, |_| true);
+        assert_eq!(b.build().unwrap().unconditional_probability(0), 1.0);
+    }
+
+    /// Value counts of event 0's support, one shape per case: shapes 0
+    /// and 2 walk in stack buffers, 1 and 3 on the heap. The
+    /// single-valued variables keep shape 1's `Π k` small; shapes 2 and
+    /// 3 sit just past [`MAX_BAD_TUPLES`], so their event 0 is given as
+    /// bad tuples.
     fn arm_shape(arm: usize, extra: usize) -> Vec<usize> {
         match arm {
             0 => (0..1 + extra % 6).map(|i| 2 + (i + extra) % 3).collect(),
@@ -1498,7 +1603,9 @@ mod tests {
     }
 
     /// [`arm_instance`] with the distribution of each support variable
-    /// `j` of `k` values given by `probs(j, k)`.
+    /// `j` of `k` values given by `probs(j, k)`. Event 0 is a predicate
+    /// when its `Π k` is within [`MAX_BAD_TUPLES`], and otherwise its
+    /// bad tuples, in reverse order with the first one repeated.
     fn arm_instance_with<T: Num>(
         ks: &[usize],
         probs: impl Fn(usize, usize) -> Vec<T>,
@@ -1512,15 +1619,33 @@ mod tests {
             support.push(b.add_variable(affects, probs(j, k)));
         }
         let own = b.add_uniform_variable(&[1], 3);
-        let (first, ev0) = (support[0], support.clone());
-        b.set_event_predicate(0, move |vals| {
-            let sum: usize = ev0
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (i + 1) * vals[x])
-                .sum();
+        let bad = move |values: &mut dyn Iterator<Item = usize>| {
+            let sum: usize = values.enumerate().map(|(i, y)| (i + 1) * y).sum();
             sum % modulus == residue
-        });
+        };
+        let size: usize = ks.iter().product();
+        if size <= MAX_BAD_TUPLES {
+            let ev0 = support.clone();
+            b.set_event_predicate(0, move |vals| bad(&mut ev0.iter().map(|&x| vals[x])));
+        } else {
+            let mut tuples: Vec<Vec<usize>> = (0..size)
+                .map(|idx| {
+                    let mut rest = idx;
+                    ks.iter()
+                        .map(|&k| {
+                            let y = rest % k;
+                            rest /= k;
+                            y
+                        })
+                        .collect::<Vec<usize>>()
+                })
+                .filter(|t| bad(&mut t.iter().copied()))
+                .collect();
+            tuples.reverse();
+            tuples.extend(tuples.first().cloned());
+            b.set_event_bad_tuples(0, tuples);
+        }
+        let first = support[0];
         b.set_event_predicate(1, move |vals| vals[first] + vals[own] == residue % 3);
         b.build().unwrap()
     }
@@ -1534,7 +1659,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
         /// `unconditional_probability` is `probability` against the empty
-        /// assignment, bit for bit, on every engine arm and both backends.
+        /// assignment, bit for bit, on both engine arms (stack and heap
+        /// buffers), predicate- and tuple-built events, and both backends.
         #[test]
         fn unconditional_probability_is_the_empty_conditional(
             extra in 0usize..64,
@@ -1549,7 +1675,8 @@ mod tests {
                 let r = arm_instance::<BigRational>(&ks, &weights, modulus, residue);
                 let event = &f.events[0];
                 proptest::prop_assert_eq!(event.support.len() > STACK_SUPPORT, arm % 2 == 1);
-                proptest::prop_assert_eq!(event.table.is_none(), arm >= 2);
+                let size: usize = ks.iter().product();
+                proptest::prop_assert_eq!(size > MAX_BAD_TUPLES, arm >= 2);
                 let empty = PartialAssignment::new(f.num_variables());
                 for v in 0..2 {
                     let (a, b) = (f.unconditional_probability(v), f.probability(v, &empty));
@@ -1626,7 +1753,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
         /// The bucketed pass equals `probability` and every per-value
-        /// `probability_with` on all four engine arms, both backends,
+        /// `probability_with` on every shape of [`arm_shape`], both backends,
         /// random partials and mixed value counts, through one reused
         /// buffer per backend.
         #[test]
@@ -1774,7 +1901,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-        /// The word fold equals the `BigInt` fold on all four engine arms,
+        /// The word fold equals the `BigInt` fold on every shape of [`arm_shape`],
         /// through `prob_impl` and `probability_by_value`, with small
         /// mixed denominators (every event certified) and with event 0's
         /// `Π lcd` just at `i128::MAX` (certified), just above it and far
@@ -1849,8 +1976,8 @@ mod tests {
 
     #[test]
     fn violated_events_reads_long_supports() {
-        // Event 0's support is past the stack buffer, event 1's is not:
-        // both arms of the buffer choice, against a direct evaluation.
+        // Event 0's support is long and given as bad tuples, event 1's
+        // is short: against a direct evaluation of each event.
         let ks = arm_shape(3, 0);
         let inst = arm_instance::<f64>(&ks, &[3, 1, 4], 2, 0);
         let m = inst.num_variables();

@@ -47,12 +47,12 @@
 //! // Three events on a triangle of 4-valued variables; an event occurs
 //! // iff both of its variables take value 0, so p = 1/16 < 2^-2 = 1/4.
 //! let mut b = InstanceBuilder::<f64>::new(3);
-//! let x = b.add_uniform_variable(&[0, 1], 4);
-//! let y = b.add_uniform_variable(&[1, 2], 4);
-//! let z = b.add_uniform_variable(&[0, 2], 4);
-//! b.set_event_predicate(0, move |vals| vals[x] == 0 && vals[z] == 0);
-//! b.set_event_predicate(1, move |vals| vals[x] == 0 && vals[y] == 0);
-//! b.set_event_predicate(2, move |vals| vals[y] == 0 && vals[z] == 0);
+//! for affects in [[0, 1], [1, 2], [0, 2]] {
+//!     b.add_uniform_variable(&affects, 4);
+//! }
+//! for v in 0..3 {
+//!     b.set_event_bad_tuples(v, [[0, 0]]);
+//! }
 //! let instance = b.build()?;
 //!
 //! let report = Fixer3::new(&instance)?.run_default()?;
@@ -79,6 +79,7 @@ pub use audit::{audit_p_star, AuditReport, IncrementalAuditor};
 pub use error::{BuildError, FixerError};
 pub use fg::{fg_criterion, FgCriterion, FgFixer};
 pub use fixer::{Fixer, Fixer2, Fixer3, ValueRule};
+pub use instance::MAX_BAD_TUPLES;
 pub use instance::{Event, Instance, InstanceBuilder, PartialAssignment, VarValues, Variable};
 pub use triples::{Decomposition, Phi};
 

@@ -8,7 +8,7 @@
 //! * every random variable is *owned* by the lowest-indexed event it
 //!   affects; owners sample initial values and broadcast them (1 round);
 //! * each MT iteration costs exactly 2 rounds: **(a)** every event node
-//!   evaluates its predicate on its locally known support values and
+//!   evaluates its event on its locally known support values and
 //!   broadcasts its violated flag; **(b)** violated nodes that hold the
 //!   smallest id among their violated neighbors resample *all* their
 //!   support variables and broadcast the new values (any two events

@@ -15,7 +15,9 @@
 //! why it is off by default). Unknown fields are rejected so typos
 //! surface as typed errors instead of silently-ignored options.
 
-use lll_core::{Instance, InstanceBuilder};
+use std::collections::HashMap;
+
+use lll_core::{Instance, InstanceBuilder, MAX_BAD_TUPLES};
 use serde::Value;
 
 use crate::error::RequestError;
@@ -182,7 +184,7 @@ impl JsonInstance {
     /// Semantic validation: every index in range, every event affected
     /// by at least one variable, and every variable an event tests
     /// listed among that event's affecting variables (otherwise the
-    /// dependency graph would not describe the predicate).
+    /// dependency graph would not describe the event).
     ///
     /// # Errors
     ///
@@ -268,26 +270,53 @@ impl JsonInstance {
         Ok(())
     }
 
-    /// Builds the typed [`Instance`] (validates first).
+    /// Builds the typed [`Instance`] (validates first). An event's bad
+    /// tuples are its tested values with every value combination of its
+    /// untested support variables.
     ///
     /// # Errors
     ///
-    /// [`crate::ErrorKind::Invalid`] from [`JsonInstance::validate`] or
-    /// the instance builder.
+    /// [`crate::ErrorKind::Invalid`] from [`JsonInstance::validate`], for
+    /// more than [`MAX_BAD_TUPLES`] such combinations, or from the
+    /// instance builder.
     pub fn build_instance(&self) -> Result<Instance<f64>, RequestError> {
         self.validate()?;
         let mut b = InstanceBuilder::<f64>::new(self.events.len());
-        for var in &self.variables {
+        let mut supports = vec![Vec::new(); self.events.len()];
+        for (x, var) in self.variables.iter().enumerate() {
             b.add_uniform_variable(&var.affects, var.k);
+            for &e in &var.affects {
+                supports[e].push(x);
+            }
         }
-        for (e, ev) in self.events.iter().enumerate() {
-            let lits: Vec<(usize, usize)> = ev
-                .vars
+        for (e, (ev, support)) in self.events.iter().zip(&supports).enumerate() {
+            // The tested values; the untested positions and value counts.
+            let tested: HashMap<usize, usize> =
+                ev.vars.iter().copied().zip(ev.values.clone()).collect();
+            let (mut tuple, mut free) = (Vec::new(), Vec::new());
+            for (pos, &x) in support.iter().enumerate() {
+                tuple.push(tested.get(&x).copied().unwrap_or(0));
+                if !tested.contains_key(&x) {
+                    free.push((pos, self.variables[x].k));
+                }
+            }
+            let count = free
                 .iter()
-                .copied()
-                .zip(ev.values.iter().copied())
-                .collect();
-            b.set_event_predicate(e, move |vals| lits.iter().all(|&(x, v)| vals[x] == v));
+                .try_fold(1usize, |n, &(_, k)| {
+                    n.checked_mul(k).filter(|&n| n <= MAX_BAD_TUPLES)
+                })
+                .ok_or_else(|| {
+                    RequestError::invalid(format!("event {e} has over {MAX_BAD_TUPLES} bad tuples"))
+                })?;
+            let tuples = (0..count).map(|idx| {
+                let mut rest = idx;
+                for &(pos, k) in &free {
+                    tuple[pos] = rest % k;
+                    rest /= k;
+                }
+                tuple.clone()
+            });
+            b.set_event_bad_tuples(e, tuples);
         }
         b.build()
             .map_err(|e| RequestError::invalid(format!("instance build: {e}")))
@@ -548,5 +577,56 @@ impl Request {
             }
         }
         serde_json::to_string(&Value::Object(fields)).expect("request values are finite")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The instance's former form: each event a conjunction predicate.
+    fn predicate_form(inst: &JsonInstance) -> Instance<f64> {
+        let mut b = InstanceBuilder::<f64>::new(inst.events.len());
+        for var in &inst.variables {
+            b.add_uniform_variable(&var.affects, var.k);
+        }
+        for (e, ev) in inst.events.iter().enumerate() {
+            let lits: Vec<(usize, usize)> =
+                ev.vars.iter().copied().zip(ev.values.clone()).collect();
+            b.set_event_predicate(e, move |vals| lits.iter().all(|&(x, v)| vals[x] == v));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bad_tuples_build_the_predicate_form() {
+        let var = |affects: &[usize], k| JsonVariable {
+            affects: affects.to_vec(),
+            k,
+        };
+        let ev = |vars: &[usize], values: &[usize]| JsonEvent {
+            vars: vars.to_vec(),
+            values: values.to_vec(),
+        };
+        // Event 0 tests two of its four variables, out of order; event 1
+        // tests one of three; event 2 all of its two.
+        let inst = JsonInstance {
+            variables: vec![
+                var(&[0, 1], 3),
+                var(&[0], 2),
+                var(&[0, 2], 5),
+                var(&[0, 1, 2], 4),
+                var(&[1], 2),
+            ],
+            events: vec![ev(&[3, 1], &[2, 0]), ev(&[4], &[1]), ev(&[3, 2], &[0, 4])],
+        };
+        let built = inst.build_instance().unwrap();
+        let old = predicate_form(&inst);
+        for v in 0..3 {
+            let (x, y) = (built.event(v), old.event(v));
+            assert_eq!(x.support(), y.support(), "event {v}");
+            assert!(x.bad_tuples().eq(y.bad_tuples()), "event {v}");
+        }
+        assert_eq!(built.event(0).bad_tuples().len(), 15);
     }
 }

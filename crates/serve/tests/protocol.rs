@@ -165,6 +165,52 @@ fn oversized_instances_are_refused() {
     );
 }
 
+/// One clause over 64 variables has one bad tuple, so it is as cheap
+/// to build and solve as a short one; enumerating its `2^64` value
+/// combinations would never finish.
+#[test]
+fn a_width_64_clause_solves_in_well_under_a_second() {
+    let literals: Vec<String> = (1..=64).map(|x| x.to_string()).collect();
+    let input = format!(
+        "{{\"id\":\"w64\",\"dimacs\":\"p cnf 64 1\\n{} 0\\n\"}}\n",
+        literals.join(" ")
+    );
+    let start = Instant::now();
+    let (lines, code) = run(&[], &input);
+    let elapsed = start.elapsed();
+    assert_eq!(code, 0);
+    assert!(
+        lines[0].starts_with(r#"{"id":"w64","status":"ok","#),
+        "line 0: {}",
+        lines[0]
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+/// Event 0 tests one of nine 4-valued variables, so its bad set is
+/// `4^8 = 65536` tuples, past `MAX_BAD_TUPLES`: a typed `invalid`
+/// error, after which the same engine answers the next request.
+#[test]
+fn an_event_expanding_past_the_bound_is_invalid_and_the_engine_goes_on() {
+    let variables = [r#"{"affects":[0],"k":4}"#; 9].join(",");
+    let input = format!(
+        "{{\"id\":\"wide\",\"instance\":{{\"variables\":[{variables}],\"events\":[{{\"vars\":[0],\"values\":[0]}}]}}}}\n{}\n",
+        r#"{"id":"next","dimacs":"p cnf 2 2\n1 2 0\n-1 2 0\n"}"#
+    );
+    let (lines, code) = run(&["--batch", "1"], &input);
+    assert_eq!(code, 0);
+    assert_eq!(
+        lines[0],
+        r#"{"id":"wide","status":"error","error":{"kind":"invalid","message":"event 0 has over 32768 bad tuples"}}"#
+    );
+    assert!(
+        lines[1].starts_with(r#"{"id":"next","status":"ok","#),
+        "line 1: {}",
+        lines[1]
+    );
+    assert_eq!(lines.len(), 2);
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let (_, code) = run(&["--frobnicate"], "");

@@ -39,12 +39,13 @@
 //! use sharp_lll::core::{Fixer3, InstanceBuilder};
 //!
 //! let mut b = InstanceBuilder::<f64>::new(3);
-//! let x = b.add_uniform_variable(&[0, 1], 4); // 4-valued, affects events 0 and 1
+//! b.add_uniform_variable(&[0, 1], 4); // variable 0: 4-valued, affects events 0 and 1
 //! let y = b.add_uniform_variable(&[1, 2], 4);
 //! let z = b.add_uniform_variable(&[0, 2], 4);
-//! b.set_event_predicate(0, move |vals| vals[x] == 0 && vals[z] == 0);
-//! b.set_event_predicate(1, move |vals| vals[x] == 1 && vals[y] == 1);
-//! b.set_event_predicate(2, move |vals| vals[y] == 2 && vals[z] == 2);
+//! // Bad tuples in support order: event 0's support is variables 0 and 2.
+//! b.set_event_bad_tuples(0, [[0, 0]]);
+//! b.set_event_bad_tuples(1, [[1, 1]]);
+//! b.set_event_predicate(2, move |vals| vals[y] == 2 && vals[z] == 2); // or a predicate
 //! let instance = b.build()?;
 //!
 //! let report = Fixer3::new(&instance)?.run_default()?;

@@ -1,11 +1,11 @@
 //! Differential tests of the exact engine against plain rational folds.
 //!
 //! * The conditional-probability kernel (integer weights over interned
-//!   common denominators) against a test-only `Σ Π p` fold, on every
-//!   engine arm: stack and heap buffers, the truth table's
-//!   occurring-tuple list, and the predicate odometer past the table
-//!   limit; with mixed denominators (some past `i128`), ranks 1 to 3
-//!   and impossible events.
+//!   common denominators) against a test-only `Σ Π p` fold, on both
+//!   engine arms (stack and heap buffers), for events built from a
+//!   predicate and, past `MAX_BAD_TUPLES` value combinations, from
+//!   shuffled bad tuples; with mixed denominators (some past `i128`),
+//!   ranks 1 to 3 and impossible events.
 //! * The shared rank-≤2 value search of both fixers against the
 //!   rational argmin of `φ_e^u·Inc(u, y) + φ_e^v·Inc(v, y)`, exact ties
 //!   and zero `φ` entries included.
@@ -17,7 +17,9 @@
 use std::cmp::Ordering;
 
 use lll_core::triples::{decompose, representability_score};
-use lll_core::{Fixer2, Fixer3, Instance, InstanceBuilder, PartialAssignment, Phi, ValueRule};
+use lll_core::{
+    Fixer2, Fixer3, Instance, InstanceBuilder, PartialAssignment, Phi, ValueRule, MAX_BAD_TUPLES,
+};
 use lll_numeric::{BigInt, BigRational, Num};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -136,11 +138,10 @@ fn dyadic(k: usize, rng: &mut StdRng) -> Vec<BigRational> {
     probs
 }
 
-/// Value counts of event 0's support, one shape per engine arm:
-/// a short tabled support; a tabled support longer than the 16-slot
-/// stack buffers (kept small by single-valued variables); three
-/// 33-valued variables, past the 2^15-entry table limit; and a long
-/// untabled support.
+/// Value counts of event 0's support: a short support; a support
+/// longer than the 16-slot stack buffers (its `Π k` kept small by
+/// single-valued variables); three 33-valued variables, past
+/// `MAX_BAD_TUPLES` value combinations; and a long support past it.
 fn arm_shape(arm: usize, extra: usize) -> Vec<usize> {
     match arm {
         0 => (0..1 + extra % 6).map(|i| 2 + (i + extra) % 3).collect(),
@@ -177,14 +178,30 @@ fn arm_instance(
         .collect();
     let own = b.add_uniform_variable(&[1], 3);
     let first = support[0];
-    b.set_event_predicate(0, move |vals| {
-        let sum: usize = support
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (i + 1) * vals[x])
-            .sum();
+    let bad = move |values: &mut dyn Iterator<Item = usize>| {
+        let sum: usize = values.enumerate().map(|(i, y)| (i + 1) * y).sum();
         sum % modulus == residue
-    });
+    };
+    let size: usize = ks.iter().product();
+    if size <= MAX_BAD_TUPLES {
+        b.set_event_predicate(0, move |vals| bad(&mut support.iter().map(|&x| vals[x])));
+    } else {
+        let mut tuples: Vec<Vec<usize>> = (0..size)
+            .map(|idx| {
+                let mut rest = idx;
+                ks.iter()
+                    .map(|&k| {
+                        let y = rest % k;
+                        rest /= k;
+                        y
+                    })
+                    .collect::<Vec<usize>>()
+            })
+            .filter(|t| bad(&mut t.iter().copied()))
+            .collect();
+        tuples.shuffle(rng);
+        b.set_event_bad_tuples(0, tuples);
+    }
     b.set_event_predicate(1, move |vals| vals[first] + vals[own] == residue % 3);
     b.build().unwrap()
 }
@@ -259,8 +276,8 @@ fn reference_cost(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The kernel equals the rational fold on every engine arm, under
-    /// the empty and a random partial assignment.
+    /// The kernel equals the rational fold on every shape of
+    /// `arm_shape`, under the empty and a random partial assignment.
     #[test]
     fn kernel_matches_the_rational_fold_on_every_arm(
         extra in 0usize..64,
@@ -522,6 +539,7 @@ fn random_rank3_instance<T: Num>(seed: u64, max_k: usize, uncertified: bool) -> 
     let mut b = InstanceBuilder::<T>::new(events);
     let backend = |probs: Vec<BigRational>| probs.into_iter().map(T::from_rational).collect();
     let mut supports = vec![Vec::new(); events];
+    let mut ks = Vec::new(); // value counts, by variable
     let main = if max_k > 8 {
         2
     } else {
@@ -539,6 +557,7 @@ fn random_rank3_instance<T: Num>(seed: u64, max_k: usize, uncertified: bool) -> 
             some_probs(k, &mut rng)
         };
         let x = b.add_variable(&triple, backend(probs));
+        ks.push(k);
         for &e in &triple {
             supports[e].push(x);
         }
@@ -552,6 +571,7 @@ fn random_rank3_instance<T: Num>(seed: u64, max_k: usize, uncertified: bool) -> 
         }
         let k = rng.random_range(2..4usize);
         let x = b.add_variable(&affects, backend(some_probs(k, &mut rng)));
+        ks.push(k);
         for &e in &affects {
             supports[e].push(x);
         }
@@ -567,6 +587,7 @@ fn random_rank3_instance<T: Num>(seed: u64, max_k: usize, uncertified: bool) -> 
                     BigRational::new(rest, d),
                 ]),
             );
+            ks.push(2);
             supports[0].push(x);
         }
     }
@@ -577,10 +598,34 @@ fn random_rank3_instance<T: Num>(seed: u64, max_k: usize, uncertified: bool) -> 
             .collect();
         let modulus = rng.random_range(2..7usize);
         let hits: Vec<bool> = (0..modulus).map(|_| rng.random_bool(0.3)).collect();
-        b.set_event_predicate(ev, move |vals| {
-            let sum: usize = support.iter().zip(&coef).map(|(&x, &c)| c * vals[x]).sum();
+        let bad = move |values: &mut dyn Iterator<Item = usize>| {
+            let sum: usize = values.zip(&coef).map(|(y, &c)| c * y).sum();
             hits[sum % modulus]
-        });
+        };
+        let event_ks: Vec<usize> = support.iter().map(|&x| ks[x]).collect();
+        let size: usize = event_ks.iter().product();
+        if size <= MAX_BAD_TUPLES {
+            b.set_event_predicate(ev, move |vals| bad(&mut support.iter().map(|&x| vals[x])));
+        } else {
+            // Past the bound (up to 64 values with the uncertified
+            // coins): the predicate's first `MAX_BAD_TUPLES` bad tuples
+            // in index order.
+            let tuples = (0..size)
+                .map(|idx| {
+                    let mut rest = idx;
+                    event_ks
+                        .iter()
+                        .map(|&k| {
+                            let y = rest % k;
+                            rest /= k;
+                            y
+                        })
+                        .collect::<Vec<usize>>()
+                })
+                .filter(|t| bad(&mut t.iter().copied()))
+                .take(MAX_BAD_TUPLES);
+            b.set_event_bad_tuples(ev, tuples);
+        }
     }
     b.build().unwrap()
 }

@@ -63,21 +63,44 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, r)
 }
 
-/// Event 0 has a tabled support of three biased variables with mixed
-/// denominators (the occurring-tuple arm); event 1 shares the first and
-/// adds three 33-valued variables, past the truth-table limit (the
-/// predicate odometer).
+/// Every tuple over value counts `ks` (position 0 fastest) on which
+/// `bad` holds: a wide event's bad set, listed by brute force.
+fn tuples_where(ks: &[usize], bad: impl Fn(&[usize]) -> bool) -> Vec<Vec<usize>> {
+    let size: usize = ks.iter().product();
+    (0..size)
+        .map(|idx| {
+            let mut rest = idx;
+            ks.iter()
+                .map(|&k| {
+                    let y = rest % k;
+                    rest /= k;
+                    y
+                })
+                .collect::<Vec<usize>>()
+        })
+        .filter(|t| bad(t))
+        .collect()
+}
+
+/// Event 0 has a short support of three biased variables with mixed
+/// denominators; event 1 shares the first and adds three 33-valued
+/// variables, past `MAX_BAD_TUPLES` value combinations, so its bad set
+/// is given as tuples (a list of about 15,000).
 fn instance() -> Instance<BigRational> {
     let q = BigRational::from_ratio;
     let mut b = InstanceBuilder::<BigRational>::new(2);
     let x = b.add_variable(&[0, 1], vec![q(1, 6), q(1, 2), q(1, 3)]);
     let y = b.add_variable(&[0], vec![q(3, 10), q(7, 10)]);
     let z = b.add_uniform_variable(&[0], 4);
-    let wide: Vec<usize> = (0..3).map(|_| b.add_uniform_variable(&[1], 33)).collect();
+    for _ in 0..3 {
+        b.add_uniform_variable(&[1], 33);
+    }
     b.set_event_predicate(0, move |vals| vals[x] + vals[y] + vals[z] == 2);
-    b.set_event_predicate(1, move |vals| {
-        (vals[x] + vals[wide[0]] * vals[wide[1]] + vals[wide[2]]) % 7 == 3
-    });
+    // Support order: x, then the three wide variables.
+    b.set_event_bad_tuples(
+        1,
+        tuples_where(&[3, 33, 33, 33], |t| (t[0] + t[1] * t[2] + t[3]) % 7 == 3),
+    );
     b.build().unwrap()
 }
 
@@ -204,13 +227,20 @@ fn warm_fixing_steps_on_small_values_allocate_nothing() {
     let c = b.add_variable(&[0, 1], thirds());
     let wide4 = b.add_uniform_variable(&[0], 4);
     let coin = b.add_variable(&[0], vec![q(3, 10), q(7, 10)]);
-    let wide: Vec<usize> = (0..3).map(|_| b.add_uniform_variable(&[1], 33)).collect();
+    for _ in 0..3 {
+        b.add_uniform_variable(&[1], 33);
+    }
     b.set_event_predicate(0, move |vals| {
         vals[a] + vals[c] + vals[wide4] + vals[coin] == 2
     });
-    b.set_event_predicate(1, move |vals| {
-        (vals[a] + vals[c] + vals[wide[0]] * vals[wide[1]] + vals[wide[2]]) % 7 == 3
-    });
+    // Support order: a, c, then the three wide variables; modulo 14
+    // keeps the list within `MAX_BAD_TUPLES`.
+    b.set_event_bad_tuples(
+        1,
+        tuples_where(&[3, 3, 33, 33, 33], |t| {
+            (t[0] + t[1] + t[2] * t[3] + t[4]) % 14 == 3
+        }),
+    );
     let inst = b.build().unwrap();
     let mut fixer = Fixer2::new_unchecked(&inst).unwrap();
     // Warm-up: a 4-valued rank-1 step and a rank-2 step.
