@@ -186,7 +186,7 @@ done > "$tmp_serve/requests.jsonl"
 ./target/release/lll-serve < "$tmp_serve/requests.jsonl" > "$tmp_serve/t1.out"
 ./target/release/lll-serve --threads 4 --batch 32 \
   < "$tmp_serve/requests.jsonl" > "$tmp_serve/t4.out"
-./target/release/lll-serve --threads 4 --batch 32 --no-cache \
+./target/release/lll-serve --threads 4 --batch 32 --cache-capacity 0 \
   < "$tmp_serve/requests.jsonl" > "$tmp_serve/nocache.out"
 test "$(wc -l < "$tmp_serve/t1.out")" -eq 100
 cmp "$tmp_serve/t1.out" "$tmp_serve/t4.out"
@@ -247,24 +247,28 @@ cmp "$tmp_tel/quiet.out" "$tmp_tel/metered.out"
 test ! -e "$tmp_tel/metrics.sock" # exporter socket removed on shutdown
 rm -rf "$tmp_tel"
 
-echo "==> service mode: E18 cache counters (every warm request must hit the schedule cache)"
-# Gates the engine's deterministic cache counters over the timed warm
-# pass (hits == requests, misses == 0); latency and throughput columns
-# are reported context, not a gate.
+echo "==> service mode: E18 cache counters (every cold request misses, every warm one hits)"
+# Gates the engines' deterministic cache counters over their last timed
+# pass: cold (capacity 0) hits == 0 and misses == requests, warm
+# hits == requests and misses == 0. Latency and throughput columns are
+# reported context, not a gate.
 cargo run --release -q -p lll-bench --bin tables -- --csv results E18
 awk -F, '/^#/ { next } !hdr { for (i = 1; i <= NF; i++) col[$i] = i; hdr = 1; next }
-  $1 == "warm" { n = $col["requests"]; hits = $col["cache_hits"]; misses = $col["cache_misses"]; warm++ }
-  END { exit !(col["cache_hits"] && col["cache_misses"] && warm == 1 && n > 0 && hits == n && misses == 0) }' \
+  { n = $col["requests"]; hits = $col["cache_hits"]; misses = $col["cache_misses"] }
+  $col["mode"] == "cold" { cold++; if (!(n > 0 && hits == 0 && misses == n)) bad = 1 }
+  $col["mode"] == "warm" { warm++; if (!(n > 0 && hits == n && misses == 0)) bad = 1 }
+  END { exit !(col["mode"] && col["cache_hits"] && col["cache_misses"] && cold == 1 && warm == 1 && !bad) }' \
   results/e18_serve_throughput.csv
 
-echo "==> service mode: E19 telemetry overhead (scraped must be <= 1.05x quiet)"
-# Quiet and scraped passes run as alternated pairs in one process (which
-# mode goes first switches every pair); the gate reads the column named
-# `overhead`, the median per-pair scraped/quiet time ratio.
+echo "==> service mode: E19 telemetry counts (scrapes served, scraped counters match)"
+# Gates counts, not time: the scraped row must have served scrapes, and
+# a scrape taken after the last pass must report the engine's request
+# and cache-hit totals. The overhead columns (median per-pair
+# scraped/quiet time ratio) are a diagnostic, not a gate.
 cargo run --release -q -p lll-bench --bin tables -- --csv results E19
 awk -F, '/^#/ { next } !hdr { for (i = 1; i <= NF; i++) col[$i] = i; hdr = 1; next }
-  $col["mode"] == "scraped" { overhead = $col["overhead"]; scraped++ }
-  END { exit !(col["mode"] && col["overhead"] && scraped == 1 && overhead <= 1.05) }' \
+  $col["mode"] == "scraped" { scrapes = $col["scrapes"]; agree = $col["counters_match"]; scraped++ }
+  END { exit !(col["mode"] && col["scrapes"] && col["counters_match"] && scraped == 1 && scrapes > 0 && agree == 1) }' \
   results/e19_metrics_overhead.csv
 
 echo "==> cargo doc (warnings are errors)"

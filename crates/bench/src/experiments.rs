@@ -1022,7 +1022,8 @@ pub struct ServeThroughputRow {
 /// The E18/E19 serve workload: `requests` same-shape rank-3 DIMACS
 /// solve requests (ring formulas with `m` clauses of width `w`, distinct
 /// polarity seeds — one dependency graph, so one fingerprint), and two
-/// engines, with the schedule cache on or off as `caches` says. Every
+/// engines with the schedule-cache capacities `capacities` (`Some(0)`
+/// is the cache off). Every
 /// request runs through both engines before this returns, asserting
 /// identical response bytes and a solved status, so both engines are
 /// warm and the determinism contract holds before any pass is timed.
@@ -1031,7 +1032,7 @@ fn serve_workload(
     requests: usize,
     m: usize,
     w: usize,
-    caches: [bool; 2],
+    capacities: [Option<usize>; 2],
 ) -> (Vec<String>, [Arc<lll_serve::Engine>; 2], Vec<String>) {
     use lll_serve::{Engine, EngineConfig, Payload, Request, SolveRequest};
 
@@ -1047,9 +1048,9 @@ fn serve_workload(
             .to_json()
         })
         .collect();
-    let engines = caches.map(|cache| {
+    let engines = capacities.map(|cache_capacity| {
         Arc::new(Engine::new(EngineConfig {
-            cache,
+            cache_capacity,
             ..EngineConfig::default()
         }))
     });
@@ -1067,16 +1068,17 @@ fn serve_workload(
 }
 
 /// Runs experiment E18: the `serve_workload` through a cold engine
-/// (schedule recomputed per request) and a warm engine (fingerprint
-/// cache primed), the two sides of one [`sample`]. Latencies of every
-/// pass land in one [`lll_obs::hist::Histogram`] per mode; the workload
-/// builder has already run every request through both engines, so the
-/// sampler's warm-up pass is as warm as the timed ones. Each row also
-/// carries the engine's cache-counter deltas over its last timed pass,
-/// the deterministic evidence that every warm request skipped the
-/// coloring.
+/// (cache capacity 0, schedule recomputed per request) and a warm
+/// engine (fingerprint cache primed), the two sides of one [`sample`].
+/// Latencies of every pass land in one [`lll_obs::hist::Histogram`]
+/// per mode; the workload builder has already run every request
+/// through both engines, so the sampler's warm-up pass is as warm as
+/// the timed ones. Each row also carries the engine's cache-counter
+/// deltas over its last timed pass, the deterministic evidence that
+/// every cold request colored its schedule and every warm one skipped
+/// the coloring.
 pub fn e18_serve_throughput(requests: usize, m: usize, w: usize) -> Vec<ServeThroughputRow> {
-    let (wire, engines, _) = serve_workload(requests, m, w, [false, true]);
+    let (wire, engines, _) = serve_workload(requests, m, w, [Some(0), None]);
     assert_eq!(
         engines[1].cached_schedules(),
         1,
@@ -1151,8 +1153,41 @@ pub struct MetricsOverheadRow {
     /// pass time.
     pub inst_per_sec: f64,
     /// Per-round scraped pass time over the quiet one as `[q1, median,
-    /// q3]` (exactly 1 for `"quiet"`).
+    /// q3]` (exactly 1 for `"quiet"`). A diagnostic: on a shared host
+    /// its spread covers the effect it would measure.
     pub overhead: [f64; 3],
+    /// Scrapes served during the mode's passes (0 for `"quiet"`, whose
+    /// passes the scraper sits out).
+    pub scrapes: u64,
+    /// Whether the mode's exposition, read after the last pass, reports
+    /// `lll_serve_requests_total` and `lll_serve_cache_hits_total`
+    /// equal to its engine's [`lll_serve::EngineStats`]: through the
+    /// metrics socket for `"scraped"`, rendered in process for
+    /// `"quiet"`.
+    pub counters_match: bool,
+}
+
+/// One Prometheus scrape of the Unix socket at `path`: the whole HTTP
+/// response, or `None` when the exporter cannot be reached.
+fn scrape(path: &str) -> Option<String> {
+    use std::io::{Read, Write};
+    let mut s = std::os::unix::net::UnixStream::connect(path).ok()?;
+    s.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").ok()?;
+    let mut body = String::new();
+    s.read_to_string(&mut body).ok()?;
+    Some(body)
+}
+
+/// Whether `exposition` reports the request and cache-hit totals of
+/// `stats`.
+fn counters_match(exposition: &str, stats: &lll_serve::EngineStats) -> bool {
+    let value = |name: &str| {
+        exposition
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+    };
+    value("lll_serve_requests_total") == Some(stats.requests)
+        && value("lll_serve_cache_hits_total") == Some(stats.cache_hits)
 }
 
 /// Runs experiment E19: the warm E18 workload (`serve_workload` with
@@ -1160,13 +1195,14 @@ pub struct MetricsOverheadRow {
 /// Prometheus exporter bound to a Unix socket with a scraper thread
 /// fetching the exposition throughout — the two sides of one
 /// [`sample`]. Every pass asserts its response bytes identical to the
-/// workload's (the side-band contract), and CI gates the overhead
-/// median at ≤ 1.05.
+/// workload's (the side-band contract). CI gates the counts, not the
+/// time ratio: the scraped row must have served scrapes, and its
+/// post-run scrape must agree with the engine's counters.
 pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsOverheadRow> {
     use lll_serve::{spawn_telemetry, TelemetryConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let (wire, engines, baseline) = serve_workload(requests, m, w, [true, true]);
+    let (wire, engines, baseline) = serve_workload(requests, m, w, [None, None]);
 
     // The exporter is bound to engine 1 for the whole experiment; the
     // scraper hits it only while `active` is up (the scraped passes),
@@ -1192,18 +1228,12 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
         let active = Arc::clone(&active);
         let path = socket.clone();
         std::thread::spawn(move || {
-            use std::io::{Read, Write};
             let mut scrapes = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                if active.load(Ordering::Relaxed) {
-                    if let Ok(mut s) = std::os::unix::net::UnixStream::connect(&path) {
-                        let _ = s.write_all(b"GET /metrics HTTP/1.0\r\n\r\n");
-                        let mut body = String::new();
-                        let _ = s.read_to_string(&mut body);
-                        if body.contains("lll_serve_requests_total") {
-                            scrapes += 1;
-                        }
-                    }
+                if active.load(Ordering::Relaxed)
+                    && scrape(&path).is_some_and(|body| body.contains("lll_serve_requests_total"))
+                {
+                    scrapes += 1;
                 }
                 // 10 scrapes/sec — an order of magnitude beyond any
                 // production Prometheus cadence, but not a busy-spin
@@ -1246,21 +1276,30 @@ pub fn e19_metrics_overhead(requests: usize, m: usize, w: usize) -> Vec<MetricsO
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("scraper thread");
     assert!(scrapes > 0, "E19 scraped mode never scraped the socket");
+    let matches = [
+        counters_match(&engines[0].render_metrics(), &engines[0].stats()),
+        scrape(&socket).is_some_and(|body| counters_match(&body, &engines[1].stats())),
+    ];
     telemetry.shutdown();
 
     ["quiet", "scraped"]
         .into_iter()
         .zip(hists.iter().zip(timed))
-        .map(|(mode, (hist, ((), t)))| MetricsOverheadRow {
-            mode: mode.to_owned(),
-            requests,
-            clauses: m,
-            width: w,
-            p50_micros: hist.p50(),
-            p99_micros: hist.p99(),
-            inst_per_sec: requests as f64 / (t.millis[1] / 1e3),
-            overhead: t.ratio,
-        })
+        .zip([0, scrapes].into_iter().zip(matches))
+        .map(
+            |((mode, (hist, ((), t))), (scrapes, counters_match))| MetricsOverheadRow {
+                mode: mode.to_owned(),
+                requests,
+                clauses: m,
+                width: w,
+                p50_micros: hist.p50(),
+                p99_micros: hist.p99(),
+                inst_per_sec: requests as f64 / (t.millis[1] / 1e3),
+                overhead: t.ratio,
+                scrapes,
+                counters_match,
+            },
+        )
         .collect()
 }
 

@@ -2,15 +2,15 @@
 //!
 //! Everything computable in `r` LOCAL rounds is computable by collecting
 //! the radius-`r` ball (ids + edges) and post-processing it locally;
-//! this module provides that collection as a reusable [`NodeProgram`]
-//! plus the [`solve_by_gathering`] driver. The toolkit uses it in tests
+//! this module provides that collection as a reusable [`NodeProgram`],
+//! [`GatherProgram`]. The toolkit uses it in tests
 //! as an oracle (e.g. to verify that the fixers' schedules only ever
 //! depend on bounded neighborhoods) and it rounds out the simulator as a
 //! general-purpose LOCAL workbench.
 
 use std::collections::BTreeSet;
 
-use crate::{Inbox, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
+use crate::{Inbox, NodeContext, NodeProgram, RoundResult};
 
 /// The radius-`r` view of a node: every id within distance `r` and every
 /// edge with at least one endpoint within distance `r - 1` (exactly the
@@ -125,39 +125,26 @@ impl NodeProgram for GatherProgram {
     }
 }
 
-/// Runs the canonical "gather radius `r`, then decide locally" LOCAL
-/// algorithm: every node collects its ball and applies `decide`.
-///
-/// Costs exactly `max(r, 1)` rounds (radius 0 still needs one round to
-/// halt).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn solve_by_gathering<O, F>(
-    sim: &Simulator<'_>,
-    radius: usize,
-    decide: F,
-) -> Result<(Vec<O>, usize), SimError>
-where
-    F: Fn(&Ball) -> O,
-{
-    let run = sim.run_auto(|_| GatherProgram::new(radius), radius + 2)?;
-    let outputs = run.outputs.iter().map(&decide).collect();
-    Ok((outputs, run.rounds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
     use lll_graphs::gen::{ring, torus};
+
+    /// Every node's radius-`radius` ball, and the rounds the gather took.
+    fn gather(sim: &Simulator<'_>, radius: usize) -> (Vec<Ball>, usize) {
+        let run = sim
+            .run_auto(|_| GatherProgram::new(radius), radius + 2)
+            .unwrap();
+        (run.outputs, run.rounds)
+    }
 
     #[test]
     fn ball_sizes_on_ring() {
         let g = ring(20);
         let sim = Simulator::new(&g);
         for radius in [0usize, 1, 2, 3] {
-            let (balls, rounds) = solve_by_gathering(&sim, radius, |b: &Ball| b.clone()).unwrap();
+            let (balls, rounds) = gather(&sim, radius);
             assert_eq!(rounds, radius.max(1));
             for (v, ball) in balls.iter().enumerate() {
                 assert_eq!(ball.center, v as u64);
@@ -170,16 +157,16 @@ mod tests {
     fn ball_sizes_on_torus() {
         let g = torus(7, 7);
         let sim = Simulator::new(&g);
-        let (balls, _) = solve_by_gathering(&sim, 2, |b: &Ball| b.ids.len()).unwrap();
+        let (balls, _) = gather(&sim, 2);
         // |B_2| in the 4-regular torus: 1 + 4 + 8 = 13.
-        assert!(balls.iter().all(|&s| s == 13));
+        assert!(balls.iter().all(|b| b.ids.len() == 13));
     }
 
     #[test]
     fn collected_edges_support_distances() {
         let g = ring(12);
         let sim = Simulator::new(&g);
-        let (balls, _) = solve_by_gathering(&sim, 3, |b: &Ball| b.clone()).unwrap();
+        let (balls, _) = gather(&sim, 3);
         let b0 = &balls[0];
         assert_eq!(b0.distance_to(0), Some(0));
         assert_eq!(b0.distance_to(3), Some(3));
@@ -193,8 +180,11 @@ mod tests {
         // has the locally maximal id within distance 2.
         let g = torus(5, 5);
         let sim = Simulator::with_shuffled_ids(&g, 3);
-        let (flags, rounds) =
-            solve_by_gathering(&sim, 2, |b: &Ball| b.ids.iter().all(|&x| x <= b.center)).unwrap();
+        let (balls, rounds) = gather(&sim, 2);
+        let flags: Vec<bool> = balls
+            .iter()
+            .map(|b| b.ids.iter().all(|&x| x <= b.center))
+            .collect();
         assert_eq!(rounds, 2);
         // The flagged set is a distance-3 independent set and non-empty.
         let winners: Vec<usize> = (0..25).filter(|&v| flags[v]).collect();

@@ -15,7 +15,7 @@
 //! the byte-identity guarantee.
 //!
 //! Live telemetry (DESIGN.md §3.11) lives in [`metrics`]: a
-//! [`MetricsRegistry`] of sharded counters/gauges/histograms with
+//! [`MetricsRegistry`] of counters/gauges/histograms with
 //! Prometheus text-format exposition — like [`timing`], a strictly
 //! side-band channel that never feeds the deterministic stream.
 //!

@@ -9,70 +9,38 @@
 //! the timing channel it is strictly side-band — nothing here may feed
 //! back into the deterministic path (DESIGN.md §3.11).
 //!
-//! Hot-path writes never contend on a shared lock: counters and
-//! histograms are sharded into per-worker cells (a thread picks its
-//! cell once, via a thread-local slot id) and merged only on read.
-//! Histograms additionally maintain a small ring of rolling windows so
-//! a scrape can report *recent* p50/p99 next to the cumulative
+//! Each metric is one cell: a counter is one relaxed atomic, a
+//! histogram one mutex over its cumulative [`Histogram`] and a small
+//! ring of rolling windows, held only for a record or a read. The
+//! windows let a scrape report *recent* p50/p99 next to the cumulative
 //! quantiles; the exporter advances the ring by calling
 //! [`MetricsRegistry::rotate_windows`] on its own clock.
 
 use crate::hist::Histogram;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Cells per sharded metric. A power of two so the slot mapping is a
-/// mask; 16 covers every worker-pool width the daemon clamps to.
-const SHARDS: usize = 16;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Rolling-window ring length: quantiles labelled "window" cover the
 /// last `WINDOW_SLOTS` rotations (the exporter rotates every few
 /// seconds, so this is on the order of the last half minute).
 const WINDOW_SLOTS: usize = 4;
 
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// This thread's stable shard index. Assigned once per thread from a
-/// global counter, so a fixed worker pool spreads across cells and a
-/// cell is never written by two threads at once in the common case
-/// (correctness never depends on that — cells are atomics or mutexes).
-fn shard_slot() -> usize {
-    SLOT.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
-            s.set(v);
-        }
-        v & (SHARDS - 1)
-    })
-}
-
-/// One cache line per cell so neighbouring shards do not false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
 struct CounterCore {
     name: &'static str,
     labels: String,
     help: &'static str,
-    cells: [PaddedU64; SHARDS],
+    value: AtomicU64,
 }
 
-/// A monotone counter handle. Cloning shares the underlying cells.
+/// A monotone counter handle. Cloning shares the underlying cell.
 #[derive(Clone)]
 pub struct Counter(Arc<CounterCore>);
 
 impl Counter {
-    /// Adds `n`. One relaxed atomic add on this thread's cell.
+    /// Adds `n`. One relaxed atomic add.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.cells[shard_slot()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -81,22 +49,17 @@ impl Counter {
         self.add(1);
     }
 
-    /// Merge-on-read total across all cells.
+    /// Current total.
     pub fn value(&self) -> u64 {
-        self.0
-            .cells
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.value.load(Ordering::Relaxed)
     }
 
-    /// Mirrors an externally-tracked monotone total into this counter
-    /// (cell 0 is overwritten; the other cells must stay untouched).
+    /// Mirrors an externally-tracked monotone total into this counter.
     /// For counters whose source of truth lives outside the registry —
     /// e.g. the topology cache's own hit/miss atomics — and is synced
     /// at scrape time.
     pub fn sync_total(&self, total: u64) {
-        self.0.cells[0].0.store(total, Ordering::Relaxed);
+        self.0.value.store(total, Ordering::Relaxed);
     }
 }
 
@@ -130,77 +93,61 @@ impl Gauge {
     }
 }
 
-/// Per-shard state: the cumulative histogram plus the rolling ring.
-struct HistShard {
+/// A histogram's one cell: the cumulative histogram plus the rolling
+/// ring.
+struct HistCells {
     cumulative: Histogram,
     windows: [Histogram; WINDOW_SLOTS],
-}
-
-impl HistShard {
-    const fn new() -> HistShard {
-        HistShard {
-            cumulative: Histogram::new(),
-            windows: [const { Histogram::new() }; WINDOW_SLOTS],
-        }
-    }
+    /// Current window slot (monotone; slot index is `epoch % WINDOW_SLOTS`).
+    epoch: usize,
 }
 
 struct HistCore {
     name: &'static str,
     help: &'static str,
-    /// Heap-allocated: a shard is ~`(1 + WINDOW_SLOTS)` histograms, so
-    /// the full cell array is around a megabyte — far too large to
-    /// construct by value on the stack.
-    shards: Vec<Mutex<HistShard>>,
-    /// Current window slot (monotone; slot index is `epoch % WINDOW_SLOTS`).
-    epoch: AtomicU64,
+    cells: Mutex<HistCells>,
 }
 
-/// A sharded histogram handle (summary metric). Cloning shares cells.
+/// A histogram handle (summary metric). Cloning shares the cell.
 #[derive(Clone)]
 pub struct MetricHist(Arc<HistCore>);
 
 impl MetricHist {
-    /// Records one sample into this thread's shard: one short,
-    /// uncontended lock (each worker has its own cell) and two array
-    /// stores (cumulative + current window).
+    /// Records one sample: one short lock and two array stores
+    /// (cumulative + current window).
     #[inline]
     pub fn record(&self, value: u64) {
-        let slot = (self.0.epoch.load(Ordering::Relaxed) as usize) % WINDOW_SLOTS;
-        let mut shard = self.0.shards[shard_slot()].lock().expect("metric shard");
-        shard.cumulative.record(value);
-        shard.windows[slot].record(value);
+        let mut cells = self.cells();
+        let slot = cells.epoch % WINDOW_SLOTS;
+        cells.cumulative.record(value);
+        cells.windows[slot].record(value);
     }
 
-    /// Merge-on-read cumulative histogram.
+    /// A copy of the cumulative histogram.
     pub fn merged(&self) -> Histogram {
-        let mut out = Histogram::new();
-        for shard in &self.0.shards {
-            out.merge(&shard.lock().expect("metric shard").cumulative);
-        }
-        out
+        self.cells().cumulative.clone()
     }
 
-    /// Merge-on-read rolling-window histogram (all ring slots — the
-    /// last `WINDOW_SLOTS` rotations, including the current partial
-    /// window).
+    /// The rolling-window histogram: all ring slots merged — the last
+    /// `WINDOW_SLOTS` rotations, including the current partial window.
     pub fn window(&self) -> Histogram {
+        let cells = self.cells();
         let mut out = Histogram::new();
-        for shard in &self.0.shards {
-            let shard = shard.lock().expect("metric shard");
-            for w in &shard.windows {
-                out.merge(w);
-            }
+        for w in &cells.windows {
+            out.merge(w);
         }
         out
     }
 
     fn rotate(&self) {
-        let next = self.0.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = (next as usize) % WINDOW_SLOTS;
-        for shard in &self.0.shards {
-            shard.lock().expect("metric shard").windows[slot] = Histogram::new();
-        }
+        let mut cells = self.cells();
+        cells.epoch += 1;
+        let slot = cells.epoch % WINDOW_SLOTS;
+        cells.windows[slot] = Histogram::new();
+    }
+
+    fn cells(&self) -> MutexGuard<'_, HistCells> {
+        self.0.cells.lock().expect("metric histogram")
     }
 }
 
@@ -223,7 +170,7 @@ impl Metric {
 /// A registry of named metrics, rendered in registration order.
 ///
 /// Registration takes a lock; the returned handles never touch it
-/// again — hot-path writes go straight to the sharded cells.
+/// again — hot-path writes go straight to the metric's own cell.
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<Vec<Metric>>,
@@ -264,7 +211,7 @@ impl MetricsRegistry {
             name,
             labels: render_labels(labels),
             help,
-            cells: Default::default(),
+            value: AtomicU64::new(0),
         });
         self.metrics
             .lock()
@@ -294,8 +241,11 @@ impl MetricsRegistry {
         let core = Arc::new(HistCore {
             name,
             help,
-            shards: (0..SHARDS).map(|_| Mutex::new(HistShard::new())).collect(),
-            epoch: AtomicU64::new(0),
+            cells: Mutex::new(HistCells {
+                cumulative: Histogram::new(),
+                windows: [const { Histogram::new() }; WINDOW_SLOTS],
+                epoch: 0,
+            }),
         });
         self.metrics
             .lock()
@@ -338,8 +288,11 @@ impl MetricsRegistry {
             }
             match metric {
                 Metric::Counter(c) => {
-                    let total: u64 = c.cells.iter().map(|x| x.0.load(Ordering::Relaxed)).sum();
-                    out.push_str(&format!("{name}{} {total}\n", c.labels));
+                    out.push_str(&format!(
+                        "{name}{} {}\n",
+                        c.labels,
+                        c.value.load(Ordering::Relaxed)
+                    ));
                 }
                 Metric::Gauge(g) => {
                     out.push_str(&format!(
@@ -390,18 +343,32 @@ mod tests {
     fn counters_sum_across_threads() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("lll_test_total", "test counter");
+        let h = reg.histogram("lll_test_micros", "test histogram");
+        let done = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let c = c.clone();
+                let (c, h, done) = (c.clone(), h.clone(), &done);
                 s.spawn(move || {
-                    for _ in 0..1000 {
+                    for v in 0..1000 {
                         c.inc();
+                        h.record(v);
                     }
+                    done.fetch_add(1, Ordering::Relaxed);
                 });
             }
+            // A scraper reading and rotating while the writers run.
+            s.spawn(|| {
+                while done.load(Ordering::Relaxed) < 8 {
+                    assert!(reg.render().contains("lll_test_micros_count "));
+                    reg.rotate_windows();
+                }
+            });
         });
         assert_eq!(c.value(), 8000);
-        assert!(reg.render().contains("lll_test_total 8000\n"));
+        assert_eq!(h.merged().count(), 8000);
+        let text = reg.render();
+        assert!(text.contains("lll_test_total 8000\n"));
+        assert!(text.contains("lll_test_micros_count 8000\n"));
     }
 
     #[test]

@@ -44,8 +44,7 @@ OPTIONS:
     --batch N            max requests per batch [default: 16]
     --max-events N       largest accepted instance [default: 1048576]
     --max-line-bytes N   longest accepted request line [default: 8388608]
-    --no-cache           disable the schedule cache (cold baseline)
-    --cache-capacity N   bound the schedule cache to N entries (LRU)
+    --cache-capacity N   bound the schedule cache to N entries (LRU; 0 = off)
     --socket PATH        listen on a Unix socket instead of stdin
     --metrics PATH       serve Prometheus metrics on a Unix socket
     --stats-interval S   print a stats snapshot to stderr every S seconds
@@ -125,7 +124,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--batch" => serve.batch = num("--batch")?.max(1),
             "--max-events" => engine.max_events = num("--max-events")?,
             "--max-line-bytes" => serve.max_line_bytes = num("--max-line-bytes")?,
-            "--no-cache" => engine.cache = false,
             "--cache-capacity" => engine.cache_capacity = Some(num("--cache-capacity")?),
             "--socket" => {
                 socket = Some(

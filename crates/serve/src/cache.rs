@@ -10,8 +10,9 @@
 //! recompute, never a wrong schedule.
 //!
 //! An unbounded cache ([`TopologyCache::new`]) never evicts — the
-//! daemon's workloads are bounded batches, and `--no-cache` exists for
-//! the cold baseline. [`TopologyCache::with_capacity`] bounds the
+//! daemon's workloads are bounded batches, and capacity 0
+//! (`--cache-capacity 0`) is the cold baseline, storing nothing.
+//! [`TopologyCache::with_capacity`] bounds the
 //! entry count with least-recently-used eviction: every hit stamps the
 //! entry with a monotone use tick, and an insert past capacity drops
 //! the entry with the oldest stamp. Eviction only ever costs a
@@ -79,7 +80,8 @@ impl TopologyCache {
     /// Returns the cached schedule for `(g, seed, kind)`, or computes,
     /// stores, and returns it. The map lock is held across `compute`,
     /// so concurrent requests for the same shape compute the schedule
-    /// once and the rest hit.
+    /// once and the rest hit. At capacity 0 nothing is stored, so the
+    /// lock is never taken: every call is a miss computed concurrently.
     ///
     /// # Errors
     ///
@@ -91,6 +93,10 @@ impl TopologyCache {
         kind: ScheduleKind,
         compute: impl FnOnce() -> Result<Schedule, E>,
     ) -> Result<Arc<Schedule>, E> {
+        if self.capacity == Some(0) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return compute().map(Arc::new);
+        }
         let fp = g.fingerprint();
         let mut entries = self.entries.lock().expect("cache lock poisoned");
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -105,9 +111,6 @@ impl TopologyCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let schedule = Arc::new(compute()?);
-        if self.capacity == Some(0) {
-            return Ok(schedule);
-        }
         if let Some(cap) = self.capacity {
             let len: usize = entries.values().map(Vec::len).sum();
             if len >= cap {
@@ -160,11 +163,6 @@ impl TopologyCache {
     /// Entries evicted by the LRU bound so far (always 0 unbounded).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// The configured entry bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of stored schedules.

@@ -37,16 +37,14 @@ use crate::response::{OkResponse, Response};
 
 /// Engine configuration. All of it is deterministic input: two engines
 /// with the same config produce byte-identical responses for the same
-/// requests, regardless of `cache` (which only changes *when* work
-/// happens, not what it computes).
+/// requests, regardless of `cache_capacity` (which only changes *when*
+/// work happens, not what it computes).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Schedule seed used when a request does not carry one.
     pub default_seed: u64,
-    /// Whether to reuse schedules across same-shape requests.
-    pub cache: bool,
     /// Schedule-cache entry bound with LRU eviction (`None` =
-    /// unbounded, the historical behavior).
+    /// unbounded; `Some(0)` turns the cache off).
     pub cache_capacity: Option<usize>,
     /// Largest number of events a request may declare.
     pub max_events: usize,
@@ -56,7 +54,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             default_seed: 5,
-            cache: true,
             cache_capacity: None,
             max_events: 1 << 20,
         }
@@ -219,16 +216,13 @@ impl Engine {
                 )))
             }
         };
-        let compute = || match kind {
-            ScheduleKind::Edge => Schedule::edge(g, seed, 1),
-            ScheduleKind::Distance2 => Schedule::distance2(g, seed, 1),
-        };
-        let schedule = if self.config.cache {
-            self.cache.get_or_compute(g, seed, kind, compute)
-        } else {
-            compute().map(std::sync::Arc::new)
-        }
-        .map_err(|e| RequestError::internal(format!("schedule coloring failed: {e}")))?;
+        let schedule = self
+            .cache
+            .get_or_compute(g, seed, kind, || match kind {
+                ScheduleKind::Edge => Schedule::edge(g, seed, 1),
+                ScheduleKind::Distance2 => Schedule::distance2(g, seed, 1),
+            })
+            .map_err(|e| RequestError::internal(format!("schedule coloring failed: {e}")))?;
 
         // The sweep histograms are fed by a side-band timing sink
         // (DESIGN.md §3.11): spans are recorded *about* the sweep but

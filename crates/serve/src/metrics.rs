@@ -4,9 +4,10 @@
 //! summary the daemon exposes on one [`MetricsRegistry`]; the
 //! [`Engine`] owns the bundle and feeds it from the
 //! request path. Everything here is strictly side-band (DESIGN.md
-//! §3.11): metric writes are sharded relaxed atomics that never gate,
-//! reorder, or feed back into a solve, so the response stream and any
-//! teed recorder stream stay byte-identical with telemetry on or off.
+//! §3.11): metric writes (a relaxed atomic per counter, a short lock
+//! per histogram sample) never gate, reorder, or feed back into a
+//! solve, so the response stream and any teed recorder stream stay
+//! byte-identical with telemetry on or off.
 //!
 //! [`spawn_telemetry`] runs the export side on one background thread:
 //! a Prometheus text-format scrape endpoint on a Unix socket (answering
@@ -32,7 +33,8 @@ const ROTATE_EVERY: Duration = Duration::from_secs(5);
 /// Exporter poll tick: accept latency and shutdown latency ceiling.
 const TICK: Duration = Duration::from_millis(50);
 
-/// Every metric the daemon exposes, registered on one registry.
+/// Every metric the daemon exposes, registered on one registry, one
+/// cell per metric (DESIGN.md §3.11 sizes the per-request writes).
 ///
 /// Counters whose source of truth lives outside the registry (the
 /// topology cache's own atomics) are mirrored in at render time via

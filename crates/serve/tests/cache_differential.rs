@@ -87,7 +87,7 @@ fn triage(name: &str, cold: &str, warm: &str) -> String {
 
 fn assert_cold_equals_warm(name: &str, requests: &[String]) {
     let cold_engine = Engine::new(EngineConfig {
-        cache: false,
+        cache_capacity: Some(0),
         ..EngineConfig::default()
     });
     let warm_engine = Engine::new(EngineConfig::default());

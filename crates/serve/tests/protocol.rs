@@ -227,7 +227,7 @@ fn help_exits_0_and_documents_exit_codes() {
     let out = Command::new(BIN).arg("--help").output().expect("spawn");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).unwrap();
-    for needle in ["EXIT CODES", "shutdown", "--no-cache", "--socket"] {
+    for needle in ["EXIT CODES", "shutdown", "--cache-capacity", "--socket"] {
         assert!(text.contains(needle), "help is missing {needle:?}");
     }
 }
@@ -376,7 +376,10 @@ fn responses_identical_at_every_worker_count() {
         assert_eq!(lines, base, "stdout diverged at {threads} workers");
     }
     // And with the cache disabled: cold bytes == warm bytes.
-    let (cold, code) = run(&["--threads", "2", "--batch", "6", "--no-cache"], &input);
+    let (cold, code) = run(
+        &["--threads", "2", "--batch", "6", "--cache-capacity", "0"],
+        &input,
+    );
     assert_eq!(code, 0);
     assert_eq!(cold, base, "cache state leaked into responses");
 }

@@ -51,9 +51,9 @@ fn request_stream() -> String {
     input
 }
 
-fn run_stream(input: &str, threads: usize, cache: bool, batch: usize) -> Vec<u8> {
+fn run_stream(input: &str, threads: usize, cache_capacity: Option<usize>, batch: usize) -> Vec<u8> {
     let engine = Engine::new(EngineConfig {
-        cache,
+        cache_capacity,
         ..EngineConfig::default()
     });
     let mut out = Vec::new();
@@ -74,7 +74,7 @@ fn run_stream(input: &str, threads: usize, cache: bool, batch: usize) -> Vec<u8>
 #[test]
 fn response_stream_is_identical_at_every_worker_count() {
     let input = request_stream();
-    let base = run_stream(&input, 1, true, 8);
+    let base = run_stream(&input, 1, None, 8);
     assert!(!base.is_empty());
     let expected_lines = input.lines().filter(|l| !l.trim().is_empty()).count();
     assert_eq!(
@@ -84,14 +84,14 @@ fn response_stream_is_identical_at_every_worker_count() {
     );
     for t in thread_counts() {
         for batch in [1usize, 8, 64] {
-            let got = run_stream(&input, t, true, batch);
+            let got = run_stream(&input, t, None, batch);
             assert_eq!(
                 got, base,
                 "response stream diverged at {t} workers, batch {batch}"
             );
         }
         // Cache off: same bytes, colder schedule path.
-        let cold = run_stream(&input, t, false, 8);
+        let cold = run_stream(&input, t, Some(0), 8);
         assert_eq!(cold, base, "cold stream diverged at {t} workers");
     }
 }

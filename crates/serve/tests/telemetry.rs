@@ -87,6 +87,36 @@ fn capacity_zero_caches_nothing_but_still_answers() {
     assert_eq!(engine.cached_schedules(), 0);
     assert_eq!(engine.stats().cache_misses, 2);
     assert_eq!(engine.stats().cache_evictions, 0);
+
+    // The uncached path runs its misses concurrently: served at 4
+    // workers, the bytes match a cached engine's and nothing is stored.
+    let input: String = (0..16)
+        .map(|i| dimacs_request(&format!("z{i}"), 16 + 4 * (i % 2), None) + "\n")
+        .collect();
+    let serve_at = |engine: &Engine, threads| {
+        let mut out = Vec::new();
+        let config = ServeConfig {
+            threads,
+            batch: 8,
+            ..ServeConfig::default()
+        };
+        serve(engine, input.as_bytes(), &mut out, &config).expect("in-memory serve");
+        out
+    };
+    let cold = Engine::new(EngineConfig {
+        cache_capacity: Some(0),
+        ..EngineConfig::default()
+    });
+    assert_eq!(
+        serve_at(&cold, 4),
+        serve_at(&Engine::new(EngineConfig::default()), 1)
+    );
+    let stats = cold.stats();
+    assert_eq!(
+        (stats.requests, stats.cache_hits, stats.cache_misses),
+        (16, 0, 16)
+    );
+    assert_eq!(cold.cached_schedules(), 0);
 }
 
 /// Validates one rendered exposition against the text-format grammar:
