@@ -150,29 +150,6 @@ pub fn hyper_orientation_instance_general<T: Num>(
         .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
 }
 
-/// The failure probability of a degree-`delta` node under `m` random
-/// orientations requiring `t` non-sink rounds: `Pr[sink in > m − t]`
-/// with per-round sink probability `q = 3^-delta` — the quantity whose
-/// comparison against `2^-d` decides applicability.
-pub fn failure_probability(delta: usize, m: usize, t: usize) -> f64 {
-    assert!(t >= 1 && t <= m, "need 1 <= t <= m");
-    let q = 3f64.powi(-(delta as i32));
-    let mut total = 0.0;
-    for j in (m - t + 1)..=m {
-        total += binomial(m, j) as f64 * q.powi(j as i32) * (1.0 - q).powi((m - j) as i32);
-    }
-    total
-}
-
-fn binomial(n: usize, k: usize) -> u64 {
-    let k = k.min(n - k);
-    let mut acc = 1u64;
-    for i in 0..k {
-        acc = acc * (n - i) as u64 / (i + 1) as u64;
-    }
-    acc
-}
-
 #[cfg(test)]
 pub(crate) fn tests_support_fix(inst: &Instance<f64>) -> lll_core::FixReport {
     lll_core::Fixer3::new(inst)
@@ -188,6 +165,18 @@ mod tests {
     use lll_graphs::gen::{hyper_ring, random_3_uniform};
     use lll_graphs::Hyperedge;
     use lll_numeric::BigRational;
+
+    /// The failure probability of a degree-`delta` node under `m` random
+    /// orientations requiring `t` non-sink rounds: `Pr[sink in > m − t]`
+    /// with per-round sink probability `q = 3^-delta`.
+    fn analytic_failure(delta: usize, m: usize, t: usize) -> f64 {
+        let q = 3f64.powi(-(delta as i32));
+        let binomial =
+            |n: usize, k: usize| (0..k).fold(1u64, |acc, i| acc * (n - i) as u64 / (i + 1) as u64);
+        ((m - t + 1)..=m)
+            .map(|j| binomial(m, j) as f64 * q.powi(j as i32) * (1.0 - q).powi((m - j) as i32))
+            .sum()
+    }
 
     /// The instance's former form: each event a predicate counting
     /// sink rounds.
@@ -329,11 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn failure_probability_matches_exact_engine() {
+    fn analytic_failure_matches_exact_engine() {
         let h = hyper_ring(9); // delta = 3
         for (m, t) in [(2usize, 1usize), (3, 2), (4, 2)] {
             let inst = hyper_orientation_instance_general::<f64>(&h, m, t).unwrap();
-            let analytic = failure_probability(3, m, t);
+            let analytic = analytic_failure(3, m, t);
             let measured = inst.max_event_probability();
             assert!(
                 (analytic - measured).abs() < 1e-12,

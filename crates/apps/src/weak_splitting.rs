@@ -97,48 +97,6 @@ pub fn is_weak_splitting(bip: &Graph, nv: usize, coloring: &[usize], min_colors:
     })
 }
 
-/// Generalisation: every `V` node must see at least `min_colors`
-/// distinct colors (the paper's relaxation is `min_colors = 2`;
-/// [`weak_splitting_instance`] is that specialisation).
-///
-/// # Errors
-///
-/// Same structural errors as [`weak_splitting_instance`], plus
-/// `min_colors < 2` or `min_colors > colors`, or a `V` node of degree
-/// `δ` with `colors^δ` past [`lll_core::MAX_BAD_TUPLES`] (its bad set
-/// is read off a predicate).
-pub fn weak_splitting_instance_general<T: Num>(
-    bip: &Graph,
-    nv: usize,
-    colors: usize,
-    min_colors: usize,
-) -> Result<Instance<T>, AppError> {
-    if min_colors < 2 || min_colors > colors {
-        return Err(AppError::BadInput(format!(
-            "need 2 <= min_colors <= colors, got {min_colors} of {colors}"
-        )));
-    }
-    // Build the base instance for structure validation, then replace the
-    // predicates with the distinct-count version.
-    let n = bip.num_nodes();
-    weak_splitting_instance::<T>(bip, nv, colors)?; // validation only
-    let mut b = InstanceBuilder::<T>::new(nv);
-    let vars: Vec<usize> = (nv..n)
-        .map(|u| b.add_uniform_variable(bip.neighbors(u), colors))
-        .collect();
-    for v in 0..nv {
-        let nbrs: Vec<usize> = bip.neighbors(v).iter().map(|&u| vars[u - nv]).collect();
-        b.set_event_predicate(v, move |vals| {
-            let mut seen: Vec<usize> = nbrs.iter().map(|&x| vals[x]).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len() < min_colors
-        });
-    }
-    b.build()
-        .map_err(|e: BuildError| AppError::BadInput(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,10 +131,6 @@ mod tests {
             crate::assert_same_events(&f, &predicate_form(&bip, 12, colors, 2));
             let r = weak_splitting_instance::<BigRational>(&bip, 12, colors).unwrap();
             crate::assert_same_events(&r, &predicate_form(&bip, 12, colors, 2));
-            for min in 2..=3 {
-                let g = weak_splitting_instance_general::<BigRational>(&bip, 12, colors, min);
-                crate::assert_same_events(&g.unwrap(), &predicate_form(&bip, 12, colors, min));
-            }
         }
     }
 
@@ -226,32 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn general_form_specialises_to_the_paper() {
-        let bip = random_bipartite_biregular(10, 3, 10, 3, 9).unwrap();
-        let special = weak_splitting_instance::<f64>(&bip, 10, 16).unwrap();
-        let general = weak_splitting_instance_general::<f64>(&bip, 10, 16, 2).unwrap();
-        assert!((special.max_event_probability() - general.max_event_probability()).abs() < 1e-12);
-    }
-
-    #[test]
     fn demanding_more_colors_crosses_the_threshold() {
         let bip = random_bipartite_biregular(12, 3, 12, 3, 2).unwrap();
         // min_colors = 2: p = 16^-2 = 2^-8 < 2^-6 — below.
-        let relaxed = weak_splitting_instance_general::<f64>(&bip, 12, 16, 2).unwrap();
+        let relaxed = weak_splitting_instance::<f64>(&bip, 12, 16).unwrap();
         assert!(relaxed.satisfies_exponential_criterion());
         // min_colors = 3 (all three neighbors distinct): p = Pr[<= 2
         // distinct among 3 of 16] = 1 - 15*14/16² ≈ 0.18 > 2^-6 — above.
-        let strict = weak_splitting_instance_general::<f64>(&bip, 12, 16, 3).unwrap();
+        let strict = predicate_form::<f64>(&bip, 12, 16, 3);
         assert!(!strict.satisfies_exponential_criterion());
         let expected = 1.0 - (15.0 * 14.0) / (16.0 * 16.0);
         assert!((strict.max_event_probability() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn general_form_validation() {
-        let bip = random_bipartite_biregular(6, 3, 6, 3, 1).unwrap();
-        assert!(weak_splitting_instance_general::<f64>(&bip, 6, 16, 1).is_err());
-        assert!(weak_splitting_instance_general::<f64>(&bip, 6, 16, 17).is_err());
     }
 
     #[test]

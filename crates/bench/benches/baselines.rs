@@ -10,7 +10,7 @@ use lll_bench::workloads::{random_rank2_instance, shuffled_order};
 use lll_core::Fixer2;
 use lll_graphs::gen::{random_regular, ring, torus};
 use lll_mt::dist::distributed_mt;
-use lll_mt::{parallel_mt, sequential_mt, Selection};
+use lll_mt::{parallel_mt, sequential_mt};
 
 fn bench_mt(c: &mut Criterion) {
     let mut g = c.benchmark_group("e10_moser_tardos");
@@ -28,8 +28,7 @@ fn bench_mt(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                parallel_mt(black_box(inst), seed, 10_000_000, Selection::IdMinima)
-                    .expect("converges")
+                parallel_mt(black_box(inst), seed, 10_000_000).expect("converges")
             })
         });
         g.bench_with_input(BenchmarkId::new("message-passing", n), &inst, |b, inst| {
@@ -37,23 +36,6 @@ fn bench_mt(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 distributed_mt(black_box(inst), seed, 1 << 20, 1).expect("converges")
-            })
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("a3_mt_selection");
-    let graph = ring(512);
-    let inst = random_rank2_instance(&graph, 8, 0.9, 31);
-    for (label, sel) in [
-        ("id-minima", Selection::IdMinima),
-        ("random-priority", Selection::RandomPriority),
-    ] {
-        g.bench_with_input(BenchmarkId::from_parameter(label), &sel, |b, &sel| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                parallel_mt(black_box(&inst), seed, 10_000_000, sel).expect("converges")
             })
         });
     }
@@ -68,8 +50,7 @@ fn bench_boundary(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            parallel_mt(black_box(&inst), seed, 10_000_000, Selection::IdMinima)
-                .expect("classic regime")
+            parallel_mt(black_box(&inst), seed, 10_000_000).expect("classic regime")
         })
     });
     g.finish();

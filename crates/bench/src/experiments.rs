@@ -27,7 +27,7 @@ use lll_graphs::gen::{
 };
 use lll_local::log_star;
 use lll_mt::dist::distributed_mt;
-use lll_mt::{parallel_mt, sequential_mt, Selection};
+use lll_mt::{parallel_mt, sequential_mt};
 use lll_numeric::{BigRational, Num};
 use lll_obs::{NullRecorder, NullTiming, Recorder};
 
@@ -162,8 +162,7 @@ pub fn e2_rounds_rank2(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
             let inst = random_rank2_instance(&g, 8, 0.9, 7);
             let det = solve_seeded(&inst, ScheduleKind::Edge, 5, &workers(threads));
             assert!(det.fix.is_success());
-            let mt = parallel_mt(&inst, 5, 1_000_000, Selection::IdMinima)
-                .expect("classic criterion regime");
+            let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
             RoundsRow {
                 n,
                 log_star_n: log_star(n as u64),
@@ -185,8 +184,7 @@ pub fn e6_rounds_rank3(sizes: &[usize], threads: usize) -> Vec<RoundsRow> {
             let inst = random_rank3_instance(&h, 8, 0.9, 7);
             let det = solve_seeded(&inst, ScheduleKind::Distance2, 5, &workers(threads));
             assert!(det.fix.is_success());
-            let mt = parallel_mt(&inst, 5, 1_000_000, Selection::IdMinima)
-                .expect("classic criterion regime");
+            let mt = parallel_mt(&inst, 5, 1_000_000).expect("classic criterion regime");
             RoundsRow {
                 n,
                 log_star_n: log_star(n as u64),
@@ -425,8 +423,7 @@ pub fn e9_boundary(sizes: &[usize]) -> Vec<BoundaryRow> {
             let g = random_regular(n, 4, 21).expect("feasible parameters");
             let inst = sinkless_orientation_instance::<f64>(&g).expect("no isolated nodes");
             let refused = Fixer2::new(&inst).is_err();
-            let mt = parallel_mt(&inst, 17, 1_000_000, Selection::IdMinima)
-                .expect("classic criterion holds for d=4");
+            let mt = parallel_mt(&inst, 17, 1_000_000).expect("classic criterion holds for d=4");
             let orientation = orientation_from_assignment(&g, &mt.assignment);
             BoundaryRow {
                 n,
@@ -465,7 +462,7 @@ pub fn e10_mt_scaling(sizes: &[usize], trials: usize) -> Vec<MtRow> {
                 seq_total += sequential_mt(&inst, trial as u64, 10_000_000)
                     .expect("converges")
                     .resamplings;
-                par_total += parallel_mt(&inst, trial as u64, 10_000_000, Selection::IdMinima)
+                par_total += parallel_mt(&inst, trial as u64, 10_000_000)
                     .expect("converges")
                     .rounds;
             }
@@ -690,7 +687,7 @@ pub fn e12_honest_mt(sizes: &[usize], threads: usize) -> Vec<HonestMtRow> {
             let g = ring(n);
             let inst = random_rank2_instance(&g, 8, 0.9, 13);
             let honest = distributed_mt(&inst, 13, 1 << 20, threads).expect("converges");
-            let looped = parallel_mt(&inst, 13, 1 << 20, Selection::IdMinima).expect("converges");
+            let looped = parallel_mt(&inst, 13, 1 << 20).expect("converges");
             HonestMtRow {
                 n,
                 honest_rounds: honest.rounds,

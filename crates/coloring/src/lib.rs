@@ -14,12 +14,13 @@
 //! the edge coloring, `O(d² log d + log* n)` for the distance-2
 //! coloring (documented in `DESIGN.md`).
 //!
-//! All algorithms here are real [`NodeProgram`]s executed round-by-round
-//! on the [`Simulator`]; the reported round counts are honest
-//! communication-round counts, and the drivers that run a vertex-coloring
-//! program on a derived graph (`G²` for distance-2, the line graph for
-//! edge coloring) convert its native round count into host-graph rounds
-//! with the standard factor-2 simulation overhead.
+//! All algorithms here are real [`NodeProgram`](lll_local::NodeProgram)s
+//! executed round-by-round on the [`Simulator`]; the reported round
+//! counts are honest communication-round counts, and the drivers that
+//! run a vertex-coloring program on a derived graph (`G²` for
+//! distance-2, the line graph for edge coloring) convert its native
+//! round count into host-graph rounds with the standard factor-2
+//! simulation overhead.
 //!
 //! # Examples
 //!
@@ -39,16 +40,12 @@
 #![warn(missing_docs)]
 
 use lll_graphs::Graph;
-use lll_local::{Inbox, NodeContext, NodeProgram, RoundResult, SimError, Simulator};
+use lll_local::{SimError, Simulator};
 
-mod cole_vishkin;
 mod linial;
-mod mis;
 mod reduce;
 
-pub use cole_vishkin::{cole_vishkin_ring, cv_schedule, ColeVishkinProgram};
 pub use linial::{linial_schedule, LinialProgram};
-pub use mis::{is_mis, luby_mis, LubyProgram, MisMsg, MisResult};
 pub use reduce::{reduction_rounds, ReduceProgram};
 
 /// A computed coloring together with its honest round cost.
@@ -137,7 +134,8 @@ pub fn linial_coloring(sim: &Simulator<'_>, max_rounds: usize) -> Result<Colorin
 /// # Panics
 ///
 /// Panics if `target <= Δ` or the input coloring is not proper (both
-/// would make the recoloring step unsound).
+/// would make the recoloring step unsound), or if any simulator id is
+/// `>= n` (as in [`linial_coloring`], whose output this reduces).
 pub fn reduce_coloring(
     sim: &Simulator<'_>,
     input: &Coloring,
@@ -153,32 +151,20 @@ pub fn reduce_coloring(
     if input.palette <= target {
         return Ok(input.clone());
     }
-    let colors = input.colors.clone();
     let palette = input.palette;
     // Recover each node's input color through its id: the driver
     // addresses nodes by graph index, the program only sees ids (honest
-    // LOCAL algorithms receive their input locally anyway). Every stock
-    // id assignment is a permutation of 0..n, so a dense table covers
-    // the common case; truly sparse custom ids fall back to a hash map.
+    // LOCAL algorithms receive their input locally anyway).
     let n = g.num_nodes();
-    let dense: Option<Vec<usize>> = (0..n).all(|v| (sim.id_of(v) as usize) < 2 * n).then(|| {
-        let mut table = vec![0usize; 2 * n];
-        for v in 0..n {
-            table[sim.id_of(v) as usize] = colors[v];
-        }
-        table
-    });
-    let sparse: std::collections::HashMap<u64, usize> = match dense {
-        Some(_) => std::collections::HashMap::new(),
-        None => (0..n).map(|v| (sim.id_of(v), colors[v])).collect(),
-    };
-    let color_of_id = |id: u64| match &dense {
-        Some(table) => table[id as usize],
-        None => sparse[&id],
-    };
+    let mut color_of_id = vec![0usize; n];
+    for v in 0..n {
+        let id = sim.id_of(v) as usize;
+        assert!(id < n, "reduce_coloring requires ids < n");
+        color_of_id[id] = input.colors[v];
+    }
     let run = sim.run_auto(
         |ctx| {
-            let c = color_of_id(ctx.id);
+            let c = color_of_id[ctx.id as usize];
             ReduceProgram::new(c as u64, palette as u64, target as u64)
         },
         max_rounds,
@@ -201,25 +187,6 @@ pub fn vertex_coloring(sim: &Simulator<'_>, max_rounds: usize) -> Result<Colorin
     let rough = linial_coloring(sim, max_rounds)?;
     let target = sim.graph().max_degree() + 1;
     reduce_coloring(sim, &rough, target, max_rounds)
-}
-
-/// Vertex coloring with an explicit palette target `>= Δ + 1`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn vertex_coloring_with_target(
-    sim: &Simulator<'_>,
-    target: usize,
-    max_rounds: usize,
-) -> Result<Coloring, SimError> {
-    let rough = linial_coloring(sim, max_rounds)?;
-    reduce_coloring(
-        sim,
-        &rough,
-        target.max(sim.graph().max_degree() + 1),
-        max_rounds,
-    )
 }
 
 /// Distance-2 vertex coloring with `deg(G²) + 1 = O(Δ²)` colors in
@@ -282,24 +249,6 @@ pub fn greedy_coloring_sequential(g: &Graph) -> Vec<usize> {
             .expect("some color below deg+1 is free");
     }
     colors
-}
-
-/// Convenience [`NodeProgram`] that immediately halts with a constant —
-/// used by tests that need a do-nothing baseline.
-#[derive(Debug, Clone)]
-pub struct ConstProgram(pub u64);
-
-impl NodeProgram for ConstProgram {
-    type Message = ();
-    type Output = u64;
-
-    fn init(&mut self, _: &mut NodeContext) -> Option<()> {
-        None
-    }
-
-    fn round(&mut self, _: &mut NodeContext, _: Inbox<'_, ()>) -> RoundResult<(), u64> {
-        RoundResult::Halt(self.0)
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! Property tests for the distributed coloring pipeline.
 
 use lll_coloring::{
-    cole_vishkin_ring, distance2_coloring, edge_coloring, greedy_coloring_sequential, is_mis,
-    linial_coloring, luby_mis, reduction_rounds, vertex_coloring, vertex_coloring_with_target,
-    ReduceProgram,
+    distance2_coloring, edge_coloring, greedy_coloring_sequential, linial_coloring,
+    reduce_coloring, reduction_rounds, vertex_coloring, ReduceProgram,
 };
-use lll_graphs::gen::{gnp, random_regular, ring};
+use lll_graphs::gen::{gnp, random_regular};
 use lll_local::Simulator;
 use proptest::prelude::*;
 
@@ -78,7 +77,8 @@ proptest! {
         prop_assume!(g.max_degree() >= 1);
         let target = g.max_degree() + 3;
         let sim = Simulator::with_shuffled_ids(&g, seed);
-        let c = vertex_coloring_with_target(&sim, target, 100_000).expect("converges");
+        let rough = linial_coloring(&sim, 100_000).expect("converges");
+        let c = reduce_coloring(&sim, &rough, target, 100_000).expect("converges");
         prop_assert!(g.is_proper_coloring(&c.colors));
         prop_assert!(c.colors.iter().all(|&x| x < target));
     }
@@ -103,15 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn cole_vishkin_on_arbitrary_ring_sizes(n in 3usize..200, seed in 0u64..100) {
-        let g = ring(n);
-        let sim = Simulator::with_shuffled_ids(&g, seed);
-        let c = cole_vishkin_ring(&sim, 10_000).expect("converges");
-        prop_assert!(g.is_proper_coloring(&c.colors));
-        prop_assert!(c.colors.iter().all(|&x| x < 3));
-    }
-
-    #[test]
     fn colorings_work_under_adversarial_id_orders(n in 8usize..40, seed in 0u64..50) {
         // Reversed ids (high ids clustered at low indices) and identity
         // ids — deterministic LOCAL algorithms must handle any distinct
@@ -125,13 +116,5 @@ proptest! {
         let sim = Simulator::new(&g);
         let c = vertex_coloring(&sim, 100_000).expect("converges");
         prop_assert!(g.is_proper_coloring(&c.colors));
-    }
-
-    #[test]
-    fn luby_mis_on_random_graphs(n in 2usize..40, p in 0.0f64..0.6, seed in 0u64..1000) {
-        let g = gnp(n, p, seed);
-        let sim = Simulator::with_shuffled_ids(&g, seed);
-        let res = luby_mis(&sim, seed ^ 7).expect("converges");
-        prop_assert!(is_mis(&g, &res.in_mis));
     }
 }

@@ -7,7 +7,7 @@ use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
 
-use lll_graphs::{Graph, GraphBuilder, Hyperedge, Hypergraph};
+use lll_graphs::{Graph, GraphBuilder};
 use lll_numeric::{BigInt, BigRational, Num};
 
 use crate::error::{BuildError, FixerError};
@@ -190,11 +190,6 @@ impl PartialAssignment {
         self.fixed += 1;
     }
 
-    /// Number of fixed variables.
-    pub fn num_fixed(&self) -> usize {
-        self.fixed
-    }
-
     /// Whether every variable is fixed.
     pub fn is_complete(&self) -> bool {
         self.fixed == self.values.len()
@@ -216,14 +211,13 @@ impl PartialAssignment {
 /// An immutable LLL instance.
 ///
 /// Construct through [`InstanceBuilder`]. The instance owns the derived
-/// dependency graph and variable hypergraph, and provides the exact
-/// conditional-probability engine the fixers and the `P*` audit rely on.
+/// dependency graph and provides the exact conditional-probability
+/// engine the fixers and the `P*` audit rely on.
 #[derive(Debug, Clone)]
 pub struct Instance<T> {
     variables: Vec<Variable<T>>,
     events: Vec<Event>,
     dependency: Graph,
-    hypergraph: Hypergraph,
     /// The distinct variable distributions as integer tables, shared by
     /// every variable that has them (exact backends only; empty for
     /// `f64`).
@@ -266,12 +260,6 @@ impl<T: Num> Instance<T> {
     /// variable.
     pub fn dependency_graph(&self) -> &Graph {
         &self.dependency
-    }
-
-    /// The variable hypergraph `H`: one hyperedge per variable,
-    /// connecting the events it affects (hyperedge index = variable id).
-    pub fn hypergraph(&self) -> &Hypergraph {
-        &self.hypergraph
     }
 
     /// Maximum dependency degree `d` — the `d` of the criterion
@@ -646,15 +634,6 @@ impl<T: Num> Instance<T> {
     fn classic_criterion_for(&self, p: f64) -> bool {
         let d = self.max_dependency_degree() as f64;
         std::f64::consts::E * p * (d + 1.0) < 1.0
-    }
-
-    /// Whether the Chung–Pettie–Su polynomial criterion `e·p·d² < 1`
-    /// holds (the regime of their `O(log_{1/epd²} n)` algorithm the
-    /// paper's related-work section discusses). Evaluated in `f64`.
-    pub fn satisfies_cps_criterion(&self) -> bool {
-        let p = self.max_event_probability().to_f64();
-        let d = self.max_dependency_degree() as f64;
-        std::f64::consts::E * p * d * d < 1.0
     }
 
     /// A one-stop summary of the instance's LLL parameters, for display
@@ -1167,14 +1146,10 @@ impl<T: Num> InstanceBuilder<T> {
             });
         }
 
-        // Dependency graph & hypergraph.
+        // Dependency graph.
         let mut gb = GraphBuilder::new(self.num_events);
-        let mut hyperedges = Vec::with_capacity(variables.len());
-        let mut max_rank = 1;
         for var in &variables {
             let a = &var.affects;
-            max_rank = max_rank.max(a.len());
-            hyperedges.push(Hyperedge::new(a.iter().copied()));
             for i in 0..a.len() {
                 for j in i + 1..a.len() {
                     gb.add_edge(a[i], a[j]);
@@ -1182,8 +1157,6 @@ impl<T: Num> InstanceBuilder<T> {
             }
         }
         let dependency = gb.build().expect("validated event indices");
-        let hypergraph = Hypergraph::new(self.num_events, hyperedges, max_rank)
-            .expect("validated event indices");
 
         let (dists, dist_of) = intern_distributions(&variables);
         let certified = if T::is_exact() {
@@ -1198,7 +1171,6 @@ impl<T: Num> InstanceBuilder<T> {
             variables,
             events,
             dependency,
-            hypergraph,
             dists,
             dist_of,
             certified,
@@ -1328,8 +1300,7 @@ mod tests {
         assert_eq!(inst.max_rank(), 2);
         assert!(inst.dependency_graph().has_edge(0, 1));
         assert_eq!(inst.max_dependency_degree(), 1);
-        assert_eq!(inst.hypergraph().num_edges(), 3);
-        assert_eq!(inst.hypergraph().edge(0).nodes(), &[0, 1]);
+        assert_eq!(inst.variable(0).affects(), &[0, 1]);
     }
 
     #[test]
@@ -1341,8 +1312,7 @@ mod tests {
         // criterion: p·2^d = 1/4 · 2 = 1/2 < 1
         assert_eq!(inst.criterion_value(), BigRational::from_ratio(1, 2));
         assert!(inst.satisfies_exponential_criterion());
-        // CPS: e·(1/4)·1 < 1 holds; classic: e·(1/4)·2 > 1 fails.
-        assert!(inst.satisfies_cps_criterion());
+        // classic: e·(1/4)·2 > 1 fails.
         assert!(!inst.satisfies_classic_criterion());
 
         // Condition on the shared coin being heads.
@@ -2057,7 +2027,6 @@ mod tests {
     #[test]
     fn partial_assignment_bookkeeping() {
         let mut pa = PartialAssignment::new(3);
-        assert_eq!(pa.num_fixed(), 0);
         assert!(!pa.is_complete());
         pa.fix(1, 7);
         assert_eq!(pa.get(1), Some(7));

@@ -83,104 +83,6 @@ pub use instance::MAX_BAD_TUPLES;
 pub use instance::{Event, Instance, InstanceBuilder, PartialAssignment, VarValues, Variable};
 pub use triples::{Decomposition, Phi};
 
-/// Solves an instance with the strongest applicable deterministic
-/// method, in order of preference:
-///
-/// 1. [`Fixer3`] for rank ≤ 3 below the sharp threshold (Theorem 1.3;
-///    on a rank ≤ 2 instance it is the rank-2 process of Theorem 1.1),
-/// 2. [`FgFixer`] for any rank under the (much stronger) generic
-///    criterion `p·(d+1)^C < 1`, scheduled by a sequential greedy
-///    distance-2 coloring of the dependency graph.
-///
-/// # Errors
-///
-/// Returns the *sharp* criterion failure ([`FixerError::CriterionViolated`]
-/// with `p·2^d`) if no method's guarantee applies — callers wanting the
-/// unguaranteed greedy behaviour use the fixers' `new_unchecked`
-/// constructors directly.
-///
-/// # Examples
-///
-/// ```
-/// use lll_core::{solve_deterministically, InstanceBuilder};
-///
-/// let mut b = InstanceBuilder::<f64>::new(2);
-/// let x = b.add_uniform_variable(&[0, 1], 8);
-/// b.set_event_predicate(0, move |vals| vals[x] == 0);
-/// b.set_event_predicate(1, move |vals| vals[x] == 1);
-/// let inst = b.build()?;
-/// let report = solve_deterministically(&inst)?;
-/// assert!(report.is_success());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn solve_deterministically<T: lll_numeric::Num>(
-    inst: &Instance<T>,
-) -> Result<FixReport, FixerError> {
-    if let Ok(fixer) = Fixer3::new(inst) {
-        return fixer.run_default();
-    }
-    // Generic fallback: greedy distance-2 classes (sequential here; the
-    // distributed variant lives in `dist::distributed_fg`).
-    let classes = lll_coloring::greedy_coloring_sequential(&inst.dependency_graph().square());
-    let num_classes = classes.iter().copied().max().map_or(1, |c| c + 1);
-    if let Ok(fixer) = FgFixer::new(inst, num_classes) {
-        return Ok(fixer.run(&classes));
-    }
-    Err(FixerError::CriterionViolated {
-        p_times_2_to_d: inst.criterion_value().to_f64(),
-    })
-}
-
-#[cfg(test)]
-mod solve_tests {
-    use super::*;
-
-    #[test]
-    fn picks_the_sharp_fixers_when_applicable() {
-        let mut b = InstanceBuilder::<f64>::new(3);
-        let x = b.add_uniform_variable(&[0, 1, 2], 8);
-        b.set_event_predicate(0, move |vals| vals[x] == 0);
-        b.set_event_predicate(1, move |vals| vals[x] == 1);
-        b.set_event_predicate(2, move |vals| vals[x] == 2);
-        let inst = b.build().unwrap();
-        let report = solve_deterministically(&inst).unwrap();
-        assert!(report.is_success());
-    }
-
-    #[test]
-    fn falls_back_to_fg_for_rank4() {
-        // Rank 4, p = 1/64, d = 3: sharp fixers reject the rank; FG
-        // needs p·4^C < 1 with C classes from the greedy distance-2
-        // coloring of K4² = K4 (4 classes): 4^4/64 = 4 — fails! Make p
-        // rarer: k = 2048 ⇒ p·4^4 = 256/2048 < 1.
-        let mut b = InstanceBuilder::<f64>::new(4);
-        let x = b.add_uniform_variable(&[0, 1, 2, 3], 2048);
-        b.set_event_predicate(0, move |vals| vals[x] == 0);
-        b.set_event_predicate(1, move |vals| vals[x] == 1);
-        b.set_event_predicate(2, move |vals| vals[x] == 2);
-        b.set_event_predicate(3, move |vals| vals[x] == 3);
-        let inst = b.build().unwrap();
-        assert_eq!(inst.max_rank(), 4);
-        let report = solve_deterministically(&inst).unwrap();
-        assert!(report.is_success());
-    }
-
-    #[test]
-    fn reports_the_sharp_criterion_on_refusal() {
-        // At the threshold with rank 2: nothing applies.
-        let mut b = InstanceBuilder::<f64>::new(2);
-        let x = b.add_uniform_variable(&[0, 1], 2);
-        b.set_event_predicate(0, move |vals| vals[x] == 0);
-        b.set_event_predicate(1, move |vals| vals[x] == 1);
-        let inst = b.build().unwrap();
-        assert!((inst.criterion_value() - 1.0).abs() < 1e-12);
-        assert!(matches!(
-            solve_deterministically(&inst),
-            Err(FixerError::CriterionViolated { .. })
-        ));
-    }
-}
-
 /// One fixing step of a completed run: which variable was fixed, to
 /// what value, in what order. The trajectory is recorded by every fixer
 /// with or without a flight recorder attached, so callers can inspect

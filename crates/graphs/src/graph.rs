@@ -349,63 +349,6 @@ impl Graph {
         self.bfs_distances(0).iter().all(|&d| d != usize::MAX)
     }
 
-    /// Connected components: `component[v]` is the 0-based index of
-    /// `v`'s component (components numbered by smallest contained node).
-    pub fn connected_components(&self) -> Vec<usize> {
-        let n = self.num_nodes();
-        let mut component = vec![usize::MAX; n];
-        let mut next = 0;
-        for start in 0..n {
-            if component[start] != usize::MAX {
-                continue;
-            }
-            let id = next;
-            next += 1;
-            let mut queue = VecDeque::from([start]);
-            component[start] = id;
-            while let Some(v) = queue.pop_front() {
-                for &u in self.neighbors(v) {
-                    if component[u] == usize::MAX {
-                        component[u] = id;
-                        queue.push_back(u);
-                    }
-                }
-            }
-        }
-        component
-    }
-
-    /// The induced subgraph on `nodes`, together with the mapping from
-    /// new indices back to the original nodes.
-    ///
-    /// Duplicate entries in `nodes` are deduplicated; order is
-    /// normalized ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node is out of range.
-    pub fn induced_subgraph(&self, nodes: &[usize]) -> (Graph, Vec<usize>) {
-        let mut keep: Vec<usize> = nodes.to_vec();
-        keep.sort_unstable();
-        keep.dedup();
-        for &v in &keep {
-            assert!(v < self.num_nodes(), "node {v} out of range");
-        }
-        let index_of: std::collections::BTreeMap<usize, usize> =
-            keep.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut b = GraphBuilder::new(keep.len());
-        for &(u, v) in &self.edges {
-            if let (Some(&iu), Some(&iv)) = (index_of.get(&u), index_of.get(&v)) {
-                b.add_edge(iu, iv);
-            }
-        }
-        (
-            b.build()
-                .expect("induced subgraph of a valid graph is valid"),
-            keep,
-        )
-    }
-
     /// Validates a vertex coloring: proper iff no edge is monochromatic.
     pub fn is_proper_coloring(&self, colors: &[usize]) -> bool {
         colors.len() == self.num_nodes() && self.edges.iter().all(|&(u, v)| colors[u] != colors[v])
@@ -535,26 +478,6 @@ mod tests {
         assert!(triangle().is_connected());
         assert!(Graph::empty(1).is_connected());
         assert!(Graph::empty(0).is_connected());
-    }
-
-    #[test]
-    fn connected_components_numbering() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (4, 5)]).unwrap();
-        assert_eq!(g.connected_components(), vec![0, 0, 0, 1, 2, 2]);
-        assert_eq!(Graph::empty(3).connected_components(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn induced_subgraphs() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let (sub, mapping) = g.induced_subgraph(&[0, 1, 2, 2]);
-        assert_eq!(mapping, vec![0, 1, 2]);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 2); // path 0-1-2; edge (4,0) dropped
-        assert!(sub.has_edge(0, 1) && sub.has_edge(1, 2) && !sub.has_edge(0, 2));
-        let (empty, m) = g.induced_subgraph(&[]);
-        assert_eq!(empty.num_nodes(), 0);
-        assert!(m.is_empty());
     }
 
     #[test]

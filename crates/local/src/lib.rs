@@ -76,7 +76,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gather;
 pub mod gauges;
 pub mod parallel;
 pub mod pool;
@@ -87,8 +86,7 @@ pub use pool::PoolStats;
 use std::fmt;
 
 use lll_graphs::Graph;
-use lll_obs::timing::{span_nanos, span_start};
-use lll_obs::{Event, NullRecorder, NullTiming, Recorder, TimingScope, TimingSink};
+use lll_obs::{Event, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -427,50 +425,23 @@ impl<'g> Simulator<'g> {
     /// [`Simulator::run_auto_timed_recorded`] produces at any thread
     /// count. With [`NullRecorder`] this *is* `run`: the instrumentation
     /// is guarded by the `Recorder::ENABLED` associated constant and
-    /// compiles away.
+    /// compiles away. The reference engine records no timing spans;
+    /// timed runs go through the slab engine.
     ///
     /// # Errors
     ///
     /// As [`Simulator::run`].
     pub fn run_recorded<P, F, R>(
         &self,
-        make: F,
-        max_rounds: usize,
-        rec: &mut R,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: NodeProgram,
-        F: FnMut(&NodeContext) -> P,
-        R: Recorder,
-    {
-        self.run_timed_recorded(make, max_rounds, rec, &mut NullTiming)
-    }
-
-    /// [`Simulator::run_recorded`] with a side-band timing sink attached
-    /// (see `lll_obs::timing`). Wall-clock spans — the whole run
-    /// ([`TimingScope::SimRun`]) and every communication round
-    /// ([`TimingScope::SimRound`]) — flow only into `timing`, never into
-    /// `rec`, so the recorded event stream stays byte-identical whether
-    /// timing is enabled or not. With [`NullTiming`] the clock is never
-    /// read and this *is* `run_recorded`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::run`].
-    pub fn run_timed_recorded<P, F, R, T>(
-        &self,
         mut make: F,
         max_rounds: usize,
         rec: &mut R,
-        timing: &mut T,
     ) -> Result<RunOutcome<P::Output>, SimError>
     where
         P: NodeProgram,
         F: FnMut(&NodeContext) -> P,
         R: Recorder,
-        T: TimingSink,
     {
-        let run_started = span_start::<T>();
         let g = self.graph;
         let n = g.num_nodes();
         let info = NetworkInfo {
@@ -515,7 +486,6 @@ impl<'g> Simulator<'g> {
                 return Err(SimError::RoundLimitExceeded { limit: max_rounds });
             }
             rounds += 1;
-            let round_started = span_start::<T>();
             if R::ENABLED {
                 rec.record(&Event::RoundStart {
                     round: rounds,
@@ -565,9 +535,6 @@ impl<'g> Simulator<'g> {
                     running,
                 });
             }
-            if T::ENABLED {
-                timing.record_span(TimingScope::SimRound, span_nanos(round_started));
-            }
             if running == 0 && delivered == 0 {
                 // The terminal round carried no information — every
                 // remaining node halted on what it already knew, which is
@@ -578,9 +545,6 @@ impl<'g> Simulator<'g> {
         }
         if R::ENABLED {
             rec.record(&Event::SimRunEnd { rounds, messages });
-        }
-        if T::ENABLED {
-            timing.record_span(TimingScope::SimRun, span_nanos(run_started));
         }
         Ok(RunOutcome {
             outputs: outputs
@@ -621,7 +585,7 @@ pub fn log_star(mut n: u64) -> u32 {
 mod tests {
     use super::*;
     use lll_graphs::gen::{path, ring};
-    use lll_obs::SkipPrefixRecorder;
+    use lll_obs::{NullTiming, SkipPrefixRecorder, TimingScope};
     use rand::RngExt;
 
     /// Every node floods its id for `ttl` rounds, then outputs the set of

@@ -355,7 +355,7 @@ mod tests {
     fn agrees_with_loop_based_parallel_mt_on_solvability() {
         let inst = ring_instance(40, 3);
         let dist = distributed_mt(&inst, 2, 1 << 20, 1).unwrap();
-        let par = crate::parallel_mt(&inst, 2, 1 << 20, crate::Selection::IdMinima).unwrap();
+        let par = crate::parallel_mt(&inst, 2, 1 << 20).unwrap();
         assert!(inst.no_event_occurs(&dist.assignment).unwrap());
         assert!(inst.no_event_occurs(&par.assignment).unwrap());
     }

@@ -16,9 +16,8 @@
 //!
 //! * [`sequential_mt`] — the textbook loop (lowest-index violated event
 //!   first, which is a valid selection rule under MT's analysis).
-//! * [`parallel_mt`] — per round, all violated events that are local
-//!   minima among their violated neighbors (by event index or by fresh
-//!   random priorities, see [`Selection`]) resample their variables
+//! * [`parallel_mt`] — per round, all violated events whose index is
+//!   minimal among their violated neighbors resample their variables
 //!   simultaneously; this is the classic distributed
 //!   variant whose round count the experiments record. One MT round
 //!   costs a constant number of LOCAL rounds (exchange values, agree on
@@ -155,20 +154,9 @@ pub fn sequential_mt<T: Num>(
     }
 }
 
-/// Selection rule for the parallel driver: which violated events
-/// resample in a round (both yield independent sets; random priorities
-/// select larger sets in expectation — ablated in the benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Selection {
-    /// Violated events that are index-minimal among violated neighbors.
-    #[default]
-    IdMinima,
-    /// Luby-style: fresh random priorities per round, local minima win.
-    RandomPriority,
-}
-
 /// The parallel (distributed) Moser–Tardos algorithm: each round, the
-/// violated events that `selection` picks resample simultaneously.
+/// violated events that are index-minimal among their violated
+/// neighbors resample simultaneously.
 ///
 /// # Errors
 ///
@@ -177,7 +165,6 @@ pub fn parallel_mt<T: Num>(
     inst: &Instance<T>,
     seed: u64,
     max_rounds: usize,
-    selection: Selection,
 ) -> Result<MtReport, MtError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = inst.dependency_graph();
@@ -206,23 +193,12 @@ pub fn parallel_mt<T: Num>(
             }
             flags
         };
-        // Local minima among violated events form an independent set of
-        // the dependency graph (ties impossible: indices resp. fresh
-        // random priorities with index tiebreak are distinct).
-        let priority: Vec<(u64, usize)> = match selection {
-            Selection::IdMinima => (0..inst.num_events()).map(|v| (0, v)).collect(),
-            Selection::RandomPriority => (0..inst.num_events())
-                .map(|v| (rng.random::<u64>(), v))
-                .collect(),
-        };
+        // Index-minimal violated events form an independent set of the
+        // dependency graph (indices are distinct, so there are no ties).
         let selected: Vec<usize> = bad
             .iter()
             .copied()
-            .filter(|&v| {
-                g.neighbors(v)
-                    .iter()
-                    .all(|&u| !is_bad[u] || priority[u] > priority[v])
-            })
+            .filter(|&v| g.neighbors(v).iter().all(|&u| !is_bad[u] || u > v))
             .collect();
         debug_assert!(
             !selected.is_empty(),
@@ -273,19 +249,10 @@ mod tests {
     #[test]
     fn parallel_converges_and_counts_rounds() {
         let inst = ring_instance(100, 4);
-        let rep = parallel_mt(&inst, 3, 10_000, Selection::IdMinima).unwrap();
+        let rep = parallel_mt(&inst, 3, 10_000).unwrap();
         assert!(inst.no_event_occurs(&rep.assignment).unwrap());
         assert!(rep.rounds >= 1);
         assert_eq!(rep.local_rounds(), rep.rounds * LOCAL_ROUNDS_PER_MT_ROUND);
-    }
-
-    #[test]
-    fn random_priority_selection_also_converges() {
-        let inst = ring_instance(80, 4);
-        let id = parallel_mt(&inst, 3, 10_000, Selection::IdMinima).unwrap();
-        let luby = parallel_mt(&inst, 3, 10_000, Selection::RandomPriority).unwrap();
-        assert!(inst.no_event_occurs(&id.assignment).unwrap());
-        assert!(inst.no_event_occurs(&luby.assignment).unwrap());
     }
 
     #[test]
@@ -311,7 +278,7 @@ mod tests {
             Err(MtError::BudgetExhausted { budget: 50 })
         );
         assert_eq!(
-            parallel_mt(&inst, 0, 50, Selection::IdMinima),
+            parallel_mt(&inst, 0, 50),
             Err(MtError::BudgetExhausted { budget: 50 })
         );
     }
@@ -335,7 +302,7 @@ mod tests {
         let inst = b.build().unwrap();
         let rep = sequential_mt(&inst, 0, 10).unwrap();
         assert_eq!(rep.resamplings, 0);
-        let rep = parallel_mt(&inst, 0, 10, Selection::IdMinima).unwrap();
+        let rep = parallel_mt(&inst, 0, 10).unwrap();
         assert_eq!(rep.rounds, 0);
     }
 }

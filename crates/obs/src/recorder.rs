@@ -217,8 +217,7 @@ struct CheckpointState {
 /// carries thread-count and host facts and is therefore *excluded* from the
 /// cross-engine byte-identity contract; the event stream after it is
 /// engine-invariant. Write errors are sticky: the first one is kept and all
-/// later records become no-ops — check [`JsonlRecorder::take_error`] or
-/// [`JsonlRecorder::finish`].
+/// later records become no-ops, and [`JsonlRecorder::finish`] returns it.
 ///
 /// With [`JsonlRecorder::checkpoint_every`], the recorder additionally
 /// emits a `#checkpoint ` sidecar line after every N progress events
@@ -343,11 +342,6 @@ impl<W: Write> JsonlRecorder<W> {
     /// Lines written so far (including the meta line, if any).
     pub fn lines(&self) -> usize {
         self.lines
-    }
-
-    /// Takes the first write error, if one occurred.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
     }
 
     /// Flushes and returns the underlying writer, surfacing any sticky error.

@@ -4,8 +4,8 @@
 //! edge-coloring schedule, rank 3 to the rank-3 fixer under a
 //! distance-2 schedule (Theorems 1.1/1.3); rank > 3 is refused with an
 //! `out_of_regime` error. Schedules come from the [`TopologyCache`]
-//! keyed by graph fingerprint + seed, and the sweep runs through the
-//! `*_scheduled` drivers — the same code path a cold run takes, so a
+//! keyed by graph fingerprint + seed, and the sweep runs through
+//! [`dist::run`] — the same code path a cold run takes, so a
 //! cache hit cannot change a byte of the response or of a teed
 //! recorder stream.
 //!

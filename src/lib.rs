@@ -10,8 +10,8 @@
 //!   [`numeric::Num`] backend abstraction.
 //! * [`graphs`] — graphs, rank-≤3 hypergraphs and workload generators.
 //! * [`local`] — a synchronous LOCAL-model message-passing simulator.
-//! * [`coloring`] — distributed symmetry breaking (Linial, Cole–Vishkin,
-//!   distance-2 and edge coloring).
+//! * [`coloring`] — distributed symmetry breaking (Linial, block color
+//!   reduction, distance-2 and edge coloring).
 //! * [`core`] — the paper's contribution: LLL instances, the exact
 //!   probability engine, representable triples (`S_rep`), and the
 //!   deterministic sequential + distributed fixers for `r = 2` and `r = 3`

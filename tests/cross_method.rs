@@ -1,15 +1,16 @@
 //! Cross-method integration: every solving method in the workspace —
 //! the sharp-threshold fixers, the generic conditional-expectation
-//! fallback, the auto-dispatcher, and all three Moser–Tardos variants —
+//! fallback, and all three Moser–Tardos variants —
 //! run against the *same* instances and verified against each other.
 
+use sharp_lll::coloring::greedy_coloring_sequential;
 use sharp_lll::core::dist::{
     self, distributed_fg, CriterionCheck, DistError, DistReport, Schedule, Sweep,
 };
-use sharp_lll::core::{solve_deterministically, Fixer2, Fixer3, Instance, InstanceBuilder};
+use sharp_lll::core::{FgFixer, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::hyper_ring;
 use sharp_lll::mt::dist::distributed_mt;
-use sharp_lll::mt::{parallel_mt, sequential_mt, Selection};
+use sharp_lll::mt::{parallel_mt, sequential_mt};
 use sharp_lll::numeric::Num;
 use sharp_lll::obs::{NullRecorder, NullTiming};
 
@@ -71,22 +72,10 @@ fn every_method_solves_the_same_rank2_instance() {
             .to_vec(),
     ));
     solutions.push((
-        "auto",
-        solve_deterministically(&inst)
-            .unwrap()
-            .assignment()
-            .to_vec(),
-    ));
-    solutions.push((
         "mt-seq",
         sequential_mt(&inst, 1, 1 << 20).unwrap().assignment,
     ));
-    solutions.push((
-        "mt-par",
-        parallel_mt(&inst, 1, 1 << 20, Selection::IdMinima)
-            .unwrap()
-            .assignment,
-    ));
+    solutions.push(("mt-par", parallel_mt(&inst, 1, 1 << 20).unwrap().assignment));
     solutions.push((
         "mt-msg",
         distributed_mt(&inst, 1, 1 << 20, 1).unwrap().assignment,
@@ -107,18 +96,20 @@ fn deterministic_methods_agree_on_rank3_applicability() {
     let sharp = distributed3(&inst, 2).unwrap();
     assert!(sharp.fix.is_success());
     // ...while the generic criterion refuses the same instance
-    // (Enforce), yet its unchecked sweep still completes and the auto
-    // dispatcher routes to the sharp fixer.
+    // (Enforce), and the sequential rank-3 fixer solves it.
     assert!(distributed_fg(&inst, 2, CriterionCheck::Enforce, 1).is_err());
-    let auto = solve_deterministically(&inst).unwrap();
-    assert!(auto.is_success());
+    let sequential = Fixer3::new(&inst).unwrap().run_default().unwrap();
+    assert!(sequential.is_success());
 }
 
 #[test]
 fn deterministic_and_randomized_agree_on_boundary_refusals() {
     // At the threshold: all deterministic guarantees off, randomization on.
     let inst = ring_instance::<f64>(24, 2); // p·2^d = 1
-    assert!(solve_deterministically(&inst).is_err());
+    assert!(Fixer3::new(&inst).is_err());
+    let classes = greedy_coloring_sequential(&inst.dependency_graph().square());
+    let num_classes = classes.iter().max().map_or(1, |c| c + 1);
+    assert!(FgFixer::new(&inst, num_classes).is_err());
     let mt = sequential_mt(&inst, 7, 1 << 22).unwrap();
     assert!(inst.no_event_occurs(&mt.assignment).unwrap());
 }
@@ -127,7 +118,7 @@ fn deterministic_and_randomized_agree_on_boundary_refusals() {
 fn methods_work_on_exact_backend_too() {
     use sharp_lll::numeric::BigRational;
     let inst = ring_instance::<BigRational>(12, 3);
-    let report = solve_deterministically(&inst).unwrap();
+    let report = Fixer3::new(&inst).unwrap().run_default().unwrap();
     assert!(report.is_success());
     let d = distributed3(&inst, 0).unwrap();
     assert!(d.fix.is_success());

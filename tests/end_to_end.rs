@@ -17,7 +17,7 @@ use sharp_lll::graphs::gen::{
     hyper_ring, random_3_uniform, random_bipartite_biregular, random_regular, torus,
 };
 use sharp_lll::local::Simulator;
-use sharp_lll::mt::{parallel_mt, sequential_mt, Selection};
+use sharp_lll::mt::{parallel_mt, sequential_mt};
 use sharp_lll::numeric::Num;
 use sharp_lll::obs::{NullRecorder, NullTiming};
 
@@ -55,7 +55,7 @@ fn hypergraph_orientation_full_pipeline() {
         let heads = heads_from_assignment(&h, rep.fix.assignment());
         assert!(is_valid_orientation(&h, &heads), "seed {seed}");
         // The randomized baseline agrees this is solvable.
-        let mt = parallel_mt(&inst, seed, 1_000_000, Selection::IdMinima).expect("converges");
+        let mt = parallel_mt(&inst, seed, 1_000_000).expect("converges");
         let mt_heads = heads_from_assignment(&h, &mt.assignment);
         assert!(is_valid_orientation(&h, &mt_heads));
     }
@@ -89,8 +89,7 @@ fn boundary_problem_randomized_only() {
     // Deterministic guarantee refused at the threshold...
     assert!(sharp_lll::core::Fixer2::new(&inst).is_err());
     // ...randomization succeeds.
-    let mt = parallel_mt(&inst, 8, 1_000_000, Selection::IdMinima)
-        .expect("classic criterion holds for d = 4");
+    let mt = parallel_mt(&inst, 8, 1_000_000).expect("classic criterion holds for d = 4");
     let orientation = orientation_from_assignment(&g, &mt.assignment);
     assert!(is_sinkless(&g, &orientation));
 }

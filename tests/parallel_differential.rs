@@ -5,16 +5,19 @@
 //! topology, at every worker count.
 //!
 //! Coverage: hand-written probe programs (an arithmetic aggregator, a
-//! never-communicating program, lazy partial inbox readers next to
-//! neighbors that halt mid-run, ball gathering at radii 0..=3), the
-//! coloring stack (Linial, Cole–Vishkin, vertex/edge/distance-2
-//! reductions, Luby MIS with its per-node RNGs), and the paper's
-//! distributed drivers (rank-2/rank-3 fixers, honest Moser–Tardos).
-//! Program rows run both engines directly. The coloring, Cole–Vishkin,
-//! MIS and MT driver rows, and the fixers' schedules, are held to
-//! oracles that redo the driver's work on the reference engine. The
-//! fixer rows compare the fixers across thread counts; their schedules
-//! are the only part that runs on the LOCAL engine.
+//! never-communicating program, a randomized program drawing from the
+//! per-node RNGs, `Vec`-message flooding with nodes halting in three
+//! different rounds, lazy partial inbox readers next to neighbors that
+//! halt mid-run, port-addressed reads along a ring orientation), the
+//! probes' flight-recorder streams, the coloring stack (Linial,
+//! vertex/edge/distance-2 reductions, on the test graphs and on rings
+//! up to 257 nodes), and the paper's distributed drivers
+//! (rank-2/rank-3 fixers, honest Moser–Tardos). Program rows run both
+//! engines directly. The coloring and MT driver rows, and the fixers'
+//! schedules, are held to oracles that redo the driver's work on the
+//! reference engine. The fixer rows compare the fixers across thread
+//! counts; their schedules are the only part that runs on the LOCAL
+//! engine.
 //!
 //! Worker counts default to `{1, 2, 3, 8}`; CI overrides the list via
 //! `LLL_DIFF_THREADS` (comma-separated) to pin a single count per job.
@@ -23,16 +26,15 @@
 use std::collections::HashMap;
 use std::env;
 
+use rand::RngExt;
 use sharp_lll::coloring::{
-    cole_vishkin_ring, cv_schedule, distance2_coloring, edge_coloring, linial_coloring,
-    linial_schedule, luby_mis, vertex_coloring, ColeVishkinProgram, Coloring, LinialProgram,
-    LubyProgram, MisResult, ReduceProgram,
+    distance2_coloring, edge_coloring, linial_coloring, linial_schedule, vertex_coloring, Coloring,
+    LinialProgram, ReduceProgram,
 };
 use sharp_lll::core::dist::{self, DistReport, Schedule, ScheduleKind, Sweep};
 use sharp_lll::core::{Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, path, random_regular, ring, torus};
 use sharp_lll::graphs::Graph;
-use sharp_lll::local::gather::GatherProgram;
 use sharp_lll::local::{Inbox, NodeContext, NodeProgram, RoundResult, RunOutcome, Simulator};
 use sharp_lll::mt::dist::{distributed_mt, MtProgram};
 use sharp_lll::mt::MtReport;
@@ -217,19 +219,7 @@ where
             || reference.rounds != par.rounds
             || reference.messages != par.messages
         {
-            let record = |run: &dyn Fn(&mut sharp_lll::obs::JsonlRecorder<Vec<u8>>)| {
-                let mut rec = sharp_lll::obs::JsonlRecorder::new(Vec::new());
-                run(&mut rec);
-                String::from_utf8(rec.finish().expect("in-memory stream never fails"))
-                    .expect("stream is utf-8")
-            };
-            let seq_stream = record(&|rec| {
-                let _ = sim.run_recorded(|ctx| make(ctx), max_rounds, rec);
-            });
-            let par_stream = record(&|rec| {
-                let _ =
-                    psim.run_auto_timed_recorded(|ctx| make(ctx), max_rounds, rec, &mut NullTiming);
-            });
+            let (seq_stream, par_stream) = recorded_streams(sim, &psim, &make, max_rounds);
             let triage = match sharp_lll::obs::diff::diff_streams(&seq_stream, &par_stream, 3) {
                 Some(d) => d.to_string(),
                 None => "event streams agree; outcome aggregation diverged".to_string(),
@@ -241,6 +231,37 @@ where
             );
         }
     }
+}
+
+/// The flight-recorder streams of `make` on the reference engine
+/// (`Simulator::run_recorded` on `sim`) and on the slab engine
+/// (`Simulator::run_auto_timed_recorded` on `psim`). A run that fails
+/// still yields the events recorded before the failure.
+fn recorded_streams<P, F>(
+    sim: &Simulator<'_>,
+    psim: &Simulator<'_>,
+    make: F,
+    max_rounds: usize,
+) -> (String, String)
+where
+    P: NodeProgram + Send,
+    P::Message: Send + Sync,
+    P::Output: Send,
+    F: Fn(&NodeContext) -> P,
+{
+    let record = |run: &dyn Fn(&mut sharp_lll::obs::JsonlRecorder<Vec<u8>>)| {
+        let mut rec = sharp_lll::obs::JsonlRecorder::new(Vec::new());
+        run(&mut rec);
+        String::from_utf8(rec.finish().expect("in-memory stream never fails"))
+            .expect("stream is utf-8")
+    };
+    let seq_stream = record(&|rec| {
+        let _ = sim.run_recorded(|ctx| make(ctx), max_rounds, rec);
+    });
+    let par_stream = record(&|rec| {
+        let _ = psim.run_auto_timed_recorded(|ctx| make(ctx), max_rounds, rec, &mut NullTiming);
+    });
+    (seq_stream, par_stream)
 }
 
 /// Aggregator probe: floods ids for `ttl` rounds, halts with the
@@ -288,6 +309,40 @@ impl NodeProgram for Mute {
 
     fn round(&mut self, ctx: &mut NodeContext, _inbox: Inbox<'_, ()>) -> RoundResult<(), u64> {
         RoundResult::Halt(ctx.id * 2)
+    }
+}
+
+/// Randomized probe: every round a node draws from its private RNG,
+/// broadcasts the draw and folds what it hears in port order; it halts
+/// after `1 + id % 3` rounds. Per-node RNG streams must not depend on
+/// the engine or the worker that runs the node.
+#[derive(Debug, Clone, Default)]
+struct Dice {
+    left: usize,
+    acc: u64,
+}
+
+impl NodeProgram for Dice {
+    type Message = u64;
+    type Output = u64;
+
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<u64> {
+        self.left = 1 + (ctx.id % 3) as usize;
+        self.acc = ctx.rng.random();
+        Some(self.acc)
+    }
+
+    fn round(&mut self, ctx: &mut NodeContext, inbox: Inbox<'_, u64>) -> RoundResult<u64, u64> {
+        for msg in inbox.iter().flatten() {
+            self.acc = self.acc.rotate_left(7) ^ *msg;
+        }
+        self.left -= 1;
+        if self.left == 0 {
+            return RoundResult::Halt(self.acc);
+        }
+        let draw: u64 = ctx.rng.random();
+        self.acc ^= draw;
+        RoundResult::Continue(Some(draw))
     }
 }
 
@@ -394,6 +449,158 @@ fn probe_programs_match_across_engines() {
             );
         }
         assert_engines_agree(&format!("mute on {name}"), &sim, |_| Mute, 4);
+    }
+}
+
+#[test]
+fn vec_message_floods_match_across_engines() {
+    // `Vec`-sized messages read in port order through `inbox.iter()`,
+    // with nodes halting in three different rounds, under two id
+    // shuffles.
+    for (name, g) in test_graphs() {
+        for ids in [7u64, 42] {
+            let sim = Simulator::with_shuffled_ids(&g, ids);
+            assert_engines_agree(
+                &format!("flood(ids {ids}) on {name}"),
+                &sim,
+                |_| Flood::default(),
+                6,
+            );
+        }
+    }
+}
+
+#[test]
+fn per_node_rng_streams_match_across_engines() {
+    // Per-node RNG streams must be identical under both engines: they
+    // are seeded from the simulator seed and the node id, not from the
+    // execution order or the worker that runs the node.
+    for (name, g) in test_graphs() {
+        let sim = Simulator::with_shuffled_ids(&g, 23);
+        for seed in [5u64, 6] {
+            assert_engines_agree(
+                &format!("dice(seed {seed}) on {name}"),
+                &sim.clone().seed(seed),
+                |_| Dice::default(),
+                5,
+            );
+        }
+        // A different seed draws a different stream.
+        let a = sim
+            .clone()
+            .seed(5)
+            .run(|_| Dice::default(), 5)
+            .expect("dice");
+        let b = sim
+            .clone()
+            .seed(6)
+            .run(|_| Dice::default(), 5)
+            .expect("dice");
+        assert_ne!(a.outputs, b.outputs, "{name}: seeds 5 and 6 draw alike");
+    }
+}
+
+/// Port-addressed ring probe: a node is handed the port of its ring
+/// predecessor (orientation `v - 1 → v`), reads that port alone through
+/// `Inbox::get` and forwards the largest id it has heard. It halts after
+/// `hops` rounds with the largest id among itself and its `hops`
+/// predecessors.
+#[derive(Debug, Clone)]
+struct Chase {
+    pred: usize,
+    hops: usize,
+    max: u64,
+}
+
+impl NodeProgram for Chase {
+    type Message = u64;
+    type Output = u64;
+
+    fn init(&mut self, ctx: &mut NodeContext) -> Option<u64> {
+        self.max = ctx.id;
+        Some(self.max)
+    }
+
+    fn round(&mut self, _ctx: &mut NodeContext, inbox: Inbox<'_, u64>) -> RoundResult<u64, u64> {
+        if let Some(&m) = inbox.get(self.pred) {
+            self.max = self.max.max(m);
+        }
+        self.hops -= 1;
+        if self.hops == 0 {
+            RoundResult::Halt(self.max)
+        } else {
+            RoundResult::Continue(Some(self.max))
+        }
+    }
+}
+
+#[test]
+fn port_addressed_ring_reads_match_across_engines() {
+    for n in [3usize, 8, 65, 257] {
+        let g = ring(n);
+        let sim = Simulator::with_shuffled_ids(&g, n as u64);
+        let pred_of_id: HashMap<u64, usize> = (0..n)
+            .map(|v| {
+                let port = g.port_to(v, (v + n - 1) % n).expect("ring edge exists");
+                (sim.id_of(v), port)
+            })
+            .collect();
+        let bits = (usize::BITS - n.leading_zeros()) as usize;
+        for hops in [1usize, 3, bits] {
+            let make = |ctx: &NodeContext| Chase {
+                pred: pred_of_id[&ctx.id],
+                hops,
+                max: 0,
+            };
+            assert_engines_agree(
+                &format!("chase({hops} hops) on ring({n})"),
+                &sim,
+                make,
+                hops + 2,
+            );
+            // Each node saw exactly its `hops` predecessors.
+            let run = sim.run(make, hops + 2).expect("chase");
+            for v in 0..n {
+                let expected = (0..=hops).map(|k| sim.id_of((v + n * hops - k) % n)).max();
+                assert_eq!(Some(run.outputs[v]), expected, "ring({n}) node {v}");
+            }
+        }
+    }
+}
+
+#[test]
+fn recorded_streams_match_across_engines() {
+    // The flight-recorder stream of the reference engine is
+    // byte-identical to the slab engine's at every worker count, for
+    // probes with `Vec` messages, per-node RNGs, silent rounds and
+    // mid-run halts.
+    for (name, g) in test_graphs() {
+        let sim = Simulator::with_shuffled_ids(&g, 19).seed(4);
+        for threads in thread_counts_and_one() {
+            let psim = sim.clone().threads(threads);
+            let streams = [
+                (
+                    "flood",
+                    recorded_streams(&sim, &psim, |_| Flood::default(), 6),
+                ),
+                (
+                    "dice",
+                    recorded_streams(&sim, &psim, |_| Dice::default(), 5),
+                ),
+                (
+                    "sparse",
+                    recorded_streams(&sim, &psim, |_| Sparse::default(), 8),
+                ),
+                (
+                    "halt-watch",
+                    recorded_streams(&sim, &psim, |_| HaltWatch::default(), 4),
+                ),
+            ];
+            for (probe, (seq, par)) in streams {
+                assert!(!seq.is_empty(), "{probe} on {name}: empty stream");
+                assert_eq!(seq, par, "{probe} on {name} at {threads} threads");
+            }
+        }
     }
 }
 
@@ -533,36 +740,6 @@ fn message_bills_are_pinned() {
 }
 
 #[test]
-fn gather_matches_across_engines_at_all_radii() {
-    for (name, g) in test_graphs() {
-        let sim = Simulator::with_shuffled_ids(&g, 7);
-        for radius in [0usize, 1, 2, 3] {
-            assert_engines_agree(
-                &format!("gather(r={radius}) on {name}"),
-                &sim,
-                |_| GatherProgram::new(radius),
-                radius + 2,
-            );
-        }
-    }
-}
-
-#[test]
-fn luby_program_matches_across_engines() {
-    // Program-level: per-node RNG streams must be identical under both
-    // engines (seeded from the node id, not from execution order).
-    for (name, g) in test_graphs() {
-        let sim = Simulator::with_shuffled_ids(&g, 23).seed(5);
-        assert_engines_agree(
-            &format!("luby(12 iters) on {name}"),
-            &sim,
-            |_| LubyProgram::new(12),
-            64,
-        );
-    }
-}
-
-#[test]
 fn coloring_drivers_match_across_engines() {
     // Driver-level: at every `threads` value, every field of the
     // returned `Coloring` must equal the reference engine's.
@@ -602,6 +779,37 @@ fn coloring_drivers_match_across_engines() {
 }
 
 #[test]
+fn ring_coloring_drivers_match_the_oracle() {
+    // Rings on both sides of a power of two, where Linial's schedule
+    // changes length: Linial and the reduction to 3 colors at every
+    // `threads` value equal the reference engine, and are proper.
+    for n in [3usize, 8, 65, 257] {
+        let g = ring(n);
+        let sim = Simulator::with_shuffled_ids(&g, n as u64);
+        let budget = 10_000 + 4 * n;
+        let linial = oracle_linial(&sim, budget);
+        let vertex = oracle_vertex(&sim, budget);
+        assert_eq!(vertex.palette, 3, "ring({n}) palette");
+        for &(u, v) in g.edges() {
+            assert_ne!(vertex.colors[u], vertex.colors[v], "ring({n}) edge {u}-{v}");
+        }
+        for threads in thread_counts_and_one() {
+            let psim = sim.clone().threads(threads);
+            assert_eq!(
+                linial,
+                linial_coloring(&psim, budget).expect("linial"),
+                "linial on ring({n}) at {threads} threads"
+            );
+            assert_eq!(
+                vertex,
+                vertex_coloring(&psim, budget).expect("vertex"),
+                "vertex on ring({n}) at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
 fn schedules_match_the_oracle() {
     for (name, g) in test_graphs() {
         if g.num_edges() > 0 {
@@ -619,99 +827,6 @@ fn schedules_match_the_oracle() {
         hyper_instance::<f64>(48, 3).dependency_graph(),
         17,
     );
-}
-
-/// The Cole–Vishkin program of every node of a `ring(n)` simulator, set
-/// up as `cole_vishkin_ring` does: shared schedule, predecessor port
-/// from the ring orientation.
-fn cole_vishkin_programs(sim: &Simulator<'_>) -> impl Fn(&NodeContext) -> ColeVishkinProgram {
-    let g = sim.graph();
-    let n = g.num_nodes();
-    let schedule = cv_schedule(n as u64);
-    let pred_of_id: HashMap<u64, usize> = (0..n)
-        .map(|v| {
-            let port = g.port_to(v, (v + n - 1) % n).expect("ring edge exists");
-            (sim.id_of(v), port)
-        })
-        .collect();
-    move |ctx| ColeVishkinProgram::new(schedule.clone(), pred_of_id[&ctx.id])
-}
-
-/// The oracle of the Cole–Vishkin driver row: the same programs on the
-/// reference engine.
-fn oracle_cole_vishkin(sim: &Simulator<'_>, max_rounds: usize) -> Coloring {
-    let run = sim
-        .run(cole_vishkin_programs(sim), max_rounds)
-        .expect("oracle cole-vishkin");
-    Coloring {
-        colors: run.outputs.iter().map(|&c| c as usize).collect(),
-        palette: 3,
-        rounds: run.rounds,
-    }
-}
-
-#[test]
-fn cole_vishkin_program_matches_across_engines() {
-    for n in [3usize, 8, 65, 257] {
-        let g = ring(n);
-        let sim = Simulator::with_shuffled_ids(&g, n as u64);
-        assert_engines_agree(
-            &format!("cole-vishkin program on ring({n})"),
-            &sim,
-            cole_vishkin_programs(&sim),
-            10_000,
-        );
-    }
-}
-
-#[test]
-fn cole_vishkin_matches_across_engines() {
-    for n in [3usize, 8, 65, 257] {
-        let g = ring(n);
-        let sim = Simulator::with_shuffled_ids(&g, n as u64);
-        let reference = oracle_cole_vishkin(&sim, 10_000);
-        for threads in thread_counts_and_one() {
-            let par = cole_vishkin_ring(&sim.clone().threads(threads), 10_000).expect("cv");
-            assert_eq!(
-                reference, par,
-                "cole-vishkin ring({n}) at {threads} threads"
-            );
-        }
-    }
-}
-
-/// The oracle of the MIS driver row: `luby_mis`'s doubling loop, with
-/// every attempt on the reference engine.
-fn oracle_mis(sim: &Simulator<'_>, seed: u64) -> MisResult {
-    let n = sim.graph().num_nodes();
-    let mut budget = 4usize.max(2 * (64 - (n as u64).leading_zeros()) as usize);
-    let mut rounds = 0;
-    for attempt in 0u64.. {
-        let run = sim
-            .clone()
-            .seed(seed ^ (attempt.wrapping_mul(0x9E37_79B9)))
-            .run(|_| LubyProgram::new(budget), 4 * budget + 8)
-            .expect("oracle luby");
-        rounds += run.rounds;
-        if let Some(in_mis) = run.outputs.into_iter().collect::<Option<Vec<bool>>>() {
-            return MisResult { in_mis, rounds };
-        }
-        budget *= 2;
-        assert!(budget <= 16 * n + 64, "oracle MIS gave up");
-    }
-    unreachable!("the attempt counter never runs out")
-}
-
-#[test]
-fn mis_driver_matches_across_engines() {
-    for (name, g) in test_graphs() {
-        let sim = Simulator::with_shuffled_ids(&g, 13);
-        let reference = oracle_mis(&sim, 99);
-        for threads in thread_counts_and_one() {
-            let par = luby_mis(&sim.clone().threads(threads), 99).expect("mis");
-            assert_eq!(reference, par, "luby_mis on {name} at {threads} threads");
-        }
-    }
 }
 
 fn ring_instance<T: Num>(n: usize, k: usize) -> Instance<T> {

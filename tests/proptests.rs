@@ -2,15 +2,15 @@
 //! instance generation.
 
 use proptest::prelude::*;
-use sharp_lll::coloring::luby_mis;
+use sharp_lll::coloring::vertex_coloring;
 use sharp_lll::core::triples::{
     decompose, is_representable, representability_score, score_enclosure, Interval,
 };
 use sharp_lll::core::{audit_p_star, Fixer2, Fixer3, Instance, InstanceBuilder};
 use sharp_lll::graphs::gen::{hyper_ring, ring};
 use sharp_lll::graphs::Graph;
-use sharp_lll::local::gather::GatherProgram;
 use sharp_lll::local::Simulator;
+use sharp_lll::mt::dist::MtProgram;
 use sharp_lll::numeric::{BigInt, BigRational};
 
 fn q(n: i64, d: u64) -> BigRational {
@@ -343,10 +343,12 @@ proptest! {
     /// Metamorphic equivariance: relabeling the graph's nodes by a
     /// random permutation (carrying the ids along) must permute the
     /// outputs of a LOCAL algorithm and change nothing else — round
-    /// bills included — under both round engines. Checks the gather
-    /// primitive (ball contents are id-based, so corresponding nodes
-    /// get *equal* balls) and Luby MIS (membership is a function of ids
-    /// and topology only, not of node numbering or worker count).
+    /// bills included — under both round engines. Checks the vertex
+    /// coloring (Linial then block reduction: colors are a function of
+    /// ids and topology only) and the message-passing Moser–Tardos
+    /// program (each node's randomness is an RNG seeded from its id, its
+    /// messages are `Vec`-sized value lists, and the resampling tiebreak
+    /// compares ids), on an instance whose events are indexed by id.
     #[test]
     fn local_outputs_are_equivariant_under_relabeling(
         n in 4usize..24,
@@ -362,22 +364,37 @@ proptest! {
         for v in 0..n {
             hids[perm[v]] = ids[v];
         }
+        // Event `ids[v]` for node `v`; one coin per edge, shared by its
+        // endpoints' events; an event occurs iff all its coins are 0.
+        let mut b = InstanceBuilder::<f64>::new(n);
+        let mut coins = vec![Vec::new(); n];
+        for &(u, v) in g.edges() {
+            let (a, c) = (ids[u] as usize, ids[v] as usize);
+            let x = b.add_uniform_variable(&[a.min(c), a.max(c)], 2);
+            coins[a].push(x);
+            coins[c].push(x);
+        }
+        for (e, mine) in coins.into_iter().enumerate() {
+            b.set_event_predicate(e, move |vals| mine.iter().all(|&x| vals[x] == 0));
+        }
+        let inst = b.build().expect("valid instance");
         let gsim = Simulator::with_ids(&g, ids).expect("ids are a permutation").seed(3);
         let hsim = Simulator::with_ids(&h, hids).expect("ids are a permutation").seed(3);
         for t in [1usize, threads] {
-            let gb = gsim.clone().threads(t).run_auto(|_| GatherProgram::new(2), 4).expect("gather");
-            let hb = hsim.clone().threads(t).run_auto(|_| GatherProgram::new(2), 4).expect("gather");
+            let gc = vertex_coloring(&gsim.clone().threads(t), 1000).expect("coloring");
+            let hc = vertex_coloring(&hsim.clone().threads(t), 1000).expect("coloring");
             for (v, &pv) in perm.iter().enumerate() {
-                prop_assert_eq!(&gb.outputs[v], &hb.outputs[pv], "ball of node {}", v);
+                prop_assert_eq!(gc.colors[v], hc.colors[pv], "color of node {}", v);
             }
-            prop_assert_eq!(gb.rounds, hb.rounds);
-            prop_assert_eq!(gb.messages, hb.messages);
-            let gm = luby_mis(&gsim.clone().threads(t), 7).expect("mis");
-            let hm = luby_mis(&hsim.clone().threads(t), 7).expect("mis");
+            prop_assert_eq!(gc.rounds, hc.rounds);
+            let mt = |ctx: &sharp_lll::local::NodeContext| MtProgram::new(&inst, ctx.id as usize, 6);
+            let gm = gsim.clone().threads(t).run_auto(mt, 32).expect("mt");
+            let hm = hsim.clone().threads(t).run_auto(mt, 32).expect("mt");
             for (v, &pv) in perm.iter().enumerate() {
-                prop_assert_eq!(gm.in_mis[v], hm.in_mis[pv], "membership of node {}", v);
+                prop_assert_eq!(&gm.outputs[v], &hm.outputs[pv], "mt output of node {}", v);
             }
             prop_assert_eq!(gm.rounds, hm.rounds);
+            prop_assert_eq!(gm.messages, hm.messages);
         }
     }
 }
