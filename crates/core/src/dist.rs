@@ -24,8 +24,8 @@
 //! through color classes. The scheduling loop below executes the *same*
 //! fixing steps a message-passing implementation would — the
 //! order-obliviousness of Theorems 1.1/1.3 is exactly what makes the
-//! schedule correct — and asserts the no-conflict property of every
-//! class as an executable witness.
+//! schedule correct — and checks the no-conflict property of every
+//! class as an executable witness, in one pass before the sweep.
 //!
 //! Both corollaries run through one entry point, [`run`]: the
 //! [`Schedule`]'s kind selects the sweep, and a [`Sweep`] carries the
@@ -75,7 +75,7 @@ use crate::audit::{AuditDelta, IncrementalAuditor};
 use crate::error::FixerError;
 use crate::fg::FgFixer;
 use crate::fixer::{audit_verdict, fix_run_start_event};
-use crate::instance::{max_probability, Instance};
+use crate::instance::{max_probability, Instance, PartialAssignment};
 use crate::sweep::{with_class_pool, ClassFixer};
 use crate::triples::Phi;
 use crate::{FixReport, FixStepRecord, Fixer2, Fixer3};
@@ -107,6 +107,18 @@ pub enum DistError {
         /// Slots the supplied schedule actually carries.
         found: usize,
     },
+    /// A [`Schedule`] whose slot count fits does not color this
+    /// dependency graph properly: two cells of one color class touch
+    /// the same event (a schedule computed for another graph of the
+    /// same size). Found before anything is fixed or recorded.
+    ScheduleConflict {
+        /// The class, in sweep order: the rank-2 sweep's warm-up class
+        /// is 0 and color `c` is class `c + 1`; in the rank-3 sweep
+        /// color `c` is class `c`.
+        class: usize,
+        /// The event two cells of the class touch.
+        event: usize,
+    },
     /// A resumed run's recorded step prefix contradicts the steps the
     /// re-executed sweep takes — wrong schedule or instance, a prefix
     /// from a different driver, a tampered step, or corrupt audit
@@ -131,6 +143,10 @@ impl fmt::Display for DistError {
             DistError::ScheduleMismatch { expected, found } => write!(
                 f,
                 "schedule mismatch: driver needs {expected} schedule slots, schedule has {found}"
+            ),
+            DistError::ScheduleConflict { class, event } => write!(
+                f,
+                "schedule conflict: two cells of class {class} touch event {event}"
             ),
             DistError::ResumeMismatch {
                 at,
@@ -556,7 +572,8 @@ impl<T> Default for Sweep<'_, T> {
 ///   `p < 2^-d` under [`CriterionCheck::Enforce`] (the rank is checked
 ///   first), or if an audited sweep finds `P*` violated;
 /// * [`DistError::ScheduleMismatch`] if `schedule` is sized for a
-///   different dependency graph;
+///   different dependency graph, and [`DistError::ScheduleConflict`] if
+///   its size fits but it does not color this graph properly;
 /// * [`DistError::ResumeMismatch`] if the resume cursor contradicts the
 ///   schedule or its own accounting (wrong schedule or instance, a
 ///   prefix from an audited run fed to an unaudited sweep, or steps
@@ -571,67 +588,205 @@ pub fn run<T: Num, R: Recorder, S: TimingSink>(
     match schedule.kind() {
         ScheduleKind::Edge => {
             let fixer = Fixer2::new_unchecked(inst)?;
-            drive(inst, fixer, schedule, edge_classes, sweep, rec, sink)
+            drive(inst, fixer, schedule, Classes::edge, sweep, rec, sink)
         }
         ScheduleKind::Distance2 => {
             let fixer = Fixer3::new_unchecked(inst)?;
-            drive(inst, fixer, schedule, node_classes, sweep, rec, sink)
+            drive(inst, fixer, schedule, Classes::distance2, sweep, rec, sink)
         }
     }
 }
 
-/// A schedule's color classes, each a list of cells (one worker's
-/// sequentially fixed variables), in sweep order.
-type Classes = Vec<Vec<Vec<usize>>>;
+/// A schedule's color classes in sweep order, laid out flat. Class `k`
+/// holds the variables `vars[bounds[k].0..bounds[k + 1].0]`, cut into
+/// cells by `ends[bounds[k].1..bounds[k + 1].1]`: the prefix sums
+/// `0, e_1, …, e_c` of its cells' sizes, counted from the class's first
+/// variable, which are the weights [`lll_local::shard_bounds`] cuts. A
+/// cell is one worker's sequentially fixed variables. Cells appear in
+/// slot order (event, edge or node id), each lists its variables in id
+/// order, and empty cells are left out.
+#[derive(Debug)]
+struct Classes {
+    vars: Vec<usize>,
+    ends: Vec<usize>,
+    /// Where each class starts in `vars` and in `ends`, plus one entry
+    /// past the last class.
+    bounds: Vec<(usize, usize)>,
+}
 
-/// The rank-2 classes: the rank-1 warm-up class first (cells = one
-/// event's variables — no two rank-1 variables on different events
-/// interact, and several on one event are fixed by that event's node
-/// locally), then one class per edge color (cells = one dependency
-/// edge's variables, which one endpoint fixes locally and sequentially).
-fn edge_classes<T: Num>(inst: &Instance<T>, schedule: &Schedule) -> Result<Classes, DistError> {
-    let g = inst.dependency_graph();
-    expect_slots(schedule, g.num_edges())?;
-    let mut by_event: Vec<Vec<usize>> = vec![Vec::new(); inst.num_events()];
-    let mut by_edge: Vec<Vec<usize>> = vec![Vec::new(); g.num_edges()];
-    for x in 0..inst.num_variables() {
-        match *inst.variable(x).affects() {
-            [u] => by_event[u].push(x),
-            [u, v] => {
-                let eid = g.edge_id(u, v).expect("co-affected events are adjacent");
-                by_edge[eid].push(x);
+impl Classes {
+    /// Lays out `num_classes` classes by one counting sort over slots
+    /// (one potential cell each): `slot_class(s)` is the class of slot
+    /// `s` in `0..num_slots`, and `slots_of(x)` lists the slots whose
+    /// cell holds variable `x`. A class's cells keep the ascending order
+    /// of their slots.
+    fn layout<I: IntoIterator<Item = usize>>(
+        num_classes: usize,
+        num_slots: usize,
+        slot_class: impl Fn(usize) -> usize,
+        num_vars: usize,
+        slots_of: impl Fn(usize) -> I,
+    ) -> Classes {
+        let mut size = vec![0usize; num_slots];
+        for x in 0..num_vars {
+            for s in slots_of(x) {
+                size[s] += 1;
             }
+        }
+        // Variables and non-empty cells per class, then their prefix
+        // sums (every class owns one more end than it has cells).
+        let mut bounds = vec![(0usize, 0usize); num_classes + 1];
+        for (s, &len) in size.iter().enumerate() {
+            if len > 0 {
+                let k = slot_class(s) + 1;
+                bounds[k].0 += len;
+                bounds[k].1 += 1;
+            }
+        }
+        for k in 0..num_classes {
+            bounds[k + 1].0 += bounds[k].0;
+            bounds[k + 1].1 += bounds[k].1 + 1;
+        }
+        // Each non-empty slot's cell end, in slot order within its
+        // class; `size` becomes each slot's first position in `vars`.
+        let mut ends = vec![0usize; bounds[num_classes].1];
+        let mut next = bounds[..num_classes].to_vec();
+        for (s, len) in size.iter_mut().enumerate() {
+            if *len > 0 {
+                let k = slot_class(s);
+                let (v, e) = next[k];
+                ends[e + 1] = v + *len - bounds[k].0;
+                next[k] = (v + *len, e + 1);
+                *len = v;
+            }
+        }
+        // Placing the variables in id order orders every cell.
+        let mut vars = vec![0usize; bounds[num_classes].0];
+        for x in 0..num_vars {
+            for s in slots_of(x) {
+                vars[size[s]] = x;
+                size[s] += 1;
+            }
+        }
+        Classes { vars, ends, bounds }
+    }
+
+    /// The rank-2 classes: the rank-1 warm-up class first (cells = one
+    /// event's variables — no two rank-1 variables on different events
+    /// interact, and several on one event are fixed by that event's node
+    /// locally), then one class per edge color (cells = one dependency
+    /// edge's variables, which one endpoint fixes locally and
+    /// sequentially). Slots are the events, then the edges.
+    fn edge<T: Num>(inst: &Instance<T>, schedule: &Schedule) -> Result<Classes, DistError> {
+        let g = inst.dependency_graph();
+        let n = g.num_nodes();
+        expect_slots(schedule, g.num_edges())?;
+        let colors = schedule.colors();
+        let slot = |x: usize| match *inst.variable(x).affects() {
+            [u] => u,
+            [u, v] => n + g.edge_id(u, v).expect("co-affected events are adjacent"),
             _ => unreachable!("rank validated at construction"),
-        }
+        };
+        Ok(Classes::layout(
+            schedule.palette() + 1,
+            n + colors.len(),
+            |s| if s < n { 0 } else { colors[s - n] + 1 },
+            inst.num_variables(),
+            |x| [slot(x)],
+        ))
     }
-    let mut classes: Classes = Vec::with_capacity(schedule.palette() + 1);
-    classes.push(by_event.into_iter().filter(|c| !c.is_empty()).collect());
-    classes.resize_with(schedule.palette() + 1, Vec::new);
-    for (eid, cell) in by_edge.into_iter().enumerate() {
-        if !cell.is_empty() {
-            classes[schedule.colors()[eid] + 1].push(cell);
-        }
+
+    /// The rank-3 classes: one per node color, with one cell per class
+    /// node holding all of its incident variables. The sweep drops the
+    /// ones an earlier class already fixed. Slots are the nodes.
+    fn distance2<T: Num>(inst: &Instance<T>, schedule: &Schedule) -> Result<Classes, DistError> {
+        let n = inst.dependency_graph().num_nodes();
+        expect_slots(schedule, n)?;
+        let colors = schedule.colors();
+        Ok(Classes::layout(
+            schedule.palette(),
+            n,
+            |s| colors[s],
+            inst.num_variables(),
+            |x| inst.variable(x).affects().iter().copied(),
+        ))
     }
-    Ok(classes)
+
+    /// Every class as a list of cells, each a list of variables.
+    #[cfg(test)]
+    fn nested(&self) -> Vec<Vec<Vec<usize>>> {
+        self.bounds
+            .windows(2)
+            .map(|w| {
+                let vars = &self.vars[w[0].0..w[1].0];
+                let ends = &self.ends[w[0].1..w[1].1];
+                ends.windows(2).map(|e| vars[e[0]..e[1]].to_vec()).collect()
+            })
+            .collect()
+    }
+
+    /// Witness that every class is conflict-free: the events touched by
+    /// different cells of one class are disjoint. For the rank-2 sweep
+    /// this says same-colored edges share no endpoint; for the rank-3
+    /// sweep, that same-colored nodes are ≥ 3 apart. One pass over every
+    /// cell with one stamp per event (the last cell, numbered across all
+    /// classes, that touched it), so it costs the cells' size.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::ScheduleConflict`] at the first class with two cells
+    /// touching one event: the schedule does not color this dependency
+    /// graph properly, although its slot count fits.
+    fn check_disjoint<T: Num>(&self, inst: &Instance<T>) -> Result<(), DistError> {
+        let mut stamp = vec![0usize; inst.num_events()];
+        let mut cell = 0;
+        for (class, w) in self.bounds.windows(2).enumerate() {
+            let vars = &self.vars[w[0].0..w[1].0];
+            let first = cell + 1;
+            for end in self.ends[w[0].1..w[1].1].windows(2) {
+                cell += 1;
+                for &x in &vars[end[0]..end[1]] {
+                    for &event in inst.variable(x).affects() {
+                        if stamp[event] >= first && stamp[event] != cell {
+                            return Err(DistError::ScheduleConflict { class, event });
+                        }
+                        stamp[event] = cell;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The rank-3 classes: one per node color, with one cell per class node
-/// holding all of its incident variables. The sweep drops the ones an
-/// earlier class already fixed.
-fn node_classes<T: Num>(inst: &Instance<T>, schedule: &Schedule) -> Result<Classes, DistError> {
-    let n = inst.dependency_graph().num_nodes();
-    expect_slots(schedule, n)?;
-    let mut vars_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for x in 0..inst.num_variables() {
-        for &v in inst.variable(x).affects() {
-            vars_of[v].push(x);
+/// Keeps a class's still-unfixed variables, and its then non-empty
+/// cells, in place (a rank-3 variable sits in the cell of every event it
+/// affects; the first class to reach it fixes it). Returns the kept
+/// variables and their cell ends.
+fn retain_unfixed<'c>(
+    vars: &'c mut [usize],
+    ends: &'c mut [usize],
+    partial: &PartialAssignment,
+) -> (&'c [usize], &'c [usize]) {
+    let (mut kept, mut cells, mut start) = (0, 0, 0);
+    for c in 1..ends.len() {
+        let end = ends[c];
+        for i in start..end {
+            let x = vars[i];
+            if partial.get(x).is_none() {
+                vars[kept] = x;
+                kept += 1;
+            }
+        }
+        start = end;
+        // `cells < c`: the ends still to be read are untouched.
+        if kept > ends[cells] {
+            cells += 1;
+            ends[cells] = kept;
         }
     }
-    let mut classes: Classes = vec![Vec::new(); schedule.palette()];
-    for (cell, &c) in vars_of.into_iter().zip(schedule.colors()) {
-        classes[c].push(cell);
-    }
-    Ok(classes)
+    let (vars, ends): (&'c [usize], &'c [usize]) = (vars, ends);
+    (&vars[..kept], &ends[..=cells])
 }
 
 fn expect_slots(schedule: &Schedule, expected: usize) -> Result<(), DistError> {
@@ -646,10 +801,11 @@ fn expect_slots(schedule: &Schedule, expected: usize) -> Result<(), DistError> {
 }
 
 /// The sweep behind [`run`], for either fixer: checks the criterion,
-/// builds the classes, then fixes them in order. A resumed sweep runs
-/// the same classes from the start: a class that re-executes steps of
-/// the cursor's prefix is checked against it before any of its events
-/// go on, and only the events past the prefix do.
+/// builds the classes and witnesses that each is conflict-free, then
+/// fixes them in order. A resumed sweep runs the same classes from the
+/// start: a class that re-executes steps of the cursor's prefix is
+/// checked against it before any of its events go on, and only the
+/// events past the prefix do.
 fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     inst: &Instance<T>,
     mut fixer: F,
@@ -660,8 +816,14 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     sink: &mut S,
 ) -> Result<DistReport, DistError> {
     let initial_probs = check_criterion(inst, sweep.check)?;
-    let mut classes = classes(inst, schedule)?;
-    let warmup_classes = classes.len() - schedule.palette();
+    let classes = classes(inst, schedule)?;
+    classes.check_disjoint(inst)?;
+    let Classes {
+        mut vars,
+        mut ends,
+        bounds,
+    } = classes;
+    let warmup_classes = bounds.len() - 1 - schedule.palette();
     let audit = sweep.audit;
     let cursor = &sweep.resume;
     let prefix = cursor.steps;
@@ -674,32 +836,27 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
     let mut classes_run = 0u64;
 
     let run_started = span_start::<S>();
-    // The pool's mailboxes borrow each class's cells, so the classes
-    // outlive the pool.
-    let classes = &mut classes;
+    // The pool's mailboxes borrow each class's segment, so the layout
+    // outlives the pool; each class takes its segments off the front.
+    let (mut vars, mut ends) = (&mut vars[..], &mut ends[..]);
     let (swept, sweep_pool) = with_class_pool(sweep.threads, audit, |pool| {
-        for cells in classes {
+        for w in bounds.windows(2) {
             let class_started = span_start::<S>();
-            assert_cells_disjoint(inst, cells);
-            // Keep each cell's still-unfixed variables (a rank-3 variable
-            // sits in the cell of every event it affects; the first class
-            // to reach it fixes it). Membership is stable while the class
-            // runs — the witness above guarantees no other cell of the
-            // class touches these events.
-            for cell in cells.iter_mut() {
-                cell.retain(|&x| fixer.partial().get(x).is_none());
-            }
-            cells.retain(|cell| !cell.is_empty());
-            if cells.is_empty() {
+            let (class_vars, rest) = std::mem::take(&mut vars).split_at_mut(w[1].0 - w[0].0);
+            vars = rest;
+            let (class_ends, rest) = std::mem::take(&mut ends).split_at_mut(w[1].1 - w[0].1);
+            ends = rest;
+            // Membership is stable while the class runs: the witness
+            // guarantees no other cell of the class touches these events.
+            let (class_vars, class_ends) = retain_unfixed(class_vars, class_ends, fixer.partial());
+            if class_vars.is_empty() {
                 continue;
             }
-            let cells: &Vec<Vec<usize>> = cells;
-            let class_vars: Vec<usize> = cells.iter().flatten().copied().collect();
             classes_run += 1;
             let start = fixer.steps_done();
             if start >= prefix.len() {
-                let deltas = pool.fix_class(&mut fixer, cells, rec)?;
-                audit_class(&mut auditor, &deltas, &fixer, &class_vars, rec)?;
+                let deltas = pool.fix_class(&mut fixer, class_vars, class_ends, rec)?;
+                audit_class(&mut auditor, &deltas, &fixer, class_vars, rec)?;
             } else {
                 // The class re-executes recorded steps. A class inside
                 // the prefix runs unrecorded: the prefix holds its
@@ -710,9 +867,9 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
                 let boundary = prefix.len() <= end;
                 let mut buf = BufRecorder::new();
                 let fixed = if R::ENABLED && boundary {
-                    pool.fix_class(&mut fixer, cells, &mut buf)
+                    pool.fix_class(&mut fixer, class_vars, class_ends, &mut buf)
                 } else {
-                    pool.fix_class(&mut fixer, cells, &mut NullRecorder)
+                    pool.fix_class(&mut fixer, class_vars, class_ends, &mut NullRecorder)
                 };
                 check_prefix(inst, prefix, fixer.steps(), start)?;
                 let owed = boundary
@@ -720,10 +877,10 @@ fn drive<T: Num, F: ClassFixer<T>, R: Recorder, S: TimingSink>(
                     && boundary_verdict_owed(cursor, classes_run, prefix.len() == end)?;
                 let verdict = fixed.and_then(|deltas| {
                     if owed {
-                        audit_class(&mut auditor, &deltas, &fixer, &class_vars, &mut buf)
+                        audit_class(&mut auditor, &deltas, &fixer, class_vars, &mut buf)
                     } else {
                         let mut in_prefix = NullRecorder;
-                        audit_class(&mut auditor, &deltas, &fixer, &class_vars, &mut in_prefix)
+                        audit_class(&mut auditor, &deltas, &fixer, class_vars, &mut in_prefix)
                     }
                 });
                 let held = (prefix.len() - start) as u64;
@@ -865,26 +1022,6 @@ pub fn distributed_fg<T: Num>(
         fix,
         sweep_pool: PoolStats::default(),
     })
-}
-
-/// Witness that a color class is conflict-free: the events touched by
-/// different cells of the class are disjoint. For the rank-2 sweep this
-/// says same-colored edges share no endpoint; for the rank-3 sweep,
-/// that same-colored nodes are ≥ 3 apart.
-fn assert_cells_disjoint<T: Num>(inst: &Instance<T>, cells: &[Vec<usize>]) {
-    let mut owner: Vec<Option<usize>> = vec![None; inst.num_events()];
-    for (i, cell) in cells.iter().enumerate() {
-        for &x in cell {
-            for &ev in inst.variable(x).affects() {
-                match owner[ev] {
-                    Some(other) if other != i => {
-                        panic!("class schedules cells {other} and {i} touching event {ev}")
-                    }
-                    _ => owner[ev] = Some(i),
-                }
-            }
-        }
-    }
 }
 
 /// The entry points of the benchmark binary, which keeps their
@@ -1145,6 +1282,97 @@ mod tests {
         if lll_local::pool::available_cores() >= 2 {
             assert_eq!(rep.sweep_pool.spawns, 1);
         }
+    }
+
+    /// The classes of `schedule` built the nested way, as the flat
+    /// layout must list them: for an edge schedule the warm-up class of
+    /// rank-1 cells by event id, then one class per color of cells by
+    /// edge id; for a distance-2 schedule one class per color of cells
+    /// by node id. Variables in id order, empty cells dropped.
+    fn nested_classes(inst: &Instance<f64>, schedule: &Schedule) -> Vec<Vec<Vec<usize>>> {
+        let g = inst.dependency_graph();
+        let n = g.num_nodes();
+        let slot_class: Vec<usize> = match schedule.kind() {
+            ScheduleKind::Edge => std::iter::repeat_n(0, n)
+                .chain(schedule.colors().iter().map(|&c| c + 1))
+                .collect(),
+            ScheduleKind::Distance2 => schedule.colors().to_vec(),
+        };
+        let mut cells = vec![Vec::new(); slot_class.len()];
+        for x in 0..inst.num_variables() {
+            match (schedule.kind(), inst.variable(x).affects()) {
+                (ScheduleKind::Edge, &[u]) => cells[u].push(x),
+                (ScheduleKind::Edge, &[u, v]) => {
+                    let pair = (u.min(v), u.max(v));
+                    let eid = g.edges().iter().position(|&e| e == pair).unwrap();
+                    cells[n + eid].push(x);
+                }
+                (ScheduleKind::Distance2, affects) => {
+                    for &v in affects {
+                        cells[v].push(x);
+                    }
+                }
+                _ => unreachable!("edge schedules run rank ≤ 2"),
+            }
+        }
+        let warmup = usize::from(schedule.kind() == ScheduleKind::Edge);
+        let mut classes = vec![Vec::new(); warmup + schedule.palette()];
+        for (cell, k) in cells.into_iter().zip(slot_class) {
+            if !cell.is_empty() {
+                classes[k].push(cell);
+            }
+        }
+        classes
+    }
+
+    #[test]
+    fn flat_classes_list_cells_in_slot_order_and_variables_in_id_order() {
+        // A ring with one or two variables per edge (listed either way
+        // round) and zero to two rank-1 variables per event, their ids
+        // interleaved.
+        let n = 12;
+        let mut b = InstanceBuilder::<f64>::new(n);
+        for i in 0..n {
+            let j = (i + 1) % n;
+            if i % 3 != 0 {
+                b.add_uniform_variable(&[i], 2);
+            }
+            b.add_uniform_variable(&[i, j], 3);
+            if i % 4 == 1 {
+                b.add_uniform_variable(&[j, i], 2);
+                b.add_uniform_variable(&[i], 2);
+            }
+        }
+        let mixed = b.build().unwrap();
+        let hyper = hyper_ring_instance(24, 3);
+        for (inst, schedule) in [
+            (&mixed, edge(&mixed, 5, 1)),
+            (&mixed, distance2(&mixed, 3, 1)),
+            (&hyper, distance2(&hyper, 7, 1)),
+        ] {
+            let classes = match schedule.kind() {
+                ScheduleKind::Edge => Classes::edge(inst, &schedule),
+                ScheduleKind::Distance2 => Classes::distance2(inst, &schedule),
+            }
+            .unwrap();
+            let nested = classes.nested();
+            assert_eq!(nested, nested_classes(inst, &schedule));
+            assert!(nested.iter().flatten().all(|cell| !cell.is_empty()));
+            classes.check_disjoint(inst).unwrap();
+        }
+        // The warm-up class comes first and holds exactly the rank-1
+        // variables, one cell per event that has any.
+        let warmup: Vec<Vec<usize>> = (0..n)
+            .map(|ev| {
+                (0..mixed.num_variables())
+                    .filter(|&x| mixed.variable(x).affects() == [ev])
+                    .collect::<Vec<_>>()
+            })
+            .filter(|cell| !cell.is_empty())
+            .collect();
+        assert_eq!(warmup.len(), 9, "events 0, 3 and 6 have none");
+        let classes = Classes::edge(&mixed, &edge(&mixed, 5, 1)).unwrap().nested();
+        assert_eq!(classes[0], warmup);
     }
 
     #[test]
@@ -1633,6 +1861,26 @@ mod tests {
                 found: 32
             })
         ));
+        // A schedule of the right size colored for another graph: the
+        // ring's edge coloring on a 16-leaf star puts same-colored
+        // edges on the center, which the witness reports before
+        // anything is fixed or recorded.
+        let star = {
+            let mut b = InstanceBuilder::<f64>::new(17);
+            for leaf in 1..17 {
+                b.add_uniform_variable(&[0, leaf], 2);
+            }
+            b.build().unwrap()
+        };
+        let ring16 = edge(&inst2, 5, 1);
+        assert_eq!(ring16.colors().len(), star.dependency_graph().num_edges());
+        let mut rec = lll_obs::JsonlRecorder::new(Vec::new());
+        let err = run(&star, &ring16, &Sweep::default(), &mut rec, &mut NullTiming).unwrap_err();
+        assert!(
+            matches!(err, DistError::ScheduleConflict { event: 0, .. }),
+            "{err}"
+        );
+        assert!(rec.finish().unwrap().is_empty(), "nothing recorded");
         // An edge schedule selects the rank-2 sweep, which refuses a
         // rank-3 instance with a typed error.
         assert!(matches!(

@@ -18,8 +18,9 @@
 //!
 //! Determinism is by construction, not by luck:
 //!
-//! * the shard cuts come from [`shard_bounds`] over the prefix-sum cell
-//!   weights — a pure function of the schedule and the thread count;
+//! * the shard cuts come from [`shard_bounds`] over the class's cell
+//!   ends, which are its prefix-sum cell weights — a pure function of
+//!   the schedule and the thread count;
 //!   bands only decide which thread runs a shard;
 //! * each shard's fork (partial assignment + `φ` snapshot) owns a
 //!   contiguous run of cells, fixing them in cell order with run-global
@@ -163,7 +164,10 @@ where
 /// leaves in its band's mailbox for the coordinator.
 struct Job<'c, T, F> {
     fork: F,
-    cells: &'c [Vec<usize>],
+    /// The class's variables; the shard's cells are the windows of
+    /// `ends`, its run of the class's cell ends.
+    vars: &'c [usize],
+    ends: &'c [usize],
     /// Whether the run is recorded: only then are events built and
     /// buffered, exactly like the `R::ENABLED` guards of the sequential
     /// fixers.
@@ -178,7 +182,8 @@ impl<T: Num, F: ClassFixer<T>> Job<'_, T, F> {
     /// Fixes the shard's cells in order on its fork, then computes the
     /// audit checks for its variables if the run is audited.
     fn fix(&mut self, audit: Option<(&T, &T)>) -> Result<Option<AuditDelta<T>>, FixerError> {
-        for cell in self.cells {
+        for cell in self.ends.windows(2) {
+            let cell = &self.vars[cell[0]..cell[1]];
             if self.recording {
                 self.fork.fix_cell(cell, &mut self.buf)?;
             } else {
@@ -186,8 +191,8 @@ impl<T: Num, F: ClassFixer<T>> Job<'_, T, F> {
             }
         }
         Ok(audit.map(|(p_bound, tol)| {
-            let vars: Vec<usize> = self.cells.iter().flatten().copied().collect();
-            self.fork.audit_delta(&vars, p_bound, tol)
+            let vars = &self.vars[self.ends[0]..self.ends[self.ends.len() - 1]];
+            self.fork.audit_delta(vars, p_bound, tol)
         }))
     }
 }
@@ -238,16 +243,17 @@ where
 }
 
 impl<'c, T: Num, F: ClassFixer<T>> ClassPool<'_, '_, 'c, T, F> {
-    /// Fixes one scheduling class — `cells` in order — on up to
-    /// `threads` shards, merging state, step logs and recorded events
-    /// back in static shard order. In an audited sweep every shard also
-    /// computes the `P*` checks for its variables; the returned deltas
-    /// (shard order) are applied by the caller to its
+    /// Fixes one scheduling class — `vars`, cut into cells by `ends`
+    /// (the prefix sums `0, e_1, …, e_c` of the cells' sizes), cell by
+    /// cell — on up to `threads` shards, merging state, step logs and
+    /// recorded events back in static shard order. In an audited sweep
+    /// every shard also computes the `P*` checks for its variables; the
+    /// returned deltas (shard order) are applied by the caller to its
     /// [`IncrementalAuditor`](crate::IncrementalAuditor).
     ///
-    /// Equivalent to fixing the flattened cell list sequentially, for
-    /// every `threads` — outputs, step log, recorded events, audit
-    /// verdicts, errors and panics are identical by construction.
+    /// Equivalent to fixing `vars` sequentially, for every `threads` —
+    /// outputs, step log, recorded events, audit verdicts, errors and
+    /// panics are identical by construction.
     ///
     /// # Panics
     ///
@@ -257,30 +263,23 @@ impl<'c, T: Num, F: ClassFixer<T>> ClassPool<'_, '_, 'c, T, F> {
     pub(crate) fn fix_class<R: Recorder>(
         &mut self,
         fixer: &mut F,
-        cells: &'c [Vec<usize>],
+        vars: &'c [usize],
+        ends: &'c [usize],
         rec: &mut R,
     ) -> Result<Vec<AuditDelta<T>>, FixerError> {
-        let shards = effective_workers(self.threads, cells.len());
+        let shards = effective_workers(self.threads, ends.len() - 1);
         if shards <= 1 {
-            for cell in cells {
-                fixer.fix_cell(cell, rec)?;
+            for cell in ends.windows(2) {
+                fixer.fix_cell(&vars[cell[0]..cell[1]], rec)?;
             }
             return Ok(match self.audit {
-                Some((p_bound, tol)) => {
-                    let vars: Vec<usize> = cells.iter().flatten().copied().collect();
-                    vec![fixer.audit_delta(&vars, p_bound, tol)]
-                }
+                Some((p_bound, tol)) => vec![fixer.audit_delta(vars, p_bound, tol)],
                 None => Vec::new(),
             });
         }
         // Slot-balanced cuts over the per-cell step counts (same machinery
         // as the simulator's port-weighted shards).
-        let mut offsets = Vec::with_capacity(cells.len() + 1);
-        offsets.push(0usize);
-        for cell in cells {
-            offsets.push(offsets.last().unwrap() + cell.len());
-        }
-        let bounds = shard_bounds(&offsets, shards);
+        let bounds = shard_bounds(ends, shards);
         let base = fixer.steps_done();
         // Fork before the phase: forks are pure functions of the
         // pre-class state and the static shard bounds. Consecutive shards
@@ -288,8 +287,9 @@ impl<'c, T: Num, F: ClassFixer<T>> ClassPool<'_, '_, 'c, T, F> {
         let band_len = shards.div_ceil(self.pool.band_count());
         for (s, w) in bounds.windows(2).enumerate() {
             self.pool.band(s / band_len).push(Job {
-                fork: fixer.fork(base + offsets[w[0]]),
-                cells: &cells[w[0]..w[1]],
+                fork: fixer.fork(base + ends[w[0]]),
+                vars,
+                ends: &ends[w[0]..=w[1]],
                 recording: R::ENABLED,
                 buf: BufRecorder::default(),
                 done: None,
@@ -416,12 +416,11 @@ mod tests {
         fails_in: Option<usize>,
     ) -> (Failure, usize) {
         let inst = ring_instance(40);
-        let cells: Vec<Vec<usize>> = (0..40).step_by(2).map(|x| vec![x]).collect();
-        // Every cell weighs one step, so the shard cuts are the bounds
-        // over the cell count.
-        let unit: Vec<usize> = (0..=cells.len()).collect();
-        let bounds = shard_bounds(&unit, effective_workers(threads, cells.len()));
-        let first_of = |shard: usize| cells[bounds[shard]][0];
+        let vars: Vec<usize> = (0..40).step_by(2).collect();
+        // Every cell is one variable, so the cell ends count the cells.
+        let ends: Vec<usize> = (0..=vars.len()).collect();
+        let bounds = shard_bounds(&ends, effective_workers(threads, vars.len()));
+        let first_of = |shard: usize| vars[bounds[shard]];
         let mut fixer = Faulty {
             inner: Fixer2::new_unchecked(&inst).unwrap(),
             panics_at: first_of(panics_in),
@@ -429,7 +428,7 @@ mod tests {
         };
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
             with_class_pool(threads, None, |pool| {
-                pool.fix_class(&mut fixer, &cells, &mut NullRecorder)
+                pool.fix_class(&mut fixer, &vars, &ends, &mut NullRecorder)
             })
             .0
         }));

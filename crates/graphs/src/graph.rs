@@ -186,6 +186,11 @@ impl Graph {
     }
 
     /// Neighbors of `v`, in port order.
+    ///
+    /// Port order is ascending neighbor order: the builder fills each
+    /// node's ports in edge-id order, and the sorted edge list lists
+    /// `v`'s lower neighbors `(u, v)` before its higher ones `(v, w)`.
+    /// [`Graph::edge_id`] binary-searches this slice.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
@@ -206,10 +211,16 @@ impl Graph {
         &self.edges
     }
 
-    /// Id of the edge `{u, v}` if present.
+    /// Id of the edge `{u, v}` if present (`None` also for `u == v` and
+    /// for an endpoint out of range). A binary search over `u`'s
+    /// ascending neighbor list, so it costs `O(log deg u)`, not
+    /// `O(log m)`.
     pub fn edge_id(&self, u: usize, v: usize) -> Option<usize> {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        self.edges.binary_search(&(a, b)).ok()
+        if u >= self.num_nodes() {
+            return None;
+        }
+        let port = self.neighbors(u).binary_search(&v).ok()?;
+        Some(self.edge_ids[self.offsets[u] + port])
     }
 
     /// Approximate resident heap size of this graph in bytes: the struct

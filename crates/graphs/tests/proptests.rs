@@ -2,7 +2,9 @@
 
 use std::collections::BTreeSet;
 
-use lll_graphs::gen::{gnp, hyper_ring, random_3_uniform, random_regular, ring, torus};
+use lll_graphs::gen::{
+    complete, gnp, hyper_ring, hypercube, path, random_3_uniform, random_regular, ring, torus,
+};
 use lll_graphs::{Graph, GraphBuilder, Hyperedge, Hypergraph};
 use proptest::prelude::*;
 
@@ -47,6 +49,38 @@ fn btreeset_csr(
     Ok((set.into_iter().collect(), neighbors, incident))
 }
 
+/// The CSR invariant [`Graph::edge_id`] relies on: every neighbor list
+/// is strictly ascending, `edge_id(u, v)` finds each edge's position in
+/// `edges()` from either endpoint, and every other pair, `u == v` and
+/// every out-of-range endpoint give `None`.
+fn check_csr_invariant(g: &Graph) -> Result<(), TestCaseError> {
+    let n = g.num_nodes();
+    for v in 0..n {
+        prop_assert!(g.neighbors(v).windows(2).all(|w| w[0] < w[1]), "node {}", v);
+    }
+    for (eid, &(u, v)) in g.edges().iter().enumerate() {
+        prop_assert_eq!(g.edge_id(u, v), Some(eid));
+        prop_assert_eq!(g.edge_id(v, u), Some(eid));
+    }
+    for u in 0..n {
+        for v in 0..n {
+            let listed = g.edges().binary_search(&(u.min(v), u.max(v))).ok();
+            prop_assert_eq!(
+                g.edge_id(u, v),
+                listed.filter(|_| u != v),
+                "pair ({}, {})",
+                u,
+                v
+            );
+        }
+        prop_assert_eq!(g.edge_id(u, n), None);
+        prop_assert_eq!(g.edge_id(n, u), None);
+        prop_assert_eq!(g.edge_id(u, usize::MAX), None);
+        prop_assert_eq!(g.edge_id(usize::MAX, u), None);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn csr_structure_is_consistent((n, edges) in arb_edge_list()) {
@@ -68,6 +102,35 @@ proptest! {
             for &u in g.neighbors(v) {
                 prop_assert!(g.neighbors(u).contains(&v));
             }
+        }
+    }
+
+    #[test]
+    fn csr_neighbors_ascend_and_edge_ids_match_the_edge_list(
+        (n, edges) in arb_edge_list(),
+        seed in 0u64..50,
+    ) {
+        let k = n.max(5);
+        let mut graphs = vec![
+            Graph::from_edges(n, edges).expect("filtered edges are valid"),
+            ring(k),
+            path(n),
+            complete(n.min(9)),
+            torus(3 + n % 3, 3 + seed as usize % 3),
+            hypercube(1 + (seed % 4) as u32),
+            gnp(n, 0.3, seed),
+            hyper_ring(k).dependency_graph(),
+            random_3_uniform(3 * (2 + n % 4), 3, seed)
+                .expect("feasible parameters")
+                .dependency_graph(),
+        ];
+        if let Ok(g) = random_regular(2 * k, 3, seed) {
+            graphs.push(g);
+        }
+        for g in graphs {
+            check_csr_invariant(&g)?;
+            check_csr_invariant(&g.square())?;
+            check_csr_invariant(&g.line_graph())?;
         }
     }
 
